@@ -8,6 +8,11 @@ scores into weights, aggregate the locations by those weights.
 * context attention (query images): a location's score is a linear
   function of its own feature plus a per-location linear function of a
   context vector (the candidate shop embedding).
+
+The forward functions also take stacks, so serving runs one array
+operation per batch: tag attention pools a B x L x C stack of maps, each
+under its own row of a B x T tag matrix, and context attention pools one
+map under each row of a K x C stack of contexts.
 """
 
 from __future__ import annotations
@@ -21,47 +26,50 @@ from .numeric import softmax
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """An L x C grid of per-location feature vectors (row l = location l)."""
+    """An L x C grid of per-location feature vectors (row l = location l),
+    or a B x L x C stack of such grids."""
 
     data: np.ndarray
     height: int
     width: int
 
     def __post_init__(self) -> None:
-        if self.data.ndim != 2 or self.data.shape[0] < 1 or self.data.shape[1] < 1:
-            raise ValueError("feature map must be a non-empty L x C matrix")
-        if self.height < 1 or self.width < 1 or self.height * self.width != self.data.shape[0]:
+        if self.data.ndim not in (2, 3) or self.data.size == 0:
+            raise ValueError("feature map must be a non-empty L x C matrix or B x L x C stack")
+        if self.height < 1 or self.width < 1 or self.height * self.width != self.locations:
             raise ValueError(
                 f"height*width must equal the location count "
-                f"({self.height}*{self.width} != {self.data.shape[0]})"
+                f"({self.height}*{self.width} != {self.locations})"
             )
         if not np.all(np.isfinite(self.data)):
             raise ValueError("feature map entries must be finite")
 
     @classmethod
     def from_matrix(cls, data: np.ndarray) -> "FeatureMap":
-        """Wrap an L x C matrix; the spatial factorization defaults to L x 1."""
+        """Wrap an L x C matrix or B x L x C stack; the spatial
+        factorization defaults to L x 1."""
         arr = np.asarray(data, dtype=np.float64)
-        return cls(data=arr, height=arr.shape[0], width=1)
+        return cls(data=arr, height=arr.shape[-2] if arr.ndim >= 2 else 0, width=1)
 
     @property
     def locations(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
     @property
     def channels(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-1]
 
 
 @dataclass(frozen=True)
 class TagVector:
-    """Binary indicator vector over the tag vocabulary, kept as float 0/1."""
+    """Binary indicator vector over the tag vocabulary, kept as float 0/1;
+    a B x T matrix holds one vector per map of a stack."""
 
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.bits.ndim != 1 or self.bits.size == 0:
-            raise ValueError("tag vector must be non-empty and 1-D")
+        if self.bits.ndim not in (1, 2) or self.bits.size == 0:
+            raise ValueError("tag vector must be non-empty and 1-D (or a 2-D stack)")
         if not np.all((self.bits == 0.0) | (self.bits == 1.0)):
             raise ValueError("tag vector entries must be 0 or 1")
 
@@ -80,7 +88,7 @@ class TagVector:
 
     @property
     def size(self) -> int:
-        return self.bits.shape[0]
+        return self.bits.shape[-1]
 
     def active_ids(self) -> tuple[int, ...]:
         return tuple(int(i) for i in np.nonzero(self.bits)[0])
@@ -128,13 +136,13 @@ class AttentionResult:
 
 def tag_embed(tags: TagVector, params: TagAttentionParams) -> np.ndarray:
     """Embed a tag set into feature space: the row-sum of the embedding
-    matrix over active tags."""
+    matrix over active tags (one row per tag set of a stack)."""
     if tags.size != params.embedding.shape[0]:
         raise ValueError(
             f"tag vector length {tags.size} does not match embedding rows "
             f"{params.embedding.shape[0]}"
         )
-    return params.embedding.T @ tags.bits
+    return tags.bits @ params.embedding
 
 
 def tag_attend(
@@ -143,16 +151,22 @@ def tag_attend(
     """Pool a shop feature map under tag-conditioned attention.
 
     Location scores are inner products between the location feature and
-    the embedded tag set; weights are the softmax of the scores.
+    the embedded tag set; weights are the softmax of the scores. A B x L x C
+    stack pools each map under its own row of a B x T tag matrix.
     """
     if fmap.channels != params.embedding.shape[1]:
         raise ValueError(
             f"feature channels {fmap.channels} do not match embedding columns "
             f"{params.embedding.shape[1]}"
         )
+    if fmap.data.ndim != tags.bits.ndim + 1 or fmap.data.shape[:-2] != tags.bits.shape[:-1]:
+        raise ValueError("a stack of feature maps needs one tag vector per map")
     embedded = tag_embed(tags, params)
-    weights = softmax(fmap.data @ embedded)
-    return AttentionResult(weights=weights, pooled=weights @ fmap.data)
+    if fmap.data.ndim == 2:
+        weights = softmax(fmap.data @ embedded)
+        return AttentionResult(weights=weights, pooled=weights @ fmap.data)
+    weights = softmax(np.einsum("blc,bc->bl", fmap.data, embedded))
+    return AttentionResult(weights=weights, pooled=np.einsum("bl,blc->bc", weights, fmap.data))
 
 
 def context_attend(
@@ -162,17 +176,21 @@ def context_attend(
 
     score_l = feature_weight . f_l + context_weight[l] . context. The
     linear alignment fixes the spatial size: the map must have exactly as
-    many locations as context_weight has rows.
+    many locations as context_weight has rows. A K x C stack of contexts
+    gives K x L weights and K pooled rows: the one map under each context.
     """
     ctx = np.asarray(context, dtype=np.float64)
+    if fmap.data.ndim != 2:
+        raise ValueError("context attention pools a single L x C feature map")
     if params.context_weight.shape[0] != fmap.locations:
         raise ValueError(
             f"feature map has {fmap.locations} locations but context_weight "
             f"fixes {params.context_weight.shape[0]}"
         )
-    if fmap.channels != params.feature_weight.shape[0] or ctx.shape != params.feature_weight.shape:
+    channels = params.feature_weight.shape[0]
+    if fmap.channels != channels or ctx.ndim not in (1, 2) or ctx.shape[-1] != channels:
         raise ValueError("channel dimensions disagree for context attention")
-    scores = fmap.data @ params.feature_weight + params.context_weight @ ctx
+    scores = fmap.data @ params.feature_weight + ctx @ params.context_weight.T
     weights = softmax(scores)
     return AttentionResult(weights=weights, pooled=weights @ fmap.data)
 

@@ -2,17 +2,26 @@
 
 Three variants form a ladder. The base variant pools both domains
 uniformly; the tag variant adds tag-conditioned pooling on the shop
-side; the context variant additionally embeds the query once per
-candidate, using the candidate's shop embedding as context.
+side; the context variant additionally attends the query under each
+candidate's shop embedding as context.
 
 The trunk and branches are per-location affine+ReLU transforms
 (1x1-convolution equivalents); precomputed feature maps can bypass the
 trunk via raw_dim == channels with an identity trunk.
+
+Serving runs the batched forward functions: ``embed_shops`` and
+``embed_shops_simple`` embed a B x L x R stack of shop images at once,
+and ``embed_user_contexts`` attends one query feature map under K
+candidate contexts in one pass. The per-item ``embed_shop``,
+``embed_shop_simple`` and ``embed_user_context`` are their batched forms
+applied to a batch of one. Training runs ``forward_triple`` and
+``backward_triple``, one triple at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -31,6 +40,7 @@ from .attention import (
     tag_attend,
     tag_attend_backward,
 )
+from .fileio import write_atomic
 from .metric import TripleEmbeddings, triplet_loss, triplet_loss_backward
 from .numeric import l2_normalize, l2_normalize_backward
 
@@ -225,41 +235,77 @@ def init_params(
 def extract_features(
     raw: np.ndarray, domain: str, params: ModelParams
 ) -> FeatureMap:
-    """Trunk + domain branch, applied per location: branch(relu(trunk(x)))."""
+    """Trunk + domain branch, applied per location: branch(relu(trunk(x))).
+
+    ``raw`` is one L x R map or a B x L x R stack; a stack runs as one
+    (B*L) x R matrix product per layer and gives a B x L x C feature map.
+    """
     if domain not in DOMAINS:
         raise ValueError(f"domain must be one of {DOMAINS}, got {domain!r}")
     data = np.asarray(raw, dtype=np.float64)
     cfg = params.config
-    if data.shape != (cfg.locations, cfg.raw_dim):
+    if data.ndim not in (2, 3) or data.shape[-2:] != (cfg.locations, cfg.raw_dim):
         raise ValueError(
-            f"raw features must be {cfg.locations} x {cfg.raw_dim}, got {data.shape}"
+            f"raw features must be {cfg.locations} x {cfg.raw_dim} "
+            f"(or a stack of such), got {data.shape}"
         )
-    hidden = np.maximum(params.trunk.apply(data), 0.0)
+    hidden = np.maximum(params.trunk.apply(data.reshape(-1, cfg.raw_dim)), 0.0)
     branch = params.branch_user if domain == "user" else params.branch_shop
-    return FeatureMap.from_matrix(branch.apply(hidden))
+    features = branch.apply(hidden).reshape(*data.shape[:-1], cfg.channels)
+    return FeatureMap.from_matrix(features)
 
 
-def embed_shop(raw: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndarray:
-    """Unit-norm shop embedding via tag-conditioned pooling."""
+def uniform_embedding(fmap: FeatureMap) -> np.ndarray:
+    """Unit-norm uniform pooling of a feature map (one row per map of a stack)."""
+    return l2_normalize(fmap.data.mean(axis=-2))
+
+
+def embed_shops(raws: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndarray:
+    """Unit-norm B x C shop embeddings of a B x L x R stack, each pooled
+    under its own row of the B x T tag matrix ``tags``."""
     if params.config.variant < Variant.TAGYNET:
         raise UnsupportedVariantError(
             "shop tag attention needs the tag head; this model does not have one"
         )
     assert params.tag_attn is not None
-    fmap = extract_features(raw, "shop", params)
-    return l2_normalize(tag_attend(fmap, tags, params.tag_attn).pooled)
+    fmaps = extract_features(raws, "shop", params)
+    return l2_normalize(tag_attend(fmaps, tags, params.tag_attn).pooled)
+
+
+def embed_shops_simple(raws: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Unit-norm B x C shop embeddings of a B x L x R stack via uniform
+    pooling (base-variant path)."""
+    return uniform_embedding(extract_features(raws, "shop", params))
+
+
+def embed_user_contexts(
+    fmap: FeatureMap, contexts: np.ndarray, params: ModelParams
+) -> np.ndarray:
+    """Unit-norm K x C query embeddings: the query feature map attended
+    with each row of a K x C stack of (normalized) shop embeddings as
+    context."""
+    if params.config.variant < Variant.CTXYNET:
+        raise UnsupportedVariantError(
+            "context attention needs the context head; this model does not have one"
+        )
+    assert params.ctx_attn is not None
+    return l2_normalize(context_attend(fmap, contexts, params.ctx_attn).pooled)
+
+
+def embed_shop(raw: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndarray:
+    """Unit-norm shop embedding via tag-conditioned pooling."""
+    raws = np.asarray(raw, dtype=np.float64)[None]
+    return embed_shops(raws, TagVector(bits=tags.bits[None]), params)[0]
 
 
 def embed_shop_simple(raw: np.ndarray, params: ModelParams) -> np.ndarray:
     """Unit-norm shop embedding via uniform pooling (base-variant path)."""
-    fmap = extract_features(raw, "shop", params)
-    return l2_normalize(fmap.data.mean(axis=0))
+    return embed_shops_simple(np.asarray(raw, dtype=np.float64)[None], params)[0]
 
 
 def embed_user_simple(raw: np.ndarray, params: ModelParams) -> np.ndarray:
     """Unit-norm query embedding: uniform-weight aggregation, any variant."""
-    fmap = extract_features(raw, "user", params)
-    return l2_normalize(fmap.data.mean(axis=0))
+    return uniform_embedding(extract_features(raw, "user", params))
 
 
 def embed_user_context(
@@ -271,9 +317,9 @@ def embed_user_context(
         raise UnsupportedVariantError(
             "context attention needs the context head; this model does not have one"
         )
-    assert params.ctx_attn is not None
     fmap = extract_features(raw, "user", params)
-    return l2_normalize(context_attend(fmap, shop_embedding, params.ctx_attn).pooled)
+    contexts = np.asarray(shop_embedding, dtype=np.float64)[None]
+    return embed_user_contexts(fmap, contexts, params)[0]
 
 
 class TripleForward(NamedTuple):
@@ -556,6 +602,16 @@ class _Reader:
     def u64(self, what: str) -> int:
         return struct.unpack("<Q", self.take(8, what))[0]
 
+    def text(self, what: str) -> str:
+        """A u32 length, then that many bytes of strict UTF-8."""
+        raw = self.take(self.u32(f"{what} length"), what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(
+                f"{what} is not valid UTF-8", offset=self.pos - len(raw) + exc.start
+            ) from None
+
 
 def checkpoint_from_bytes(data: bytes) -> Checkpoint:
     reader = _Reader(data)
@@ -579,15 +635,16 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
     )
     epoch = reader.u32("epoch")
     seed = reader.u64("seed")
-    stage = reader.take(reader.u32("stage length"), "stage name").decode("utf-8")
+    stage = reader.text("stage name")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(reader.u32("tensor count")):
         name_offset = reader.pos
-        name = reader.take(reader.u32("tensor name length"), "tensor name").decode("utf-8")
+        name = reader.text("tensor name")
         rank = reader.u32("tensor rank")
         dims = tuple(reader.u32("tensor dim") for _ in range(rank))
-        count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        payload = reader.take(8 * count, f"tensor {name!r} payload")
+        # Python ints: a product of u32 dims cannot wrap, so a huge claimed
+        # payload fails the length check in take() instead of a reshape.
+        payload = reader.take(8 * math.prod(dims), f"tensor {name!r} payload")
         if name in tensors:
             raise CheckpointFormatError(f"duplicate tensor {name!r}", offset=name_offset)
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
@@ -603,8 +660,7 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
 
 
 def save_checkpoint(path: str | os.PathLike, ckpt: Checkpoint) -> None:
-    with open(path, "wb") as fh:
-        fh.write(checkpoint_to_bytes(ckpt))
+    write_atomic(path, [checkpoint_to_bytes(ckpt)])
 
 
 def load_checkpoint(path: str | os.PathLike) -> Checkpoint:

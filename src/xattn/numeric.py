@@ -26,26 +26,32 @@ class NonFiniteValueError(ValueError):
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Overflow-safe softmax of a 1-D score vector.
+    """Overflow-safe softmax over the last axis of a score array.
 
+    A 1-D vector is one distribution; each row of a stack is its own.
     Uses max-subtraction, so adding a constant to all scores leaves the
     output unchanged. Output entries are positive and sum to 1.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("softmax expects a non-empty 1-D score vector")
+    if s.ndim < 1 or s.size == 0:
+        raise ValueError("softmax expects a non-empty score vector or stack")
     if not np.all(np.isfinite(s)):
         raise ValueError("softmax scores must be finite")
-    shifted = np.exp(s - s.max())
-    return shifted / shifted.sum()
+    shifted = np.exp(s - s.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 def l2_normalize(v: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
-    """Return ``v / max(||v||_2, eps)``; the eps guard keeps 0 well-defined."""
+    """Return ``v / max(||v||_2, eps)``; the eps guard keeps 0 well-defined.
+
+    Each row of a 2-D stack is normalized on its own.
+    """
     x = np.asarray(v, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("l2_normalize expects a non-empty 1-D vector")
-    return x / max(float(np.linalg.norm(x)), eps)
+    if x.ndim not in (1, 2) or x.shape[-1] == 0:
+        raise ValueError("l2_normalize expects a non-empty vector or a stack of them")
+    if x.ndim == 1:
+        return x / max(float(np.linalg.norm(x)), eps)
+    return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), eps)
 
 
 def l2_normalize_backward(

@@ -8,6 +8,7 @@ and obvious.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -109,6 +110,76 @@ def naive_rank(entries, query_embedding, k) -> list[tuple[int, float]]:
         scored.append((item_id, d))
     scored.sort(key=lambda pair: (pair[1], pair[0]))
     return scored[: min(k, len(scored))]
+
+
+def naive_shop_embedding(raw, bits, params) -> list[float]:
+    """Shop embedding of one image: tag attention when the model has a tag
+    head, uniform pooling otherwise."""
+    features = naive_affine_relu_affine(
+        raw,
+        params.trunk.weight,
+        params.trunk.bias,
+        params.branch_shop.weight,
+        params.branch_shop.bias,
+    )
+    if params.tag_attn is not None:
+        _, pooled = naive_tag_attend(features, bits, params.tag_attn.embedding)
+    else:
+        pooled = [sum(row[c] for row in features) / len(features) for c in range(len(features[0]))]
+    return naive_l2_normalize(pooled)
+
+
+def naive_user_embedding(raw, params) -> list[float]:
+    """Uniform-pooled query embedding of one image."""
+    features = naive_affine_relu_affine(
+        raw,
+        params.trunk.weight,
+        params.trunk.bias,
+        params.branch_user.weight,
+        params.branch_user.bias,
+    )
+    pooled = [sum(row[c] for row in features) / len(features) for c in range(len(features[0]))]
+    return naive_l2_normalize(pooled)
+
+
+def per_candidate_rerank(query_raw, candidate_ids, shop_embedding_of, params) -> list[tuple[int, float]]:
+    """The context re-rank one candidate at a time: embed the query with
+    the candidate's shop embedding as context, take the squared distance
+    to that embedding, then sort by (distance, item id)."""
+    scored = []
+    for item_id in candidate_ids:
+        context = shop_embedding_of[item_id]
+        features = naive_affine_relu_affine(
+            query_raw,
+            params.trunk.weight,
+            params.trunk.bias,
+            params.branch_user.weight,
+            params.branch_user.bias,
+        )
+        _, pooled = naive_context_attend(
+            features, context, params.ctx_attn.feature_weight, params.ctx_attn.context_weight
+        )
+        contextual = naive_l2_normalize(pooled)
+        d = 0.0
+        for a, b in zip(contextual, context):
+            d += (a - float(b)) ** 2
+        scored.append((item_id, d))
+    scored.sort(key=lambda pair: (pair[1], pair[0]))
+    return scored
+
+
+def per_entry_index_bytes(fingerprint, entries) -> bytes:
+    """XIDX v1 file bytes, written one entry at a time with ``struct``.
+
+    ``entries`` holds (item id, product id, tag bits, embedding) tuples in
+    the order they are to be stored.
+    """
+    parts = [b"XIDX", struct.pack("<I", 1), fingerprint, struct.pack("<Q", len(entries))]
+    for item_id, product_id, bits, embedding in entries:
+        parts.append(struct.pack("<QQ", item_id, product_id))
+        parts.append(np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little").tobytes())
+        parts.append(b"".join(struct.pack("<d", float(x)) for x in embedding))
+    return b"".join(parts)
 
 
 def naive_precision_at_k(ranked_ids_per_query, product_of_item, truth, k) -> float:

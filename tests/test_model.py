@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from xattn.attention import TagVector
 from xattn.metric import distance
 from xattn.model import (
+    CHECKPOINT_MAGIC,
     Checkpoint,
     CheckpointFormatError,
     ModelConfig,
@@ -379,3 +382,44 @@ class TestCheckpoints:
         different = self.make_checkpoint(seed=32)
         assert params_fingerprint(ckpt_a.params) != params_fingerprint(different.params)
         assert len(params_fingerprint(ckpt_a.params)) == 32
+
+    def test_stage_name_not_utf8(self):
+        data = checkpoint_to_bytes(self.make_checkpoint())
+        stage_at = data.index(b"ctxynet")
+        bad = data[:stage_at] + b"\xff" + data[stage_at + 1 :]
+        with pytest.raises(CheckpointFormatError, match="UTF-8") as err:
+            checkpoint_from_bytes(bad)
+        assert err.value.offset == stage_at
+
+    def test_tensor_name_not_utf8(self):
+        data = checkpoint_to_bytes(self.make_checkpoint())
+        name_at = data.index(b"trunk.weight")
+        bad = data[:name_at] + b"\xc3(" + data[name_at + 2 :]
+        with pytest.raises(CheckpointFormatError, match="UTF-8") as err:
+            checkpoint_from_bytes(bad)
+        assert err.value.offset == name_at
+
+    @pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**20, 2**20), (2**32 - 1,)])
+    def test_huge_tensor_dims(self, dims):
+        # (2**32 - 1)**2 wraps an int64 product; the claimed payload must
+        # fail the length check instead.
+        stage = b"ctxynet"
+        data = b"".join(
+            (
+                CHECKPOINT_MAGIC,
+                struct.pack("<I", 1),
+                struct.pack("<5I", int(Variant.CTXYNET), 4, 3, 2, 3),
+                struct.pack("<I", 0),
+                struct.pack("<Q", 0),
+                struct.pack("<I", len(stage)),
+                stage,
+                struct.pack("<I", 1),
+                struct.pack("<I", 12),
+                b"trunk.weight",
+                struct.pack("<I", len(dims)),
+                struct.pack(f"<{len(dims)}I", *dims),
+                b"\x00" * 64,
+            )
+        )
+        with pytest.raises(CheckpointFormatError, match="truncated"):
+            checkpoint_from_bytes(data)

@@ -1,0 +1,444 @@
+import logging
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xattn import retrieval
+from xattn.attention import TagVector
+from xattn.model import (
+    ModelConfig,
+    UnsupportedVariantError,
+    Variant,
+    embed_shop,
+    embed_shop_simple,
+    init_params,
+)
+from xattn.retrieval import (
+    BUILD_BLOCK,
+    FingerprintMismatchError,
+    IndexFormatError,
+    Ranked,
+    RankedList,
+    ShopIndex,
+    ShopItem,
+    build_index,
+    initial_search,
+    load_index,
+    precision_at_k,
+    rerank,
+    save_index,
+    search,
+)
+
+from oracles import (
+    naive_rank,
+    naive_shop_embedding,
+    naive_user_embedding,
+    per_candidate_rerank,
+    per_entry_index_bytes,
+)
+
+VARIANTS = (Variant.YNET, Variant.TAGYNET, Variant.CTXYNET)
+
+
+def make_params(variant=Variant.CTXYNET, seed=0, locations=4, channels=5, tags=3, raw_dim=4):
+    config = ModelConfig(
+        locations=locations, channels=channels, tag_count=tags, raw_dim=raw_dim, variant=variant
+    )
+    params = init_params(config, seed)
+    # Positive biases keep a ReLU from zeroing a whole map.
+    params.trunk.bias[...] = 0.05
+    return params
+
+
+def make_items(params, count, rng, ids=None):
+    cfg = params.config
+    ids = list(range(100, 100 + count)) if ids is None else ids
+    return [
+        ShopItem(
+            item_id=item_id,
+            product_id=item_id % 7,
+            raw=rng.normal(size=(cfg.locations, cfg.raw_dim)),
+            tags=TagVector(bits=rng.integers(0, 2, cfg.tag_count).astype(np.float64)),
+        )
+        for item_id in ids
+    ]
+
+
+def query(params, rng):
+    return rng.normal(size=(params.config.locations, params.config.raw_dim))
+
+
+def assert_same_ranking(got, want):
+    assert [int(r.item_id) for r in got] == [item for item, _ in want]
+    np.testing.assert_allclose(got.distances, [d for _, d in want], rtol=0, atol=1e-12)
+
+
+class TestRankedList:
+    def test_sequence_of_ranked(self):
+        ranked = RankedList([7, 3, 9], [0.1, 0.2, 0.2])
+        assert len(ranked) == 3
+        assert ranked[0] == Ranked(7, 0.1) and ranked[-1] == Ranked(9, 0.2)
+        assert type(ranked[0].item_id) is int and type(ranked[0].distance) is float
+        pairs = [(item, dist) for item, dist in ranked]
+        assert pairs == [(7, 0.1), (3, 0.2), (9, 0.2)]
+        swapped = list(ranked)
+        swapped[0], swapped[-1] = swapped[-1], swapped[0]
+        assert swapped[0].distance == 0.2
+        with pytest.raises(IndexError):
+            ranked[3]
+
+    def test_slices_are_ranked_lists(self):
+        ranked = RankedList([7, 3, 9], [0.1, 0.2, 0.3])
+        head = ranked[:2]
+        assert isinstance(head, RankedList) and head == RankedList([7, 3], [0.1, 0.2])
+        assert len(ranked[:0]) == 0 and list(ranked[5:]) == []
+
+    def test_equality_is_a_bool(self):
+        ranked = RankedList([7, 3], [0.1, 0.2])
+        same = ranked == RankedList(np.array([7, 3]), np.array([0.1, 0.2]))
+        assert same is True
+        assert (ranked == RankedList([3, 7], [0.1, 0.2])) is False
+        assert (ranked == RankedList([7, 3], [0.1, 0.25])) is False
+        assert (ranked == RankedList([7], [0.1])) is False
+        assert ranked == [Ranked(7, 0.1), Ranked(3, 0.2)]
+        assert ranked == [(7, 0.1), (3, 0.2)]
+        assert ranked != [(7, 0.1)]
+        assert ranked != "not a ranking"
+
+    def test_rejects_mismatched_columns(self):
+        with pytest.raises(ValueError):
+            RankedList([1, 2], [0.1])
+        with pytest.raises(TypeError):
+            hash(RankedList([1], [0.1]))
+
+
+class TestBuildIndex:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("count", [1, BUILD_BLOCK - 1, BUILD_BLOCK, 2 * BUILD_BLOCK + 3])
+    def test_equals_per_item_embeddings(self, variant, count):
+        rng = np.random.default_rng(count)
+        params = make_params(variant, seed=count)
+        items = make_items(params, count, rng, ids=list(rng.permutation(count) * 3 + 11))
+        index = build_index(items, params)
+        ordered = sorted(items, key=lambda item: item.item_id)
+        assert index.item_ids.tolist() == [item.item_id for item in ordered]
+        assert index.product_ids.tolist() == [item.product_id for item in ordered]
+        for row, item in enumerate(ordered):
+            if variant >= Variant.TAGYNET:
+                want = embed_shop(item.raw, item.tags, params)
+            else:
+                want = embed_shop_simple(item.raw, params)
+            np.testing.assert_allclose(index.embeddings[row], want, rtol=0, atol=1e-12)
+            naive = naive_shop_embedding(item.raw, item.tags.bits, params)
+            np.testing.assert_allclose(index.embeddings[row], naive, rtol=0, atol=1e-12)
+
+    def test_duplicate_item_id_raises(self):
+        params = make_params()
+        items = make_items(params, 4, np.random.default_rng(0), ids=[5, 9, 5, 2])
+        with pytest.raises(ValueError, match="duplicate item id 5"):
+            build_index(items, params)
+
+    def test_columns_are_read_only(self):
+        params = make_params()
+        index = build_index(make_items(params, 3, np.random.default_rng(0)), params)
+        with pytest.raises(ValueError):
+            index.embeddings[0, 0] = 1.0
+
+    def test_empty(self):
+        params = make_params()
+        index = build_index([], params)
+        assert len(index) == 0 and index.embeddings.shape == (0, params.config.channels)
+
+
+class TestSearch:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_candidate_reference(self, variant, seed):
+        rng = np.random.default_rng([seed, int(variant)])
+        params = make_params(variant, seed=seed, locations=int(rng.integers(1, 6)))
+        items = make_items(params, int(rng.integers(5, 30)), rng)
+        index = build_index(items, params)
+        embedding_of = dict(zip(index.item_ids.tolist(), index.embeddings))
+        raw = query(params, rng)
+        k = int(rng.integers(1, len(items) + 3))
+
+        scan = naive_rank(embedding_of.items(), naive_user_embedding(raw, params), k)
+        assert_same_ranking(initial_search(index, raw, params, k), scan)
+        contextual = variant >= Variant.CTXYNET
+        got = search(index, raw, params, k, use_rerank=contextual)
+        if not contextual:
+            assert_same_ranking(got, scan)
+            return
+        want = per_candidate_rerank(raw, [item for item, _ in scan], embedding_of, params)
+        assert_same_ranking(got, want)
+        # Candidates in any order re-rank to the same list.
+        shuffled = [scan[i] for i in rng.permutation(len(scan))]
+        assert rerank(index, raw, shuffled, params) == got
+        assert rerank(index, raw, initial_search(index, raw, params, k), params) == got
+
+    def test_ties_break_by_item_id(self):
+        rng = np.random.default_rng(3)
+        params = make_params(Variant.CTXYNET, seed=3)
+        base = make_items(params, 3, rng)
+        # Four copies of each image under scattered ids: equal embeddings.
+        ids = rng.permutation(12) * 5 + 1
+        items = [base[i % 3]._replace(item_id=int(item_id)) for i, item_id in enumerate(ids)]
+        index = build_index(items, params)
+        raw = query(params, rng)
+        for use_rerank in (False, True):
+            got = search(index, raw, params, k=12, use_rerank=use_rerank)
+            keys = list(zip(got.distances.tolist(), got.item_ids.tolist()))
+            assert keys == sorted(keys)
+            assert len(set(got.distances.tolist())) == 3
+        candidates = RankedList(ids[::-1], np.zeros(12))
+        assert rerank(index, raw, candidates, params) == search(index, raw, params, k=12)
+
+    def test_ties_at_the_k_boundary(self):
+        rng = np.random.default_rng(4)
+        params = make_params(Variant.TAGYNET, seed=4)
+        base = make_items(params, 5, rng)
+        ids = rng.permutation(20) + 50
+        items = [base[i % 5]._replace(item_id=int(item_id)) for i, item_id in enumerate(ids)]
+        index = build_index(items, params)
+        embedding_of = dict(zip(index.item_ids.tolist(), index.embeddings))
+        raw = query(params, rng)
+        expected = naive_rank(embedding_of.items(), naive_user_embedding(raw, params), 20)
+        for k in range(1, 22):
+            assert_same_ranking(initial_search(index, raw, params, k), expected[:k])
+
+    def test_k_bounds(self):
+        rng = np.random.default_rng(5)
+        params = make_params()
+        index = build_index(make_items(params, 6, rng), params)
+        raw = query(params, rng)
+        assert len(search(index, raw, params, k=1)) == 1
+        everything = search(index, raw, params, k=100)
+        assert sorted(everything.item_ids.tolist()) == index.item_ids.tolist()
+        assert everything == search(index, raw, params, k=6)
+        with pytest.raises(ValueError):
+            search(index, raw, params, k=0)
+        with pytest.raises(ValueError):
+            initial_search(index, raw, params, k=0)
+
+    def test_empty_index_and_empty_candidates(self):
+        rng = np.random.default_rng(6)
+        params = make_params()
+        raw = query(params, rng)
+        empty = build_index([], params)
+        for use_rerank in (False, True):
+            assert len(search(empty, raw, params, use_rerank=use_rerank)) == 0
+        assert len(initial_search(empty, raw, params)) == 0
+        index = build_index(make_items(params, 4, rng), params)
+        assert rerank(index, raw, [], params) == []
+        assert rerank(index, raw, RankedList([], []), params) == RankedList([], [])
+
+    def test_unknown_candidate_raises(self):
+        rng = np.random.default_rng(7)
+        params = make_params()
+        index = build_index(make_items(params, 4, rng), params)
+        with pytest.raises(ValueError, match="item id 5 not in index"):
+            rerank(index, query(params, rng), [Ranked(100, 0.0), Ranked(5, 0.0)], params)
+
+
+class TestChecks:
+    def test_fingerprint_mismatch(self):
+        rng = np.random.default_rng(8)
+        params = make_params(seed=1)
+        index = build_index(make_items(params, 4, rng), params)
+        raw = query(params, rng)
+        candidates = initial_search(index, raw, params)
+        other = make_params(seed=2)
+        with pytest.raises(FingerprintMismatchError):
+            search(index, raw, other)
+        with pytest.raises(FingerprintMismatchError):
+            search(index, raw, other, use_rerank=False)
+        with pytest.raises(FingerprintMismatchError):
+            initial_search(index, raw, other)
+        with pytest.raises(FingerprintMismatchError):
+            rerank(index, raw, candidates, other)
+        # An in-place update of one tensor is caught too.
+        params.ctx_attn.feature_weight[0] += 1e-9
+        with pytest.raises(FingerprintMismatchError):
+            rerank(index, raw, candidates, params)
+        with pytest.raises(FingerprintMismatchError):
+            search(index, raw, params)
+
+    @pytest.mark.parametrize("variant", [Variant.YNET, Variant.TAGYNET])
+    def test_rerank_needs_context_head_before_scanning(self, variant, monkeypatch):
+        rng = np.random.default_rng(9)
+        params = make_params(variant)
+        index = build_index(make_items(params, 4, rng), params)
+        raw = query(params, rng)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before the variant check")
+
+        monkeypatch.setattr(retrieval, "_scan", no_scan)
+        monkeypatch.setattr(retrieval, "extract_features", no_scan)
+        with pytest.raises(UnsupportedVariantError):
+            search(index, raw, params, use_rerank=True)
+        with pytest.raises(UnsupportedVariantError):
+            rerank(index, raw, [Ranked(100, 0.0)], params)
+
+    def test_non_finite_query_raises(self):
+        rng = np.random.default_rng(10)
+        params = make_params()
+        index = build_index(make_items(params, 4, rng), params)
+        raw = query(params, rng)
+        raw[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            search(index, raw, params)
+
+
+class TestPrecisionAtK:
+    def test_excludes_queries_without_truth(self, caplog):
+        params = make_params()
+        index = build_index(make_items(params, 4, np.random.default_rng(0), ids=[1, 2, 3, 4]), params)
+        products = {i: index.product_of(i) for i in (1, 2, 3, 4)}
+        results = {
+            10: RankedList([1, 2], [0.1, 0.2]),  # hit at rank 1
+            11: RankedList([3, 4], [0.1, 0.2]),  # hit at rank 2
+            12: RankedList([1, 2], [0.1, 0.2]),  # no ground truth
+        }
+        truth = {10: products[1], 11: products[4]}
+        with caplog.at_level(logging.WARNING, logger="xattn.retrieval"):
+            assert precision_at_k(results, truth, index, 1) == 0.5
+        assert "1 queries excluded" in caplog.text
+        assert precision_at_k(results, truth, index, 2) == 1.0
+        with pytest.raises(ValueError):
+            precision_at_k({12: results[12]}, truth, index, 1)
+        with pytest.raises(ValueError):
+            precision_at_k(results, truth, index, 0)
+
+
+# ---------------------------------------------------------------------------
+# index files
+# ---------------------------------------------------------------------------
+
+
+def saved_index(tmp_path, count=5, variant=Variant.TAGYNET, tags=11):
+    params = make_params(variant, tags=tags)
+    index = build_index(make_items(params, count, np.random.default_rng(count)), params)
+    path = tmp_path / "shop.xidx"
+    save_index(path, index)
+    return params, index, path
+
+
+class TestIndexFile:
+    @pytest.mark.parametrize("count", [0, 1, 9])
+    @pytest.mark.parametrize("tags", [1, 8, 11])
+    def test_bytes_match_the_per_entry_writer(self, tmp_path, count, tags):
+        params, index, path = saved_index(tmp_path, count, tags=tags)
+        bits = np.unpackbits(index.tag_bits, axis=1, count=tags, bitorder="little")
+        entries = list(zip(index.item_ids.tolist(), index.product_ids.tolist(), bits, index.embeddings))
+        assert path.read_bytes() == per_entry_index_bytes(index.fingerprint, entries)
+
+    def test_round_trip(self, tmp_path):
+        params, index, path = saved_index(tmp_path)
+        loaded = load_index(path, params.config.channels, params.config.tag_count)
+        for column in ("item_ids", "product_ids", "tag_bits", "embeddings"):
+            np.testing.assert_array_equal(getattr(loaded, column), getattr(index, column))
+        assert loaded.fingerprint == index.fingerprint
+        resaved = tmp_path / "again.xidx"
+        save_index(resaved, loaded)
+        assert resaved.read_bytes() == path.read_bytes()
+        raw = query(params, np.random.default_rng(1))
+        assert search(loaded, raw, params, k=3, use_rerank=False) == search(index, raw, params, k=3, use_rerank=False)
+
+    def test_every_truncation_raises_format_error(self, tmp_path):
+        params, _, path = saved_index(tmp_path, count=3)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(IndexFormatError) as err:
+                load_index(path, params.config.channels, params.config.tag_count)
+            assert err.value.offset is not None and err.value.offset <= cut
+
+    def test_trailing_bytes(self, tmp_path):
+        params, _, path = saved_index(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(IndexFormatError, match="trailing"):
+            load_index(path, params.config.channels, params.config.tag_count)
+
+    @pytest.mark.parametrize("count", [2**64 - 1, 2**61, 2**40])
+    def test_huge_entry_count_is_a_format_error(self, tmp_path, count):
+        params, _, path = saved_index(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[40:48] = struct.pack("<Q", count)
+        path.write_bytes(bytes(data))
+        with pytest.raises(IndexFormatError, match="truncated"):
+            load_index(path, params.config.channels, params.config.tag_count)
+
+    def test_header_faults(self, tmp_path):
+        params, _, path = saved_index(tmp_path)
+        data = path.read_bytes()
+        dims = (params.config.channels, params.config.tag_count)
+        path.write_bytes(b"NOPE" + data[4:])
+        with pytest.raises(IndexFormatError, match="magic"):
+            load_index(path, *dims)
+        path.write_bytes(data[:4] + struct.pack("<I", 2) + data[8:])
+        with pytest.raises(IndexFormatError, match="version 2"):
+            load_index(path, *dims)
+
+    def test_id_faults(self, tmp_path):
+        params, index, path = saved_index(tmp_path, count=3)
+        data = path.read_bytes()
+        dims = (params.config.channels, params.config.tag_count)
+        size = (len(data) - 48) // 3
+        second = 48 + size
+        path.write_bytes(data[:second] + struct.pack("<Q", 2**63) + data[second + 8 :])
+        with pytest.raises(IndexFormatError, match="int64") as err:
+            load_index(path, *dims)
+        assert err.value.offset == second
+        path.write_bytes(data[:second] + data[48:56] + data[second + 8 :])
+        with pytest.raises(IndexFormatError, match="increasing") as err:
+            load_index(path, *dims)
+        assert err.value.offset == second
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_corrupted_bytes_load_or_raise_format_error(self, tmp_path_factory, data):
+        directory = tmp_path_factory.mktemp("fuzz")
+        params, _, path = saved_index(directory, count=2, tags=3)
+        original = bytearray(path.read_bytes())
+        spots = data.draw(st.lists(st.integers(0, len(original) - 1), min_size=1, max_size=4))
+        for spot in spots:
+            original[spot] = data.draw(st.integers(0, 255))
+        cut = data.draw(st.integers(0, len(original) + 2))
+        path.write_bytes(bytes(original[:cut]) + b"\x01" * max(0, cut - len(original)))
+        dims = (params.config.channels, params.config.tag_count)
+        try:
+            loaded = load_index(path, *dims)
+        except IndexFormatError:
+            return
+        again = directory / "again.xidx"
+        save_index(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_negative_ids_cannot_be_saved(self, tmp_path):
+        params = make_params()
+        index = build_index(make_items(params, 2, np.random.default_rng(0), ids=[-3, 4]), params)
+        with pytest.raises(ValueError, match="non-negative"):
+            save_index(tmp_path / "neg.xidx", index)
+        assert not (tmp_path / "neg.xidx").exists()
+
+    def test_shop_index_validates_columns(self):
+        params = make_params()
+        index = build_index(make_items(params, 3, np.random.default_rng(0)), params)
+        columns = dict(
+            item_ids=index.item_ids,
+            product_ids=index.product_ids,
+            tag_bits=index.tag_bits,
+            embeddings=index.embeddings,
+            fingerprint=index.fingerprint,
+        )
+        with pytest.raises(ValueError, match="increasing"):
+            ShopIndex(**{**columns, "item_ids": index.item_ids[::-1]})
+        with pytest.raises(ValueError, match="one row per item"):
+            ShopIndex(**{**columns, "embeddings": index.embeddings[:2]})
+        with pytest.raises(ValueError, match="32 bytes"):
+            ShopIndex(**{**columns, "fingerprint": b"short"})
