@@ -18,6 +18,7 @@ Values are widened to float64 in memory.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -72,11 +73,24 @@ class Manifest:
         return tuple(r for r in self.records if r.domain == "shop")
 
 
+def _read_lines(path: Path, what: str) -> list[str]:
+    """The lines of a UTF-8 text file; a missing file or a byte that is not
+    UTF-8 is a ``ManifestError`` naming the file (and the line)."""
+    if not path.is_file():
+        raise ManifestError(f"{what} not found or not a file: {path}")
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # The bytes before the fault decode; the "x" stands in for the bad
+        # byte so a fault right after a line break counts the next line.
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ManifestError(f"{path.name} line {lineno}: not valid UTF-8") from None
+
+
 def load_tag_vocab(path: Path) -> tuple[str, ...]:
-    if not path.exists():
-        raise ManifestError(f"tag vocabulary not found: {path}")
     names: dict[int, str] = {}
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_lines(path, "tag vocabulary")
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -101,15 +115,13 @@ def load_manifest(path: "Path | str") -> Manifest:
     """Parse and validate a manifest; the vocabulary is read from the
     sibling ``tags.tsv``. Every error names the offending line."""
     path = Path(path)
-    if not path.exists():
-        raise ManifestError(f"manifest not found: {path}")
+    lines = _read_lines(path, "manifest")
     root = path.parent
     tag_names = load_tag_vocab(root / TAGS_NAME)
     tag_count = len(tag_names)
 
     records: list[ManifestRecord] = []
     seen_ids: set[int] = set()
-    lines = path.read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -129,7 +141,9 @@ def load_manifest(path: "Path | str") -> Manifest:
             raise ManifestError(f"line {lineno}: unknown domain {domain!r}")
         if not rel_path:
             raise ManifestError(f"line {lineno}: empty feature path")
-        if not (root / rel_path).exists():
+        # os.path.isfile is False, not an error, for a directory or a path
+        # the OS rejects (a component that is too long, a NUL byte).
+        if not os.path.isfile(root / rel_path):
             raise ManifestError(f"line {lineno}: feature file missing: {rel_path}")
         if domain == "user":
             if raw_tags:
@@ -174,7 +188,11 @@ def load_feature_map(
     expected_locations: int | None = None,
     expected_dim: int | None = None,
 ) -> np.ndarray:
-    """Read an XFMP file into a float64 L x raw_dim matrix."""
+    """Read an XFMP file into a float64 L x raw_dim matrix.
+
+    Both dimensions must be positive and every value finite, so data that
+    passes here is what the model's layers accept.
+    """
     data = Path(path).read_bytes()
     if len(data) < 16:
         raise FeatureMapFormatError(
@@ -185,6 +203,10 @@ def load_feature_map(
     version, locations, dim = struct.unpack("<III", data[4:16])
     if version != FEATURE_VERSION:
         raise FeatureMapFormatError(f"{path}: unsupported version {version}")
+    if locations < 1 or dim < 1:
+        raise FeatureMapFormatError(
+            f"{path}: has {locations} locations of dim {dim}; both must be positive"
+        )
     if expected_locations is not None and locations != expected_locations:
         raise FeatureMapFormatError(
             f"{path}: has {locations} locations, expected {expected_locations}"
@@ -199,9 +221,10 @@ def load_feature_map(
         raise FeatureMapFormatError(
             f"{path}: payload is {len(payload)} bytes, expected {expected_bytes}"
         )
-    return (
-        np.frombuffer(payload, dtype="<f4").reshape(locations, dim).astype(np.float64)
-    )
+    values = np.frombuffer(payload, dtype="<f4").reshape(locations, dim)
+    if not np.isfinite(values).all():
+        raise FeatureMapFormatError(f"{path}: payload holds NaN or infinite values")
+    return values.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -233,7 +256,7 @@ class Dataset:
 
 def load_ground_truth(path: Path) -> dict[int, int]:
     truth: dict[int, int] = {}
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_lines(path, "ground truth")
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

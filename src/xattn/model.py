@@ -16,6 +16,17 @@ candidate contexts in one pass. The per-item ``embed_shop``,
 ``embed_shop_simple`` and ``embed_user_context`` are their batched forms
 applied to a batch of one. Training runs ``forward_triple`` and
 ``backward_triple``, one triple at a time.
+
+``params_fingerprint`` identifies the parameters an index was built with,
+and ``search`` checks it on every query. Tensors change in place (SGD, the
+gradient check, callers), so a digest from an earlier call cannot be
+trusted on its own. Each ``ModelParams`` keeps its last digest with a
+snapshot of exactly the bytes hashed: the config frame and each tensor's
+name, shape and float64 payload. A call compares the current config and
+tensors with the snapshot, returns the kept digest only when every byte
+matches, and re-hashes otherwise. The digest is a function of those bytes
+alone, so on a full match it is the digest a fresh hash would give; the
+compare is a memcmp that costs a fraction of the SHA-256 it replaces.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ import hashlib
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -119,6 +130,10 @@ class ModelParams:
     branch_user: Affine
     tag_attn: TagAttentionParams | None = None
     ctx_attn: ContextAttentionParams | None = None
+    # Read and written by params_fingerprint only.
+    _fingerprint: "_HashedBytes | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def named_tensors(self) -> Iterator[tuple[str, np.ndarray]]:
         yield "trunk.weight", self.trunk.weight
@@ -171,6 +186,9 @@ def _params_from_tensors(
     config: ModelConfig, tensors: Mapping[str, np.ndarray]
 ) -> ModelParams:
     expected = _tensor_layout(config)
+    unexpected = set(tensors) - {name for name, _, _ in expected}
+    if unexpected:
+        raise ValueError(f"unexpected tensor {min(unexpected)!r}")
     for name, shape, _ in expected:
         if name not in tensors:
             raise ValueError(f"missing tensor {name!r}")
@@ -527,18 +545,21 @@ class Checkpoint:
     stage: str
 
 
-def _tensor_frame(name: str, arr: np.ndarray) -> bytes:
+def _tensor_header(name: str, shape: tuple[int, ...]) -> bytes:
     encoded = name.encode("utf-8")
-    payload = np.ascontiguousarray(arr, dtype="<f8")
     return b"".join(
         (
             struct.pack("<I", len(encoded)),
             encoded,
-            struct.pack("<I", payload.ndim),
-            struct.pack(f"<{payload.ndim}I", *payload.shape),
-            payload.tobytes(),
+            struct.pack("<I", len(shape)),
+            struct.pack(f"<{len(shape)}I", *shape),
         )
     )
+
+
+def _tensor_frame(name: str, arr: np.ndarray) -> bytes:
+    payload = np.ascontiguousarray(arr, dtype="<f8")
+    return _tensor_header(name, payload.shape) + payload.tobytes()
 
 
 def _config_frame(config: ModelConfig) -> bytes:
@@ -552,13 +573,56 @@ def _config_frame(config: ModelConfig) -> bytes:
     )
 
 
+class _HashedBytes(NamedTuple):
+    """What ``params_fingerprint`` last hashed for one ``ModelParams``: the
+    config frame and each tensor's name, shape and float64 payload bytes,
+    with the digest of them."""
+
+    config_frame: bytes
+    tensors: tuple[tuple[str, tuple[int, ...], bytearray], ...]
+    digest: bytes
+
+
 def params_fingerprint(params: ModelParams) -> bytes:
-    """32-byte digest of the config plus every tensor, framing included."""
-    digest = hashlib.sha256()
-    digest.update(_config_frame(params.config))
-    for name, arr in params.named_tensors():
-        digest.update(_tensor_frame(name, arr))
-    return digest.digest()
+    """32-byte SHA-256 of the config plus every tensor, framed as in a
+    checkpoint.
+
+    ``params`` keeps the last digest with a copy of the bytes it was
+    computed from: the config frame and each tensor's name, shape and
+    little-endian float64 payload. The digest is returned from there only
+    when the current config and tensors equal that copy byte for byte, so
+    in-place writes (a sign flip of a zero or a NaN's payload bits
+    included), a rebound head and a replaced config all lead to a fresh
+    hash. The compare reads each tensor once, in place, and costs a
+    fraction of hashing it.
+    """
+    config_frame = _config_frame(params.config)
+    payloads = [
+        (name, np.ascontiguousarray(arr, dtype="<f8")) for name, arr in params.named_tensors()
+    ]
+    kept = params._fingerprint
+    if (
+        kept is not None
+        and kept.config_frame == config_frame
+        and len(kept.tensors) == len(payloads)
+        # bytearray == array is a memcmp of the two buffers; the array is
+        # not copied.
+        and all(
+            name == kept_name and payload.shape == kept_shape and kept_bytes == payload
+            for (name, payload), (kept_name, kept_shape, kept_bytes) in zip(payloads, kept.tensors)
+        )
+    ):
+        return kept.digest
+    # Hash the copies rather than the live tensors, so the digest kept is
+    # the digest of the bytes kept even if a tensor changes meanwhile.
+    tensors = tuple((name, payload.shape, bytearray(payload)) for name, payload in payloads)
+    hasher = hashlib.sha256(config_frame)
+    for name, shape, data in tensors:
+        hasher.update(_tensor_header(name, shape))
+        hasher.update(data)
+    digest = hasher.digest()
+    params._fingerprint = _HashedBytes(config_frame, tensors, digest)
+    return digest
 
 
 def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
@@ -626,13 +690,13 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
         variant = Variant(variant_raw)
     except ValueError:
         raise CheckpointFormatError(f"unknown variant code {variant_raw}", offset=8)
-    config = ModelConfig(
-        locations=reader.u32("locations"),
-        channels=reader.u32("channels"),
-        tag_count=reader.u32("tag_count"),
-        raw_dim=reader.u32("raw_dim"),
-        variant=variant,
-    )
+    dims: dict[str, int] = {}
+    for field_name in ("locations", "channels", "tag_count", "raw_dim"):
+        field_offset = reader.pos
+        dims[field_name] = reader.u32(field_name)
+        if dims[field_name] < 1:
+            raise CheckpointFormatError(f"{field_name} must be positive", offset=field_offset)
+    config = ModelConfig(variant=variant, **dims)
     epoch = reader.u32("epoch")
     seed = reader.u64("seed")
     stage = reader.text("stage name")

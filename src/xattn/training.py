@@ -281,7 +281,7 @@ def run_curriculum(
     """Run stages in order, threading each checkpoint into the next."""
     ordered = [s.strip().lower() for s in stages]
     for a, b in zip(ordered, ordered[1:]):
-        if STAGES.index(a) >= STAGES.index(b):
+        if stage_variant(a) >= stage_variant(b):
             raise ValueError(f"stages must be in ladder order, got {ordered}")
     results = []
     current = init

@@ -7,6 +7,7 @@ and obvious.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 
@@ -180,6 +181,26 @@ def per_entry_index_bytes(fingerprint, entries) -> bytes:
         parts.append(np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little").tobytes())
         parts.append(b"".join(struct.pack("<d", float(x)) for x in embedding))
     return b"".join(parts)
+
+
+def reference_fingerprint(params) -> bytes:
+    """SHA-256 over the config and every tensor, hashed afresh on each call:
+    the config as five u32 (variant, L, C, T, R), then per tensor its
+    u32-length-prefixed UTF-8 name, u32 rank, u32 dims and float64 payload,
+    all little endian."""
+    cfg = params.config
+    digest = hashlib.sha256(
+        struct.pack(
+            "<5I", int(cfg.variant), cfg.locations, cfg.channels, cfg.tag_count, cfg.raw_dim
+        )
+    )
+    for name, arr in params.named_tensors():
+        payload = np.ascontiguousarray(arr, dtype="<f8")
+        encoded = name.encode("utf-8")
+        digest.update(struct.pack("<I", len(encoded)) + encoded)
+        digest.update(struct.pack(f"<I{payload.ndim}I", payload.ndim, *payload.shape))
+        digest.update(payload.tobytes())
+    return digest.digest()
 
 
 def naive_precision_at_k(ranked_ids_per_query, product_of_item, truth, k) -> float:

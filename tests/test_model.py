@@ -1,9 +1,14 @@
+import dataclasses
+import hashlib
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xattn.attention import TagVector
+from xattn import gradcheck, model
+from xattn.attention import ContextAttentionParams, TagAttentionParams, TagVector
 from xattn.metric import distance
 from xattn.model import (
     CHECKPOINT_MAGIC,
@@ -27,10 +32,12 @@ from xattn.model import (
     save_checkpoint,
 )
 
+from mutations import corrupted
 from oracles import (
     naive_affine_relu_affine,
     naive_l2_normalize,
     naive_tag_attend,
+    reference_fingerprint,
 )
 
 
@@ -423,3 +430,148 @@ class TestCheckpoints:
         )
         with pytest.raises(CheckpointFormatError, match="truncated"):
             checkpoint_from_bytes(data)
+
+    @pytest.mark.parametrize("field_at", [(12, "locations"), (16, "channels"), (20, "tag_count"), (24, "raw_dim")])
+    def test_zero_config_dimension(self, field_at):
+        offset, field_name = field_at
+        data = bytearray(checkpoint_to_bytes(self.make_checkpoint()))
+        data[offset : offset + 4] = struct.pack("<I", 0)
+        with pytest.raises(CheckpointFormatError, match=f"{field_name} must be positive") as err:
+            checkpoint_from_bytes(bytes(data))
+        assert err.value.offset == offset
+
+    def test_unexpected_tensor(self):
+        # A base-variant file that also carries a tag head would load and
+        # drop the head, so it could not be saved back to the same bytes.
+        ckpt = self.make_checkpoint(variant=Variant.YNET)
+        data = bytearray(checkpoint_to_bytes(ckpt))
+        count_at = data.index(b"ctxynet") + len(b"ctxynet")
+        data[count_at : count_at + 4] = struct.pack("<I", 7)
+        name = b"tag_attn.embedding"
+        data += struct.pack("<I", len(name)) + name + struct.pack("<3I", 2, 2, 3) + b"\0" * 48
+        with pytest.raises(CheckpointFormatError, match="unexpected tensor 'tag_attn.embedding'"):
+            checkpoint_from_bytes(bytes(data))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_bytes_load_or_raise_format_error(self, data):
+        config = small_config(locations=2, channels=2, raw_dim=2)
+        ckpt = Checkpoint(config=config, params=init_params(config, 3), epoch=1, seed=2, stage="ctx")
+        damaged = data.draw(corrupted(checkpoint_to_bytes(ckpt)))
+        try:
+            loaded = checkpoint_from_bytes(damaged)
+        except CheckpointFormatError:
+            return
+        assert checkpoint_to_bytes(loaded) == damaged
+
+
+def set_bits(tensor, bits):
+    """Write the float64 with the given bit pattern into the first entry."""
+    tensor.reshape(-1)[:1].view(np.uint64)[0] = bits
+
+
+class TestFingerprintCache:
+    """``params_fingerprint`` keeps its last digest on the params object;
+    after every kind of change it must still equal a fresh hash."""
+
+    def assert_fresh(self, params):
+        got = params_fingerprint(params)
+        assert got == reference_fingerprint(params)
+        return got
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_one_ulp_edit_of_each_tensor(self, variant):
+        params = init_params(small_config(variant), 40)
+        seen = {self.assert_fresh(params)}
+        for _, tensor in params.named_tensors():
+            flat = tensor.reshape(-1)
+            flat[-1] = np.nextafter(flat[-1], np.inf)
+            seen.add(self.assert_fresh(params))
+        assert len(seen) == 1 + len(list(params.named_tensors()))
+
+    def test_signed_zero(self):
+        params = init_params(small_config(), 41)
+        params.trunk.bias[...] = 0.0
+        before = self.assert_fresh(params)
+        params.trunk.bias[1] = -0.0
+        assert self.assert_fresh(params) != before
+
+    def test_nan_payload_bits(self):
+        params = init_params(small_config(), 42)
+        set_bits(params.ctx_attn.context_weight, 0x7FF8_0000_0000_0001)
+        before = self.assert_fresh(params)
+        set_bits(params.ctx_attn.context_weight, 0x7FF8_0000_0000_0002)
+        assert self.assert_fresh(params) != before
+
+    def test_rebinding_heads(self):
+        params = init_params(small_config(), 43)
+        before = self.assert_fresh(params)
+        params.tag_attn = TagAttentionParams(embedding=params.tag_attn.embedding + 1.0)
+        after_tag = self.assert_fresh(params)
+        params.ctx_attn = ContextAttentionParams(
+            feature_weight=params.ctx_attn.feature_weight.copy(),
+            context_weight=params.ctx_attn.context_weight * 2.0,
+        )
+        after_ctx = self.assert_fresh(params)
+        assert len({before, after_tag, after_ctx}) == 3
+        params.ctx_attn = None
+        assert self.assert_fresh(params) not in {before, after_tag, after_ctx}
+
+    def test_replacing_config(self):
+        params = init_params(small_config(), 44)
+        before = self.assert_fresh(params)
+        params.config = dataclasses.replace(params.config)
+        assert self.assert_fresh(params) == before
+        params.config = dataclasses.replace(params.config, raw_dim=7)
+        assert self.assert_fresh(params) != before
+
+    def test_copy(self):
+        params = init_params(small_config(), 45)
+        before = self.assert_fresh(params)
+        twin = params.copy()
+        assert self.assert_fresh(twin) == before
+        twin.trunk.weight[0, 0] += 1.0
+        assert self.assert_fresh(twin) != before
+        assert self.assert_fresh(params) == before
+
+    def test_unchanged_params_are_hashed_once(self, monkeypatch):
+        hashed = []
+
+        class CountingHashlib:
+            @staticmethod
+            def sha256(data=b""):
+                hashed.append(data)
+                return hashlib.sha256(data)
+
+        params = init_params(small_config(), 48)
+        monkeypatch.setattr(model, "hashlib", CountingHashlib)
+        first = params_fingerprint(params)
+        assert [params_fingerprint(params) for _ in range(3)] == [first] * 3
+        assert len(hashed) == 1
+        params.branch_user.bias[0] += 1.0
+        assert params_fingerprint(params) != first
+        assert len(hashed) == 2
+
+    def test_kept_out_of_repr_and_equality(self):
+        params = init_params(small_config(Variant.YNET), 46)
+        params_fingerprint(params)
+        assert "_fingerprint" not in repr(params)
+        assert "_fingerprint" not in [f.name for f in dataclasses.fields(params) if f.compare]
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_gradient_check_leaves_the_fingerprint(self, variant, monkeypatch):
+        # The check moves every entry in place and puts it back; each
+        # perturbed forward pass must see a fresh fingerprint too.
+        inst = gradcheck.random_check_instance([47, int(variant)], variant=variant)
+        before = self.assert_fresh(inst.params)
+        forward = gradcheck.forward_triple
+        perturbed = set()
+
+        def checked_forward(*args):
+            perturbed.add(self.assert_fresh(inst.params))
+            return forward(*args)
+
+        monkeypatch.setattr(gradcheck, "forward_triple", checked_forward)
+        assert all(report.passed for report in gradcheck.check_triple_gradients(inst))
+        assert before not in perturbed and len(perturbed) > 1
+        assert self.assert_fresh(inst.params) == before

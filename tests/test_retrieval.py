@@ -15,6 +15,7 @@ from xattn.model import (
     embed_shop,
     embed_shop_simple,
     init_params,
+    params_fingerprint,
 )
 from xattn.retrieval import (
     BUILD_BLOCK,
@@ -32,7 +33,9 @@ from xattn.retrieval import (
     save_index,
     search,
 )
+from xattn.training import sgd_step
 
+from mutations import corrupted
 from oracles import (
     naive_rank,
     naive_shop_embedding,
@@ -267,6 +270,33 @@ class TestChecks:
         with pytest.raises(FingerprintMismatchError):
             search(index, raw, params)
 
+    @pytest.mark.parametrize("frozen", [(), ("trunk.weight", "trunk.bias", "branch_shop.weight")])
+    def test_sgd_step_on_the_indexed_params_is_caught(self, frozen):
+        rng = np.random.default_rng(11)
+        params = make_params()
+        index = build_index(make_items(params, 4, rng), params)
+        raw = query(params, rng)
+        search(index, raw, params)
+        grads = {name: rng.normal(size=t.shape) for name, t in params.named_tensors()}
+        sgd_step(params, grads, {}, lr=1e-3, momentum=0.9, frozen=frozen)
+        with pytest.raises(FingerprintMismatchError):
+            search(index, raw, params)
+        with pytest.raises(FingerprintMismatchError):
+            search(index, raw, params, use_rerank=False)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_repeated_searches_are_identical(self, variant):
+        rng = np.random.default_rng(12)
+        params = make_params(variant)
+        index = build_index(make_items(params, 30, rng), params)
+        use_rerank = variant == Variant.CTXYNET
+        for _ in range(3):
+            raw = query(params, rng)
+            first = search(index, raw, params, k=8, use_rerank=use_rerank)
+            for again in (params, params, params.copy()):
+                assert search(index, raw, again, k=8, use_rerank=use_rerank) == first
+        assert index.fingerprint == params_fingerprint(params)
+
     @pytest.mark.parametrize("variant", [Variant.YNET, Variant.TAGYNET])
     def test_rerank_needs_context_head_before_scanning(self, variant, monkeypatch):
         rng = np.random.default_rng(9)
@@ -404,12 +434,7 @@ class TestIndexFile:
     def test_corrupted_bytes_load_or_raise_format_error(self, tmp_path_factory, data):
         directory = tmp_path_factory.mktemp("fuzz")
         params, _, path = saved_index(directory, count=2, tags=3)
-        original = bytearray(path.read_bytes())
-        spots = data.draw(st.lists(st.integers(0, len(original) - 1), min_size=1, max_size=4))
-        for spot in spots:
-            original[spot] = data.draw(st.integers(0, 255))
-        cut = data.draw(st.integers(0, len(original) + 2))
-        path.write_bytes(bytes(original[:cut]) + b"\x01" * max(0, cut - len(original)))
+        path.write_bytes(data.draw(corrupted(path.read_bytes())))
         dims = (params.config.channels, params.config.tag_count)
         try:
             loaded = load_index(path, *dims)
