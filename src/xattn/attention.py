@@ -12,7 +12,9 @@ scores into weights, aggregate the locations by those weights.
 The forward functions also take stacks, so serving runs one array
 operation per batch: tag attention pools a B x L x C stack of maps, each
 under its own row of a B x T tag matrix, and context attention pools one
-map under each row of a K x C stack of contexts.
+map under each row of a K x C stack of contexts. The backward functions
+work on the same stacks and take the forward's ``AttentionResult``, so
+they reuse its softmax weights instead of recomputing scores.
 """
 
 from __future__ import annotations
@@ -161,12 +163,8 @@ def tag_attend(
         )
     if fmap.data.ndim != tags.bits.ndim + 1 or fmap.data.shape[:-2] != tags.bits.shape[:-1]:
         raise ValueError("a stack of feature maps needs one tag vector per map")
-    embedded = tag_embed(tags, params)
-    if fmap.data.ndim == 2:
-        weights = softmax(fmap.data @ embedded)
-        return AttentionResult(weights=weights, pooled=weights @ fmap.data)
-    weights = softmax(np.einsum("blc,bc->bl", fmap.data, embedded))
-    return AttentionResult(weights=weights, pooled=np.einsum("bl,blc->bc", weights, fmap.data))
+    weights = softmax(np.einsum("...lc,...c->...l", fmap.data, tag_embed(tags, params)))
+    return AttentionResult(weights=weights, pooled=np.einsum("...l,...lc->...c", weights, fmap.data))
 
 
 def context_attend(
@@ -196,33 +194,44 @@ def context_attend(
 
 
 def _softmax_backward(weights: np.ndarray, grad_weights: np.ndarray) -> np.ndarray:
-    """Exact Jacobian-vector product of softmax: grad wrt the scores."""
-    inner = float(weights @ grad_weights)
+    """Exact Jacobian-vector product of softmax over the last axis: grad
+    wrt the scores, one row per distribution of a stack."""
+    inner = np.sum(weights * grad_weights, axis=-1, keepdims=True)
     return weights * (grad_weights - inner)
+
+
+def _check_grad_pooled(attended: AttentionResult, grad_pooled: np.ndarray) -> np.ndarray:
+    g = np.asarray(grad_pooled, dtype=np.float64)
+    if g.shape != attended.pooled.shape:
+        raise ValueError(
+            f"grad_pooled has shape {g.shape}, the pooled output {attended.pooled.shape}"
+        )
+    return g
 
 
 def tag_attend_backward(
     fmap: FeatureMap,
     tags: TagVector,
     params: TagAttentionParams,
+    attended: AttentionResult,
     grad_pooled: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``grad_pooled . pooled`` wrt the feature map and the
-    tag embedding matrix.
+    """Gradients of ``sum(grad_pooled * attended.pooled)`` wrt the feature
+    map (or stack) and the tag embedding matrix.
 
-    Each location's feature receives gradient along two paths: directly
-    through the weighted sum, and through its score via the softmax.
+    ``attended`` is what ``tag_attend(fmap, tags, params)`` returned; its
+    weights are reused, not recomputed. Each location's feature receives
+    gradient along two paths: directly through the weighted sum, and
+    through its score via the softmax. The embedding gradient sums over
+    the maps of a stack.
     """
-    g = np.asarray(grad_pooled, dtype=np.float64)
-    if g.shape != (fmap.channels,):
-        raise ValueError("grad_pooled must be a C vector")
+    g = _check_grad_pooled(attended, grad_pooled)
+    weights = attended.weights
     embedded = tag_embed(tags, params)
-    weights = softmax(fmap.data @ embedded)
-    grad_weights = fmap.data @ g
-    grad_scores = _softmax_backward(weights, grad_weights)
-    grad_map = np.outer(weights, g) + np.outer(grad_scores, embedded)
-    grad_embedded = fmap.data.T @ grad_scores
-    grad_embedding = np.outer(tags.bits, grad_embedded)
+    grad_scores = _softmax_backward(weights, np.einsum("...lc,...c->...l", fmap.data, g))
+    grad_map = weights[..., None] * g[..., None, :] + grad_scores[..., None] * embedded[..., None, :]
+    grad_embedded = np.einsum("...l,...lc->...c", grad_scores, fmap.data)
+    grad_embedding = np.atleast_2d(tags.bits).T @ np.atleast_2d(grad_embedded)
     return grad_map, grad_embedding
 
 
@@ -230,27 +239,28 @@ def context_attend_backward(
     fmap: FeatureMap,
     context: np.ndarray,
     params: ContextAttentionParams,
+    attended: AttentionResult,
     grad_pooled: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of ``grad_pooled . pooled`` wrt the feature map, the
-    context vector, and both alignment weights.
+    """Gradients of ``sum(grad_pooled * attended.pooled)`` wrt the feature
+    map, the context vector (or K x C stack), and both alignment weights.
 
-    The context gradient matters: during training the context is itself a
-    shop embedding, so this is where gradient flows back into the shop
-    branch.
+    ``attended`` is what ``context_attend(fmap, context, params)`` returned;
+    its weights are reused, not recomputed. The map and weight gradients
+    sum over the K contexts. The context gradient matters: during training
+    the context is itself a shop embedding, so this is where gradient flows
+    back into the shop branch.
     """
     ctx = np.asarray(context, dtype=np.float64)
-    g = np.asarray(grad_pooled, dtype=np.float64)
-    if g.shape != (fmap.channels,):
-        raise ValueError("grad_pooled must be a C vector")
+    g = _check_grad_pooled(attended, grad_pooled)
     if params.context_weight.shape[0] != fmap.locations:
         raise ValueError("context_weight row count must match the feature map")
-    scores = fmap.data @ params.feature_weight + params.context_weight @ ctx
-    weights = softmax(scores)
-    grad_weights = fmap.data @ g
-    grad_scores = _softmax_backward(weights, grad_weights)
-    grad_map = np.outer(weights, g) + np.outer(grad_scores, params.feature_weight)
-    grad_context = params.context_weight.T @ grad_scores
-    grad_feature_weight = fmap.data.T @ grad_scores
-    grad_context_weight = np.outer(grad_scores, ctx)
+    weights = np.atleast_2d(attended.weights)
+    upstream = np.atleast_2d(g)
+    grad_scores = _softmax_backward(weights, upstream @ fmap.data.T)
+    score_total = grad_scores.sum(axis=0)
+    grad_map = weights.T @ upstream + np.outer(score_total, params.feature_weight)
+    grad_context = (grad_scores @ params.context_weight).reshape(ctx.shape)
+    grad_feature_weight = fmap.data.T @ score_total
+    grad_context_weight = grad_scores.T @ np.atleast_2d(ctx)
     return grad_map, grad_context, grad_feature_weight, grad_context_weight

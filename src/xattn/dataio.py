@@ -5,7 +5,8 @@ On-disk layout of a dataset directory:
     manifest.tsv       one record per line:
                        id<TAB>domain<TAB>product<TAB>path<TAB>tag,tag,...
                        (domain is "user" or "shop"; the tag field is empty
-                       for user records; paths are relative to the manifest)
+                       for user records; paths are relative to the manifest,
+                       neither absolute nor with a ".." component)
     tags.tsv           tag vocabulary, one ``tag_id<TAB>name`` per line
     ground_truth.tsv   ``user_id<TAB>product_id`` per query image
     features/*.xfmp    binary feature maps
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import TagVector
+from .model import DOMAINS
 
 FEATURE_MAGIC = b"XFMP"
 FEATURE_VERSION = 1
@@ -35,8 +37,6 @@ TAGS_NAME = "tags.tsv"
 GROUND_TRUTH_NAME = "ground_truth.tsv"
 FEATURES_DIR = "features"
 SUMMARY_NAME = "dataset.json"
-
-DOMAINS = ("user", "shop")
 
 
 class ManifestError(ValueError):
@@ -141,6 +141,13 @@ def load_manifest(path: "Path | str") -> Manifest:
             raise ManifestError(f"line {lineno}: unknown domain {domain!r}")
         if not rel_path:
             raise ManifestError(f"line {lineno}: empty feature path")
+        # A lexical check, with no realpath or Path per record (a set-up can
+        # load thousands): a feature path stays inside the dataset
+        # directory unless a symlink there leads out.
+        if os.path.isabs(rel_path) or ".." in rel_path.replace(os.sep, "/").split("/"):
+            raise ManifestError(
+                f"line {lineno}: feature path must stay inside the dataset directory: {rel_path}"
+            )
         # os.path.isfile is False, not an error, for a directory or a path
         # the OS rejects (a component that is too long, a NUL byte).
         if not os.path.isfile(root / rel_path):

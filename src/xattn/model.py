@@ -12,10 +12,14 @@ trunk via raw_dim == channels with an identity trunk.
 Serving runs the batched forward functions: ``embed_shops`` and
 ``embed_shops_simple`` embed a B x L x R stack of shop images at once,
 and ``embed_user_contexts`` attends one query feature map under K
-candidate contexts in one pass. The per-item ``embed_shop``,
-``embed_shop_simple`` and ``embed_user_context`` are their batched forms
-applied to a batch of one. Training runs ``forward_triple`` and
-``backward_triple``, one triple at a time.
+candidate contexts in one pass; ``embed_shop`` is ``embed_shops`` on a
+batch of one. Training runs the same steps, one triple at a time:
+``forward_triple`` embeds the shop pair as the stack [positive, negative]
+and, in the context variant, attends the anchor under both as K=2
+contexts, so its embeddings equal the serving ones bit for bit. It keeps
+the trunk activations and attention results, and ``backward_triple`` calls
+it once and walks back over them; the gradient check differences the same
+``forward_triple``.
 
 ``params_fingerprint`` identifies the parameters an index was built with,
 and ``search`` checks it on every query. Tensors change in place (SGD, the
@@ -37,11 +41,12 @@ import os
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .attention import (
+    AttentionResult,
     ContextAttentionParams,
     FeatureMap,
     TagAttentionParams,
@@ -250,14 +255,15 @@ def init_params(
 # ---------------------------------------------------------------------------
 
 
-def extract_features(
-    raw: np.ndarray, domain: str, params: ModelParams
-) -> FeatureMap:
-    """Trunk + domain branch, applied per location: branch(relu(trunk(x))).
+class _Features(NamedTuple):
+    """One trunk + branch pass, with the activations its backward reads."""
 
-    ``raw`` is one L x R map or a B x L x R stack; a stack runs as one
-    (B*L) x R matrix product per layer and gives a B x L x C feature map.
-    """
+    rows: np.ndarray  # (N*L) x R input rows of the N maps
+    hidden: np.ndarray  # (N*L) x C trunk outputs after the ReLU
+    fmap: FeatureMap
+
+
+def _features(raw: np.ndarray, domain: str, params: ModelParams) -> _Features:
     if domain not in DOMAINS:
         raise ValueError(f"domain must be one of {DOMAINS}, got {domain!r}")
     data = np.asarray(raw, dtype=np.float64)
@@ -267,10 +273,22 @@ def extract_features(
             f"raw features must be {cfg.locations} x {cfg.raw_dim} "
             f"(or a stack of such), got {data.shape}"
         )
-    hidden = np.maximum(params.trunk.apply(data.reshape(-1, cfg.raw_dim)), 0.0)
+    rows = data.reshape(-1, cfg.raw_dim)
+    hidden = np.maximum(params.trunk.apply(rows), 0.0)
     branch = params.branch_user if domain == "user" else params.branch_shop
     features = branch.apply(hidden).reshape(*data.shape[:-1], cfg.channels)
-    return FeatureMap.from_matrix(features)
+    return _Features(rows=rows, hidden=hidden, fmap=FeatureMap.from_matrix(features))
+
+
+def extract_features(
+    raw: np.ndarray, domain: str, params: ModelParams
+) -> FeatureMap:
+    """Trunk + domain branch, applied per location: branch(relu(trunk(x))).
+
+    ``raw`` is one L x R map or a B x L x R stack; a stack runs as one
+    (B*L) x R matrix product per layer and gives a B x L x C feature map.
+    """
+    return _features(raw, domain, params).fmap
 
 
 def uniform_embedding(fmap: FeatureMap) -> np.ndarray:
@@ -316,44 +334,29 @@ def embed_shop(raw: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndar
     return embed_shops(raws, TagVector(bits=tags.bits[None]), params)[0]
 
 
-def embed_shop_simple(raw: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Unit-norm shop embedding via uniform pooling (base-variant path)."""
-    return embed_shops_simple(np.asarray(raw, dtype=np.float64)[None], params)[0]
-
-
 def embed_user_simple(raw: np.ndarray, params: ModelParams) -> np.ndarray:
     """Unit-norm query embedding: uniform-weight aggregation, any variant."""
     return uniform_embedding(extract_features(raw, "user", params))
 
 
-def embed_user_context(
-    raw: np.ndarray, shop_embedding: np.ndarray, params: ModelParams
-) -> np.ndarray:
-    """Unit-norm query embedding attended with a candidate's (normalized)
-    shop embedding as context."""
-    if params.config.variant < Variant.CTXYNET:
-        raise UnsupportedVariantError(
-            "context attention needs the context head; this model does not have one"
-        )
-    fmap = extract_features(raw, "user", params)
-    contexts = np.asarray(shop_embedding, dtype=np.float64)[None]
-    return embed_user_contexts(fmap, contexts, params)[0]
+def _uniform_pool(fmap: FeatureMap) -> AttentionResult:
+    """Uniform pooling as attention with constant weights 1/L; the pooled
+    rows are the location mean, as ``uniform_embedding`` takes it."""
+    weights = np.full(fmap.data.shape[:-1], 1.0 / fmap.locations)
+    return AttentionResult(weights=weights, pooled=fmap.data.mean(axis=-2))
 
 
 class TripleForward(NamedTuple):
+    """Loss and the four embeddings of one triple, with the intermediates
+    ``backward_triple`` walks back over."""
+
     loss: float
     embeddings: TripleEmbeddings
-
-
-def _shop_pooled(
-    fmap: FeatureMap, tags: TagVector | None, params: ModelParams
-) -> np.ndarray:
-    if params.config.variant >= Variant.TAGYNET:
-        if tags is None:
-            raise ValueError("tag vector required for the tag-attention variant")
-        assert params.tag_attn is not None
-        return tag_attend(fmap, tags, params.tag_attn).pooled
-    return fmap.data.mean(axis=0)
+    anchor: _Features
+    shops: _Features  # the stack [positive, negative]
+    shop_tags: TagVector | None  # 2 x T; None when the shops pool uniformly
+    shop_pool: AttentionResult  # 2 x L weights, 2 x C pooled rows
+    anchor_pool: AttentionResult  # K=2 under the shop contexts, else uniform
 
 
 def forward_triple(
@@ -367,78 +370,52 @@ def forward_triple(
 ) -> TripleForward:
     """Loss and all four embeddings for one training triple.
 
-    The context variant embeds the anchor once per candidate; the other
-    variants reuse one uniformly pooled anchor embedding for both sides.
+    The shop side is the stack [positive, negative] run through the steps
+    of ``embed_shops`` (``embed_shops_simple`` for the base variant). The
+    context variant attends the anchor under both shop embeddings at once,
+    as ``embed_user_contexts`` does; the other variants reuse one uniformly
+    pooled anchor embedding, ``embed_user_simple``, for both sides. So the
+    embeddings equal their serving forms bit for bit.
     """
-    fmap_anchor = extract_features(anchor_raw, "user", params)
-    fmap_pos = extract_features(positive_raw, "shop", params)
-    fmap_neg = extract_features(negative_raw, "shop", params)
-
-    pos_hat = l2_normalize(_shop_pooled(fmap_pos, positive_tags, params))
-    neg_hat = l2_normalize(_shop_pooled(fmap_neg, negative_tags, params))
-
-    if params.config.variant >= Variant.CTXYNET:
-        assert params.ctx_attn is not None
-        anchor_pos = l2_normalize(
-            context_attend(fmap_anchor, pos_hat, params.ctx_attn).pooled
-        )
-        anchor_neg = l2_normalize(
-            context_attend(fmap_anchor, neg_hat, params.ctx_attn).pooled
-        )
+    variant = params.config.variant
+    anchor = _features(anchor_raw, "user", params)
+    shops = _features(np.stack([positive_raw, negative_raw]), "shop", params)
+    shop_tags = None
+    if variant >= Variant.TAGYNET:
+        if positive_tags is None or negative_tags is None:
+            raise ValueError("tag vectors required for the tag-attention variant")
+        assert params.tag_attn is not None
+        shop_tags = TagVector(bits=np.stack([positive_tags.bits, negative_tags.bits]))
+        shop_pool = tag_attend(shops.fmap, shop_tags, params.tag_attn)
     else:
-        anchor = l2_normalize(fmap_anchor.data.mean(axis=0))
-        anchor_pos = anchor
-        anchor_neg = anchor
+        shop_pool = _uniform_pool(shops.fmap)
+    shop_rows = l2_normalize(shop_pool.pooled)
+    positive, negative = shop_rows
+
+    if variant >= Variant.CTXYNET:
+        assert params.ctx_attn is not None
+        anchor_pool = context_attend(anchor.fmap, shop_rows, params.ctx_attn)
+        anchor_pos, anchor_neg = l2_normalize(anchor_pool.pooled)
+    else:
+        anchor_pool = _uniform_pool(anchor.fmap)
+        anchor_pos = anchor_neg = l2_normalize(anchor_pool.pooled)
     embeddings = TripleEmbeddings(
-        anchor_pos=anchor_pos, anchor_neg=anchor_neg, positive=pos_hat, negative=neg_hat
+        anchor_pos=anchor_pos, anchor_neg=anchor_neg, positive=positive, negative=negative
     )
-    return TripleForward(loss=triplet_loss(embeddings, alpha), embeddings=embeddings)
+    return TripleForward(
+        loss=triplet_loss(embeddings, alpha),
+        embeddings=embeddings,
+        anchor=anchor,
+        shops=shops,
+        shop_tags=shop_tags,
+        shop_pool=shop_pool,
+        anchor_pool=anchor_pool,
+    )
 
 
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
-
-
-def _features_backward(
-    raw: np.ndarray,
-    domain: str,
-    params: ModelParams,
-    grad_map: np.ndarray,
-    grads: dict[str, np.ndarray],
-) -> None:
-    """Accumulate branch and trunk gradients for one image in place."""
-    data = np.asarray(raw, dtype=np.float64)
-    pre_act = params.trunk.apply(data)
-    hidden = np.maximum(pre_act, 0.0)
-    if domain == "user":
-        branch, prefix = params.branch_user, "branch_user"
-    else:
-        branch, prefix = params.branch_shop, "branch_shop"
-    grads[prefix + ".weight"] += grad_map.T @ hidden
-    grads[prefix + ".bias"] += grad_map.sum(axis=0)
-    grad_hidden = grad_map @ branch.weight
-    grad_pre = np.where(pre_act > 0.0, grad_hidden, 0.0)
-    grads["trunk.weight"] += grad_pre.T @ data
-    grads["trunk.bias"] += grad_pre.sum(axis=0)
-
-
-def _shop_pooled_backward(
-    fmap: FeatureMap,
-    tags: TagVector | None,
-    params: ModelParams,
-    grad_pooled: np.ndarray,
-    grads: dict[str, np.ndarray],
-) -> np.ndarray:
-    """Backward through the shop pooling; returns grad wrt the feature map."""
-    if params.config.variant >= Variant.TAGYNET:
-        assert params.tag_attn is not None and tags is not None
-        grad_map, grad_embedding = tag_attend_backward(
-            fmap, tags, params.tag_attn, grad_pooled
-        )
-        grads["tag_attn.embedding"] += grad_embedding
-        return grad_map
-    return np.tile(grad_pooled / fmap.locations, (fmap.locations, 1))
 
 
 def backward_triple(
@@ -449,86 +426,67 @@ def backward_triple(
     negative_tags: TagVector | None,
     params: ModelParams,
     alpha: float,
-    frozen: Iterable[str] = (),
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss plus analytic gradients for every tensor in ``params``.
 
-    Shop embeddings receive gradient along two routes in the context
-    variant: directly from the loss and through the context-attention
-    alignment of the anchor. Tensors named in ``frozen`` are reported as
-    zero.
+    Runs ``forward_triple`` once and walks back over what it saved. Shop
+    embeddings receive gradient along two routes in the context variant:
+    directly from the loss and through the context-attention alignment of
+    the anchor.
     """
+    fwd = forward_triple(
+        anchor_raw, positive_raw, negative_raw, positive_tags, negative_tags, params, alpha
+    )
     grads = params.zero_grads()
-
-    fmap_anchor = extract_features(anchor_raw, "user", params)
-    fmap_pos = extract_features(positive_raw, "shop", params)
-    fmap_neg = extract_features(negative_raw, "shop", params)
-
-    pooled_pos = _shop_pooled(fmap_pos, positive_tags, params)
-    pooled_neg = _shop_pooled(fmap_neg, negative_tags, params)
-    pos_hat = l2_normalize(pooled_pos)
-    neg_hat = l2_normalize(pooled_neg)
-
-    contextual = params.config.variant >= Variant.CTXYNET
-    if contextual:
-        assert params.ctx_attn is not None
-        attended_pos = context_attend(fmap_anchor, pos_hat, params.ctx_attn)
-        attended_neg = context_attend(fmap_anchor, neg_hat, params.ctx_attn)
-        anchor_pos = l2_normalize(attended_pos.pooled)
-        anchor_neg = l2_normalize(attended_neg.pooled)
-    else:
-        pooled_anchor = fmap_anchor.data.mean(axis=0)
-        anchor_pos = anchor_neg = l2_normalize(pooled_anchor)
-
-    embeddings = TripleEmbeddings(
-        anchor_pos=anchor_pos, anchor_neg=anchor_neg, positive=pos_hat, negative=neg_hat
-    )
-    loss = triplet_loss(embeddings, alpha)
-    if loss == 0.0:
+    if fwd.loss == 0.0:
         return 0.0, grads
-    eg = triplet_loss_backward(embeddings, alpha)
+    e = fwd.embeddings
+    eg = triplet_loss_backward(e, alpha)
 
-    grad_pos_hat = eg.positive
-    grad_neg_hat = eg.negative
-    if contextual:
+    grad_shops = np.stack([eg.positive, eg.negative])
+    if params.config.variant >= Variant.CTXYNET:
         assert params.ctx_attn is not None
-        grad_pooled_ap = l2_normalize_backward(attended_pos.pooled, eg.anchor_pos)
-        grad_pooled_an = l2_normalize_backward(attended_neg.pooled, eg.anchor_neg)
-        map_p, ctx_p, featw_p, ctxw_p = context_attend_backward(
-            fmap_anchor, pos_hat, params.ctx_attn, grad_pooled_ap
+        grad_pooled = l2_normalize_backward(
+            fwd.anchor_pool.pooled, np.stack([eg.anchor_pos, eg.anchor_neg])
         )
-        map_n, ctx_n, featw_n, ctxw_n = context_attend_backward(
-            fmap_anchor, neg_hat, params.ctx_attn, grad_pooled_an
+        grad_anchor_map, grad_contexts, grad_feature_weight, grad_context_weight = (
+            context_attend_backward(
+                fwd.anchor.fmap,
+                np.stack([e.positive, e.negative]),
+                params.ctx_attn,
+                fwd.anchor_pool,
+                grad_pooled,
+            )
         )
-        grads["ctx_attn.feature_weight"] += featw_p + featw_n
-        grads["ctx_attn.context_weight"] += ctxw_p + ctxw_n
-        grad_anchor_map = map_p + map_n
+        grads["ctx_attn.feature_weight"] = grad_feature_weight
+        grads["ctx_attn.context_weight"] = grad_context_weight
         # context route back into the shop embeddings
-        grad_pos_hat = grad_pos_hat + ctx_p
-        grad_neg_hat = grad_neg_hat + ctx_n
+        grad_shops += grad_contexts
     else:
-        grad_pooled_anchor = l2_normalize_backward(
-            pooled_anchor, eg.anchor_pos + eg.anchor_neg
+        grad_pooled = l2_normalize_backward(fwd.anchor_pool.pooled, eg.anchor_pos + eg.anchor_neg)
+        grad_anchor_map = fwd.anchor_pool.weights[..., None] * grad_pooled[..., None, :]
+
+    grad_pooled = l2_normalize_backward(fwd.shop_pool.pooled, grad_shops)
+    if fwd.shop_tags is not None:
+        assert params.tag_attn is not None
+        grad_shop_map, grads["tag_attn.embedding"] = tag_attend_backward(
+            fwd.shops.fmap, fwd.shop_tags, params.tag_attn, fwd.shop_pool, grad_pooled
         )
-        grad_anchor_map = np.tile(
-            grad_pooled_anchor / fmap_anchor.locations, (fmap_anchor.locations, 1)
-        )
+    else:
+        grad_shop_map = fwd.shop_pool.weights[..., None] * grad_pooled[..., None, :]
 
-    grad_pos_map = _shop_pooled_backward(
-        fmap_pos, positive_tags, params, l2_normalize_backward(pooled_pos, grad_pos_hat), grads
-    )
-    grad_neg_map = _shop_pooled_backward(
-        fmap_neg, negative_tags, params, l2_normalize_backward(pooled_neg, grad_neg_hat), grads
-    )
-
-    _features_backward(anchor_raw, "user", params, grad_anchor_map, grads)
-    _features_backward(positive_raw, "shop", params, grad_pos_map, grads)
-    _features_backward(negative_raw, "shop", params, grad_neg_map, grads)
-
-    for name in frozen:
-        if name in grads:
-            grads[name][...] = 0.0
-    return loss, grads
+    for features, grad_map, branch_name in (
+        (fwd.anchor, grad_anchor_map, "branch_user"),
+        (fwd.shops, grad_shop_map, "branch_shop"),
+    ):
+        branch = getattr(params, branch_name)
+        grad_out = grad_map.reshape(-1, params.config.channels)
+        grads[branch_name + ".weight"] = grad_out.T @ features.hidden
+        grads[branch_name + ".bias"] = grad_out.sum(axis=0)
+        grad_pre = np.where(features.hidden > 0.0, grad_out @ branch.weight, 0.0)
+        grads["trunk.weight"] += grad_pre.T @ features.rows
+        grads["trunk.bias"] += grad_pre.sum(axis=0)
+    return fwd.loss, grads
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,9 @@ def l2_normalize(v: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
 def l2_normalize_backward(
     v: np.ndarray, grad_output: np.ndarray, eps: float = NORM_EPS
 ) -> np.ndarray:
-    """Gradient of ``grad_output . l2_normalize(v)`` with respect to ``v``.
+    """Gradient of ``sum(grad_output * l2_normalize(v))`` with respect to ``v``.
 
+    Each row of a 2-D stack is its own vector, as in ``l2_normalize``.
     Below the eps guard the map is linear (``v / eps``) and the Jacobian
     is ``I / eps``.
     """
@@ -66,11 +67,12 @@ def l2_normalize_backward(
     g = np.asarray(grad_output, dtype=np.float64)
     if x.shape != g.shape:
         raise ValueError("gradient shape must match the input vector")
-    norm = float(np.linalg.norm(x))
-    if norm < eps:
-        return g / eps
-    y = x / norm
-    return (g - float(g @ y) * y) / norm
+    norm = np.linalg.norm(x, axis=-1, keepdims=True)
+    scale = np.maximum(norm, eps)
+    y = x / scale
+    # Below the guard the projection term drops out: (g - 0) / eps.
+    along = np.where(norm < eps, 0.0, np.sum(g * y, axis=-1, keepdims=True))
+    return (g - along * y) / scale
 
 
 def finite_diff_grad(

@@ -27,13 +27,8 @@ from .model import (
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("ynet", "tagynet", "ctxynet")
-
-_STAGE_VARIANT = {
-    "ynet": Variant.YNET,
-    "tagynet": Variant.TAGYNET,
-    "ctxynet": Variant.CTXYNET,
-}
+# One stage per variant, in ladder order, named after it.
+STAGES = tuple(variant.name.lower() for variant in Variant)
 
 FROZEN_TRUNK = ("trunk.weight", "trunk.bias")
 
@@ -44,9 +39,9 @@ class TrainingDivergedError(RuntimeError):
 
 def stage_variant(stage: str) -> Variant:
     key = stage.strip().lower()
-    if key not in _STAGE_VARIANT:
+    if key not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
-    return _STAGE_VARIANT[key]
+    return Variant[key.upper()]
 
 
 def _default_margins() -> dict[str, float]:
@@ -177,13 +172,16 @@ def train_stage(
 ) -> tuple[Checkpoint, list[float]]:
     """Run one curriculum stage; deterministic given (seed, config, data).
 
-    Either ``init`` (the previous stage's checkpoint) or ``model_cfg``
-    must be given. Returns the final checkpoint and the per-epoch mean
-    loss curve; each epoch also writes one
-    ``epoch<TAB>stage<TAB>lr<TAB>mean_loss`` line to ``metrics_out``.
+    ``stage`` is matched ignoring case and surrounding blanks, and the
+    checkpoint and metrics carry its lower-case name. Either ``init`` (the
+    previous stage's checkpoint) or ``model_cfg`` must be given. Returns
+    the final checkpoint and the per-epoch mean loss curve; each epoch also
+    writes one ``epoch<TAB>stage<TAB>lr<TAB>mean_loss`` line to
+    ``metrics_out``.
     """
+    stage = stage.strip().lower()
     variant = stage_variant(stage)
-    stage_index = STAGES.index(stage.strip().lower())
+    stage_index = int(variant)
     if init is not None:
         base_cfg = init.config
     elif model_cfg is not None:
@@ -215,9 +213,9 @@ def train_stage(
     )
     sample_rng = np.random.default_rng([cfg.seed, stage_index, 1])
     frozen = FROZEN_TRUNK if stage_index > 0 else ()
-    alpha = cfg.margins[stage.strip().lower()]
+    alpha = cfg.margins[stage]
     records = _record_by_id(dataset)
-    epoch_count = cfg.epochs[stage.strip().lower()]
+    epoch_count = cfg.epochs[stage]
     triples_per_epoch = len(dataset.user_records())
     velocity: dict[str, np.ndarray] = {}
     curve: list[float] = []
@@ -241,7 +239,6 @@ def train_stage(
                     dataset.tag_vector(negative),
                     params,
                     alpha,
-                    frozen=frozen,
                 )
                 if not math.isfinite(loss):
                     raise TrainingDivergedError(

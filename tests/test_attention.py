@@ -250,42 +250,66 @@ def relative_agreement(analytic, numeric, rel_tol=1e-4, abs_tol=1e-7, small=1e-6
     return np.all(np.where(tiny, diff < abs_tol, diff <= rel_tol * denom))
 
 
+def stacked_tag_instance(rng):
+    """A random tag-attention instance: one map, or a stack of 1-3 maps with
+    one tag vector each."""
+    fmap, bits, tag_params, _, _ = random_instance(
+        rng, locations=int(rng.integers(1, 7)), channels=int(rng.integers(1, 6)),
+        tags=int(rng.integers(1, 5)),
+    )
+    stack = int(rng.integers(0, 4))
+    if stack:
+        shape = (stack, fmap.locations, fmap.channels)
+        fmap = FeatureMap.from_matrix(rng.normal(size=shape))
+        bits = TagVector(bits=rng.integers(0, 2, size=(stack, bits.size)).astype(np.float64))
+    return fmap, bits, tag_params
+
+
 class TestTagAttendBackward:
     def test_zero_upstream(self):
         rng = np.random.default_rng(50)
-        fmap, bits, tag_params, _, _ = random_instance(rng)
-        grad_map, grad_emb = tag_attend_backward(
-            fmap, bits, tag_params, np.zeros(fmap.channels)
-        )
-        np.testing.assert_array_equal(grad_map, np.zeros_like(fmap.data))
-        np.testing.assert_array_equal(grad_emb, np.zeros_like(tag_params.embedding))
+        for _ in range(10):
+            fmap, bits, tag_params = stacked_tag_instance(rng)
+            attended = tag_attend(fmap, bits, tag_params)
+            grad_map, grad_emb = tag_attend_backward(
+                fmap, bits, tag_params, attended, np.zeros_like(attended.pooled)
+            )
+            np.testing.assert_array_equal(grad_map, np.zeros_like(fmap.data))
+            np.testing.assert_array_equal(grad_emb, np.zeros_like(tag_params.embedding))
 
     def test_inactive_tags_leave_embedding_untouched(self):
         rng = np.random.default_rng(51)
-        fmap, _, tag_params, _, _ = random_instance(rng)
-        bits = TagVector.zeros(tag_params.embedding.shape[0])
-        _, grad_emb = tag_attend_backward(
-            fmap, bits, tag_params, rng.normal(size=fmap.channels)
-        )
-        np.testing.assert_array_equal(grad_emb, np.zeros_like(tag_params.embedding))
+        for _ in range(10):
+            fmap, bits, tag_params = stacked_tag_instance(rng)
+            bits = TagVector(bits=np.zeros_like(bits.bits))
+            attended = tag_attend(fmap, bits, tag_params)
+            _, grad_emb = tag_attend_backward(
+                fmap, bits, tag_params, attended, rng.normal(size=attended.pooled.shape)
+            )
+            np.testing.assert_array_equal(grad_emb, np.zeros_like(tag_params.embedding))
+
+    def test_upstream_must_match_the_pooled_output(self):
+        rng = np.random.default_rng(56)
+        fmap, bits, tag_params, _, _ = random_instance(rng)
+        attended = tag_attend(fmap, bits, tag_params)
+        with pytest.raises(ValueError, match="grad_pooled"):
+            tag_attend_backward(fmap, bits, tag_params, attended, np.zeros(fmap.channels + 1))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(52)
-        for _ in range(20):
-            fmap, bits, tag_params, _, _ = random_instance(
-                rng, locations=int(rng.integers(1, 7)), channels=int(rng.integers(1, 6)),
-                tags=int(rng.integers(1, 5)),
-            )
-            upstream = rng.normal(size=fmap.channels)
-            grad_map, grad_emb = tag_attend_backward(fmap, bits, tag_params, upstream)
+        for _ in range(30):
+            fmap, bits, tag_params = stacked_tag_instance(rng)
+            attended = tag_attend(fmap, bits, tag_params)
+            upstream = rng.normal(size=attended.pooled.shape)
+            grad_map, grad_emb = tag_attend_backward(fmap, bits, tag_params, attended, upstream)
 
             def loss_wrt_map(data):
                 res = tag_attend(FeatureMap.from_matrix(data), bits, tag_params)
-                return float(upstream @ res.pooled)
+                return float(np.sum(upstream * res.pooled))
 
             def loss_wrt_emb(emb):
                 res = tag_attend(fmap, bits, TagAttentionParams(embedding=emb))
-                return float(upstream @ res.pooled)
+                return float(np.sum(upstream * res.pooled))
 
             assert relative_agreement(grad_map, finite_diff_grad(loss_wrt_map, fmap.data))
             assert relative_agreement(
@@ -293,34 +317,58 @@ class TestTagAttendBackward:
             )
 
 
+def stacked_contexts(rng, ctx):
+    """The single context, or a K x C stack of 1-3 contexts."""
+    stack = int(rng.integers(0, 4))
+    return rng.normal(size=(stack, ctx.size)) if stack else ctx
+
+
 class TestContextAttendBackward:
     def test_zero_upstream(self):
         rng = np.random.default_rng(53)
-        fmap, _, _, ctx, ctx_params = random_instance(rng)
-        grads = context_attend_backward(fmap, ctx, ctx_params, np.zeros(fmap.channels))
-        for g in grads:
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        for _ in range(10):
+            fmap, _, _, ctx, ctx_params = random_instance(rng)
+            ctx = stacked_contexts(rng, ctx)
+            attended = context_attend(fmap, ctx, ctx_params)
+            grads = context_attend_backward(
+                fmap, ctx, ctx_params, attended, np.zeros_like(attended.pooled)
+            )
+            for g in grads:
+                np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_single_location_constant_weight(self):
         rng = np.random.default_rng(54)
-        fmap, _, _, ctx, _ = random_instance(rng, locations=1)
-        ctx_params = ContextAttentionParams(
-            feature_weight=rng.normal(size=fmap.channels),
-            context_weight=rng.normal(size=(1, fmap.channels)),
-        )
-        _, _, grad_fw, grad_cw = context_attend_backward(
-            fmap, ctx, ctx_params, rng.normal(size=fmap.channels)
-        )
-        np.testing.assert_array_equal(grad_fw, np.zeros_like(grad_fw))
-        np.testing.assert_array_equal(grad_cw, np.zeros_like(grad_cw))
+        for _ in range(10):
+            fmap, _, _, ctx, _ = random_instance(rng, locations=1)
+            ctx = stacked_contexts(rng, ctx)
+            ctx_params = ContextAttentionParams(
+                feature_weight=rng.normal(size=fmap.channels),
+                context_weight=rng.normal(size=(1, fmap.channels)),
+            )
+            attended = context_attend(fmap, ctx, ctx_params)
+            _, _, grad_fw, grad_cw = context_attend_backward(
+                fmap, ctx, ctx_params, attended, rng.normal(size=attended.pooled.shape)
+            )
+            np.testing.assert_array_equal(grad_fw, np.zeros_like(grad_fw))
+            np.testing.assert_array_equal(grad_cw, np.zeros_like(grad_cw))
+
+    def test_upstream_must_match_the_pooled_output(self):
+        rng = np.random.default_rng(57)
+        fmap, _, _, ctx, ctx_params = random_instance(rng)
+        contexts = np.stack([ctx, ctx])
+        attended = context_attend(fmap, contexts, ctx_params)
+        with pytest.raises(ValueError, match="grad_pooled"):
+            context_attend_backward(fmap, contexts, ctx_params, attended, np.zeros(fmap.channels))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(55)
-        for _ in range(20):
+        for _ in range(30):
             fmap, _, _, ctx, ctx_params = random_instance(rng)
-            upstream = rng.normal(size=fmap.channels)
+            ctx = stacked_contexts(rng, ctx)
+            attended = context_attend(fmap, ctx, ctx_params)
+            upstream = rng.normal(size=attended.pooled.shape)
             grad_map, grad_ctx, grad_fw, grad_cw = context_attend_backward(
-                fmap, ctx, ctx_params, upstream
+                fmap, ctx, ctx_params, attended, upstream
             )
 
             def eval_at(data=None, context=None, fw=None, cw=None):
@@ -332,7 +380,7 @@ class TestContextAttendBackward:
                         context_weight=ctx_params.context_weight if cw is None else cw,
                     ),
                 )
-                return float(upstream @ res.pooled)
+                return float(np.sum(upstream * res.pooled))
 
             assert relative_agreement(
                 grad_map, finite_diff_grad(lambda d: eval_at(data=d), fmap.data)

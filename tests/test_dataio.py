@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -101,6 +102,23 @@ class TestTextFiles:
         lines[1] = "\t".join(fields)
         path.write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(ManifestError, match="line 2: feature file missing"):
+            load_dataset(train_dir)
+
+    @pytest.mark.parametrize("outside", ["absolute", "parent"])
+    def test_feature_path_leaving_the_dataset_directory(self, tmp_path, outside):
+        generate_synthetic(dataclasses.replace(TINY, holdout_products=2), tmp_path)
+        train_dir = tmp_path / "train"
+        elsewhere = load_manifest(tmp_path / "holdout" / MANIFEST_NAME).records[0].path
+        target = tmp_path / "holdout" / elsewhere
+        named = str(target) if outside == "absolute" else f"../holdout/{elsewhere}"
+        path = train_dir / MANIFEST_NAME
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[2].split("\t")
+        fields[3] = named
+        lines[2] = "\t".join(fields)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert target.is_file() and (train_dir / named).is_file()
+        with pytest.raises(ManifestError, match="line 3: feature path must stay inside the dataset directory"):
             load_dataset(train_dir)
 
     @pytest.mark.parametrize("name", [MANIFEST_NAME, TAGS_NAME])

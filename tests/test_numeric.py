@@ -104,12 +104,21 @@ class TestL2Normalize:
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        for _ in range(25):
-            v = rng.normal(size=6)
-            g = rng.normal(size=6)
+        for shape in [(6,)] * 25 + [(1, 6), (3, 6), (4, 2)] * 5:
+            v = rng.normal(size=shape)
+            g = rng.normal(size=shape)
             analytic = l2_normalize_backward(v, g)
-            numeric = finite_diff_grad(lambda x: float(g @ l2_normalize(x)), v)
+            numeric = finite_diff_grad(lambda x: float(np.sum(g * l2_normalize(x))), v)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
+
+    def test_backward_below_the_guard_is_linear(self):
+        # Each row on its own: a zero row gets g / eps, the other the projection.
+        v = np.array([[0.0, 0.0], [3.0, 4.0]])
+        g = np.array([[1.0, -2.0], [1.0, 0.0]])
+        got = l2_normalize_backward(v, g)
+        np.testing.assert_array_equal(got[0], g[0] / 1e-12)
+        np.testing.assert_allclose(got[1], l2_normalize_backward(v[1], g[1]), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got[1], [0.128, -0.096], rtol=0, atol=1e-15)
 
 
 class TestFiniteDiffGrad:

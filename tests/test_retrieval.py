@@ -13,7 +13,7 @@ from xattn.model import (
     UnsupportedVariantError,
     Variant,
     embed_shop,
-    embed_shop_simple,
+    embed_shops_simple,
     init_params,
     params_fingerprint,
 )
@@ -134,7 +134,7 @@ class TestBuildIndex:
             if variant >= Variant.TAGYNET:
                 want = embed_shop(item.raw, item.tags, params)
             else:
-                want = embed_shop_simple(item.raw, params)
+                want = embed_shops_simple(item.raw[None], params)[0]
             np.testing.assert_allclose(index.embeddings[row], want, rtol=0, atol=1e-12)
             naive = naive_shop_embedding(item.raw, item.tags.bits, params)
             np.testing.assert_allclose(index.embeddings[row], naive, rtol=0, atol=1e-12)

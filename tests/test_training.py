@@ -1,12 +1,22 @@
+import io
 import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xattn.dataio import Dataset, Manifest, ManifestRecord
+from xattn.dataio import Dataset, Manifest, ManifestRecord, SyntheticSpec, generate_synthetic, load_dataset
 from xattn.model import ModelConfig, Variant, init_params
-from xattn.training import FROZEN_TRUNK, TrainConfig, run_curriculum, sample_triples, sgd_step
+from xattn.training import (
+    FROZEN_TRUNK,
+    STAGES,
+    TrainConfig,
+    run_curriculum,
+    sample_triples,
+    sgd_step,
+    stage_variant,
+    train_stage,
+)
 
 
 def records_dataset(shop_products, user_products):
@@ -68,6 +78,23 @@ class TestSgdStep:
 
 
 class TestCurriculum:
+    def test_one_stage_per_variant_in_ladder_order(self):
+        assert STAGES == ("ynet", "tagynet", "ctxynet")
+        assert [stage_variant(stage) for stage in STAGES] == list(Variant)
+        assert stage_variant(" TagYNet ") is Variant.TAGYNET
+
+    def test_stage_name_is_normalised(self, tmp_path):
+        spec = SyntheticSpec(products=3, holdout_products=0, locations=2, channels=2, tag_count=2, raw_dim=2, signal_locations=1)
+        generate_synthetic(spec, tmp_path)
+        config = ModelConfig(locations=2, channels=2, tag_count=2, raw_dim=2, variant=Variant.YNET)
+        metrics = io.StringIO()
+        checkpoint, curve = train_stage(
+            " YNet ", load_dataset(tmp_path / "train"), TrainConfig(epochs={"ynet": 2}), model_cfg=config, metrics_out=metrics
+        )
+        assert checkpoint.stage == "ynet" and checkpoint.config.variant is Variant.YNET
+        assert [line.split("\t")[1] for line in metrics.getvalue().splitlines()] == ["ynet", "ynet"]
+        assert len(curve) == 2
+
     @pytest.mark.parametrize(
         "stages",
         [("tagynet", "ynet"), ("ynet", "ynet"), ("ctxynet", "tagynet"), ("ynet", "ctxynet", "tagynet")],
