@@ -9,57 +9,28 @@ scores into weights, aggregate the locations by those weights.
   function of its own feature plus a per-location linear function of a
   context vector (the candidate shop embedding).
 
-The forward functions also take stacks, so serving runs one array
-operation per batch: tag attention pools a B x L x C stack of maps, each
-under its own row of a B x T tag matrix, and context attention pools one
-map under each row of a K x C stack of contexts. The backward functions
-work on the same stacks and take the forward's ``AttentionResult``, so
-they reuse its softmax weights instead of recomputing scores.
+A feature map is a plain float64 array: L x C for one map (row l =
+location l), B x L x C for a stack. The forward functions also take
+stacks, so serving runs one array operation per batch: tag attention
+pools a B x L x C stack of maps, each under its own row of a B x T tag
+matrix, and context attention pools one map under each row of a K x C
+stack of contexts. The backward functions work on the same stacks and
+take the forward's ``AttentionResult``, so they reuse its softmax weights
+instead of recomputing scores.
+
+Finiteness is checked where data enters, not per layer: feature-map,
+checkpoint and index files are checked by their parsers, raw input by the
+model's feature extraction, and here ``softmax`` rejects non-finite
+scores, which guards direct calls to these functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numeric import softmax
-
-
-@dataclass(frozen=True)
-class FeatureMap:
-    """An L x C grid of per-location feature vectors (row l = location l),
-    or a B x L x C stack of such grids."""
-
-    data: np.ndarray
-    height: int
-    width: int
-
-    def __post_init__(self) -> None:
-        if self.data.ndim not in (2, 3) or self.data.size == 0:
-            raise ValueError("feature map must be a non-empty L x C matrix or B x L x C stack")
-        if self.height < 1 or self.width < 1 or self.height * self.width != self.locations:
-            raise ValueError(
-                f"height*width must equal the location count "
-                f"({self.height}*{self.width} != {self.locations})"
-            )
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("feature map entries must be finite")
-
-    @classmethod
-    def from_matrix(cls, data: np.ndarray) -> "FeatureMap":
-        """Wrap an L x C matrix or B x L x C stack; the spatial
-        factorization defaults to L x 1."""
-        arr = np.asarray(data, dtype=np.float64)
-        return cls(data=arr, height=arr.shape[-2] if arr.ndim >= 2 else 0, width=1)
-
-    @property
-    def locations(self) -> int:
-        return self.data.shape[-2]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -148,7 +119,7 @@ def tag_embed(tags: TagVector, params: TagAttentionParams) -> np.ndarray:
 
 
 def tag_attend(
-    fmap: FeatureMap, tags: TagVector, params: TagAttentionParams
+    fmap: np.ndarray, tags: TagVector, params: TagAttentionParams
 ) -> AttentionResult:
     """Pool a shop feature map under tag-conditioned attention.
 
@@ -156,19 +127,19 @@ def tag_attend(
     the embedded tag set; weights are the softmax of the scores. A B x L x C
     stack pools each map under its own row of a B x T tag matrix.
     """
-    if fmap.channels != params.embedding.shape[1]:
+    if fmap.ndim != tags.bits.ndim + 1 or fmap.shape[:-2] != tags.bits.shape[:-1]:
+        raise ValueError("a stack of feature maps needs one tag vector per map")
+    if fmap.shape[-1] != params.embedding.shape[1]:
         raise ValueError(
-            f"feature channels {fmap.channels} do not match embedding columns "
+            f"feature channels {fmap.shape[-1]} do not match embedding columns "
             f"{params.embedding.shape[1]}"
         )
-    if fmap.data.ndim != tags.bits.ndim + 1 or fmap.data.shape[:-2] != tags.bits.shape[:-1]:
-        raise ValueError("a stack of feature maps needs one tag vector per map")
-    weights = softmax(np.einsum("...lc,...c->...l", fmap.data, tag_embed(tags, params)))
-    return AttentionResult(weights=weights, pooled=np.einsum("...l,...lc->...c", weights, fmap.data))
+    weights = softmax(np.einsum("...lc,...c->...l", fmap, tag_embed(tags, params)))
+    return AttentionResult(weights=weights, pooled=np.einsum("...l,...lc->...c", weights, fmap))
 
 
 def context_attend(
-    fmap: FeatureMap, context: np.ndarray, params: ContextAttentionParams
+    fmap: np.ndarray, context: np.ndarray, params: ContextAttentionParams
 ) -> AttentionResult:
     """Pool a query feature map under context-conditioned attention.
 
@@ -178,19 +149,19 @@ def context_attend(
     gives K x L weights and K pooled rows: the one map under each context.
     """
     ctx = np.asarray(context, dtype=np.float64)
-    if fmap.data.ndim != 2:
+    if fmap.ndim != 2:
         raise ValueError("context attention pools a single L x C feature map")
-    if params.context_weight.shape[0] != fmap.locations:
+    if params.context_weight.shape[0] != fmap.shape[0]:
         raise ValueError(
-            f"feature map has {fmap.locations} locations but context_weight "
+            f"feature map has {fmap.shape[0]} locations but context_weight "
             f"fixes {params.context_weight.shape[0]}"
         )
     channels = params.feature_weight.shape[0]
-    if fmap.channels != channels or ctx.ndim not in (1, 2) or ctx.shape[-1] != channels:
+    if fmap.shape[1] != channels or ctx.ndim not in (1, 2) or ctx.shape[-1] != channels:
         raise ValueError("channel dimensions disagree for context attention")
-    scores = fmap.data @ params.feature_weight + ctx @ params.context_weight.T
+    scores = fmap @ params.feature_weight + ctx @ params.context_weight.T
     weights = softmax(scores)
-    return AttentionResult(weights=weights, pooled=weights @ fmap.data)
+    return AttentionResult(weights=weights, pooled=weights @ fmap)
 
 
 def _softmax_backward(weights: np.ndarray, grad_weights: np.ndarray) -> np.ndarray:
@@ -210,7 +181,7 @@ def _check_grad_pooled(attended: AttentionResult, grad_pooled: np.ndarray) -> np
 
 
 def tag_attend_backward(
-    fmap: FeatureMap,
+    fmap: np.ndarray,
     tags: TagVector,
     params: TagAttentionParams,
     attended: AttentionResult,
@@ -228,15 +199,15 @@ def tag_attend_backward(
     g = _check_grad_pooled(attended, grad_pooled)
     weights = attended.weights
     embedded = tag_embed(tags, params)
-    grad_scores = _softmax_backward(weights, np.einsum("...lc,...c->...l", fmap.data, g))
+    grad_scores = _softmax_backward(weights, np.einsum("...lc,...c->...l", fmap, g))
     grad_map = weights[..., None] * g[..., None, :] + grad_scores[..., None] * embedded[..., None, :]
-    grad_embedded = np.einsum("...l,...lc->...c", grad_scores, fmap.data)
+    grad_embedded = np.einsum("...l,...lc->...c", grad_scores, fmap)
     grad_embedding = np.atleast_2d(tags.bits).T @ np.atleast_2d(grad_embedded)
     return grad_map, grad_embedding
 
 
 def context_attend_backward(
-    fmap: FeatureMap,
+    fmap: np.ndarray,
     context: np.ndarray,
     params: ContextAttentionParams,
     attended: AttentionResult,
@@ -253,14 +224,14 @@ def context_attend_backward(
     """
     ctx = np.asarray(context, dtype=np.float64)
     g = _check_grad_pooled(attended, grad_pooled)
-    if params.context_weight.shape[0] != fmap.locations:
+    if params.context_weight.shape[0] != fmap.shape[0]:
         raise ValueError("context_weight row count must match the feature map")
     weights = np.atleast_2d(attended.weights)
     upstream = np.atleast_2d(g)
-    grad_scores = _softmax_backward(weights, upstream @ fmap.data.T)
+    grad_scores = _softmax_backward(weights, upstream @ fmap.T)
     score_total = grad_scores.sum(axis=0)
     grad_map = weights.T @ upstream + np.outer(score_total, params.feature_weight)
     grad_context = (grad_scores @ params.context_weight).reshape(ctx.shape)
-    grad_feature_weight = fmap.data.T @ score_total
+    grad_feature_weight = fmap.T @ score_total
     grad_context_weight = grad_scores.T @ np.atleast_2d(ctx)
     return grad_map, grad_context, grad_feature_weight, grad_context_weight

@@ -73,7 +73,7 @@ def _draw_raw(rng: np.random.Generator, params: ModelParams, domain: str) -> np.
         if np.min(np.abs(pre_act)) > _KINK_GUARD:
             # also keep the branch output comfortably away from a zero pool
             fmap = extract_features(raw, domain, params)
-            if float(np.linalg.norm(fmap.data.mean(axis=0))) > 1e-3:
+            if float(np.linalg.norm(fmap.mean(axis=0))) > 1e-3:
                 return raw
     raise RuntimeError("could not draw a kink-safe raw feature map")
 

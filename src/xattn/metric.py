@@ -56,7 +56,8 @@ class TripleEmbeddings:
         for v in vecs:
             if v.ndim != 1 or v.shape != length:
                 raise ValueError("all four embeddings must share one length")
-            if abs(float(np.linalg.norm(v)) - 1.0) > _UNIT_NORM_TOL:
+            # Written so that a NaN norm fails too.
+            if not abs(float(np.linalg.norm(v)) - 1.0) <= _UNIT_NORM_TOL:
                 raise ValueError("embeddings must be L2-normalized")
 
 

@@ -7,7 +7,16 @@ candidate's shop embedding as context.
 
 The trunk and branches are per-location affine+ReLU transforms
 (1x1-convolution equivalents); precomputed feature maps can bypass the
-trunk via raw_dim == channels with an identity trunk.
+trunk via raw_dim == channels with an identity trunk. Feature maps are
+plain arrays: L x C for one image, B x L x C for a stack.
+
+Finiteness is checked once, where data enters: ``_features`` (behind
+``extract_features``, every ``embed_*`` and ``forward_triple``) rejects
+non-finite raw input, ``checkpoint_from_bytes`` rejects NaN/Inf tensors,
+the feature-map and index parsers reject NaN/Inf payloads, and
+``softmax`` rejects non-finite attention scores. Parameters that overflow
+in memory give NaN embeddings, which ``TripleEmbeddings`` (training) and
+``retrieval.ShopIndex`` (serving) refuse.
 
 Serving runs the batched forward functions: ``embed_shops`` and
 ``embed_shops_simple`` embed a B x L x R stack of shop images at once,
@@ -48,7 +57,6 @@ import numpy as np
 from .attention import (
     AttentionResult,
     ContextAttentionParams,
-    FeatureMap,
     TagAttentionParams,
     TagVector,
     context_attend,
@@ -153,12 +161,6 @@ class ModelParams:
             yield "ctx_attn.feature_weight", self.ctx_attn.feature_weight
             yield "ctx_attn.context_weight", self.ctx_attn.context_weight
 
-    def tensor(self, name: str) -> np.ndarray:
-        for tensor_name, arr in self.named_tensors():
-            if tensor_name == name:
-                return arr
-        raise KeyError(name)
-
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(arr) for name, arr in self.named_tensors()}
 
@@ -260,7 +262,7 @@ class _Features(NamedTuple):
 
     rows: np.ndarray  # (N*L) x R input rows of the N maps
     hidden: np.ndarray  # (N*L) x C trunk outputs after the ReLU
-    fmap: FeatureMap
+    fmap: np.ndarray  # L x C map, or B x L x C stack
 
 
 def _features(raw: np.ndarray, domain: str, params: ModelParams) -> _Features:
@@ -273,16 +275,18 @@ def _features(raw: np.ndarray, domain: str, params: ModelParams) -> _Features:
             f"raw features must be {cfg.locations} x {cfg.raw_dim} "
             f"(or a stack of such), got {data.shape}"
         )
+    if not np.isfinite(data).all():
+        raise ValueError("raw features must be finite")
     rows = data.reshape(-1, cfg.raw_dim)
     hidden = np.maximum(params.trunk.apply(rows), 0.0)
     branch = params.branch_user if domain == "user" else params.branch_shop
     features = branch.apply(hidden).reshape(*data.shape[:-1], cfg.channels)
-    return _Features(rows=rows, hidden=hidden, fmap=FeatureMap.from_matrix(features))
+    return _Features(rows=rows, hidden=hidden, fmap=features)
 
 
 def extract_features(
     raw: np.ndarray, domain: str, params: ModelParams
-) -> FeatureMap:
+) -> np.ndarray:
     """Trunk + domain branch, applied per location: branch(relu(trunk(x))).
 
     ``raw`` is one L x R map or a B x L x R stack; a stack runs as one
@@ -291,9 +295,9 @@ def extract_features(
     return _features(raw, domain, params).fmap
 
 
-def uniform_embedding(fmap: FeatureMap) -> np.ndarray:
+def uniform_embedding(fmap: np.ndarray) -> np.ndarray:
     """Unit-norm uniform pooling of a feature map (one row per map of a stack)."""
-    return l2_normalize(fmap.data.mean(axis=-2))
+    return l2_normalize(fmap.mean(axis=-2))
 
 
 def embed_shops(raws: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndarray:
@@ -315,7 +319,7 @@ def embed_shops_simple(raws: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def embed_user_contexts(
-    fmap: FeatureMap, contexts: np.ndarray, params: ModelParams
+    fmap: np.ndarray, contexts: np.ndarray, params: ModelParams
 ) -> np.ndarray:
     """Unit-norm K x C query embeddings: the query feature map attended
     with each row of a K x C stack of (normalized) shop embeddings as
@@ -339,11 +343,11 @@ def embed_user_simple(raw: np.ndarray, params: ModelParams) -> np.ndarray:
     return uniform_embedding(extract_features(raw, "user", params))
 
 
-def _uniform_pool(fmap: FeatureMap) -> AttentionResult:
+def _uniform_pool(fmap: np.ndarray) -> AttentionResult:
     """Uniform pooling as attention with constant weights 1/L; the pooled
     rows are the location mean, as ``uniform_embedding`` takes it."""
-    weights = np.full(fmap.data.shape[:-1], 1.0 / fmap.locations)
-    return AttentionResult(weights=weights, pooled=fmap.data.mean(axis=-2))
+    weights = np.full(fmap.shape[:-1], 1.0 / fmap.shape[-2])
+    return AttentionResult(weights=weights, pooled=fmap.mean(axis=-2))
 
 
 class TripleForward(NamedTuple):
@@ -669,7 +673,14 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
         payload = reader.take(8 * math.prod(dims), f"tensor {name!r} payload")
         if name in tensors:
             raise CheckpointFormatError(f"duplicate tensor {name!r}", offset=name_offset)
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        values = np.frombuffer(payload, dtype="<f8")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise CheckpointFormatError(
+                f"tensor {name!r} holds NaN or infinite values",
+                offset=reader.pos - len(payload) + 8 * int(bad[0]),
+            )
+        tensors[name] = values.reshape(dims).copy()
     if reader.pos != len(data):
         raise CheckpointFormatError(
             f"{len(data) - reader.pos} trailing bytes", offset=reader.pos

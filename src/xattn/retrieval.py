@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .attention import FeatureMap, TagVector
+from .attention import TagVector
 from .fileio import write_atomic
 from .model import (
     ModelParams,
@@ -165,6 +165,10 @@ class ShopIndex:
             raise ValueError("index columns must hold one row per item")
         if np.any(np.diff(self.item_ids) <= 0):
             raise ValueError("index item ids must be strictly increasing")
+        # Parameters that overflowed in memory give NaN embeddings, and a
+        # scan over them would return no rows instead of failing.
+        if not np.isfinite(self.embeddings).all():
+            raise ValueError("index embeddings must be finite")
         if len(self.fingerprint) != 32:
             raise ValueError("fingerprint must be 32 bytes")
         for column in (self.item_ids, self.product_ids, self.tag_bits, self.embeddings):
@@ -254,7 +258,7 @@ def _scan(index: ShopIndex, query: np.ndarray, k: int) -> tuple[np.ndarray, np.n
 
 
 def _rerank_rows(
-    index: ShopIndex, fmap: FeatureMap, rows: np.ndarray, params: ModelParams
+    index: ShopIndex, fmap: np.ndarray, rows: np.ndarray, params: ModelParams
 ) -> RankedList:
     """Score index ``rows`` against the query map ``fmap`` attended under
     each row's embedding as context; sort by (distance, item id)."""
@@ -386,7 +390,8 @@ def load_index(path: "Path | str", channels: int, tag_count: int) -> ShopIndex:
     """Parse an index file; entry sizes come from the model config.
 
     The file length is checked against the size the entry count implies
-    before any column is allocated.
+    before any column is allocated. Ids must fit in int64 and increase,
+    and embeddings must be finite.
     """
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
@@ -423,6 +428,12 @@ def load_index(path: "Path | str", channels: int, tag_count: int) -> ShopIndex:
         raise IndexFormatError(
             "item ids are not strictly increasing",
             offset=_HEADER.size + int(bad[0] + 1) * entry.itemsize,
+        )
+    bad = np.flatnonzero(~np.isfinite(entries["embedding"]).all(axis=1))
+    if bad.size:
+        raise IndexFormatError(
+            "embedding holds NaN or infinite values",
+            offset=_HEADER.size + int(bad[0]) * entry.itemsize,
         )
     return ShopIndex(
         item_ids=item_ids,

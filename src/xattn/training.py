@@ -71,7 +71,10 @@ class TrainConfig:
         if self.base_lr <= 0 or self.lr_decay <= 0 or self.decay_every < 1:
             raise ValueError("learning-rate schedule parameters must be positive")
         for stage in STAGES:
-            if self.margins.get(stage, 0.0) < 0:
+            for name, table in (("margins", self.margins), ("epochs", self.epochs)):
+                if stage not in table:
+                    raise ValueError(f"{name} has no entry for stage {stage!r}")
+            if self.margins[stage] < 0:
                 raise ValueError(f"margin for {stage} must be >= 0")
 
 
@@ -96,15 +99,15 @@ def sample_triples(
     images. User images whose product has no shop image cannot anchor and
     are skipped with a warning.
     """
-    shop_by_product: dict[int, list[int]] = {}
-    all_shops: list[tuple[int, int]] = []  # (item id, product id), manifest order
-    for record in dataset.shop_records():
-        shop_by_product.setdefault(record.product_id, []).append(record.item_id)
-        all_shops.append((record.item_id, record.product_id))
-    if len(shop_by_product) < 2:
+    all_shops: list[int] = []  # shop item ids, manifest order
+    rows_by_product: dict[int, list[int]] = {}  # ascending rows of all_shops
+    for row, record in enumerate(dataset.shop_records()):
+        all_shops.append(record.item_id)
+        rows_by_product.setdefault(record.product_id, []).append(row)
+    if len(rows_by_product) < 2:
         raise ValueError("need shop images from at least 2 distinct products")
 
-    anchors = [r for r in dataset.user_records() if r.product_id in shop_by_product]
+    anchors = [r for r in dataset.user_records() if r.product_id in rows_by_product]
     excluded = len(dataset.user_records()) - len(anchors)
     if excluded:
         logger.warning(
@@ -114,22 +117,19 @@ def sample_triples(
     if not anchors:
         raise ValueError("no user image has a product with shop images")
 
-    negatives_by_product = {
-        product: [item for item, p in all_shops if p != product]
-        for product in shop_by_product
-    }
     triples: list[Triple] = []
     for _ in range(count):
         anchor = anchors[int(rng.integers(len(anchors)))]
-        positives = shop_by_product[anchor.product_id]
-        negatives = negatives_by_product[anchor.product_id]
-        triples.append(
-            Triple(
-                anchor=anchor.item_id,
-                positive=positives[int(rng.integers(len(positives)))],
-                negative=negatives[int(rng.integers(len(negatives)))],
-            )
-        )
+        own_rows = rows_by_product[anchor.product_id]
+        positive = all_shops[own_rows[int(rng.integers(len(own_rows)))]]
+        # The i-th shop image of another product: step i past each of the
+        # anchor product's own rows at or before it.
+        at = int(rng.integers(len(all_shops) - len(own_rows)))
+        for own in own_rows:
+            if own > at:
+                break
+            at += 1
+        triples.append(Triple(anchor=anchor.item_id, positive=positive, negative=all_shops[at]))
     return triples
 
 

@@ -218,3 +218,26 @@ def naive_precision_at_k(ranked_ids_per_query, product_of_item, truth, k) -> flo
 
 def as_arrays(*seqs):
     return tuple(np.asarray(s, dtype=np.float64) for s in seqs)
+
+
+def reference_sample_triples(dataset, count, rng) -> list[tuple[int, int, int]]:
+    """The triple sampler that built every product's list of negatives on
+    each call: same draws from ``rng``, as (anchor, positive, negative)."""
+    shop_by_product = {}
+    all_shops = []
+    for record in dataset.shop_records():
+        shop_by_product.setdefault(record.product_id, []).append(record.item_id)
+        all_shops.append((record.item_id, record.product_id))
+    anchors = [r for r in dataset.user_records() if r.product_id in shop_by_product]
+    negatives_by_product = {
+        product: [item for item, p in all_shops if p != product] for product in shop_by_product
+    }
+    triples = []
+    for _ in range(count):
+        anchor = anchors[int(rng.integers(len(anchors)))]
+        positives = shop_by_product[anchor.product_id]
+        negatives = negatives_by_product[anchor.product_id]
+        positive = positives[int(rng.integers(len(positives)))]
+        negative = negatives[int(rng.integers(len(negatives)))]
+        triples.append((anchor.item_id, positive, negative))
+    return triples

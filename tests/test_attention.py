@@ -4,7 +4,6 @@ import pytest
 from xattn.attention import (
     AttentionResult,
     ContextAttentionParams,
-    FeatureMap,
     TagAttentionParams,
     TagVector,
     context_attend,
@@ -26,7 +25,7 @@ def random_instance(rng, locations=None, channels=None, tags=None):
     locations = locations or int(rng.integers(1, 8))
     channels = channels or int(rng.integers(1, 7))
     tags = tags or int(rng.integers(1, 6))
-    fmap = FeatureMap.from_matrix(rng.normal(size=(locations, channels)))
+    fmap = rng.normal(size=(locations, channels))
     bits = TagVector(bits=rng.integers(0, 2, size=tags).astype(np.float64))
     tag_params = TagAttentionParams(embedding=rng.normal(size=(tags, channels)))
     ctx = rng.normal(size=channels)
@@ -38,18 +37,6 @@ def random_instance(rng, locations=None, channels=None, tags=None):
 
 
 class TestTypes:
-    def test_feature_map_shape_validation(self):
-        with pytest.raises(ValueError):
-            FeatureMap(data=np.zeros((2, 2)), height=3, width=1)
-        with pytest.raises(ValueError):
-            FeatureMap.from_matrix(np.zeros((0, 3)))
-        with pytest.raises(ValueError):
-            FeatureMap.from_matrix(np.array([[np.nan, 1.0]]))
-
-    def test_feature_map_accessors(self):
-        fmap = FeatureMap(data=np.zeros((6, 4)), height=2, width=3)
-        assert fmap.locations == 6 and fmap.channels == 4
-
     def test_tag_vector_binary_only(self):
         with pytest.raises(ValueError):
             TagVector(bits=np.array([0.0, 0.5]))
@@ -94,7 +81,7 @@ class TestTagEmbed:
 class TestTagAttend:
     def test_constant_map_uniform_weights(self):
         row = np.array([1.5, -2.0, 0.25])
-        fmap = FeatureMap.from_matrix(np.tile(row, (4, 1)))
+        fmap = np.tile(row, (4, 1))
         params = TagAttentionParams(embedding=np.ones((2, 3)))
         result = tag_attend(fmap, TagVector.from_ids([0], 2), params)
         np.testing.assert_allclose(result.weights, np.full(4, 0.25), atol=1e-15)
@@ -104,7 +91,7 @@ class TestTagAttend:
         rng = np.random.default_rng(0)
         data = rng.normal(size=(5, 3))
         result = tag_attend(
-            FeatureMap.from_matrix(data),
+            data,
             TagVector.zeros(2),
             TagAttentionParams(embedding=rng.normal(size=(2, 3))),
         )
@@ -114,7 +101,7 @@ class TestTagAttend:
     def test_frozen_hand_case(self):
         # scores come out as [2, 0]; weights/pooled frozen from extended
         # precision evaluation.
-        fmap = FeatureMap.from_matrix(np.array([[2.0, 0.0], [0.0, 2.0]]))
+        fmap = np.array([[2.0, 0.0], [0.0, 2.0]])
         params = TagAttentionParams(embedding=np.array([[1.0, 0.0], [0.0, 1.0]]))
         result = tag_attend(fmap, TagVector.from_ids([0], 2), params)
         np.testing.assert_allclose(result.weights, [W0, W1], atol=1e-12)
@@ -123,7 +110,7 @@ class TestTagAttend:
         )
 
     def test_dimension_mismatch(self):
-        fmap = FeatureMap.from_matrix(np.zeros((2, 3)))
+        fmap = np.zeros((2, 3))
         with pytest.raises(ValueError):
             tag_attend(fmap, TagVector.zeros(2), TagAttentionParams(np.zeros((2, 4))))
 
@@ -135,7 +122,7 @@ class TestContextAttend:
         params = ContextAttentionParams(
             feature_weight=np.zeros(4), context_weight=np.zeros((6, 4))
         )
-        result = context_attend(FeatureMap.from_matrix(data), rng.normal(size=4), params)
+        result = context_attend(data, rng.normal(size=4), params)
         np.testing.assert_allclose(result.weights, np.full(6, 1 / 6), atol=1e-15)
         np.testing.assert_allclose(result.pooled, data.mean(axis=0), atol=1e-12)
 
@@ -145,13 +132,13 @@ class TestContextAttend:
         params = ContextAttentionParams(
             feature_weight=rng.normal(size=3), context_weight=rng.normal(size=(1, 3))
         )
-        result = context_attend(FeatureMap.from_matrix(data), rng.normal(size=3), params)
+        result = context_attend(data, rng.normal(size=3), params)
         np.testing.assert_array_equal(result.weights, [1.0])
         np.testing.assert_allclose(result.pooled, data[0], atol=1e-15)
 
     def test_frozen_hand_case(self):
         # scores [1, -1]: same softmax split as the tag case; pooled is 0.
-        fmap = FeatureMap.from_matrix(np.array([[0.0], [0.0]]))
+        fmap = np.array([[0.0], [0.0]])
         params = ContextAttentionParams(
             feature_weight=np.array([1.0]),
             context_weight=np.array([[1.0], [-1.0]]),
@@ -161,7 +148,7 @@ class TestContextAttend:
         np.testing.assert_array_equal(result.pooled, [0.0])
 
     def test_row_count_mismatch(self):
-        fmap = FeatureMap.from_matrix(np.zeros((3, 2)))
+        fmap = np.zeros((3, 2))
         params = ContextAttentionParams(
             feature_weight=np.zeros(2), context_weight=np.zeros((4, 2))
         )
@@ -175,13 +162,13 @@ class TestForwardProperties:
         for _ in range(100):
             fmap, bits, tag_params, ctx, ctx_params = random_instance(rng)
             got = tag_attend(fmap, bits, tag_params)
-            want_w, want_p = naive_tag_attend(fmap.data, bits.bits, tag_params.embedding)
+            want_w, want_p = naive_tag_attend(fmap, bits.bits, tag_params.embedding)
             np.testing.assert_allclose(got.weights, want_w, atol=1e-9)
             np.testing.assert_allclose(got.pooled, want_p, atol=1e-9)
 
             got = context_attend(fmap, ctx, ctx_params)
             want_w, want_p = naive_context_attend(
-                fmap.data, ctx, ctx_params.feature_weight, ctx_params.context_weight
+                fmap, ctx, ctx_params.feature_weight, ctx_params.context_weight
             )
             np.testing.assert_allclose(got.weights, want_w, atol=1e-9)
             np.testing.assert_allclose(got.pooled, want_p, atol=1e-9)
@@ -205,18 +192,30 @@ class TestForwardProperties:
                 tag_attend(fmap, bits, tag_params),
                 context_attend(fmap, ctx, ctx_params),
             ):
-                lo = fmap.data.min(axis=0) - 1e-12
-                hi = fmap.data.max(axis=0) + 1e-12
+                lo = fmap.min(axis=0) - 1e-12
+                hi = fmap.max(axis=0) + 1e-12
                 assert np.all(result.pooled >= lo) and np.all(result.pooled <= hi)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_map_fails_the_softmax_check(self, bad):
+        fmap, bits, tag_params, ctx, ctx_params = random_instance(np.random.default_rng(47))
+        fmap[-1, 0] = bad
+        with np.errstate(invalid="ignore"):
+            for attend in (
+                lambda: tag_attend(fmap, TagVector(bits=np.ones_like(bits.bits)), tag_params),
+                lambda: context_attend(fmap, ctx, ctx_params),
+            ):
+                with pytest.raises(ValueError, match="finite"):
+                    attend()
 
     def test_tag_permutation_equivariance(self):
         rng = np.random.default_rng(45)
         for _ in range(100):
             fmap, bits, tag_params, _, _ = random_instance(rng)
-            perm = rng.permutation(fmap.locations)
+            perm = rng.permutation(fmap.shape[-2])
             base = tag_attend(fmap, bits, tag_params)
             shuffled = tag_attend(
-                FeatureMap.from_matrix(fmap.data[perm]), bits, tag_params
+                fmap[perm], bits, tag_params
             )
             np.testing.assert_allclose(shuffled.weights, base.weights[perm], atol=1e-12)
             np.testing.assert_allclose(shuffled.pooled, base.pooled, atol=1e-12)
@@ -227,10 +226,10 @@ class TestForwardProperties:
         rng = np.random.default_rng(46)
         for _ in range(100):
             fmap, _, _, ctx, ctx_params = random_instance(rng)
-            perm = rng.permutation(fmap.locations)
+            perm = rng.permutation(fmap.shape[-2])
             base = context_attend(fmap, ctx, ctx_params)
             shuffled = context_attend(
-                FeatureMap.from_matrix(fmap.data[perm]),
+                fmap[perm],
                 ctx,
                 ContextAttentionParams(
                     feature_weight=ctx_params.feature_weight,
@@ -259,8 +258,8 @@ def stacked_tag_instance(rng):
     )
     stack = int(rng.integers(0, 4))
     if stack:
-        shape = (stack, fmap.locations, fmap.channels)
-        fmap = FeatureMap.from_matrix(rng.normal(size=shape))
+        shape = (stack, fmap.shape[-2], fmap.shape[-1])
+        fmap = rng.normal(size=shape)
         bits = TagVector(bits=rng.integers(0, 2, size=(stack, bits.size)).astype(np.float64))
     return fmap, bits, tag_params
 
@@ -274,7 +273,7 @@ class TestTagAttendBackward:
             grad_map, grad_emb = tag_attend_backward(
                 fmap, bits, tag_params, attended, np.zeros_like(attended.pooled)
             )
-            np.testing.assert_array_equal(grad_map, np.zeros_like(fmap.data))
+            np.testing.assert_array_equal(grad_map, np.zeros_like(fmap))
             np.testing.assert_array_equal(grad_emb, np.zeros_like(tag_params.embedding))
 
     def test_inactive_tags_leave_embedding_untouched(self):
@@ -293,7 +292,7 @@ class TestTagAttendBackward:
         fmap, bits, tag_params, _, _ = random_instance(rng)
         attended = tag_attend(fmap, bits, tag_params)
         with pytest.raises(ValueError, match="grad_pooled"):
-            tag_attend_backward(fmap, bits, tag_params, attended, np.zeros(fmap.channels + 1))
+            tag_attend_backward(fmap, bits, tag_params, attended, np.zeros(fmap.shape[-1] + 1))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(52)
@@ -304,14 +303,14 @@ class TestTagAttendBackward:
             grad_map, grad_emb = tag_attend_backward(fmap, bits, tag_params, attended, upstream)
 
             def loss_wrt_map(data):
-                res = tag_attend(FeatureMap.from_matrix(data), bits, tag_params)
+                res = tag_attend(data, bits, tag_params)
                 return float(np.sum(upstream * res.pooled))
 
             def loss_wrt_emb(emb):
                 res = tag_attend(fmap, bits, TagAttentionParams(embedding=emb))
                 return float(np.sum(upstream * res.pooled))
 
-            assert relative_agreement(grad_map, finite_diff_grad(loss_wrt_map, fmap.data))
+            assert relative_agreement(grad_map, finite_diff_grad(loss_wrt_map, fmap))
             assert relative_agreement(
                 grad_emb, finite_diff_grad(loss_wrt_emb, tag_params.embedding)
             )
@@ -342,8 +341,8 @@ class TestContextAttendBackward:
             fmap, _, _, ctx, _ = random_instance(rng, locations=1)
             ctx = stacked_contexts(rng, ctx)
             ctx_params = ContextAttentionParams(
-                feature_weight=rng.normal(size=fmap.channels),
-                context_weight=rng.normal(size=(1, fmap.channels)),
+                feature_weight=rng.normal(size=fmap.shape[-1]),
+                context_weight=rng.normal(size=(1, fmap.shape[-1])),
             )
             attended = context_attend(fmap, ctx, ctx_params)
             _, _, grad_fw, grad_cw = context_attend_backward(
@@ -358,7 +357,7 @@ class TestContextAttendBackward:
         contexts = np.stack([ctx, ctx])
         attended = context_attend(fmap, contexts, ctx_params)
         with pytest.raises(ValueError, match="grad_pooled"):
-            context_attend_backward(fmap, contexts, ctx_params, attended, np.zeros(fmap.channels))
+            context_attend_backward(fmap, contexts, ctx_params, attended, np.zeros(fmap.shape[-1]))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(55)
@@ -373,7 +372,7 @@ class TestContextAttendBackward:
 
             def eval_at(data=None, context=None, fw=None, cw=None):
                 res = context_attend(
-                    FeatureMap.from_matrix(fmap.data if data is None else data),
+                    fmap if data is None else data,
                     ctx if context is None else context,
                     ContextAttentionParams(
                         feature_weight=ctx_params.feature_weight if fw is None else fw,
@@ -383,7 +382,7 @@ class TestContextAttendBackward:
                 return float(np.sum(upstream * res.pooled))
 
             assert relative_agreement(
-                grad_map, finite_diff_grad(lambda d: eval_at(data=d), fmap.data)
+                grad_map, finite_diff_grad(lambda d: eval_at(data=d), fmap)
             )
             assert relative_agreement(
                 grad_ctx, finite_diff_grad(lambda c: eval_at(context=c), ctx)

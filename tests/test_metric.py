@@ -57,8 +57,9 @@ class TestDistance:
 class TestTripleEmbeddings:
     def test_rejects_unnormalized(self):
         v = np.array([1.0, 0.0])
-        with pytest.raises(ValueError):
-            TripleEmbeddings(v * 2.0, v, v, v)
+        for bad in (v * 2.0, np.array([np.nan, 0.0]), np.array([np.inf, 0.0])):
+            with pytest.raises(ValueError):
+                TripleEmbeddings(bad, v, v, v)
 
     def test_rejects_mixed_lengths(self):
         rng = np.random.default_rng(2)

@@ -33,7 +33,7 @@ from xattn.model import (
     save_checkpoint,
 )
 
-from mutations import corrupted
+from mutations import corrupted, non_finite
 from oracles import (
     naive_affine_relu_affine,
     naive_l2_normalize,
@@ -115,7 +115,7 @@ class TestExtractFeatures:
         params = identity_params(config)
         raw = np.abs(np.random.default_rng(5).normal(size=(4, 3)))
         got = extract_features(raw, "user", params)
-        np.testing.assert_allclose(got.data, raw, atol=1e-15)
+        np.testing.assert_allclose(got, raw, atol=1e-15)
 
     def test_zero_trunk(self):
         config = small_config()
@@ -124,7 +124,7 @@ class TestExtractFeatures:
         params.trunk.bias[...] = 0.0
         params.branch_user.bias[...] = 0.0
         got = extract_features(np.ones((4, 3)), "user", params)
-        np.testing.assert_array_equal(got.data, np.zeros((4, 3)))
+        np.testing.assert_array_equal(got, np.zeros((4, 3)))
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(6)
@@ -141,7 +141,7 @@ class TestExtractFeatures:
                 want = naive_affine_relu_affine(
                     raw, params.trunk.weight, params.trunk.bias, branch.weight, branch.bias
                 )
-                np.testing.assert_allclose(got.data, want, atol=1e-12)
+                np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_shape_and_domain_validation(self):
         params = init_params(small_config(), 0)
@@ -149,6 +149,11 @@ class TestExtractFeatures:
             extract_features(np.zeros((3, 3)), "user", params)  # wrong L
         with pytest.raises(ValueError):
             extract_features(np.zeros((4, 3)), "street", params)
+        for bad in (np.nan, np.inf):
+            raw = np.zeros((2, 4, 3))
+            raw[1, 2, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                extract_features(raw, "shop", params)
 
 
 class TestEmbeddings:
@@ -291,6 +296,17 @@ class TestForwardTriple:
         if distance(out.embeddings.anchor_neg, out.embeddings.negative) >= 0.0:
             assert out.loss == 0.0
 
+    def test_trunk_overflowing_to_inf_raises(self):
+        # No per-layer check sees the inf features; the uniform-pooled
+        # embeddings come out NaN and the loss refuses them.
+        config = small_config(Variant.YNET)
+        params = init_params(config, 21)
+        params.trunk.weight[...] = 1e308
+        rng = np.random.default_rng(22)
+        raws = [np.abs(rng.normal(size=(4, 3))) + 1.0 for _ in range(3)]
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="L2-normalized"):
+            forward_triple(*raws, None, None, params, 0.3)
+
     @pytest.mark.parametrize("variant", list(Variant))
     def test_embeddings_equal_the_serving_forms(self, variant):
         # Training and serving run one forward pass, so they agree to the bit.
@@ -343,6 +359,17 @@ class TestBackwardTriple:
         bits = TagVector.from_ids([1], 2)
         _, grads = backward_triple(*raws, bits, bits, params, 5.0)
         assert set(grads) == {name for name, _ in params.named_tensors()}
+
+
+def payload_offsets(ckpt):
+    """Byte offset of every tensor value in ``checkpoint_to_bytes(ckpt)``."""
+    pos = 48 + len(ckpt.stage.encode())  # magic .. tensor count
+    offsets = []
+    for name, arr in ckpt.params.named_tensors():
+        pos += 4 + len(name) + 4 + 4 * arr.ndim
+        offsets.extend(range(pos, pos + 8 * arr.size, 8))
+        pos += 8 * arr.size
+    return offsets
 
 
 class TestCheckpoints:
@@ -468,6 +495,29 @@ class TestCheckpoints:
         data += struct.pack("<I", len(name)) + name + struct.pack("<3I", 2, 2, 3) + b"\0" * 48
         with pytest.raises(CheckpointFormatError, match="unexpected tensor 'tag_attn.embedding'"):
             checkpoint_from_bytes(bytes(data))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor(self, value):
+        ckpt = self.make_checkpoint()
+        ckpt.params.branch_user.bias[1] = value
+        data = checkpoint_to_bytes(ckpt)
+        at = data.index(b"branch_user.bias") + len(b"branch_user.bias") + 8 + 8
+        with pytest.raises(CheckpointFormatError, match="'branch_user.bias' holds NaN") as err:
+            checkpoint_from_bytes(data)
+        assert err.value.offset == at
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_payload_raises_format_error(self, data):
+        config = small_config(locations=2, channels=2, raw_dim=2)
+        ckpt = Checkpoint(config=config, params=init_params(config, 3), epoch=1, seed=2, stage="ctx")
+        original = checkpoint_to_bytes(ckpt)
+        offsets = payload_offsets(ckpt)
+        damaged = data.draw(non_finite(original, offsets))
+        at = next(o for o in offsets if damaged[o : o + 8] != original[o : o + 8])
+        with pytest.raises(CheckpointFormatError, match="NaN or infinite") as err:
+            checkpoint_from_bytes(damaged)
+        assert err.value.offset == at
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)

@@ -35,7 +35,7 @@ from xattn.retrieval import (
 )
 from xattn.training import sgd_step
 
-from mutations import corrupted
+from mutations import corrupted, non_finite
 from oracles import (
     naive_rank,
     naive_shop_embedding,
@@ -314,14 +314,34 @@ class TestChecks:
         with pytest.raises(UnsupportedVariantError):
             rerank(index, raw, [Ranked(100, 0.0)], params)
 
-    def test_non_finite_query_raises(self):
+    @pytest.mark.parametrize(
+        "variant, use_rerank",
+        [(Variant.YNET, False), (Variant.TAGYNET, False), (Variant.CTXYNET, False), (Variant.CTXYNET, True)],
+        ids=["ynet", "tagynet", "ctxynet-scan", "ctxynet-rerank"],
+    )
+    def test_non_finite_query_raises(self, variant, use_rerank):
         rng = np.random.default_rng(10)
-        params = make_params()
+        params = make_params(variant)
         index = build_index(make_items(params, 4, rng), params)
         raw = query(params, rng)
         raw[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            search(index, raw, params)
+            search(index, raw, params, use_rerank=use_rerank)
+
+    def test_overflowing_params_cannot_build_an_index(self):
+        params = make_params(Variant.YNET)
+        params.trunk.weight[...] = 1e308
+        items = make_items(params, 3, np.random.default_rng(12))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="embeddings must be finite"):
+            build_index(items, params)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_non_finite_item_raises(self, variant):
+        params = make_params(variant)
+        items = make_items(params, 3, np.random.default_rng(11))
+        items[1].raw[2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            build_index(items, params)
 
 
 class TestPrecisionAtK:
@@ -428,6 +448,33 @@ class TestIndexFile:
         with pytest.raises(IndexFormatError, match="increasing") as err:
             load_index(path, *dims)
         assert err.value.offset == second
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embedding(self, tmp_path, value):
+        params, _, path = saved_index(tmp_path, count=3)
+        data = bytearray(path.read_bytes())
+        size = (len(data) - 48) // 3
+        data[48 + 2 * size - 8 : 48 + 2 * size] = struct.pack("<d", value)  # entry 1's last channel
+        path.write_bytes(bytes(data))
+        with pytest.raises(IndexFormatError, match="NaN or infinite") as err:
+            load_index(path, params.config.channels, params.config.tag_count)
+        assert err.value.offset == 48 + size
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_payload_raises_format_error(self, tmp_path_factory, data):
+        directory = tmp_path_factory.mktemp("fuzz")
+        params, _, path = saved_index(directory, count=3, tags=3)
+        channels, original = params.config.channels, path.read_bytes()
+        size = (len(original) - 48) // 3
+        # Each entry: ids (16 bytes), one byte of tag bits, the embedding.
+        offsets = [48 + e * size + 17 + 8 * c for e in range(3) for c in range(channels)]
+        damaged = data.draw(non_finite(original, offsets))
+        path.write_bytes(damaged)
+        at = next(o for o in offsets if damaged[o : o + 8] != original[o : o + 8])
+        with pytest.raises(IndexFormatError, match="NaN or infinite") as err:
+            load_index(path, channels, params.config.tag_count)
+        assert err.value.offset == at - (at - 48) % size
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)

@@ -18,6 +18,8 @@ from xattn.training import (
     train_stage,
 )
 
+from oracles import reference_sample_triples
+
 
 def records_dataset(shop_products, user_products):
     """A dataset of bare records: ``sample_triples`` reads nothing else."""
@@ -51,6 +53,16 @@ class TestSampleTriples:
         draw = lambda: sample_triples(dataset, 50, np.random.default_rng(3))
         assert draw() == draw()
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_draws_what_the_per_product_negative_lists_drew(self, seed):
+        # Interleaved products, one with three shop images, and product 4
+        # with user images but no shop image.
+        dataset = records_dataset(
+            shop_products=[1, 0, 2, 1, 0, 3, 1, 2], user_products=[0, 1, 4, 2, 3, 4, 1]
+        )
+        got = sample_triples(dataset, 300, np.random.default_rng(seed))
+        assert got == reference_sample_triples(dataset, 300, np.random.default_rng(seed))
+
     def test_needs_two_products_with_shop_images(self):
         with pytest.raises(ValueError, match="2 distinct products"):
             sample_triples(records_dataset([0, 0], [0, 1]), 5, np.random.default_rng(0))
@@ -77,6 +89,13 @@ class TestSgdStep:
                 np.testing.assert_allclose(velocity[name], -0.15, rtol=0, atol=1e-15)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("table", ["margins", "epochs"])
+    def test_every_stage_needs_an_entry(self, table):
+        with pytest.raises(ValueError, match=f"{table} has no entry for stage 'tagynet'"):
+            TrainConfig(**{table: {"ynet": 1, "ctxynet": 1}})
+
+
 class TestCurriculum:
     def test_one_stage_per_variant_in_ladder_order(self):
         assert STAGES == ("ynet", "tagynet", "ctxynet")
@@ -89,7 +108,7 @@ class TestCurriculum:
         config = ModelConfig(locations=2, channels=2, tag_count=2, raw_dim=2, variant=Variant.YNET)
         metrics = io.StringIO()
         checkpoint, curve = train_stage(
-            " YNet ", load_dataset(tmp_path / "train"), TrainConfig(epochs={"ynet": 2}), model_cfg=config, metrics_out=metrics
+            " YNet ", load_dataset(tmp_path / "train"), TrainConfig(epochs={s: 2 for s in STAGES}), model_cfg=config, metrics_out=metrics
         )
         assert checkpoint.stage == "ynet" and checkpoint.config.variant is Variant.YNET
         assert [line.split("\t")[1] for line in metrics.getvalue().splitlines()] == ["ynet", "ynet"]
