@@ -55,16 +55,9 @@ class TagVector:
             bits[t] = 1.0
         return cls(bits=bits)
 
-    @classmethod
-    def zeros(cls, size: int) -> "TagVector":
-        return cls(bits=np.zeros(size, dtype=np.float64))
-
     @property
     def size(self) -> int:
         return self.bits.shape[-1]
-
-    def active_ids(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.nonzero(self.bits)[0])
 
 
 @dataclass

@@ -22,6 +22,7 @@ import json
 import os
 import struct
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -253,8 +254,21 @@ class Dataset:
     def shop_records(self) -> tuple[ManifestRecord, ...]:
         return self.manifest.shop_records()
 
+    @cached_property
+    def _tags(self) -> dict[int, TagVector]:
+        """Item id -> tag vector of every record. Records with one tag set
+        share one read-only vector."""
+        shared = {
+            ids: TagVector.from_ids(ids, self.tag_count)
+            for ids in {r.tag_ids for r in self.manifest.records}
+        }
+        for tags in shared.values():
+            tags.bits.flags.writeable = False
+        return {r.item_id: shared[r.tag_ids] for r in self.manifest.records}
+
     def tag_vector(self, record: ManifestRecord) -> TagVector:
-        return TagVector.from_ids(list(record.tag_ids), self.tag_count)
+        """The tag vector of one of this dataset's records, built once."""
+        return self._tags[record.item_id]
 
     def feature_dims(self) -> tuple[int, int]:
         first = next(iter(self.features.values()))

@@ -1,10 +1,19 @@
-"""File writes that never leave a partly written file at the target path."""
+"""File writes that never leave a partly written file at the target path,
+and the error the binary parsers raise."""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
 from typing import Iterable
+
+
+class FormatError(ValueError):
+    """File bytes could not be parsed; ``offset`` locates the fault."""
+
+    def __init__(self, message: str, offset: int | None = None) -> None:
+        super().__init__(message if offset is None else f"{message} (at byte {offset})")
+        self.offset = offset
 
 
 def write_atomic(path: "Path | str | os.PathLike", chunks: Iterable[bytes]) -> None:

@@ -13,9 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Default hinge margin; the staged training schedule overrides per stage.
-DEFAULT_MARGIN = 0.5
-
 # Guard against grossly unnormalized inputs while still admitting the tiny
 # off-sphere excursions a finite-difference probe makes (h ~ 1e-5). Model
 # outputs are unit to ~1e-15; tests assert that tighter bound there.

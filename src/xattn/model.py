@@ -19,10 +19,11 @@ in memory give NaN embeddings, which ``TripleEmbeddings`` (training) and
 ``retrieval.ShopIndex`` (serving) refuse.
 
 Serving runs the batched forward functions: ``embed_shops`` and
-``embed_shops_simple`` embed a B x L x R stack of shop images at once,
-and ``embed_user_contexts`` attends one query feature map under K
-candidate contexts in one pass; ``embed_shop`` is ``embed_shops`` on a
-batch of one. Training runs the same steps, one triple at a time:
+``embed_shops_simple`` embed a B x L x R stack of shop images at once.
+A query's scan embedding is ``uniform_embedding`` of its
+``extract_features`` map, and ``embed_user_contexts`` attends that map
+under K candidate contexts in one pass; ``embed_shop`` is ``embed_shops``
+on a batch of one. Training runs the same steps, one triple at a time:
 ``forward_triple`` embeds the shop pair as the stack [positive, negative]
 and, in the context variant, attends the anchor under both as K=2
 contexts, so its embeddings equal the serving ones bit for bit. It keeps
@@ -64,7 +65,7 @@ from .attention import (
     tag_attend,
     tag_attend_backward,
 )
-from .fileio import write_atomic
+from .fileio import FormatError, write_atomic
 from .metric import TripleEmbeddings, triplet_loss, triplet_loss_backward
 from .numeric import l2_normalize, l2_normalize_backward
 
@@ -100,12 +101,8 @@ class UnsupportedVariantError(ValueError):
     """An operation was asked of a variant that lacks the needed head."""
 
 
-class CheckpointFormatError(ValueError):
+class CheckpointFormatError(FormatError):
     """Checkpoint bytes could not be parsed; ``offset`` locates the fault."""
-
-    def __init__(self, message: str, offset: int | None = None) -> None:
-        super().__init__(message if offset is None else f"{message} (at byte {offset})")
-        self.offset = offset
 
 
 @dataclass(frozen=True)
@@ -338,11 +335,6 @@ def embed_shop(raw: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndar
     return embed_shops(raws, TagVector(bits=tags.bits[None]), params)[0]
 
 
-def embed_user_simple(raw: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Unit-norm query embedding: uniform-weight aggregation, any variant."""
-    return uniform_embedding(extract_features(raw, "user", params))
-
-
 def _uniform_pool(fmap: np.ndarray) -> AttentionResult:
     """Uniform pooling as attention with constant weights 1/L; the pooled
     rows are the location mean, as ``uniform_embedding`` takes it."""
@@ -378,8 +370,9 @@ def forward_triple(
     of ``embed_shops`` (``embed_shops_simple`` for the base variant). The
     context variant attends the anchor under both shop embeddings at once,
     as ``embed_user_contexts`` does; the other variants reuse one uniformly
-    pooled anchor embedding, ``embed_user_simple``, for both sides. So the
-    embeddings equal their serving forms bit for bit.
+    pooled anchor embedding, ``uniform_embedding(extract_features(anchor_raw,
+    "user", params))``, for both sides. So the embeddings equal their
+    serving forms bit for bit.
     """
     variant = params.config.variant
     anchor = _features(anchor_raw, "user", params)
@@ -680,7 +673,14 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
                 f"tensor {name!r} holds NaN or infinite values",
                 offset=reader.pos - len(payload) + 8 * int(bad[0]),
             )
-        tensors[name] = values.reshape(dims).copy()
+        try:
+            tensors[name] = values.reshape(dims).copy()
+        except ValueError:
+            # numpy refuses more than 64 dims, and a zero dim next to dims
+            # whose product overflows, even with the payload size right.
+            raise CheckpointFormatError(
+                f"tensor {name!r} has a shape numpy cannot hold: {dims}", offset=name_offset
+            ) from None
     if reader.pos != len(data):
         raise CheckpointFormatError(
             f"{len(data) - reader.pos} trailing bytes", offset=reader.pos

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .attention import TagVector
-from .fileio import write_atomic
+from .fileio import FormatError, write_atomic
 from .model import (
     ModelParams,
     UnsupportedVariantError,
@@ -38,7 +38,6 @@ from .model import (
     embed_shops,
     embed_shops_simple,
     embed_user_contexts,
-    embed_user_simple,
     extract_features,
     params_fingerprint,
     uniform_embedding,
@@ -61,12 +60,8 @@ DEFAULT_TOP_K = 256
 BUILD_BLOCK = 8
 
 
-class IndexFormatError(ValueError):
+class IndexFormatError(FormatError):
     """Index bytes could not be parsed; ``offset`` locates the fault."""
-
-    def __init__(self, message: str, offset: int | None = None) -> None:
-        super().__init__(message if offset is None else f"{message} (at byte {offset})")
-        self.offset = offset
 
 
 class FingerprintMismatchError(ValueError):
@@ -230,18 +225,6 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
     )
 
 
-def _check_fingerprint(index: ShopIndex, params: ModelParams) -> None:
-    if index.fingerprint != params_fingerprint(params):
-        raise FingerprintMismatchError(
-            "index fingerprint does not match the query model parameters"
-        )
-
-
-def _require_context_head(params: ModelParams) -> None:
-    if params.config.variant < Variant.CTXYNET:
-        raise UnsupportedVariantError("re-ranking requires the context-attention variant")
-
-
 def _scan(index: ShopIndex, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the ``k`` index entries nearest to ``query`` and their squared
     distances, nearest first; ties break by ascending item id (= row)."""
@@ -272,36 +255,6 @@ def _rerank_rows(
     return RankedList(ids[order], dists[order])
 
 
-def initial_search(
-    index: ShopIndex, query_raw: np.ndarray, params: ModelParams, k: int = DEFAULT_TOP_K
-) -> RankedList:
-    """Rank every index entry by squared distance to the uniform-pooled
-    query embedding; ties break by ascending item id."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_fingerprint(index, params)
-    rows, dists = _scan(index, embed_user_simple(query_raw, params), k)
-    return RankedList(index.item_ids[rows], dists)
-
-
-def rerank(
-    index: ShopIndex,
-    query_raw: np.ndarray,
-    candidates: Sequence[Ranked],
-    params: ModelParams,
-) -> RankedList:
-    """Re-score candidates with context attention and re-sort.
-
-    Output is a permutation of the input candidate set, sorted by
-    distance with ties broken by ascending item id.
-    """
-    _require_context_head(params)
-    _check_fingerprint(index, params)
-    rows = index.rows_of(np.array([c[0] for c in candidates], dtype=np.int64))
-    fmap = extract_features(query_raw, "user", params)
-    return _rerank_rows(index, fmap, rows, params)
-
-
 def search(
     index: ShopIndex,
     query_raw: np.ndarray,
@@ -311,14 +264,19 @@ def search(
 ) -> RankedList:
     """Two-stage query: exhaustive initial scan, then context re-rank.
 
-    Gives what ``rerank(initial_search(...))`` gives, with one fingerprint
-    check and one feature extraction for both stages.
+    The scan ranks every index entry by squared distance to the
+    uniform-pooled query embedding and keeps the ``k`` nearest, ties broken
+    by ascending item id. With ``use_rerank`` (context variant only), the
+    query is attended under each of those candidates' embeddings as context
+    and the candidates are re-sorted by that distance, ties again by item
+    id. One fingerprint check and one feature extraction serve both stages.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if use_rerank:
-        _require_context_head(params)
-    _check_fingerprint(index, params)
+    if use_rerank and params.config.variant < Variant.CTXYNET:
+        raise UnsupportedVariantError("re-ranking requires the context-attention variant")
+    if index.fingerprint != params_fingerprint(params):
+        raise FingerprintMismatchError("index fingerprint does not match the query model parameters")
     fmap = extract_features(query_raw, "user", params)
     rows, dists = _scan(index, uniform_embedding(fmap), k)
     if not use_rerank:

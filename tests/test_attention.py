@@ -42,7 +42,7 @@ class TestTypes:
             TagVector(bits=np.array([0.0, 0.5]))
         vec = TagVector.from_ids([0, 2], size=4)
         np.testing.assert_array_equal(vec.bits, [1, 0, 1, 0])
-        assert vec.active_ids() == (0, 2)
+        assert vec.size == 4
         with pytest.raises(ValueError):
             TagVector.from_ids([4], size=4)
 
@@ -57,7 +57,7 @@ class TestTagEmbed:
     def test_no_active_tags(self):
         params = TagAttentionParams(embedding=np.arange(6.0).reshape(3, 2))
         np.testing.assert_array_equal(
-            tag_embed(TagVector.zeros(3), params), [0.0, 0.0]
+            tag_embed(TagVector.from_ids([], 3), params), [0.0, 0.0]
         )
 
     def test_one_hot_selects_row(self):
@@ -75,7 +75,7 @@ class TestTagEmbed:
     def test_length_mismatch(self):
         params = TagAttentionParams(embedding=np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            tag_embed(TagVector.zeros(2), params)
+            tag_embed(TagVector.from_ids([], 2), params)
 
 
 class TestTagAttend:
@@ -92,7 +92,7 @@ class TestTagAttend:
         data = rng.normal(size=(5, 3))
         result = tag_attend(
             data,
-            TagVector.zeros(2),
+            TagVector.from_ids([], 2),
             TagAttentionParams(embedding=rng.normal(size=(2, 3))),
         )
         np.testing.assert_allclose(result.weights, np.full(5, 0.2), atol=1e-15)
@@ -112,7 +112,7 @@ class TestTagAttend:
     def test_dimension_mismatch(self):
         fmap = np.zeros((2, 3))
         with pytest.raises(ValueError):
-            tag_attend(fmap, TagVector.zeros(2), TagAttentionParams(np.zeros((2, 4))))
+            tag_attend(fmap, TagVector.from_ids([], 2), TagAttentionParams(np.zeros((2, 4))))
 
 
 class TestContextAttend:

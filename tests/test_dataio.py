@@ -23,6 +23,8 @@ from xattn.dataio import (
     write_feature_map,
 )
 
+from xattn.attention import TagVector
+
 from mutations import corrupted
 
 TINY = SyntheticSpec(
@@ -74,6 +76,22 @@ class TestGenerator:
         assert len(dataset.user_records()) == 6 and len(dataset.shop_records()) == 3
         assert dataset.feature_dims() == (TINY.locations, TINY.raw_dim)
         assert set(dataset.ground_truth) == {r.item_id for r in dataset.user_records()}
+
+
+class TestTagVectors:
+    def test_built_once_per_record(self, tmp_path):
+        spec = SyntheticSpec(products=4, holdout_products=2, shop_per_product=2, tag_count=3, seed=5)
+        generate_synthetic(spec, tmp_path)
+        for split in ("train", "holdout"):
+            dataset = load_dataset(tmp_path / split)
+            for record in dataset.manifest.records:
+                tags = dataset.tag_vector(record)
+                assert isinstance(tags, TagVector)
+                np.testing.assert_array_equal(tags.bits, TagVector.from_ids(record.tag_ids, 3).bits)
+                assert dataset.tag_vector(record) is tags
+                # Records with one tag set share the vector, so no caller
+                # may write to it.
+                assert not tags.bits.flags.writeable
 
 
 class TestTextFiles:

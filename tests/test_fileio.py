@@ -7,9 +7,17 @@ import pytest
 
 from xattn import fileio
 from xattn.attention import TagVector
-from xattn.model import Checkpoint, ModelConfig, Variant, init_params, load_checkpoint, save_checkpoint
-from xattn.retrieval import ShopItem, build_index, load_index, save_index
-from xattn.fileio import write_atomic
+from xattn.model import (
+    Checkpoint,
+    CheckpointFormatError,
+    ModelConfig,
+    Variant,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
+from xattn.retrieval import IndexFormatError, ShopItem, build_index, load_index, save_index
+from xattn.fileio import FormatError, write_atomic
 
 CONFIG = ModelConfig(locations=4, channels=3, tag_count=2, raw_dim=3, variant=Variant.CTXYNET)
 
@@ -98,3 +106,20 @@ def test_failing_chunk_source_leaves_no_file(tmp_path):
     with pytest.raises(RuntimeError):
         write_atomic(path, chunks())
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "error, load",
+    [
+        (CheckpointFormatError, load_checkpoint),
+        (IndexFormatError, lambda path: load_index(path, 3, 2)),
+    ],
+)
+def test_parsers_raise_format_errors_with_the_offset(tmp_path, error, load):
+    assert issubclass(error, FormatError) and issubclass(error, ValueError)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"NOPE" + bytes(60))
+    with pytest.raises(error, match=r"bad magic.* \(at byte 0\)$") as err:
+        load(path)
+    assert err.value.offset == 0
+    assert str(error("no offset")) == "no offset" and error("no offset").offset is None

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xattn.metric import (
-    DEFAULT_MARGIN,
     TripleEmbeddings,
     distance,
     hinge_argument,
@@ -92,8 +91,7 @@ class TestTripletLoss:
         rng = np.random.default_rng(3)
         a, b = unit(rng), unit(rng)
         e = TripleEmbeddings(a, a, b, b)
-        assert triplet_loss(e, DEFAULT_MARGIN) == DEFAULT_MARGIN
-        assert DEFAULT_MARGIN == 0.5
+        assert triplet_loss(e, 0.5) == 0.5
 
     def test_negative_margin_rejected(self):
         rng = np.random.default_rng(4)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -24,13 +25,13 @@ from xattn.model import (
     embed_shops,
     embed_shops_simple,
     embed_user_contexts,
-    embed_user_simple,
     extract_features,
     forward_triple,
     init_params,
     load_checkpoint,
     params_fingerprint,
     save_checkpoint,
+    uniform_embedding,
 )
 
 from mutations import corrupted, non_finite
@@ -160,7 +161,7 @@ class TestEmbeddings:
     def test_embed_shop_requires_tag_head(self):
         params = init_params(small_config(Variant.YNET), 0)
         with pytest.raises(UnsupportedVariantError):
-            embed_shop(np.zeros((4, 3)), TagVector.zeros(2), params)
+            embed_shop(np.zeros((4, 3)), TagVector.from_ids([], 2), params)
 
     def test_embed_shop_constant_rows(self):
         config = small_config()
@@ -174,7 +175,7 @@ class TestEmbeddings:
         config = small_config()
         params = identity_params(config)
         raw = np.abs(np.random.default_rng(8).normal(size=(4, 3)))
-        got = embed_shop(raw, TagVector.zeros(2), params)
+        got = embed_shop(raw, TagVector.from_ids([], 2), params)
         mean = raw.mean(axis=0)
         np.testing.assert_allclose(got, mean / np.linalg.norm(mean), atol=1e-12)
 
@@ -201,18 +202,19 @@ class TestEmbeddings:
             _, pooled = naive_tag_attend(features, bits.bits, params.tag_attn.embedding)
             np.testing.assert_allclose(got, naive_l2_normalize(pooled), atol=1e-9)
 
-    def test_embed_user_simple_single_location(self):
+    def test_uniform_user_embedding_single_location(self):
         config = small_config(locations=1)
         params = identity_params(config)
         raw = np.abs(np.random.default_rng(10).normal(size=(1, 3))) + 0.1
         want = raw[0] / np.linalg.norm(raw[0])
-        np.testing.assert_allclose(embed_user_simple(raw, params), want, atol=1e-12)
+        got = uniform_embedding(extract_features(raw, "user", params))
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_embed_user_simple_arithmetic(self):
+    def test_uniform_user_embedding_arithmetic(self):
         config = small_config(locations=2, channels=2, raw_dim=2)
         params = identity_params(config)
         raw = np.array([[2.0, 0.0], [0.0, 2.0]])
-        got = embed_user_simple(raw, params)
+        got = uniform_embedding(extract_features(raw, "user", params))
         np.testing.assert_allclose(got, [np.sqrt(2) / 2, np.sqrt(2) / 2], atol=1e-12)
 
     def test_context_with_zero_params_equals_simple(self):
@@ -226,7 +228,7 @@ class TestEmbeddings:
         ctx /= np.linalg.norm(ctx)
         np.testing.assert_allclose(
             embed_user_contexts(extract_features(raw, "user", params), ctx[None], params)[0],
-            embed_user_simple(raw, params),
+            uniform_embedding(extract_features(raw, "user", params)),
             atol=1e-12,
         )
 
@@ -252,7 +254,7 @@ class TestEmbeddings:
             ctx = embed_shop(raw, bits, params)
             for emb in (
                 ctx,
-                embed_user_simple(raw, params),
+                uniform_embedding(extract_features(raw, "user", params)),
                 embed_shops_simple(raw[None], params)[0],
                 embed_user_contexts(extract_features(raw, "user", params), ctx[None], params)[0],
             ):
@@ -265,7 +267,8 @@ class TestEmbeddings:
         ynet = init_params(small_config(Variant.YNET), 16)
         tag = init_params(small_config(Variant.TAGYNET), 17, base=ynet)
         np.testing.assert_array_equal(
-            embed_user_simple(raw, ynet), embed_user_simple(raw, tag)
+            uniform_embedding(extract_features(raw, "user", ynet)),
+            uniform_embedding(extract_features(raw, "user", tag)),
         )
 
 
@@ -290,7 +293,7 @@ class TestForwardTriple:
         anchor = np.abs(rng.normal(size=(4, 3))) + 0.1
         positive = np.tile(anchor.mean(axis=0), (4, 1))
         negative = np.abs(rng.normal(size=(4, 3))) + 0.1
-        bits = TagVector.zeros(2)
+        bits = TagVector.from_ids([], 2)
         out = forward_triple(anchor, positive, negative, bits, bits, params, 0.0)
         assert distance(out.embeddings.anchor_pos, out.embeddings.positive) < 1e-12
         if distance(out.embeddings.anchor_neg, out.embeddings.negative) >= 0.0:
@@ -328,7 +331,7 @@ class TestForwardTriple:
                 fmap = extract_features(anchor, "user", params)
                 anchor_rows = embed_user_contexts(fmap, shop_rows, params)
             else:
-                anchor_rows = [embed_user_simple(anchor, params)] * 2
+                anchor_rows = [uniform_embedding(extract_features(anchor, "user", params))] * 2
             np.testing.assert_array_equal(got.positive, shop_rows[0])
             np.testing.assert_array_equal(got.negative, shop_rows[1])
             np.testing.assert_array_equal(got.anchor_pos, anchor_rows[0])
@@ -474,6 +477,23 @@ class TestCheckpoints:
         )
         with pytest.raises(CheckpointFormatError, match="truncated"):
             checkpoint_from_bytes(data)
+
+    @pytest.mark.parametrize("dims", [(2, 2**31, 2**31, 2**31, 0), (1,) * 70])
+    def test_shape_numpy_cannot_hold(self, dims):
+        data = checkpoint_to_bytes(self.make_checkpoint())
+        name_at = data.index(b"trunk.weight") - 4
+        frame = b"".join(
+            (
+                struct.pack("<I", 12),
+                b"trunk.weight",
+                struct.pack("<I", len(dims)),
+                struct.pack(f"<{len(dims)}I", *dims),
+                b"\x00" * 8 * math.prod(dims),
+            )
+        )
+        with pytest.raises(CheckpointFormatError, match="numpy cannot hold") as err:
+            checkpoint_from_bytes(data[:name_at] + frame)
+        assert err.value.offset == name_at
 
     @pytest.mark.parametrize("field_at", [(12, "locations"), (16, "channels"), (20, "tag_count"), (24, "raw_dim")])
     def test_zero_config_dimension(self, field_at):

@@ -26,10 +26,8 @@ from xattn.retrieval import (
     ShopIndex,
     ShopItem,
     build_index,
-    initial_search,
     load_index,
     precision_at_k,
-    rerank,
     save_index,
     search,
 )
@@ -170,18 +168,11 @@ class TestSearch:
         k = int(rng.integers(1, len(items) + 3))
 
         scan = naive_rank(embedding_of.items(), naive_user_embedding(raw, params), k)
-        assert_same_ranking(initial_search(index, raw, params, k), scan)
-        contextual = variant >= Variant.CTXYNET
-        got = search(index, raw, params, k, use_rerank=contextual)
-        if not contextual:
-            assert_same_ranking(got, scan)
+        assert_same_ranking(search(index, raw, params, k, use_rerank=False), scan)
+        if variant < Variant.CTXYNET:
             return
         want = per_candidate_rerank(raw, [item for item, _ in scan], embedding_of, params)
-        assert_same_ranking(got, want)
-        # Candidates in any order re-rank to the same list.
-        shuffled = [scan[i] for i in rng.permutation(len(scan))]
-        assert rerank(index, raw, shuffled, params) == got
-        assert rerank(index, raw, initial_search(index, raw, params, k), params) == got
+        assert_same_ranking(search(index, raw, params, k, use_rerank=True), want)
 
     def test_ties_break_by_item_id(self):
         rng = np.random.default_rng(3)
@@ -197,8 +188,6 @@ class TestSearch:
             keys = list(zip(got.distances.tolist(), got.item_ids.tolist()))
             assert keys == sorted(keys)
             assert len(set(got.distances.tolist())) == 3
-        candidates = RankedList(ids[::-1], np.zeros(12))
-        assert rerank(index, raw, candidates, params) == search(index, raw, params, k=12)
 
     def test_ties_at_the_k_boundary(self):
         rng = np.random.default_rng(4)
@@ -211,7 +200,7 @@ class TestSearch:
         raw = query(params, rng)
         expected = naive_rank(embedding_of.items(), naive_user_embedding(raw, params), 20)
         for k in range(1, 22):
-            assert_same_ranking(initial_search(index, raw, params, k), expected[:k])
+            assert_same_ranking(search(index, raw, params, k, use_rerank=False), expected[:k])
 
     def test_k_bounds(self):
         rng = np.random.default_rng(5)
@@ -222,29 +211,31 @@ class TestSearch:
         everything = search(index, raw, params, k=100)
         assert sorted(everything.item_ids.tolist()) == index.item_ids.tolist()
         assert everything == search(index, raw, params, k=6)
-        with pytest.raises(ValueError):
-            search(index, raw, params, k=0)
-        with pytest.raises(ValueError):
-            initial_search(index, raw, params, k=0)
+        for use_rerank in (False, True):
+            with pytest.raises(ValueError):
+                search(index, raw, params, k=0, use_rerank=use_rerank)
 
     def test_empty_index_and_empty_candidates(self):
         rng = np.random.default_rng(6)
         params = make_params()
         raw = query(params, rng)
         empty = build_index([], params)
+        # An empty index gives the re-rank an empty candidate pool.
         for use_rerank in (False, True):
-            assert len(search(empty, raw, params, use_rerank=use_rerank)) == 0
-        assert len(initial_search(empty, raw, params)) == 0
-        index = build_index(make_items(params, 4, rng), params)
-        assert rerank(index, raw, [], params) == []
-        assert rerank(index, raw, RankedList([], []), params) == RankedList([], [])
+            assert search(empty, raw, params, use_rerank=use_rerank) == RankedList([], [])
 
     def test_unknown_candidate_raises(self):
         rng = np.random.default_rng(7)
         params = make_params()
-        index = build_index(make_items(params, 4, rng), params)
-        with pytest.raises(ValueError, match="item id 5 not in index"):
-            rerank(index, query(params, rng), [Ranked(100, 0.0), Ranked(5, 0.0)], params)
+        index = build_index(make_items(params, 4, rng, ids=[100, 102, 104, 106]), params)
+        assert index.rows_of([104, 100]).tolist() == [2, 0]
+        assert index.product_of(106) == 106 % 7
+        # Unknown ids below, between and above the indexed ones.
+        for ids, first in (([100, 5, 200], 5), ([101, 100], 101), ([106, 107, 3], 107)):
+            with pytest.raises(ValueError, match=f"item id {first} not in index"):
+                index.rows_of(ids)
+            with pytest.raises(ValueError, match=f"item id {first} not in index"):
+                index.product_of(first)
 
 
 class TestChecks:
@@ -253,22 +244,15 @@ class TestChecks:
         params = make_params(seed=1)
         index = build_index(make_items(params, 4, rng), params)
         raw = query(params, rng)
-        candidates = initial_search(index, raw, params)
         other = make_params(seed=2)
-        with pytest.raises(FingerprintMismatchError):
-            search(index, raw, other)
-        with pytest.raises(FingerprintMismatchError):
-            search(index, raw, other, use_rerank=False)
-        with pytest.raises(FingerprintMismatchError):
-            initial_search(index, raw, other)
-        with pytest.raises(FingerprintMismatchError):
-            rerank(index, raw, candidates, other)
+        for use_rerank in (False, True):
+            with pytest.raises(FingerprintMismatchError):
+                search(index, raw, other, use_rerank=use_rerank)
         # An in-place update of one tensor is caught too.
         params.ctx_attn.feature_weight[0] += 1e-9
-        with pytest.raises(FingerprintMismatchError):
-            rerank(index, raw, candidates, params)
-        with pytest.raises(FingerprintMismatchError):
-            search(index, raw, params)
+        for use_rerank in (False, True):
+            with pytest.raises(FingerprintMismatchError):
+                search(index, raw, params, use_rerank=use_rerank)
 
     @pytest.mark.parametrize("frozen", [(), ("trunk.weight", "trunk.bias", "branch_shop.weight")])
     def test_sgd_step_on_the_indexed_params_is_caught(self, frozen):
@@ -311,8 +295,6 @@ class TestChecks:
         monkeypatch.setattr(retrieval, "extract_features", no_scan)
         with pytest.raises(UnsupportedVariantError):
             search(index, raw, params, use_rerank=True)
-        with pytest.raises(UnsupportedVariantError):
-            rerank(index, raw, [Ranked(100, 0.0)], params)
 
     @pytest.mark.parametrize(
         "variant, use_rerank",
