@@ -13,7 +13,8 @@ On-disk layout of a dataset directory:
 
 Feature-map file format (little endian): magic ``XFMP``, version u32,
 location count u32, feature dim u32, then float32 payload row-major.
-Values are widened to float64 in memory.
+Values are widened to float64 in memory. ``fileio`` says how faults are
+reported.
 """
 
 from __future__ import annotations
@@ -28,10 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from .attention import TagVector
+from .fileio import FormatError, Reader, write_atomic
 from .model import DOMAINS
 
 FEATURE_MAGIC = b"XFMP"
 FEATURE_VERSION = 1
+
+# Magic, version, location count, feature dim: the 16 bytes before the payload.
+_HEADER = struct.Struct("<4sIII")
 
 MANIFEST_NAME = "manifest.tsv"
 TAGS_NAME = "tags.tsv"
@@ -44,7 +49,7 @@ class ManifestError(ValueError):
     """Manifest or vocabulary file failed validation."""
 
 
-class FeatureMapFormatError(ValueError):
+class FeatureMapFormatError(FormatError):
     """Feature-map file is malformed or inconsistent with expectations."""
 
 
@@ -184,55 +189,33 @@ def load_manifest(path: "Path | str") -> Manifest:
 
 
 def write_feature_map(path: "Path | str", array: np.ndarray) -> None:
+    """Write the map atomically: a temporary file, then a rename."""
     arr = np.ascontiguousarray(array, dtype="<f4")
     if arr.ndim != 2:
         raise ValueError("feature map must be 2-D")
-    header = FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, arr.shape[0], arr.shape[1])
-    Path(path).write_bytes(header + arr.tobytes())
+    write_atomic(path, [_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *arr.shape), arr])
 
 
-def load_feature_map(
-    path: "Path | str",
-    expected_locations: int | None = None,
-    expected_dim: int | None = None,
-) -> np.ndarray:
+def load_feature_map(path: "Path | str") -> np.ndarray:
     """Read an XFMP file into a float64 L x raw_dim matrix.
 
     Both dimensions must be positive and every value finite, so data that
     passes here is what the model's layers accept.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 16:
-        raise FeatureMapFormatError(
-            f"{path}: header needs 16 bytes, file has {len(data)}"
-        )
-    if data[:4] != FEATURE_MAGIC:
-        raise FeatureMapFormatError(f"{path}: bad magic {data[:4]!r}")
-    version, locations, dim = struct.unpack("<III", data[4:16])
+    reader = Reader(Path(path).read_bytes(), FeatureMapFormatError, path)
+    magic, version, locations, dim = reader.unpack(_HEADER, "header")
+    if magic != FEATURE_MAGIC:
+        reader.fail(f"bad magic {magic!r}", 0)
     if version != FEATURE_VERSION:
-        raise FeatureMapFormatError(f"{path}: unsupported version {version}")
+        reader.fail(f"unsupported version {version}", 4)
     if locations < 1 or dim < 1:
-        raise FeatureMapFormatError(
-            f"{path}: has {locations} locations of dim {dim}; both must be positive"
+        reader.fail(
+            f"has {locations} locations of dim {dim}; both must be positive",
+            8 if locations < 1 else 12,
         )
-    if expected_locations is not None and locations != expected_locations:
-        raise FeatureMapFormatError(
-            f"{path}: has {locations} locations, expected {expected_locations}"
-        )
-    if expected_dim is not None and dim != expected_dim:
-        raise FeatureMapFormatError(
-            f"{path}: has dim {dim}, expected {expected_dim}"
-        )
-    expected_bytes = 4 * locations * dim
-    payload = data[16:]
-    if len(payload) != expected_bytes:
-        raise FeatureMapFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected_bytes}"
-        )
-    values = np.frombuffer(payload, dtype="<f4").reshape(locations, dim)
-    if not np.isfinite(values).all():
-        raise FeatureMapFormatError(f"{path}: payload holds NaN or infinite values")
-    return values.astype(np.float64)
+    values = reader.array("<f4", locations * dim, "payload", finite=True)
+    reader.end()
+    return values.reshape(locations, dim).astype(np.float64)
 
 
 @dataclass(frozen=True)

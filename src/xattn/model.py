@@ -41,6 +41,12 @@ tensors with the snapshot, returns the kept digest only when every byte
 matches, and re-hashes otherwise. The digest is a function of those bytes
 alone, so on a full match it is the digest a fresh hash would give; the
 compare is a memcmp that costs a fraction of the SHA-256 it replaces.
+
+Checkpoint file format (little endian): magic ``XATN``, version u32, then
+u32 variant, locations, channels, tag count, raw dim and epoch, seed u64,
+the stage name, tensor count u32, and per tensor its name, rank u32, that
+many u32 dims and the values as float64, row-major. A name is a u32 byte
+count, then strict UTF-8. ``fileio`` says how faults are reported.
 """
 
 from __future__ import annotations
@@ -65,12 +71,15 @@ from .attention import (
     tag_attend,
     tag_attend_backward,
 )
-from .fileio import FormatError, write_atomic
+from .fileio import FormatError, Reader, write_atomic
 from .metric import TripleEmbeddings, triplet_loss, triplet_loss_backward
 from .numeric import l2_normalize, l2_normalize_backward
 
 CHECKPOINT_MAGIC = b"XATN"
 CHECKPOINT_VERSION = 1
+
+# Magic, version, variant, four dimensions, epoch, seed: the first 40 bytes.
+_HEADER = struct.Struct("<4s7IQ")
 
 DOMAINS = ("user", "shop")
 
@@ -597,94 +606,37 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     return b"".join(parts)
 
 
-class _Reader:
-    """Byte cursor that raises offset-carrying errors on truncation."""
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int, what: str) -> bytes:
-        if self.pos + count > len(self.data):
-            raise CheckpointFormatError(
-                f"truncated: needed {count} bytes for {what}, "
-                f"had {len(self.data) - self.pos}",
-                offset=self.pos,
-            )
-        chunk = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what: str) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
-
-    def text(self, what: str) -> str:
-        """A u32 length, then that many bytes of strict UTF-8."""
-        raw = self.take(self.u32(f"{what} length"), what)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointFormatError(
-                f"{what} is not valid UTF-8", offset=self.pos - len(raw) + exc.start
-            ) from None
-
-
 def checkpoint_from_bytes(data: bytes) -> Checkpoint:
-    reader = _Reader(data)
-    magic = reader.take(4, "magic")
+    reader = Reader(data, CheckpointFormatError)
+    magic, version, variant_raw, *dims, epoch, seed = reader.unpack(_HEADER, "header")
     if magic != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"bad magic {magic!r}", offset=0)
-    version = reader.u32("version")
+        reader.fail(f"bad magic {magic!r}", 0)
     if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"unsupported version {version}", offset=4)
-    variant_raw = reader.u32("variant")
+        reader.fail(f"unsupported version {version}", 4)
     try:
         variant = Variant(variant_raw)
     except ValueError:
-        raise CheckpointFormatError(f"unknown variant code {variant_raw}", offset=8)
-    dims: dict[str, int] = {}
-    for field_name in ("locations", "channels", "tag_count", "raw_dim"):
-        field_offset = reader.pos
-        dims[field_name] = reader.u32(field_name)
-        if dims[field_name] < 1:
-            raise CheckpointFormatError(f"{field_name} must be positive", offset=field_offset)
-    config = ModelConfig(variant=variant, **dims)
-    epoch = reader.u32("epoch")
-    seed = reader.u64("seed")
+        reader.fail(f"unknown variant code {variant_raw}", 8)
+    for i, field_name in enumerate(("locations", "channels", "tag_count", "raw_dim")):
+        if dims[i] < 1:
+            reader.fail(f"{field_name} must be positive", 12 + 4 * i)
+    config = ModelConfig(*dims, variant)
     stage = reader.text("stage name")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(reader.u32("tensor count")):
         name_offset = reader.pos
         name = reader.text("tensor name")
-        rank = reader.u32("tensor rank")
-        dims = tuple(reader.u32("tensor dim") for _ in range(rank))
-        # Python ints: a product of u32 dims cannot wrap, so a huge claimed
-        # payload fails the length check in take() instead of a reshape.
-        payload = reader.take(8 * math.prod(dims), f"tensor {name!r} payload")
         if name in tensors:
-            raise CheckpointFormatError(f"duplicate tensor {name!r}", offset=name_offset)
-        values = np.frombuffer(payload, dtype="<f8")
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise CheckpointFormatError(
-                f"tensor {name!r} holds NaN or infinite values",
-                offset=reader.pos - len(payload) + 8 * int(bad[0]),
-            )
+            reader.fail(f"duplicate tensor {name!r}", name_offset)
+        shape = tuple(reader.array("<u4", reader.u32("tensor rank"), "tensor dims").tolist())
+        values = reader.array("<f8", math.prod(shape), f"tensor {name!r}", finite=True)
         try:
-            tensors[name] = values.reshape(dims).copy()
+            tensors[name] = values.reshape(shape).copy()
         except ValueError:
             # numpy refuses more than 64 dims, and a zero dim next to dims
             # whose product overflows, even with the payload size right.
-            raise CheckpointFormatError(
-                f"tensor {name!r} has a shape numpy cannot hold: {dims}", offset=name_offset
-            ) from None
-    if reader.pos != len(data):
-        raise CheckpointFormatError(
-            f"{len(data) - reader.pos} trailing bytes", offset=reader.pos
-        )
+            reader.fail(f"tensor {name!r} has a shape numpy cannot hold: {shape}", name_offset)
+    reader.end()
     try:
         params = _params_from_tensors(config, tensors)
     except ValueError as exc:

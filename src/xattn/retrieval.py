@@ -16,7 +16,7 @@ re-sorts the candidate set.
 Index file format (little endian): magic ``XIDX``, version u32, model
 fingerprint (32 bytes), entry count u64, then per entry: item id u64,
 product id u64, tag bitset (ceil(T/8) bytes, LSB-first), embedding as C
-float64.
+float64. ``fileio`` says how faults are reported.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .attention import TagVector
-from .fileio import FormatError, write_atomic
+from .fileio import FormatError, Reader, write_atomic
 from .model import (
     ModelParams,
     UnsupportedVariantError,
@@ -348,50 +348,28 @@ def load_index(path: "Path | str", channels: int, tag_count: int) -> ShopIndex:
     """Parse an index file; entry sizes come from the model config.
 
     The file length is checked against the size the entry count implies
-    before any column is allocated. Ids must fit in int64 and increase,
-    and embeddings must be finite.
+    before any column is allocated. Embeddings must be finite, and ids must
+    fit in int64 and increase.
     """
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise IndexFormatError(
-            f"truncated: the header needs {_HEADER.size} bytes, the file has {len(data)}",
-            offset=len(data),
-        )
-    magic, version, fingerprint, count = _HEADER.unpack_from(data)
+    reader = Reader(Path(path).read_bytes(), IndexFormatError)
+    magic, version, fingerprint, count = reader.unpack(_HEADER, "header")
     if magic != INDEX_MAGIC:
-        raise IndexFormatError("bad magic", offset=0)
+        reader.fail("bad magic", 0)
     if version != INDEX_VERSION:
-        raise IndexFormatError(f"unsupported version {version}", offset=4)
+        reader.fail(f"unsupported version {version}", 4)
     entry = _entry_dtype(channels, (tag_count + 7) // 8)
-    expected = _HEADER.size + count * entry.itemsize
-    if len(data) < expected:
-        whole = (len(data) - _HEADER.size) // entry.itemsize
-        raise IndexFormatError(
-            f"truncated: {count} entries need {expected} bytes, the file has {len(data)}",
-            offset=_HEADER.size + whole * entry.itemsize,
-        )
-    if len(data) > expected:
-        raise IndexFormatError(f"{len(data) - expected} trailing bytes", offset=expected)
-    entries = np.frombuffer(data, dtype=entry, count=count, offset=_HEADER.size)
+    entries = reader.array(entry, count, f"{count} entries", finite="embedding")
+    reader.end()
     # u64 ids of 2**63 or more wrap to negative int64 here.
     item_ids = entries["item_id"].astype(np.int64)
     product_ids = entries["product_id"].astype(np.int64)
     bad = np.flatnonzero((item_ids < 0) | (product_ids < 0))
     if bad.size:
-        raise IndexFormatError(
-            "id does not fit in int64", offset=_HEADER.size + int(bad[0]) * entry.itemsize
-        )
+        reader.fail("id does not fit in int64", _HEADER.size + int(bad[0]) * entry.itemsize)
     bad = np.flatnonzero(np.diff(item_ids) <= 0)
     if bad.size:
-        raise IndexFormatError(
-            "item ids are not strictly increasing",
-            offset=_HEADER.size + int(bad[0] + 1) * entry.itemsize,
-        )
-    bad = np.flatnonzero(~np.isfinite(entries["embedding"]).all(axis=1))
-    if bad.size:
-        raise IndexFormatError(
-            "embedding holds NaN or infinite values",
-            offset=_HEADER.size + int(bad[0]) * entry.itemsize,
+        reader.fail(
+            "item ids are not strictly increasing", _HEADER.size + int(bad[0] + 1) * entry.itemsize
         )
     return ShopIndex(
         item_ids=item_ids,

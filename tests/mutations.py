@@ -5,7 +5,6 @@ re-serializes to the damaged bytes or raise its own format error; after
 
 from __future__ import annotations
 
-import struct
 from typing import Sequence
 
 from hypothesis import strategies as st
@@ -32,13 +31,15 @@ def corrupted(draw, original: bytes) -> bytes:
 
 
 @st.composite
-def non_finite(draw, original: bytes, value_offsets: Sequence[int]) -> bytes:
-    """``original`` with the little-endian float64 at one of
-    ``value_offsets`` overwritten by +Inf, -Inf or a NaN of either sign and
-    any payload."""
+def non_finite(draw, original: bytes, value_offsets: Sequence[int], width: int = 8) -> bytes:
+    """``original`` with the little-endian float of ``width`` bytes (8 for
+    float64, 4 for float32) at one of ``value_offsets`` overwritten by +Inf,
+    -Inf or a NaN of either sign and any payload."""
+    exponent, fraction = {8: (11, 52), 4: (8, 23)}[width]
     at = draw(st.sampled_from(value_offsets))
-    sign = draw(st.integers(0, 1)) << 63
-    mantissa = draw(st.one_of(st.just(0), st.integers(1, 2**52 - 1)))  # 0: infinity
+    sign = draw(st.integers(0, 1)) << (8 * width - 1)
+    mantissa = draw(st.one_of(st.just(0), st.integers(1, 2**fraction - 1)))  # 0: infinity
     data = bytearray(original)
-    data[at : at + 8] = struct.pack("<Q", sign | 0x7FF << 52 | mantissa)
+    bits = sign | (2**exponent - 1) << fraction | mantissa
+    data[at : at + width] = bits.to_bytes(width, "little")
     return bytes(data)

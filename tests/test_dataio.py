@@ -25,7 +25,7 @@ from xattn.dataio import (
 
 from xattn.attention import TagVector
 
-from mutations import corrupted
+from mutations import corrupted, non_finite
 
 TINY = SyntheticSpec(
     products=3,
@@ -162,7 +162,7 @@ class TestFeatureMaps:
     def test_round_trip(self, tmp_path):
         values = np.array([[0.5, -0.0], [1e-40, 3.0e38]])
         write_feature_map(tmp_path / "a.xfmp", values)
-        got = load_feature_map(tmp_path / "a.xfmp", expected_locations=2, expected_dim=2)
+        got = load_feature_map(tmp_path / "a.xfmp")
         np.testing.assert_array_equal(got, values.astype(np.float32))
         assert got.dtype == np.float64 and np.signbit(got[0, 1])
 
@@ -228,6 +228,21 @@ def test_corrupted_feature_map_loads_or_raises_format_error(fuzz_dir, data):
         return
     write_feature_map(path, loaded)
     assert path.read_bytes() == damaged
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_non_finite_feature_map_value_is_reported_at_its_offset(fuzz_dir, data):
+    path = fuzz_dir / "fuzz.xfmp"
+    write_feature_map(path, np.arange(6.0).reshape(2, 3))
+    original = path.read_bytes()
+    offsets = range(16, len(original), 4)
+    damaged = data.draw(non_finite(original, offsets, width=4))
+    path.write_bytes(damaged)
+    at = next(o for o in offsets if damaged[o : o + 4] != original[o : o + 4])
+    with pytest.raises(FeatureMapFormatError, match="NaN or infinite") as err:
+        load_feature_map(path)
+    assert err.value.offset == at
 
 
 @pytest.mark.parametrize(

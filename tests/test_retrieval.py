@@ -381,15 +381,6 @@ class TestIndexFile:
         raw = query(params, np.random.default_rng(1))
         assert search(loaded, raw, params, k=3, use_rerank=False) == search(index, raw, params, k=3, use_rerank=False)
 
-    def test_every_truncation_raises_format_error(self, tmp_path):
-        params, _, path = saved_index(tmp_path, count=3)
-        data = path.read_bytes()
-        for cut in range(len(data)):
-            path.write_bytes(data[:cut])
-            with pytest.raises(IndexFormatError) as err:
-                load_index(path, params.config.channels, params.config.tag_count)
-            assert err.value.offset is not None and err.value.offset <= cut
-
     def test_trailing_bytes(self, tmp_path):
         params, _, path = saved_index(tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00")
