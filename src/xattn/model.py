@@ -46,7 +46,11 @@ Checkpoint file format (little endian): magic ``XATN``, version u32, then
 u32 variant, locations, channels, tag count, raw dim and epoch, seed u64,
 the stage name, tensor count u32, and per tensor its name, rank u32, that
 many u32 dims and the values as float64, row-major. A name is a u32 byte
-count, then strict UTF-8. ``fileio`` says how faults are reported.
+count, then strict UTF-8. ``fileio`` says how faults are reported. The
+tensors must be exactly those of ``_tensor_layout``, in any order: a name
+the config has no tensor for, a repeated name or a shape other than the
+config's is reported at the tensor's name, a missing tensor at the end of
+the file.
 """
 
 from __future__ import annotations
@@ -136,7 +140,11 @@ class Affine:
     bias: np.ndarray
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.weight.T + self.bias
+        # The bias goes onto the fresh product in place, the same sums as
+        # ``x @ weight.T + bias`` without a second array of that size.
+        out = x @ self.weight.T
+        out += self.bias
+        return out
 
 
 @dataclass
@@ -198,17 +206,8 @@ def _tensor_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], floa
 def _params_from_tensors(
     config: ModelConfig, tensors: Mapping[str, np.ndarray]
 ) -> ModelParams:
-    expected = _tensor_layout(config)
-    unexpected = set(tensors) - {name for name, _, _ in expected}
-    if unexpected:
-        raise ValueError(f"unexpected tensor {min(unexpected)!r}")
-    for name, shape, _ in expected:
-        if name not in tensors:
-            raise ValueError(f"missing tensor {name!r}")
-        if tensors[name].shape != shape:
-            raise ValueError(
-                f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}"
-            )
+    """Assemble ``tensors``, which must hold exactly the names and shapes
+    of ``_tensor_layout(config)``."""
     t = tensors
     params = ModelParams(
         config=config,
@@ -284,7 +283,8 @@ def _features(raw: np.ndarray, domain: str, params: ModelParams) -> _Features:
     if not np.isfinite(data).all():
         raise ValueError("raw features must be finite")
     rows = data.reshape(-1, cfg.raw_dim)
-    hidden = np.maximum(params.trunk.apply(rows), 0.0)
+    hidden = params.trunk.apply(rows)
+    np.maximum(hidden, 0.0, out=hidden)
     branch = params.branch_user if domain == "user" else params.branch_shop
     features = branch.apply(hidden).reshape(*data.shape[:-1], cfg.channels)
     return _Features(rows=rows, hidden=hidden, fmap=features)
@@ -621,11 +621,16 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
         if dims[i] < 1:
             reader.fail(f"{field_name} must be positive", 12 + 4 * i)
     config = ModelConfig(*dims, variant)
+    layout = {name: shape for name, shape, _ in _tensor_layout(config)}
     stage = reader.text("stage name")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(reader.u32("tensor count")):
         name_offset = reader.pos
         name = reader.text("tensor name")
+        if name not in layout:
+            # A base-variant file that also carried a tag head would load
+            # and drop the head, so it could not be saved back byte for byte.
+            reader.fail(f"unexpected tensor {name!r}", name_offset)
         if name in tensors:
             reader.fail(f"duplicate tensor {name!r}", name_offset)
         shape = tuple(reader.array("<u4", reader.u32("tensor rank"), "tensor dims").tolist())
@@ -636,11 +641,13 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
             # numpy refuses more than 64 dims, and a zero dim next to dims
             # whose product overflows, even with the payload size right.
             reader.fail(f"tensor {name!r} has a shape numpy cannot hold: {shape}", name_offset)
+        if shape != layout[name]:
+            reader.fail(f"tensor {name!r} has shape {shape}, expected {layout[name]}", name_offset)
     reader.end()
-    try:
-        params = _params_from_tensors(config, tensors)
-    except ValueError as exc:
-        raise CheckpointFormatError(str(exc)) from exc
+    missing = [name for name in layout if name not in tensors]
+    if missing:
+        reader.fail(f"missing tensor {missing[0]!r}", reader.pos)
+    params = _params_from_tensors(config, tensors)
     return Checkpoint(config=config, params=params, epoch=epoch, seed=seed, stage=stage)
 
 

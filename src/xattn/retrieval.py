@@ -2,8 +2,8 @@
 
 The index is columnar: sorted item ids, product ids, packed tag bitsets
 and an N x C embedding matrix, plus the fingerprint of the model that
-built it. ``build_index`` embeds the shop items ``BUILD_BLOCK`` stacked
-images at a time.
+built it. ``build_index`` embeds the shop items in blocks of about
+``BUILD_ROWS`` image locations, one stacked forward pass per block.
 
 A query's feature map is extracted once and serves both stages. The
 initial stage pools it uniformly and scans the whole embedding matrix
@@ -54,10 +54,14 @@ _HEADER = struct.Struct("<4sI32sQ")
 # Size of the candidate pool handed to the re-ranker.
 DEFAULT_TOP_K = 256
 
-# Shop items stacked into one forward pass by build_index. Larger blocks
-# keep B x L x C temporaries that outgrow the CPU caches: at L=49, C=128 a
-# block of 64 items holds about 16 MB and built 16% slower than blocks of 8.
-BUILD_BLOCK = 8
+# Image locations stacked into one forward pass by build_index: a block
+# holds max(1, BUILD_ROWS // L) items, 8 at L=49 and 98 at L=4. Each pass
+# has a fixed cost, so smaller blocks are slower, and larger ones were
+# slower too. Building 1000 items at C=128 (fastest of 7, one BLAS thread,
+# 2-vCPU VM), L=4 / L=49 took 20 / 159 ms at 32 rows, 10 / 102 ms at 392,
+# 12 / 108 ms at 784 and 18 / 162 ms at 1568. Why large blocks slow down
+# was not traced.
+BUILD_ROWS = 392
 
 
 class IndexFormatError(FormatError):
@@ -191,10 +195,10 @@ class ShopIndex:
 def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
     """Embed every shop item; deterministic, sorted by item id.
 
-    Items are embedded in blocks of ``BUILD_BLOCK``, each stacked into one
-    B x L x R array. The base variant has no tag head and indexes
-    normalized uniform-pooled embeddings instead (the same aggregation it
-    was trained with).
+    Items are embedded in blocks of ``max(1, BUILD_ROWS // L)``, each
+    stacked into one B x L x R array. The base variant has no tag head and
+    indexes normalized uniform-pooled embeddings instead (the same
+    aggregation it was trained with).
     """
     ordered = sorted(items, key=lambda item: item.item_id)
     item_ids = np.array([item.item_id for item in ordered], dtype=np.int64)
@@ -203,8 +207,9 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
         raise ValueError(f"duplicate item id {item_ids[repeated[0]]}")
     cfg = params.config
     embeddings = np.empty((len(ordered), cfg.channels))
-    for lo in range(0, len(ordered), BUILD_BLOCK):
-        block = ordered[lo : lo + BUILD_BLOCK]
+    size = max(1, BUILD_ROWS // cfg.locations)
+    for lo in range(0, len(ordered), size):
+        block = ordered[lo : lo + size]
         raws = np.stack([item.raw for item in block])
         if cfg.variant >= Variant.TAGYNET:
             tags = TagVector(bits=np.stack([item.tags.bits for item in block]))

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written with plain Python loops and
 ``math.exp`` so it shares no code path with the library. Keep it slow
-and obvious.
+and obvious. The exceptions are references for a numpy form the library
+replaced, such as ``out_of_place_features``, which must agree with it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -92,6 +94,19 @@ def naive_affine_relu_affine(raw, trunk_w, trunk_b, branch_w, branch_b) -> list[
             row.append(f)
         out.append(row)
     return out
+
+
+def out_of_place_features(raw, trunk, branch):
+    """The trunk + branch pass in numpy with a fresh array at each step, as
+    ``x @ weight.T + bias`` and ``np.maximum(h, 0.0)`` write it; the model
+    adds the bias and applies the ReLU in place, which must give the same
+    bits. Returns the (N*L) x R input rows, the (N*L) x C hidden rows and
+    the map shaped like ``raw`` with C channels."""
+    raw = np.asarray(raw, dtype=np.float64)
+    rows = raw.reshape(-1, raw.shape[-1])
+    hidden = np.maximum(rows @ trunk.weight.T + trunk.bias, 0.0)
+    fmap = (hidden @ branch.weight.T + branch.bias).reshape(*raw.shape[:-1], -1)
+    return rows, hidden, fmap
 
 
 def naive_l2_normalize(vec) -> list[float]:

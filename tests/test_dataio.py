@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import struct
 
 import numpy as np
@@ -77,6 +78,16 @@ class TestGenerator:
         assert dataset.feature_dims() == (TINY.locations, TINY.raw_dim)
         assert set(dataset.ground_truth) == {r.item_id for r in dataset.user_records()}
 
+    def test_root_as_str_path_or_with_a_trailing_separator(self, train_dir):
+        want = load_dataset(train_dir)
+        for root in (str(train_dir), str(train_dir) + os.sep):
+            got = load_dataset(root)
+            assert got.root == want.root and got.manifest == want.manifest
+            assert got.ground_truth == want.ground_truth
+            assert got.features.keys() == want.features.keys()
+            for item_id, fmap in want.features.items():
+                assert got.features[item_id].tobytes() == fmap.tobytes()
+
 
 class TestTagVectors:
     def test_built_once_per_record(self, tmp_path):
@@ -103,6 +114,12 @@ class TestTextFiles:
         lines[line - 1] = lines[line - 1][:column] + b"\xff" + lines[line - 1][column:]
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(ManifestError, match=f"{name} line {line}: not valid UTF-8"):
+            load_dataset(train_dir)
+
+    def test_missing_feature_file(self, train_dir):
+        second = load_manifest(train_dir / MANIFEST_NAME).records[1].path
+        (train_dir / second).unlink()
+        with pytest.raises(ManifestError, match=f"line 2: feature file missing: {second}"):
             load_dataset(train_dir)
 
     def test_feature_path_naming_a_directory(self, train_dir):
@@ -179,6 +196,20 @@ class TestFeatureMaps:
         path.write_bytes(feature_header(locations, dim))
         with pytest.raises(FeatureMapFormatError, match="must be positive"):
             load_feature_map(path)
+
+    @pytest.mark.parametrize("fault", ["version", "truncated"])
+    def test_dataset_with_a_corrupt_map(self, train_dir, fault):
+        path = train_dir / load_manifest(train_dir / MANIFEST_NAME).records[1].path
+        data = path.read_bytes()
+        if fault == "version":
+            path.write_bytes(data[:4] + struct.pack("<I", 2) + data[8:])
+            message, offset = "unsupported version 2", 4
+        else:
+            path.write_bytes(data[:-3])  # the last float32 is incomplete
+            message, offset = "truncated", len(data) - 4
+        with pytest.raises(FeatureMapFormatError, match=message) as err:
+            load_dataset(train_dir)
+        assert str(path) in str(err.value) and err.value.offset == offset
 
     def test_dataset_with_a_non_finite_map(self, train_dir):
         first = load_manifest(train_dir / MANIFEST_NAME).records[0].path

@@ -39,6 +39,7 @@ from oracles import (
     naive_affine_relu_affine,
     naive_l2_normalize,
     naive_tag_attend,
+    out_of_place_features,
     reference_fingerprint,
 )
 
@@ -143,6 +144,19 @@ class TestExtractFeatures:
                     raw, params.trunk.weight, params.trunk.bias, branch.weight, branch.bias
                 )
                 np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (5, 4, 3)])
+    @pytest.mark.parametrize("domain", model.DOMAINS)
+    def test_equals_out_of_place_reference_bit_for_bit(self, shape, domain):
+        params = init_params(small_config(), 12)
+        raw = np.random.default_rng(13).normal(size=shape)
+        raw[..., 0, :] = -0.0  # rows whose products are all signed zeros
+        branch = params.branch_user if domain == "user" else params.branch_shop
+        got = model._features(raw, domain, params)
+        rows, hidden, fmap = out_of_place_features(raw, params.trunk, branch)
+        assert (got.hidden == 0.0).any() and (got.hidden > 0.0).any()
+        for have, want in ((got.rows, rows), (got.hidden, hidden), (got.fmap, fmap)):
+            assert have.shape == want.shape and have.tobytes() == want.tobytes()
 
     def test_shape_and_domain_validation(self):
         params = init_params(small_config(), 0)
@@ -512,9 +526,35 @@ class TestCheckpoints:
         count_at = data.index(b"ctxynet") + len(b"ctxynet")
         data[count_at : count_at + 4] = struct.pack("<I", 7)
         name = b"tag_attn.embedding"
+        name_at = len(data)
         data += struct.pack("<I", len(name)) + name + struct.pack("<3I", 2, 2, 3) + b"\0" * 48
-        with pytest.raises(CheckpointFormatError, match="unexpected tensor 'tag_attn.embedding'"):
+        with pytest.raises(CheckpointFormatError, match="unexpected tensor 'tag_attn.embedding'") as err:
             checkpoint_from_bytes(bytes(data))
+        assert err.value.offset == name_at
+
+    def test_missing_tensor(self):
+        # The tag head dropped from a tag-variant file, the count cut to match.
+        ckpt = self.make_checkpoint(variant=Variant.TAGYNET)
+        data = checkpoint_to_bytes(ckpt)
+        count_at = data.index(b"ctxynet") + len(b"ctxynet")
+        frame_at = data.index(b"tag_attn.embedding") - 4
+        data = data[:count_at] + struct.pack("<I", 6) + data[count_at + 4 : frame_at]
+        with pytest.raises(CheckpointFormatError, match="missing tensor 'tag_attn.embedding'") as err:
+            checkpoint_from_bytes(data)
+        assert err.value.offset == len(data)
+
+    def test_mis_shaped_tensor(self):
+        # trunk.bias stored as 1 x C: the payload size is right, the shape is not.
+        ckpt = self.make_checkpoint()
+        data = checkpoint_to_bytes(ckpt)
+        name_at = data.index(b"trunk.bias") - 4
+        c = ckpt.config.channels
+        rank_at = name_at + 4 + len(b"trunk.bias")
+        assert data[rank_at : rank_at + 8] == struct.pack("<2I", 1, c)
+        data = data[:rank_at] + struct.pack("<3I", 2, 1, c) + data[rank_at + 8 :]
+        with pytest.raises(CheckpointFormatError, match=rf"'trunk.bias' has shape \(1, {c}\), expected \({c},\)") as err:
+            checkpoint_from_bytes(data)
+        assert err.value.offset == name_at
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor(self, value):
@@ -547,7 +587,8 @@ class TestCheckpoints:
         damaged = data.draw(corrupted(checkpoint_to_bytes(ckpt)))
         try:
             loaded = checkpoint_from_bytes(damaged)
-        except CheckpointFormatError:
+        except CheckpointFormatError as err:
+            assert err.offset is not None and 0 <= err.offset <= len(damaged)
             return
         assert checkpoint_to_bytes(loaded) == damaged
 

@@ -18,7 +18,7 @@ from xattn.model import (
     params_fingerprint,
 )
 from xattn.retrieval import (
-    BUILD_BLOCK,
+    BUILD_ROWS,
     FingerprintMismatchError,
     IndexFormatError,
     Ranked,
@@ -117,12 +117,30 @@ class TestRankedList:
             hash(RankedList([1], [0.1]))
 
 
+def block_items(locations):
+    """Items per stacked forward pass of ``build_index`` at grid size L."""
+    return max(1, BUILD_ROWS // locations)
+
+
+# The paper's 7x7 grid.
+BLOCK_L = 49
+BLOCK = block_items(BLOCK_L)
+
+
 class TestBuildIndex:
     @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("count", [1, BUILD_BLOCK - 1, BUILD_BLOCK, 2 * BUILD_BLOCK + 3])
+    @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, 2 * BLOCK + 3])
     def test_equals_per_item_embeddings(self, variant, count):
+        self.check_per_item_embeddings(variant, count, BLOCK_L)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_grid_larger_than_a_block(self, variant):
+        # L > BUILD_ROWS gives one-item blocks.
+        self.check_per_item_embeddings(variant, 3, BUILD_ROWS + 1)
+
+    def check_per_item_embeddings(self, variant, count, locations):
         rng = np.random.default_rng(count)
-        params = make_params(variant, seed=count)
+        params = make_params(variant, seed=count, locations=locations)
         items = make_items(params, count, rng, ids=list(rng.permutation(count) * 3 + 11))
         index = build_index(items, params)
         ordered = sorted(items, key=lambda item: item.item_id)
@@ -136,6 +154,23 @@ class TestBuildIndex:
             np.testing.assert_allclose(index.embeddings[row], want, rtol=0, atol=1e-12)
             naive = naive_shop_embedding(item.raw, item.tags.bits, params)
             np.testing.assert_allclose(index.embeddings[row], naive, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", [Variant.YNET, Variant.TAGYNET])
+    @pytest.mark.parametrize("locations", [4, BLOCK_L, BUILD_ROWS + 1])
+    def test_blocks_hold_build_rows_locations(self, monkeypatch, variant, locations):
+        params = make_params(variant, locations=locations)
+        block = block_items(locations)
+        sizes = []
+        name = "embed_shops" if variant >= Variant.TAGYNET else "embed_shops_simple"
+        embed = getattr(retrieval, name)
+
+        def counting(raws, *args):
+            sizes.append(len(raws))
+            return embed(raws, *args)
+
+        monkeypatch.setattr(retrieval, name, counting)
+        build_index(make_items(params, 2 * block + 1, np.random.default_rng(locations)), params)
+        assert sizes == [block, block, 1]
 
     def test_duplicate_item_id_raises(self):
         params = make_params()
