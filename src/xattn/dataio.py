@@ -119,14 +119,15 @@ def load_tag_vocab(path: Path) -> tuple[str, ...]:
 
 def load_manifest(path: "Path | str") -> Manifest:
     """Parse and validate a manifest; the vocabulary is read from the
-    sibling ``tags.tsv``. Every error names the offending line."""
+    sibling ``tags.tsv``. Every error names the offending line.
+
+    Feature files are not opened here, so a manifest naming a missing file
+    parses; ``load_dataset`` reports the file when it fails to open it.
+    """
     path = Path(path)
     lines = _read_lines(path, "manifest")
     root = path.parent
     tag_names = load_tag_vocab(root / TAGS_NAME)
-    # Records join onto a plain string: a set-up checks thousands, and
-    # building a Path per record took longer than the stat itself.
-    base = os.fspath(root)
     tag_count = len(tag_names)
 
     records: list[ManifestRecord] = []
@@ -157,10 +158,6 @@ def load_manifest(path: "Path | str") -> Manifest:
             raise ManifestError(
                 f"line {lineno}: feature path must stay inside the dataset directory: {rel_path}"
             )
-        # os.path.isfile is False, not an error, for a directory or a path
-        # the OS rejects (a component that is too long, a NUL byte).
-        if not os.path.isfile(os.path.join(base, rel_path)):
-            raise ManifestError(f"line {lineno}: feature file missing: {rel_path}")
         if domain == "user":
             if raw_tags:
                 raise ManifestError(f"line {lineno}: user records must not carry tags")
@@ -283,16 +280,32 @@ def load_ground_truth(path: Path) -> dict[int, int]:
     return truth
 
 
+def _record_line(manifest_path: str, number: int) -> int:
+    """Line of the manifest's record ``number`` (from 0): records are its
+    non-blank lines, in order."""
+    lines = _read_lines(Path(manifest_path), "manifest")
+    return [lineno for lineno, line in enumerate(lines, start=1) if line.strip()][number]
+
+
 def load_dataset(root: "Path | str") -> Dataset:
     """Load a dataset directory eagerly; all feature maps must agree on
     their dimensions."""
     base = os.fspath(root)
     root = Path(base)
-    manifest = load_manifest(os.path.join(base, MANIFEST_NAME))
+    manifest_path = os.path.join(base, MANIFEST_NAME)
+    manifest = load_manifest(manifest_path)
     features: dict[int, np.ndarray] = {}
     dims: tuple[int, int] | None = None
-    for record in manifest.records:
-        fmap = load_feature_map(os.path.join(base, record.path))
+    for number, record in enumerate(manifest.records):
+        try:
+            fmap = load_feature_map(os.path.join(base, record.path))
+        except FeatureMapFormatError:  # a ValueError, but about the bytes
+            raise
+        except (OSError, ValueError):
+            # open() raises OSError for a missing file, a directory or a name
+            # the OS rejects, and ValueError for a NUL byte in the path.
+            lineno = _record_line(manifest_path, number)
+            raise ManifestError(f"line {lineno}: feature file missing: {record.path}") from None
         if dims is None:
             dims = fmap.shape
         elif fmap.shape != dims:

@@ -6,12 +6,24 @@ built it. ``build_index`` embeds the shop items in blocks of about
 ``BUILD_ROWS`` image locations, one stacked forward pass per block.
 
 A query's feature map is extracted once and serves both stages. The
-initial stage pools it uniformly and scans the whole embedding matrix
-exactly (brute force with an exact top-K selection; desk-scale databases
-keep this fast and exactness keeps the oracles simple). The re-rank
-stage attends the same feature map under every candidate's embedding as
-context, all K candidates in one batch of array operations, and
-re-sorts the candidate set.
+initial stage pools it uniformly and returns the exact ``k`` nearest
+index entries. The re-rank stage attends the same feature map under
+every candidate's embedding as context, all K candidates in one batch of
+array operations, and re-sorts the candidate set.
+
+The initial stage is an exact two-pass scan. When ``SCREEN_RATIO * k <=
+N``, a first pass scores the whole index through a float32 copy of its
+rows scaled to unit length, which reads half the bytes of the float64
+matrix. It keeps every row whose screened score is within a proven
+rounding bound of the k-th best, so every row of the exact top k is kept
+(``_candidates`` gives the bound and its proof). The second pass scores
+only the kept rows in float64 and selects among them with the same tie
+rule as a full scan, so the result equals a full scan bit for bit. With
+larger k, the full float64 scan runs alone. The full scan and the second
+pass compute distances through ``np.vecdot``, one row at a time: a row's
+distance then has the same bits whichever rows are scored with it. A matrix-vector
+product (``@``) gives no such promise: with OpenBLAS, ``E[rows] @ q`` and
+``(E @ q)[rows]`` differed in the last bit for most random row subsets.
 
 Index file format (little endian): magic ``XIDX``, version u32, model
 fingerprint (32 bytes), entry count u64, then per entry: item id u64,
@@ -22,6 +34,7 @@ float64. ``fileio`` says how faults are reported.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,6 +75,29 @@ DEFAULT_TOP_K = 256
 # 12 / 108 ms at 784 and 18 / 162 ms at 1568. Why large blocks slow down
 # was not traced.
 BUILD_ROWS = 392
+
+# The scan screens in float32 only when SCREEN_RATIO * k <= N. Each kept
+# row costs a float64 rescoring, so the screen pays only for k well below
+# N. Over unit rows at C=128 (one BLAS thread, 2-vCPU VM), screened / full
+# scans took 54 / 61 us at N=1000, k=20; 191 / 321 us at N=4000, k=20;
+# 217 / 253 us at N=4000, k=256; 292 / 292 us at N=4000, k=512; and
+# 135 / 79 us at N=1000, k=512. The break-even N / k was about 8 from
+# N=1000 to 4000 and lower above; 16 leaves a margin.
+SCREEN_RATIO = 16
+
+# Float32 and float64 unit roundoff.
+_U32 = 2.0**-24
+_U64 = 2.0**-53
+
+# Rows below this norm cannot be scaled to unit length from their float64
+# squared norm (it is subnormal or zero); their screen row stays zero.
+_TINY_NORM = 2.0**-510
+
+# The screen's bound holds while (largest row norm + query norm) lies in
+# this range: the query casts to float32 without overflow, no float64 step
+# overflows, and the rounding bound stays a normal number. Outside it the
+# full scan runs.
+_SCREEN_REACH = (2.0**-400, 2.0**120)
 
 
 class IndexFormatError(FormatError):
@@ -139,6 +175,12 @@ class ShopIndex:
     (N, C) float64, and ``tag_bits`` keeps each tag set packed as the file
     stores it, (N, ceil(T/8)) uint8; only ``save_index`` reads it. The
     columns are read-only once the index exists.
+
+    The scan reads columns derived in memory when the index is made:
+    ``_sq_norms`` (each row's squared norm), ``_norms`` (its float64 norm),
+    ``_max_norm`` (the largest norm) and ``_screen`` (each row scaled to
+    unit length, as float32; a zero row stays zero). The index file stores
+    none of them.
     """
 
     item_ids: np.ndarray
@@ -174,6 +216,17 @@ class ShopIndex:
             column.flags.writeable = False
         # The scan expands |e - q|^2 = |e|^2 - 2 e.q + |q|^2.
         self._sq_norms = np.einsum("ij,ij->i", self.embeddings, self.embeddings)
+        self._norms = np.sqrt(self._sq_norms)
+        self._max_norm = float(self._norms.max(initial=0.0))
+        # Divided straight into float32, with no N x C float64 temporary.
+        # Rows too small to scale divide by infinity and stay zero.
+        scale = np.where(self._norms >= _TINY_NORM, self._norms, np.inf)
+        self._screen = np.divide(
+            self.embeddings,
+            scale[:, None],
+            out=np.empty(self.embeddings.shape, np.float32),
+            casting="same_kind",
+        )
 
     def __len__(self) -> int:
         return len(self.item_ids)
@@ -230,19 +283,79 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
     )
 
 
+def _distances(index: ShopIndex, query: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Squared distance of each index row, or of each of ``rows``, to
+    ``query``. A row's value has the same bits whatever ``rows`` holds."""
+    embeddings, sq_norms = index.embeddings, index._sq_norms
+    if rows is not None:
+        embeddings, sq_norms = embeddings[rows], sq_norms[rows]
+    dists = sq_norms - 2.0 * np.vecdot(embeddings, query) + query @ query
+    np.maximum(dists, 0.0, out=dists)  # rounding can dip below 0 at a match
+    return dists
+
+
+def _candidates(index: ShopIndex, query: np.ndarray, k: int) -> np.ndarray | None:
+    """Ascending rows that hold every row of the exact ``k`` nearest to
+    ``query``, found through the float32 screen; None where every row must
+    be scored (``k >= N``, or norms outside ``_SCREEN_REACH``).
+
+    Row ``i``'s screened score is ``a_i = |e_i|^2 - 2 t_i``, where ``t_i =
+    |e_i| (s_i . float32(q))`` estimates ``e_i . q`` from the unit screen
+    row ``s_i``. With ``M`` the largest row norm, the estimate errs by at
+    most
+
+        beta = gamma_{C+4} M |q| + C 2^-126 M (1 + |q|) + 2^-510 |q|,
+
+    where ``gamma_n = n 2^-24 / (1 - n 2^-24)``. The first term covers
+    rounding ``s_i`` and ``q`` to float32 and the float32 dot product, in
+    any summation order; the second, underflow to float32 subnormals; the
+    third, rows too small to scale, which screen as zero. Adding ``|q|^2``
+    to ``a_i`` gives the row's distance ``d_i`` within ``2 beta``, up to
+    float64 roundings of a few ulps of ``(M + |q|)^2``, which ``rho``
+    covers. So:
+
+    - the k rows with the smallest ``a`` have ``d <= a_(k) + 2 beta``, so
+      the k-th smallest distance is at most that;
+    - every row has ``a_i <= d_i + 2 beta``, so every row of the exact top
+      k has ``a_i <= a_(k) + 4 beta + rho``, and is kept.
+
+    A row whose score is NaN is kept too.
+    """
+    n, channels = index.embeddings.shape
+    if k >= n:
+        return None
+    q_norm = math.sqrt(query @ query)
+    reach = index._max_norm + q_norm
+    if not _SCREEN_REACH[0] <= reach <= _SCREEN_REACH[1]:
+        return None
+    scores = index._norms * (index._screen @ query.astype(np.float32))
+    scores *= -2.0
+    scores += index._sq_norms
+    gamma = (channels + 4) * _U32 / (1.0 - (channels + 4) * _U32)
+    beta = (
+        gamma * index._max_norm * q_norm
+        + channels * 2.0**-126 * index._max_norm * (1.0 + q_norm)
+        + _TINY_NORM * q_norm
+    )
+    rho = 8 * (channels + 2) * _U64 * reach * reach
+    kth = np.partition(scores, k - 1)[k - 1]
+    return np.flatnonzero(~(scores > kth + 4.0 * beta + rho))
+
+
 def _scan(index: ShopIndex, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the ``k`` index entries nearest to ``query`` and their squared
     distances, nearest first; ties break by ascending item id (= row)."""
-    dists = index._sq_norms - 2.0 * (index.embeddings @ query) + query @ query
-    np.maximum(dists, 0.0, out=dists)  # rounding can dip below 0 at a match
+    rows = _candidates(index, query, k) if SCREEN_RATIO * k <= len(index) else None
+    dists = _distances(index, query, rows)
     if k < len(dists):
-        # Every row up to the k-th smallest distance, ties at the boundary
-        # included, so the tie rule below picks among all of them.
+        # Every position up to the k-th smallest distance, ties at the
+        # boundary included, so the tie rule below picks among all of them.
         pool = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
     else:
         pool = np.arange(len(dists))
-    rows = pool[np.lexsort((pool, dists[pool]))][:k]
-    return rows, dists[rows]
+    # Positions ascend with rows, so sorting by position breaks ties by row.
+    pool = pool[np.lexsort((pool, dists[pool]))][:k]
+    return (pool if rows is None else rows[pool]), dists[pool]
 
 
 def _rerank_rows(

@@ -139,6 +139,22 @@ class TestTextFiles:
         with pytest.raises(ManifestError, match="line 2: feature file missing"):
             load_dataset(train_dir)
 
+    def test_feature_path_with_a_nul_byte(self, train_dir):
+        path = train_dir / MANIFEST_NAME
+        # Blank lines before the record: the error counts manifest lines.
+        lines = ["", "  "] + path.read_text(encoding="utf-8").splitlines()
+        fields = lines[3].split("\t")
+        fields[3] = "features/a\0b.xfmp"
+        lines[3] = "\t".join(fields)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ManifestError, match="line 4: feature file missing: features/a\0b.xfmp"):
+            load_dataset(train_dir)
+
+    def test_manifest_alone_accepts_a_missing_feature_file(self, train_dir):
+        before = load_manifest(train_dir / MANIFEST_NAME)
+        (train_dir / before.records[0].path).unlink()
+        assert load_manifest(train_dir / MANIFEST_NAME) == before
+
     @pytest.mark.parametrize("outside", ["absolute", "parent"])
     def test_feature_path_leaving_the_dataset_directory(self, tmp_path, outside):
         generate_synthetic(dataclasses.replace(TINY, holdout_products=2), tmp_path)

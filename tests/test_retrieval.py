@@ -19,6 +19,7 @@ from xattn.model import (
 )
 from xattn.retrieval import (
     BUILD_ROWS,
+    SCREEN_RATIO,
     FingerprintMismatchError,
     IndexFormatError,
     Ranked,
@@ -271,6 +272,121 @@ class TestSearch:
                 index.rows_of(ids)
             with pytest.raises(ValueError, match=f"item id {first} not in index"):
                 index.product_of(first)
+
+
+def column_index(embeddings):
+    """A bare index over ``embeddings``: the scan reads no other column."""
+    n = len(embeddings)
+    return ShopIndex(np.arange(n), np.arange(n), np.zeros((n, 1), np.uint8), embeddings, bytes(32))
+
+
+def nearest_rows(dists, k):
+    """The k rows nearest first, ties by row: sorts every row."""
+    return np.lexsort((np.arange(len(dists)), dists))[:k]
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def screen_cases(draw):
+    """An index of N in [1, 300] rows of C in [1, 64] channels, row norms
+    between 1e-30 and 1e30, with duplicate rows, rows one ulp apart and zero
+    rows, and a query that may be zero or equal to a row."""
+    n = draw(st.integers(1, 300))
+    channels = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low, high = sorted(draw(st.floats(-30, 30)) for _ in range(2))
+    rows = rng.normal(size=(n, channels))
+    rows *= (10.0 ** rng.uniform(low, high, n) / np.linalg.norm(rows, axis=1))[:, None]
+    for kind in draw(st.lists(st.sampled_from(["duplicate", "ulp", "zero"]), max_size=n)):
+        target, source = rng.integers(n, size=2)
+        if kind == "duplicate":
+            rows[target] = rows[source]
+        elif kind == "ulp":
+            rows[target] = np.nextafter(rows[source], np.inf)
+        else:
+            rows[target] = 0.0
+    kind = draw(st.sampled_from(["zero", "row", "random"]))
+    if kind == "zero":
+        q = np.zeros(channels)
+    elif kind == "row":
+        q = rows[rng.integers(n)].copy()
+    else:
+        q = rng.normal(size=channels)
+        q *= 10.0 ** draw(st.floats(-30, 30)) / np.linalg.norm(q)
+    return rows, q
+
+
+class TestScreen:
+    @given(screen_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_candidates_hold_the_exact_top_k(self, case):
+        rows, q = case
+        index = column_index(rows)
+        n = len(index)
+        dists = retrieval._distances(index, q)
+        for k in range(1, n + 3):
+            want = nearest_rows(dists, k)
+            candidates = retrieval._candidates(index, q, k)
+            # All zero: no norm to bound the rounding by.
+            if k >= n or not (rows.any() or q.any()):
+                assert candidates is None
+                continue
+            assert candidates is not None
+            assert np.all(np.diff(candidates) > 0)
+            assert np.isin(want, candidates).all()
+            got = retrieval._distances(index, q, candidates)
+            picked = nearest_rows(got, k)
+            assert np.array_equal(candidates[picked], want)
+            assert np.array_equal(bits(got[picked]), bits(dists[want]))
+
+    @pytest.mark.parametrize("channels", [1, 3, 7, 64, 128, 129])
+    def test_distances_do_not_depend_on_the_row_set(self, channels):
+        rng = np.random.default_rng(channels)
+        index = column_index(rng.normal(size=(301, channels)))
+        q = rng.normal(size=channels)
+        everything = retrieval._distances(index, q)
+        for _ in range(100):
+            rows = rng.choice(301, size=int(rng.integers(1, 302)), replace=False)
+            for subset in (rows, np.sort(rows)):
+                assert np.array_equal(bits(retrieval._distances(index, q, subset)), bits(everything[subset]))
+
+    def test_screen_keeps_few_rows_of_unit_embeddings(self):
+        rng = np.random.default_rng(2)
+        rows = rng.normal(size=(4000, 128))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        index = column_index(rows)
+        for _ in range(5):
+            q = rng.normal(size=128)
+            q /= np.linalg.norm(q)
+            assert len(retrieval._candidates(index, q, 20)) < 40
+
+    def test_zero_and_tiny_rows_screen_as_zero(self):
+        # Squared norms of 0, 0 (underflow) and 1e-320 (subnormal), 25.
+        rows = np.array([[0.0, 0.0], [1e-200, 0.0], [1e-160, 0.0], [3.0, 4.0]])
+        index = column_index(rows)
+        assert np.array_equal(index._screen, np.float32([[0, 0], [0, 0], [0, 0], [0.6, 0.8]]))
+        assert index._screen.dtype == np.float32 and index._max_norm == 5.0
+
+    def test_search_prefixes_agree_across_the_screen_boundary(self):
+        rng = np.random.default_rng(13)
+        params = make_params(Variant.TAGYNET, locations=2, channels=8)
+        # 4000 items from 2500 images: many exact ties.
+        images = make_items(params, 2500, rng)
+        ids = rng.permutation(4000) + 1
+        items = [images[i % len(images)]._replace(item_id=int(item_id)) for i, item_id in enumerate(ids)]
+        index = build_index(items, params)
+        edge = len(index) // SCREEN_RATIO  # the largest screened k
+        for _ in range(3):
+            raw = query(params, rng)
+            ks = (1, 7, 20, edge - 1, edge, edge + 1, edge + 40)
+            ranked = {k: search(index, raw, params, k=k, use_rerank=False) for k in ks}
+            for j in ks:
+                for k in ks[ks.index(j) :]:
+                    assert np.array_equal(ranked[k].item_ids[:j], ranked[j].item_ids)
+                    assert np.array_equal(bits(ranked[k].distances[:j]), bits(ranked[j].distances))
 
 
 class TestChecks:
