@@ -14,7 +14,12 @@ location l), B x L x C for a stack. The forward functions also take
 stacks, so serving runs one array operation per batch: tag attention
 pools a B x L x C stack of maps, each under its own row of a B x T tag
 matrix, and context attention pools one map under each row of a K x C
-stack of contexts. The backward functions work on the same stacks and
+stack of contexts. Context scores are laid out location-major, L x K
+(``context_weight @ contexts.T`` plus the per-location feature term), and
+``softmax(scores, axis=0)`` normalises each column: at K=256, L=49 that
+reduces across 256 contiguous values per step where K rows of 49 would
+each pay numpy's per-row cost. The weights come back K x L, as a
+transposed view. The backward functions work on the same stacks and
 take the forward's ``AttentionResult``, so they reuse its softmax weights
 instead of recomputing scores.
 
@@ -140,6 +145,9 @@ def context_attend(
     linear alignment fixes the spatial size: the map must have exactly as
     many locations as context_weight has rows. A K x C stack of contexts
     gives K x L weights and K pooled rows: the one map under each context.
+
+    The scores are built location-major, L x K, and normalised down each
+    column; the K x L weights returned are a transposed view of them.
     """
     ctx = np.asarray(context, dtype=np.float64)
     if fmap.ndim != 2:
@@ -152,9 +160,10 @@ def context_attend(
     channels = params.feature_weight.shape[0]
     if fmap.shape[1] != channels or ctx.ndim not in (1, 2) or ctx.shape[-1] != channels:
         raise ValueError("channel dimensions disagree for context attention")
-    scores = fmap @ params.feature_weight + ctx @ params.context_weight.T
-    weights = softmax(scores)
-    return AttentionResult(weights=weights, pooled=weights @ fmap)
+    scores = params.context_weight @ ctx.T  # L x K, or L for one context
+    np.add(scores.T, fmap @ params.feature_weight, out=scores.T)
+    weights = softmax(scores, axis=0)
+    return AttentionResult(weights=weights.T, pooled=weights.T @ fmap)
 
 
 def _softmax_backward(weights: np.ndarray, grad_weights: np.ndarray) -> np.ndarray:

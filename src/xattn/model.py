@@ -21,15 +21,19 @@ in memory give NaN embeddings, which ``TripleEmbeddings`` (training) and
 Serving runs the batched forward functions: ``embed_shops`` and
 ``embed_shops_simple`` embed a B x L x R stack of shop images at once.
 A query's scan embedding is ``uniform_embedding`` of its
-``extract_features`` map, and ``embed_user_contexts`` attends that map
-under K candidate contexts in one pass; ``embed_shop`` is ``embed_shops``
-on a batch of one. Training runs the same steps, one triple at a time:
-``forward_triple`` embeds the shop pair as the stack [positive, negative]
-and, in the context variant, attends the anchor under both as K=2
-contexts, so its embeddings equal the serving ones bit for bit. It keeps
-the trunk activations and attention results, and ``backward_triple`` calls
-it once and walks back over them; the gradient check differences the same
-``forward_triple``.
+``extract_features`` map; the re-rank in ``retrieval.search`` attends that
+map under its K candidates at once with ``attention.context_attend`` and
+takes the distance of each normalised pooled row in closed form.
+``embed_shop`` is ``embed_shops`` on a batch of one. Training runs the
+same steps, one triple at a time: ``forward_triple`` embeds the shop pair
+as the stack [positive, negative] and, in the context variant, attends the
+anchor under both as K=2 contexts with the same ``context_attend``, so its
+shop embeddings equal the serving ones bit for bit and its anchor
+embeddings are ``l2_normalize`` of the pooled rows the re-rank scores. It
+keeps the trunk activations and attention results, and ``backward_triple``
+calls it once and walks back over them; the gradient check differences
+the same ``forward_triple``. In the stages that freeze the trunk,
+``backward_triple`` skips the trunk gradients.
 
 ``params_fingerprint`` identifies the parameters an index was built with,
 and ``search`` checks it on every query. Tensors change in place (SGD, the
@@ -324,20 +328,6 @@ def embed_shops_simple(raws: np.ndarray, params: ModelParams) -> np.ndarray:
     return uniform_embedding(extract_features(raws, "shop", params))
 
 
-def embed_user_contexts(
-    fmap: np.ndarray, contexts: np.ndarray, params: ModelParams
-) -> np.ndarray:
-    """Unit-norm K x C query embeddings: the query feature map attended
-    with each row of a K x C stack of (normalized) shop embeddings as
-    context."""
-    if params.config.variant < Variant.CTXYNET:
-        raise UnsupportedVariantError(
-            "context attention needs the context head; this model does not have one"
-        )
-    assert params.ctx_attn is not None
-    return l2_normalize(context_attend(fmap, contexts, params.ctx_attn).pooled)
-
-
 def embed_shop(raw: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndarray:
     """Unit-norm shop embedding via tag-conditioned pooling."""
     raws = np.asarray(raw, dtype=np.float64)[None]
@@ -377,11 +367,11 @@ def forward_triple(
 
     The shop side is the stack [positive, negative] run through the steps
     of ``embed_shops`` (``embed_shops_simple`` for the base variant). The
-    context variant attends the anchor under both shop embeddings at once,
-    as ``embed_user_contexts`` does; the other variants reuse one uniformly
-    pooled anchor embedding, ``uniform_embedding(extract_features(anchor_raw,
-    "user", params))``, for both sides. So the embeddings equal their
-    serving forms bit for bit.
+    context variant attends the anchor under both shop embeddings at once
+    with ``context_attend``, as the re-rank does, and normalises the pooled
+    rows; the other variants reuse one uniformly pooled anchor embedding,
+    ``uniform_embedding(extract_features(anchor_raw, "user", params))``, for
+    both sides. So the embeddings equal their serving forms bit for bit.
     """
     variant = params.config.variant
     anchor = _features(anchor_raw, "user", params)
@@ -432,13 +422,17 @@ def backward_triple(
     negative_tags: TagVector | None,
     params: ModelParams,
     alpha: float,
+    *,
+    frozen_trunk: bool = False,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss plus analytic gradients for every tensor in ``params``.
 
     Runs ``forward_triple`` once and walks back over what it saved. Shop
     embeddings receive gradient along two routes in the context variant:
     directly from the loss and through the context-attention alignment of
-    the anchor.
+    the anchor. With ``frozen_trunk`` (the curriculum stages after the
+    first, which do not update the trunk), the trunk gradients are not
+    computed and stay zero.
     """
     fwd = forward_triple(
         anchor_raw, positive_raw, negative_raw, positive_tags, negative_tags, params, alpha
@@ -489,6 +483,8 @@ def backward_triple(
         grad_out = grad_map.reshape(-1, params.config.channels)
         grads[branch_name + ".weight"] = grad_out.T @ features.hidden
         grads[branch_name + ".bias"] = grad_out.sum(axis=0)
+        if frozen_trunk:
+            continue
         grad_pre = np.where(features.hidden > 0.0, grad_out @ branch.weight, 0.0)
         grads["trunk.weight"] += grad_pre.T @ features.rows
         grads["trunk.bias"] += grad_pre.sum(axis=0)

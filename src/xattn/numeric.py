@@ -25,20 +25,23 @@ class NonFiniteValueError(ValueError):
         self.coordinate = coordinate
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Overflow-safe softmax over the last axis of a score array.
+def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Overflow-safe softmax along ``axis`` of a score array.
 
-    A 1-D vector is one distribution; each row of a stack is its own.
+    A 1-D vector is one distribution; in a stack, each line along ``axis``
+    is its own (the rows, by default; with ``axis=0``, the columns).
     Uses max-subtraction, so adding a constant to all scores leaves the
     output unchanged. Output entries are positive and sum to 1.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim < 1 or s.size == 0:
         raise ValueError("softmax expects a non-empty score vector or stack")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ValueError("softmax scores must be finite")
-    shifted = np.exp(s - s.max(axis=-1, keepdims=True))
-    return shifted / shifted.sum(axis=-1, keepdims=True)
+    weights = s - s.max(axis=axis, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=axis, keepdims=True)
+    return weights
 
 
 def l2_normalize(v: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:

@@ -6,10 +6,16 @@ built it. ``build_index`` embeds the shop items in blocks of about
 ``BUILD_ROWS`` image locations, one stacked forward pass per block.
 
 A query's feature map is extracted once and serves both stages. The
-initial stage pools it uniformly and returns the exact ``k`` nearest
-index entries. The re-rank stage attends the same feature map under
-every candidate's embedding as context, all K candidates in one batch of
-array operations, and re-sorts the candidate set.
+initial stage pools it uniformly and finds the exact ``k`` nearest index
+entries; it hands them on in row order, unsorted. The re-rank stage
+attends the same feature map under every candidate's embedding as
+context, all K candidates in one ``context_attend`` call (two matrix
+products and a softmax over an L x K score array). It scores each pooled
+row ``p`` against its context ``c`` in closed form, ``|p|^2 / s^2 - 2 p.c
+/ s + |c|^2`` with ``s = max(|p|, NORM_EPS)``, which equals ``|l2_normalize(p)
+- c|^2`` to within 1e-12 for unit contexts without forming the normalised
+rows (``_context_distances``). Either way each query sorts its ``k``
+results once, by (distance, item id).
 
 The initial stage is an exact two-pass scan. When ``SCREEN_RATIO * k <=
 N``, a first pass scores the whole index through a float32 copy of its
@@ -42,7 +48,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .attention import TagVector
+from .attention import TagVector, context_attend
 from .fileio import FormatError, Reader, write_atomic
 from .model import (
     ModelParams,
@@ -50,11 +56,11 @@ from .model import (
     Variant,
     embed_shops,
     embed_shops_simple,
-    embed_user_contexts,
     extract_features,
     params_fingerprint,
     uniform_embedding,
 )
+from .numeric import NORM_EPS
 
 logger = logging.getLogger(__name__)
 
@@ -177,10 +183,10 @@ class ShopIndex:
     columns are read-only once the index exists.
 
     The scan reads columns derived in memory when the index is made:
-    ``_sq_norms`` (each row's squared norm), ``_norms`` (its float64 norm),
-    ``_max_norm`` (the largest norm) and ``_screen`` (each row scaled to
-    unit length, as float32; a zero row stays zero). The index file stores
-    none of them.
+    ``_sq_norms`` (each row's squared norm, which the re-rank reads too),
+    ``_norms`` (its float64 norm), ``_max_norm`` (the largest norm) and
+    ``_screen`` (each row scaled to unit length, as float32; a zero row
+    stays zero). The index file stores none of them.
     """
 
     item_ids: np.ndarray
@@ -344,33 +350,38 @@ def _candidates(index: ShopIndex, query: np.ndarray, k: int) -> np.ndarray | Non
 
 def _scan(index: ShopIndex, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the ``k`` index entries nearest to ``query`` and their squared
-    distances, nearest first; ties break by ascending item id (= row)."""
+    distances, in ascending row order, not sorted by distance. Of entries
+    tied at the k-th distance, the lowest rows are kept."""
     rows = _candidates(index, query, k) if SCREEN_RATIO * k <= len(index) else None
     dists = _distances(index, query, rows)
+    pool = np.arange(len(dists))
     if k < len(dists):
-        # Every position up to the k-th smallest distance, ties at the
-        # boundary included, so the tie rule below picks among all of them.
-        pool = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
-    else:
-        pool = np.arange(len(dists))
-    # Positions ascend with rows, so sorting by position breaks ties by row.
-    pool = pool[np.lexsort((pool, dists[pool]))][:k]
+        kth = np.partition(dists, k - 1)[k - 1]
+        pool = np.flatnonzero(dists <= kth)
+        excess = len(pool) - k
+        if excess:
+            tied = np.flatnonzero(dists[pool] == kth)
+            pool = np.delete(pool, tied[-excess:])
     return (pool if rows is None else rows[pool]), dists[pool]
 
 
-def _rerank_rows(
-    index: ShopIndex, fmap: np.ndarray, rows: np.ndarray, params: ModelParams
-) -> RankedList:
-    """Score index ``rows`` against the query map ``fmap`` attended under
-    each row's embedding as context; sort by (distance, item id)."""
-    ids = index.item_ids[rows]
-    if not len(rows):
-        return RankedList(ids, np.zeros(0))
-    contexts = index.embeddings[rows]
-    diffs = embed_user_contexts(fmap, contexts, params) - contexts
-    dists = np.einsum("ij,ij->i", diffs, diffs)
-    order = np.lexsort((ids, dists))
-    return RankedList(ids[order], dists[order])
+def _context_distances(pooled: np.ndarray, contexts: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
+    """``|l2_normalize(p) - c|^2`` for each row ``p`` of ``pooled`` and its
+    ``contexts`` row ``c``, whose squared norms are ``sq_norms``, without
+    forming the normalised rows.
+
+    With ``pp = p.p`` and ``s = max(sqrt(pp), NORM_EPS)``, the distance is
+    ``pp / s^2 - 2 (p.c) / s + |c|^2``, clamped at 0. Rounding is relative
+    to ``(1 + |c|)^2``; for the unit rows of an index, and while ``pp`` does
+    not overflow, the result is within 1e-12 of the direct form.
+    """
+    pp = np.vecdot(pooled, pooled)
+    scale = np.maximum(np.sqrt(pp), NORM_EPS)
+    dists = pp / (scale * scale)
+    dists -= 2.0 * np.vecdot(pooled, contexts) / scale
+    dists += sq_norms
+    np.maximum(dists, 0.0, out=dists)
+    return dists
 
 
 def search(
@@ -386,8 +397,9 @@ def search(
     uniform-pooled query embedding and keeps the ``k`` nearest, ties broken
     by ascending item id. With ``use_rerank`` (context variant only), the
     query is attended under each of those candidates' embeddings as context
-    and the candidates are re-sorted by that distance, ties again by item
-    id. One fingerprint check and one feature extraction serve both stages.
+    and the candidates are ranked by that distance instead. Either way the
+    result is sorted once, by (distance, item id). One fingerprint check
+    and one feature extraction serve both stages.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -397,9 +409,15 @@ def search(
         raise FingerprintMismatchError("index fingerprint does not match the query model parameters")
     fmap = extract_features(query_raw, "user", params)
     rows, dists = _scan(index, uniform_embedding(fmap), k)
-    if not use_rerank:
-        return RankedList(index.item_ids[rows], dists)
-    return _rerank_rows(index, fmap, rows, params)
+    if use_rerank and len(rows):
+        assert params.ctx_attn is not None
+        contexts = index.embeddings[rows]
+        pooled = context_attend(fmap, contexts, params.ctx_attn).pooled
+        dists = _context_distances(pooled, contexts, index._sq_norms[rows])
+    # Rows ascend, and item ids with them, so a stable sort by distance
+    # breaks ties by item id.
+    order = np.argsort(dists, kind="stable")
+    return RankedList(index.item_ids[rows[order]], dists[order])
 
 
 def precision_at_k(

@@ -212,7 +212,8 @@ def train_stage(
         base=init.params if init is not None else None,
     )
     sample_rng = np.random.default_rng([cfg.seed, stage_index, 1])
-    frozen = FROZEN_TRUNK if stage_index > 0 else ()
+    frozen_trunk = stage_index > 0
+    frozen = FROZEN_TRUNK if frozen_trunk else ()
     alpha = cfg.margins[stage]
     records = _record_by_id(dataset)
     epoch_count = cfg.epochs[stage]
@@ -239,6 +240,7 @@ def train_stage(
                     dataset.tag_vector(negative),
                     params,
                     alpha,
+                    frozen_trunk=frozen_trunk,
                 )
                 if not math.isfinite(loss):
                     raise TrainingDivergedError(

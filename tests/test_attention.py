@@ -147,6 +147,44 @@ class TestContextAttend:
         np.testing.assert_allclose(result.weights, [W0, W1], atol=1e-12)
         np.testing.assert_array_equal(result.pooled, [0.0])
 
+    @pytest.mark.parametrize("paper_shaped", [False, True], ids=["small", "paper-shaped"])
+    def test_a_stack_equals_one_call_per_context(self, paper_shaped):
+        # The stack reduces down the columns of L x K scores, one context
+        # along an L vector; the two agree to rounding.
+        rng = np.random.default_rng(58)
+        for _ in range(10 if paper_shaped else 100):
+            if paper_shaped:
+                fmap = rng.normal(size=(49, 128))
+                ctx_params = ContextAttentionParams(
+                    feature_weight=rng.uniform(-1, 1, 128) / np.sqrt(128),
+                    context_weight=rng.uniform(-1, 1, (49, 128)) / np.sqrt(128),
+                )
+                contexts = rng.normal(size=(256, 128))
+                contexts /= np.linalg.norm(contexts, axis=1, keepdims=True)
+            else:
+                fmap, _, _, ctx, ctx_params = random_instance(rng)
+                contexts = rng.normal(size=(int(rng.integers(1, 9)), ctx.size))
+            stacked = context_attend(fmap, contexts, ctx_params)
+            assert stacked.weights.shape == (len(contexts), len(fmap))
+            assert stacked.pooled.shape == contexts.shape
+            np.testing.assert_allclose(stacked.weights.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+            for row, ctx in enumerate(contexts):
+                single = context_attend(fmap, ctx, ctx_params)
+                np.testing.assert_allclose(stacked.weights[row], single.weights, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(
+                    stacked.pooled[row], single.pooled, rtol=0, atol=1e-15 * np.abs(fmap).max()
+                )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_context_row_fails_the_softmax_check(self, bad):
+        fmap, _, _, ctx, ctx_params = random_instance(
+            np.random.default_rng(59), locations=3, channels=4
+        )
+        contexts = np.stack([ctx, ctx, ctx])
+        contexts[1, 2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            context_attend(fmap, contexts, ctx_params)
+
     def test_row_count_mismatch(self):
         fmap = np.zeros((3, 2))
         params = ContextAttentionParams(

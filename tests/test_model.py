@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xattn import gradcheck, model
-from xattn.attention import ContextAttentionParams, TagAttentionParams, TagVector
+from xattn.attention import ContextAttentionParams, TagAttentionParams, TagVector, context_attend
 from xattn.metric import distance
 from xattn.model import (
     CHECKPOINT_MAGIC,
@@ -24,7 +24,6 @@ from xattn.model import (
     embed_shop,
     embed_shops,
     embed_shops_simple,
-    embed_user_contexts,
     extract_features,
     forward_triple,
     init_params,
@@ -33,6 +32,8 @@ from xattn.model import (
     save_checkpoint,
     uniform_embedding,
 )
+from xattn.numeric import l2_normalize
+from xattn.retrieval import build_index, search
 
 from mutations import corrupted, non_finite
 from oracles import (
@@ -240,18 +241,17 @@ class TestEmbeddings:
         raw = rng.normal(size=(4, 3))
         ctx = rng.normal(size=3)
         ctx /= np.linalg.norm(ctx)
+        fmap = extract_features(raw, "user", params)
         np.testing.assert_allclose(
-            embed_user_contexts(extract_features(raw, "user", params), ctx[None], params)[0],
-            uniform_embedding(extract_features(raw, "user", params)),
+            l2_normalize(context_attend(fmap, ctx, params.ctx_attn).pooled),
+            uniform_embedding(fmap),
             atol=1e-12,
         )
 
     def test_context_requires_ctx_head(self):
         params = init_params(small_config(Variant.TAGYNET), 0)
         with pytest.raises(UnsupportedVariantError):
-            embed_user_contexts(
-                extract_features(np.zeros((4, 3)), "user", params), np.array([[1.0, 0.0, 0.0]]), params
-            )
+            search(build_index([], params), np.zeros((4, 3)), params, use_rerank=True)
 
     def test_unit_norm_invariant(self):
         rng = np.random.default_rng(13)
@@ -270,7 +270,9 @@ class TestEmbeddings:
                 ctx,
                 uniform_embedding(extract_features(raw, "user", params)),
                 embed_shops_simple(raw[None], params)[0],
-                embed_user_contexts(extract_features(raw, "user", params), ctx[None], params)[0],
+                l2_normalize(
+                    context_attend(extract_features(raw, "user", params), ctx, params.ctx_attn).pooled
+                ),
             ):
                 assert abs(np.linalg.norm(emb) - 1.0) <= 1e-10
                 assert emb.shape == (config.channels,)
@@ -343,7 +345,7 @@ class TestForwardTriple:
                 shop_rows = embed_shops_simple(shops, params)
             if variant >= Variant.CTXYNET:
                 fmap = extract_features(anchor, "user", params)
-                anchor_rows = embed_user_contexts(fmap, shop_rows, params)
+                anchor_rows = l2_normalize(context_attend(fmap, shop_rows, params.ctx_attn).pooled)
             else:
                 anchor_rows = [uniform_embedding(extract_features(anchor, "user", params))] * 2
             np.testing.assert_array_equal(got.positive, shop_rows[0])
@@ -376,6 +378,22 @@ class TestBackwardTriple:
         bits = TagVector.from_ids([1], 2)
         _, grads = backward_triple(*raws, bits, bits, params, 5.0)
         assert set(grads) == {name for name, _ in params.named_tensors()}
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_frozen_trunk_leaves_only_the_trunk_gradients_out(self, variant):
+        params = init_params(small_config(variant), 29)
+        rng = np.random.default_rng(30)
+        raws = [rng.normal(size=(4, 3)) for _ in range(3)]
+        bits = TagVector.from_ids([1], 2)
+        loss, grads = backward_triple(*raws, bits, bits, params, 5.0)
+        frozen_loss, frozen = backward_triple(*raws, bits, bits, params, 5.0, frozen_trunk=True)
+        assert frozen_loss == loss > 0.0
+        for name, grad in grads.items():
+            if name.startswith("trunk."):
+                assert np.any(grad != 0.0)
+                np.testing.assert_array_equal(frozen[name], np.zeros_like(grad))
+            else:
+                np.testing.assert_array_equal(frozen[name], grad)
 
 
 def payload_offsets(ckpt):

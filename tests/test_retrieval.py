@@ -17,6 +17,7 @@ from xattn.model import (
     init_params,
     params_fingerprint,
 )
+from xattn.numeric import l2_normalize
 from xattn.retrieval import (
     BUILD_ROWS,
     SCREEN_RATIO,
@@ -387,6 +388,57 @@ class TestScreen:
                 for k in ks[ks.index(j) :]:
                     assert np.array_equal(ranked[k].item_ids[:j], ranked[j].item_ids)
                     assert np.array_equal(bits(ranked[k].distances[:j]), bits(ranked[j].distances))
+
+
+@st.composite
+def pooled_and_contexts(draw):
+    """K pooled rows with norms from 1e-20 (below NORM_EPS) to 1e3, and K
+    context rows with norms from 0 to 2; some pooled rows or contexts are
+    zero, and some contexts equal the normalised pooled row."""
+    k = draw(st.integers(1, 40))
+    channels = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pooled = rng.normal(size=(k, channels))
+    pooled *= (10.0 ** rng.uniform(-20, 3, k) / np.linalg.norm(pooled, axis=1))[:, None]
+    contexts = rng.normal(size=(k, channels))
+    contexts *= (rng.uniform(0, 2, k) / np.linalg.norm(contexts, axis=1))[:, None]
+    for kind in draw(st.lists(st.sampled_from(["zero pooled", "zero context", "match"]), max_size=k)):
+        row = rng.integers(k)
+        if kind == "zero pooled":
+            pooled[row] = 0.0
+        elif kind == "zero context":
+            contexts[row] = 0.0
+        else:
+            contexts[row] = l2_normalize(pooled[row])
+    return pooled, contexts
+
+
+class TestRerank:
+    @given(pooled_and_contexts())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_distance_equals_the_normalised_difference(self, case):
+        pooled, contexts = case
+        want = np.sum((l2_normalize(pooled) - contexts) ** 2, axis=1)
+        got = retrieval._context_distances(pooled, contexts, np.sum(contexts**2, axis=1))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert np.all(got >= 0.0)
+
+    def test_reranks_exactly_the_k_rows_of_the_sorted_scan(self):
+        rng = np.random.default_rng(14)
+        params = make_params(Variant.CTXYNET, seed=14)
+        base = make_items(params, 4, rng)
+        # Six copies of each image under scattered ids: ties at most k-th distances.
+        ids = rng.permutation(24) * 3 + 10
+        items = [base[i % 4]._replace(item_id=int(item_id)) for i, item_id in enumerate(ids)]
+        index = build_index(items, params)
+        embedding_of = dict(zip(index.item_ids.tolist(), index.embeddings))
+        raw = query(params, rng)
+        expected = naive_rank(embedding_of.items(), naive_user_embedding(raw, params), 24)
+        for k in range(1, 26):
+            scan = search(index, raw, params, k, use_rerank=False)
+            assert_same_ranking(scan, expected[:k])
+            want = per_candidate_rerank(raw, scan.item_ids.tolist(), embedding_of, params)
+            assert_same_ranking(search(index, raw, params, k, use_rerank=True), want)
 
 
 class TestChecks:
