@@ -53,8 +53,8 @@ class TripleEmbeddings:
         for v in vecs:
             if v.ndim != 1 or v.shape != length:
                 raise ValueError("all four embeddings must share one length")
-            # Written so that a NaN norm fails too.
-            if not abs(float(np.linalg.norm(v)) - 1.0) <= _UNIT_NORM_TOL:
+            # The norm np.linalg.norm takes; written so a NaN norm fails too.
+            if not abs(math.sqrt(float(v.dot(v))) - 1.0) <= _UNIT_NORM_TOL:
                 raise ValueError("embeddings must be L2-normalized")
 
 
@@ -76,16 +76,20 @@ def triplet_loss(e: TripleEmbeddings, alpha: float) -> float:
     return max(0.0, hinge_argument(e, alpha))
 
 
-def triplet_loss_backward(e: TripleEmbeddings, alpha: float) -> TripleGradients:
+def triplet_loss_backward(
+    e: TripleEmbeddings, alpha: float, *, loss: float | None = None
+) -> TripleGradients:
     """Gradients wrt the four embeddings.
 
     When the hinge is inactive all gradients are zero; the kink (argument
-    exactly 0) is treated as inactive. Composing with the normalization
-    Jacobian is the caller's job.
+    exactly 0) is treated as inactive. A caller that already holds
+    ``triplet_loss(e, alpha)`` passes it as ``loss``, and the hinge is not
+    evaluated again: the loss is positive exactly when the hinge is active.
+    Composing with the normalization Jacobian is the caller's job.
     """
     if alpha < 0:
         raise ValueError("margin alpha must be non-negative")
-    if hinge_argument(e, alpha) <= 0.0:
+    if (hinge_argument(e, alpha) if loss is None else loss) <= 0.0:
         zero = np.zeros_like(e.anchor_pos)
         return TripleGradients(zero, zero.copy(), zero.copy(), zero.copy())
     pos_pull = 2.0 * (e.anchor_pos - e.positive)

@@ -35,6 +35,14 @@ calls it once and walks back over them; the gradient check differences
 the same ``forward_triple``. In the stages that freeze the trunk,
 ``backward_triple`` skips the trunk gradients.
 
+A training step costs one ``forward_triple`` and one ``triplet_loss`` per
+triple; the hinge is not evaluated again on the way back. The step
+returns one gradient array per tensor: the arrays the backward pass
+computes, with zeros allocated only for a frozen trunk and, when the loss
+is 0, for every tensor. ``training.train_stage`` adds into its minibatch
+sum only the triples with a non-zero loss, and only the tensors it
+updates.
+
 ``params_fingerprint`` identifies the parameters an index was built with,
 and ``search`` checks it on every query. Tensors change in place (SGD, the
 gradient check, callers), so a digest from an earlier call cannot be
@@ -180,7 +188,7 @@ class ModelParams:
             yield "ctx_attn.context_weight", self.ctx_attn.context_weight
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(arr) for name, arr in self.named_tensors()}
+        return {name: np.zeros(arr.shape) for name, arr in self.named_tensors()}
 
     def copy(self) -> "ModelParams":
         tensors = {name: arr.copy() for name, arr in self.named_tensors()}
@@ -305,9 +313,18 @@ def extract_features(
     return _features(raw, domain, params).fmap
 
 
+def _location_mean(fmap: np.ndarray) -> np.ndarray:
+    """Mean over the locations of a map, or of each map of a stack: the sum
+    and the in-place division ``fmap.mean(axis=-2)`` makes, without its
+    argument handling."""
+    pooled = np.add.reduce(fmap, axis=-2)
+    pooled /= fmap.shape[-2]
+    return pooled
+
+
 def uniform_embedding(fmap: np.ndarray) -> np.ndarray:
     """Unit-norm uniform pooling of a feature map (one row per map of a stack)."""
-    return l2_normalize(fmap.mean(axis=-2))
+    return l2_normalize(_location_mean(fmap))
 
 
 def embed_shops(raws: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndarray:
@@ -338,7 +355,13 @@ def _uniform_pool(fmap: np.ndarray) -> AttentionResult:
     """Uniform pooling as attention with constant weights 1/L; the pooled
     rows are the location mean, as ``uniform_embedding`` takes it."""
     weights = np.full(fmap.shape[:-1], 1.0 / fmap.shape[-2])
-    return AttentionResult(weights=weights, pooled=fmap.mean(axis=-2))
+    return AttentionResult(weights=weights, pooled=_location_mean(fmap))
+
+
+def _pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The 2-stack [first, second] of two arrays of one shape; the values
+    ``np.stack`` gives, at less cost per call."""
+    return np.concatenate((first, second)).reshape(2, *np.shape(first))
 
 
 class TripleForward(NamedTuple):
@@ -375,13 +398,13 @@ def forward_triple(
     """
     variant = params.config.variant
     anchor = _features(anchor_raw, "user", params)
-    shops = _features(np.stack([positive_raw, negative_raw]), "shop", params)
+    shops = _features(_pair(positive_raw, negative_raw), "shop", params)
     shop_tags = None
     if variant >= Variant.TAGYNET:
         if positive_tags is None or negative_tags is None:
             raise ValueError("tag vectors required for the tag-attention variant")
         assert params.tag_attn is not None
-        shop_tags = TagVector(bits=np.stack([positive_tags.bits, negative_tags.bits]))
+        shop_tags = TagVector(bits=_pair(positive_tags.bits, negative_tags.bits))
         shop_pool = tag_attend(shops.fmap, shop_tags, params.tag_attn)
     else:
         shop_pool = _uniform_pool(shops.fmap)
@@ -427,32 +450,37 @@ def backward_triple(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss plus analytic gradients for every tensor in ``params``.
 
-    Runs ``forward_triple`` once and walks back over what it saved. Shop
+    Runs ``forward_triple`` once and walks back over what it saved; the
+    hinge is evaluated once, by the forward's ``triplet_loss``. Shop
     embeddings receive gradient along two routes in the context variant:
     directly from the loss and through the context-attention alignment of
     the anchor. With ``frozen_trunk`` (the curriculum stages after the
     first, which do not update the trunk), the trunk gradients are not
-    computed and stay zero.
+    computed.
+
+    The dict always holds one array per tensor. Each gradient is the array
+    its last step computed; zeros are allocated only for the trunk when it
+    is frozen, and for every tensor when the loss is 0.
     """
     fwd = forward_triple(
         anchor_raw, positive_raw, negative_raw, positive_tags, negative_tags, params, alpha
     )
-    grads = params.zero_grads()
     if fwd.loss == 0.0:
-        return 0.0, grads
+        return 0.0, params.zero_grads()
     e = fwd.embeddings
-    eg = triplet_loss_backward(e, alpha)
+    eg = triplet_loss_backward(e, alpha, loss=fwd.loss)
+    grads: dict[str, np.ndarray] = {}
 
-    grad_shops = np.stack([eg.positive, eg.negative])
+    grad_shops = _pair(eg.positive, eg.negative)
     if params.config.variant >= Variant.CTXYNET:
         assert params.ctx_attn is not None
         grad_pooled = l2_normalize_backward(
-            fwd.anchor_pool.pooled, np.stack([eg.anchor_pos, eg.anchor_neg])
+            fwd.anchor_pool.pooled, _pair(eg.anchor_pos, eg.anchor_neg)
         )
         grad_anchor_map, grad_contexts, grad_feature_weight, grad_context_weight = (
             context_attend_backward(
                 fwd.anchor.fmap,
-                np.stack([e.positive, e.negative]),
+                _pair(e.positive, e.negative),
                 params.ctx_attn,
                 fwd.anchor_pool,
                 grad_pooled,
@@ -475,19 +503,23 @@ def backward_triple(
     else:
         grad_shop_map = fwd.shop_pool.weights[..., None] * grad_pooled[..., None, :]
 
-    for features, grad_map, branch_name in (
-        (fwd.anchor, grad_anchor_map, "branch_user"),
-        (fwd.shops, grad_shop_map, "branch_shop"),
+    grad_pre = []  # per domain, the gradient at the trunk's pre-activations
+    for features, grad_map, name, branch in (
+        (fwd.anchor, grad_anchor_map, "branch_user", params.branch_user),
+        (fwd.shops, grad_shop_map, "branch_shop", params.branch_shop),
     ):
-        branch = getattr(params, branch_name)
         grad_out = grad_map.reshape(-1, params.config.channels)
-        grads[branch_name + ".weight"] = grad_out.T @ features.hidden
-        grads[branch_name + ".bias"] = grad_out.sum(axis=0)
-        if frozen_trunk:
-            continue
-        grad_pre = np.where(features.hidden > 0.0, grad_out @ branch.weight, 0.0)
-        grads["trunk.weight"] += grad_pre.T @ features.rows
-        grads["trunk.bias"] += grad_pre.sum(axis=0)
+        grads[name + ".weight"] = grad_out.T @ features.hidden
+        grads[name + ".bias"] = grad_out.sum(axis=0)
+        if not frozen_trunk:
+            grad_pre.append(np.where(features.hidden > 0.0, grad_out @ branch.weight, 0.0))
+    if frozen_trunk:
+        grads["trunk.weight"] = np.zeros_like(params.trunk.weight)
+        grads["trunk.bias"] = np.zeros_like(params.trunk.bias)
+    else:
+        user_pre, shop_pre = grad_pre
+        grads["trunk.weight"] = user_pre.T @ fwd.anchor.rows + shop_pre.T @ fwd.shops.rows
+        grads["trunk.bias"] = user_pre.sum(axis=0) + shop_pre.sum(axis=0)
     return fwd.loss, grads
 
 

@@ -44,17 +44,38 @@ def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     return weights
 
 
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of ``x``, kept as a trailing axis of 1: the
+    sums ``np.linalg.norm(x, axis=-1)`` takes for real float64 input."""
+    return np.add.reduce(x * x, axis=-1, keepdims=True)
+
+
 def l2_normalize(v: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
     """Return ``v / max(||v||_2, eps)``; the eps guard keeps 0 well-defined.
 
-    Each row of a 2-D stack is normalized on its own.
+    Each row of a 2-D stack is normalized on its own. The norm is the one
+    ``np.linalg.norm`` gives: ``sqrt(v.dot(v))`` for a vector, a row-wise
+    sum of squares for a stack. A row whose squared norm overflows is
+    divided by its largest magnitude and squared again, so it still
+    normalizes to unit length (numpy warns of the first overflow); every
+    other row keeps its bits.
     """
     x = np.asarray(v, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] == 0:
         raise ValueError("l2_normalize expects a non-empty vector or a stack of them")
     if x.ndim == 1:
-        return x / max(float(np.linalg.norm(x)), eps)
-    return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), eps)
+        sq = float(x.dot(x))
+        if sq == math.inf:
+            x = x / np.abs(x).max()
+            sq = float(x.dot(x))
+        return x / max(math.sqrt(sq), eps)
+    sq = _sq_norms(x)
+    over = np.isinf(sq[:, 0])
+    if over.any():
+        x = x.copy()
+        x[over] /= np.abs(x[over]).max(axis=-1, keepdims=True)
+        sq[over] = _sq_norms(x[over])
+    return x / np.maximum(np.sqrt(sq), eps)
 
 
 def l2_normalize_backward(
@@ -64,17 +85,19 @@ def l2_normalize_backward(
 
     Each row of a 2-D stack is its own vector, as in ``l2_normalize``.
     Below the eps guard the map is linear (``v / eps``) and the Jacobian
-    is ``I / eps``.
+    is ``I / eps``. Norms are row-wise sums of squares, for a single
+    vector too, as ``np.linalg.norm(v, axis=-1)`` takes them.
     """
     x = np.asarray(v, dtype=np.float64)
     g = np.asarray(grad_output, dtype=np.float64)
     if x.shape != g.shape:
         raise ValueError("gradient shape must match the input vector")
-    norm = np.linalg.norm(x, axis=-1, keepdims=True)
+    norm = np.sqrt(_sq_norms(x))
     scale = np.maximum(norm, eps)
     y = x / scale
+    along = np.add.reduce(g * y, axis=-1, keepdims=True)
     # Below the guard the projection term drops out: (g - 0) / eps.
-    along = np.where(norm < eps, 0.0, np.sum(g * y, axis=-1, keepdims=True))
+    along[norm < eps] = 0.0
     return (g - along * y) / scale
 
 

@@ -39,6 +39,7 @@ float64. ``fileio`` says how faults are reported.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import struct
@@ -182,11 +183,13 @@ class ShopIndex:
     stores it, (N, ceil(T/8)) uint8; only ``save_index`` reads it. The
     columns are read-only once the index exists.
 
-    The scan reads columns derived in memory when the index is made:
-    ``_sq_norms`` (each row's squared norm, which the re-rank reads too),
-    ``_norms`` (its float64 norm), ``_max_norm`` (the largest norm) and
-    ``_screen`` (each row scaled to unit length, as float32; a zero row
-    stays zero). The index file stores none of them.
+    The scan reads columns derived in memory: ``_sq_norms`` (each row's
+    squared norm, which the re-rank reads too) when the index is made, and
+    the screen's ``_norms`` (each row's float64 norm), ``_max_norm`` (the
+    largest norm) and ``_screen`` (each row scaled to unit length, as
+    float32; a zero row stays zero) on the first scan that screens, so an
+    index that is only built and saved never pays for them. The index file
+    stores none of them.
     """
 
     item_ids: np.ndarray
@@ -222,12 +225,21 @@ class ShopIndex:
             column.flags.writeable = False
         # The scan expands |e - q|^2 = |e|^2 - 2 e.q + |q|^2.
         self._sq_norms = np.einsum("ij,ij->i", self.embeddings, self.embeddings)
-        self._norms = np.sqrt(self._sq_norms)
-        self._max_norm = float(self._norms.max(initial=0.0))
+
+    @functools.cached_property
+    def _norms(self) -> np.ndarray:
+        return np.sqrt(self._sq_norms)
+
+    @functools.cached_property
+    def _max_norm(self) -> float:
+        return float(self._norms.max(initial=0.0))
+
+    @functools.cached_property
+    def _screen(self) -> np.ndarray:
         # Divided straight into float32, with no N x C float64 temporary.
         # Rows too small to scale divide by infinity and stay zero.
         scale = np.where(self._norms >= _TINY_NORM, self._norms, np.inf)
-        self._screen = np.divide(
+        return np.divide(
             self.embeddings,
             scale[:, None],
             out=np.empty(self.embeddings.shape, np.float32),
@@ -372,13 +384,21 @@ def _context_distances(pooled: np.ndarray, contexts: np.ndarray, sq_norms: np.nd
 
     With ``pp = p.p`` and ``s = max(sqrt(pp), NORM_EPS)``, the distance is
     ``pp / s^2 - 2 (p.c) / s + |c|^2``, clamped at 0. Rounding is relative
-    to ``(1 + |c|)^2``; for the unit rows of an index, and while ``pp`` does
-    not overflow, the result is within 1e-12 of the direct form.
+    to ``(1 + |c|)^2``; for the unit rows of an index the result is within
+    1e-12 of the direct form. A row whose ``pp`` overflows is divided by
+    its largest magnitude first, which leaves its normalised row as it is;
+    every other row keeps its bits.
     """
     pp = np.vecdot(pooled, pooled)
+    pc = np.vecdot(pooled, contexts)
+    over = np.isinf(pp)
+    if over.any():
+        scaled = pooled[over] / np.abs(pooled[over]).max(axis=-1, keepdims=True)
+        pp[over] = np.vecdot(scaled, scaled)
+        pc[over] = np.vecdot(scaled, contexts[over])
     scale = np.maximum(np.sqrt(pp), NORM_EPS)
     dists = pp / (scale * scale)
-    dists -= 2.0 * np.vecdot(pooled, contexts) / scale
+    dists -= 2.0 * pc / scale
     dists += sq_norms
     np.maximum(dists, 0.0, out=dists)
     return dists

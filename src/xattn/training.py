@@ -178,6 +178,12 @@ def train_stage(
     the final checkpoint and the per-epoch mean loss curve; each epoch also
     writes one ``epoch<TAB>stage<TAB>lr<TAB>mean_loss`` line to
     ``metrics_out``.
+
+    Each triple is one ``backward_triple`` call. The minibatch gradient is
+    the sum over the batch's triples with a non-zero loss, of the tensors
+    not frozen, divided by the batch size; a triple with zero loss adds
+    only zeros, so leaving it out gives the same bits. A batch with no such
+    triple still makes a momentum step, on zero gradients.
     """
     stage = stage.strip().lower()
     variant = stage_variant(stage)
@@ -214,6 +220,8 @@ def train_stage(
     sample_rng = np.random.default_rng([cfg.seed, stage_index, 1])
     frozen_trunk = stage_index > 0
     frozen = FROZEN_TRUNK if frozen_trunk else ()
+    # The tensors the minibatch sum holds: those sgd_step updates.
+    trained = [(name, t) for name, t in params.named_tensors() if name not in frozen]
     alpha = cfg.margins[stage]
     records = _record_by_id(dataset)
     epoch_count = cfg.epochs[stage]
@@ -246,16 +254,19 @@ def train_stage(
                     raise TrainingDivergedError(
                         f"non-finite loss at stage {stage} epoch {epoch}"
                     )
+                if loss == 0.0:
+                    continue  # its gradients are all zero
                 batch_loss += loss
                 if grads_sum is None:
-                    grads_sum = grads
+                    grads_sum = {name: grads[name] for name, _ in trained}
                 else:
                     for name in grads_sum:
                         grads_sum[name] += grads[name]
-            assert grads_sum is not None
+            if grads_sum is None:
+                grads_sum = {name: np.zeros_like(t) for name, t in trained}
             scale = 1.0 / len(batch)
-            for name in grads_sum:
-                grads_sum[name] *= scale
+            for grad in grads_sum.values():
+                grad *= scale
             sgd_step(params, grads_sum, velocity, lr, cfg.momentum, frozen=frozen)
             epoch_loss += batch_loss
         mean_loss = epoch_loss / len(triples)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import TagVector
-from .metric import distance
-from .model import (
+from xattn.attention import TagVector
+from xattn.metric import distance
+from xattn.model import (
     ModelConfig,
     ModelParams,
     Variant,
@@ -23,7 +23,7 @@ from .model import (
     forward_triple,
     init_params,
 )
-from .numeric import finite_diff_grad
+from xattn.numeric import finite_diff_grad
 
 REL_TOL = 1e-4
 ABS_TOL = 1e-7

@@ -3,8 +3,9 @@
 Everything here is deliberately written with plain Python loops and
 ``math.exp`` so it shares no code path with the library. Keep it slow
 and obvious. The exceptions are references for a numpy form the library
-replaced, such as ``out_of_place_features``, which must agree with it bit
-for bit.
+replaced, such as ``out_of_place_features`` or ``reference_train_stage``,
+which must agree with it bit for bit; these may call the library's other
+steps.
 """
 
 from __future__ import annotations
@@ -14,6 +15,12 @@ import math
 import struct
 
 import numpy as np
+
+from xattn.attention import context_attend_backward, tag_attend_backward
+from xattn.metric import triplet_loss_backward
+from xattn.model import Checkpoint, ModelConfig, Variant, forward_triple, init_params
+from xattn.numeric import l2_normalize_backward
+from xattn.training import FROZEN_TRUNK, lr_at, sample_triples, sgd_step, stage_variant
 
 
 def naive_softmax(scores) -> list[float]:
@@ -256,3 +263,143 @@ def reference_sample_triples(dataset, count, rng) -> list[tuple[int, int, int]]:
         negative = negatives[int(rng.integers(len(negatives)))]
         triples.append((anchor.item_id, positive, negative))
     return triples
+
+
+def linalg_l2_normalize(v, eps=1e-12):
+    """``l2_normalize`` with its norms taken by ``np.linalg.norm``: the
+    library must give these bits wherever no squared norm overflows."""
+    x = np.asarray(v, dtype=np.float64)
+    if x.ndim == 1:
+        return x / max(float(np.linalg.norm(x)), eps)
+    return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), eps)
+
+
+def linalg_l2_normalize_backward(v, grad_output, eps=1e-12):
+    """``l2_normalize_backward`` with ``np.linalg.norm`` and ``np.where``."""
+    x = np.asarray(v, dtype=np.float64)
+    g = np.asarray(grad_output, dtype=np.float64)
+    norm = np.linalg.norm(x, axis=-1, keepdims=True)
+    scale = np.maximum(norm, eps)
+    y = x / scale
+    along = np.where(norm < eps, 0.0, np.sum(g * y, axis=-1, keepdims=True))
+    return (g - along * y) / scale
+
+
+def reference_backward_triple(
+    anchor_raw, positive_raw, negative_raw, positive_tags, negative_tags, params, alpha,
+    *, frozen_trunk=False,
+):
+    """``backward_triple`` as it was before its per-call costs were cut: a
+    zero dict that each gradient overwrites or adds into, the hinge
+    evaluated again by ``triplet_loss_backward``, and pairs joined with
+    ``np.stack``. The library's gradients must have these bits."""
+    fwd = forward_triple(
+        anchor_raw, positive_raw, negative_raw, positive_tags, negative_tags, params, alpha
+    )
+    grads = {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
+    if fwd.loss == 0.0:
+        return 0.0, grads
+    e = fwd.embeddings
+    eg = triplet_loss_backward(e, alpha)
+    grad_shops = np.stack([eg.positive, eg.negative])
+    if params.config.variant >= Variant.CTXYNET:
+        grad_pooled = l2_normalize_backward(
+            fwd.anchor_pool.pooled, np.stack([eg.anchor_pos, eg.anchor_neg])
+        )
+        grad_anchor_map, grad_contexts, grad_fw, grad_cw = context_attend_backward(
+            fwd.anchor.fmap,
+            np.stack([e.positive, e.negative]),
+            params.ctx_attn,
+            fwd.anchor_pool,
+            grad_pooled,
+        )
+        grads["ctx_attn.feature_weight"] = grad_fw
+        grads["ctx_attn.context_weight"] = grad_cw
+        grad_shops += grad_contexts
+    else:
+        grad_pooled = l2_normalize_backward(fwd.anchor_pool.pooled, eg.anchor_pos + eg.anchor_neg)
+        grad_anchor_map = fwd.anchor_pool.weights[..., None] * grad_pooled[..., None, :]
+    grad_pooled = l2_normalize_backward(fwd.shop_pool.pooled, grad_shops)
+    if fwd.shop_tags is not None:
+        grad_shop_map, grads["tag_attn.embedding"] = tag_attend_backward(
+            fwd.shops.fmap, fwd.shop_tags, params.tag_attn, fwd.shop_pool, grad_pooled
+        )
+    else:
+        grad_shop_map = fwd.shop_pool.weights[..., None] * grad_pooled[..., None, :]
+    for features, grad_map, branch_name in (
+        (fwd.anchor, grad_anchor_map, "branch_user"),
+        (fwd.shops, grad_shop_map, "branch_shop"),
+    ):
+        branch = getattr(params, branch_name)
+        grad_out = grad_map.reshape(-1, params.config.channels)
+        grads[branch_name + ".weight"] = grad_out.T @ features.hidden
+        grads[branch_name + ".bias"] = grad_out.sum(axis=0)
+        if frozen_trunk:
+            continue
+        grad_pre = np.where(features.hidden > 0.0, grad_out @ branch.weight, 0.0)
+        grads["trunk.weight"] += grad_pre.T @ features.rows
+        grads["trunk.bias"] += grad_pre.sum(axis=0)
+    return fwd.loss, grads
+
+
+def reference_train_stage(stage, dataset, cfg, model_cfg=None, init=None):
+    """``train_stage``'s loop before its minibatch sum skipped anything:
+    every triple's full gradient dict, zero-loss triples and a frozen
+    trunk's zeros included, is added in, with ``reference_backward_triple``
+    computing each. Returns the checkpoint, the loss curve and, per
+    minibatch, how many of its triples had zero loss."""
+    variant = stage_variant(stage)
+    base_cfg = init.config if init is not None else model_cfg
+    config = ModelConfig(
+        base_cfg.locations, base_cfg.channels, base_cfg.tag_count, base_cfg.raw_dim, variant
+    )
+    params = init_params(
+        config,
+        np.random.default_rng([cfg.seed, int(variant), 0]),
+        base=init.params if init is not None else None,
+    )
+    sample_rng = np.random.default_rng([cfg.seed, int(variant), 1])
+    frozen_trunk = int(variant) > 0
+    records = {r.item_id: r for r in dataset.manifest.records}
+    velocity = {}
+    curve = []
+    zero_losses = []
+    for epoch in range(cfg.epochs[stage]):
+        lr = lr_at(epoch, cfg)
+        triples = sample_triples(dataset, len(dataset.user_records()), sample_rng)
+        epoch_loss = 0.0
+        for start in range(0, len(triples), cfg.batch_size):
+            batch = triples[start : start + cfg.batch_size]
+            grads_sum = None
+            batch_loss = 0.0
+            zero_losses.append(0)
+            for anchor, positive, negative in batch:
+                loss, grads = reference_backward_triple(
+                    dataset.features[anchor],
+                    dataset.features[positive],
+                    dataset.features[negative],
+                    dataset.tag_vector(records[positive]),
+                    dataset.tag_vector(records[negative]),
+                    params,
+                    cfg.margins[stage],
+                    frozen_trunk=frozen_trunk,
+                )
+                zero_losses[-1] += loss == 0.0
+                batch_loss += loss
+                if grads_sum is None:
+                    grads_sum = grads
+                else:
+                    for name in grads_sum:
+                        grads_sum[name] += grads[name]
+            for name in grads_sum:
+                grads_sum[name] *= 1.0 / len(batch)
+            sgd_step(
+                params, grads_sum, velocity, lr, cfg.momentum,
+                frozen=FROZEN_TRUNK if frozen_trunk else (),
+            )
+            epoch_loss += batch_loss
+        curve.append(epoch_loss / len(triples))
+    checkpoint = Checkpoint(
+        config=config, params=params, epoch=cfg.epochs[stage], seed=cfg.seed, stage=stage
+    )
+    return checkpoint, curve, zero_losses

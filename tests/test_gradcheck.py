@@ -1,12 +1,13 @@
 import numpy as np
 
-from xattn.gradcheck import (
+from xattn.metric import distance
+from xattn.model import Variant, forward_triple
+
+from gradcheck import (
     check_triple_gradients,
     random_check_instance,
     run_gradient_checks,
 )
-from xattn.metric import distance
-from xattn.model import Variant, forward_triple
 
 
 class TestInstanceGeneration:

@@ -171,6 +171,20 @@ class TestTripletLossBackward:
         np.testing.assert_array_equal(grads.anchor_pos, [2.0, -2.0])
         np.testing.assert_array_equal(grads.positive, [-2.0, 2.0])
 
+    def test_a_given_loss_stands_for_the_hinge(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            e = random_triple(rng)
+            alpha = float(rng.uniform(0.0, 1.0))
+            want = triplet_loss_backward(e, alpha)
+            got = triplet_loss_backward(e, alpha, loss=triplet_loss(e, alpha))
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+        # The given loss decides, not a fresh hinge: 0 means inactive.
+        e = TripleEmbeddings(*(unit(rng) for _ in range(4)))
+        for g in triplet_loss_backward(e, 4.0, loss=0.0):
+            np.testing.assert_array_equal(g, np.zeros_like(g))
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         checked = 0

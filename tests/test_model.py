@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xattn import gradcheck, model
+from xattn import model
 from xattn.attention import ContextAttentionParams, TagAttentionParams, TagVector, context_attend
 from xattn.metric import distance
 from xattn.model import (
@@ -35,12 +35,14 @@ from xattn.model import (
 from xattn.numeric import l2_normalize
 from xattn.retrieval import build_index, search
 
+import gradcheck
 from mutations import corrupted, non_finite
 from oracles import (
     naive_affine_relu_affine,
     naive_l2_normalize,
     naive_tag_attend,
     out_of_place_features,
+    reference_backward_triple,
     reference_fingerprint,
 )
 
@@ -378,6 +380,44 @@ class TestBackwardTriple:
         bits = TagVector.from_ids([1], 2)
         _, grads = backward_triple(*raws, bits, bits, params, 5.0)
         assert set(grads) == {name for name, _ in params.named_tensors()}
+
+    @pytest.mark.parametrize("frozen_trunk", [False, True])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_zero_loss_gives_a_full_dict_of_zeros(self, variant, frozen_trunk):
+        params = init_params(small_config(variant), 27)
+        rng = np.random.default_rng(28)
+        anchor, shop = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        bits = TagVector.from_ids([1], 2)
+        # Positive and negative are one image, so at margin 0 the hinge
+        # argument is exactly 0.
+        loss, grads = backward_triple(
+            anchor, shop, shop, bits, bits, params, 0.0, frozen_trunk=frozen_trunk
+        )
+        assert loss == 0.0
+        assert list(grads) == [name for name, _ in params.named_tensors()]
+        for name, tensor in params.named_tensors():
+            assert grads[name].shape == tensor.shape
+            np.testing.assert_array_equal(grads[name], np.zeros_like(tensor))
+
+    @pytest.mark.parametrize("frozen_trunk", [False, True])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_same_bits_as_the_zero_filled_reference(self, variant, frozen_trunk):
+        rng = np.random.default_rng(31 + int(variant))
+        params = init_params(small_config(variant), 32)
+        params.trunk.bias[...] = 0.05
+        bits = [TagVector(bits=rng.integers(0, 2, 2).astype(np.float64)) for _ in range(2)]
+        losses = []
+        for alpha in np.linspace(0.0, 1.5, 12):
+            raws = [rng.normal(size=(4, 3)) for _ in range(3)]
+            args = (*raws, *bits, params, float(alpha))
+            loss, grads = backward_triple(*args, frozen_trunk=frozen_trunk)
+            want_loss, want = reference_backward_triple(*args, frozen_trunk=frozen_trunk)
+            assert loss == want_loss
+            assert set(grads) == set(want)
+            for name in want:
+                assert grads[name].tobytes() == want[name].tobytes(), name
+            losses.append(loss)
+        assert 0.0 in losses and max(losses) > 0.0
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_frozen_trunk_leaves_only_the_trunk_gradients_out(self, variant):

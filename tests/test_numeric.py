@@ -13,7 +13,29 @@ from xattn.numeric import (
     softmax,
 )
 
-from oracles import naive_softmax
+from oracles import linalg_l2_normalize, linalg_l2_normalize_backward, naive_softmax
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def vectors_and_stacks(draw):
+    """A vector of 1 to 64 entries or a stack of 1 to 8 such rows, each row
+    scaled to a norm from 1e-20 (below NORM_EPS) to 1e20, some rows zero,
+    with a gradient of the same shape."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels = draw(st.integers(1, 64))
+    rows = draw(st.integers(1, 8))
+    x = rng.normal(size=(rows, channels))
+    x *= 10.0 ** rng.uniform(-20, 20, size=(rows, 1))
+    x[rng.random(rows) < 0.2] = 0.0
+    g = rng.normal(size=x.shape)
+    if draw(st.booleans()):
+        return x[0], g[0]
+    return x, g
 
 
 class TestSoftmax:
@@ -127,6 +149,35 @@ class TestL2Normalize:
         np.testing.assert_array_equal(got[0], g[0] / 1e-12)
         np.testing.assert_allclose(got[1], l2_normalize_backward(v[1], g[1]), rtol=0, atol=1e-15)
         np.testing.assert_allclose(got[1], [0.128, -0.096], rtol=0, atol=1e-15)
+
+    @given(vectors_and_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_the_linalg_norm_forms(self, case):
+        x, g = case
+        assert same_bits(l2_normalize(x), linalg_l2_normalize(x))
+        assert same_bits(l2_normalize_backward(x, g), linalg_l2_normalize_backward(x, g))
+
+    def test_overflowing_vector_still_normalises(self):
+        # Its squared norm is inf, which numpy reports before the rescale.
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = l2_normalize(np.array([1e200, 0.0]))
+        assert same_bits(got, np.array([1.0, 0.0]))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = l2_normalize(np.array([-3e300, 4e300]))
+        np.testing.assert_allclose(got, [-0.6, 0.8], rtol=0, atol=1e-15)
+
+    def test_overflowing_row_leaves_the_other_rows_alone(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(6, 2)) * 10.0 ** rng.uniform(-20, 20, size=(6, 1))
+        x[[1, 4]] = [1e200, 0.0], [0.0, -1e180]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = l2_normalize(x)
+        with np.errstate(over="ignore"):
+            old = linalg_l2_normalize(x)
+        assert same_bits(got[1], np.array([1.0, 0.0]))
+        assert same_bits(got[4], np.array([0.0, -1.0]))
+        kept = [0, 2, 3, 5]
+        assert same_bits(got[kept], old[kept])
 
 
 class TestFiniteDiffGrad:

@@ -371,6 +371,23 @@ class TestScreen:
         assert np.array_equal(index._screen, np.float32([[0, 0], [0, 0], [0, 0], [0.6, 0.8]]))
         assert index._screen.dtype == np.float32 and index._max_norm == 5.0
 
+    def test_screen_is_built_by_the_first_scan_that_screens(self, tmp_path):
+        lazy = ("_norms", "_max_norm", "_screen")
+        rng = np.random.default_rng(15)
+        params = make_params(Variant.TAGYNET)
+        built = build_index(make_items(params, 64, rng), params)
+        save_index(tmp_path / "index.xidx", built)
+        loaded = load_index(tmp_path / "index.xidx", params.config.channels, params.config.tag_count)
+        raw = query(params, rng)
+        for index in (built, loaded):
+            assert not any(name in vars(index) for name in lazy)
+            # 64 < SCREEN_RATIO * 5: a full scan, which reads no screen.
+            full = search(index, raw, params, k=5, use_rerank=False)
+            assert not any(name in vars(index) for name in lazy)
+            screened = search(index, raw, params, k=4, use_rerank=False)
+            assert all(name in vars(index) for name in lazy)
+            assert screened == full[:4]
+
     def test_search_prefixes_agree_across_the_screen_boundary(self):
         rng = np.random.default_rng(13)
         params = make_params(Variant.TAGYNET, locations=2, channels=8)
@@ -422,6 +439,19 @@ class TestRerank:
         got = retrieval._context_distances(pooled, contexts, np.sum(contexts**2, axis=1))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert np.all(got >= 0.0)
+
+    def test_row_whose_squared_norm_overflows(self):
+        contexts = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0], [0.8, 0.6]])
+        pooled = np.array([[1e200, 0.0], [3.0, 4.0], [1e-20, 2e-20], [-4e300, -3e300]])
+        sq_norms = np.ones(4)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = retrieval._context_distances(pooled, contexts, sq_norms)
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got[3], 4.0, rtol=0, atol=1e-15)
+        # The other rows have the bits they have without the overflowing ones.
+        kept = [1, 2]
+        want = retrieval._context_distances(pooled[kept], contexts[kept], sq_norms[kept])
+        assert np.array_equal(bits(got[kept]), bits(want))
 
     def test_reranks_exactly_the_k_rows_of_the_sorted_scan(self):
         rng = np.random.default_rng(14)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xattn.dataio import Dataset, Manifest, ManifestRecord, SyntheticSpec, generate_synthetic, load_dataset
-from xattn.model import ModelConfig, Variant, init_params
+from xattn.model import ModelConfig, Variant, checkpoint_to_bytes, init_params
 from xattn.training import (
     FROZEN_TRUNK,
     STAGES,
@@ -18,7 +18,7 @@ from xattn.training import (
     train_stage,
 )
 
-from oracles import reference_sample_triples
+from oracles import reference_sample_triples, reference_train_stage
 
 
 def records_dataset(shop_products, user_products):
@@ -129,3 +129,30 @@ class TestCurriculum:
         config = ModelConfig(locations=3, channels=2, tag_count=1, raw_dim=2, variant=Variant.YNET)
         with pytest.raises(ValueError, match="unknown stage 'resnet'"):
             run_curriculum(dataset, ("ynet", "resnet"), TrainConfig(), config)
+
+    def test_same_bytes_as_the_loop_that_summed_every_gradient(self, tmp_path):
+        # 14 users in batches of 3, and margins small enough that every
+        # stage has triples, and whole batches, with zero loss.
+        spec = SyntheticSpec(
+            products=7, holdout_products=0, user_per_product=2, locations=4, channels=5,
+            tag_count=3, raw_dim=4, signal_locations=2, seed=5,
+        )
+        generate_synthetic(spec, tmp_path)
+        dataset = load_dataset(tmp_path / "train")
+        config = ModelConfig(locations=4, channels=5, tag_count=3, raw_dim=4, variant=Variant.YNET)
+        cfg = TrainConfig(
+            batch_size=3,
+            margins={"ynet": 0.0, "tagynet": 0.01, "ctxynet": 0.0},
+            epochs={s: 3 for s in STAGES},
+            seed=9,
+        )
+        got = run_curriculum(dataset, STAGES, cfg, config)
+        init = None
+        for stage, (checkpoint, curve) in zip(STAGES, got):
+            want, want_curve, zero_losses = reference_train_stage(stage, dataset, cfg, config, init)
+            sizes = [3, 3, 3, 3, 2] * 3
+            assert 0 < sum(zero_losses) < sum(sizes), stage
+            assert any(z == n for z, n in zip(zero_losses, sizes)), stage
+            assert checkpoint_to_bytes(checkpoint) == checkpoint_to_bytes(want), stage
+            assert np.asarray(curve).tobytes() == np.asarray(want_curve).tobytes(), stage
+            init = want
