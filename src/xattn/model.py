@@ -5,12 +5,22 @@ uniformly; the tag variant adds tag-conditioned pooling on the shop
 side; the context variant additionally attends the query under each
 candidate's shop embedding as context.
 
-The trunk and branches are per-location affine+ReLU transforms
-(1x1-convolution equivalents); precomputed feature maps can bypass the
-trunk via raw_dim == channels with an identity trunk. Feature maps are
-plain arrays: L x C for one image, B x L x C for a stack.
+The trunk is a per-location affine+ReLU transform and each branch a
+per-location affine one (1x1-convolution equivalents); precomputed
+feature maps can bypass the trunk via raw_dim == channels with an
+identity trunk. Feature maps are plain arrays: L x C for one image,
+B x L x C for a stack. A forward pass is a trunk pass (``_trunk``) and a
+branch pass. The user side applies its branch at every location, since
+the re-rank attends the whole L x C map. The shop side pools first
+(``_shop_pass``): it pools the trunk's hidden maps and applies the shop
+branch once per image, to the pooled row. The branch is affine and the
+pooling weights sum to 1, so this is the pooled branch output, and the
+branch costs ``C^2`` multiply-adds per image instead of ``L C^2``. Tag
+attention scores the hidden maps under the keys ``E @ W_shop``:
+``(W h + b) . e = h . (W^T e) + b . e``, and the softmax ignores
+``b . e``, which is the same at every location.
 
-Finiteness is checked once, where data enters: ``_features`` (behind
+Finiteness is checked once, where data enters: ``_trunk`` (behind
 ``extract_features``, every ``embed_*`` and ``forward_triple``) rejects
 non-finite raw input, ``checkpoint_from_bytes`` rejects NaN/Inf tensors,
 the feature-map and index parsers reject NaN/Inf payloads, and
@@ -19,21 +29,25 @@ in memory give NaN embeddings, which ``TripleEmbeddings`` (training) and
 ``retrieval.ShopIndex`` (serving) refuse.
 
 Serving runs the batched forward functions: ``embed_shops`` and
-``embed_shops_simple`` embed a B x L x R stack of shop images at once.
-A query's scan embedding is ``uniform_embedding`` of its
-``extract_features`` map; the re-rank in ``retrieval.search`` attends that
-map under its K candidates at once with ``attention.context_attend`` and
-takes the distance of each normalised pooled row in closed form.
-``embed_shop`` is ``embed_shops`` on a batch of one. Training runs the
-same steps, one triple at a time: ``forward_triple`` embeds the shop pair
-as the stack [positive, negative] and, in the context variant, attends the
-anchor under both as K=2 contexts with the same ``context_attend``, so its
-shop embeddings equal the serving ones bit for bit and its anchor
-embeddings are ``l2_normalize`` of the pooled rows the re-rank scores. It
-keeps the trunk activations and attention results, and ``backward_triple``
-calls it once and walks back over them; the gradient check differences
-the same ``forward_triple``. In the stages that freeze the trunk,
-``backward_triple`` skips the trunk gradients.
+``embed_shops_simple`` embed a B x L x R stack of shop images at once,
+each as one shop pass. A query's scan embedding is ``uniform_embedding``
+of its ``extract_features`` map; the re-rank in ``retrieval.search``
+attends that map under its K candidates at once with
+``attention.context_attend`` and takes the distance of each normalised
+pooled row in closed form. ``embed_shop`` is ``embed_shops`` on a batch
+of one. Training runs the same steps, one triple at a time:
+``forward_triple`` runs the shop pass on the stack [positive, negative]
+and, in the context variant, attends the anchor under both as K=2
+contexts with the same ``context_attend``, so its shop embeddings equal
+the serving ones bit for bit and its anchor embeddings are
+``l2_normalize`` of the pooled rows the re-rank scores. It keeps the trunk
+activations, the shop pass's keys and pooled hidden rows, and the
+attention results, and ``backward_triple`` calls it once and walks back
+over them; the gradient check differences the same ``forward_triple``.
+The shop gradient reaches the trunk through the ReLU mask of the hidden
+maps alone, with no product through the branch at each location. In the
+stages that freeze the trunk, ``backward_triple`` skips the trunk
+gradients.
 
 A training step costs one ``forward_triple`` and one ``triplet_loss`` per
 triple; the hinge is not evaluated again on the way back. The step
@@ -282,9 +296,10 @@ class _Features(NamedTuple):
     fmap: np.ndarray  # L x C map, or B x L x C stack
 
 
-def _features(raw: np.ndarray, domain: str, params: ModelParams) -> _Features:
-    if domain not in DOMAINS:
-        raise ValueError(f"domain must be one of {DOMAINS}, got {domain!r}")
+def _trunk(raw: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The trunk pass, relu(trunk(x)) at every location: the (N*L) x R
+    input rows of one L x R map or a B x L x R stack, and the (N*L) x C
+    hidden rows."""
     data = np.asarray(raw, dtype=np.float64)
     cfg = params.config
     if data.ndim not in (2, 3) or data.shape[-2:] != (cfg.locations, cfg.raw_dim):
@@ -297,8 +312,15 @@ def _features(raw: np.ndarray, domain: str, params: ModelParams) -> _Features:
     rows = data.reshape(-1, cfg.raw_dim)
     hidden = params.trunk.apply(rows)
     np.maximum(hidden, 0.0, out=hidden)
+    return rows, hidden
+
+
+def _features(raw: np.ndarray, domain: str, params: ModelParams) -> _Features:
+    if domain not in DOMAINS:
+        raise ValueError(f"domain must be one of {DOMAINS}, got {domain!r}")
+    rows, hidden = _trunk(raw, params)
     branch = params.branch_user if domain == "user" else params.branch_shop
-    features = branch.apply(hidden).reshape(*data.shape[:-1], cfg.channels)
+    features = branch.apply(hidden).reshape(*np.shape(raw)[:-1], params.config.channels)
     return _Features(rows=rows, hidden=hidden, fmap=features)
 
 
@@ -327,6 +349,43 @@ def uniform_embedding(fmap: np.ndarray) -> np.ndarray:
     return l2_normalize(_location_mean(fmap))
 
 
+def _uniform_pool(fmap: np.ndarray) -> AttentionResult:
+    """Uniform pooling as attention with constant weights 1/L; the pooled
+    rows are the location mean, as ``uniform_embedding`` takes it."""
+    weights = np.full(fmap.shape[:-1], 1.0 / fmap.shape[-2])
+    return AttentionResult(weights=weights, pooled=_location_mean(fmap))
+
+
+class _ShopPass(NamedTuple):
+    """The shop side's one pass: the trunk, pooling over its hidden maps,
+    then the shop branch once per pooled row; with the intermediates
+    ``backward_triple`` reads."""
+
+    rows: np.ndarray  # (B*L) x R input rows
+    hidden: np.ndarray  # B x L x C hidden maps (L x C for one map)
+    keys: TagAttentionParams | None  # tag embedding through the branch; None when uniform
+    pool: AttentionResult  # B x L weights, B x C pooled hidden rows
+    pooled: np.ndarray  # B x C: the shop branch of each pooled hidden row
+
+
+def _shop_pass(raws: np.ndarray, tags: TagVector | None, params: ModelParams) -> _ShopPass:
+    """Pool each hidden map of ``raws``, under its row of ``tags`` or
+    uniformly when ``tags`` is None, then apply the shop branch to each
+    pooled row. The tags score the hidden maps under the keys ``E @ W``,
+    which embed a tag set ``e`` as ``W^T e``."""
+    rows, hidden = _trunk(raws, params)
+    maps = hidden.reshape(*np.shape(raws)[:-1], params.config.channels)
+    branch = params.branch_shop
+    if tags is None:
+        keys = None
+        pool = _uniform_pool(maps)
+    else:
+        assert params.tag_attn is not None
+        keys = TagAttentionParams(embedding=params.tag_attn.embedding @ branch.weight)
+        pool = tag_attend(maps, tags, keys)
+    return _ShopPass(rows=rows, hidden=maps, keys=keys, pool=pool, pooled=branch.apply(pool.pooled))
+
+
 def embed_shops(raws: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndarray:
     """Unit-norm B x C shop embeddings of a B x L x R stack, each pooled
     under its own row of the B x T tag matrix ``tags``."""
@@ -334,28 +393,19 @@ def embed_shops(raws: np.ndarray, tags: TagVector, params: ModelParams) -> np.nd
         raise UnsupportedVariantError(
             "shop tag attention needs the tag head; this model does not have one"
         )
-    assert params.tag_attn is not None
-    fmaps = extract_features(raws, "shop", params)
-    return l2_normalize(tag_attend(fmaps, tags, params.tag_attn).pooled)
+    return l2_normalize(_shop_pass(raws, tags, params).pooled)
 
 
 def embed_shops_simple(raws: np.ndarray, params: ModelParams) -> np.ndarray:
     """Unit-norm B x C shop embeddings of a B x L x R stack via uniform
     pooling (base-variant path)."""
-    return uniform_embedding(extract_features(raws, "shop", params))
+    return l2_normalize(_shop_pass(raws, None, params).pooled)
 
 
 def embed_shop(raw: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndarray:
     """Unit-norm shop embedding via tag-conditioned pooling."""
     raws = np.asarray(raw, dtype=np.float64)[None]
     return embed_shops(raws, TagVector(bits=tags.bits[None]), params)[0]
-
-
-def _uniform_pool(fmap: np.ndarray) -> AttentionResult:
-    """Uniform pooling as attention with constant weights 1/L; the pooled
-    rows are the location mean, as ``uniform_embedding`` takes it."""
-    weights = np.full(fmap.shape[:-1], 1.0 / fmap.shape[-2])
-    return AttentionResult(weights=weights, pooled=_location_mean(fmap))
 
 
 def _pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -371,9 +421,8 @@ class TripleForward(NamedTuple):
     loss: float
     embeddings: TripleEmbeddings
     anchor: _Features
-    shops: _Features  # the stack [positive, negative]
+    shops: _ShopPass  # the stack [positive, negative]
     shop_tags: TagVector | None  # 2 x T; None when the shops pool uniformly
-    shop_pool: AttentionResult  # 2 x L weights, 2 x C pooled rows
     anchor_pool: AttentionResult  # K=2 under the shop contexts, else uniform
 
 
@@ -388,27 +437,24 @@ def forward_triple(
 ) -> TripleForward:
     """Loss and all four embeddings for one training triple.
 
-    The shop side is the stack [positive, negative] run through the steps
-    of ``embed_shops`` (``embed_shops_simple`` for the base variant). The
-    context variant attends the anchor under both shop embeddings at once
-    with ``context_attend``, as the re-rank does, and normalises the pooled
-    rows; the other variants reuse one uniformly pooled anchor embedding,
+    The shop side is the stack [positive, negative] run through the one
+    shop pass of ``embed_shops`` (``embed_shops_simple`` for the base
+    variant). The context variant attends the anchor under both shop
+    embeddings at once with ``context_attend``, as the re-rank does, and
+    normalises the pooled rows; the other variants reuse one uniformly
+    pooled anchor embedding,
     ``uniform_embedding(extract_features(anchor_raw, "user", params))``, for
     both sides. So the embeddings equal their serving forms bit for bit.
     """
     variant = params.config.variant
     anchor = _features(anchor_raw, "user", params)
-    shops = _features(_pair(positive_raw, negative_raw), "shop", params)
     shop_tags = None
     if variant >= Variant.TAGYNET:
         if positive_tags is None or negative_tags is None:
             raise ValueError("tag vectors required for the tag-attention variant")
-        assert params.tag_attn is not None
         shop_tags = TagVector(bits=_pair(positive_tags.bits, negative_tags.bits))
-        shop_pool = tag_attend(shops.fmap, shop_tags, params.tag_attn)
-    else:
-        shop_pool = _uniform_pool(shops.fmap)
-    shop_rows = l2_normalize(shop_pool.pooled)
+    shops = _shop_pass(_pair(positive_raw, negative_raw), shop_tags, params)
+    shop_rows = l2_normalize(shops.pooled)
     positive, negative = shop_rows
 
     if variant >= Variant.CTXYNET:
@@ -427,7 +473,6 @@ def forward_triple(
         anchor=anchor,
         shops=shops,
         shop_tags=shop_tags,
-        shop_pool=shop_pool,
         anchor_pool=anchor_pool,
     )
 
@@ -457,6 +502,13 @@ def backward_triple(
     the anchor. With ``frozen_trunk`` (the curriculum stages after the
     first, which do not update the trunk), the trunk gradients are not
     computed.
+
+    The shop side walks back over its one pass: the branch applied to the
+    pooled hidden rows ``p_h``, then tag attention over the hidden maps
+    under the keys ``E @ W``. With ``g`` the gradient at the branch output,
+    the branch weight gets ``g^T p_h`` plus ``E^T`` times the keys'
+    gradient, the tag embedding gets the keys' gradient times ``W^T``, and
+    the hidden maps' gradient reaches the trunk through the ReLU alone.
 
     The dict always holds one array per tensor. Each gradient is the array
     its last step computed; zeros are allocated only for the trunk when it
@@ -494,31 +546,36 @@ def backward_triple(
         grad_pooled = l2_normalize_backward(fwd.anchor_pool.pooled, eg.anchor_pos + eg.anchor_neg)
         grad_anchor_map = fwd.anchor_pool.weights[..., None] * grad_pooled[..., None, :]
 
-    grad_pooled = l2_normalize_backward(fwd.shop_pool.pooled, grad_shops)
-    if fwd.shop_tags is not None:
-        assert params.tag_attn is not None
-        grad_shop_map, grads["tag_attn.embedding"] = tag_attend_backward(
-            fwd.shops.fmap, fwd.shop_tags, params.tag_attn, fwd.shop_pool, grad_pooled
-        )
-    else:
-        grad_shop_map = fwd.shop_pool.weights[..., None] * grad_pooled[..., None, :]
+    anchor, shops = fwd.anchor, fwd.shops
+    grad_user = grad_anchor_map.reshape(-1, params.config.channels)
+    grads["branch_user.weight"] = grad_user.T @ anchor.hidden
+    grads["branch_user.bias"] = grad_user.sum(axis=0)
 
-    grad_pre = []  # per domain, the gradient at the trunk's pre-activations
-    for features, grad_map, name, branch in (
-        (fwd.anchor, grad_anchor_map, "branch_user", params.branch_user),
-        (fwd.shops, grad_shop_map, "branch_shop", params.branch_shop),
-    ):
-        grad_out = grad_map.reshape(-1, params.config.channels)
-        grads[name + ".weight"] = grad_out.T @ features.hidden
-        grads[name + ".bias"] = grad_out.sum(axis=0)
-        if not frozen_trunk:
-            grad_pre.append(np.where(features.hidden > 0.0, grad_out @ branch.weight, 0.0))
+    branch = params.branch_shop
+    grad_shop = l2_normalize_backward(shops.pooled, grad_shops)
+    grads["branch_shop.weight"] = grad_shop.T @ shops.pool.pooled
+    grads["branch_shop.bias"] = grad_shop.sum(axis=0)
+    grad_hidden_pooled = grad_shop @ branch.weight
+    if fwd.shop_tags is not None:
+        assert shops.keys is not None and params.tag_attn is not None
+        grad_maps, grad_keys = tag_attend_backward(
+            shops.hidden, fwd.shop_tags, shops.keys, shops.pool, grad_hidden_pooled
+        )
+        grads["branch_shop.weight"] += params.tag_attn.embedding.T @ grad_keys
+        grads["tag_attn.embedding"] = grad_keys @ branch.weight.T
+    else:
+        grad_maps = shops.pool.weights[..., None] * grad_hidden_pooled[..., None, :]
+
     if frozen_trunk:
         grads["trunk.weight"] = np.zeros_like(params.trunk.weight)
         grads["trunk.bias"] = np.zeros_like(params.trunk.bias)
     else:
-        user_pre, shop_pre = grad_pre
-        grads["trunk.weight"] = user_pre.T @ fwd.anchor.rows + shop_pre.T @ fwd.shops.rows
+        # the gradient at each domain's trunk pre-activations
+        user_pre = np.where(anchor.hidden > 0.0, grad_user @ params.branch_user.weight, 0.0)
+        shop_pre = np.where(shops.hidden > 0.0, grad_maps, 0.0).reshape(
+            -1, params.config.channels
+        )
+        grads["trunk.weight"] = user_pre.T @ anchor.rows + shop_pre.T @ shops.rows
         grads["trunk.bias"] = user_pre.sum(axis=0) + shop_pre.sum(axis=0)
     return fwd.loss, grads
 

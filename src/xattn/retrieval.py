@@ -3,7 +3,7 @@
 The index is columnar: sorted item ids, product ids, packed tag bitsets
 and an N x C embedding matrix, plus the fingerprint of the model that
 built it. ``build_index`` embeds the shop items in blocks of about
-``BUILD_ROWS`` image locations, one stacked forward pass per block.
+``BUILD_ROWS`` image locations, one stacked shop pass per block.
 
 A query's feature map is extracted once and serves both stages. The
 initial stage pools it uniformly and finds the exact ``k`` nearest index
@@ -74,14 +74,17 @@ _HEADER = struct.Struct("<4sI32sQ")
 # Size of the candidate pool handed to the re-ranker.
 DEFAULT_TOP_K = 256
 
-# Image locations stacked into one forward pass by build_index: a block
-# holds max(1, BUILD_ROWS // L) items, 8 at L=49 and 98 at L=4. Each pass
-# has a fixed cost, so smaller blocks are slower, and larger ones were
-# slower too. Building 1000 items at C=128 (fastest of 7, one BLAS thread,
-# 2-vCPU VM), L=4 / L=49 took 20 / 159 ms at 32 rows, 10 / 102 ms at 392,
-# 12 / 108 ms at 784 and 18 / 162 ms at 1568. Why large blocks slow down
-# was not traced.
-BUILD_ROWS = 392
+# Image locations stacked into one shop pass by build_index: a block
+# holds max(1, BUILD_ROWS // L) items, 16 at L=49 and 196 at L=4. Each
+# pass has a fixed cost, so smaller blocks are slower. Larger blocks free
+# more memory at once, and glibc's malloc hands it back to the OS, so the
+# next block page-faults it in again: 1000 items at L=4 took 0.12 minor
+# faults per location row at 784 rows and 0.33 at 1568 (0 at L=49 up to
+# 1568). Building 1000 items at C=128 (fastest of 25, one BLAS thread,
+# 2-vCPU VM, four runs), L=4 / L=49 took 9.1-13.3 / 62.6-76.3 ms at 392
+# rows, 8.3-12.6 / 59.2-71.9 ms at 784 (faster than 392 in every run) and
+# 10.6-15.1 / 57.8-73.8 ms at 1568.
+BUILD_ROWS = 784
 
 # The scan screens in float32 only when SCREEN_RATIO * k <= N. Each kept
 # row costs a float64 rescoring, so the screen pays only for k well below
@@ -267,9 +270,13 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
     """Embed every shop item; deterministic, sorted by item id.
 
     Items are embedded in blocks of ``max(1, BUILD_ROWS // L)``, each
-    stacked into one B x L x R array. The base variant has no tag head and
-    indexes normalized uniform-pooled embeddings instead (the same
-    aggregation it was trained with).
+    stacked into one B x L x R array and run as one shop pass: the trunk
+    on its B*L rows, pooling over the B hidden maps, then the shop branch
+    on the B pooled rows (``model.embed_shops``). The base variant has no
+    tag head and indexes normalized uniform-pooled embeddings instead (the
+    same aggregation it was trained with). Every item's tag vector must
+    have the model's ``tag_count`` entries, since the index stores them;
+    a ValueError names the first item whose vector does not.
     """
     ordered = sorted(items, key=lambda item: item.item_id)
     item_ids = np.array([item.item_id for item in ordered], dtype=np.int64)
@@ -277,6 +284,14 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
     if repeated.size:
         raise ValueError(f"duplicate item id {item_ids[repeated[0]]}")
     cfg = params.config
+    # The base variant never reads the tags, but the index stores them in
+    # ceil(T/8) bytes each, and load_index reads them back at that width.
+    for item in ordered:
+        if item.tags.bits.shape != (cfg.tag_count,):
+            raise ValueError(
+                f"item {item.item_id} has a tag vector of shape {item.tags.bits.shape}; "
+                f"the model has {cfg.tag_count} tags"
+            )
     embeddings = np.empty((len(ordered), cfg.channels))
     size = max(1, BUILD_ROWS // cfg.locations)
     for lo in range(0, len(ordered), size):

@@ -292,7 +292,10 @@ def reference_backward_triple(
     """``backward_triple`` as it was before its per-call costs were cut: a
     zero dict that each gradient overwrites or adds into, the hinge
     evaluated again by ``triplet_loss_backward``, and pairs joined with
-    ``np.stack``. The library's gradients must have these bits."""
+    ``np.stack``. It walks back over the intermediates ``forward_triple``
+    keeps, the shop side as one pass: the branch on the pooled hidden
+    rows, tag attention under the keys ``E @ W_shop``. The library's
+    gradients must have these bits."""
     fwd = forward_triple(
         anchor_raw, positive_raw, negative_raw, positive_tags, negative_tags, params, alpha
     )
@@ -319,24 +322,30 @@ def reference_backward_triple(
     else:
         grad_pooled = l2_normalize_backward(fwd.anchor_pool.pooled, eg.anchor_pos + eg.anchor_neg)
         grad_anchor_map = fwd.anchor_pool.weights[..., None] * grad_pooled[..., None, :]
-    grad_pooled = l2_normalize_backward(fwd.shop_pool.pooled, grad_shops)
+    anchor, shops = fwd.anchor, fwd.shops
+    grad_user = grad_anchor_map.reshape(-1, params.config.channels)
+    grads["branch_user.weight"] = grad_user.T @ anchor.hidden
+    grads["branch_user.bias"] = grad_user.sum(axis=0)
+    # The shop branch ran once, on the pooled hidden rows.
+    grad_shop = l2_normalize_backward(shops.pooled, grad_shops)
+    grads["branch_shop.weight"] = grad_shop.T @ shops.pool.pooled
+    grads["branch_shop.bias"] = grad_shop.sum(axis=0)
+    grad_hidden_pooled = grad_shop @ params.branch_shop.weight
     if fwd.shop_tags is not None:
-        grad_shop_map, grads["tag_attn.embedding"] = tag_attend_backward(
-            fwd.shops.fmap, fwd.shop_tags, params.tag_attn, fwd.shop_pool, grad_pooled
+        # The hidden maps were pooled under the keys E @ W_shop.
+        grad_maps, grad_keys = tag_attend_backward(
+            shops.hidden, fwd.shop_tags, shops.keys, shops.pool, grad_hidden_pooled
         )
+        grads["branch_shop.weight"] += params.tag_attn.embedding.T @ grad_keys
+        grads["tag_attn.embedding"] = grad_keys @ params.branch_shop.weight.T
     else:
-        grad_shop_map = fwd.shop_pool.weights[..., None] * grad_pooled[..., None, :]
-    for features, grad_map, branch_name in (
-        (fwd.anchor, grad_anchor_map, "branch_user"),
-        (fwd.shops, grad_shop_map, "branch_shop"),
+        grad_maps = shops.pool.weights[..., None] * grad_hidden_pooled[..., None, :]
+    if frozen_trunk:
+        return fwd.loss, grads
+    for features, grad_pre in (
+        (anchor, np.where(anchor.hidden > 0.0, grad_user @ params.branch_user.weight, 0.0)),
+        (shops, np.where(shops.hidden > 0.0, grad_maps, 0.0).reshape(-1, params.config.channels)),
     ):
-        branch = getattr(params, branch_name)
-        grad_out = grad_map.reshape(-1, params.config.channels)
-        grads[branch_name + ".weight"] = grad_out.T @ features.hidden
-        grads[branch_name + ".bias"] = grad_out.sum(axis=0)
-        if frozen_trunk:
-            continue
-        grad_pre = np.where(features.hidden > 0.0, grad_out @ branch.weight, 0.0)
         grads["trunk.weight"] += grad_pre.T @ features.rows
         grads["trunk.bias"] += grad_pre.sum(axis=0)
     return fwd.loss, grads

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xattn import model
@@ -40,6 +40,7 @@ from mutations import corrupted, non_finite
 from oracles import (
     naive_affine_relu_affine,
     naive_l2_normalize,
+    naive_shop_embedding,
     naive_tag_attend,
     out_of_place_features,
     reference_backward_triple,
@@ -218,6 +219,57 @@ class TestEmbeddings:
             )
             _, pooled = naive_tag_attend(features, bits.bits, params.tag_attn.embedding)
             np.testing.assert_allclose(got, naive_l2_normalize(pooled), atol=1e-9)
+
+    @given(
+        variant=st.sampled_from([Variant.YNET, Variant.TAGYNET]),
+        locations=st.integers(1, 5),
+        channels=st.integers(1, 4),
+        tags=st.integers(1, 3),
+        raw_dim=st.integers(1, 4),
+        batch=st.integers(1, 4),
+        empty=st.booleans(),
+        bias=st.sampled_from([0.0, 1.0, 100.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(Variant.TAGYNET, 1, 3, 2, 3, 3, False, 100.0, 1)  # L=1, b.e dominates
+    @example(Variant.TAGYNET, 4, 3, 2, 3, 3, True, 100.0, 2)  # no tags
+    @example(Variant.YNET, 1, 3, 2, 3, 2, False, 100.0, 3)
+    @settings(max_examples=150, deadline=None)
+    def test_shop_stacks_match_the_per_location_oracle(
+        self, variant, locations, channels, tags, raw_dim, batch, empty, bias, seed
+    ):
+        # The oracle applies the shop branch at every location and pools the
+        # branch outputs; the library pools the hidden maps and applies the
+        # branch once per image.
+        rng = np.random.default_rng(seed)
+        params = init_params(small_config(variant, locations, channels, tags, raw_dim), rng)
+        params.trunk.bias[...] = 0.05
+        raws = rng.normal(size=(batch, locations, raw_dim))
+        bits = rng.integers(0, 2, size=(batch, tags)).astype(np.float64)
+        if empty:
+            bits[...] = 0.0
+        else:
+            bits[0, rng.integers(tags)] = 1.0
+        direction = rng.normal(size=channels)
+        tagged = variant >= Variant.TAGYNET and not empty
+        if tagged:
+            # The bias lies along the first item's tag embedding e.
+            direction = bits[0] @ params.tag_attn.embedding
+        params.branch_shop.bias[...] = bias * direction / np.linalg.norm(direction)
+        if tagged and bias == 100.0:
+            # b.e, which the library drops from the scores, dominates them.
+            dropped = params.branch_shop.bias @ direction
+            kept = extract_features(raws[0], "shop", params) @ direction - dropped
+            assert dropped > 10.0 * np.abs(kept).max()
+        if variant >= Variant.TAGYNET:
+            got = embed_shops(raws, TagVector(bits), params)
+            for row, raw, item_bits in zip(got, raws, bits):
+                want = naive_shop_embedding(raw, item_bits, params)
+                np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+        got = embed_shops_simple(raws, params)
+        for row, raw in zip(got, raws):
+            want = naive_shop_embedding(raw, np.zeros(tags), params)  # no tags: uniform
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
 
     def test_uniform_user_embedding_single_location(self):
         config = small_config(locations=1)

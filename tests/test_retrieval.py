@@ -128,10 +128,14 @@ def block_items(locations):
 BLOCK_L = 49
 BLOCK = block_items(BLOCK_L)
 
+# Item counts at the block edges, and fixed counts whose test ids stay the
+# same when BUILD_ROWS changes.
+COUNTS = sorted({1, 7, 8, 19, BLOCK - 1, BLOCK, 2 * BLOCK + 3})
+
 
 class TestBuildIndex:
     @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("count", COUNTS)
     def test_equals_per_item_embeddings(self, variant, count):
         self.check_per_item_embeddings(variant, count, BLOCK_L)
 
@@ -158,7 +162,8 @@ class TestBuildIndex:
             np.testing.assert_allclose(index.embeddings[row], naive, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("variant", [Variant.YNET, Variant.TAGYNET])
-    @pytest.mark.parametrize("locations", [4, BLOCK_L, BUILD_ROWS + 1])
+    # BUILD_ROWS // 2 + 1 is the smallest grid with one item per block.
+    @pytest.mark.parametrize("locations", [4, BLOCK_L, BUILD_ROWS // 2 + 1, BUILD_ROWS + 1])
     def test_blocks_hold_build_rows_locations(self, monkeypatch, variant, locations):
         params = make_params(variant, locations=locations)
         block = block_items(locations)
@@ -178,6 +183,17 @@ class TestBuildIndex:
         params = make_params()
         items = make_items(params, 4, np.random.default_rng(0), ids=[5, 9, 5, 2])
         with pytest.raises(ValueError, match="duplicate item id 5"):
+            build_index(items, params)
+
+    @pytest.mark.parametrize("variant", [Variant.YNET, Variant.TAGYNET])
+    @pytest.mark.parametrize("length", [2, 11, 20])
+    def test_tag_vector_of_another_length_raises(self, variant, length):
+        # 20 tags pack to 3 bytes where the model's 10 take 2, so a saved
+        # index would not load; 11 pack to 2 bytes and would load wrong.
+        params = make_params(variant, tags=10)
+        items = make_items(params, 3, np.random.default_rng(length))
+        items[1] = items[1]._replace(tags=TagVector(bits=np.ones(length)))
+        with pytest.raises(ValueError, match=f"item {items[1].item_id} has a tag vector"):
             build_index(items, params)
 
     def test_columns_are_read_only(self):
