@@ -25,7 +25,7 @@ Finiteness is checked once, where data enters: ``_trunk`` (behind
 non-finite raw input, ``checkpoint_from_bytes`` rejects NaN/Inf tensors,
 the feature-map and index parsers reject NaN/Inf payloads, and
 ``softmax`` rejects non-finite attention scores. Parameters that overflow
-in memory give NaN embeddings, which ``TripleEmbeddings`` (training) and
+in memory give NaN embeddings, which ``metric.triplet_loss`` (training) and
 ``retrieval.ShopIndex`` (serving) refuse.
 
 Serving runs the batched forward functions: ``embed_shops`` and
@@ -50,12 +50,12 @@ stages that freeze the trunk, ``backward_triple`` skips the trunk
 gradients.
 
 A training step costs one ``forward_triple`` and one ``triplet_loss`` per
-triple; the hinge is not evaluated again on the way back. The step
-returns one gradient array per tensor: the arrays the backward pass
-computes, with zeros allocated only for a frozen trunk and, when the loss
-is 0, for every tensor. ``training.train_stage`` adds into its minibatch
-sum only the triples with a non-zero loss, and only the tensors it
-updates.
+triple; the hinge is not evaluated again on the way back. The forward
+keeps both sides as 2 x C stacks, [anchor_pos, anchor_neg] and
+[positive, negative], and the loss, its gradient and the backward steps
+take them as they are. The step returns the gradients of the tensors it
+updates and nothing else: no dict entries when the loss is 0, and no
+trunk entries when the trunk is frozen.
 
 ``params_fingerprint`` identifies the parameters an index was built with,
 and ``search`` checks it on every query. Tensors change in place (SGD, the
@@ -102,7 +102,7 @@ from .attention import (
     tag_attend_backward,
 )
 from .fileio import FormatError, Reader, write_atomic
-from .metric import TripleEmbeddings, triplet_loss, triplet_loss_backward
+from .metric import triplet_loss, triplet_loss_backward
 from .numeric import l2_normalize, l2_normalize_backward
 
 CHECKPOINT_MAGIC = b"XATN"
@@ -200,9 +200,6 @@ class ModelParams:
         if self.ctx_attn is not None:
             yield "ctx_attn.feature_weight", self.ctx_attn.feature_weight
             yield "ctx_attn.context_weight", self.ctx_attn.context_weight
-
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros(arr.shape) for name, arr in self.named_tensors()}
 
     def copy(self) -> "ModelParams":
         tensors = {name: arr.copy() for name, arr in self.named_tensors()}
@@ -415,11 +412,13 @@ def _pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 
 class TripleForward(NamedTuple):
-    """Loss and the four embeddings of one triple, with the intermediates
-    ``backward_triple`` walks back over."""
+    """Loss and the embeddings of one triple, as the two 2 x C stacks
+    ``triplet_loss`` compares, with the intermediates ``backward_triple``
+    walks back over."""
 
     loss: float
-    embeddings: TripleEmbeddings
+    anchor_rows: np.ndarray  # [anchor_pos, anchor_neg]
+    shop_rows: np.ndarray  # [positive, negative]
     anchor: _Features
     shops: _ShopPass  # the stack [positive, negative]
     shop_tags: TagVector | None  # 2 x T; None when the shops pool uniformly
@@ -441,10 +440,11 @@ def forward_triple(
     shop pass of ``embed_shops`` (``embed_shops_simple`` for the base
     variant). The context variant attends the anchor under both shop
     embeddings at once with ``context_attend``, as the re-rank does, and
-    normalises the pooled rows; the other variants reuse one uniformly
+    normalises the pooled rows; the other variants use one uniformly
     pooled anchor embedding,
-    ``uniform_embedding(extract_features(anchor_raw, "user", params))``, for
-    both sides. So the embeddings equal their serving forms bit for bit.
+    ``uniform_embedding(extract_features(anchor_raw, "user", params))``, as
+    both anchor rows. So the embeddings equal their serving forms bit for
+    bit.
     """
     variant = params.config.variant
     anchor = _features(anchor_raw, "user", params)
@@ -455,21 +455,19 @@ def forward_triple(
         shop_tags = TagVector(bits=_pair(positive_tags.bits, negative_tags.bits))
     shops = _shop_pass(_pair(positive_raw, negative_raw), shop_tags, params)
     shop_rows = l2_normalize(shops.pooled)
-    positive, negative = shop_rows
 
     if variant >= Variant.CTXYNET:
         assert params.ctx_attn is not None
         anchor_pool = context_attend(anchor.fmap, shop_rows, params.ctx_attn)
-        anchor_pos, anchor_neg = l2_normalize(anchor_pool.pooled)
+        anchor_rows = l2_normalize(anchor_pool.pooled)
     else:
         anchor_pool = _uniform_pool(anchor.fmap)
-        anchor_pos = anchor_neg = l2_normalize(anchor_pool.pooled)
-    embeddings = TripleEmbeddings(
-        anchor_pos=anchor_pos, anchor_neg=anchor_neg, positive=positive, negative=negative
-    )
+        anchor_row = l2_normalize(anchor_pool.pooled)
+        anchor_rows = _pair(anchor_row, anchor_row)
     return TripleForward(
-        loss=triplet_loss(embeddings, alpha),
-        embeddings=embeddings,
+        loss=triplet_loss(anchor_rows, shop_rows, alpha),
+        anchor_rows=anchor_rows,
+        shop_rows=shop_rows,
         anchor=anchor,
         shops=shops,
         shop_tags=shop_tags,
@@ -493,15 +491,13 @@ def backward_triple(
     *,
     frozen_trunk: bool = False,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss plus analytic gradients for every tensor in ``params``.
+    """Loss plus the analytic gradients a training step applies.
 
     Runs ``forward_triple`` once and walks back over what it saved; the
     hinge is evaluated once, by the forward's ``triplet_loss``. Shop
     embeddings receive gradient along two routes in the context variant:
     directly from the loss and through the context-attention alignment of
-    the anchor. With ``frozen_trunk`` (the curriculum stages after the
-    first, which do not update the trunk), the trunk gradients are not
-    computed.
+    the anchor.
 
     The shop side walks back over its one pass: the branch applied to the
     pooled hidden rows ``p_h``, then tag attention over the hidden maps
@@ -510,32 +506,24 @@ def backward_triple(
     gradient, the tag embedding gets the keys' gradient times ``W^T``, and
     the hidden maps' gradient reaches the trunk through the ReLU alone.
 
-    The dict always holds one array per tensor. Each gradient is the array
-    its last step computed; zeros are allocated only for the trunk when it
-    is frozen, and for every tensor when the loss is 0.
+    The dict holds one array per tensor the step updates: none when the
+    loss is 0, and every tensor but the trunk with ``frozen_trunk`` (the
+    curriculum stages after the first, which do not update the trunk).
     """
     fwd = forward_triple(
         anchor_raw, positive_raw, negative_raw, positive_tags, negative_tags, params, alpha
     )
     if fwd.loss == 0.0:
-        return 0.0, params.zero_grads()
-    e = fwd.embeddings
-    eg = triplet_loss_backward(e, alpha, loss=fwd.loss)
+        return 0.0, {}
+    grad_anchors, grad_shops = triplet_loss_backward(fwd.anchor_rows, fwd.shop_rows, fwd.loss)
     grads: dict[str, np.ndarray] = {}
 
-    grad_shops = _pair(eg.positive, eg.negative)
     if params.config.variant >= Variant.CTXYNET:
         assert params.ctx_attn is not None
-        grad_pooled = l2_normalize_backward(
-            fwd.anchor_pool.pooled, _pair(eg.anchor_pos, eg.anchor_neg)
-        )
+        grad_pooled = l2_normalize_backward(fwd.anchor_pool.pooled, grad_anchors)
         grad_anchor_map, grad_contexts, grad_feature_weight, grad_context_weight = (
             context_attend_backward(
-                fwd.anchor.fmap,
-                _pair(e.positive, e.negative),
-                params.ctx_attn,
-                fwd.anchor_pool,
-                grad_pooled,
+                fwd.anchor.fmap, fwd.shop_rows, params.ctx_attn, fwd.anchor_pool, grad_pooled
             )
         )
         grads["ctx_attn.feature_weight"] = grad_feature_weight
@@ -543,7 +531,10 @@ def backward_triple(
         # context route back into the shop embeddings
         grad_shops += grad_contexts
     else:
-        grad_pooled = l2_normalize_backward(fwd.anchor_pool.pooled, eg.anchor_pos + eg.anchor_neg)
+        # Both anchor rows are the one pooled row.
+        grad_pooled = l2_normalize_backward(
+            fwd.anchor_pool.pooled, grad_anchors[0] + grad_anchors[1]
+        )
         grad_anchor_map = fwd.anchor_pool.weights[..., None] * grad_pooled[..., None, :]
 
     anchor, shops = fwd.anchor, fwd.shops
@@ -566,10 +557,7 @@ def backward_triple(
     else:
         grad_maps = shops.pool.weights[..., None] * grad_hidden_pooled[..., None, :]
 
-    if frozen_trunk:
-        grads["trunk.weight"] = np.zeros_like(params.trunk.weight)
-        grads["trunk.bias"] = np.zeros_like(params.trunk.bias)
-    else:
+    if not frozen_trunk:
         # the gradient at each domain's trunk pre-activations
         user_pre = np.where(anchor.hidden > 0.0, grad_user @ params.branch_user.weight, 0.0)
         shop_pre = np.where(shops.hidden > 0.0, grad_maps, 0.0).reshape(

@@ -50,8 +50,8 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x * x, axis=-1, keepdims=True)
 
 
-def l2_normalize(v: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
-    """Return ``v / max(||v||_2, eps)``; the eps guard keeps 0 well-defined.
+def l2_normalize(v: np.ndarray) -> np.ndarray:
+    """Return ``v / max(||v||_2, NORM_EPS)``; the guard keeps 0 well-defined.
 
     Each row of a 2-D stack is normalized on its own. The norm is the one
     ``np.linalg.norm`` gives: ``sqrt(v.dot(v))`` for a vector, a row-wise
@@ -68,36 +68,34 @@ def l2_normalize(v: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
         if sq == math.inf:
             x = x / np.abs(x).max()
             sq = float(x.dot(x))
-        return x / max(math.sqrt(sq), eps)
+        return x / max(math.sqrt(sq), NORM_EPS)
     sq = _sq_norms(x)
     over = np.isinf(sq[:, 0])
     if over.any():
         x = x.copy()
         x[over] /= np.abs(x[over]).max(axis=-1, keepdims=True)
         sq[over] = _sq_norms(x[over])
-    return x / np.maximum(np.sqrt(sq), eps)
+    return x / np.maximum(np.sqrt(sq), NORM_EPS)
 
 
-def l2_normalize_backward(
-    v: np.ndarray, grad_output: np.ndarray, eps: float = NORM_EPS
-) -> np.ndarray:
+def l2_normalize_backward(v: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
     """Gradient of ``sum(grad_output * l2_normalize(v))`` with respect to ``v``.
 
     Each row of a 2-D stack is its own vector, as in ``l2_normalize``.
-    Below the eps guard the map is linear (``v / eps``) and the Jacobian
-    is ``I / eps``. Norms are row-wise sums of squares, for a single
-    vector too, as ``np.linalg.norm(v, axis=-1)`` takes them.
+    Below the ``NORM_EPS`` guard the map is linear (``v / NORM_EPS``) and
+    the Jacobian is ``I / NORM_EPS``. Norms are row-wise sums of squares,
+    for a single vector too, as ``np.linalg.norm(v, axis=-1)`` takes them.
     """
     x = np.asarray(v, dtype=np.float64)
     g = np.asarray(grad_output, dtype=np.float64)
     if x.shape != g.shape:
         raise ValueError("gradient shape must match the input vector")
     norm = np.sqrt(_sq_norms(x))
-    scale = np.maximum(norm, eps)
+    scale = np.maximum(norm, NORM_EPS)
     y = x / scale
     along = np.add.reduce(g * y, axis=-1, keepdims=True)
-    # Below the guard the projection term drops out: (g - 0) / eps.
-    along[norm < eps] = 0.0
+    # Below the guard the projection term drops out: (g - 0) / NORM_EPS.
+    along[norm < NORM_EPS] = 0.0
     return (g - along * y) / scale
 
 

@@ -70,12 +70,21 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.base_lr <= 0 or self.lr_decay <= 0 or self.decay_every < 1:
             raise ValueError("learning-rate schedule parameters must be positive")
+        # A checkpoint stores the epoch count as a u32 and the seed as a u64.
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed!r}")
         for stage in STAGES:
             for name, table in (("margins", self.margins), ("epochs", self.epochs)):
                 if stage not in table:
                     raise ValueError(f"{name} has no entry for stage {stage!r}")
-            if self.margins[stage] < 0:
-                raise ValueError(f"margin for {stage} must be >= 0")
+            if not 0 <= self.epochs[stage] < 2**32:
+                raise ValueError(
+                    f"epochs[{stage!r}] must be in [0, 2**32), got {self.epochs[stage]!r}"
+                )
+            if not 0 <= self.margins[stage] < math.inf:
+                raise ValueError(
+                    f"margins[{stage!r}] must be finite and >= 0, got {self.margins[stage]!r}"
+                )
 
 
 class Triple(NamedTuple):
@@ -139,23 +148,24 @@ def sgd_step(
     velocity: dict[str, np.ndarray],
     lr: float,
     momentum: float,
-    frozen: Sequence[str] = (),
-) -> tuple[ModelParams, dict[str, np.ndarray]]:
-    """In-place momentum update: v <- momentum*v - lr*g; p <- p + v.
+) -> None:
+    """In-place momentum update of exactly the tensors named in ``grads``:
+    v <- momentum*v - lr*g; p <- p + v.
 
-    Frozen tensors are untouched, velocity included.
+    Every other tensor is untouched, velocity included. A name that is not
+    a tensor of ``params`` raises ``KeyError`` before anything changes.
     """
-    frozen_set = set(frozen)
-    for name, tensor in params.named_tensors():
-        if name in frozen_set:
-            continue
+    tensors = dict(params.named_tensors())
+    unknown = grads.keys() - tensors.keys()
+    if unknown:
+        raise KeyError(f"no tensor named {sorted(unknown)} in the params")
+    for name, grad in grads.items():
         vel = velocity.get(name)
         if vel is None:
-            vel = velocity[name] = np.zeros_like(tensor)
+            vel = velocity[name] = np.zeros_like(tensors[name])
         vel *= momentum
-        vel -= lr * grads[name]
-        tensor += vel
-    return params, velocity
+        vel -= lr * grad
+        tensors[name] += vel
 
 
 def _record_by_id(dataset: Dataset) -> dict[int, ManifestRecord]:
@@ -179,11 +189,14 @@ def train_stage(
     writes one ``epoch<TAB>stage<TAB>lr<TAB>mean_loss`` line to
     ``metrics_out``.
 
-    Each triple is one ``backward_triple`` call. The minibatch gradient is
-    the sum over the batch's triples with a non-zero loss, of the tensors
-    not frozen, divided by the batch size; a triple with zero loss adds
-    only zeros, so leaving it out gives the same bits. A batch with no such
-    triple still makes a momentum step, on zero gradients.
+    Each triple is one ``backward_triple`` call, which returns the
+    gradients of the tensors the stage trains, or none at zero loss. The
+    minibatch gradient is their sum over the batch's triples with a
+    non-zero loss, divided by the batch size; a triple with zero loss
+    would add only zeros, so leaving it out gives the same bits. A batch
+    with no such triple still makes a momentum step, on zero gradients of
+    the trained tensors: every tensor but ``FROZEN_TRUNK`` after the first
+    stage.
     """
     stage = stage.strip().lower()
     variant = stage_variant(stage)
@@ -219,9 +232,6 @@ def train_stage(
     )
     sample_rng = np.random.default_rng([cfg.seed, stage_index, 1])
     frozen_trunk = stage_index > 0
-    frozen = FROZEN_TRUNK if frozen_trunk else ()
-    # The tensors the minibatch sum holds: those sgd_step updates.
-    trained = [(name, t) for name, t in params.named_tensors() if name not in frozen]
     alpha = cfg.margins[stage]
     records = _record_by_id(dataset)
     epoch_count = cfg.epochs[stage]
@@ -255,19 +265,23 @@ def train_stage(
                         f"non-finite loss at stage {stage} epoch {epoch}"
                     )
                 if loss == 0.0:
-                    continue  # its gradients are all zero
+                    continue  # no gradients
                 batch_loss += loss
                 if grads_sum is None:
-                    grads_sum = {name: grads[name] for name, _ in trained}
+                    grads_sum = grads
                 else:
-                    for name in grads_sum:
-                        grads_sum[name] += grads[name]
+                    for name, grad in grads.items():
+                        grads_sum[name] += grad
             if grads_sum is None:
-                grads_sum = {name: np.zeros_like(t) for name, t in trained}
+                grads_sum = {
+                    name: np.zeros_like(t)
+                    for name, t in params.named_tensors()
+                    if not (frozen_trunk and name in FROZEN_TRUNK)
+                }
             scale = 1.0 / len(batch)
             for grad in grads_sum.values():
                 grad *= scale
-            sgd_step(params, grads_sum, velocity, lr, cfg.momentum, frozen=frozen)
+            sgd_step(params, grads_sum, velocity, lr, cfg.momentum)
             epoch_loss += batch_loss
         mean_loss = epoch_loss / len(triples)
         curve.append(mean_loss)

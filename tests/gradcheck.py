@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from xattn.attention import TagVector
-from xattn.metric import distance
 from xattn.model import (
     ModelConfig,
     ModelParams,
@@ -78,6 +77,13 @@ def _draw_raw(rng: np.random.Generator, params: ModelParams, domain: str) -> np.
     raise RuntimeError("could not draw a kink-safe raw feature map")
 
 
+def hinge_gap(fwd) -> float:
+    """d(anchor_pos, positive) - d(anchor_neg, negative): the hinge
+    argument without its margin, from the rows of a ``TripleForward``."""
+    pos, neg = fwd.anchor_rows - fwd.shop_rows
+    return float(pos @ pos) - float(neg @ neg)
+
+
 def random_check_instance(
     seed: "int | list[int]", variant: Variant = Variant.CTXYNET
 ) -> CheckInstance:
@@ -100,8 +106,8 @@ def random_check_instance(
     # Pick alpha so the hinge argument lands at >= 0.25, far from the kink.
     probe = forward_triple(
         anchor_raw, positive_raw, negative_raw, positive_tags, negative_tags, params, 0.0
-    ).embeddings
-    gap = distance(probe.anchor_neg, probe.negative) - distance(probe.anchor_pos, probe.positive)
+    )
+    gap = -hinge_gap(probe)
     alpha = max(0.05, gap + 0.25)
     return CheckInstance(
         params=params,

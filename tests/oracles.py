@@ -17,7 +17,6 @@ import struct
 import numpy as np
 
 from xattn.attention import context_attend_backward, tag_attend_backward
-from xattn.metric import triplet_loss_backward
 from xattn.model import Checkpoint, ModelConfig, Variant, forward_triple, init_params
 from xattn.numeric import l2_normalize_backward
 from xattn.training import FROZEN_TRUNK, lr_at, sample_triples, sgd_step, stage_variant
@@ -285,33 +284,34 @@ def linalg_l2_normalize_backward(v, grad_output, eps=1e-12):
     return (g - along * y) / scale
 
 
-def reference_backward_triple(
+def reference_full_backward_triple(
     anchor_raw, positive_raw, negative_raw, positive_tags, negative_tags, params, alpha,
     *, frozen_trunk=False,
 ):
     """``backward_triple`` as it was before its per-call costs were cut: a
-    zero dict that each gradient overwrites or adds into, the hinge
-    evaluated again by ``triplet_loss_backward``, and pairs joined with
+    zero dict of every tensor that each gradient overwrites or adds into,
+    the loss gradient taken per vector, and pairs joined with
     ``np.stack``. It walks back over the intermediates ``forward_triple``
     keeps, the shop side as one pass: the branch on the pooled hidden
-    rows, tag attention under the keys ``E @ W_shop``. The library's
-    gradients must have these bits."""
+    rows, tag attention under the keys ``E @ W_shop``. Returns the loss
+    and the full dict, zeros included."""
     fwd = forward_triple(
         anchor_raw, positive_raw, negative_raw, positive_tags, negative_tags, params, alpha
     )
     grads = {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
     if fwd.loss == 0.0:
         return 0.0, grads
-    e = fwd.embeddings
-    eg = triplet_loss_backward(e, alpha)
-    grad_shops = np.stack([eg.positive, eg.negative])
+    (anchor_pos, anchor_neg), (positive, negative) = fwd.anchor_rows, fwd.shop_rows
+    pos_pull = 2.0 * (anchor_pos - positive)
+    neg_push = 2.0 * (anchor_neg - negative)
+    grad_shops = np.stack([-pos_pull, neg_push])
     if params.config.variant >= Variant.CTXYNET:
         grad_pooled = l2_normalize_backward(
-            fwd.anchor_pool.pooled, np.stack([eg.anchor_pos, eg.anchor_neg])
+            fwd.anchor_pool.pooled, np.stack([pos_pull, -neg_push])
         )
         grad_anchor_map, grad_contexts, grad_fw, grad_cw = context_attend_backward(
             fwd.anchor.fmap,
-            np.stack([e.positive, e.negative]),
+            np.stack([positive, negative]),
             params.ctx_attn,
             fwd.anchor_pool,
             grad_pooled,
@@ -320,7 +320,7 @@ def reference_backward_triple(
         grads["ctx_attn.context_weight"] = grad_cw
         grad_shops += grad_contexts
     else:
-        grad_pooled = l2_normalize_backward(fwd.anchor_pool.pooled, eg.anchor_pos + eg.anchor_neg)
+        grad_pooled = l2_normalize_backward(fwd.anchor_pool.pooled, pos_pull - neg_push)
         grad_anchor_map = fwd.anchor_pool.weights[..., None] * grad_pooled[..., None, :]
     anchor, shops = fwd.anchor, fwd.shops
     grad_user = grad_anchor_map.reshape(-1, params.config.channels)
@@ -351,11 +351,26 @@ def reference_backward_triple(
     return fwd.loss, grads
 
 
+def reference_backward_triple(*args, frozen_trunk=False):
+    """``reference_full_backward_triple`` cut to what a step applies, as
+    ``backward_triple`` returns it: no entries at zero loss, and no trunk
+    entries with ``frozen_trunk``. The library's gradients must have
+    these bits."""
+    loss, grads = reference_full_backward_triple(*args, frozen_trunk=frozen_trunk)
+    if loss == 0.0:
+        return 0.0, {}
+    if frozen_trunk:
+        for name in FROZEN_TRUNK:
+            del grads[name]
+    return loss, grads
+
+
 def reference_train_stage(stage, dataset, cfg, model_cfg=None, init=None):
     """``train_stage``'s loop before its minibatch sum skipped anything:
     every triple's full gradient dict, zero-loss triples and a frozen
-    trunk's zeros included, is added in, with ``reference_backward_triple``
-    computing each. Returns the checkpoint, the loss curve and, per
+    trunk's zeros included, is added in, with
+    ``reference_full_backward_triple`` computing each; only the step leaves
+    a frozen trunk out. Returns the checkpoint, the loss curve and, per
     minibatch, how many of its triples had zero loss."""
     variant = stage_variant(stage)
     base_cfg = init.config if init is not None else model_cfg
@@ -383,7 +398,7 @@ def reference_train_stage(stage, dataset, cfg, model_cfg=None, init=None):
             batch_loss = 0.0
             zero_losses.append(0)
             for anchor, positive, negative in batch:
-                loss, grads = reference_backward_triple(
+                loss, grads = reference_full_backward_triple(
                     dataset.features[anchor],
                     dataset.features[positive],
                     dataset.features[negative],
@@ -402,10 +417,10 @@ def reference_train_stage(stage, dataset, cfg, model_cfg=None, init=None):
                         grads_sum[name] += grads[name]
             for name in grads_sum:
                 grads_sum[name] *= 1.0 / len(batch)
-            sgd_step(
-                params, grads_sum, velocity, lr, cfg.momentum,
-                frozen=FROZEN_TRUNK if frozen_trunk else (),
-            )
+            if frozen_trunk:
+                for name in FROZEN_TRUNK:
+                    del grads_sum[name]
+            sgd_step(params, grads_sum, velocity, lr, cfg.momentum)
             epoch_loss += batch_loss
         curve.append(epoch_loss / len(triples))
     checkpoint = Checkpoint(

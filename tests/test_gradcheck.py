@@ -1,10 +1,10 @@
 import numpy as np
 
-from xattn.metric import distance
 from xattn.model import Variant, forward_triple
 
 from gradcheck import (
     check_triple_gradients,
+    hinge_gap,
     random_check_instance,
     run_gradient_checks,
 )
@@ -32,10 +32,7 @@ class TestInstanceGeneration:
                 inst.params,
                 inst.alpha,
             )
-            gap = distance(out.embeddings.anchor_pos, out.embeddings.positive) - distance(
-                out.embeddings.anchor_neg, out.embeddings.negative
-            )
-            assert gap + inst.alpha >= 0.2
+            assert hinge_gap(out) + inst.alpha >= 0.2
             assert out.loss > 0.0
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from xattn import model
 from xattn.attention import ContextAttentionParams, TagAttentionParams, TagVector, context_attend
-from xattn.metric import distance
 from xattn.model import (
     CHECKPOINT_MAGIC,
     Checkpoint,
@@ -351,7 +350,7 @@ class TestForwardTriple:
         candidate = rng.normal(size=(4, 3))
         bits = TagVector.from_ids([1], 2)
         out = forward_triple(anchor, candidate, candidate, bits, bits, params, 0.5)
-        np.testing.assert_array_equal(out.embeddings.anchor_pos, out.embeddings.anchor_neg)
+        np.testing.assert_array_equal(out.anchor_rows[0], out.anchor_rows[1])
         assert out.loss == pytest.approx(0.5, abs=1e-12)
 
     def test_satisfied_margin_zero_loss(self):
@@ -365,8 +364,9 @@ class TestForwardTriple:
         negative = np.abs(rng.normal(size=(4, 3))) + 0.1
         bits = TagVector.from_ids([], 2)
         out = forward_triple(anchor, positive, negative, bits, bits, params, 0.0)
-        assert distance(out.embeddings.anchor_pos, out.embeddings.positive) < 1e-12
-        if distance(out.embeddings.anchor_neg, out.embeddings.negative) >= 0.0:
+        pos, neg = out.anchor_rows - out.shop_rows
+        assert pos @ pos < 1e-12
+        if neg @ neg >= 0.0:
             assert out.loss == 0.0
 
     def test_trunk_overflowing_to_inf_raises(self):
@@ -391,7 +391,7 @@ class TestForwardTriple:
             bits = rng.integers(0, 2, size=(2, 10)).astype(np.float64)
             got = forward_triple(
                 anchor, positive, negative, TagVector(bits[0]), TagVector(bits[1]), params, 0.5
-            ).embeddings
+            )
             shops = np.stack([positive, negative])
             if variant >= Variant.TAGYNET:
                 shop_rows = embed_shops(shops, TagVector(bits), params)
@@ -402,10 +402,8 @@ class TestForwardTriple:
                 anchor_rows = l2_normalize(context_attend(fmap, shop_rows, params.ctx_attn).pooled)
             else:
                 anchor_rows = [uniform_embedding(extract_features(anchor, "user", params))] * 2
-            np.testing.assert_array_equal(got.positive, shop_rows[0])
-            np.testing.assert_array_equal(got.negative, shop_rows[1])
-            np.testing.assert_array_equal(got.anchor_pos, anchor_rows[0])
-            np.testing.assert_array_equal(got.anchor_neg, anchor_rows[1])
+            np.testing.assert_array_equal(got.shop_rows, shop_rows)
+            np.testing.assert_array_equal(got.anchor_rows, anchor_rows)
 
     def test_tags_required_for_tag_variant(self):
         params = init_params(small_config(Variant.TAGYNET), 0)
@@ -422,8 +420,7 @@ class TestBackwardTriple:
         bits = TagVector.from_ids([0], 2)
         loss, grads = backward_triple(*raws, bits, bits, params, 0.0)
         if loss == 0.0:
-            for g in grads.values():
-                np.testing.assert_array_equal(g, np.zeros_like(g))
+            assert grads == {}
 
     def test_gradients_cover_all_tensors(self):
         params = init_params(small_config(), 25)
@@ -435,21 +432,31 @@ class TestBackwardTriple:
 
     @pytest.mark.parametrize("frozen_trunk", [False, True])
     @pytest.mark.parametrize("variant", list(Variant))
-    def test_zero_loss_gives_a_full_dict_of_zeros(self, variant, frozen_trunk):
+    def test_the_dict_holds_exactly_the_trained_tensors(self, variant, frozen_trunk):
         params = init_params(small_config(variant), 27)
         rng = np.random.default_rng(28)
-        anchor, shop = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        anchor, shop, other = (rng.normal(size=(4, 3)) for _ in range(3))
         bits = TagVector.from_ids([1], 2)
         # Positive and negative are one image, so at margin 0 the hinge
-        # argument is exactly 0.
+        # argument is exactly 0: no gradients at all.
         loss, grads = backward_triple(
             anchor, shop, shop, bits, bits, params, 0.0, frozen_trunk=frozen_trunk
         )
-        assert loss == 0.0
-        assert list(grads) == [name for name, _ in params.named_tensors()]
-        for name, tensor in params.named_tensors():
-            assert grads[name].shape == tensor.shape
-            np.testing.assert_array_equal(grads[name], np.zeros_like(tensor))
+        assert loss == 0.0 and grads == {}
+        # Otherwise one array per trained tensor, of its shape: the trunk
+        # only when it is not frozen.
+        loss, grads = backward_triple(
+            anchor, shop, other, bits, bits, params, 5.0, frozen_trunk=frozen_trunk
+        )
+        assert loss > 0.0
+        trained = {
+            name: tensor
+            for name, tensor in params.named_tensors()
+            if not (frozen_trunk and name.startswith("trunk."))
+        }
+        assert set(grads) == set(trained)
+        for name, grad in grads.items():
+            assert grad.shape == trained[name].shape
 
     @pytest.mark.parametrize("frozen_trunk", [False, True])
     @pytest.mark.parametrize("variant", list(Variant))
@@ -483,7 +490,7 @@ class TestBackwardTriple:
         for name, grad in grads.items():
             if name.startswith("trunk."):
                 assert np.any(grad != 0.0)
-                np.testing.assert_array_equal(frozen[name], np.zeros_like(grad))
+                assert name not in frozen
             else:
                 np.testing.assert_array_equal(frozen[name], grad)
 

@@ -510,8 +510,12 @@ class TestChecks:
         index = build_index(make_items(params, 4, rng), params)
         raw = query(params, rng)
         search(index, raw, params)
-        grads = {name: rng.normal(size=t.shape) for name, t in params.named_tensors()}
-        sgd_step(params, grads, {}, lr=1e-3, momentum=0.9, frozen=frozen)
+        grads = {
+            name: rng.normal(size=t.shape)
+            for name, t in params.named_tensors()
+            if name not in frozen
+        }
+        sgd_step(params, grads, {}, lr=1e-3, momentum=0.9)
         with pytest.raises(FingerprintMismatchError):
             search(index, raw, params)
         with pytest.raises(FingerprintMismatchError):

@@ -1,12 +1,13 @@
 import io
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xattn.dataio import Dataset, Manifest, ManifestRecord, SyntheticSpec, generate_synthetic, load_dataset
-from xattn.model import ModelConfig, Variant, checkpoint_to_bytes, init_params
+from xattn.model import ModelConfig, Variant, checkpoint_from_bytes, checkpoint_to_bytes, init_params
 from xattn.training import (
     FROZEN_TRUNK,
     STAGES,
@@ -72,13 +73,14 @@ class TestSampleTriples:
 
 class TestSgdStep:
     def test_frozen_tensors_untouched_and_without_velocity(self):
+        # A frozen tensor is one the step is given no gradient for.
         config = ModelConfig(locations=3, channels=2, tag_count=2, raw_dim=2, variant=Variant.CTXYNET)
         params = init_params(config, 0)
         before = {name: t.copy() for name, t in params.named_tensors()}
-        grads = {name: np.ones_like(t) for name, t in params.named_tensors()}
+        grads = {name: np.ones_like(t) for name, t in params.named_tensors() if name not in FROZEN_TRUNK}
         velocity: dict[str, np.ndarray] = {}
         for _ in range(2):
-            sgd_step(params, grads, velocity, lr=0.1, momentum=0.5, frozen=FROZEN_TRUNK)
+            assert sgd_step(params, grads, velocity, lr=0.1, momentum=0.5) is None
         assert set(velocity) == set(before) - set(FROZEN_TRUNK)
         for name, tensor in params.named_tensors():
             if name in FROZEN_TRUNK:
@@ -88,12 +90,52 @@ class TestSgdStep:
                 np.testing.assert_allclose(tensor, before[name] - 0.25, rtol=0, atol=1e-15)
                 np.testing.assert_allclose(velocity[name], -0.15, rtol=0, atol=1e-15)
 
+    def test_an_unknown_name_raises_before_any_update(self):
+        config = ModelConfig(locations=3, channels=2, tag_count=2, raw_dim=2, variant=Variant.YNET)
+        params = init_params(config, 0)
+        before = {name: t.copy() for name, t in params.named_tensors()}
+        grads = {name: np.ones_like(t) for name, t in params.named_tensors()}
+        grads["tag_attn.embedding"] = np.ones((2, 2))
+        velocity: dict[str, np.ndarray] = {}
+        with pytest.raises(KeyError, match="tag_attn.embedding"):
+            sgd_step(params, grads, velocity, lr=0.1, momentum=0.5)
+        assert velocity == {}
+        for name, tensor in params.named_tensors():
+            np.testing.assert_array_equal(tensor, before[name])
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("table", ["margins", "epochs"])
     def test_every_stage_needs_an_entry(self, table):
         with pytest.raises(ValueError, match=f"{table} has no entry for stage 'tagynet'"):
             TrainConfig(**{table: {"ynet": 1, "ctxynet": 1}})
+
+    @pytest.mark.parametrize("count", [-1, 2**32])
+    def test_epoch_count_must_fit_the_checkpoint(self, count):
+        # The checkpoint stores the epoch count as a u32.
+        with pytest.raises(ValueError, match=r"epochs\['tagynet'\] must be in \[0, 2\*\*32\)"):
+            TrainConfig(epochs={"ynet": 1, "tagynet": count, "ctxynet": 1})
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_must_fit_the_checkpoint(self, seed):
+        # The checkpoint stores the seed as a u64.
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            TrainConfig(seed=seed)
+
+    @pytest.mark.parametrize("margin", [-0.1, math.nan, math.inf, -math.inf])
+    def test_margin_must_be_finite_and_non_negative(self, margin):
+        with pytest.raises(ValueError, match=r"margins\['ctxynet'\] must be finite and >= 0"):
+            TrainConfig(margins={"ynet": 0.3, "tagynet": 0.3, "ctxynet": margin})
+
+    def test_the_largest_accepted_values_save(self, tmp_path):
+        spec = SyntheticSpec(products=3, holdout_products=0, locations=2, channels=2, tag_count=2, raw_dim=2, signal_locations=1)
+        generate_synthetic(spec, tmp_path)
+        config = ModelConfig(locations=2, channels=2, tag_count=2, raw_dim=2, variant=Variant.YNET)
+        cfg = TrainConfig(epochs={s: 0 for s in STAGES}, seed=2**64 - 1)
+        checkpoint, curve = train_stage("ynet", load_dataset(tmp_path / "train"), cfg, model_cfg=config)
+        assert curve == [] and checkpoint.epoch == 0
+        assert checkpoint_from_bytes(checkpoint_to_bytes(checkpoint)).seed == 2**64 - 1
+        TrainConfig(epochs={s: 2**32 - 1 for s in STAGES}, margins={s: 0.0 for s in STAGES})
 
 
 class TestCurriculum:
