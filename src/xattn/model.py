@@ -5,13 +5,22 @@ uniformly; the tag variant adds tag-conditioned pooling on the shop
 side; the context variant additionally attends the query under each
 candidate's shop embedding as context.
 
+The parameters are a config and one name -> array dict,
+``ModelParams.tensors``. ``_tensor_layout(config)`` is the one source of
+the tensor names, shapes, initial scales and order: ``init_params``
+builds the dict from it and ``checkpoint_from_bytes`` checks a file
+against it. Everything else works by name: the checkpoint, the
+fingerprint, ``copy``, the gradient dict and the optimiser. The forward
+and backward code read the arrays they need by name and hand them to the
+``attention`` functions as plain arrays.
+
 The trunk is a per-location affine+ReLU transform and each branch a
-per-location affine one (1x1-convolution equivalents); precomputed
-feature maps can bypass the trunk via raw_dim == channels with an
-identity trunk. Feature maps are plain arrays: L x C for one image,
-B x L x C for a stack. A forward pass is a trunk pass (``_trunk``) and a
-branch pass. The user side applies its branch at every location, since
-the re-rank attends the whole L x C map. The shop side pools first
+per-location affine one (``_affine``, 1x1-convolution equivalents);
+precomputed feature maps can bypass the trunk via raw_dim == channels
+with an identity trunk. Feature maps are plain arrays: L x C for one
+image, B x L x C for a stack. A forward pass is a trunk pass (``_trunk``)
+and a branch pass. The user side applies its branch at every location,
+since the re-rank attends the whole L x C map. The shop side pools first
 (``_shop_pass``): it pools the trunk's hidden maps and applies the shop
 branch once per image, to the pooled row. The branch is affine and the
 pooling weights sum to 1, so this is the pooled branch output, and the
@@ -76,7 +85,8 @@ count, then strict UTF-8. ``fileio`` says how faults are reported. The
 tensors must be exactly those of ``_tensor_layout``, in any order: a name
 the config has no tensor for, a repeated name or a shape other than the
 config's is reported at the tensor's name, a missing tensor at the end of
-the file.
+the file. A loaded model holds them in layout order, so it saves back to
+the canonical bytes.
 """
 
 from __future__ import annotations
@@ -87,14 +97,12 @@ import os
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .attention import (
     AttentionResult,
-    ContextAttentionParams,
-    TagAttentionParams,
     TagVector,
     context_attend,
     context_attend_backward,
@@ -123,17 +131,12 @@ class Variant(IntEnum):
 
     @classmethod
     def parse(cls, name: str) -> "Variant":
+        """The variant named ``name``, ignoring case and surrounding blanks."""
+        names = tuple(variant.name.lower() for variant in cls)
         key = name.strip().lower()
-        aliases = {
-            "ynet": cls.YNET,
-            "tag": cls.TAGYNET,
-            "tagynet": cls.TAGYNET,
-            "ctx": cls.CTXYNET,
-            "ctxynet": cls.CTXYNET,
-        }
-        if key not in aliases:
-            raise ValueError(f"unknown variant {name!r}")
-        return aliases[key]
+        if key not in names:
+            raise ValueError(f"unknown variant {name!r}; expected one of {names}")
+        return cls[key.upper()]
 
 
 class UnsupportedVariantError(ValueError):
@@ -158,52 +161,33 @@ class ModelConfig:
                 raise ValueError(f"{field_name} must be positive")
 
 
-@dataclass
-class Affine:
-    """Per-location affine transform: x -> x @ weight.T + bias."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        # The bias goes onto the fresh product in place, the same sums as
-        # ``x @ weight.T + bias`` without a second array of that size.
-        out = x @ self.weight.T
-        out += self.bias
-        return out
+def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Per-location affine transform ``x @ weight.T + bias``. The bias goes
+    onto the fresh product in place: the same sums without a second array
+    of that size."""
+    out = x @ weight.T
+    out += bias
+    return out
 
 
 @dataclass
 class ModelParams:
-    """All learnable tensors, keyed canonically by ``named_tensors``."""
+    """A config and its learnable tensors: one name -> array dict holding
+    exactly the names and shapes of ``_tensor_layout(config)``, in that
+    order. The order is the checkpoint's and the fingerprint's."""
 
     config: ModelConfig
-    trunk: Affine
-    branch_shop: Affine
-    branch_user: Affine
-    tag_attn: TagAttentionParams | None = None
-    ctx_attn: ContextAttentionParams | None = None
+    tensors: dict[str, np.ndarray]
     # Read and written by params_fingerprint only.
     _fingerprint: "_HashedBytes | None" = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def named_tensors(self) -> Iterator[tuple[str, np.ndarray]]:
-        yield "trunk.weight", self.trunk.weight
-        yield "trunk.bias", self.trunk.bias
-        yield "branch_shop.weight", self.branch_shop.weight
-        yield "branch_shop.bias", self.branch_shop.bias
-        yield "branch_user.weight", self.branch_user.weight
-        yield "branch_user.bias", self.branch_user.bias
-        if self.tag_attn is not None:
-            yield "tag_attn.embedding", self.tag_attn.embedding
-        if self.ctx_attn is not None:
-            yield "ctx_attn.feature_weight", self.ctx_attn.feature_weight
-            yield "ctx_attn.context_weight", self.ctx_attn.context_weight
+        return iter(self.tensors.items())
 
     def copy(self) -> "ModelParams":
-        tensors = {name: arr.copy() for name, arr in self.named_tensors()}
-        return _params_from_tensors(self.config, tensors)
+        return ModelParams(self.config, {name: arr.copy() for name, arr in self.tensors.items()})
 
 
 def _tensor_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]:
@@ -224,28 +208,6 @@ def _tensor_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], floa
         layout.append(("ctx_attn.feature_weight", (c,), branch_scale))
         layout.append(("ctx_attn.context_weight", (config.locations, c), branch_scale))
     return layout
-
-
-def _params_from_tensors(
-    config: ModelConfig, tensors: Mapping[str, np.ndarray]
-) -> ModelParams:
-    """Assemble ``tensors``, which must hold exactly the names and shapes
-    of ``_tensor_layout(config)``."""
-    t = tensors
-    params = ModelParams(
-        config=config,
-        trunk=Affine(t["trunk.weight"], t["trunk.bias"]),
-        branch_shop=Affine(t["branch_shop.weight"], t["branch_shop.bias"]),
-        branch_user=Affine(t["branch_user.weight"], t["branch_user.bias"]),
-    )
-    if config.variant >= Variant.TAGYNET:
-        params.tag_attn = TagAttentionParams(embedding=t["tag_attn.embedding"])
-    if config.variant >= Variant.CTXYNET:
-        params.ctx_attn = ContextAttentionParams(
-            feature_weight=t["ctx_attn.feature_weight"],
-            context_weight=t["ctx_attn.context_weight"],
-        )
-    return params
 
 
 def init_params(
@@ -277,7 +239,7 @@ def init_params(
             tensors[name] = np.zeros(shape, dtype=np.float64)
         else:
             tensors[name] = rng.uniform(-scale, scale, size=shape)
-    return _params_from_tensors(config, tensors)
+    return ModelParams(config, tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +269,7 @@ def _trunk(raw: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray
     if not np.isfinite(data).all():
         raise ValueError("raw features must be finite")
     rows = data.reshape(-1, cfg.raw_dim)
-    hidden = params.trunk.apply(rows)
+    hidden = _affine(rows, params.tensors["trunk.weight"], params.tensors["trunk.bias"])
     np.maximum(hidden, 0.0, out=hidden)
     return rows, hidden
 
@@ -316,8 +278,9 @@ def _features(raw: np.ndarray, domain: str, params: ModelParams) -> _Features:
     if domain not in DOMAINS:
         raise ValueError(f"domain must be one of {DOMAINS}, got {domain!r}")
     rows, hidden = _trunk(raw, params)
-    branch = params.branch_user if domain == "user" else params.branch_shop
-    features = branch.apply(hidden).reshape(*np.shape(raw)[:-1], params.config.channels)
+    t = params.tensors
+    features = _affine(hidden, t[f"branch_{domain}.weight"], t[f"branch_{domain}.bias"])
+    features = features.reshape(*np.shape(raw)[:-1], params.config.channels)
     return _Features(rows=rows, hidden=hidden, fmap=features)
 
 
@@ -359,28 +322,28 @@ class _ShopPass(NamedTuple):
     ``backward_triple`` reads."""
 
     rows: np.ndarray  # (B*L) x R input rows
-    hidden: np.ndarray  # B x L x C hidden maps (L x C for one map)
-    keys: TagAttentionParams | None  # tag embedding through the branch; None when uniform
+    hidden: np.ndarray  # B x L x C hidden maps
+    keys: np.ndarray | None  # T x C tag embedding through the branch; None when uniform
     pool: AttentionResult  # B x L weights, B x C pooled hidden rows
     pooled: np.ndarray  # B x C: the shop branch of each pooled hidden row
 
 
-def _shop_pass(raws: np.ndarray, tags: TagVector | None, params: ModelParams) -> _ShopPass:
-    """Pool each hidden map of ``raws``, under its row of ``tags`` or
-    uniformly when ``tags`` is None, then apply the shop branch to each
-    pooled row. The tags score the hidden maps under the keys ``E @ W``,
-    which embed a tag set ``e`` as ``W^T e``."""
+def _shop_pass(raws: np.ndarray, bits: np.ndarray | None, params: ModelParams) -> _ShopPass:
+    """Pool each hidden map of the B x L x R stack ``raws``, under its row of
+    the B x T tag ``bits`` or uniformly when ``bits`` is None, then apply
+    the shop branch to each pooled row. The tags score the hidden maps
+    under the keys ``E @ W``, which embed a tag set ``e`` as ``W^T e``."""
     rows, hidden = _trunk(raws, params)
     maps = hidden.reshape(*np.shape(raws)[:-1], params.config.channels)
-    branch = params.branch_shop
-    if tags is None:
+    t = params.tensors
+    if bits is None:
         keys = None
         pool = _uniform_pool(maps)
     else:
-        assert params.tag_attn is not None
-        keys = TagAttentionParams(embedding=params.tag_attn.embedding @ branch.weight)
-        pool = tag_attend(maps, tags, keys)
-    return _ShopPass(rows=rows, hidden=maps, keys=keys, pool=pool, pooled=branch.apply(pool.pooled))
+        keys = t["tag_attn.embedding"] @ t["branch_shop.weight"]
+        pool = tag_attend(maps, bits, keys)
+    pooled = _affine(pool.pooled, t["branch_shop.weight"], t["branch_shop.bias"])
+    return _ShopPass(rows=rows, hidden=maps, keys=keys, pool=pool, pooled=pooled)
 
 
 def embed_shops(raws: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndarray:
@@ -390,7 +353,7 @@ def embed_shops(raws: np.ndarray, tags: TagVector, params: ModelParams) -> np.nd
         raise UnsupportedVariantError(
             "shop tag attention needs the tag head; this model does not have one"
         )
-    return l2_normalize(_shop_pass(raws, tags, params).pooled)
+    return l2_normalize(_shop_pass(raws, tags.bits, params).pooled)
 
 
 def embed_shops_simple(raws: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -421,7 +384,7 @@ class TripleForward(NamedTuple):
     shop_rows: np.ndarray  # [positive, negative]
     anchor: _Features
     shops: _ShopPass  # the stack [positive, negative]
-    shop_tags: TagVector | None  # 2 x T; None when the shops pool uniformly
+    shop_bits: np.ndarray | None  # 2 x T; None when the shops pool uniformly
     anchor_pool: AttentionResult  # K=2 under the shop contexts, else uniform
 
 
@@ -448,17 +411,19 @@ def forward_triple(
     """
     variant = params.config.variant
     anchor = _features(anchor_raw, "user", params)
-    shop_tags = None
+    shop_bits = None
     if variant >= Variant.TAGYNET:
         if positive_tags is None or negative_tags is None:
             raise ValueError("tag vectors required for the tag-attention variant")
-        shop_tags = TagVector(bits=_pair(positive_tags.bits, negative_tags.bits))
-    shops = _shop_pass(_pair(positive_raw, negative_raw), shop_tags, params)
+        shop_bits = _pair(positive_tags.bits, negative_tags.bits)
+    shops = _shop_pass(_pair(positive_raw, negative_raw), shop_bits, params)
     shop_rows = l2_normalize(shops.pooled)
 
     if variant >= Variant.CTXYNET:
-        assert params.ctx_attn is not None
-        anchor_pool = context_attend(anchor.fmap, shop_rows, params.ctx_attn)
+        t = params.tensors
+        anchor_pool = context_attend(
+            anchor.fmap, shop_rows, t["ctx_attn.feature_weight"], t["ctx_attn.context_weight"]
+        )
         anchor_rows = l2_normalize(anchor_pool.pooled)
     else:
         anchor_pool = _uniform_pool(anchor.fmap)
@@ -470,7 +435,7 @@ def forward_triple(
         shop_rows=shop_rows,
         anchor=anchor,
         shops=shops,
-        shop_tags=shop_tags,
+        shop_bits=shop_bits,
         anchor_pool=anchor_pool,
     )
 
@@ -517,13 +482,18 @@ def backward_triple(
         return 0.0, {}
     grad_anchors, grad_shops = triplet_loss_backward(fwd.anchor_rows, fwd.shop_rows, fwd.loss)
     grads: dict[str, np.ndarray] = {}
+    t = params.tensors
 
     if params.config.variant >= Variant.CTXYNET:
-        assert params.ctx_attn is not None
         grad_pooled = l2_normalize_backward(fwd.anchor_pool.pooled, grad_anchors)
         grad_anchor_map, grad_contexts, grad_feature_weight, grad_context_weight = (
             context_attend_backward(
-                fwd.anchor.fmap, fwd.shop_rows, params.ctx_attn, fwd.anchor_pool, grad_pooled
+                fwd.anchor.fmap,
+                fwd.shop_rows,
+                t["ctx_attn.feature_weight"],
+                t["ctx_attn.context_weight"],
+                fwd.anchor_pool,
+                grad_pooled,
             )
         )
         grads["ctx_attn.feature_weight"] = grad_feature_weight
@@ -542,24 +512,22 @@ def backward_triple(
     grads["branch_user.weight"] = grad_user.T @ anchor.hidden
     grads["branch_user.bias"] = grad_user.sum(axis=0)
 
-    branch = params.branch_shop
     grad_shop = l2_normalize_backward(shops.pooled, grad_shops)
     grads["branch_shop.weight"] = grad_shop.T @ shops.pool.pooled
     grads["branch_shop.bias"] = grad_shop.sum(axis=0)
-    grad_hidden_pooled = grad_shop @ branch.weight
-    if fwd.shop_tags is not None:
-        assert shops.keys is not None and params.tag_attn is not None
+    grad_hidden_pooled = grad_shop @ t["branch_shop.weight"]
+    if fwd.shop_bits is not None:
         grad_maps, grad_keys = tag_attend_backward(
-            shops.hidden, fwd.shop_tags, shops.keys, shops.pool, grad_hidden_pooled
+            shops.hidden, fwd.shop_bits, shops.keys, shops.pool, grad_hidden_pooled
         )
-        grads["branch_shop.weight"] += params.tag_attn.embedding.T @ grad_keys
-        grads["tag_attn.embedding"] = grad_keys @ branch.weight.T
+        grads["branch_shop.weight"] += t["tag_attn.embedding"].T @ grad_keys
+        grads["tag_attn.embedding"] = grad_keys @ t["branch_shop.weight"].T
     else:
         grad_maps = shops.pool.weights[..., None] * grad_hidden_pooled[..., None, :]
 
     if not frozen_trunk:
         # the gradient at each domain's trunk pre-activations
-        user_pre = np.where(anchor.hidden > 0.0, grad_user @ params.branch_user.weight, 0.0)
+        user_pre = np.where(anchor.hidden > 0.0, grad_user @ t["branch_user.weight"], 0.0)
         shop_pre = np.where(shops.hidden > 0.0, grad_maps, 0.0).reshape(
             -1, params.config.channels
         )
@@ -629,9 +597,9 @@ def params_fingerprint(params: ModelParams) -> bytes:
     little-endian float64 payload. The digest is returned from there only
     when the current config and tensors equal that copy byte for byte, so
     in-place writes (a sign flip of a zero or a NaN's payload bits
-    included), a rebound head and a replaced config all lead to a fresh
-    hash. The compare reads each tensor once, in place, and costs a
-    fraction of hashing it.
+    included), a rebound or deleted tensor and a replaced config all lead
+    to a fresh hash. The compare reads each tensor once, in place, and
+    costs a fraction of hashing it.
     """
     config_frame = _config_frame(params.config)
     payloads = [
@@ -720,7 +688,9 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
     missing = [name for name in layout if name not in tensors]
     if missing:
         reader.fail(f"missing tensor {missing[0]!r}", reader.pos)
-    params = _params_from_tensors(config, tensors)
+    # The file may store the tensors in any order; the dict takes the
+    # layout's, which the fingerprint and checkpoint_to_bytes depend on.
+    params = ModelParams(config, {name: tensors[name] for name in layout})
     return Checkpoint(config=config, params=params, epoch=epoch, seed=seed, stage=stage)
 
 

@@ -445,9 +445,11 @@ def search(
     fmap = extract_features(query_raw, "user", params)
     rows, dists = _scan(index, uniform_embedding(fmap), k)
     if use_rerank and len(rows):
-        assert params.ctx_attn is not None
         contexts = index.embeddings[rows]
-        pooled = context_attend(fmap, contexts, params.ctx_attn).pooled
+        t = params.tensors
+        pooled = context_attend(
+            fmap, contexts, t["ctx_attn.feature_weight"], t["ctx_attn.context_weight"]
+        ).pooled
         dists = _context_distances(pooled, contexts, index._sq_norms[rows])
     # Rows ascend, and item ids with them, so a stable sort by distance
     # breaks ties by item id.

@@ -37,13 +37,6 @@ class TrainingDivergedError(RuntimeError):
     """The loss stopped being finite."""
 
 
-def stage_variant(stage: str) -> Variant:
-    key = stage.strip().lower()
-    if key not in STAGES:
-        raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
-    return Variant[key.upper()]
-
-
 def _default_margins() -> dict[str, float]:
     return {"ynet": 0.3, "tagynet": 0.3, "ctxynet": 0.5}
 
@@ -155,7 +148,7 @@ def sgd_step(
     Every other tensor is untouched, velocity included. A name that is not
     a tensor of ``params`` raises ``KeyError`` before anything changes.
     """
-    tensors = dict(params.named_tensors())
+    tensors = params.tensors
     unknown = grads.keys() - tensors.keys()
     if unknown:
         raise KeyError(f"no tensor named {sorted(unknown)} in the params")
@@ -198,8 +191,8 @@ def train_stage(
     the trained tensors: every tensor but ``FROZEN_TRUNK`` after the first
     stage.
     """
-    stage = stage.strip().lower()
-    variant = stage_variant(stage)
+    variant = Variant.parse(stage)
+    stage = STAGES[variant]
     stage_index = int(variant)
     if init is not None:
         base_cfg = init.config
@@ -275,7 +268,7 @@ def train_stage(
             if grads_sum is None:
                 grads_sum = {
                     name: np.zeros_like(t)
-                    for name, t in params.named_tensors()
+                    for name, t in params.tensors.items()
                     if not (frozen_trunk and name in FROZEN_TRUNK)
                 }
             scale = 1.0 / len(batch)
@@ -305,7 +298,7 @@ def run_curriculum(
     """Run stages in order, threading each checkpoint into the next."""
     ordered = [s.strip().lower() for s in stages]
     for a, b in zip(ordered, ordered[1:]):
-        if stage_variant(a) >= stage_variant(b):
+        if Variant.parse(a) >= Variant.parse(b):
             raise ValueError(f"stages must be in ladder order, got {ordered}")
     results = []
     current = init

@@ -68,7 +68,7 @@ def _draw_raw(rng: np.random.Generator, params: ModelParams, domain: str) -> np.
     cfg = params.config
     for _ in range(200):
         raw = rng.normal(0.0, 1.0, size=(cfg.locations, cfg.raw_dim))
-        pre_act = params.trunk.apply(raw)
+        pre_act = raw @ params.tensors["trunk.weight"].T + params.tensors["trunk.bias"]
         if np.min(np.abs(pre_act)) > _KINK_GUARD:
             # also keep the branch output comfortably away from a zero pool
             fmap = extract_features(raw, domain, params)

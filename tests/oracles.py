@@ -19,7 +19,7 @@ import numpy as np
 from xattn.attention import context_attend_backward, tag_attend_backward
 from xattn.model import Checkpoint, ModelConfig, Variant, forward_triple, init_params
 from xattn.numeric import l2_normalize_backward
-from xattn.training import FROZEN_TRUNK, lr_at, sample_triples, sgd_step, stage_variant
+from xattn.training import FROZEN_TRUNK, lr_at, sample_triples, sgd_step
 
 
 def naive_softmax(scores) -> list[float]:
@@ -102,16 +102,19 @@ def naive_affine_relu_affine(raw, trunk_w, trunk_b, branch_w, branch_b) -> list[
     return out
 
 
-def out_of_place_features(raw, trunk, branch):
-    """The trunk + branch pass in numpy with a fresh array at each step, as
+def out_of_place_features(raw, tensors, domain):
+    """The trunk + ``domain`` branch pass in numpy, reading ``tensors`` (a
+    ``ModelParams.tensors`` dict), with a fresh array at each step, as
     ``x @ weight.T + bias`` and ``np.maximum(h, 0.0)`` write it; the model
     adds the bias and applies the ReLU in place, which must give the same
     bits. Returns the (N*L) x R input rows, the (N*L) x C hidden rows and
     the map shaped like ``raw`` with C channels."""
     raw = np.asarray(raw, dtype=np.float64)
     rows = raw.reshape(-1, raw.shape[-1])
-    hidden = np.maximum(rows @ trunk.weight.T + trunk.bias, 0.0)
-    fmap = (hidden @ branch.weight.T + branch.bias).reshape(*raw.shape[:-1], -1)
+    t = tensors
+    hidden = np.maximum(rows @ t["trunk.weight"].T + t["trunk.bias"], 0.0)
+    branch_w, branch_b = t[f"branch_{domain}.weight"], t[f"branch_{domain}.bias"]
+    fmap = (hidden @ branch_w.T + branch_b).reshape(*raw.shape[:-1], -1)
     return rows, hidden, fmap
 
 
@@ -137,15 +140,12 @@ def naive_rank(entries, query_embedding, k) -> list[tuple[int, float]]:
 def naive_shop_embedding(raw, bits, params) -> list[float]:
     """Shop embedding of one image: tag attention when the model has a tag
     head, uniform pooling otherwise."""
+    t = params.tensors
     features = naive_affine_relu_affine(
-        raw,
-        params.trunk.weight,
-        params.trunk.bias,
-        params.branch_shop.weight,
-        params.branch_shop.bias,
+        raw, t["trunk.weight"], t["trunk.bias"], t["branch_shop.weight"], t["branch_shop.bias"]
     )
-    if params.tag_attn is not None:
-        _, pooled = naive_tag_attend(features, bits, params.tag_attn.embedding)
+    if "tag_attn.embedding" in t:
+        _, pooled = naive_tag_attend(features, bits, t["tag_attn.embedding"])
     else:
         pooled = [sum(row[c] for row in features) / len(features) for c in range(len(features[0]))]
     return naive_l2_normalize(pooled)
@@ -153,12 +153,9 @@ def naive_shop_embedding(raw, bits, params) -> list[float]:
 
 def naive_user_embedding(raw, params) -> list[float]:
     """Uniform-pooled query embedding of one image."""
+    t = params.tensors
     features = naive_affine_relu_affine(
-        raw,
-        params.trunk.weight,
-        params.trunk.bias,
-        params.branch_user.weight,
-        params.branch_user.bias,
+        raw, t["trunk.weight"], t["trunk.bias"], t["branch_user.weight"], t["branch_user.bias"]
     )
     pooled = [sum(row[c] for row in features) / len(features) for c in range(len(features[0]))]
     return naive_l2_normalize(pooled)
@@ -168,18 +165,19 @@ def per_candidate_rerank(query_raw, candidate_ids, shop_embedding_of, params) ->
     """The context re-rank one candidate at a time: embed the query with
     the candidate's shop embedding as context, take the squared distance
     to that embedding, then sort by (distance, item id)."""
+    t = params.tensors
     scored = []
     for item_id in candidate_ids:
         context = shop_embedding_of[item_id]
         features = naive_affine_relu_affine(
             query_raw,
-            params.trunk.weight,
-            params.trunk.bias,
-            params.branch_user.weight,
-            params.branch_user.bias,
+            t["trunk.weight"],
+            t["trunk.bias"],
+            t["branch_user.weight"],
+            t["branch_user.bias"],
         )
         _, pooled = naive_context_attend(
-            features, context, params.ctx_attn.feature_weight, params.ctx_attn.context_weight
+            features, context, t["ctx_attn.feature_weight"], t["ctx_attn.context_weight"]
         )
         contextual = naive_l2_normalize(pooled)
         d = 0.0
@@ -298,6 +296,7 @@ def reference_full_backward_triple(
     fwd = forward_triple(
         anchor_raw, positive_raw, negative_raw, positive_tags, negative_tags, params, alpha
     )
+    t = params.tensors
     grads = {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
     if fwd.loss == 0.0:
         return 0.0, grads
@@ -312,7 +311,8 @@ def reference_full_backward_triple(
         grad_anchor_map, grad_contexts, grad_fw, grad_cw = context_attend_backward(
             fwd.anchor.fmap,
             np.stack([positive, negative]),
-            params.ctx_attn,
+            t["ctx_attn.feature_weight"],
+            t["ctx_attn.context_weight"],
             fwd.anchor_pool,
             grad_pooled,
         )
@@ -330,20 +330,20 @@ def reference_full_backward_triple(
     grad_shop = l2_normalize_backward(shops.pooled, grad_shops)
     grads["branch_shop.weight"] = grad_shop.T @ shops.pool.pooled
     grads["branch_shop.bias"] = grad_shop.sum(axis=0)
-    grad_hidden_pooled = grad_shop @ params.branch_shop.weight
-    if fwd.shop_tags is not None:
+    grad_hidden_pooled = grad_shop @ t["branch_shop.weight"]
+    if fwd.shop_bits is not None:
         # The hidden maps were pooled under the keys E @ W_shop.
         grad_maps, grad_keys = tag_attend_backward(
-            shops.hidden, fwd.shop_tags, shops.keys, shops.pool, grad_hidden_pooled
+            shops.hidden, fwd.shop_bits, shops.keys, shops.pool, grad_hidden_pooled
         )
-        grads["branch_shop.weight"] += params.tag_attn.embedding.T @ grad_keys
-        grads["tag_attn.embedding"] = grad_keys @ params.branch_shop.weight.T
+        grads["branch_shop.weight"] += t["tag_attn.embedding"].T @ grad_keys
+        grads["tag_attn.embedding"] = grad_keys @ t["branch_shop.weight"].T
     else:
         grad_maps = shops.pool.weights[..., None] * grad_hidden_pooled[..., None, :]
     if frozen_trunk:
         return fwd.loss, grads
     for features, grad_pre in (
-        (anchor, np.where(anchor.hidden > 0.0, grad_user @ params.branch_user.weight, 0.0)),
+        (anchor, np.where(anchor.hidden > 0.0, grad_user @ t["branch_user.weight"], 0.0)),
         (shops, np.where(shops.hidden > 0.0, grad_maps, 0.0).reshape(-1, params.config.channels)),
     ):
         grads["trunk.weight"] += grad_pre.T @ features.rows
@@ -372,7 +372,7 @@ def reference_train_stage(stage, dataset, cfg, model_cfg=None, init=None):
     ``reference_full_backward_triple`` computing each; only the step leaves
     a frozen trunk out. Returns the checkpoint, the loss curve and, per
     minibatch, how many of its triples had zero loss."""
-    variant = stage_variant(stage)
+    variant = Variant.parse(stage)
     base_cfg = init.config if init is not None else model_cfg
     config = ModelConfig(
         base_cfg.locations, base_cfg.channels, base_cfg.tag_count, base_cfg.raw_dim, variant

@@ -3,8 +3,6 @@ import pytest
 
 from xattn.attention import (
     AttentionResult,
-    ContextAttentionParams,
-    TagAttentionParams,
     TagVector,
     context_attend,
     context_attend_backward,
@@ -22,18 +20,18 @@ W1 = 0.1192029220221176
 
 
 def random_instance(rng, locations=None, channels=None, tags=None):
+    """An L x C map, a 1 x T row of tag bits, a T x C tag embedding, a 1 x C
+    context and the (feature_weight, context_weight) pair. Tag attention
+    pools the map as the stack ``fmap[None]``."""
     locations = locations or int(rng.integers(1, 8))
     channels = channels or int(rng.integers(1, 7))
     tags = tags or int(rng.integers(1, 6))
     fmap = rng.normal(size=(locations, channels))
-    bits = TagVector(bits=rng.integers(0, 2, size=tags).astype(np.float64))
-    tag_params = TagAttentionParams(embedding=rng.normal(size=(tags, channels)))
-    ctx = rng.normal(size=channels)
-    ctx_params = ContextAttentionParams(
-        feature_weight=rng.normal(size=channels),
-        context_weight=rng.normal(size=(locations, channels)),
-    )
-    return fmap, bits, tag_params, ctx, ctx_params
+    bits = rng.integers(0, 2, size=(1, tags)).astype(np.float64)
+    embedding = rng.normal(size=(tags, channels))
+    ctx = rng.normal(size=(1, channels))
+    ctx_weights = (rng.normal(size=channels), rng.normal(size=(locations, channels)))
+    return fmap, bits, embedding, ctx, ctx_weights
 
 
 class TestTypes:
@@ -42,182 +40,197 @@ class TestTypes:
             TagVector(bits=np.array([0.0, 0.5]))
         vec = TagVector.from_ids([0, 2], size=4)
         np.testing.assert_array_equal(vec.bits, [1, 0, 1, 0])
-        assert vec.size == 4
         with pytest.raises(ValueError):
             TagVector.from_ids([4], size=4)
 
     def test_context_params_validation(self):
-        with pytest.raises(ValueError):
-            ContextAttentionParams(
-                feature_weight=np.zeros(3), context_weight=np.zeros((2, 4))
-            )
+        fmap, contexts = np.zeros((2, 3)), np.zeros((1, 3))
+        for feature_weight, context_weight, match in (
+            (np.zeros(3), np.zeros((2, 4)), "feature_weight length"),
+            (np.zeros((1, 3)), np.zeros((2, 3)), "C vector and an L x C matrix"),
+            (np.zeros(3), np.zeros(3), "C vector and an L x C matrix"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                context_attend(fmap, contexts, feature_weight, context_weight)
+        attended = context_attend(fmap, contexts, np.zeros(3), np.zeros((2, 3)))
+        np.testing.assert_array_equal(attended.weights, [[0.5, 0.5]])
 
 
 class TestTagEmbed:
     def test_no_active_tags(self):
-        params = TagAttentionParams(embedding=np.arange(6.0).reshape(3, 2))
+        embedding = np.arange(6.0).reshape(3, 2)
         np.testing.assert_array_equal(
-            tag_embed(TagVector.from_ids([], 3), params), [0.0, 0.0]
+            tag_embed(TagVector.from_ids([], 3).bits, embedding), [0.0, 0.0]
         )
 
     def test_one_hot_selects_row(self):
-        params = TagAttentionParams(embedding=np.arange(6.0).reshape(3, 2))
+        embedding = np.arange(6.0).reshape(3, 2)
         np.testing.assert_array_equal(
-            tag_embed(TagVector.from_ids([1], 3), params), [2.0, 3.0]
+            tag_embed(TagVector.from_ids([1], 3).bits, embedding), [2.0, 3.0]
         )
 
     def test_sum_of_rows(self):
-        params = TagAttentionParams(embedding=np.array([[1.0, 0.0], [0.0, 1.0]]))
+        embedding = np.array([[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_array_equal(
-            tag_embed(TagVector.from_ids([0, 1], 2), params), [1.0, 1.0]
+            tag_embed(TagVector.from_ids([0, 1], 2).bits, embedding), [1.0, 1.0]
         )
 
     def test_length_mismatch(self):
-        params = TagAttentionParams(embedding=np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            tag_embed(TagVector.from_ids([], 2), params)
+            tag_embed(TagVector.from_ids([], 2).bits, np.zeros((3, 2)))
+
+    def test_embedding_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="T x C matrix"):
+            tag_embed(TagVector.from_ids([0], 2).bits, np.zeros(2))
+
+
+def one_tag_row(tag_ids, size):
+    """The 1 x T tag bits of one tag set: a stack of one."""
+    return TagVector.from_ids(tag_ids, size).bits[None]
 
 
 class TestTagAttend:
     def test_constant_map_uniform_weights(self):
         row = np.array([1.5, -2.0, 0.25])
-        fmap = np.tile(row, (4, 1))
-        params = TagAttentionParams(embedding=np.ones((2, 3)))
-        result = tag_attend(fmap, TagVector.from_ids([0], 2), params)
-        np.testing.assert_allclose(result.weights, np.full(4, 0.25), atol=1e-15)
-        np.testing.assert_allclose(result.pooled, row, atol=1e-15)
+        fmap = np.tile(row, (1, 4, 1))
+        result = tag_attend(fmap, one_tag_row([0], 2), np.ones((2, 3)))
+        np.testing.assert_allclose(result.weights, np.full((1, 4), 0.25), atol=1e-15)
+        np.testing.assert_allclose(result.pooled, [row], atol=1e-15)
 
     def test_zero_tags_gives_column_mean(self):
         rng = np.random.default_rng(0)
-        data = rng.normal(size=(5, 3))
-        result = tag_attend(
-            data,
-            TagVector.from_ids([], 2),
-            TagAttentionParams(embedding=rng.normal(size=(2, 3))),
-        )
-        np.testing.assert_allclose(result.weights, np.full(5, 0.2), atol=1e-15)
-        np.testing.assert_allclose(result.pooled, data.mean(axis=0), atol=1e-12)
+        data = rng.normal(size=(1, 5, 3))
+        result = tag_attend(data, one_tag_row([], 2), rng.normal(size=(2, 3)))
+        np.testing.assert_allclose(result.weights, np.full((1, 5), 0.2), atol=1e-15)
+        np.testing.assert_allclose(result.pooled, data.mean(axis=1), atol=1e-12)
 
     def test_frozen_hand_case(self):
         # scores come out as [2, 0]; weights/pooled frozen from extended
         # precision evaluation.
-        fmap = np.array([[2.0, 0.0], [0.0, 2.0]])
-        params = TagAttentionParams(embedding=np.array([[1.0, 0.0], [0.0, 1.0]]))
-        result = tag_attend(fmap, TagVector.from_ids([0], 2), params)
-        np.testing.assert_allclose(result.weights, [W0, W1], atol=1e-12)
+        fmap = np.array([[[2.0, 0.0], [0.0, 2.0]]])
+        embedding = np.array([[1.0, 0.0], [0.0, 1.0]])
+        result = tag_attend(fmap, one_tag_row([0], 2), embedding)
+        np.testing.assert_allclose(result.weights, [[W0, W1]], atol=1e-12)
         np.testing.assert_allclose(
-            result.pooled, [1.7615941559557649, 0.2384058440442351], atol=1e-12
+            result.pooled, [[1.7615941559557649, 0.2384058440442351]], atol=1e-12
         )
 
     def test_dimension_mismatch(self):
-        fmap = np.zeros((2, 3))
+        fmap = np.zeros((1, 2, 3))
         with pytest.raises(ValueError):
-            tag_attend(fmap, TagVector.from_ids([], 2), TagAttentionParams(np.zeros((2, 4))))
+            tag_attend(fmap, one_tag_row([], 2), np.zeros((2, 4)))
+
+    def test_a_single_map_is_refused(self):
+        # Only stacks are pooled: one L x C map is the stack fmap[None].
+        fmap, bits, embedding, _, _ = random_instance(np.random.default_rng(3))
+        with pytest.raises(ValueError, match="B x L x C stack"):
+            tag_attend(fmap, bits[0], embedding)
+        with pytest.raises(ValueError, match="B x L x C stack"):
+            tag_attend(fmap[None], bits[0], embedding)
+        with pytest.raises(ValueError, match="B x L x C stack"):
+            tag_attend(np.stack([fmap, fmap]), bits, embedding)
+        assert tag_attend(fmap[None], bits, embedding).pooled.shape == (1, fmap.shape[1])
 
 
 class TestContextAttend:
     def test_zero_params_uniform(self):
         rng = np.random.default_rng(1)
         data = rng.normal(size=(6, 4))
-        params = ContextAttentionParams(
-            feature_weight=np.zeros(4), context_weight=np.zeros((6, 4))
-        )
-        result = context_attend(data, rng.normal(size=4), params)
-        np.testing.assert_allclose(result.weights, np.full(6, 1 / 6), atol=1e-15)
-        np.testing.assert_allclose(result.pooled, data.mean(axis=0), atol=1e-12)
+        result = context_attend(data, rng.normal(size=(1, 4)), np.zeros(4), np.zeros((6, 4)))
+        np.testing.assert_allclose(result.weights, np.full((1, 6), 1 / 6), atol=1e-15)
+        np.testing.assert_allclose(result.pooled, [data.mean(axis=0)], atol=1e-12)
 
     def test_single_location(self):
         rng = np.random.default_rng(2)
         data = rng.normal(size=(1, 3))
-        params = ContextAttentionParams(
-            feature_weight=rng.normal(size=3), context_weight=rng.normal(size=(1, 3))
+        result = context_attend(
+            data, rng.normal(size=(1, 3)), rng.normal(size=3), rng.normal(size=(1, 3))
         )
-        result = context_attend(data, rng.normal(size=3), params)
-        np.testing.assert_array_equal(result.weights, [1.0])
-        np.testing.assert_allclose(result.pooled, data[0], atol=1e-15)
+        np.testing.assert_array_equal(result.weights, [[1.0]])
+        np.testing.assert_allclose(result.pooled, data, atol=1e-15)
 
     def test_frozen_hand_case(self):
         # scores [1, -1]: same softmax split as the tag case; pooled is 0.
         fmap = np.array([[0.0], [0.0]])
-        params = ContextAttentionParams(
-            feature_weight=np.array([1.0]),
-            context_weight=np.array([[1.0], [-1.0]]),
-        )
-        result = context_attend(fmap, np.array([1.0]), params)
-        np.testing.assert_allclose(result.weights, [W0, W1], atol=1e-12)
-        np.testing.assert_array_equal(result.pooled, [0.0])
+        result = context_attend(fmap, np.array([[1.0]]), np.array([1.0]), np.array([[1.0], [-1.0]]))
+        np.testing.assert_allclose(result.weights, [[W0, W1]], atol=1e-12)
+        np.testing.assert_array_equal(result.pooled, [[0.0]])
 
     @pytest.mark.parametrize("paper_shaped", [False, True], ids=["small", "paper-shaped"])
     def test_a_stack_equals_one_call_per_context(self, paper_shaped):
-        # The stack reduces down the columns of L x K scores, one context
-        # along an L vector; the two agree to rounding.
+        # The stack reduces down the columns of L x K scores, a 1-row stack
+        # down one column; the two agree to rounding.
         rng = np.random.default_rng(58)
         for _ in range(10 if paper_shaped else 100):
             if paper_shaped:
                 fmap = rng.normal(size=(49, 128))
-                ctx_params = ContextAttentionParams(
-                    feature_weight=rng.uniform(-1, 1, 128) / np.sqrt(128),
-                    context_weight=rng.uniform(-1, 1, (49, 128)) / np.sqrt(128),
+                ctx_weights = (
+                    rng.uniform(-1, 1, 128) / np.sqrt(128),
+                    rng.uniform(-1, 1, (49, 128)) / np.sqrt(128),
                 )
                 contexts = rng.normal(size=(256, 128))
                 contexts /= np.linalg.norm(contexts, axis=1, keepdims=True)
             else:
-                fmap, _, _, ctx, ctx_params = random_instance(rng)
-                contexts = rng.normal(size=(int(rng.integers(1, 9)), ctx.size))
-            stacked = context_attend(fmap, contexts, ctx_params)
+                fmap, _, _, ctx, ctx_weights = random_instance(rng)
+                contexts = rng.normal(size=(int(rng.integers(1, 9)), ctx.shape[1]))
+            stacked = context_attend(fmap, contexts, *ctx_weights)
             assert stacked.weights.shape == (len(contexts), len(fmap))
             assert stacked.pooled.shape == contexts.shape
             np.testing.assert_allclose(stacked.weights.sum(axis=1), 1.0, rtol=0, atol=1e-14)
             for row, ctx in enumerate(contexts):
-                single = context_attend(fmap, ctx, ctx_params)
-                np.testing.assert_allclose(stacked.weights[row], single.weights, rtol=0, atol=1e-15)
+                single = context_attend(fmap, ctx[None], *ctx_weights)
+                np.testing.assert_allclose(stacked.weights[row], single.weights[0], rtol=0, atol=1e-15)
                 np.testing.assert_allclose(
-                    stacked.pooled[row], single.pooled, rtol=0, atol=1e-15 * np.abs(fmap).max()
+                    stacked.pooled[row], single.pooled[0], rtol=0, atol=1e-15 * np.abs(fmap).max()
                 )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_context_row_fails_the_softmax_check(self, bad):
-        fmap, _, _, ctx, ctx_params = random_instance(
+        fmap, _, _, ctx, ctx_weights = random_instance(
             np.random.default_rng(59), locations=3, channels=4
         )
-        contexts = np.stack([ctx, ctx, ctx])
+        contexts = np.concatenate([ctx, ctx, ctx])
         contexts[1, 2] = bad
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            context_attend(fmap, contexts, ctx_params)
+            context_attend(fmap, contexts, *ctx_weights)
 
     def test_row_count_mismatch(self):
         fmap = np.zeros((3, 2))
-        params = ContextAttentionParams(
-            feature_weight=np.zeros(2), context_weight=np.zeros((4, 2))
-        )
         with pytest.raises(ValueError):
-            context_attend(fmap, np.zeros(2), params)
+            context_attend(fmap, np.zeros((1, 2)), np.zeros(2), np.zeros((4, 2)))
+
+    def test_a_single_context_is_refused(self):
+        # Only stacks of contexts are attended: one context is ctx[None].
+        fmap, _, _, ctx, ctx_weights = random_instance(np.random.default_rng(4))
+        for contexts in (ctx[0], ctx[None], ctx[:, :-1]):
+            with pytest.raises(ValueError, match="K x C stack"):
+                context_attend(fmap, contexts, *ctx_weights)
+        with pytest.raises(ValueError, match="single L x C"):
+            context_attend(fmap[None], ctx, *ctx_weights)
 
 
 class TestForwardProperties:
     def test_oracle_equivalence(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
-            fmap, bits, tag_params, ctx, ctx_params = random_instance(rng)
-            got = tag_attend(fmap, bits, tag_params)
-            want_w, want_p = naive_tag_attend(fmap, bits.bits, tag_params.embedding)
-            np.testing.assert_allclose(got.weights, want_w, atol=1e-9)
-            np.testing.assert_allclose(got.pooled, want_p, atol=1e-9)
+            fmap, bits, embedding, ctx, ctx_weights = random_instance(rng)
+            got = tag_attend(fmap[None], bits, embedding)
+            want_w, want_p = naive_tag_attend(fmap, bits[0], embedding)
+            np.testing.assert_allclose(got.weights[0], want_w, atol=1e-9)
+            np.testing.assert_allclose(got.pooled[0], want_p, atol=1e-9)
 
-            got = context_attend(fmap, ctx, ctx_params)
-            want_w, want_p = naive_context_attend(
-                fmap, ctx, ctx_params.feature_weight, ctx_params.context_weight
-            )
-            np.testing.assert_allclose(got.weights, want_w, atol=1e-9)
-            np.testing.assert_allclose(got.pooled, want_p, atol=1e-9)
+            got = context_attend(fmap, ctx, *ctx_weights)
+            want_w, want_p = naive_context_attend(fmap, ctx[0], *ctx_weights)
+            np.testing.assert_allclose(got.weights[0], want_w, atol=1e-9)
+            np.testing.assert_allclose(got.pooled[0], want_p, atol=1e-9)
 
     def test_weights_positive_and_normalized(self):
         rng = np.random.default_rng(43)
         for _ in range(200):
-            fmap, bits, tag_params, ctx, ctx_params = random_instance(rng)
+            fmap, bits, embedding, ctx, ctx_weights = random_instance(rng)
             for result in (
-                tag_attend(fmap, bits, tag_params),
-                context_attend(fmap, ctx, ctx_params),
+                tag_attend(fmap[None], bits, embedding),
+                context_attend(fmap, ctx, *ctx_weights),
             ):
                 assert np.all(result.weights > 0)
                 assert abs(result.weights.sum() - 1.0) <= 1e-10
@@ -225,10 +238,10 @@ class TestForwardProperties:
     def test_convex_hull_bound(self):
         rng = np.random.default_rng(44)
         for _ in range(200):
-            fmap, bits, tag_params, ctx, ctx_params = random_instance(rng)
+            fmap, bits, embedding, ctx, ctx_weights = random_instance(rng)
             for result in (
-                tag_attend(fmap, bits, tag_params),
-                context_attend(fmap, ctx, ctx_params),
+                tag_attend(fmap[None], bits, embedding),
+                context_attend(fmap, ctx, *ctx_weights),
             ):
                 lo = fmap.min(axis=0) - 1e-12
                 hi = fmap.max(axis=0) + 1e-12
@@ -236,12 +249,12 @@ class TestForwardProperties:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_map_fails_the_softmax_check(self, bad):
-        fmap, bits, tag_params, ctx, ctx_params = random_instance(np.random.default_rng(47))
+        fmap, bits, embedding, ctx, ctx_weights = random_instance(np.random.default_rng(47))
         fmap[-1, 0] = bad
         with np.errstate(invalid="ignore"):
             for attend in (
-                lambda: tag_attend(fmap, TagVector(bits=np.ones_like(bits.bits)), tag_params),
-                lambda: context_attend(fmap, ctx, ctx_params),
+                lambda: tag_attend(fmap[None], np.ones_like(bits), embedding),
+                lambda: context_attend(fmap, ctx, *ctx_weights),
             ):
                 with pytest.raises(ValueError, match="finite"):
                     attend()
@@ -249,13 +262,11 @@ class TestForwardProperties:
     def test_tag_permutation_equivariance(self):
         rng = np.random.default_rng(45)
         for _ in range(100):
-            fmap, bits, tag_params, _, _ = random_instance(rng)
+            fmap, bits, embedding, _, _ = random_instance(rng)
             perm = rng.permutation(fmap.shape[-2])
-            base = tag_attend(fmap, bits, tag_params)
-            shuffled = tag_attend(
-                fmap[perm], bits, tag_params
-            )
-            np.testing.assert_allclose(shuffled.weights, base.weights[perm], atol=1e-12)
+            base = tag_attend(fmap[None], bits, embedding)
+            shuffled = tag_attend(fmap[None, perm], bits, embedding)
+            np.testing.assert_allclose(shuffled.weights, base.weights[:, perm], atol=1e-12)
             np.testing.assert_allclose(shuffled.pooled, base.pooled, atol=1e-12)
 
     def test_context_permutation_equivariance(self):
@@ -263,18 +274,11 @@ class TestForwardProperties:
         # locations without changing the aggregate
         rng = np.random.default_rng(46)
         for _ in range(100):
-            fmap, _, _, ctx, ctx_params = random_instance(rng)
+            fmap, _, _, ctx, (feature_weight, context_weight) = random_instance(rng)
             perm = rng.permutation(fmap.shape[-2])
-            base = context_attend(fmap, ctx, ctx_params)
-            shuffled = context_attend(
-                fmap[perm],
-                ctx,
-                ContextAttentionParams(
-                    feature_weight=ctx_params.feature_weight,
-                    context_weight=ctx_params.context_weight[perm],
-                ),
-            )
-            np.testing.assert_allclose(shuffled.weights, base.weights[perm], atol=1e-12)
+            base = context_attend(fmap, ctx, feature_weight, context_weight)
+            shuffled = context_attend(fmap[perm], ctx, feature_weight, context_weight[perm])
+            np.testing.assert_allclose(shuffled.weights, base.weights[:, perm], atol=1e-12)
             np.testing.assert_allclose(shuffled.pooled, base.pooled, atol=1e-12)
 
 
@@ -288,9 +292,9 @@ def relative_agreement(analytic, numeric, rel_tol=1e-4, abs_tol=1e-7, small=1e-6
 
 
 def stacked_tag_instance(rng):
-    """A random tag-attention instance: one map, or a stack of 1-3 maps with
-    one tag vector each."""
-    fmap, bits, tag_params, _, _ = random_instance(
+    """A random tag-attention instance: a stack of one map, or of 1-3 maps,
+    with one row of tag bits each."""
+    fmap, bits, embedding, _, _ = random_instance(
         rng, locations=int(rng.integers(1, 7)), channels=int(rng.integers(1, 6)),
         tags=int(rng.integers(1, 5)),
     )
@@ -298,77 +302,77 @@ def stacked_tag_instance(rng):
     if stack:
         shape = (stack, fmap.shape[-2], fmap.shape[-1])
         fmap = rng.normal(size=shape)
-        bits = TagVector(bits=rng.integers(0, 2, size=(stack, bits.size)).astype(np.float64))
-    return fmap, bits, tag_params
+        bits = rng.integers(0, 2, size=(stack, bits.shape[1])).astype(np.float64)
+    else:
+        fmap = fmap[None]
+    return fmap, bits, embedding
 
 
 class TestTagAttendBackward:
     def test_zero_upstream(self):
         rng = np.random.default_rng(50)
         for _ in range(10):
-            fmap, bits, tag_params = stacked_tag_instance(rng)
-            attended = tag_attend(fmap, bits, tag_params)
+            fmap, bits, embedding = stacked_tag_instance(rng)
+            attended = tag_attend(fmap, bits, embedding)
             grad_map, grad_emb = tag_attend_backward(
-                fmap, bits, tag_params, attended, np.zeros_like(attended.pooled)
+                fmap, bits, embedding, attended, np.zeros_like(attended.pooled)
             )
             np.testing.assert_array_equal(grad_map, np.zeros_like(fmap))
-            np.testing.assert_array_equal(grad_emb, np.zeros_like(tag_params.embedding))
+            np.testing.assert_array_equal(grad_emb, np.zeros_like(embedding))
 
     def test_inactive_tags_leave_embedding_untouched(self):
         rng = np.random.default_rng(51)
         for _ in range(10):
-            fmap, bits, tag_params = stacked_tag_instance(rng)
-            bits = TagVector(bits=np.zeros_like(bits.bits))
-            attended = tag_attend(fmap, bits, tag_params)
+            fmap, bits, embedding = stacked_tag_instance(rng)
+            bits = np.zeros_like(bits)
+            attended = tag_attend(fmap, bits, embedding)
             _, grad_emb = tag_attend_backward(
-                fmap, bits, tag_params, attended, rng.normal(size=attended.pooled.shape)
+                fmap, bits, embedding, attended, rng.normal(size=attended.pooled.shape)
             )
-            np.testing.assert_array_equal(grad_emb, np.zeros_like(tag_params.embedding))
+            np.testing.assert_array_equal(grad_emb, np.zeros_like(embedding))
 
     def test_upstream_must_match_the_pooled_output(self):
         rng = np.random.default_rng(56)
-        fmap, bits, tag_params, _, _ = random_instance(rng)
-        attended = tag_attend(fmap, bits, tag_params)
+        fmap, bits, embedding, _, _ = random_instance(rng)
+        attended = tag_attend(fmap[None], bits, embedding)
         with pytest.raises(ValueError, match="grad_pooled"):
-            tag_attend_backward(fmap, bits, tag_params, attended, np.zeros(fmap.shape[-1] + 1))
+            tag_attend_backward(fmap[None], bits, embedding, attended, np.zeros(fmap.shape[-1]))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(52)
         for _ in range(30):
-            fmap, bits, tag_params = stacked_tag_instance(rng)
-            attended = tag_attend(fmap, bits, tag_params)
+            fmap, bits, embedding = stacked_tag_instance(rng)
+            attended = tag_attend(fmap, bits, embedding)
             upstream = rng.normal(size=attended.pooled.shape)
-            grad_map, grad_emb = tag_attend_backward(fmap, bits, tag_params, attended, upstream)
+            grad_map, grad_emb = tag_attend_backward(fmap, bits, embedding, attended, upstream)
 
             def loss_wrt_map(data):
-                res = tag_attend(data, bits, tag_params)
+                res = tag_attend(data, bits, embedding)
                 return float(np.sum(upstream * res.pooled))
 
             def loss_wrt_emb(emb):
-                res = tag_attend(fmap, bits, TagAttentionParams(embedding=emb))
+                res = tag_attend(fmap, bits, emb)
                 return float(np.sum(upstream * res.pooled))
 
             assert relative_agreement(grad_map, finite_diff_grad(loss_wrt_map, fmap))
-            assert relative_agreement(
-                grad_emb, finite_diff_grad(loss_wrt_emb, tag_params.embedding)
-            )
+            assert relative_agreement(grad_emb, finite_diff_grad(loss_wrt_emb, embedding))
 
 
 def stacked_contexts(rng, ctx):
-    """The single context, or a K x C stack of 1-3 contexts."""
+    """The 1 x C context, or a K x C stack of 1-3 contexts."""
     stack = int(rng.integers(0, 4))
-    return rng.normal(size=(stack, ctx.size)) if stack else ctx
+    return rng.normal(size=(stack, ctx.shape[1])) if stack else ctx
 
 
 class TestContextAttendBackward:
     def test_zero_upstream(self):
         rng = np.random.default_rng(53)
         for _ in range(10):
-            fmap, _, _, ctx, ctx_params = random_instance(rng)
+            fmap, _, _, ctx, ctx_weights = random_instance(rng)
             ctx = stacked_contexts(rng, ctx)
-            attended = context_attend(fmap, ctx, ctx_params)
+            attended = context_attend(fmap, ctx, *ctx_weights)
             grads = context_attend_backward(
-                fmap, ctx, ctx_params, attended, np.zeros_like(attended.pooled)
+                fmap, ctx, *ctx_weights, attended, np.zeros_like(attended.pooled)
             )
             for g in grads:
                 np.testing.assert_array_equal(g, np.zeros_like(g))
@@ -378,44 +382,42 @@ class TestContextAttendBackward:
         for _ in range(10):
             fmap, _, _, ctx, _ = random_instance(rng, locations=1)
             ctx = stacked_contexts(rng, ctx)
-            ctx_params = ContextAttentionParams(
-                feature_weight=rng.normal(size=fmap.shape[-1]),
-                context_weight=rng.normal(size=(1, fmap.shape[-1])),
+            ctx_weights = (
+                rng.normal(size=fmap.shape[-1]),
+                rng.normal(size=(1, fmap.shape[-1])),
             )
-            attended = context_attend(fmap, ctx, ctx_params)
+            attended = context_attend(fmap, ctx, *ctx_weights)
             _, _, grad_fw, grad_cw = context_attend_backward(
-                fmap, ctx, ctx_params, attended, rng.normal(size=attended.pooled.shape)
+                fmap, ctx, *ctx_weights, attended, rng.normal(size=attended.pooled.shape)
             )
             np.testing.assert_array_equal(grad_fw, np.zeros_like(grad_fw))
             np.testing.assert_array_equal(grad_cw, np.zeros_like(grad_cw))
 
     def test_upstream_must_match_the_pooled_output(self):
         rng = np.random.default_rng(57)
-        fmap, _, _, ctx, ctx_params = random_instance(rng)
-        contexts = np.stack([ctx, ctx])
-        attended = context_attend(fmap, contexts, ctx_params)
+        fmap, _, _, ctx, ctx_weights = random_instance(rng)
+        contexts = np.concatenate([ctx, ctx])
+        attended = context_attend(fmap, contexts, *ctx_weights)
         with pytest.raises(ValueError, match="grad_pooled"):
-            context_attend_backward(fmap, contexts, ctx_params, attended, np.zeros(fmap.shape[-1]))
+            context_attend_backward(fmap, contexts, *ctx_weights, attended, np.zeros(fmap.shape[-1]))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(55)
         for _ in range(30):
-            fmap, _, _, ctx, ctx_params = random_instance(rng)
+            fmap, _, _, ctx, (feature_weight, context_weight) = random_instance(rng)
             ctx = stacked_contexts(rng, ctx)
-            attended = context_attend(fmap, ctx, ctx_params)
+            attended = context_attend(fmap, ctx, feature_weight, context_weight)
             upstream = rng.normal(size=attended.pooled.shape)
             grad_map, grad_ctx, grad_fw, grad_cw = context_attend_backward(
-                fmap, ctx, ctx_params, attended, upstream
+                fmap, ctx, feature_weight, context_weight, attended, upstream
             )
 
             def eval_at(data=None, context=None, fw=None, cw=None):
                 res = context_attend(
                     fmap if data is None else data,
                     ctx if context is None else context,
-                    ContextAttentionParams(
-                        feature_weight=ctx_params.feature_weight if fw is None else fw,
-                        context_weight=ctx_params.context_weight if cw is None else cw,
-                    ),
+                    feature_weight if fw is None else fw,
+                    context_weight if cw is None else cw,
                 )
                 return float(np.sum(upstream * res.pooled))
 
@@ -426,10 +428,8 @@ class TestContextAttendBackward:
                 grad_ctx, finite_diff_grad(lambda c: eval_at(context=c), ctx)
             )
             assert relative_agreement(
-                grad_fw,
-                finite_diff_grad(lambda w: eval_at(fw=w), ctx_params.feature_weight),
+                grad_fw, finite_diff_grad(lambda w: eval_at(fw=w), feature_weight)
             )
             assert relative_agreement(
-                grad_cw,
-                finite_diff_grad(lambda w: eval_at(cw=w), ctx_params.context_weight),
+                grad_cw, finite_diff_grad(lambda w: eval_at(cw=w), context_weight)
             )

@@ -16,7 +16,7 @@ class TestInstanceGeneration:
         b = random_check_instance([1, 0])
         np.testing.assert_array_equal(a.anchor_raw, b.anchor_raw)
         np.testing.assert_array_equal(
-            a.params.trunk.weight, b.params.trunk.weight
+            a.params.tensors["trunk.weight"], b.params.tensors["trunk.weight"]
         )
         assert a.alpha == b.alpha
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xattn import model
-from xattn.attention import ContextAttentionParams, TagAttentionParams, TagVector, context_attend
+from xattn.attention import TagVector, context_attend
 from xattn.model import (
     CHECKPOINT_MAGIC,
     Checkpoint,
@@ -61,12 +61,17 @@ def identity_params(config):
     """Identity trunk/branches so features equal the (non-negative) input."""
     params = init_params(config, 0)
     eye = np.eye(config.channels)
-    params.trunk.weight[...] = eye
-    params.trunk.bias[...] = 0.0
-    for branch in (params.branch_shop, params.branch_user):
-        branch.weight[...] = eye
-        branch.bias[...] = 0.0
+    params.tensors["trunk.weight"][...] = eye
+    params.tensors["trunk.bias"][...] = 0.0
+    for domain in model.DOMAINS:
+        params.tensors[f"branch_{domain}.weight"][...] = eye
+        params.tensors[f"branch_{domain}.bias"][...] = 0.0
     return params
+
+
+def ctx_weights(params):
+    """The context head's (feature_weight, context_weight) arrays."""
+    return params.tensors["ctx_attn.feature_weight"], params.tensors["ctx_attn.context_weight"]
 
 
 class TestConfigAndVariant:
@@ -74,10 +79,15 @@ class TestConfigAndVariant:
         assert Variant.YNET < Variant.TAGYNET < Variant.CTXYNET
 
     def test_variant_aliases(self):
-        assert Variant.parse("tag") is Variant.TAGYNET
         assert Variant.parse("CtxYNet") is Variant.CTXYNET
-        with pytest.raises(ValueError):
-            Variant.parse("resnet")
+        assert Variant.parse(" tagynet\n") is Variant.TAGYNET
+        # Only the three stage names parse; "tag" and "ctx" are not names.
+        for name in ("resnet", "tag", "ctx", ""):
+            with pytest.raises(ValueError) as err:
+                Variant.parse(name)
+            assert str(err.value) == (
+                f"unknown variant {name!r}; expected one of ('ynet', 'tagynet', 'ctxynet')"
+            )
 
     def test_config_rejects_nonpositive_dims(self):
         with pytest.raises(ValueError):
@@ -103,10 +113,10 @@ class TestInitParams:
     def test_upgrade_copies_shared_and_draws_new_heads(self):
         base = init_params(small_config(Variant.YNET), 3)
         upgraded = init_params(small_config(Variant.TAGYNET), 4, base=base)
-        np.testing.assert_array_equal(upgraded.trunk.weight, base.trunk.weight)
-        np.testing.assert_array_equal(upgraded.branch_shop.weight, base.branch_shop.weight)
-        assert upgraded.tag_attn is not None
-        assert np.any(upgraded.tag_attn.embedding != 0.0)
+        np.testing.assert_array_equal(upgraded.tensors["trunk.weight"], base.tensors["trunk.weight"])
+        np.testing.assert_array_equal(upgraded.tensors["branch_shop.weight"], base.tensors["branch_shop.weight"])
+        assert "tag_attn.embedding" not in base.tensors
+        assert np.any(upgraded.tensors["tag_attn.embedding"] != 0.0)
 
     def test_shape_mismatch_names_tensor(self):
         base = init_params(small_config(channels=3), 0)
@@ -125,9 +135,9 @@ class TestExtractFeatures:
     def test_zero_trunk(self):
         config = small_config()
         params = init_params(config, 0)
-        params.trunk.weight[...] = 0.0
-        params.trunk.bias[...] = 0.0
-        params.branch_user.bias[...] = 0.0
+        params.tensors["trunk.weight"][...] = 0.0
+        params.tensors["trunk.bias"][...] = 0.0
+        params.tensors["branch_user.bias"][...] = 0.0
         got = extract_features(np.ones((4, 3)), "user", params)
         np.testing.assert_array_equal(got, np.zeros((4, 3)))
 
@@ -141,10 +151,15 @@ class TestExtractFeatures:
             )
             params = init_params(config, int(rng.integers(0, 2**31)))
             raw = rng.normal(size=(config.locations, config.raw_dim))
-            for domain, branch in (("user", params.branch_user), ("shop", params.branch_shop)):
+            t = params.tensors
+            for domain in model.DOMAINS:
                 got = extract_features(raw, domain, params)
                 want = naive_affine_relu_affine(
-                    raw, params.trunk.weight, params.trunk.bias, branch.weight, branch.bias
+                    raw,
+                    t["trunk.weight"],
+                    t["trunk.bias"],
+                    t[f"branch_{domain}.weight"],
+                    t[f"branch_{domain}.bias"],
                 )
                 np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -154,9 +169,8 @@ class TestExtractFeatures:
         params = init_params(small_config(), 12)
         raw = np.random.default_rng(13).normal(size=shape)
         raw[..., 0, :] = -0.0  # rows whose products are all signed zeros
-        branch = params.branch_user if domain == "user" else params.branch_shop
         got = model._features(raw, domain, params)
-        rows, hidden, fmap = out_of_place_features(raw, params.trunk, branch)
+        rows, hidden, fmap = out_of_place_features(raw, params.tensors, domain)
         assert (got.hidden == 0.0).any() and (got.hidden > 0.0).any()
         for have, want in ((got.rows, rows), (got.hidden, hidden), (got.fmap, fmap)):
             assert have.shape == want.shape and have.tobytes() == want.tobytes()
@@ -211,12 +225,12 @@ class TestEmbeddings:
             got = embed_shop(raw, bits, params)
             features = naive_affine_relu_affine(
                 raw,
-                params.trunk.weight,
-                params.trunk.bias,
-                params.branch_shop.weight,
-                params.branch_shop.bias,
+                params.tensors["trunk.weight"],
+                params.tensors["trunk.bias"],
+                params.tensors["branch_shop.weight"],
+                params.tensors["branch_shop.bias"],
             )
-            _, pooled = naive_tag_attend(features, bits.bits, params.tag_attn.embedding)
+            _, pooled = naive_tag_attend(features, bits.bits, params.tensors["tag_attn.embedding"])
             np.testing.assert_allclose(got, naive_l2_normalize(pooled), atol=1e-9)
 
     @given(
@@ -242,7 +256,7 @@ class TestEmbeddings:
         # branch once per image.
         rng = np.random.default_rng(seed)
         params = init_params(small_config(variant, locations, channels, tags, raw_dim), rng)
-        params.trunk.bias[...] = 0.05
+        params.tensors["trunk.bias"][...] = 0.05
         raws = rng.normal(size=(batch, locations, raw_dim))
         bits = rng.integers(0, 2, size=(batch, tags)).astype(np.float64)
         if empty:
@@ -253,11 +267,11 @@ class TestEmbeddings:
         tagged = variant >= Variant.TAGYNET and not empty
         if tagged:
             # The bias lies along the first item's tag embedding e.
-            direction = bits[0] @ params.tag_attn.embedding
-        params.branch_shop.bias[...] = bias * direction / np.linalg.norm(direction)
+            direction = bits[0] @ params.tensors["tag_attn.embedding"]
+        params.tensors["branch_shop.bias"][...] = bias * direction / np.linalg.norm(direction)
         if tagged and bias == 100.0:
             # b.e, which the library drops from the scores, dominates them.
-            dropped = params.branch_shop.bias @ direction
+            dropped = params.tensors["branch_shop.bias"] @ direction
             kept = extract_features(raws[0], "shop", params) @ direction - dropped
             assert dropped > 10.0 * np.abs(kept).max()
         if variant >= Variant.TAGYNET:
@@ -289,14 +303,14 @@ class TestEmbeddings:
         config = small_config()
         rng = np.random.default_rng(11)
         params = init_params(config, 12)
-        params.ctx_attn.feature_weight[...] = 0.0
-        params.ctx_attn.context_weight[...] = 0.0
+        params.tensors["ctx_attn.feature_weight"][...] = 0.0
+        params.tensors["ctx_attn.context_weight"][...] = 0.0
         raw = rng.normal(size=(4, 3))
-        ctx = rng.normal(size=3)
+        ctx = rng.normal(size=(1, 3))
         ctx /= np.linalg.norm(ctx)
         fmap = extract_features(raw, "user", params)
         np.testing.assert_allclose(
-            l2_normalize(context_attend(fmap, ctx, params.ctx_attn).pooled),
+            l2_normalize(context_attend(fmap, ctx, *ctx_weights(params)).pooled[0]),
             uniform_embedding(fmap),
             atol=1e-12,
         )
@@ -312,9 +326,9 @@ class TestEmbeddings:
         params = init_params(config, 14)
         # positive biases keep the ReLU from zeroing an entire map, which
         # would legitimately trip the zero-vector normalization guard
-        params.trunk.bias[...] = 0.05
-        params.branch_shop.bias[...] = 0.05
-        params.branch_user.bias[...] = 0.05
+        params.tensors["trunk.bias"][...] = 0.05
+        params.tensors["branch_shop.bias"][...] = 0.05
+        params.tensors["branch_user.bias"][...] = 0.05
         for _ in range(100):
             raw = rng.normal(size=(4, 3))
             bits = TagVector(bits=rng.integers(0, 2, 2).astype(np.float64))
@@ -324,7 +338,9 @@ class TestEmbeddings:
                 uniform_embedding(extract_features(raw, "user", params)),
                 embed_shops_simple(raw[None], params)[0],
                 l2_normalize(
-                    context_attend(extract_features(raw, "user", params), ctx, params.ctx_attn).pooled
+                    context_attend(
+                        extract_features(raw, "user", params), ctx[None], *ctx_weights(params)
+                    ).pooled[0]
                 ),
             ):
                 assert abs(np.linalg.norm(emb) - 1.0) <= 1e-10
@@ -374,7 +390,7 @@ class TestForwardTriple:
         # embeddings come out NaN and the loss refuses them.
         config = small_config(Variant.YNET)
         params = init_params(config, 21)
-        params.trunk.weight[...] = 1e308
+        params.tensors["trunk.weight"][...] = 1e308
         rng = np.random.default_rng(22)
         raws = [np.abs(rng.normal(size=(4, 3))) + 1.0 for _ in range(3)]
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="L2-normalized"):
@@ -399,7 +415,7 @@ class TestForwardTriple:
                 shop_rows = embed_shops_simple(shops, params)
             if variant >= Variant.CTXYNET:
                 fmap = extract_features(anchor, "user", params)
-                anchor_rows = l2_normalize(context_attend(fmap, shop_rows, params.ctx_attn).pooled)
+                anchor_rows = l2_normalize(context_attend(fmap, shop_rows, *ctx_weights(params)).pooled)
             else:
                 anchor_rows = [uniform_embedding(extract_features(anchor, "user", params))] * 2
             np.testing.assert_array_equal(got.shop_rows, shop_rows)
@@ -463,7 +479,7 @@ class TestBackwardTriple:
     def test_same_bits_as_the_zero_filled_reference(self, variant, frozen_trunk):
         rng = np.random.default_rng(31 + int(variant))
         params = init_params(small_config(variant), 32)
-        params.trunk.bias[...] = 0.05
+        params.tensors["trunk.bias"][...] = 0.05
         bits = [TagVector(bits=rng.integers(0, 2, 2).astype(np.float64)) for _ in range(2)]
         losses = []
         for alpha in np.linspace(0.0, 1.5, 12):
@@ -532,6 +548,20 @@ class TestCheckpoints:
             assert na == nb
             np.testing.assert_array_equal(ta, tb)
 
+    def test_tensors_stored_in_any_order_load_in_layout_order(self):
+        # The fingerprint and the saved bytes follow the tensor order, so a
+        # loaded model holds the layout's order whatever the file's.
+        ckpt = self.make_checkpoint()
+        canonical = checkpoint_to_bytes(ckpt)
+        head = 48 + len(ckpt.stage.encode())  # magic .. tensor count
+        frames = [model._tensor_frame(name, arr) for name, arr in ckpt.params.named_tensors()]
+        assert canonical == canonical[:head] + b"".join(frames)
+        reordered = checkpoint_from_bytes(canonical[:head] + b"".join(reversed(frames)))
+        layout = [name for name, _, _ in model._tensor_layout(ckpt.config)]
+        assert [name for name, _ in reordered.params.named_tensors()] == layout
+        assert params_fingerprint(reordered.params) == params_fingerprint(ckpt.params)
+        assert checkpoint_to_bytes(reordered) == canonical
+
     def test_truncated_file_reports_offset(self, tmp_path):
         data = checkpoint_to_bytes(self.make_checkpoint())
         with pytest.raises(CheckpointFormatError) as err:
@@ -555,8 +585,10 @@ class TestCheckpoints:
         save_checkpoint(path, base_ckpt)
         loaded = load_checkpoint(path)
         upgraded = init_params(small_config(Variant.TAGYNET), 99, base=loaded.params)
-        np.testing.assert_array_equal(upgraded.trunk.weight, base_ckpt.params.trunk.weight)
-        assert upgraded.tag_attn is not None
+        np.testing.assert_array_equal(
+            upgraded.tensors["trunk.weight"], base_ckpt.params.tensors["trunk.weight"]
+        )
+        assert "tag_attn.embedding" in upgraded.tensors
 
     def test_fingerprint_tracks_params_not_metadata(self):
         ckpt_a = self.make_checkpoint(seed=31)
@@ -676,7 +708,7 @@ class TestCheckpoints:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor(self, value):
         ckpt = self.make_checkpoint()
-        ckpt.params.branch_user.bias[1] = value
+        ckpt.params.tensors["branch_user.bias"][1] = value
         data = checkpoint_to_bytes(ckpt)
         at = data.index(b"branch_user.bias") + len(b"branch_user.bias") + 8 + 8
         with pytest.raises(CheckpointFormatError, match="'branch_user.bias' holds NaN") as err:
@@ -736,30 +768,28 @@ class TestFingerprintCache:
 
     def test_signed_zero(self):
         params = init_params(small_config(), 41)
-        params.trunk.bias[...] = 0.0
+        params.tensors["trunk.bias"][...] = 0.0
         before = self.assert_fresh(params)
-        params.trunk.bias[1] = -0.0
+        params.tensors["trunk.bias"][1] = -0.0
         assert self.assert_fresh(params) != before
 
     def test_nan_payload_bits(self):
         params = init_params(small_config(), 42)
-        set_bits(params.ctx_attn.context_weight, 0x7FF8_0000_0000_0001)
+        set_bits(params.tensors["ctx_attn.context_weight"], 0x7FF8_0000_0000_0001)
         before = self.assert_fresh(params)
-        set_bits(params.ctx_attn.context_weight, 0x7FF8_0000_0000_0002)
+        set_bits(params.tensors["ctx_attn.context_weight"], 0x7FF8_0000_0000_0002)
         assert self.assert_fresh(params) != before
 
     def test_rebinding_heads(self):
         params = init_params(small_config(), 43)
         before = self.assert_fresh(params)
-        params.tag_attn = TagAttentionParams(embedding=params.tag_attn.embedding + 1.0)
+        params.tensors["tag_attn.embedding"] = params.tensors["tag_attn.embedding"] + 1.0
         after_tag = self.assert_fresh(params)
-        params.ctx_attn = ContextAttentionParams(
-            feature_weight=params.ctx_attn.feature_weight.copy(),
-            context_weight=params.ctx_attn.context_weight * 2.0,
-        )
+        params.tensors["ctx_attn.feature_weight"] = params.tensors["ctx_attn.feature_weight"].copy()
+        params.tensors["ctx_attn.context_weight"] = params.tensors["ctx_attn.context_weight"] * 2.0
         after_ctx = self.assert_fresh(params)
         assert len({before, after_tag, after_ctx}) == 3
-        params.ctx_attn = None
+        del params.tensors["ctx_attn.feature_weight"], params.tensors["ctx_attn.context_weight"]
         assert self.assert_fresh(params) not in {before, after_tag, after_ctx}
 
     def test_replacing_config(self):
@@ -775,7 +805,7 @@ class TestFingerprintCache:
         before = self.assert_fresh(params)
         twin = params.copy()
         assert self.assert_fresh(twin) == before
-        twin.trunk.weight[0, 0] += 1.0
+        twin.tensors["trunk.weight"][0, 0] += 1.0
         assert self.assert_fresh(twin) != before
         assert self.assert_fresh(params) == before
 
@@ -793,7 +823,7 @@ class TestFingerprintCache:
         first = params_fingerprint(params)
         assert [params_fingerprint(params) for _ in range(3)] == [first] * 3
         assert len(hashed) == 1
-        params.branch_user.bias[0] += 1.0
+        params.tensors["branch_user.bias"][0] += 1.0
         assert params_fingerprint(params) != first
         assert len(hashed) == 2
 

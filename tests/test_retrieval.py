@@ -53,7 +53,7 @@ def make_params(variant=Variant.CTXYNET, seed=0, locations=4, channels=5, tags=3
     )
     params = init_params(config, seed)
     # Positive biases keep a ReLU from zeroing a whole map.
-    params.trunk.bias[...] = 0.05
+    params.tensors["trunk.bias"][...] = 0.05
     return params
 
 
@@ -498,7 +498,7 @@ class TestChecks:
             with pytest.raises(FingerprintMismatchError):
                 search(index, raw, other, use_rerank=use_rerank)
         # An in-place update of one tensor is caught too.
-        params.ctx_attn.feature_weight[0] += 1e-9
+        params.tensors["ctx_attn.feature_weight"][0] += 1e-9
         for use_rerank in (False, True):
             with pytest.raises(FingerprintMismatchError):
                 search(index, raw, params, use_rerank=use_rerank)
@@ -565,7 +565,7 @@ class TestChecks:
 
     def test_overflowing_params_cannot_build_an_index(self):
         params = make_params(Variant.YNET)
-        params.trunk.weight[...] = 1e308
+        params.tensors["trunk.weight"][...] = 1e308
         items = make_items(params, 3, np.random.default_rng(12))
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="embeddings must be finite"):
             build_index(items, params)

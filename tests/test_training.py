@@ -15,7 +15,6 @@ from xattn.training import (
     run_curriculum,
     sample_triples,
     sgd_step,
-    stage_variant,
     train_stage,
 )
 
@@ -141,8 +140,8 @@ class TestTrainConfig:
 class TestCurriculum:
     def test_one_stage_per_variant_in_ladder_order(self):
         assert STAGES == ("ynet", "tagynet", "ctxynet")
-        assert [stage_variant(stage) for stage in STAGES] == list(Variant)
-        assert stage_variant(" TagYNet ") is Variant.TAGYNET
+        assert [Variant.parse(stage) for stage in STAGES] == list(Variant)
+        assert Variant.parse(" TagYNet ") is Variant.TAGYNET
 
     def test_stage_name_is_normalised(self, tmp_path):
         spec = SyntheticSpec(products=3, holdout_products=0, locations=2, channels=2, tag_count=2, raw_dim=2, signal_locations=1)
@@ -169,7 +168,7 @@ class TestCurriculum:
     def test_rejects_an_unknown_stage_before_training(self):
         dataset = records_dataset([0, 1], [0, 1])
         config = ModelConfig(locations=3, channels=2, tag_count=1, raw_dim=2, variant=Variant.YNET)
-        with pytest.raises(ValueError, match="unknown stage 'resnet'"):
+        with pytest.raises(ValueError, match="unknown variant 'resnet'"):
             run_curriculum(dataset, ("ynet", "resnet"), TrainConfig(), config)
 
     def test_same_bytes_as_the_loop_that_summed_every_gradient(self, tmp_path):
