@@ -13,8 +13,11 @@ On-disk layout of a dataset directory:
 
 Feature-map file format (little endian): magic ``XFMP``, version u32,
 location count u32, feature dim u32, then float32 payload row-major.
-Values are widened to float64 in memory. ``fileio`` says how faults are
-reported.
+Values are held in memory as stored, float32, and widened to float64,
+which is exact, where the model takes them: in ``model._trunk``, and once
+per ``retrieval.build_index`` block and per training stage.
+``load_dataset`` reads a split's maps into one N x L x R block.
+``fileio`` says how faults are reported.
 """
 
 from __future__ import annotations
@@ -197,7 +200,10 @@ def write_feature_map(path: "Path | str", array: np.ndarray) -> None:
 
 
 def load_feature_map(path: "Path | str") -> np.ndarray:
-    """Read an XFMP file into a float64 L x raw_dim matrix.
+    """Read an XFMP file into an L x raw_dim float32 (``<f4``) matrix, the
+    values as stored. ``load_dataset`` holds the same values as rows of one
+    N x L x raw_dim block; it reads the first file, and any file it cannot
+    read into the block, through this function.
 
     Both dimensions must be positive and every value finite, so data that
     passes here is what the model's layers accept.
@@ -216,12 +222,16 @@ def load_feature_map(path: "Path | str") -> np.ndarray:
         )
     values = reader.array("<f4", locations * dim, "payload", finite=True)
     reader.end()
-    return values.reshape(locations, dim).astype(np.float64)
+    return values.reshape(locations, dim).copy()
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """A manifest with all feature maps loaded, plus optional ground truth."""
+    """A manifest with all feature maps loaded, plus optional ground truth.
+
+    ``features`` maps each item id to its L x R row, a view of one
+    N x L x R float32 block with the records in manifest order.
+    """
 
     manifest: Manifest
     features: dict[int, np.ndarray]
@@ -287,32 +297,77 @@ def _record_line(manifest_path: str, number: int) -> int:
     return [lineno for lineno, line in enumerate(lines, start=1) if line.strip()][number]
 
 
+def _record_map(manifest_path: str, number: int, record: ManifestRecord, path: str) -> np.ndarray:
+    """``load_feature_map`` of record ``number`` at ``path``; a file that
+    cannot be opened or read is a ``ManifestError`` naming its line."""
+    try:
+        return load_feature_map(path)
+    except FeatureMapFormatError:  # a ValueError, but about the bytes
+        raise
+    except (OSError, ValueError):
+        # open() raises OSError for a missing file, a directory or a name
+        # the OS rejects, and ValueError for a NUL byte in the path.
+        lineno = _record_line(manifest_path, number)
+        raise ManifestError(f"line {lineno}: feature file missing: {record.path}") from None
+
+
 def load_dataset(root: "Path | str") -> Dataset:
     """Load a dataset directory eagerly; all feature maps must agree on
-    their dimensions."""
+    their dimensions.
+
+    The maps are read straight into one N x L x R ``<f4`` block. The first
+    record, read by ``load_feature_map``, gives L and R. Every other file
+    takes one ``os.readv`` into its row of an N x 16 header array, its row
+    of the block and a spare byte, which must fill exactly the header and
+    the row. Then all headers are compared at once and the block gets one
+    finiteness pass. A record that fails any step is read again by
+    ``load_feature_map``, in manifest order, so a load raises the error,
+    message and offset of the per-file parser, or stores the map it
+    returns.
+    """
     base = os.fspath(root)
     root = Path(base)
     manifest_path = os.path.join(base, MANIFEST_NAME)
     manifest = load_manifest(manifest_path)
-    features: dict[int, np.ndarray] = {}
-    dims: tuple[int, int] | None = None
-    for number, record in enumerate(manifest.records):
+    records = manifest.records
+    # os.path.join(base, path) for each record, whose path is relative.
+    prefix = os.path.join(base, "")
+    paths = [prefix + record.path for record in records]
+    first = _record_map(manifest_path, 0, records[0], paths[0])
+    dims = first.shape
+    block = np.empty((len(records), *dims), dtype="<f4")
+    block[0] = first
+    header = np.frombuffer(_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *dims), dtype=np.uint8)
+    headers = np.empty((len(records), _HEADER.size), dtype=np.uint8)
+    headers[0] = header
+    size = _HEADER.size + first.nbytes
+    spare = bytearray(1)  # filled only when a file is longer than it should be
+    unread = []
+    for number in range(1, len(records)):
         try:
-            fmap = load_feature_map(os.path.join(base, record.path))
-        except FeatureMapFormatError:  # a ValueError, but about the bytes
-            raise
+            fd = os.open(paths[number], os.O_RDONLY)
         except (OSError, ValueError):
-            # open() raises OSError for a missing file, a directory or a name
-            # the OS rejects, and ValueError for a NUL byte in the path.
-            lineno = _record_line(manifest_path, number)
-            raise ManifestError(f"line {lineno}: feature file missing: {record.path}") from None
-        if dims is None:
-            dims = fmap.shape
-        elif fmap.shape != dims:
+            unread.append(number)
+            continue
+        try:
+            got = os.readv(fd, [headers[number], block[number], spare])
+        except OSError:  # a directory opens, but does not read
+            got = -1
+        finally:
+            os.close(fd)
+        if got != size:
+            unread.append(number)
+    faulty = (headers != header).any(axis=1)
+    faulty |= ~np.isfinite(block).reshape(len(records), -1).all(axis=1)
+    faulty[unread] = True
+    for number in np.flatnonzero(faulty).tolist():
+        fmap = _record_map(manifest_path, number, records[number], paths[number])
+        if fmap.shape != dims:
             raise FeatureMapFormatError(
-                f"{record.path}: shape {fmap.shape} differs from {dims}"
+                f"{records[number].path}: shape {fmap.shape} differs from {dims}"
             )
-        features[record.item_id] = fmap
+        block[number] = fmap
+    features = {record.item_id: row for record, row in zip(records, block)}
     truth: dict[int, int] | None = None
     truth_path = root / GROUND_TRUTH_NAME
     if truth_path.exists():

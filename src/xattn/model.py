@@ -30,9 +30,10 @@ attention scores the hidden maps under the keys ``E @ W_shop``:
 ``b . e``, which is the same at every location.
 
 Finiteness is checked once, where data enters: ``_trunk`` (behind
-``extract_features``, every ``embed_*`` and ``forward_triple``) rejects
-non-finite raw input, ``checkpoint_from_bytes`` rejects NaN/Inf tensors,
-the feature-map and index parsers reject NaN/Inf payloads, and
+``extract_features``, every ``embed_*`` and ``forward_triple``) widens raw
+input to float64, which is exact for the float32 maps ``dataio`` loads,
+and rejects non-finite raw input; ``checkpoint_from_bytes`` rejects NaN/Inf
+tensors, the feature-map and index parsers reject NaN/Inf payloads, and
 ``softmax`` rejects non-finite attention scores. Parameters that overflow
 in memory give NaN embeddings, which ``metric.triplet_loss`` (training) and
 ``retrieval.ShopIndex`` (serving) refuse.
@@ -170,11 +171,14 @@ def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
     """A config and its learnable tensors: one name -> array dict holding
     exactly the names and shapes of ``_tensor_layout(config)``, in that
-    order. The order is the checkpoint's and the fingerprint's."""
+    order. The order is the checkpoint's and the fingerprint's.
+
+    ``==`` is identity: two objects with equal tensors are not equal.
+    Compare ``params_fingerprint`` values to compare contents."""
 
     config: ModelConfig
     tensors: dict[str, np.ndarray]
@@ -369,9 +373,9 @@ def embed_shop(raw: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndar
 
 
 def _pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """The 2-stack [first, second] of two arrays of one shape; the values
-    ``np.stack`` gives, at less cost per call."""
-    return np.concatenate((first, second)).reshape(2, *np.shape(first))
+    """The float64 2-stack [first, second] of two arrays of one shape; the
+    values ``np.stack`` gives, at less cost per call."""
+    return np.concatenate((first, second), dtype=np.float64).reshape(2, *np.shape(first))
 
 
 class TripleForward(NamedTuple):

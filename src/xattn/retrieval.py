@@ -78,12 +78,14 @@ DEFAULT_TOP_K = 256
 # holds max(1, BUILD_ROWS // L) items, 16 at L=49 and 196 at L=4. Each
 # pass has a fixed cost, so smaller blocks are slower. Larger blocks free
 # more memory at once, and glibc's malloc hands it back to the OS, so the
-# next block page-faults it in again: 1000 items at L=4 took 0.12 minor
-# faults per location row at 784 rows and 0.33 at 1568 (0 at L=49 up to
-# 1568). Building 1000 items at C=128 (fastest of 25, one BLAS thread,
-# 2-vCPU VM, four runs), L=4 / L=49 took 9.1-13.3 / 62.6-76.3 ms at 392
-# rows, 8.3-12.6 / 59.2-71.9 ms at 784 (faster than 392 in every run) and
-# 10.6-15.1 / 57.8-73.8 ms at 1568.
+# next block page-faults it in again. So the stacked raw maps share one
+# buffer per call: five builds of 1000 items at L=4, C=128 took 0.041
+# minor faults per location row at 784 rows, against 0.144 with a fresh
+# stack per block (0.003 at L=49 either way). Building 1000 items at
+# C=128 (fastest of 25, one BLAS thread, 2-vCPU VM, four runs), L=4 /
+# L=49 took 9.1-13.3 / 62.6-76.3 ms at 392 rows, 8.3-12.6 / 59.2-71.9 ms
+# at 784 (faster than 392 in every run) and 10.6-15.1 / 57.8-73.8 ms at
+# 1568.
 BUILD_ROWS = 784
 
 # The scan screens in float32 only when SCREEN_RATIO * k <= N. Each kept
@@ -270,13 +272,15 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
     """Embed every shop item; deterministic, sorted by item id.
 
     Items are embedded in blocks of ``max(1, BUILD_ROWS // L)``, each
-    stacked into one B x L x R array and run as one shop pass: the trunk
-    on its B*L rows, pooling over the B hidden maps, then the shop branch
-    on the B pooled rows (``model.embed_shops``). The base variant has no
+    stacked into the call's one float64 B x L x R buffer, which widens the
+    float32 maps ``dataio`` loads, and run as one shop pass: the trunk on its
+    B*L rows, pooling over the B hidden maps, then the shop branch on the
+    B pooled rows (``model.embed_shops``). The base variant has no
     tag head and indexes normalized uniform-pooled embeddings instead (the
     same aggregation it was trained with). Every item's tag vector must
-    have the model's ``tag_count`` entries, since the index stores them;
-    a ValueError names the first item whose vector does not.
+    have the model's ``tag_count`` entries, since the index stores them,
+    and every map must be L x R; a ValueError names the first item that
+    does not.
     """
     ordered = sorted(items, key=lambda item: item.item_id)
     item_ids = np.array([item.item_id for item in ordered], dtype=np.int64)
@@ -292,11 +296,21 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
                 f"item {item.item_id} has a tag vector of shape {item.tags.bits.shape}; "
                 f"the model has {cfg.tag_count} tags"
             )
+        if item.raw.shape != (cfg.locations, cfg.raw_dim):
+            raise ValueError(
+                f"item {item.item_id} has raw features of shape {item.raw.shape}; "
+                f"the model takes {cfg.locations} x {cfg.raw_dim}"
+            )
     embeddings = np.empty((len(ordered), cfg.channels))
     size = max(1, BUILD_ROWS // cfg.locations)
+    # One float64 block buffer for the call. Each block's L x R maps are
+    # joined (and widened) into its first rows: with every map L x R, the
+    # join along the rows is the stack, without np.stack's per-map calls.
+    buf = np.empty((min(size, len(ordered)), cfg.locations, cfg.raw_dim))
     for lo in range(0, len(ordered), size):
         block = ordered[lo : lo + size]
-        raws = np.stack([item.raw for item in block])
+        raws = buf[: len(block)]
+        np.concatenate([item.raw for item in block], out=raws.reshape(-1, cfg.raw_dim))
         if cfg.variant >= Variant.TAGYNET:
             tags = TagVector(bits=np.stack([item.tags.bits for item in block]))
             embeddings[lo : lo + len(block)] = embed_shops(raws, tags, params)

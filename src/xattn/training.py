@@ -227,6 +227,11 @@ def train_stage(
     frozen_trunk = stage_index > 0
     alpha = cfg.margins[stage]
     records = _record_by_id(dataset)
+    # The stage's maps widened once, into one float64 block: the trunk
+    # would otherwise widen the float32 maps of every triple it is given.
+    features = dict(
+        zip(dataset.features, np.array(list(dataset.features.values()), dtype=np.float64))
+    )
     epoch_count = cfg.epochs[stage]
     triples_per_epoch = len(dataset.user_records())
     velocity: dict[str, np.ndarray] = {}
@@ -244,9 +249,9 @@ def train_stage(
                 positive = records[triple.positive]
                 negative = records[triple.negative]
                 loss, grads = backward_triple(
-                    dataset.features[triple.anchor],
-                    dataset.features[triple.positive],
-                    dataset.features[triple.negative],
+                    features[triple.anchor],
+                    features[triple.positive],
+                    features[triple.negative],
                     dataset.tag_vector(positive),
                     dataset.tag_vector(negative),
                     params,

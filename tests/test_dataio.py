@@ -197,7 +197,7 @@ class TestFeatureMaps:
         write_feature_map(tmp_path / "a.xfmp", values)
         got = load_feature_map(tmp_path / "a.xfmp")
         np.testing.assert_array_equal(got, values.astype(np.float32))
-        assert got.dtype == np.float64 and np.signbit(got[0, 1])
+        assert got.dtype == np.float32 and np.signbit(got[0, 1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload(self, tmp_path, bad):
@@ -232,6 +232,155 @@ class TestFeatureMaps:
         write_feature_map(train_dir / first, np.full((TINY.locations, TINY.raw_dim), np.nan))
         with pytest.raises(FeatureMapFormatError, match="NaN"):
             load_dataset(train_dir)
+
+
+# ---------------------------------------------------------------------------
+# the block loader: load_dataset reads every map into one float32 block and
+# falls back to load_feature_map for a record it cannot take there, so each
+# fault raises what the per-file parser raises
+# ---------------------------------------------------------------------------
+
+FAULTS = ["missing", "directory", "truncated", "trailing", "magic", "version", "zero_dim", "shape", "nan_last"]
+
+
+def damage(path, fault):
+    data = path.read_bytes()
+    if fault in ("missing", "directory"):
+        path.unlink()
+        if fault == "directory":
+            path.mkdir()
+    elif fault == "truncated":
+        path.write_bytes(data[:-3])
+    elif fault == "trailing":
+        path.write_bytes(data + b"\0")
+    elif fault == "magic":
+        path.write_bytes(b"XFMQ" + data[4:])
+    elif fault == "version":
+        path.write_bytes(data[:4] + struct.pack("<I", 2) + data[8:])
+    elif fault == "zero_dim":
+        path.write_bytes(data[:12] + struct.pack("<I", 0) + data[16:])
+    elif fault == "shape":
+        write_feature_map(path, np.ones((TINY.locations + 1, TINY.raw_dim)))
+    else:
+        path.write_bytes(data[:-4] + struct.pack("<f", np.nan))
+
+
+def expect_load_error(train_dir, number):
+    """What ``load_dataset`` must raise when record ``number`` (from 0, one
+    per manifest line) is the first faulty one: the ``ManifestError`` of a
+    file that does not read, the shape error, or ``load_feature_map``'s own
+    error for that file. The first record sets the shape, so when it loads
+    with another one, the clean second record is reported."""
+    records = load_manifest(train_dir / MANIFEST_NAME).records
+    record = records[number]
+    try:
+        fmap = load_feature_map(train_dir / record.path)
+    except FeatureMapFormatError as exc:
+        return type(exc), str(exc), exc.offset
+    except OSError:
+        return ManifestError, f"line {number + 1}: feature file missing: {record.path}", None
+    dims = (TINY.locations, TINY.raw_dim)
+    assert fmap.shape != dims, "the record is not faulty"
+    if number == 0:
+        record, fmap, dims = records[1], np.empty(dims), fmap.shape
+    return FeatureMapFormatError, f"{record.path}: shape {fmap.shape} differs from {dims}", None
+
+
+def raised(train_dir):
+    with pytest.raises(ValueError) as err:
+        load_dataset(train_dir)
+    return type(err.value), str(err.value), getattr(err.value, "offset", None)
+
+
+def record_number(where, count):
+    return {"first": 0, "middle": count // 2, "last": count - 1}[where]
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestBlockLoader:
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_fault_raises_what_the_per_file_path_raises(self, train_dir, fault, where):
+        records = load_manifest(train_dir / MANIFEST_NAME).records
+        number = record_number(where, len(records))
+        damage(train_dir / records[number].path, fault)
+        want = expect_load_error(train_dir, number)
+        assert raised(train_dir) == want
+        if fault not in ("missing", "directory", "shape"):
+            assert want[0] is FeatureMapFormatError and want[2] is not None
+
+    def test_first_faulty_record_in_manifest_order_wins(self, train_dir):
+        # Record 2 fails only the finiteness pass, which runs after every
+        # file is read, and record 5 already fails to open.
+        records = load_manifest(train_dir / MANIFEST_NAME).records
+        damage(train_dir / records[2].path, "nan_last")
+        damage(train_dir / records[5].path, "missing")
+        assert raised(train_dir) == expect_load_error(train_dir, 2)
+
+    def test_rows_are_views_of_one_float32_block(self, train_dir):
+        dataset = load_dataset(train_dir)
+        records = dataset.manifest.records
+        block = dataset.features[records[0].item_id].base
+        assert block.shape == (len(records), TINY.locations, TINY.raw_dim)
+        assert block.dtype == np.dtype("<f4")
+        for number, record in enumerate(records):
+            row = dataset.features[record.item_id]
+            assert row.base is block and row.dtype == np.float32
+            assert row.tobytes() == load_feature_map(train_dir / record.path).tobytes()
+            np.testing.assert_array_equal(row, block[number])
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("fault", [None] + FAULTS)
+    def test_no_file_descriptor_leaks(self, train_dir, fault):
+        records = load_manifest(train_dir / MANIFEST_NAME).records
+        if fault is not None:
+            damage(train_dir / records[len(records) // 2].path, fault)
+        before = open_fds()
+        try:
+            load_dataset(train_dir)
+        except ValueError:
+            assert fault is not None
+        else:
+            assert fault is None
+        assert open_fds() == before
+
+
+@pytest.fixture(scope="module")
+def block_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("block")
+    generate_synthetic(TINY, root)
+    return root / "train"
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_dataset_with_one_corrupted_record_loads_or_raises_the_per_file_error(block_dir, data):
+    records = load_manifest(block_dir / MANIFEST_NAME).records
+    number = data.draw(st.integers(0, len(records) - 1))
+    path = block_dir / records[number].path
+    original = path.read_bytes()
+    try:
+        path.write_bytes(data.draw(corrupted(original)))
+        try:
+            fmap = load_feature_map(path)
+        except FeatureMapFormatError:
+            faulty = True
+        else:
+            faulty = fmap.shape != (TINY.locations, TINY.raw_dim)
+        if faulty:
+            assert raised(block_dir) == expect_load_error(block_dir, number)
+            return
+        dataset = load_dataset(block_dir)
+        for record in records:
+            row = dataset.features[record.item_id]
+            want = load_feature_map(block_dir / record.path)
+            assert row.dtype == want.dtype == np.float32
+            assert row.tobytes() == want.tobytes()
+    finally:
+        path.write_bytes(original)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,15 @@ class TestInitParams:
         assert "tag_attn.embedding" not in base.tensors
         assert np.any(upgraded.tensors["tag_attn.embedding"] != 0.0)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_equality_is_identity(self, variant):
+        # Comparing the tensor dicts would ask numpy for the truth value
+        # of an array, which raises.
+        params = init_params(small_config(variant), 0)
+        assert params == params
+        assert (params == params.copy()) is False
+        assert (params != init_params(small_config(variant), 0)) is True
+
     def test_shape_mismatch_names_tensor(self):
         base = init_params(small_config(channels=3), 0)
         with pytest.raises(ValueError, match="trunk.weight"):

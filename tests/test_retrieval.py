@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from xattn import retrieval
 from xattn.attention import TagVector
+from xattn.dataio import SyntheticSpec, generate_synthetic, load_dataset
 from xattn.model import (
     ModelConfig,
     UnsupportedVariantError,
@@ -194,6 +195,14 @@ class TestBuildIndex:
         items = make_items(params, 3, np.random.default_rng(length))
         items[1] = items[1]._replace(tags=TagVector(bits=np.ones(length)))
         with pytest.raises(ValueError, match=f"item {items[1].item_id} has a tag vector"):
+            build_index(items, params)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 5), (4,)])
+    def test_map_of_another_shape_raises(self, shape):
+        params = make_params(Variant.TAGYNET)
+        items = make_items(params, 3, np.random.default_rng(9))
+        items[2] = items[2]._replace(raw=np.ones(shape))
+        with pytest.raises(ValueError, match=f"item {items[2].item_id} has raw features of shape"):
             build_index(items, params)
 
     def test_columns_are_read_only(self):
@@ -611,6 +620,39 @@ def saved_index(tmp_path, count=5, variant=Variant.TAGYNET, tags=11):
     path = tmp_path / "shop.xidx"
     save_index(path, index)
     return params, index, path
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_loaded_float32_maps_index_and_rank_as_float64_copies(tmp_path, variant):
+    # The build widens load_dataset's float32 maps in its block buffer and
+    # the query trunk widens the query map, both exactly: the saved index
+    # has the bytes of one built from float64 copies, and each search
+    # returns the same list.
+    spec = SyntheticSpec(products=20, holdout_products=0, locations=BLOCK_L, signal_locations=7, seed=3)
+    generate_synthetic(spec, tmp_path)
+    dataset = load_dataset(tmp_path / "train")
+    params = make_params(variant, locations=spec.locations, channels=spec.channels, tags=spec.tag_count, raw_dim=spec.raw_dim)
+    indexes = []
+    for widen in (False, True):
+        items = [
+            ShopItem(r.item_id, r.product_id, dataset.features[r.item_id], dataset.tag_vector(r))
+            for r in dataset.shop_records()
+        ]
+        if widen:
+            items = [item._replace(raw=item.raw.astype(np.float64)) for item in items]
+        assert {item.raw.dtype for item in items} == {np.dtype(np.float64 if widen else np.float32)}
+        index = build_index(items, params)
+        save_index(tmp_path / f"{widen}.xidx", index)
+        indexes.append(index)
+    assert len(items) > 2 * BLOCK
+    assert (tmp_path / "False.xidx").read_bytes() == (tmp_path / "True.xidx").read_bytes()
+    for record in dataset.user_records()[:10]:
+        fmap = dataset.features[record.item_id]
+        # k=2 scans through the float32 screen (16 k <= N), k=N scores every row.
+        for k, use_rerank in ((2, False), (len(items), variant >= Variant.CTXYNET)):
+            got = search(indexes[0], fmap, params, k=k, use_rerank=use_rerank)
+            want = search(indexes[1], fmap.astype(np.float64), params, k=k, use_rerank=use_rerank)
+            assert got == want
 
 
 class TestIndexFile:

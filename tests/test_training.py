@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import logging
 import math
@@ -197,3 +198,24 @@ class TestCurriculum:
             assert checkpoint_to_bytes(checkpoint) == checkpoint_to_bytes(want), stage
             assert np.asarray(curve).tobytes() == np.asarray(want_curve).tobytes(), stage
             init = want
+
+    def test_float32_maps_train_the_checkpoints_of_float64_copies(self, tmp_path):
+        # The seed-0 desk curriculum. Widening the float32 maps load_dataset
+        # holds is exact, so every stage's checkpoint has the bytes that
+        # float64 copies of the maps give.
+        spec = SyntheticSpec()
+        generate_synthetic(spec, tmp_path)
+        dataset = load_dataset(tmp_path / "train")
+        widened = dataclasses.replace(
+            dataset, features={i: fmap.astype(np.float64) for i, fmap in dataset.features.items()}
+        )
+        assert all(fmap.dtype == np.float32 for fmap in dataset.features.values())
+        config = ModelConfig(
+            locations=spec.locations, channels=spec.channels, tag_count=spec.tag_count,
+            raw_dim=spec.raw_dim, variant=Variant.YNET,
+        )
+        got = run_curriculum(dataset, STAGES, TrainConfig(), config)
+        want = run_curriculum(widened, STAGES, TrainConfig(), config)
+        for stage, (checkpoint, curve), (other, other_curve) in zip(STAGES, got, want):
+            assert checkpoint_to_bytes(checkpoint) == checkpoint_to_bytes(other), stage
+            assert np.asarray(curve).tobytes() == np.asarray(other_curve).tobytes(), stage
