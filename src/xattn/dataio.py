@@ -14,10 +14,17 @@ On-disk layout of a dataset directory:
 Feature-map file format (little endian): magic ``XFMP``, version u32,
 location count u32, feature dim u32, then float32 payload row-major.
 Values are held in memory as stored, float32, and widened to float64,
-which is exact, where the model takes them: in ``model._trunk``, and once
-per ``retrieval.build_index`` block and per training stage.
+which is exact, where the model takes them: in ``model._trunk``, per
+``retrieval.build_index`` block, and once per training stage, which
+gathers its triples from one float64 copy of the split's maps.
 ``load_dataset`` reads a split's maps into one N x L x R block.
 ``fileio`` says how faults are reported.
+
+The text files are UTF-8, and a line ends at a line feed (U+000A)
+alone. Carriage returns at the end of a line are dropped, so CRLF files
+load; a line cannot end in one. The other characters ``str.splitlines``
+breaks at (U+000B, U+000C, U+001C to U+001E, U+0085, U+2028 and U+2029)
+are data, and may appear in a tag name or a feature path.
 """
 
 from __future__ import annotations
@@ -83,18 +90,21 @@ class Manifest:
 
 
 def _read_lines(path: Path, what: str) -> list[str]:
-    """The lines of a UTF-8 text file; a missing file or a byte that is not
-    UTF-8 is a ``ManifestError`` naming the file (and the line)."""
+    """The lines of a UTF-8 text file, split at each line feed and without
+    trailing carriage returns; a missing file or a byte that is not UTF-8
+    is a ``ManifestError`` naming the file (and the line)."""
     if not path.is_file():
         raise ManifestError(f"{what} not found or not a file: {path}")
     data = path.read_bytes()
     try:
-        return data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The bytes before the fault decode; the "x" stands in for the bad
-        # byte so a fault right after a line break counts the next line.
-        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        lineno = data.count(b"\n", 0, exc.start) + 1
         raise ManifestError(f"{path.name} line {lineno}: not valid UTF-8") from None
+    lines = [line.rstrip("\r") for line in text.split("\n")]
+    if not lines[-1]:
+        lines.pop()  # the text is empty or ends its last line
+    return lines
 
 
 def load_tag_vocab(path: Path) -> tuple[str, ...]:
@@ -263,10 +273,6 @@ class Dataset:
     def tag_vector(self, record: ManifestRecord) -> TagVector:
         """The tag vector of one of this dataset's records, built once."""
         return self._tags[record.item_id]
-
-    def feature_dims(self) -> tuple[int, int]:
-        first = next(iter(self.features.values()))
-        return first.shape[0], first.shape[1]
 
 
 def load_ground_truth(path: Path) -> dict[int, int]:

@@ -38,14 +38,15 @@ tensors, the feature-map and index parsers reject NaN/Inf payloads, and
 in memory give NaN embeddings, which ``metric.triplet_loss`` (training) and
 ``retrieval.ShopIndex`` (serving) refuse.
 
-Serving runs the batched forward functions: ``embed_shops`` and
-``embed_shops_simple`` embed a B x L x R stack of shop images at once,
-each as one shop pass. A query's scan embedding is ``uniform_embedding``
-of its ``extract_features`` map; the re-rank in ``retrieval.search``
-attends that map under its K candidates at once with
-``attention.context_attend`` and takes the distance of each normalised
-pooled row in closed form. ``embed_shop`` is ``embed_shops`` on a batch
-of one. Training runs the same steps, one triple at a time:
+Serving runs the batched forward functions: ``embed_shops`` embeds a
+B x L x R stack of shop images under a B x T 0/1 tag matrix as one shop
+pass, pooling by tag attention, or uniformly in the base variant, which
+has no tag head. A query's scan embedding is ``uniform_embedding`` of its
+``extract_features`` map; the re-rank in ``retrieval.search`` attends
+that map under its K candidates at once with ``attention.context_attend``
+and takes the distance of each normalised pooled row in closed form.
+``embed_shop`` is ``embed_shops`` on a batch of one. Training runs the
+same steps, one triple at a time:
 ``forward_triple`` runs the shop pass on the stack [positive, negative]
 and, in the context variant, attends the anchor under both as K=2
 contexts with the same ``context_attend``, so its shop embeddings equal
@@ -350,26 +351,18 @@ def _shop_pass(raws: np.ndarray, bits: np.ndarray | None, params: ModelParams) -
     return _ShopPass(rows=rows, hidden=maps, keys=keys, pool=pool, pooled=pooled)
 
 
-def embed_shops(raws: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndarray:
+def embed_shops(raws: np.ndarray, bits: np.ndarray, params: ModelParams) -> np.ndarray:
     """Unit-norm B x C shop embeddings of a B x L x R stack, each pooled
-    under its own row of the B x T tag matrix ``tags``."""
-    if params.config.variant < Variant.TAGYNET:
-        raise UnsupportedVariantError(
-            "shop tag attention needs the tag head; this model does not have one"
-        )
-    return l2_normalize(_shop_pass(raws, tags.bits, params).pooled)
-
-
-def embed_shops_simple(raws: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Unit-norm B x C shop embeddings of a B x L x R stack via uniform
-    pooling (base-variant path)."""
-    return l2_normalize(_shop_pass(raws, None, params).pooled)
+    under its own row of the B x T 0/1 matrix ``bits``. The base variant
+    has no tag head: it pools uniformly and does not read ``bits``."""
+    tagged = params.config.variant >= Variant.TAGYNET
+    return l2_normalize(_shop_pass(raws, bits if tagged else None, params).pooled)
 
 
 def embed_shop(raw: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndarray:
-    """Unit-norm shop embedding via tag-conditioned pooling."""
-    raws = np.asarray(raw, dtype=np.float64)[None]
-    return embed_shops(raws, TagVector(bits=tags.bits[None]), params)[0]
+    """Unit-norm shop embedding of one L x R map: ``embed_shops`` on a
+    stack of one."""
+    return embed_shops(np.asarray(raw)[None], tags.bits[None], params)[0]
 
 
 def _pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -404,11 +397,10 @@ def forward_triple(
     """Loss and all four embeddings for one training triple.
 
     The shop side is the stack [positive, negative] run through the one
-    shop pass of ``embed_shops`` (``embed_shops_simple`` for the base
-    variant). The context variant attends the anchor under both shop
-    embeddings at once with ``context_attend``, as the re-rank does, and
-    normalises the pooled rows; the other variants use one uniformly
-    pooled anchor embedding,
+    shop pass of ``embed_shops``. The context variant attends the anchor
+    under both shop embeddings at once with ``context_attend``, as the
+    re-rank does, and normalises the pooled rows; the other variants use
+    one uniformly pooled anchor embedding,
     ``uniform_embedding(extract_features(anchor_raw, "user", params))``, as
     both anchor rows. So the embeddings equal their serving forms bit for
     bit.

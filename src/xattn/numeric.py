@@ -1,4 +1,4 @@
-"""Shared numeric kernels: softmax, L2 normalization, finite differences.
+"""Shared numeric kernels: softmax and L2 normalization.
 
 Everything here is pure, double precision, and reentrant.
 """
@@ -6,23 +6,10 @@ Everything here is pure, double precision, and reentrant.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
 NORM_EPS = 1e-12
-FD_STEP = 1e-5
-
-
-class NonFiniteValueError(ValueError):
-    """Raised when an objective produced NaN/Inf during finite differencing.
-
-    ``coordinate`` is the flat index of the perturbed entry.
-    """
-
-    def __init__(self, message: str, coordinate: int | None = None) -> None:
-        super().__init__(message)
-        self.coordinate = coordinate
 
 
 def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -98,30 +85,3 @@ def l2_normalize_backward(v: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
     along[norm < NORM_EPS] = 0.0
     return (g - along * y) / scale
 
-
-def finite_diff_grad(
-    f: Callable[[np.ndarray], float], x: np.ndarray, h: float = FD_STEP
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one entry at a time.
-
-    Accepts arrays of any shape; the result has the same shape. ``f`` is
-    evaluated at x +/- h*e_i, so it must be finite in that neighbourhood.
-    """
-    if h <= 0:
-        raise ValueError("step size h must be positive")
-    work = np.array(x, dtype=np.float64, copy=True)
-    grad = np.empty_like(work)
-    for i in range(work.size):
-        orig = work.flat[i]
-        work.flat[i] = orig + h
-        up = float(f(work))
-        work.flat[i] = orig - h
-        down = float(f(work))
-        work.flat[i] = orig
-        if not (math.isfinite(up) and math.isfinite(down)):
-            raise NonFiniteValueError(
-                f"objective is non-finite when perturbing coordinate {i}",
-                coordinate=i,
-            )
-        grad.flat[i] = (up - down) / (2.0 * h)
-    return grad

@@ -56,7 +56,6 @@ from .model import (
     UnsupportedVariantError,
     Variant,
     embed_shops,
-    embed_shops_simple,
     extract_features,
     params_fingerprint,
     uniform_embedding,
@@ -271,16 +270,17 @@ class ShopIndex:
 def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
     """Embed every shop item; deterministic, sorted by item id.
 
-    Items are embedded in blocks of ``max(1, BUILD_ROWS // L)``, each
-    stacked into the call's one float64 B x L x R buffer, which widens the
-    float32 maps ``dataio`` loads, and run as one shop pass: the trunk on its
-    B*L rows, pooling over the B hidden maps, then the shop branch on the
-    B pooled rows (``model.embed_shops``). The base variant has no
-    tag head and indexes normalized uniform-pooled embeddings instead (the
-    same aggregation it was trained with). Every item's tag vector must
-    have the model's ``tag_count`` entries, since the index stores them,
-    and every map must be L x R; a ValueError names the first item that
-    does not.
+    The items' tag vectors are stacked once into an N x T matrix, which
+    ``save_index`` stores packed. Items are embedded in blocks of
+    ``max(1, BUILD_ROWS // L)``: each block's maps are stacked into the
+    call's one float64 B x L x R buffer, which widens the float32 maps
+    ``dataio`` loads, and run with the block's rows of that matrix as one
+    shop pass (``model.embed_shops``): the trunk on its B*L rows, pooling
+    over the B hidden maps, then the shop branch on the B pooled rows. The
+    base variant pools uniformly, as it was trained. Every item's tag
+    vector must have the model's ``tag_count`` entries, since the index
+    stores them, and every map must be L x R; a ValueError names the first
+    item that does not.
     """
     ordered = sorted(items, key=lambda item: item.item_id)
     item_ids = np.array([item.item_id for item in ordered], dtype=np.int64)
@@ -301,6 +301,7 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
                 f"item {item.item_id} has raw features of shape {item.raw.shape}; "
                 f"the model takes {cfg.locations} x {cfg.raw_dim}"
             )
+    bits = np.array([item.tags.bits for item in ordered]).reshape(len(ordered), cfg.tag_count)
     embeddings = np.empty((len(ordered), cfg.channels))
     size = max(1, BUILD_ROWS // cfg.locations)
     # One float64 block buffer for the call. Each block's L x R maps are
@@ -311,20 +312,11 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
         block = ordered[lo : lo + size]
         raws = buf[: len(block)]
         np.concatenate([item.raw for item in block], out=raws.reshape(-1, cfg.raw_dim))
-        if cfg.variant >= Variant.TAGYNET:
-            tags = TagVector(bits=np.stack([item.tags.bits for item in block]))
-            embeddings[lo : lo + len(block)] = embed_shops(raws, tags, params)
-        else:
-            embeddings[lo : lo + len(block)] = embed_shops_simple(raws, params)
-    if ordered:
-        bits = np.stack([item.tags.bits for item in ordered]).astype(np.uint8)
-        tag_bits = np.packbits(bits, axis=1, bitorder="little")
-    else:
-        tag_bits = np.zeros((0, (cfg.tag_count + 7) // 8), dtype=np.uint8)
+        embeddings[lo : lo + len(block)] = embed_shops(raws, bits[lo : lo + len(block)], params)
     return ShopIndex(
         item_ids=item_ids,
         product_ids=np.array([item.product_id for item in ordered], dtype=np.int64),
-        tag_bits=tag_bits,
+        tag_bits=np.packbits(bits.astype(np.uint8), axis=1, bitorder="little"),
         embeddings=embeddings,
         fingerprint=params_fingerprint(params),
     )

@@ -4,18 +4,22 @@ Stages run in ladder order; each stage upgrades the previous stage's
 checkpoint (shared tensors copied, new heads freshly initialized) and the
 trunk is frozen for every stage after the first. One epoch samples as
 many triples as there are user images.
+
+A split is addressed by manifest row: ``sample_triples`` draws rows, and
+a stage gathers each triple's maps from one float64 block whose row i is
+record i's map, and its tag vectors from one list in the same order.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import IO, NamedTuple, Sequence
+from dataclasses import dataclass, field, replace
+from typing import IO, Sequence
 
 import numpy as np
 
-from .dataio import Dataset, ManifestRecord
+from .dataio import Dataset
 from .model import (
     Checkpoint,
     ModelConfig,
@@ -29,8 +33,6 @@ logger = logging.getLogger(__name__)
 
 # One stage per variant, in ladder order, named after it.
 STAGES = tuple(variant.name.lower() for variant in Variant)
-
-FROZEN_TRUNK = ("trunk.weight", "trunk.bias")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -80,12 +82,6 @@ class TrainConfig:
                 )
 
 
-class Triple(NamedTuple):
-    anchor: int
-    positive: int
-    negative: int
-
-
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
     """Step schedule: base_lr * lr_decay ** floor(epoch / decay_every)."""
     if epoch < 0:
@@ -95,22 +91,27 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 def sample_triples(
     dataset: Dataset, count: int, rng: np.random.Generator
-) -> list[Triple]:
-    """Uniform anchor over eligible user images, uniform positive among the
-    anchor's product's shop images, uniform negative among all other shop
-    images. User images whose product has no shop image cannot anchor and
-    are skipped with a warning.
+) -> np.ndarray:
+    """A ``count`` x 3 array of manifest rows, one (anchor, positive,
+    negative) triple per row: a uniform anchor over eligible user images, a
+    uniform positive among the anchor's product's shop images, a uniform
+    negative among all other shop images. User images whose product has no
+    shop image cannot anchor and are skipped with a warning.
     """
-    all_shops: list[int] = []  # shop item ids, manifest order
-    rows_by_product: dict[int, list[int]] = {}  # ascending rows of all_shops
-    for row, record in enumerate(dataset.shop_records()):
-        all_shops.append(record.item_id)
-        rows_by_product.setdefault(record.product_id, []).append(row)
-    if len(rows_by_product) < 2:
+    shop_rows: list[int] = []  # manifest rows of the shop images, in order
+    own_by_product: dict[int, list[int]] = {}  # ascending indices into shop_rows
+    users: list[tuple[int, int]] = []  # (manifest row, product) of each user image
+    for row, record in enumerate(dataset.manifest.records):
+        if record.domain == "shop":
+            own_by_product.setdefault(record.product_id, []).append(len(shop_rows))
+            shop_rows.append(row)
+        else:
+            users.append((row, record.product_id))
+    if len(own_by_product) < 2:
         raise ValueError("need shop images from at least 2 distinct products")
 
-    anchors = [r for r in dataset.user_records() if r.product_id in rows_by_product]
-    excluded = len(dataset.user_records()) - len(anchors)
+    anchors = [user for user in users if user[1] in own_by_product]
+    excluded = len(users) - len(anchors)
     if excluded:
         logger.warning(
             "%d user images excluded from anchoring (product has no shop image)",
@@ -119,20 +120,20 @@ def sample_triples(
     if not anchors:
         raise ValueError("no user image has a product with shop images")
 
-    triples: list[Triple] = []
+    triples: list[tuple[int, int, int]] = []
     for _ in range(count):
-        anchor = anchors[int(rng.integers(len(anchors)))]
-        own_rows = rows_by_product[anchor.product_id]
-        positive = all_shops[own_rows[int(rng.integers(len(own_rows)))]]
+        anchor, product = anchors[int(rng.integers(len(anchors)))]
+        own = own_by_product[product]
+        positive = own[int(rng.integers(len(own)))]
         # The i-th shop image of another product: step i past each of the
-        # anchor product's own rows at or before it.
-        at = int(rng.integers(len(all_shops) - len(own_rows)))
-        for own in own_rows:
-            if own > at:
+        # anchor product's own images at or before it.
+        at = int(rng.integers(len(shop_rows) - len(own)))
+        for index in own:
+            if index > at:
                 break
             at += 1
-        triples.append(Triple(anchor=anchor.item_id, positive=positive, negative=all_shops[at]))
-    return triples
+        triples.append((anchor, shop_rows[positive], shop_rows[at]))
+    return np.array(triples, dtype=np.intp).reshape(count, 3)
 
 
 def sgd_step(
@@ -161,10 +162,6 @@ def sgd_step(
         tensors[name] += vel
 
 
-def _record_by_id(dataset: Dataset) -> dict[int, ManifestRecord]:
-    return {r.item_id: r for r in dataset.manifest.records}
-
-
 def train_stage(
     stage: str,
     dataset: Dataset,
@@ -187,9 +184,10 @@ def train_stage(
     minibatch gradient is their sum over the batch's triples with a
     non-zero loss, divided by the batch size; a triple with zero loss
     would add only zeros, so leaving it out gives the same bits. A batch
-    with no such triple still makes a momentum step, on zero gradients of
-    the trained tensors: every tensor but ``FROZEN_TRUNK`` after the first
-    stage.
+    in which every triple has zero loss steps on zero gradients of the
+    tensors that already have a velocity, which momentum carries on; a
+    tensor without one has not been stepped yet, and a zero step would
+    leave it as it is.
     """
     variant = Variant.parse(stage)
     stage = STAGES[variant]
@@ -200,23 +198,22 @@ def train_stage(
         base_cfg = model_cfg
     else:
         raise ValueError("either an init checkpoint or a model config is required")
-    config = ModelConfig(
-        locations=base_cfg.locations,
-        channels=base_cfg.channels,
-        tag_count=base_cfg.tag_count,
-        raw_dim=base_cfg.raw_dim,
-        variant=variant,
-    )
-    dims = dataset.feature_dims()
-    if dims != (config.locations, config.raw_dim):
+    config = replace(base_cfg, variant=variant)
+    records = dataset.manifest.records
+    # The stage's maps widened once, into one float64 block whose row i is
+    # record i's map: the trunk would otherwise widen the float32 maps of
+    # every triple it is given.
+    maps = np.array([dataset.features[r.item_id] for r in records], dtype=np.float64)
+    if maps.shape[1:] != (config.locations, config.raw_dim):
         raise ValueError(
-            f"dataset features are {dims}, model expects "
+            f"dataset features are {maps.shape[1:]}, model expects "
             f"({config.locations}, {config.raw_dim})"
         )
     if dataset.tag_count != config.tag_count:
         raise ValueError(
             f"dataset has {dataset.tag_count} tags, model expects {config.tag_count}"
         )
+    tags = [dataset.tag_vector(r) for r in records]
 
     params = init_params(
         config,
@@ -226,12 +223,6 @@ def train_stage(
     sample_rng = np.random.default_rng([cfg.seed, stage_index, 1])
     frozen_trunk = stage_index > 0
     alpha = cfg.margins[stage]
-    records = _record_by_id(dataset)
-    # The stage's maps widened once, into one float64 block: the trunk
-    # would otherwise widen the float32 maps of every triple it is given.
-    features = dict(
-        zip(dataset.features, np.array(list(dataset.features.values()), dtype=np.float64))
-    )
     epoch_count = cfg.epochs[stage]
     triples_per_epoch = len(dataset.user_records())
     velocity: dict[str, np.ndarray] = {}
@@ -239,21 +230,19 @@ def train_stage(
 
     for epoch in range(epoch_count):
         lr = lr_at(epoch, cfg)
-        triples = sample_triples(dataset, triples_per_epoch, sample_rng)
+        triples = sample_triples(dataset, triples_per_epoch, sample_rng).tolist()
         epoch_loss = 0.0
         for start in range(0, len(triples), cfg.batch_size):
             batch = triples[start : start + cfg.batch_size]
             grads_sum: dict[str, np.ndarray] | None = None
             batch_loss = 0.0
-            for triple in batch:
-                positive = records[triple.positive]
-                negative = records[triple.negative]
+            for anchor, positive, negative in batch:
                 loss, grads = backward_triple(
-                    features[triple.anchor],
-                    features[triple.positive],
-                    features[triple.negative],
-                    dataset.tag_vector(positive),
-                    dataset.tag_vector(negative),
+                    maps[anchor],
+                    maps[positive],
+                    maps[negative],
+                    tags[positive],
+                    tags[negative],
                     params,
                     alpha,
                     frozen_trunk=frozen_trunk,
@@ -271,11 +260,7 @@ def train_stage(
                     for name, grad in grads.items():
                         grads_sum[name] += grad
             if grads_sum is None:
-                grads_sum = {
-                    name: np.zeros_like(t)
-                    for name, t in params.tensors.items()
-                    if not (frozen_trunk and name in FROZEN_TRUNK)
-                }
+                grads_sum = {name: np.zeros_like(vel) for name, vel in velocity.items()}
             scale = 1.0 / len(batch)
             for grad in grads_sum.values():
                 grad *= scale

@@ -1,5 +1,6 @@
 """Finite-difference verification of the analytic triple backward pass.
 
+``finite_diff_grad`` takes central differences of a scalar function.
 Random small instances are drawn so the objective is smooth around the
 evaluation point: the hinge is strictly active with margin to spare, and
 no trunk pre-activation sits near the ReLU kink, so central differences
@@ -8,7 +9,9 @@ with h=1e-5 are trustworthy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +25,6 @@ from xattn.model import (
     forward_triple,
     init_params,
 )
-from xattn.numeric import finite_diff_grad
 
 REL_TOL = 1e-4
 ABS_TOL = 1e-7
@@ -32,6 +34,45 @@ FD_STEP = 1e-5
 # Pre-activations this close to zero could cross the ReLU kink while
 # perturbing parameters by h; such draws are rejected.
 _KINK_GUARD = 1e-3
+
+
+class NonFiniteValueError(ValueError):
+    """Raised when an objective produced NaN/Inf during finite differencing.
+
+    ``coordinate`` is the flat index of the perturbed entry.
+    """
+
+    def __init__(self, message: str, coordinate: int | None = None) -> None:
+        super().__init__(message)
+        self.coordinate = coordinate
+
+
+def finite_diff_grad(
+    f: Callable[[np.ndarray], float], x: np.ndarray, h: float = FD_STEP
+) -> np.ndarray:
+    """Central-difference gradient of a scalar function, one entry at a time.
+
+    Accepts arrays of any shape; the result has the same shape. ``f`` is
+    evaluated at x +/- h*e_i, so it must be finite in that neighbourhood.
+    """
+    if h <= 0:
+        raise ValueError("step size h must be positive")
+    work = np.array(x, dtype=np.float64, copy=True)
+    grad = np.empty_like(work)
+    for i in range(work.size):
+        orig = work.flat[i]
+        work.flat[i] = orig + h
+        up = float(f(work))
+        work.flat[i] = orig - h
+        down = float(f(work))
+        work.flat[i] = orig
+        if not (math.isfinite(up) and math.isfinite(down)):
+            raise NonFiniteValueError(
+                f"objective is non-finite when perturbing coordinate {i}",
+                coordinate=i,
+            )
+        grad.flat[i] = (up - down) / (2.0 * h)
+    return grad
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,10 @@ import numpy as np
 from xattn.attention import context_attend_backward, tag_attend_backward
 from xattn.model import Checkpoint, ModelConfig, Variant, forward_triple, init_params
 from xattn.numeric import l2_normalize_backward
-from xattn.training import FROZEN_TRUNK, lr_at, sample_triples, sgd_step
+from xattn.training import lr_at, sgd_step
+
+# The tensors a stage after the first does not train.
+FROZEN_TRUNK = ("trunk.weight", "trunk.bias")
 
 
 def naive_softmax(scores) -> list[float]:
@@ -370,8 +373,10 @@ def reference_train_stage(stage, dataset, cfg, model_cfg=None, init=None):
     every triple's full gradient dict, zero-loss triples and a frozen
     trunk's zeros included, is added in, with
     ``reference_full_backward_triple`` computing each; only the step leaves
-    a frozen trunk out. Returns the checkpoint, the loss curve and, per
-    minibatch, how many of its triples had zero loss."""
+    a frozen trunk out. It samples item ids with
+    ``reference_sample_triples`` and looks up each map and tag vector by
+    id. Returns the checkpoint, the loss curve and, per minibatch, how many
+    of its triples had zero loss."""
     variant = Variant.parse(stage)
     base_cfg = init.config if init is not None else model_cfg
     config = ModelConfig(
@@ -390,7 +395,7 @@ def reference_train_stage(stage, dataset, cfg, model_cfg=None, init=None):
     zero_losses = []
     for epoch in range(cfg.epochs[stage]):
         lr = lr_at(epoch, cfg)
-        triples = sample_triples(dataset, len(dataset.user_records()), sample_rng)
+        triples = reference_sample_triples(dataset, len(dataset.user_records()), sample_rng)
         epoch_loss = 0.0
         for start in range(0, len(triples), cfg.batch_size):
             batch = triples[start : start + cfg.batch_size]

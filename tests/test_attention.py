@@ -10,8 +10,8 @@ from xattn.attention import (
     tag_attend_backward,
     tag_embed,
 )
-from xattn.numeric import finite_diff_grad
 
+from gradcheck import finite_diff_grad
 from oracles import naive_context_attend, naive_tag_attend
 
 # Frozen from a 50-digit evaluation of exp(2)/(exp(2)+1) and friends.

@@ -41,6 +41,11 @@ TINY = SyntheticSpec(
 )
 
 
+# The line breaks of str.splitlines other than the line feed, carriage
+# return and their pair.
+SPLITLINES_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 @pytest.fixture
 def train_dir(tmp_path):
     generate_synthetic(TINY, tmp_path)
@@ -75,7 +80,7 @@ class TestGenerator:
     def test_loads_back(self, train_dir):
         dataset = load_dataset(train_dir)
         assert len(dataset.user_records()) == 6 and len(dataset.shop_records()) == 3
-        assert dataset.feature_dims() == (TINY.locations, TINY.raw_dim)
+        assert {fmap.shape for fmap in dataset.features.values()} == {(TINY.locations, TINY.raw_dim)}
         assert set(dataset.ground_truth) == {r.item_id for r in dataset.user_records()}
 
     def test_root_as_str_path_or_with_a_trailing_separator(self, train_dir):
@@ -115,6 +120,41 @@ class TestTextFiles:
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(ManifestError, match=f"{name} line {line}: not valid UTF-8"):
             load_dataset(train_dir)
+
+    @pytest.mark.parametrize("mark", SPLITLINES_BREAKS)
+    def test_only_a_line_feed_ends_a_line(self, train_dir, mark):
+        # str.splitlines would end a line at each of these characters.
+        path = train_dir / TAGS_NAME
+        path.write_text(f"0\ta{mark}b\n1\tother\n2\tlast", encoding="utf-8")
+        assert load_tag_vocab(path) == (f"a{mark}b", "other", "last")
+        # A fault after the character is counted on the line it is on.
+        path.write_bytes(f"0\ta{mark}b\n1\tot".encode() + b"\xff\n")
+        with pytest.raises(ManifestError, match=f"{TAGS_NAME} line 2: not valid UTF-8"):
+            load_tag_vocab(path)
+
+    @pytest.mark.parametrize("mark", SPLITLINES_BREAKS)
+    def test_feature_path_holding_a_line_break_of_splitlines(self, train_dir, mark):
+        path = train_dir / MANIFEST_NAME
+        lines = path.read_text(encoding="utf-8").split("\n")
+        fields = lines[0].split("\t")
+        renamed = fields[3].replace(".xfmp", f"{mark}.xfmp")
+        os.rename(train_dir / fields[3], train_dir / renamed)
+        fields[3] = renamed
+        lines[0] = "\t".join(fields)
+        missing = lines[2].split("\t")[3]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert load_dataset(train_dir).manifest.records[0].path == renamed
+        (train_dir / missing).unlink()
+        with pytest.raises(ManifestError, match=f"line 3: feature file missing: {missing}"):
+            load_dataset(train_dir)
+
+    def test_crlf_files_load_as_their_line_feed_copies(self, train_dir):
+        want = load_dataset(train_dir)
+        for name in (MANIFEST_NAME, TAGS_NAME, GROUND_TRUTH_NAME):
+            path = train_dir / name
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        got = load_dataset(train_dir)
+        assert got.manifest == want.manifest and got.ground_truth == want.ground_truth
 
     def test_missing_feature_file(self, train_dir):
         second = load_manifest(train_dir / MANIFEST_NAME).records[1].path

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xattn.metric import triplet_loss, triplet_loss_backward
-from xattn.numeric import finite_diff_grad, l2_normalize
+from xattn.numeric import l2_normalize
+
+from gradcheck import finite_diff_grad
 
 
 def unit(rng, dim=4):

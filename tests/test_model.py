@@ -22,7 +22,6 @@ from xattn.model import (
     checkpoint_to_bytes,
     embed_shop,
     embed_shops,
-    embed_shops_simple,
     extract_features,
     forward_triple,
     init_params,
@@ -198,10 +197,21 @@ class TestExtractFeatures:
 
 
 class TestEmbeddings:
-    def test_embed_shop_requires_tag_head(self):
+    def test_base_variant_pools_shops_uniformly(self):
+        # YNet has no tag head: it pools every shop image uniformly, as it
+        # was trained, and does not read the tags.
         params = init_params(small_config(Variant.YNET), 0)
-        with pytest.raises(UnsupportedVariantError):
-            embed_shop(np.zeros((4, 3)), TagVector.from_ids([], 2), params)
+        params.tensors["trunk.bias"][...] = 0.05
+        rng = np.random.default_rng(7)
+        raws = rng.normal(size=(3, 4, 3))
+        bits = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        got = embed_shops(raws, bits, params)
+        assert got.tobytes() == embed_shops(raws, bits[::-1], params).tobytes()
+        for row, raw, item_bits in zip(got, raws, bits):
+            uniform = uniform_embedding(extract_features(raw, "shop", params))
+            np.testing.assert_allclose(row, uniform, rtol=0, atol=1e-12)
+            one = embed_shop(raw, TagVector(item_bits), params)
+            np.testing.assert_allclose(one, uniform, rtol=0, atol=1e-12)
 
     def test_embed_shop_constant_rows(self):
         config = small_config()
@@ -283,14 +293,10 @@ class TestEmbeddings:
             dropped = params.tensors["branch_shop.bias"] @ direction
             kept = extract_features(raws[0], "shop", params) @ direction - dropped
             assert dropped > 10.0 * np.abs(kept).max()
-        if variant >= Variant.TAGYNET:
-            got = embed_shops(raws, TagVector(bits), params)
-            for row, raw, item_bits in zip(got, raws, bits):
-                want = naive_shop_embedding(raw, item_bits, params)
-                np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
-        got = embed_shops_simple(raws, params)
-        for row, raw in zip(got, raws):
-            want = naive_shop_embedding(raw, np.zeros(tags), params)  # no tags: uniform
+        # Without a tag head, the oracle pools uniformly.
+        got = embed_shops(raws, bits, params)
+        for row, raw, item_bits in zip(got, raws, bits):
+            want = naive_shop_embedding(raw, item_bits, params)
             np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
 
     def test_uniform_user_embedding_single_location(self):
@@ -345,7 +351,7 @@ class TestEmbeddings:
             for emb in (
                 ctx,
                 uniform_embedding(extract_features(raw, "user", params)),
-                embed_shops_simple(raw[None], params)[0],
+                embed_shops(raw[None], np.zeros((1, 2)), params)[0],  # no tags: uniform
                 l2_normalize(
                     context_attend(
                         extract_features(raw, "user", params), ctx[None], *ctx_weights(params)
@@ -418,10 +424,7 @@ class TestForwardTriple:
                 anchor, positive, negative, TagVector(bits[0]), TagVector(bits[1]), params, 0.5
             )
             shops = np.stack([positive, negative])
-            if variant >= Variant.TAGYNET:
-                shop_rows = embed_shops(shops, TagVector(bits), params)
-            else:
-                shop_rows = embed_shops_simple(shops, params)
+            shop_rows = embed_shops(shops, bits, params)
             if variant >= Variant.CTXYNET:
                 fmap = extract_features(anchor, "user", params)
                 anchor_rows = l2_normalize(context_attend(fmap, shop_rows, *ctx_weights(params)).pooled)

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xattn.numeric import (
-    NonFiniteValueError,
-    finite_diff_grad,
-    l2_normalize,
-    l2_normalize_backward,
-    softmax,
-)
+from xattn.numeric import l2_normalize, l2_normalize_backward, softmax
 
+from gradcheck import NonFiniteValueError, finite_diff_grad
 from oracles import linalg_l2_normalize, linalg_l2_normalize_backward, naive_softmax
 
 
@@ -181,6 +176,8 @@ class TestL2Normalize:
 
 
 class TestFiniteDiffGrad:
+    # The test helper of tests/gradcheck.py, which the gradient checks of
+    # this file and of test_attention.py and test_gradcheck.py rely on.
     def test_quadratic(self):
         grad = finite_diff_grad(lambda x: float(x @ x), np.array([1.0, 2.0]))
         np.testing.assert_allclose(grad, [2.0, 4.0], atol=1e-8)

@@ -14,7 +14,6 @@ from xattn.model import (
     UnsupportedVariantError,
     Variant,
     embed_shop,
-    embed_shops_simple,
     init_params,
     params_fingerprint,
 )
@@ -154,10 +153,7 @@ class TestBuildIndex:
         assert index.item_ids.tolist() == [item.item_id for item in ordered]
         assert index.product_ids.tolist() == [item.product_id for item in ordered]
         for row, item in enumerate(ordered):
-            if variant >= Variant.TAGYNET:
-                want = embed_shop(item.raw, item.tags, params)
-            else:
-                want = embed_shops_simple(item.raw[None], params)[0]
+            want = embed_shop(item.raw, item.tags, params)
             np.testing.assert_allclose(index.embeddings[row], want, rtol=0, atol=1e-12)
             naive = naive_shop_embedding(item.raw, item.tags.bits, params)
             np.testing.assert_allclose(index.embeddings[row], naive, rtol=0, atol=1e-12)
@@ -169,14 +165,14 @@ class TestBuildIndex:
         params = make_params(variant, locations=locations)
         block = block_items(locations)
         sizes = []
-        name = "embed_shops" if variant >= Variant.TAGYNET else "embed_shops_simple"
-        embed = getattr(retrieval, name)
+        embed = retrieval.embed_shops
 
-        def counting(raws, *args):
+        def counting(raws, bits, params):
+            assert len(bits) == len(raws)
             sizes.append(len(raws))
-            return embed(raws, *args)
+            return embed(raws, bits, params)
 
-        monkeypatch.setattr(retrieval, name, counting)
+        monkeypatch.setattr(retrieval, "embed_shops", counting)
         build_index(make_items(params, 2 * block + 1, np.random.default_rng(locations)), params)
         assert sizes == [block, block, 1]
 
@@ -211,10 +207,15 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             index.embeddings[0, 0] = 1.0
 
-    def test_empty(self):
-        params = make_params()
-        index = build_index([], params)
-        assert len(index) == 0 and index.embeddings.shape == (0, params.config.channels)
+    def test_empty(self, tmp_path):
+        for tags in (3, 8, 9):
+            params = make_params(tags=tags)
+            index = build_index([], params)
+            assert len(index) == 0 and index.embeddings.shape == (0, params.config.channels)
+            assert index.tag_bits.shape == (0, (tags + 7) // 8) and index.tag_bits.dtype == np.uint8
+            save_index(tmp_path / "empty.xidx", index)
+            loaded = load_index(tmp_path / "empty.xidx", params.config.channels, tags)
+            assert loaded.tag_bits.shape == index.tag_bits.shape and len(loaded) == 0
 
 
 class TestSearch:

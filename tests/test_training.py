@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import logging
 import math
 from pathlib import Path
@@ -10,7 +11,6 @@ import pytest
 from xattn.dataio import Dataset, Manifest, ManifestRecord, SyntheticSpec, generate_synthetic, load_dataset
 from xattn.model import ModelConfig, Variant, checkpoint_from_bytes, checkpoint_to_bytes, init_params
 from xattn.training import (
-    FROZEN_TRUNK,
     STAGES,
     TrainConfig,
     run_curriculum,
@@ -19,14 +19,16 @@ from xattn.training import (
     train_stage,
 )
 
-from oracles import reference_sample_triples, reference_train_stage
+from oracles import FROZEN_TRUNK, reference_sample_triples, reference_train_stage
 
 
 def records_dataset(shop_products, user_products):
-    """A dataset of bare records: ``sample_triples`` reads nothing else."""
+    """A dataset of bare records, shop and user records interleaved so that
+    rows and item ids differ: ``sample_triples`` reads nothing else."""
     shops = [ManifestRecord(100 + i, "shop", p, "", ()) for i, p in enumerate(shop_products)]
     users = [ManifestRecord(i, "user", p, "", ()) for i, p in enumerate(user_products)]
-    manifest = Manifest(records=tuple(users + shops), tag_names=("t",), root=Path("."))
+    records = [r for pair in itertools.zip_longest(users, shops) for r in pair if r is not None]
+    manifest = Manifest(records=tuple(records), tag_names=("t",), root=Path("."))
     return Dataset(manifest=manifest, features={}, ground_truth=None, root=Path("."))
 
 
@@ -34,35 +36,39 @@ class TestSampleTriples:
     def test_invariants(self, caplog):
         # Product 3 has user images but no shop image, so it cannot anchor.
         dataset = records_dataset(shop_products=[0, 0, 1, 2], user_products=[0, 1, 2, 3, 3])
-        product = {r.item_id: r.product_id for r in dataset.manifest.records}
-        shops = {r.item_id for r in dataset.shop_records()}
+        records = dataset.manifest.records
         with caplog.at_level(logging.WARNING, logger="xattn.training"):
             triples = sample_triples(dataset, 600, np.random.default_rng(0))
         assert "2 user images excluded" in caplog.text
-        assert len(triples) == 600
-        for anchor, positive, negative in triples:
-            assert product[anchor] in (0, 1, 2)
-            assert positive in shops and negative in shops
-            assert product[positive] == product[anchor]
-            assert product[negative] != product[anchor]
-        assert {t.anchor for t in triples} == {0, 1, 2}
-        assert {t.positive for t in triples} == shops
-        assert {t.negative for t in triples} == shops
+        assert triples.shape == (600, 3) and triples.dtype == np.intp
+        for anchor, positive, negative in triples.tolist():
+            assert records[anchor].domain == "user" and records[anchor].product_id in (0, 1, 2)
+            assert records[positive].domain == records[negative].domain == "shop"
+            assert records[positive].product_id == records[anchor].product_id
+            assert records[negative].product_id != records[anchor].product_id
+        users = {row for row, r in enumerate(records) if r.domain == "user" and r.product_id != 3}
+        shops = {row for row, r in enumerate(records) if r.domain == "shop"}
+        assert set(triples[:, 0].tolist()) == users
+        assert set(triples[:, 1].tolist()) == shops
+        assert set(triples[:, 2].tolist()) == shops
 
     def test_deterministic_given_the_rng(self):
         dataset = records_dataset(shop_products=[0, 1, 1, 2], user_products=[0, 1, 2, 2])
         draw = lambda: sample_triples(dataset, 50, np.random.default_rng(3))
-        assert draw() == draw()
+        np.testing.assert_array_equal(draw(), draw())
 
     @pytest.mark.parametrize("seed", range(6))
     def test_draws_what_the_per_product_negative_lists_drew(self, seed):
         # Interleaved products, one with three shop images, and product 4
-        # with user images but no shop image.
+        # with user images but no shop image. The rows, read as item ids,
+        # are the triples of the id sampler.
         dataset = records_dataset(
             shop_products=[1, 0, 2, 1, 0, 3, 1, 2], user_products=[0, 1, 4, 2, 3, 4, 1]
         )
-        got = sample_triples(dataset, 300, np.random.default_rng(seed))
-        assert got == reference_sample_triples(dataset, 300, np.random.default_rng(seed))
+        item_ids = np.array([r.item_id for r in dataset.manifest.records])
+        got = item_ids[sample_triples(dataset, 300, np.random.default_rng(seed))]
+        want = reference_sample_triples(dataset, 300, np.random.default_rng(seed))
+        assert list(map(tuple, got.tolist())) == want
 
     def test_needs_two_products_with_shop_images(self):
         with pytest.raises(ValueError, match="2 distinct products"):
@@ -198,6 +204,33 @@ class TestCurriculum:
             assert checkpoint_to_bytes(checkpoint) == checkpoint_to_bytes(want), stage
             assert np.asarray(curve).tobytes() == np.asarray(want_curve).tobytes(), stage
             init = want
+
+    def test_a_stage_opening_with_a_zero_loss_batch_keeps_the_bytes(self, tmp_path):
+        # With every margin 0 and batches of 2, some stages open with a
+        # batch whose triples all have zero loss: nothing has a velocity
+        # yet, so the step moves nothing. At train seed 1, the first stage
+        # and a frozen-trunk stage open that way.
+        spec = SyntheticSpec(
+            products=7, holdout_products=0, user_per_product=2, locations=4, channels=5,
+            tag_count=3, raw_dim=4, signal_locations=2, seed=5,
+        )
+        generate_synthetic(spec, tmp_path)
+        dataset = load_dataset(tmp_path / "train")
+        config = ModelConfig(locations=4, channels=5, tag_count=3, raw_dim=4, variant=Variant.YNET)
+        cfg = TrainConfig(
+            batch_size=2, margins={s: 0.0 for s in STAGES}, epochs={s: 2 for s in STAGES}, seed=1
+        )
+        got = run_curriculum(dataset, STAGES, cfg, config)
+        init = None
+        opened = []
+        for stage, (checkpoint, curve) in zip(STAGES, got):
+            want, want_curve, zero_losses = reference_train_stage(stage, dataset, cfg, config, init)
+            if zero_losses[0] == cfg.batch_size:
+                opened.append(stage)
+            assert checkpoint_to_bytes(checkpoint) == checkpoint_to_bytes(want), stage
+            assert np.asarray(curve).tobytes() == np.asarray(want_curve).tobytes(), stage
+            init = want
+        assert "ynet" in opened and len(opened) > 1, opened
 
     def test_float32_maps_train_the_checkpoints_of_float64_copies(self, tmp_path):
         # The seed-0 desk curriculum. Widening the float32 maps load_dataset
