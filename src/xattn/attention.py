@@ -162,7 +162,9 @@ def tag_attend_backward(
     embedding: np.ndarray,
     attended: AttentionResult,
     grad_pooled: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    *,
+    need_map: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients of ``sum(grad_pooled * attended.pooled)`` wrt the B x L x C
     stack of maps and the tag embedding matrix.
 
@@ -170,13 +172,18 @@ def tag_attend_backward(
     its weights are reused, not recomputed. Each location's feature
     receives gradient along two paths: directly through the weighted sum,
     and through its score via the softmax. The embedding gradient sums over
-    the maps of the stack.
+    the maps of the stack. With ``need_map`` false the map gradient, which
+    only a trunk in training reads, is not formed and comes back as None.
     """
     g = _check_grad_pooled(attended, grad_pooled)
     weights = attended.weights
-    embedded = tag_embed(bits, embedding)
     grad_scores = _softmax_backward(weights, np.einsum("...lc,...c->...l", fmap, g))
-    grad_map = weights[..., None] * g[..., None, :] + grad_scores[..., None] * embedded[..., None, :]
+    grad_map = None
+    if need_map:
+        embedded = tag_embed(bits, embedding)
+        grad_map = (
+            weights[..., None] * g[..., None, :] + grad_scores[..., None] * embedded[..., None, :]
+        )
     grad_embedded = np.einsum("...l,...lc->...c", grad_scores, fmap)
     return grad_map, bits.T @ grad_embedded
 

@@ -107,11 +107,18 @@ def _read_lines(path: Path, what: str) -> list[str]:
     return lines
 
 
+def _is_blank(line: str) -> bool:
+    """A blank line is empty or holds only spaces and tabs; the TSV readers
+    skip it. Other whitespace, such as U+2028 or U+0085, which
+    ``str.strip`` would also remove, makes a record line like any text."""
+    return not line.strip(" \t")
+
+
 def load_tag_vocab(path: Path) -> tuple[str, ...]:
     names: dict[int, str] = {}
     lines = _read_lines(path, "tag vocabulary")
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+        if _is_blank(line):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
@@ -146,7 +153,7 @@ def load_manifest(path: "Path | str") -> Manifest:
     records: list[ManifestRecord] = []
     seen_ids: set[int] = set()
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+        if _is_blank(line):
             continue
         parts = line.split("\t")
         if len(parts) != 5:
@@ -279,7 +286,7 @@ def load_ground_truth(path: Path) -> dict[int, int]:
     truth: dict[int, int] = {}
     lines = _read_lines(path, "ground truth")
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+        if _is_blank(line):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
@@ -298,9 +305,9 @@ def load_ground_truth(path: Path) -> dict[int, int]:
 
 def _record_line(manifest_path: str, number: int) -> int:
     """Line of the manifest's record ``number`` (from 0): records are its
-    non-blank lines, in order."""
+    lines that are not blank, in order, as ``load_manifest`` counts them."""
     lines = _read_lines(Path(manifest_path), "manifest")
-    return [lineno for lineno, line in enumerate(lines, start=1) if line.strip()][number]
+    return [lineno for lineno, line in enumerate(lines, start=1) if not _is_blank(line)][number]
 
 
 def _record_map(manifest_path: str, number: int, record: ManifestRecord, path: str) -> np.ndarray:

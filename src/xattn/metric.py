@@ -31,12 +31,15 @@ def triplet_loss(anchors: np.ndarray, shops: np.ndarray, alpha: float) -> float:
         raise ValueError("margin alpha must be non-negative")
     if anchors.shape != shops.shape or anchors.shape[:-1] != (2,):
         raise ValueError("anchors and shops must be two 2 x C stacks of one shape")
-    for v in (anchors[0], anchors[1], shops[0], shops[1]):
-        # The norm np.linalg.norm takes; written so a NaN norm fails too.
-        if not abs(math.sqrt(float(v.dot(v))) - 1.0) <= _UNIT_NORM_TOL:
+    # The four squared norms from one array operation, each the dot product
+    # np.linalg.norm takes; written so a NaN norm fails too.
+    rows = np.concatenate((anchors, shops))
+    for norm_sq in np.vecdot(rows, rows).tolist():
+        if not abs(math.sqrt(norm_sq) - 1.0) <= _UNIT_NORM_TOL:
             raise ValueError("embeddings must be L2-normalized")
-    pos, neg = anchors - shops
-    return max(0.0, float(pos @ pos) - float(neg @ neg) + alpha)
+    diff = anchors - shops
+    pos, neg = np.vecdot(diff, diff).tolist()
+    return max(0.0, pos - neg + alpha)
 
 
 def triplet_loss_backward(

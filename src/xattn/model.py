@@ -46,27 +46,37 @@ has no tag head. A query's scan embedding is ``uniform_embedding`` of its
 that map under its K candidates at once with ``attention.context_attend``
 and takes the distance of each normalised pooled row in closed form.
 ``embed_shop`` is ``embed_shops`` on a batch of one. Training runs the
-same steps, one triple at a time:
-``forward_triple`` runs the shop pass on the stack [positive, negative]
-and, in the context variant, attends the anchor under both as K=2
-contexts with the same ``context_attend``, so its shop embeddings equal
-the serving ones bit for bit and its anchor embeddings are
-``l2_normalize`` of the pooled rows the re-rank scores. It keeps the trunk
-activations, the shop pass's keys and pooled hidden rows, and the
-attention results, and ``backward_triple`` calls it once and walks back
-over them; the gradient check differences the same ``forward_triple``.
-The shop gradient reaches the trunk through the ReLU mask of the hidden
-maps alone, with no product through the branch at each location. In the
-stages that freeze the trunk, ``backward_triple`` skips the trunk
-gradients.
+same steps, one triple at a time: ``forward_triple`` runs the trunk once,
+on the stack [anchor, positive, negative]. The anchor's rows take the
+user branch and the shops' rows the shop pass, and, in the context
+variant, the anchor is attended under both shops as K=2 contexts with the
+same ``context_attend``. Each row of the trunk's product depends on its
+own input row alone, so the shop embeddings equal the serving ones bit
+for bit and the anchor embeddings are ``l2_normalize`` of the pooled rows
+the re-rank scores. It keeps the trunk activations, the shop pass's keys
+and pooled hidden rows, the attention results and the norms the
+embeddings were divided by, and ``backward_triple`` calls it once and
+walks back over them; the gradient check differences the same
+``forward_triple``. The shop gradient reaches the trunk through the ReLU
+mask of the hidden maps alone, with no product through the branch at each
+location. In the stages that freeze the trunk, ``backward_triple`` skips
+the trunk gradients and the hidden maps' gradient only they read.
 
-A training step costs one ``forward_triple`` and one ``triplet_loss`` per
-triple; the hinge is not evaluated again on the way back. The forward
-keeps both sides as 2 x C stacks, [anchor_pos, anchor_neg] and
-[positive, negative], and the loss, its gradient and the backward steps
-take them as they are. The step returns the gradients of the tensors it
-updates and nothing else: no dict entries when the loss is 0, and no
-trunk entries when the trunk is frozen.
+A training step costs one trunk pass, one ``forward_triple`` and one
+``triplet_loss`` per triple; the hinge is not evaluated again on the way
+back, and no norm is taken twice. The forward keeps both sides as 2 x C
+stacks, [anchor_pos, anchor_neg] and [positive, negative], with the
+``numeric.Normalized`` norms of each stack it normalised, and the loss,
+its gradient and the backward steps take them as they are: the
+normalisation's backward reuses the norms and quotients. The one
+exception is the single uniformly pooled anchor of the base and tag
+variants, whose forward norm is a dot product, as in serving; its
+backward takes the row sum of squares it always took. The trunk weight's
+gradient stays two products, over the anchor's rows and over the shops'
+rows: one product over all 3L rows would sum in another order and change
+the bytes. The step returns the gradients of the tensors it updates and
+nothing else: no dict entries when the loss is 0, and no trunk entries
+when the trunk is frozen.
 
 ``params_fingerprint`` identifies the parameters an index was built with,
 and ``search`` checks it on every query. Tensors change in place (SGD, the
@@ -113,7 +123,7 @@ from .attention import (
 )
 from .fileio import FormatError, Reader, write_atomic
 from .metric import triplet_loss, triplet_loss_backward
-from .numeric import l2_normalize, l2_normalize_backward
+from .numeric import Normalized, l2_normalize, l2_normalize_backward, normalize_rows
 
 CHECKPOINT_MAGIC = b"XATN"
 CHECKPOINT_VERSION = 1
@@ -333,13 +343,14 @@ class _ShopPass(NamedTuple):
     pooled: np.ndarray  # B x C: the shop branch of each pooled hidden row
 
 
-def _shop_pass(raws: np.ndarray, bits: np.ndarray | None, params: ModelParams) -> _ShopPass:
-    """Pool each hidden map of the B x L x R stack ``raws``, under its row of
-    the B x T tag ``bits`` or uniformly when ``bits`` is None, then apply
-    the shop branch to each pooled row. The tags score the hidden maps
-    under the keys ``E @ W``, which embed a tag set ``e`` as ``W^T e``."""
-    rows, hidden = _trunk(raws, params)
-    maps = hidden.reshape(*np.shape(raws)[:-1], params.config.channels)
+def _shop_pass(
+    rows: np.ndarray, maps: np.ndarray, bits: np.ndarray | None, params: ModelParams
+) -> _ShopPass:
+    """Pool each of the B x L x C hidden ``maps`` the trunk made of the
+    input ``rows``, under its row of the B x T tag ``bits`` or uniformly
+    when ``bits`` is None, then apply the shop branch to each pooled row.
+    The tags score the hidden maps under the keys ``E @ W``, which embed a
+    tag set ``e`` as ``W^T e``."""
     t = params.tensors
     if bits is None:
         keys = None
@@ -356,7 +367,9 @@ def embed_shops(raws: np.ndarray, bits: np.ndarray, params: ModelParams) -> np.n
     under its own row of the B x T 0/1 matrix ``bits``. The base variant
     has no tag head: it pools uniformly and does not read ``bits``."""
     tagged = params.config.variant >= Variant.TAGYNET
-    return l2_normalize(_shop_pass(raws, bits if tagged else None, params).pooled)
+    rows, hidden = _trunk(raws, params)
+    maps = hidden.reshape(*np.shape(raws)[:-1], params.config.channels)
+    return l2_normalize(_shop_pass(rows, maps, bits if tagged else None, params).pooled)
 
 
 def embed_shop(raw: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndarray:
@@ -368,7 +381,7 @@ def embed_shop(raw: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndar
 def _pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """The float64 2-stack [first, second] of two arrays of one shape; the
     values ``np.stack`` gives, at less cost per call."""
-    return np.concatenate((first, second), dtype=np.float64).reshape(2, *np.shape(first))
+    return np.array((first, second), dtype=np.float64)
 
 
 class TripleForward(NamedTuple):
@@ -379,10 +392,14 @@ class TripleForward(NamedTuple):
     loss: float
     anchor_rows: np.ndarray  # [anchor_pos, anchor_neg]
     shop_rows: np.ndarray  # [positive, negative]
-    anchor: _Features
-    shops: _ShopPass  # the stack [positive, negative]
+    anchor: _Features  # the anchor's rows of the one trunk pass, and its user branch
+    shops: _ShopPass  # the stack [positive, negative]: the rest of that pass
     shop_bits: np.ndarray | None  # 2 x T; None when the shops pool uniformly
     anchor_pool: AttentionResult  # K=2 under the shop contexts, else uniform
+    shop_norms: Normalized  # shop_rows, with the norms they were divided by
+    # anchor_rows and their norms in the context variant; None where both
+    # rows are one uniformly pooled vector
+    anchor_norms: Normalized | None
 
 
 def forward_triple(
@@ -396,43 +413,59 @@ def forward_triple(
 ) -> TripleForward:
     """Loss and all four embeddings for one training triple.
 
-    The shop side is the stack [positive, negative] run through the one
-    shop pass of ``embed_shops``. The context variant attends the anchor
-    under both shop embeddings at once with ``context_attend``, as the
-    re-rank does, and normalises the pooled rows; the other variants use
-    one uniformly pooled anchor embedding,
+    The three maps, which must have one shape, go through the trunk as one
+    stack [anchor, positive, negative]. The anchor's rows then take the
+    user branch, and the shops' rows the shop pass of ``embed_shops``. The
+    context variant attends the anchor under both shop embeddings at once
+    with ``context_attend``, as the re-rank does, and normalises the pooled
+    rows; the other variants use one uniformly pooled anchor embedding,
     ``uniform_embedding(extract_features(anchor_raw, "user", params))``, as
-    both anchor rows. So the embeddings equal their serving forms bit for
-    bit.
+    both anchor rows. Each row of the trunk's product depends only on its
+    own input row, so the embeddings equal their serving forms bit for bit.
     """
-    variant = params.config.variant
-    anchor = _features(anchor_raw, "user", params)
+    shape = np.shape(anchor_raw)
+    if np.shape(positive_raw) != shape or np.shape(negative_raw) != shape:
+        raise ValueError("anchor, positive and negative must be raw maps of one shape")
+    raws = np.concatenate((anchor_raw, positive_raw, negative_raw), dtype=np.float64)
+    rows, hidden = _trunk(raws.reshape(3, *shape), params)
+    cfg = params.config
+    t = params.tensors
+    n = cfg.locations
+    anchor_hidden = hidden[:n]
+    anchor = _Features(
+        rows=rows[:n],
+        hidden=anchor_hidden,
+        fmap=_affine(anchor_hidden, t["branch_user.weight"], t["branch_user.bias"]),
+    )
     shop_bits = None
-    if variant >= Variant.TAGYNET:
+    if cfg.variant >= Variant.TAGYNET:
         if positive_tags is None or negative_tags is None:
             raise ValueError("tag vectors required for the tag-attention variant")
         shop_bits = _pair(positive_tags.bits, negative_tags.bits)
-    shops = _shop_pass(_pair(positive_raw, negative_raw), shop_bits, params)
-    shop_rows = l2_normalize(shops.pooled)
+    shops = _shop_pass(rows[n:], hidden[n:].reshape(2, n, cfg.channels), shop_bits, params)
+    shop_norms = normalize_rows(shops.pooled)
 
-    if variant >= Variant.CTXYNET:
-        t = params.tensors
+    if cfg.variant >= Variant.CTXYNET:
         anchor_pool = context_attend(
-            anchor.fmap, shop_rows, t["ctx_attn.feature_weight"], t["ctx_attn.context_weight"]
+            anchor.fmap, shop_norms.unit, t["ctx_attn.feature_weight"], t["ctx_attn.context_weight"]
         )
-        anchor_rows = l2_normalize(anchor_pool.pooled)
+        anchor_norms = normalize_rows(anchor_pool.pooled)
+        anchor_rows = anchor_norms.unit
     else:
         anchor_pool = _uniform_pool(anchor.fmap)
+        anchor_norms = None
         anchor_row = l2_normalize(anchor_pool.pooled)
         anchor_rows = _pair(anchor_row, anchor_row)
     return TripleForward(
-        loss=triplet_loss(anchor_rows, shop_rows, alpha),
+        loss=triplet_loss(anchor_rows, shop_norms.unit, alpha),
         anchor_rows=anchor_rows,
-        shop_rows=shop_rows,
+        shop_rows=shop_norms.unit,
         anchor=anchor,
         shops=shops,
         shop_bits=shop_bits,
         anchor_pool=anchor_pool,
+        shop_norms=shop_norms,
+        anchor_norms=anchor_norms,
     )
 
 
@@ -481,7 +514,7 @@ def backward_triple(
     t = params.tensors
 
     if params.config.variant >= Variant.CTXYNET:
-        grad_pooled = l2_normalize_backward(fwd.anchor_pool.pooled, grad_anchors)
+        grad_pooled = l2_normalize_backward(fwd.anchor_norms, grad_anchors)
         grad_anchor_map, grad_contexts, grad_feature_weight, grad_context_weight = (
             context_attend_backward(
                 fwd.anchor.fmap,
@@ -508,17 +541,22 @@ def backward_triple(
     grads["branch_user.weight"] = grad_user.T @ anchor.hidden
     grads["branch_user.bias"] = grad_user.sum(axis=0)
 
-    grad_shop = l2_normalize_backward(shops.pooled, grad_shops)
+    grad_shop = l2_normalize_backward(fwd.shop_norms, grad_shops)
     grads["branch_shop.weight"] = grad_shop.T @ shops.pool.pooled
     grads["branch_shop.bias"] = grad_shop.sum(axis=0)
     grad_hidden_pooled = grad_shop @ t["branch_shop.weight"]
     if fwd.shop_bits is not None:
         grad_maps, grad_keys = tag_attend_backward(
-            shops.hidden, fwd.shop_bits, shops.keys, shops.pool, grad_hidden_pooled
+            shops.hidden,
+            fwd.shop_bits,
+            shops.keys,
+            shops.pool,
+            grad_hidden_pooled,
+            need_map=not frozen_trunk,
         )
         grads["branch_shop.weight"] += t["tag_attn.embedding"].T @ grad_keys
         grads["tag_attn.embedding"] = grad_keys @ t["branch_shop.weight"].T
-    else:
+    elif not frozen_trunk:
         grad_maps = shops.pool.weights[..., None] * grad_hidden_pooled[..., None, :]
 
     if not frozen_trunk:

@@ -285,6 +285,22 @@ def linalg_l2_normalize_backward(v, grad_output, eps=1e-12):
     return (g - along * y) / scale
 
 
+def reference_l2_normalize_backward(v, grad_output, eps=1e-12):
+    """``l2_normalize_backward`` as it was before it reused the forward's
+    norms: every call takes each row's norm as a row-wise sum of squares
+    (a vector's too) and divides by it again. The library must give these
+    bits on every input, a row whose squared norm overflows included, which
+    gets a zero gradient."""
+    x = np.asarray(v, dtype=np.float64)
+    g = np.asarray(grad_output, dtype=np.float64)
+    norm = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+    scale = np.maximum(norm, eps)
+    y = x / scale
+    along = np.add.reduce(g * y, axis=-1, keepdims=True)
+    along[norm < eps] = 0.0
+    return (g - along * y) / scale
+
+
 def reference_full_backward_triple(
     anchor_raw, positive_raw, negative_raw, positive_tags, negative_tags, params, alpha,
     *, frozen_trunk=False,

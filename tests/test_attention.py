@@ -331,6 +331,19 @@ class TestTagAttendBackward:
             )
             np.testing.assert_array_equal(grad_emb, np.zeros_like(embedding))
 
+    def test_the_map_gradient_is_formed_only_when_needed(self):
+        rng = np.random.default_rng(57)
+        for _ in range(10):
+            fmap, bits, embedding = stacked_tag_instance(rng)
+            attended = tag_attend(fmap, bits, embedding)
+            upstream = rng.normal(size=attended.pooled.shape)
+            _, want = tag_attend_backward(fmap, bits, embedding, attended, upstream)
+            grad_map, grad_emb = tag_attend_backward(
+                fmap, bits, embedding, attended, upstream, need_map=False
+            )
+            assert grad_map is None
+            assert grad_emb.tobytes() == want.tobytes()
+
     def test_upstream_must_match_the_pooled_output(self):
         rng = np.random.default_rng(56)
         fmap, bits, embedding, _, _ = random_instance(rng)

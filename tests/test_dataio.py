@@ -156,6 +156,33 @@ class TestTextFiles:
         got = load_dataset(train_dir)
         assert got.manifest == want.manifest and got.ground_truth == want.ground_truth
 
+    @pytest.mark.parametrize("mark", ["\u2028", "\x85", "\x1c", "\x0b", "\xa0", "\u3000"])
+    @pytest.mark.parametrize(
+        "name, fields", [(TAGS_NAME, 2), (MANIFEST_NAME, 5), (GROUND_TRUTH_NAME, 2)]
+    )
+    def test_a_line_of_other_whitespace_is_a_record(self, train_dir, name, fields, mark):
+        # str.strip would strip these; a line holding one is no blank line
+        # but a record with one field, as a line "zz" is.
+        path = train_dir / name
+        lines = path.read_text(encoding="utf-8").split("\n")
+        for line in (mark, "zz"):
+            path.write_text("\n".join([lines[0], line, *lines[1:]]), encoding="utf-8")
+            with pytest.raises(ManifestError, match=f"line 2: expected {fields} fields, got 1"):
+                load_dataset(train_dir)
+
+    def test_a_line_of_spaces_and_tabs_is_skipped(self, train_dir):
+        want = load_dataset(train_dir)
+        for name in (MANIFEST_NAME, TAGS_NAME, GROUND_TRUTH_NAME):
+            path = train_dir / name
+            lines = path.read_text(encoding="utf-8").split("\n")
+            path.write_text("\n".join([lines[0], " \t \t", "", *lines[1:]]), encoding="utf-8")
+        got = load_dataset(train_dir)
+        assert got.manifest == want.manifest and got.ground_truth == want.ground_truth
+        # A record after them is reported at its own line.
+        (train_dir / want.manifest.records[1].path).unlink()
+        with pytest.raises(ManifestError, match="line 4: feature file missing"):
+            load_dataset(train_dir)
+
     def test_missing_feature_file(self, train_dir):
         second = load_manifest(train_dir / MANIFEST_NAME).records[1].path
         (train_dir / second).unlink()

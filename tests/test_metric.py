@@ -64,13 +64,28 @@ class TestTripleEmbeddings:
     """``triplet_loss`` checks the rows it is given."""
 
     def test_rejects_unnormalized(self):
-        v = np.array([1.0, 0.0])
-        for bad in (v * 2.0, np.array([np.nan, 0.0]), np.array([np.inf, 0.0])):
+        # One check covers all four rows; the tolerance is 1e-4 on the norm.
+        v = np.array([0.6, 0.8])
+        for bad in (
+            v * 2.0,
+            v * (1.0 + 2e-4),
+            v * (1.0 - 2e-4),
+            np.array([np.nan, 0.0]),
+            np.array([np.inf, 0.0]),
+        ):
             for row in range(4):
                 rows = [v, v, v, v]
                 rows[row] = bad
                 with pytest.raises(ValueError, match="L2-normalized"):
                     triplet_loss(*stacks(*rows), 0.5)
+
+    def test_accepts_rows_within_the_tolerance(self):
+        v = np.array([0.6, 0.8])
+        for near in (v * (1.0 + 5e-5), v * (1.0 - 5e-5)):
+            for row in range(4):
+                rows = [v, v, v, v]
+                rows[row] = near
+                assert triplet_loss(*stacks(*rows), 0.5) >= 0.0
 
     def test_rejects_mixed_lengths(self):
         rng = np.random.default_rng(2)

@@ -433,6 +433,15 @@ class TestForwardTriple:
             np.testing.assert_array_equal(got.shop_rows, shop_rows)
             np.testing.assert_array_equal(got.anchor_rows, anchor_rows)
 
+    def test_the_three_maps_must_have_one_shape(self):
+        # 3 + 5 + 4 locations fill a 3 x 4 stack; each map must be 4 x 3.
+        params = init_params(small_config(Variant.YNET), 0)
+        raws = [np.ones((n, 3)) for n in (3, 5, 4)]
+        with pytest.raises(ValueError, match="one shape"):
+            forward_triple(*raws, None, None, params, 0.5)
+        with pytest.raises(ValueError, match="4 x 3"):
+            forward_triple(*[np.ones((5, 3))] * 3, None, None, params, 0.5)
+
     def test_tags_required_for_tag_variant(self):
         params = init_params(small_config(Variant.TAGYNET), 0)
         raw = np.zeros((4, 3))
@@ -505,6 +514,26 @@ class TestBackwardTriple:
                 assert grads[name].tobytes() == want[name].tobytes(), name
             losses.append(loss)
         assert 0.0 in losses and max(losses) > 0.0
+
+    @pytest.mark.parametrize("frozen_trunk", [False, True])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_one_trunk_pass_per_triple(self, variant, frozen_trunk, monkeypatch):
+        # The anchor and both shops go through the trunk as one 3-stack.
+        shapes = []
+        trunk = model._trunk
+
+        def counted(raw, params):
+            shapes.append(np.shape(raw))
+            return trunk(raw, params)
+
+        monkeypatch.setattr(model, "_trunk", counted)
+        params = init_params(small_config(variant), 34)
+        rng = np.random.default_rng(35)
+        raws = [rng.normal(size=(4, 3)) for _ in range(3)]
+        bits = TagVector.from_ids([1], 2)
+        loss, _ = backward_triple(*raws, bits, bits, params, 5.0, frozen_trunk=frozen_trunk)
+        assert loss > 0.0
+        assert shapes == [(3, 4, 3)]
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_frozen_trunk_leaves_only_the_trunk_gradients_out(self, variant):

@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xattn.numeric import l2_normalize, l2_normalize_backward, softmax
+from xattn.numeric import l2_normalize, l2_normalize_backward, normalize_rows, softmax
 
 from gradcheck import NonFiniteValueError, finite_diff_grad
-from oracles import linalg_l2_normalize, linalg_l2_normalize_backward, naive_softmax
+from oracles import (
+    linalg_l2_normalize,
+    linalg_l2_normalize_backward,
+    naive_softmax,
+    reference_l2_normalize_backward,
+)
 
 
 def same_bits(a, b):
@@ -31,6 +36,19 @@ def vectors_and_stacks(draw):
     if draw(st.booleans()):
         return x[0], g[0]
     return x, g
+
+
+@st.composite
+def backward_cases(draw):
+    """``vectors_and_stacks`` with some rows, or the vector, drawn again at
+    a norm from 1e160 to 1e300, so that their squared norm overflows."""
+    x, g = draw(vectors_and_stacks())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.atleast_2d(x)  # a view: writes reach x
+    over = rng.random(len(rows)) < 0.3
+    rows[over] = rng.normal(size=(over.sum(), rows.shape[1]))
+    rows[over] *= 10.0 ** rng.uniform(160, 300, size=(over.sum(), 1))
+    return x, g, over
 
 
 class TestSoftmax:
@@ -151,6 +169,22 @@ class TestL2Normalize:
         x, g = case
         assert same_bits(l2_normalize(x), linalg_l2_normalize(x))
         assert same_bits(l2_normalize_backward(x, g), linalg_l2_normalize_backward(x, g))
+
+    @given(backward_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_backward_gives_the_reference_bits(self, case):
+        # Zero rows, rows below NORM_EPS and rows whose squared norm
+        # overflows, from an array and from the norms normalize_rows kept.
+        x, g, over = case
+        with np.errstate(over="ignore"):
+            want = reference_l2_normalize_backward(x, g)
+            got = l2_normalize_backward(x, g)
+            assert same_bits(got, want)
+            if x.ndim == 2:
+                assert same_bits(l2_normalize_backward(normalize_rows(x), g), want)
+        # An overflowing row gets a zero gradient, as it always did.
+        assert not np.atleast_2d(got)[over].any()
+        assert np.isfinite(got).all()
 
     def test_overflowing_vector_still_normalises(self):
         # Its squared norm is inf, which numpy reports before the rescale.
