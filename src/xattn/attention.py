@@ -143,7 +143,7 @@ def context_attend(
 def _softmax_backward(weights: np.ndarray, grad_weights: np.ndarray) -> np.ndarray:
     """Exact Jacobian-vector product of softmax over the last axis: grad
     wrt the scores, one row per distribution of a stack."""
-    inner = np.sum(weights * grad_weights, axis=-1, keepdims=True)
+    inner = np.add.reduce(weights * grad_weights, axis=-1, keepdims=True)
     return weights * (grad_weights - inner)
 
 
@@ -210,7 +210,7 @@ def context_attend_backward(
         raise ValueError("context_weight row count must match the feature map")
     weights = attended.weights
     grad_scores = _softmax_backward(weights, g @ fmap.T)
-    score_total = grad_scores.sum(axis=0)
+    score_total = np.add.reduce(grad_scores, axis=0)
     grad_map = weights.T @ g + np.outer(score_total, feature_weight)
     grad_context = grad_scores @ context_weight
     grad_feature_weight = fmap.T @ score_total

@@ -281,7 +281,7 @@ def _trunk(raw: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray
             f"raw features must be {cfg.locations} x {cfg.raw_dim} "
             f"(or a stack of such), got {data.shape}"
         )
-    if not np.isfinite(data).all():
+    if not np.logical_and.reduce(np.isfinite(data), axis=None):
         raise ValueError("raw features must be finite")
     rows = data.reshape(-1, cfg.raw_dim)
     hidden = _affine(rows, params.tensors["trunk.weight"], params.tensors["trunk.bias"])
@@ -539,11 +539,11 @@ def backward_triple(
     anchor, shops = fwd.anchor, fwd.shops
     grad_user = grad_anchor_map.reshape(-1, params.config.channels)
     grads["branch_user.weight"] = grad_user.T @ anchor.hidden
-    grads["branch_user.bias"] = grad_user.sum(axis=0)
+    grads["branch_user.bias"] = np.add.reduce(grad_user, axis=0)
 
     grad_shop = l2_normalize_backward(fwd.shop_norms, grad_shops)
     grads["branch_shop.weight"] = grad_shop.T @ shops.pool.pooled
-    grads["branch_shop.bias"] = grad_shop.sum(axis=0)
+    grads["branch_shop.bias"] = np.add.reduce(grad_shop, axis=0)
     grad_hidden_pooled = grad_shop @ t["branch_shop.weight"]
     if fwd.shop_bits is not None:
         grad_maps, grad_keys = tag_attend_backward(
@@ -566,7 +566,7 @@ def backward_triple(
             -1, params.config.channels
         )
         grads["trunk.weight"] = user_pre.T @ anchor.rows + shop_pre.T @ shops.rows
-        grads["trunk.bias"] = user_pre.sum(axis=0) + shop_pre.sum(axis=0)
+        grads["trunk.bias"] = np.add.reduce(user_pre, axis=0) + np.add.reduce(shop_pre, axis=0)
     return fwd.loss, grads
 
 

@@ -24,11 +24,13 @@ def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim < 1 or s.size == 0:
         raise ValueError("softmax expects a non-empty score vector or stack")
-    if not np.isfinite(s).all():
+    # The reductions call the ufuncs, as ``s.all()``, ``s.max()`` and
+    # ``s.sum()`` do, without the Python frame each method adds per call.
+    if not np.logical_and.reduce(np.isfinite(s), axis=None):
         raise ValueError("softmax scores must be finite")
-    weights = s - s.max(axis=axis, keepdims=True)
+    weights = s - np.maximum.reduce(s, axis=axis, keepdims=True)
     np.exp(weights, out=weights)
-    weights /= weights.sum(axis=axis, keepdims=True)
+    weights /= np.add.reduce(weights, axis=axis, keepdims=True)
     return weights
 
 
@@ -64,7 +66,7 @@ def normalize_rows(v: np.ndarray) -> Normalized:
     scale = np.maximum(norm, NORM_EPS)
     unit = scaled = x / scale
     over = np.isinf(norm[:, 0])
-    if over.any():
+    if np.logical_or.reduce(over):
         big = x[over] / np.abs(x[over]).max(axis=-1, keepdims=True)
         unit = scaled.copy()
         unit[over] = big / np.maximum(np.sqrt(_sq_norms(big)), NORM_EPS)
