@@ -11,6 +11,8 @@ On-disk layout of a dataset directory:
     ground_truth.tsv   ``user_id<TAB>product_id`` per query image
     features/*.xfmp    binary feature maps
 
+Item, user and product ids are integers in [0, 2**63).
+
 Feature-map file format (little endian): magic ``XFMP``, version u32,
 location count u32, feature dim u32, then float32 payload row-major.
 Values are held in memory as stored, float32, and widened to float64,
@@ -164,6 +166,10 @@ def load_manifest(path: "Path | str") -> Manifest:
             product_id = int(raw_product)
         except ValueError:
             raise ManifestError(f"line {lineno}: ids must be integers") from None
+        # An index holds ids as int64 and stores them as u64.
+        if not (0 <= item_id < 2**63 and 0 <= product_id < 2**63):
+            bad = product_id if 0 <= item_id < 2**63 else item_id
+            raise ManifestError(f"line {lineno}: id {bad} outside [0, 2**63)")
         if item_id in seen_ids:
             raise ManifestError(f"line {lineno}: duplicate item id {item_id}")
         seen_ids.add(item_id)
@@ -297,6 +303,9 @@ def load_ground_truth(path: Path) -> dict[int, int]:
             user_id, product_id = int(parts[0]), int(parts[1])
         except ValueError:
             raise ManifestError(f"{path.name} line {lineno}: ids must be integers") from None
+        if not (0 <= user_id < 2**63 and 0 <= product_id < 2**63):
+            bad = product_id if 0 <= user_id < 2**63 else user_id
+            raise ManifestError(f"{path.name} line {lineno}: id {bad} outside [0, 2**63)")
         if user_id in truth:
             raise ManifestError(f"{path.name} line {lineno}: duplicate user id {user_id}")
         truth[user_id] = product_id

@@ -68,10 +68,9 @@ back, and no norm is taken twice. The forward keeps both sides as 2 x C
 stacks, [anchor_pos, anchor_neg] and [positive, negative], with the
 ``numeric.Normalized`` norms of each stack it normalised, and the loss,
 its gradient and the backward steps take them as they are: the
-normalisation's backward reuses the norms and quotients. The one
-exception is the single uniformly pooled anchor of the base and tag
-variants, whose forward norm is a dot product, as in serving; its
-backward takes the row sum of squares it always took. The trunk weight's
+normalisation's backward reuses the norms and quotients. The base and tag
+variants' anchor is one uniformly pooled 1 x C row, normalised as a stack
+like the others, which stands for both anchor rows. The trunk weight's
 gradient stays two products, over the anchor's rows and over the shops'
 rows: one product over all 3L rows would sum in another order and change
 the bytes. The step returns the gradients of the tensors it updates and
@@ -109,6 +108,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
+from numbers import Integral
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -395,11 +395,9 @@ class TripleForward(NamedTuple):
     anchor: _Features  # the anchor's rows of the one trunk pass, and its user branch
     shops: _ShopPass  # the stack [positive, negative]: the rest of that pass
     shop_bits: np.ndarray | None  # 2 x T; None when the shops pool uniformly
-    anchor_pool: AttentionResult  # K=2 under the shop contexts, else uniform
+    anchor_pool: AttentionResult  # K=2 under the shop contexts, else one uniform row
     shop_norms: Normalized  # shop_rows, with the norms they were divided by
-    # anchor_rows and their norms in the context variant; None where both
-    # rows are one uniformly pooled vector
-    anchor_norms: Normalized | None
+    anchor_norms: Normalized  # anchor_pool's rows, with the norms they were divided by
 
 
 def forward_triple(
@@ -418,10 +416,12 @@ def forward_triple(
     user branch, and the shops' rows the shop pass of ``embed_shops``. The
     context variant attends the anchor under both shop embeddings at once
     with ``context_attend``, as the re-rank does, and normalises the pooled
-    rows; the other variants use one uniformly pooled anchor embedding,
+    rows; the other variants pool the anchor uniformly as one 1 x C row and
+    use its normalised row,
     ``uniform_embedding(extract_features(anchor_raw, "user", params))``, as
     both anchor rows. Each row of the trunk's product depends only on its
-    own input row, so the embeddings equal their serving forms bit for bit.
+    own input row, and a row normalises to the same bits alone or in a
+    stack, so the embeddings equal their serving forms bit for bit.
     """
     shape = np.shape(anchor_raw)
     if np.shape(positive_raw) != shape or np.shape(negative_raw) != shape:
@@ -449,13 +449,13 @@ def forward_triple(
         anchor_pool = context_attend(
             anchor.fmap, shop_norms.unit, t["ctx_attn.feature_weight"], t["ctx_attn.context_weight"]
         )
-        anchor_norms = normalize_rows(anchor_pool.pooled)
-        anchor_rows = anchor_norms.unit
     else:
-        anchor_pool = _uniform_pool(anchor.fmap)
-        anchor_norms = None
-        anchor_row = l2_normalize(anchor_pool.pooled)
-        anchor_rows = _pair(anchor_row, anchor_row)
+        anchor_pool = _uniform_pool(anchor.fmap[None])
+    anchor_norms = normalize_rows(anchor_pool.pooled)
+    anchor_rows = anchor_norms.unit
+    if len(anchor_rows) == 1:
+        # The one uniformly pooled row stands for both anchor rows.
+        anchor_rows = anchor_rows.repeat(2, axis=0)
     return TripleForward(
         loss=triplet_loss(anchor_rows, shop_norms.unit, alpha),
         anchor_rows=anchor_rows,
@@ -513,8 +513,11 @@ def backward_triple(
     grads: dict[str, np.ndarray] = {}
     t = params.tensors
 
+    if len(fwd.anchor_norms.unit) == 1:
+        # Both anchor rows are the one uniformly pooled row.
+        grad_anchors = grad_anchors[:1] + grad_anchors[1:]
+    grad_pooled = l2_normalize_backward(fwd.anchor_norms, grad_anchors)
     if params.config.variant >= Variant.CTXYNET:
-        grad_pooled = l2_normalize_backward(fwd.anchor_norms, grad_anchors)
         grad_anchor_map, grad_contexts, grad_feature_weight, grad_context_weight = (
             context_attend_backward(
                 fwd.anchor.fmap,
@@ -530,10 +533,6 @@ def backward_triple(
         # context route back into the shop embeddings
         grad_shops += grad_contexts
     else:
-        # Both anchor rows are the one pooled row.
-        grad_pooled = l2_normalize_backward(
-            fwd.anchor_pool.pooled, grad_anchors[0] + grad_anchors[1]
-        )
         grad_anchor_map = fwd.anchor_pool.weights[..., None] * grad_pooled[..., None, :]
 
     anchor, shops = fwd.anchor, fwd.shops
@@ -665,6 +664,10 @@ def params_fingerprint(params: ModelParams) -> bytes:
 
 
 def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
+    # The header holds the epoch as a u32 and the seed as a u64.
+    for name, value, bits in (("epoch", ckpt.epoch, 32), ("seed", ckpt.seed, 64)):
+        if not isinstance(value, Integral) or not 0 <= value < 2**bits:
+            raise ValueError(f"checkpoint {name} must be an integer in [0, 2**{bits}), got {value!r}")
     stage = ckpt.stage.encode("utf-8")
     tensors = list(ckpt.params.named_tensors())
     parts = [

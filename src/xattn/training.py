@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import IO, Sequence
 
 import numpy as np
@@ -59,22 +60,25 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        # The counts index and bound loops, so a float such as 1.5 fails
+        # here, at its field, instead of inside train_stage.
+        if not isinstance(self.batch_size, Integral) or self.batch_size < 1:
+            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.base_lr <= 0 or self.lr_decay <= 0 or self.decay_every < 1:
             raise ValueError("learning-rate schedule parameters must be positive")
         # A checkpoint stores the epoch count as a u32 and the seed as a u64.
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed!r}")
+        if not isinstance(self.seed, Integral) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64) and an integer, got {self.seed!r}")
         for stage in STAGES:
             for name, table in (("margins", self.margins), ("epochs", self.epochs)):
                 if stage not in table:
                     raise ValueError(f"{name} has no entry for stage {stage!r}")
-            if not 0 <= self.epochs[stage] < 2**32:
+            count = self.epochs[stage]
+            if not isinstance(count, Integral) or not 0 <= count < 2**32:
                 raise ValueError(
-                    f"epochs[{stage!r}] must be in [0, 2**32), got {self.epochs[stage]!r}"
+                    f"epochs[{stage!r}] must be in [0, 2**32) and an integer, got {count!r}"
                 )
             if not 0 <= self.margins[stage] < math.inf:
                 raise ValueError(

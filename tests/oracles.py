@@ -265,20 +265,28 @@ def reference_sample_triples(dataset, count, rng) -> list[tuple[int, int, int]]:
     return triples
 
 
+def _row_norms(x):
+    """The norm of each row of a vector or stack, as ``np.linalg.norm``
+    takes it of that row alone (the square root of the row's dot with
+    itself), kept as a trailing axis of 1."""
+    rows = np.atleast_2d(x)
+    return np.array([[np.linalg.norm(row)] for row in rows]).reshape(*x.shape[:-1], 1)
+
+
 def linalg_l2_normalize(v, eps=1e-12):
-    """``l2_normalize`` with its norms taken by ``np.linalg.norm``: the
-    library must give these bits wherever no squared norm overflows."""
+    """``l2_normalize`` with each row's norm taken by ``np.linalg.norm`` of
+    that row alone: the library must give these bits wherever no squared
+    norm overflows."""
     x = np.asarray(v, dtype=np.float64)
-    if x.ndim == 1:
-        return x / max(float(np.linalg.norm(x)), eps)
-    return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), eps)
+    return x / np.maximum(_row_norms(x), eps)
 
 
 def linalg_l2_normalize_backward(v, grad_output, eps=1e-12):
-    """``l2_normalize_backward`` with ``np.linalg.norm`` and ``np.where``."""
+    """``l2_normalize_backward`` with each row's norm taken by
+    ``np.linalg.norm`` of that row alone, and ``np.where``."""
     x = np.asarray(v, dtype=np.float64)
     g = np.asarray(grad_output, dtype=np.float64)
-    norm = np.linalg.norm(x, axis=-1, keepdims=True)
+    norm = _row_norms(x)
     scale = np.maximum(norm, eps)
     y = x / scale
     along = np.where(norm < eps, 0.0, np.sum(g * y, axis=-1, keepdims=True))
@@ -287,13 +295,14 @@ def linalg_l2_normalize_backward(v, grad_output, eps=1e-12):
 
 def reference_l2_normalize_backward(v, grad_output, eps=1e-12):
     """``l2_normalize_backward`` as it was before it reused the forward's
-    norms: every call takes each row's norm as a row-wise sum of squares
-    (a vector's too) and divides by it again. The library must give these
-    bits on every input, a row whose squared norm overflows included, which
-    gets a zero gradient."""
+    norms: every call takes each row's norm as ``ndarray.dot`` of that row
+    alone (a vector's too) and divides by it again. The library must give
+    these bits on every input, a row whose squared norm overflows included,
+    which gets a zero gradient."""
     x = np.asarray(v, dtype=np.float64)
     g = np.asarray(grad_output, dtype=np.float64)
-    norm = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+    rows = np.atleast_2d(x)
+    norm = np.sqrt([[row.dot(row)] for row in rows]).reshape(*x.shape[:-1], 1)
     scale = np.maximum(norm, eps)
     y = x / scale
     along = np.add.reduce(g * y, axis=-1, keepdims=True)
@@ -307,10 +316,12 @@ def reference_full_backward_triple(
 ):
     """``backward_triple`` as it was before its per-call costs were cut: a
     zero dict of every tensor that each gradient overwrites or adds into,
-    the loss gradient taken per vector, and pairs joined with
-    ``np.stack``. It walks back over the intermediates ``forward_triple``
-    keeps, the shop side as one pass: the branch on the pooled hidden
-    rows, tag attention under the keys ``E @ W_shop``. Returns the loss
+    the loss gradient taken per vector, pairs joined with ``np.stack``,
+    and every norm taken again from the pooled rows. It walks back over the
+    intermediates ``forward_triple`` keeps, the shop side as one pass: the
+    branch on the pooled hidden rows, tag attention under the keys
+    ``E @ W_shop``. The base and tag variants' anchor is one pooled 1 x C
+    row, which receives the gradient of both anchor rows. Returns the loss
     and the full dict, zeros included."""
     fwd = forward_triple(
         anchor_raw, positive_raw, negative_raw, positive_tags, negative_tags, params, alpha
@@ -339,7 +350,7 @@ def reference_full_backward_triple(
         grads["ctx_attn.context_weight"] = grad_cw
         grad_shops += grad_contexts
     else:
-        grad_pooled = l2_normalize_backward(fwd.anchor_pool.pooled, pos_pull - neg_push)
+        grad_pooled = l2_normalize_backward(fwd.anchor_pool.pooled, [pos_pull - neg_push])
         grad_anchor_map = fwd.anchor_pool.weights[..., None] * grad_pooled[..., None, :]
     anchor, shops = fwd.anchor, fwd.shops
     grad_user = grad_anchor_map.reshape(-1, params.config.channels)

@@ -257,6 +257,37 @@ class TestTextFiles:
         with pytest.raises(ManifestError, match=f"item {user.item_id} contradicts"):
             load_dataset(train_dir)
 
+    @pytest.mark.parametrize("value", ["-1", str(2**63), str(2**64)])
+    @pytest.mark.parametrize(
+        "name, column",
+        [(MANIFEST_NAME, 0), (MANIFEST_NAME, 2), (GROUND_TRUTH_NAME, 0), (GROUND_TRUTH_NAME, 1)],
+    )
+    def test_an_id_outside_the_index_range_names_its_line(self, train_dir, name, column, value):
+        # An index holds the ids as int64 and stores them as u64.
+        path = train_dir / name
+        lines = path.read_text(encoding="utf-8").split("\n")
+        fields = lines[1].split("\t")
+        fields[column] = value
+        lines[1] = "\t".join(fields)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        where = "line 2" if name == MANIFEST_NAME else f"{name} line 2"
+        with pytest.raises(ManifestError, match=rf"^{where}: id {value} outside \[0, 2\*\*63\)$"):
+            load_dataset(train_dir)
+
+    def test_the_largest_id_loads(self, train_dir):
+        user = load_manifest(train_dir / MANIFEST_NAME).user_records()[0]
+        for name in (MANIFEST_NAME, GROUND_TRUTH_NAME):
+            path = train_dir / name
+            lines = path.read_text(encoding="utf-8").split("\n")
+            for number, line in enumerate(lines):
+                fields = line.split("\t")
+                if fields[0] == str(user.item_id):
+                    lines[number] = "\t".join([str(2**63 - 1), *fields[1:]])
+            path.write_text("\n".join(lines), encoding="utf-8")
+        dataset = load_dataset(train_dir)
+        assert dataset.ground_truth[2**63 - 1] == user.product_id
+        assert 2**63 - 1 in {r.item_id for r in dataset.user_records()}
+
 
 class TestFeatureMaps:
     def test_round_trip(self, tmp_path):

@@ -589,6 +589,22 @@ class TestCheckpoints:
             assert na == nb
             np.testing.assert_array_equal(ta, tb)
 
+    @pytest.mark.parametrize(
+        "name, value, bits",
+        [("epoch", -1, 32), ("epoch", 2**32, 32), ("epoch", 1.5, 32), ("seed", -1, 64), ("seed", 2**64, 64)],
+    )
+    def test_writer_names_a_header_field_out_of_range(self, tmp_path, name, value, bits):
+        # The header holds the epoch as a u32 and the seed as a u64.
+        ckpt = dataclasses.replace(self.make_checkpoint(), **{name: value})
+        message = rf"checkpoint {name} must be an integer in \[0, 2\*\*{bits}\), got {value}"
+        with pytest.raises(ValueError, match=message):
+            checkpoint_to_bytes(ckpt)
+        with pytest.raises(ValueError, match=message):
+            save_checkpoint(tmp_path / "model.xatn", ckpt)
+        assert not (tmp_path / "model.xatn").exists()
+        edge = dataclasses.replace(self.make_checkpoint(), **{name: 2**bits - 1})
+        assert getattr(checkpoint_from_bytes(checkpoint_to_bytes(edge)), name) == 2**bits - 1
+
     def test_tensors_stored_in_any_order_load_in_layout_order(self):
         # The fingerprint and the saved bytes follow the tensor order, so a
         # loaded model holds the layout's order whatever the file's.

@@ -51,6 +51,22 @@ def backward_cases(draw):
     return x, g, over
 
 
+@st.composite
+def row_stacks(draw):
+    """A stack of 1 to 300 rows of 2, 16 or 128 entries, each row scaled to
+    a norm from 1e-20 (below NORM_EPS) to 1e20, some rows zero and some at
+    a norm from 1e160 to 1e300, whose squared norm overflows; with a
+    gradient of the same shape."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels = draw(st.sampled_from((2, 16, 128)))
+    rows = draw(st.integers(1, 300))
+    x = rng.normal(size=(rows, channels)) * 10.0 ** rng.uniform(-20, 20, size=(rows, 1))
+    x[rng.random(rows) < 0.1] = 0.0
+    over = rng.random(rows) < 0.1
+    x[over] = rng.normal(size=(over.sum(), channels)) * 10.0 ** rng.uniform(160, 300, size=(over.sum(), 1))
+    return x, rng.normal(size=x.shape)
+
+
 class TestSoftmax:
     def test_symmetry(self):
         np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
@@ -185,6 +201,21 @@ class TestL2Normalize:
         # An overflowing row gets a zero gradient, as it always did.
         assert not np.atleast_2d(got)[over].any()
         assert np.isfinite(got).all()
+
+    @given(row_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_a_row_has_the_same_bits_alone_or_in_a_stack(self, case):
+        # Every squared norm is np.vecdot's, which must give ndarray.dot's
+        # bits for each row, so that a training row and a serving vector agree.
+        x, g = case
+        with np.errstate(over="ignore"):
+            kept = normalize_rows(x)
+            grads = l2_normalize_backward(x, g), l2_normalize_backward(kept, g)
+            for i, row in enumerate(x):
+                assert kept.norm[i, 0] == math.sqrt(row.dot(row))
+                assert same_bits(kept.unit[i], l2_normalize(row))
+                alone = l2_normalize_backward(row, g[i])
+                assert all(same_bits(grad[i], alone) for grad in grads)
 
     def test_overflowing_vector_still_normalises(self):
         # Its squared norm is inf, which numpy reports before the rescale.

@@ -116,17 +116,22 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{table} has no entry for stage 'tagynet'"):
             TrainConfig(**{table: {"ynet": 1, "ctxynet": 1}})
 
-    @pytest.mark.parametrize("count", [-1, 2**32])
+    @pytest.mark.parametrize("count", [-1, 2**32, 1.5, 2.0])
     def test_epoch_count_must_fit_the_checkpoint(self, count):
         # The checkpoint stores the epoch count as a u32.
         with pytest.raises(ValueError, match=r"epochs\['tagynet'\] must be in \[0, 2\*\*32\)"):
             TrainConfig(epochs={"ynet": 1, "tagynet": count, "ctxynet": 1})
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
     def test_seed_must_fit_the_checkpoint(self, seed):
         # The checkpoint stores the seed as a u64.
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
             TrainConfig(seed=seed)
+
+    @pytest.mark.parametrize("size", [0, 2.5, 32.0])
+    def test_batch_size_must_be_a_positive_integer(self, size):
+        with pytest.raises(ValueError, match=rf"batch_size must be an integer >= 1, got {size}"):
+            TrainConfig(batch_size=size)
 
     @pytest.mark.parametrize("margin", [-0.1, math.nan, math.inf, -math.inf])
     def test_margin_must_be_finite_and_non_negative(self, margin):
