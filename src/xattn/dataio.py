@@ -22,11 +22,15 @@ gathers its triples from one float64 copy of the split's maps.
 ``load_dataset`` reads a split's maps into one N x L x R block.
 ``fileio`` says how faults are reported.
 
-The text files are UTF-8, and a line ends at a line feed (U+000A)
-alone. Carriage returns at the end of a line are dropped, so CRLF files
-load; a line cannot end in one. The other characters ``str.splitlines``
-breaks at (U+000B, U+000C, U+001C to U+001E, U+0085, U+2028 and U+2029)
-are data, and may appear in a tag name or a feature path.
+The text files are read by one row reader, ``_rows``, which holds their
+rules. They are UTF-8, and a line ends at a line feed (U+000A) alone.
+Carriage returns at the end of a line are dropped, so CRLF files load; a
+line cannot end in one. The other characters ``str.splitlines`` breaks at
+(U+000B, U+000C, U+001C to U+001E, U+0085, U+2028 and U+2029) are data,
+and may appear in a tag name or a feature path. A blank line, empty or of
+spaces and tabs only, is skipped; any other line is a record whose fields
+are split at tabs. Other whitespace, such as U+2028 or U+0085, which
+``str.strip`` would also remove, makes a record line like any text.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ import os
 import struct
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -65,8 +71,7 @@ class FeatureMapFormatError(FormatError):
     """Feature-map file is malformed or inconsistent with expectations."""
 
 
-@dataclass(frozen=True)
-class ManifestRecord:
+class ManifestRecord(NamedTuple):
     item_id: int
     domain: str
     product_id: int
@@ -91,10 +96,17 @@ class Manifest:
         return tuple(r for r in self.records if r.domain == "shop")
 
 
-def _read_lines(path: Path, what: str) -> list[str]:
-    """The lines of a UTF-8 text file, split at each line feed and without
-    trailing carriage returns; a missing file or a byte that is not UTF-8
-    is a ``ManifestError`` naming the file (and the line)."""
+def _rows(path: Path, what: str, fields: int, where: str) -> Iterator[tuple[int, list[str]]]:
+    """The records of a UTF-8 table as (line number, fields), lazily and in
+    line order: the text is split at line feeds, and each line loses its
+    trailing carriage returns, is skipped when blank and is split at tabs
+    into exactly ``fields`` fields.
+
+    The file is read and decoded before this returns: a missing file is a
+    ``ManifestError`` naming the file as ``what``, and a byte that is not
+    UTF-8 one naming the file and its line. A line with another field count
+    is one naming the line, after the prefix ``where``, when it is reached.
+    """
     if not path.is_file():
         raise ManifestError(f"{what} not found or not a file: {path}")
     data = path.read_bytes()
@@ -103,35 +115,43 @@ def _read_lines(path: Path, what: str) -> list[str]:
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ManifestError(f"{path.name} line {lineno}: not valid UTF-8") from None
-    lines = [line.rstrip("\r") for line in text.split("\n")]
-    if not lines[-1]:
-        lines.pop()  # the text is empty or ends its last line
-    return lines
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            line = line.rstrip("\r")
+            if not line.strip(" \t"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != fields:
+                raise ManifestError(f"{where}line {lineno}: expected {fields} fields, got {len(parts)}")
+            yield lineno, parts
+
+    return rows()
 
 
-def _is_blank(line: str) -> bool:
-    """A blank line is empty or holds only spaces and tabs; the TSV readers
-    skip it. Other whitespace, such as U+2028 or U+0085, which
-    ``str.strip`` would also remove, makes a record line like any text."""
-    return not line.strip(" \t")
+def _ids(first: str, second: str, where: str, lineno: int) -> tuple[int, int]:
+    """The two ids of a record line. An index holds ids as int64 and stores
+    them as u64, so each must be an integer in [0, 2**63)."""
+    try:
+        ids = int(first), int(second)
+    except ValueError:
+        raise ManifestError(f"{where}line {lineno}: ids must be integers") from None
+    for value in ids:
+        if not 0 <= value < 2**63:
+            raise ManifestError(f"{where}line {lineno}: id {value} outside [0, 2**63)")
+    return ids
 
 
 def load_tag_vocab(path: Path) -> tuple[str, ...]:
     names: dict[int, str] = {}
-    lines = _read_lines(path, "tag vocabulary")
-    for lineno, line in enumerate(lines, start=1):
-        if _is_blank(line):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ManifestError(f"{path.name} line {lineno}: expected 2 fields, got {len(parts)}")
+    for lineno, (raw_id, name) in _rows(path, "tag vocabulary", 2, f"{path.name} "):
         try:
-            tag_id = int(parts[0])
+            tag_id = int(raw_id)
         except ValueError:
-            raise ManifestError(f"{path.name} line {lineno}: bad tag id {parts[0]!r}") from None
+            raise ManifestError(f"{path.name} line {lineno}: bad tag id {raw_id!r}") from None
         if tag_id in names:
             raise ManifestError(f"{path.name} line {lineno}: duplicate tag id {tag_id}")
-        names[tag_id] = parts[1]
+        names[tag_id] = name
     if not names:
         raise ManifestError(f"{path.name}: no tags")
     if sorted(names) != list(range(len(names))):
@@ -147,29 +167,15 @@ def load_manifest(path: "Path | str") -> Manifest:
     parses; ``load_dataset`` reports the file when it fails to open it.
     """
     path = Path(path)
-    lines = _read_lines(path, "manifest")
+    rows = _rows(path, "manifest", 5, "")
     root = path.parent
     tag_names = load_tag_vocab(root / TAGS_NAME)
     tag_count = len(tag_names)
 
     records: list[ManifestRecord] = []
     seen_ids: set[int] = set()
-    for lineno, line in enumerate(lines, start=1):
-        if _is_blank(line):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ManifestError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-        raw_id, domain, raw_product, rel_path, raw_tags = parts
-        try:
-            item_id = int(raw_id)
-            product_id = int(raw_product)
-        except ValueError:
-            raise ManifestError(f"line {lineno}: ids must be integers") from None
-        # An index holds ids as int64 and stores them as u64.
-        if not (0 <= item_id < 2**63 and 0 <= product_id < 2**63):
-            bad = product_id if 0 <= item_id < 2**63 else item_id
-            raise ManifestError(f"line {lineno}: id {bad} outside [0, 2**63)")
+    for lineno, (raw_id, domain, raw_product, rel_path, raw_tags) in rows:
+        item_id, product_id = _ids(raw_id, raw_product, "", lineno)
         if item_id in seen_ids:
             raise ManifestError(f"line {lineno}: duplicate item id {item_id}")
         seen_ids.add(item_id)
@@ -200,15 +206,7 @@ def load_manifest(path: "Path | str") -> Manifest:
                     )
         else:
             tag_ids = ()
-        records.append(
-            ManifestRecord(
-                item_id=item_id,
-                domain=domain,
-                product_id=product_id,
-                path=rel_path,
-                tag_ids=tag_ids,
-            )
-        )
+        records.append(ManifestRecord(item_id, domain, product_id, rel_path, tag_ids))
     if not records:
         raise ManifestError("no records")
     return Manifest(records=tuple(records), tag_names=tag_names, root=root)
@@ -290,33 +288,13 @@ class Dataset:
 
 def load_ground_truth(path: Path) -> dict[int, int]:
     truth: dict[int, int] = {}
-    lines = _read_lines(path, "ground truth")
-    for lineno, line in enumerate(lines, start=1):
-        if _is_blank(line):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ManifestError(
-                f"{path.name} line {lineno}: expected 2 fields, got {len(parts)}"
-            )
-        try:
-            user_id, product_id = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ManifestError(f"{path.name} line {lineno}: ids must be integers") from None
-        if not (0 <= user_id < 2**63 and 0 <= product_id < 2**63):
-            bad = product_id if 0 <= user_id < 2**63 else user_id
-            raise ManifestError(f"{path.name} line {lineno}: id {bad} outside [0, 2**63)")
+    where = f"{path.name} "
+    for lineno, (raw_user, raw_product) in _rows(path, "ground truth", 2, where):
+        user_id, product_id = _ids(raw_user, raw_product, where, lineno)
         if user_id in truth:
-            raise ManifestError(f"{path.name} line {lineno}: duplicate user id {user_id}")
+            raise ManifestError(f"{where}line {lineno}: duplicate user id {user_id}")
         truth[user_id] = product_id
     return truth
-
-
-def _record_line(manifest_path: str, number: int) -> int:
-    """Line of the manifest's record ``number`` (from 0): records are its
-    lines that are not blank, in order, as ``load_manifest`` counts them."""
-    lines = _read_lines(Path(manifest_path), "manifest")
-    return [lineno for lineno, line in enumerate(lines, start=1) if not _is_blank(line)][number]
 
 
 def _record_map(manifest_path: str, number: int, record: ManifestRecord, path: str) -> np.ndarray:
@@ -329,7 +307,8 @@ def _record_map(manifest_path: str, number: int, record: ManifestRecord, path: s
     except (OSError, ValueError):
         # open() raises OSError for a missing file, a directory or a name
         # the OS rejects, and ValueError for a NUL byte in the path.
-        lineno = _record_line(manifest_path, number)
+        # Records are the manifest's lines that are not blank, in order.
+        lineno, _ = next(islice(_rows(Path(manifest_path), "manifest", 5, ""), number, None))
         raise ManifestError(f"line {lineno}: feature file missing: {record.path}") from None
 
 

@@ -168,9 +168,13 @@ class ModelConfig:
     variant: Variant
 
     def __post_init__(self) -> None:
+        # A checkpoint stores the variant and each dimension as a u32.
         for field_name in ("locations", "channels", "tag_count", "raw_dim"):
-            if getattr(self, field_name) < 1:
-                raise ValueError(f"{field_name} must be positive")
+            value = getattr(self, field_name)
+            if not isinstance(value, Integral) or not 1 <= value < 2**32:
+                raise ValueError(f"{field_name} must be an integer in [1, 2**32), got {value!r}")
+        if not isinstance(self.variant, Variant):
+            raise ValueError(f"variant must be a Variant, got {self.variant!r}")
 
 
 def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -668,6 +672,11 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     for name, value, bits in (("epoch", ckpt.epoch, 32), ("seed", ckpt.seed, 64)):
         if not isinstance(value, Integral) or not 0 <= value < 2**bits:
             raise ValueError(f"checkpoint {name} must be an integer in [0, 2**{bits}), got {value!r}")
+    # The header is written from the config and the tensors from the params.
+    if ckpt.params.config != ckpt.config:
+        raise ValueError(
+            f"checkpoint config {ckpt.config} differs from its params' config {ckpt.params.config}"
+        )
     stage = ckpt.stage.encode("utf-8")
     tensors = list(ckpt.params.named_tensors())
     parts = [

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral
+from numbers import Integral, Real
 from typing import IO, Sequence
 
 import numpy as np
@@ -64,10 +64,15 @@ class TrainConfig:
         # here, at its field, instead of inside train_stage.
         if not isinstance(self.batch_size, Integral) or self.batch_size < 1:
             raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.base_lr <= 0 or self.lr_decay <= 0 or self.decay_every < 1:
-            raise ValueError("learning-rate schedule parameters must be positive")
+        if not isinstance(self.momentum, Real) or not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
+        # Each test names the range to be in, which NaN fails (nan <= 0 is False).
+        for name in ("base_lr", "lr_decay"):
+            value = getattr(self, name)
+            if not isinstance(value, Real) or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not isinstance(self.decay_every, Integral) or self.decay_every < 1:
+            raise ValueError(f"decay_every must be an integer >= 1, got {self.decay_every!r}")
         # A checkpoint stores the epoch count as a u32 and the seed as a u64.
         if not isinstance(self.seed, Integral) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64) and an integer, got {self.seed!r}")
@@ -80,9 +85,10 @@ class TrainConfig:
                 raise ValueError(
                     f"epochs[{stage!r}] must be in [0, 2**32) and an integer, got {count!r}"
                 )
-            if not 0 <= self.margins[stage] < math.inf:
+            margin = self.margins[stage]
+            if not isinstance(margin, Real) or not 0 <= margin < math.inf:
                 raise ValueError(
-                    f"margins[{stage!r}] must be finite and >= 0, got {self.margins[stage]!r}"
+                    f"margins[{stage!r}] must be finite and >= 0, got {margin!r}"
                 )
 
 

@@ -5,19 +5,23 @@ Everything here is deliberately written with plain Python loops and
 and obvious. The exceptions are references for a numpy form the library
 replaced, such as ``out_of_place_features`` or ``reference_train_stage``,
 which must agree with it bit for bit; these may call the library's other
-steps.
+steps. The ``reference_load_*`` TSV parsers are the library's former
+per-table loops, kept to pin every loaded value and error message.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
 from xattn.attention import context_attend_backward, tag_attend_backward
-from xattn.model import Checkpoint, ModelConfig, Variant, forward_triple, init_params
+from xattn.dataio import TAGS_NAME, Manifest, ManifestError, ManifestRecord
+from xattn.model import DOMAINS, Checkpoint, ModelConfig, Variant, forward_triple, init_params
 from xattn.numeric import l2_normalize_backward
 from xattn.training import lr_at, sgd_step
 
@@ -459,3 +463,155 @@ def reference_train_stage(stage, dataset, cfg, model_cfg=None, init=None):
         config=config, params=params, epoch=cfg.epochs[stage], seed=cfg.seed, stage=stage
     )
     return checkpoint, curve, zero_losses
+
+
+# The TSV parsers as they were before they shared one row reader, each with
+# its own loop over the lines: the fuzz tests require the same loaded value,
+# or the same ManifestError message, for every damaged file.
+
+
+def reference_read_lines(path: Path, what: str) -> list[str]:
+    """The lines of a UTF-8 text file, split at each line feed and without
+    trailing carriage returns; a missing file or a byte that is not UTF-8
+    is a ``ManifestError`` naming the file (and the line)."""
+    if not path.is_file():
+        raise ManifestError(f"{what} not found or not a file: {path}")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ManifestError(f"{path.name} line {lineno}: not valid UTF-8") from None
+    lines = [line.rstrip("\r") for line in text.split("\n")]
+    if not lines[-1]:
+        lines.pop()  # the text is empty or ends its last line
+    return lines
+
+
+def reference_is_blank(line: str) -> bool:
+    """A blank line is empty or holds only spaces and tabs; the TSV readers
+    skip it. Other whitespace, such as U+2028 or U+0085, which
+    ``str.strip`` would also remove, makes a record line like any text."""
+    return not line.strip(" \t")
+
+
+def reference_load_tag_vocab(path: Path) -> tuple[str, ...]:
+    names: dict[int, str] = {}
+    lines = reference_read_lines(path, "tag vocabulary")
+    for lineno, line in enumerate(lines, start=1):
+        if reference_is_blank(line):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ManifestError(f"{path.name} line {lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            tag_id = int(parts[0])
+        except ValueError:
+            raise ManifestError(f"{path.name} line {lineno}: bad tag id {parts[0]!r}") from None
+        if tag_id in names:
+            raise ManifestError(f"{path.name} line {lineno}: duplicate tag id {tag_id}")
+        names[tag_id] = parts[1]
+    if not names:
+        raise ManifestError(f"{path.name}: no tags")
+    if sorted(names) != list(range(len(names))):
+        raise ManifestError(f"{path.name}: tag ids must be contiguous from 0")
+    return tuple(names[i] for i in range(len(names)))
+
+
+def reference_load_manifest(path: "Path | str") -> Manifest:
+    """Parse and validate a manifest; the vocabulary is read from the
+    sibling ``tags.tsv``. Every error names the offending line.
+
+    Feature files are not opened here, so a manifest naming a missing file
+    parses; ``load_dataset`` reports the file when it fails to open it.
+    """
+    path = Path(path)
+    lines = reference_read_lines(path, "manifest")
+    root = path.parent
+    tag_names = reference_load_tag_vocab(root / TAGS_NAME)
+    tag_count = len(tag_names)
+
+    records: list[ManifestRecord] = []
+    seen_ids: set[int] = set()
+    for lineno, line in enumerate(lines, start=1):
+        if reference_is_blank(line):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise ManifestError(f"line {lineno}: expected 5 fields, got {len(parts)}")
+        raw_id, domain, raw_product, rel_path, raw_tags = parts
+        try:
+            item_id = int(raw_id)
+            product_id = int(raw_product)
+        except ValueError:
+            raise ManifestError(f"line {lineno}: ids must be integers") from None
+        # An index holds ids as int64 and stores them as u64.
+        if not (0 <= item_id < 2**63 and 0 <= product_id < 2**63):
+            bad = product_id if 0 <= item_id < 2**63 else item_id
+            raise ManifestError(f"line {lineno}: id {bad} outside [0, 2**63)")
+        if item_id in seen_ids:
+            raise ManifestError(f"line {lineno}: duplicate item id {item_id}")
+        seen_ids.add(item_id)
+        if domain not in DOMAINS:
+            raise ManifestError(f"line {lineno}: unknown domain {domain!r}")
+        if not rel_path:
+            raise ManifestError(f"line {lineno}: empty feature path")
+        # A lexical check, with no realpath or Path per record (a set-up can
+        # load thousands): a feature path stays inside the dataset
+        # directory unless a symlink there leads out.
+        if os.path.isabs(rel_path) or ".." in rel_path.replace(os.sep, "/").split("/"):
+            raise ManifestError(
+                f"line {lineno}: feature path must stay inside the dataset directory: {rel_path}"
+            )
+        if domain == "user":
+            if raw_tags:
+                raise ManifestError(f"line {lineno}: user records must not carry tags")
+            tag_ids: tuple[int, ...] = ()
+        elif raw_tags:
+            try:
+                tag_ids = tuple(int(t) for t in raw_tags.split(","))
+            except ValueError:
+                raise ManifestError(f"line {lineno}: bad tag list {raw_tags!r}") from None
+            for t in tag_ids:
+                if not 0 <= t < tag_count:
+                    raise ManifestError(
+                        f"line {lineno}: tag id {t} outside vocabulary of {tag_count}"
+                    )
+        else:
+            tag_ids = ()
+        records.append(
+            ManifestRecord(
+                item_id=item_id,
+                domain=domain,
+                product_id=product_id,
+                path=rel_path,
+                tag_ids=tag_ids,
+            )
+        )
+    if not records:
+        raise ManifestError("no records")
+    return Manifest(records=tuple(records), tag_names=tag_names, root=root)
+
+
+def reference_load_ground_truth(path: Path) -> dict[int, int]:
+    truth: dict[int, int] = {}
+    lines = reference_read_lines(path, "ground truth")
+    for lineno, line in enumerate(lines, start=1):
+        if reference_is_blank(line):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ManifestError(
+                f"{path.name} line {lineno}: expected 2 fields, got {len(parts)}"
+            )
+        try:
+            user_id, product_id = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ManifestError(f"{path.name} line {lineno}: ids must be integers") from None
+        if not (0 <= user_id < 2**63 and 0 <= product_id < 2**63):
+            bad = product_id if 0 <= user_id < 2**63 else user_id
+            raise ManifestError(f"{path.name} line {lineno}: id {bad} outside [0, 2**63)")
+        if user_id in truth:
+            raise ManifestError(f"{path.name} line {lineno}: duplicate user id {user_id}")
+        truth[user_id] = product_id
+    return truth

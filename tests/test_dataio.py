@@ -27,6 +27,7 @@ from xattn.dataio import (
 from xattn.attention import TagVector
 
 from mutations import corrupted, non_finite
+from oracles import reference_load_ground_truth, reference_load_manifest, reference_load_tag_vocab
 
 TINY = SyntheticSpec(
     products=3,
@@ -509,6 +510,21 @@ def manifest_text(records):
     )
 
 
+REFERENCE = {
+    load_tag_vocab: reference_load_tag_vocab,
+    load_ground_truth: reference_load_ground_truth,
+}
+
+
+def outcome(load, path):
+    """What ``load(path)`` returns, or the class and message of the
+    ``ManifestError`` it raises."""
+    try:
+        return "loaded", load(path)
+    except ManifestError as exc:
+        return "raised", type(exc), str(exc)
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_corrupted_feature_map_loads_or_raises_format_error(fuzz_dir, data):
@@ -551,10 +567,13 @@ def test_non_finite_feature_map_value_is_reported_at_its_offset(fuzz_dir, data):
 def test_corrupted_table_loads_or_raises_manifest_error(fuzz_dir, name, load, text, data):
     path = fuzz_dir / f"fuzz_{name}"
     path.write_bytes(data.draw(corrupted((fuzz_dir / name).read_bytes())))
-    try:
-        loaded = load(path)
-    except ManifestError:
+    # The reference's value, or its error: the first faulty line, named with
+    # the file's own name.
+    got = outcome(load, path)
+    assert got == outcome(REFERENCE[load], path)
+    if got[0] == "raised":
         return
+    loaded = got[1]
     path.write_text(text(loaded), encoding="utf-8")
     assert load(path) == loaded
 
@@ -566,9 +585,12 @@ def test_corrupted_manifest_loads_or_raises_manifest_error(fuzz_dir, data):
     # resolve as the real one's do.
     path = fuzz_dir / "fuzz_manifest.tsv"
     path.write_bytes(data.draw(corrupted((fuzz_dir / MANIFEST_NAME).read_bytes())))
-    try:
-        loaded = load_manifest(path)
-    except ManifestError:
+    # The reference's value, or its error: the first faulty line, named as
+    # "line N" whatever the file is called.
+    got = outcome(load_manifest, path)
+    assert got == outcome(reference_load_manifest, path)
+    if got[0] == "raised":
         return
+    loaded = got[1]
     path.write_text(manifest_text(loaded.records), encoding="utf-8")
     assert load_manifest(path) == loaded

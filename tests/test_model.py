@@ -88,9 +88,29 @@ class TestConfigAndVariant:
                 f"unknown variant {name!r}; expected one of ('ynet', 'tagynet', 'ctxynet')"
             )
 
-    def test_config_rejects_nonpositive_dims(self):
-        with pytest.raises(ValueError):
-            small_config(channels=0)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("channels", 0),
+            ("locations", -1),
+            ("locations", 1.5),
+            ("tag_count", "2"),
+            ("raw_dim", 2**32),
+            ("variant", 7),
+            ("variant", 1),
+            ("variant", "tagynet"),
+        ],
+    )
+    def test_config_rejects_what_a_checkpoint_cannot_hold(self, field, value):
+        # A checkpoint stores the variant and each dimension as a u32. The
+        # config is only built: init_params would allocate what it names.
+        fields = dict(locations=4, channels=3, tag_count=2, raw_dim=3, variant=Variant.CTXYNET)
+        with pytest.raises(ValueError, match=rf"^{field} must be .*, got {value!r}$"):
+            ModelConfig(**{**fields, field: value})
+
+    def test_config_takes_the_largest_u32_dims(self):
+        largest = ModelConfig(2**32 - 1, 2**32 - 1, 2**32 - 1, 2**32 - 1, Variant.YNET)
+        assert model._config_frame(largest) == struct.pack("<5I", 0, *[2**32 - 1] * 4)
 
 
 class TestInitParams:
@@ -604,6 +624,19 @@ class TestCheckpoints:
         assert not (tmp_path / "model.xatn").exists()
         edge = dataclasses.replace(self.make_checkpoint(), **{name: 2**bits - 1})
         assert getattr(checkpoint_from_bytes(checkpoint_to_bytes(edge)), name) == 2**bits - 1
+
+    @pytest.mark.parametrize("change", [{"variant": Variant.TAGYNET}, {"raw_dim": 5}], ids=["variant", "raw_dim"])
+    def test_writer_refuses_params_of_another_config(self, tmp_path, change):
+        # The header is written from the config and the tensors from the
+        # params, so a mismatch would save a file that does not load.
+        ckpt = self.make_checkpoint(Variant.YNET)
+        ckpt = dataclasses.replace(ckpt, params=init_params(dataclasses.replace(ckpt.config, **change), 0))
+        message = r"^checkpoint config .* differs from its params' config "
+        with pytest.raises(ValueError, match=message):
+            checkpoint_to_bytes(ckpt)
+        with pytest.raises(ValueError, match=message):
+            save_checkpoint(tmp_path / "model.xatn", ckpt)
+        assert not (tmp_path / "model.xatn").exists()
 
     def test_tensors_stored_in_any_order_load_in_layout_order(self):
         # The fingerprint and the saved bytes follow the tensor order, so a

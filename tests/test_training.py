@@ -133,10 +133,31 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=rf"batch_size must be an integer >= 1, got {size}"):
             TrainConfig(batch_size=size)
 
-    @pytest.mark.parametrize("margin", [-0.1, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("margin", [-0.1, math.nan, math.inf, -math.inf, "0.3"])
     def test_margin_must_be_finite_and_non_negative(self, margin):
         with pytest.raises(ValueError, match=r"margins\['ctxynet'\] must be finite and >= 0"):
             TrainConfig(margins={"ynet": 0.3, "tagynet": 0.3, "ctxynet": margin})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("base_lr", 0.0),
+            ("base_lr", math.nan),
+            ("base_lr", math.inf),
+            ("lr_decay", -0.1),
+            ("lr_decay", math.nan),
+            ("lr_decay", math.inf),
+            ("decay_every", 0),
+            ("decay_every", 1.5),
+            ("momentum", math.nan),
+            ("momentum", "0.9"),
+        ],
+    )
+    def test_schedule_must_be_finite_and_in_range(self, name, value):
+        # NaN passes a test for the bad range, so training would fail far
+        # from the cause.
+        with pytest.raises(ValueError, match=rf"^{name} must be .*, got {value!r}$"):
+            TrainConfig(**{name: value})
 
     def test_the_largest_accepted_values_save(self, tmp_path):
         spec = SyntheticSpec(products=3, holdout_products=0, locations=2, channels=2, tag_count=2, raw_dim=2, signal_locations=1)
