@@ -17,8 +17,8 @@ Feature-map file format (little endian): magic ``XFMP``, version u32,
 location count u32, feature dim u32, then float32 payload row-major.
 Values are held in memory as stored, float32, and widened to float64,
 which is exact, where the model takes them: in ``model._trunk``, per
-``retrieval.build_index`` block, and once per training stage, which
-gathers its triples from one float64 copy of the split's maps.
+``retrieval.build_index`` block, and in ``model.forward_triple``, which
+stacks a training triple's three maps.
 ``load_dataset`` reads a split's maps into one N x L x R block.
 ``fileio`` says how faults are reported.
 
@@ -36,11 +36,13 @@ are split at tabs. Other whitespace, such as U+2028 or U+0085, which
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import islice
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -416,21 +418,35 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.products < 2:
-            raise ValueError("need at least 2 products")
-        if self.holdout_products < 0:
-            raise ValueError("holdout_products must be >= 0")
-        if self.holdout_products in (1,):
-            raise ValueError("holdout needs 0 or >= 2 products to rank against")
-        if self.signal_locations < 1 or self.signal_locations > self.locations:
-            raise ValueError("signal_locations must be in [1, locations]")
-        if self.user_per_product < 1 or self.shop_per_product < 1:
-            raise ValueError("need at least one user and one shop image per product")
-        for name in ("locations", "channels", "tag_count", "raw_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        # The counts size arrays and loops, and the seed seeds numpy's
+        # generator, so a float such as 2.5 fails here, at its field,
+        # instead of inside generate_synthetic.
+        for name, least in (
+            ("products", 2),
+            ("holdout_products", 0),
+            ("user_per_product", 1),
+            ("shop_per_product", 1),
+            ("locations", 1),
+            ("channels", 1),
+            ("tag_count", 1),
+            ("raw_dim", 1),
+            ("signal_locations", 1),
+            ("seed", 0),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.holdout_products == 1:
+            raise ValueError(
+                "holdout_products must be 0 or >= 2 (a holdout query ranks products), got 1"
+            )
+        if self.signal_locations > self.locations:
+            raise ValueError(
+                f"signal_locations must be in [1, locations], got {self.signal_locations!r}"
+            )
+        # NaN fails the range test (nan >= 0 is False), as it would add no noise.
+        if not isinstance(self.noise_sigma, Real) or not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
 
 
 @dataclass(frozen=True)

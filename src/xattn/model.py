@@ -144,6 +144,8 @@ class Variant(IntEnum):
     @classmethod
     def parse(cls, name: str) -> "Variant":
         """The variant named ``name``, ignoring case and surrounding blanks."""
+        if not isinstance(name, str):
+            raise ValueError(f"variant name must be a str, got {name!r}")
         names = tuple(variant.name.lower() for variant in cls)
         key = name.strip().lower()
         if key not in names:

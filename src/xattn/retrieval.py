@@ -44,6 +44,7 @@ import logging
 import math
 import struct
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -442,8 +443,8 @@ def search(
     result is sorted once, by (distance, item id). One fingerprint check
     and one feature extraction serve both stages.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not isinstance(k, Integral) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if use_rerank and params.config.variant < Variant.CTXYNET:
         raise UnsupportedVariantError("re-ranking requires the context-attention variant")
     if index.fingerprint != params_fingerprint(params):
@@ -473,8 +474,8 @@ def precision_at_k(
 
     Queries without ground truth are excluded (with a warning count).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not isinstance(k, Integral) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     hits = 0
     scored = 0
     excluded = 0

@@ -6,8 +6,9 @@ trunk is frozen for every stage after the first. One epoch samples as
 many triples as there are user images.
 
 A split is addressed by manifest row: ``sample_triples`` draws rows, and
-a stage gathers each triple's maps from one float64 block whose row i is
-record i's map, and its tag vectors from one list in the same order.
+a stage gathers each triple's maps and tag vectors from two lists whose
+item i is record i's. The maps are the split's float32 rows as loaded;
+``forward_triple`` widens a triple's three maps when it stacks them.
 """
 
 from __future__ import annotations
@@ -191,12 +192,11 @@ def train_stage(
 
     Each triple is one ``backward_triple`` call, which returns the
     gradients of the tensors the stage trains, or none at zero loss. The
-    minibatch gradient is their sum over the batch's triples with a
-    non-zero loss, divided by the batch size; a triple with zero loss
-    would add only zeros, so leaving it out gives the same bits. A batch
-    in which every triple has zero loss steps on zero gradients of the
-    tensors that already have a velocity, which momentum carries on; a
-    tensor without one has not been stepped yet, and a zero step would
+    minibatch gradient starts as zeros of each tensor that already has a
+    velocity, adds in every triple's gradients and is divided by the batch
+    size. So a batch in which every triple has zero loss steps on zero
+    gradients, which momentum carries on, and leaves a tensor without a
+    velocity alone: it has not been stepped yet, and a zero step would
     leave it as it is.
     """
     variant = Variant.parse(stage)
@@ -210,15 +210,11 @@ def train_stage(
         raise ValueError("either an init checkpoint or a model config is required")
     config = replace(base_cfg, variant=variant)
     records = dataset.manifest.records
-    # The stage's maps widened once, into one float64 block whose row i is
-    # record i's map: the trunk would otherwise widen the float32 maps of
-    # every triple it is given.
-    maps = np.array([dataset.features[r.item_id] for r in records], dtype=np.float64)
-    if maps.shape[1:] != (config.locations, config.raw_dim):
-        raise ValueError(
-            f"dataset features are {maps.shape[1:]}, model expects "
-            f"({config.locations}, {config.raw_dim})"
-        )
+    maps = [dataset.features[r.item_id] for r in records]
+    expected = (config.locations, config.raw_dim)
+    for fmap in maps:
+        if fmap.shape != expected:
+            raise ValueError(f"dataset features are {fmap.shape}, model expects {expected}")
     if dataset.tag_count != config.tag_count:
         raise ValueError(
             f"dataset has {dataset.tag_count} tags, model expects {config.tag_count}"
@@ -244,7 +240,7 @@ def train_stage(
         epoch_loss = 0.0
         for start in range(0, len(triples), cfg.batch_size):
             batch = triples[start : start + cfg.batch_size]
-            grads_sum: dict[str, np.ndarray] | None = None
+            grads_sum = {name: np.zeros_like(vel) for name, vel in velocity.items()}
             batch_loss = 0.0
             for anchor, positive, negative in batch:
                 loss, grads = backward_triple(
@@ -261,16 +257,12 @@ def train_stage(
                     raise TrainingDivergedError(
                         f"non-finite loss at stage {stage} epoch {epoch}"
                     )
-                if loss == 0.0:
-                    continue  # no gradients
                 batch_loss += loss
-                if grads_sum is None:
-                    grads_sum = grads
-                else:
-                    for name, grad in grads.items():
+                for name, grad in grads.items():
+                    if name in grads_sum:
                         grads_sum[name] += grad
-            if grads_sum is None:
-                grads_sum = {name: np.zeros_like(vel) for name, vel in velocity.items()}
+                    else:
+                        grads_sum[name] = grad
             scale = 1.0 / len(batch)
             for grad in grads_sum.values():
                 grad *= scale
@@ -296,15 +288,16 @@ def run_curriculum(
     metrics_out: IO[str] | None = None,
 ) -> list[tuple[Checkpoint, list[float]]]:
     """Run stages in order, threading each checkpoint into the next."""
-    ordered = [s.strip().lower() for s in stages]
-    for a, b in zip(ordered, ordered[1:]):
-        if Variant.parse(a) >= Variant.parse(b):
-            raise ValueError(f"stages must be in ladder order, got {ordered}")
+    variants = [Variant.parse(s) for s in stages]
+    if any(a >= b for a, b in zip(variants, variants[1:])):
+        names = [STAGES[v] for v in variants]
+        raise ValueError(f"stages must be in ladder order, got {names}")
     results = []
     current = init
-    for stage in ordered:
+    for variant in variants:
         checkpoint, curve = train_stage(
-            stage, dataset, cfg, model_cfg=model_cfg, init=current, metrics_out=metrics_out
+            STAGES[variant], dataset, cfg,
+            model_cfg=model_cfg, init=current, metrics_out=metrics_out,
         )
         results.append((checkpoint, curve))
         current = checkpoint

@@ -78,6 +78,31 @@ class TestGenerator:
         features = [name for name in a if "/features/" in name]
         assert all(a[name] != b[name] for name in features)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("locations", 2.5),
+            ("products", 3.0),
+            ("products", 1),
+            ("holdout_products", -1),
+            ("holdout_products", 1),
+            ("signal_locations", 1.5),
+            ("signal_locations", 10),
+            ("channels", 0),
+            ("noise_sigma", float("nan")),
+            ("noise_sigma", float("inf")),
+            ("noise_sigma", -0.1),
+            ("noise_sigma", "0.3"),
+            ("seed", -1),
+            ("seed", 1.0),
+        ],
+    )
+    def test_spec_rejects_what_it_cannot_generate(self, field, value):
+        # Each is refused at its field, before generate_synthetic sizes an
+        # array with it or seeds the generator.
+        with pytest.raises(ValueError, match=rf"^{field} must be .*, got {value!r}$"):
+            SyntheticSpec(**{field: value})
+
     def test_loads_back(self, train_dir):
         dataset = load_dataset(train_dir)
         assert len(dataset.user_records()) == 6 and len(dataset.shop_records()) == 3

@@ -87,6 +87,9 @@ class TestConfigAndVariant:
             assert str(err.value) == (
                 f"unknown variant {name!r}; expected one of ('ynet', 'tagynet', 'ctxynet')"
             )
+        for name in (1, None, b"ynet", Variant.YNET):
+            with pytest.raises(ValueError, match=rf"^variant name must be a str, got {name!r}$"):
+                Variant.parse(name)
 
     @pytest.mark.parametrize(
         "field, value",

@@ -277,6 +277,11 @@ class TestSearch:
         for use_rerank in (False, True):
             with pytest.raises(ValueError):
                 search(index, raw, params, k=0, use_rerank=use_rerank)
+            # Refused before the scan, whose partition needs an integer.
+            for k in (2.5, 2.0, "2", None):
+                with pytest.raises(ValueError, match=rf"^k must be an integer >= 1, got {k!r}$"):
+                    search(index, raw, params, k=k, use_rerank=use_rerank)
+        assert search(index, raw, params, k=np.int64(2)) == search(index, raw, params, k=2)
 
     def test_empty_index_and_empty_candidates(self):
         rng = np.random.default_rng(6)
@@ -608,6 +613,9 @@ class TestPrecisionAtK:
             precision_at_k({12: results[12]}, truth, index, 1)
         with pytest.raises(ValueError):
             precision_at_k(results, truth, index, 0)
+        for k in (1.5, 1.0, "1"):
+            with pytest.raises(ValueError, match=rf"^k must be an integer >= 1, got {k!r}$"):
+                precision_at_k(results, truth, index, k)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import io
 import itertools
 import logging
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,15 @@ def records_dataset(shop_products, user_products):
     records = [r for pair in itertools.zip_longest(users, shops) for r in pair if r is not None]
     manifest = Manifest(records=tuple(records), tag_names=("t",), root=Path("."))
     return Dataset(manifest=manifest, features={}, ground_truth=None, root=Path("."))
+
+
+def tiny_split(tmp_path):
+    """A 3-product train split of 2 x 2 maps, a YNet config for it and a
+    one-epoch training config."""
+    spec = SyntheticSpec(products=3, holdout_products=0, locations=2, channels=2, tag_count=2, raw_dim=2, signal_locations=1)
+    generate_synthetic(spec, tmp_path)
+    config = ModelConfig(locations=2, channels=2, tag_count=2, raw_dim=2, variant=Variant.YNET)
+    return load_dataset(tmp_path / "train"), config, TrainConfig(epochs={s: 1 for s in STAGES})
 
 
 class TestSampleTriples:
@@ -203,6 +213,32 @@ class TestCurriculum:
         config = ModelConfig(locations=3, channels=2, tag_count=1, raw_dim=2, variant=Variant.YNET)
         with pytest.raises(ValueError, match="unknown variant 'resnet'"):
             run_curriculum(dataset, ("ynet", "resnet"), TrainConfig(), config)
+
+    def test_stage_names_are_parsed_once_and_reported_canonically(self, tmp_path):
+        dataset, config, cfg = tiny_split(tmp_path)
+        got = run_curriculum(dataset, (" YNet ", " TagYNet "), cfg, config)
+        assert [checkpoint.stage for checkpoint, _ in got] == ["ynet", "tagynet"]
+        with pytest.raises(ValueError, match=r"ladder order, got \['tagynet', 'ynet'\]$"):
+            run_curriculum(dataset, (" TagYNet ", "YNET"), cfg, config)
+        for stage in (1, None):
+            with pytest.raises(ValueError, match=rf"^variant name must be a str, got {stage!r}$"):
+                run_curriculum(dataset, ("ynet", stage), cfg, config)
+            with pytest.raises(ValueError, match="must be a str"):
+                train_stage(stage, dataset, cfg, model_cfg=config)
+
+    def test_rejects_maps_that_are_not_locations_by_raw_dim(self, tmp_path):
+        dataset, config, cfg = tiny_split(tmp_path)
+        wide = dataclasses.replace(config, raw_dim=3)
+        with pytest.raises(ValueError, match=r"^dataset features are \(2, 2\), model expects \(2, 3\)$"):
+            train_stage("ynet", dataset, cfg, model_cfg=wide)
+        # One map of another shape, last in the manifest, is found too.
+        last = dataset.manifest.records[-1].item_id
+        for shape in ((3, 2), (4,), (1, 2, 2)):
+            odd = dataclasses.replace(
+                dataset, features={**dataset.features, last: np.zeros(shape, np.float32)}
+            )
+            with pytest.raises(ValueError, match=rf"^dataset features are {re.escape(str(shape))}, model expects \(2, 2\)$"):
+                train_stage("ynet", odd, cfg, model_cfg=config)
 
     def test_same_bytes_as_the_loop_that_summed_every_gradient(self, tmp_path):
         # 14 users in batches of 3, and margins small enough that every
