@@ -14,16 +14,21 @@ keeps its tensors in one name -> array dict, and each function takes the
 arrays it reads. Tag attention pools a B x L x C stack of maps, each under
 its own row of a B x T matrix of 0/1 tag bits, and the T x C tag embedding
 ``embedding``. Context attention pools one L x C map (row l = location l)
-under each row of a K x C stack of contexts, with the C vector
-``feature_weight`` and the L x C matrix ``context_weight``; a single map
-or context is a stack of one. Context scores are laid out location-major,
-L x K (``context_weight @ contexts.T`` plus the per-location feature
-term), and ``softmax(scores, axis=0)`` normalises each column: at K=256,
-L=49 that reduces across 256 contiguous values per step where K rows of
-49 would each pay numpy's per-row cost. The weights come back K x L, as a
-transposed view. The backward functions work on the same stacks and take
-the forward's ``AttentionResult``, so they reuse its softmax weights
-instead of recomputing scores.
+under each of K contexts, with the C vector ``feature_weight``. Its scores
+are laid out location-major, L x K: the caller forms the context term,
+entry (l, k) = ``context_weight[l] . c_k``, and ``context_attend`` adds
+the per-location feature term to it. That term depends on the contexts
+and the weights alone, never on the query: ``model.forward_triple`` forms
+it as ``context_weight @ contexts.T`` for its K=2 shops, and
+``retrieval.search`` gathers the K candidates' rows of the N x L product
+its index keeps. ``softmax(scores, axis=0)`` then normalises each column:
+at K=256, L=49 that reduces across 256 contiguous values per step where K
+rows of 49 would each pay numpy's per-row cost. The weights come back
+K x L, as a transposed view. The backward functions work on the same
+stacks and take the forward's ``AttentionResult``, so they reuse its
+softmax weights instead of recomputing scores; the context backward takes
+the K x C contexts and ``context_weight`` themselves, since their
+gradients are what it returns.
 
 Finiteness is checked where data enters, not per layer: feature-map,
 checkpoint and index files are checked by their parsers, raw input by the
@@ -105,37 +110,29 @@ def tag_attend(fmap: np.ndarray, bits: np.ndarray, embedding: np.ndarray) -> Att
 
 
 def context_attend(
-    fmap: np.ndarray,
-    contexts: np.ndarray,
-    feature_weight: np.ndarray,
-    context_weight: np.ndarray,
+    fmap: np.ndarray, context_term: np.ndarray, feature_weight: np.ndarray
 ) -> AttentionResult:
     """Pool an L x C query map under context-conditioned attention, once
-    under each row of the K x C ``contexts``.
+    per column of the L x K ``context_term``.
 
-    score_l = feature_weight . f_l + context_weight[l] . context. The
-    linear alignment fixes the spatial size: the map must have exactly as
-    many locations as context_weight has rows. The result holds K x L
-    weights and K pooled rows. The scores are built location-major, L x K,
-    and normalised down each column; the K x L weights returned are a
-    transposed view of them.
+    score_l = feature_weight . f_l + context_term[l, k], where the caller
+    forms ``context_term[l, k] = context_weight[l] . c_k`` for context
+    ``c_k``. The linear alignment fixes the spatial size: the term must
+    have exactly one row per location of the map. The result holds K x L
+    weights and K pooled rows. The scores are built location-major, L x K
+    and C-ordered whatever the term's layout, and normalised down each
+    column; the K x L weights returned are a transposed view of them.
     """
-    if feature_weight.ndim != 1 or context_weight.ndim != 2:
-        raise ValueError("context attention expects a C vector and an L x C matrix")
-    channels = feature_weight.shape[0]
-    if context_weight.shape[1] != channels:
-        raise ValueError("feature_weight length must match context_weight columns")
     if fmap.ndim != 2:
         raise ValueError("context attention pools a single L x C feature map")
-    if context_weight.shape[0] != fmap.shape[0]:
+    if feature_weight.ndim != 1 or feature_weight.shape[0] != fmap.shape[1]:
+        raise ValueError("feature_weight must be a C vector of the map's channels")
+    if context_term.ndim != 2 or context_term.shape[0] != fmap.shape[0]:
         raise ValueError(
-            f"feature map has {fmap.shape[0]} locations but context_weight "
-            f"fixes {context_weight.shape[0]}"
+            f"context term must be L x K for the map's {fmap.shape[0]} locations, "
+            f"got shape {context_term.shape}"
         )
-    if fmap.shape[1] != channels or contexts.ndim != 2 or contexts.shape[1] != channels:
-        raise ValueError("context attention needs a K x C stack of contexts of the map's channels")
-    scores = context_weight @ contexts.T  # L x K
-    np.add(scores.T, fmap @ feature_weight, out=scores.T)
+    scores = np.add(context_term, (fmap @ feature_weight)[:, None], order="C")
     weights = softmax(scores, axis=0)
     return AttentionResult(weights=weights.T, pooled=weights.T @ fmap)
 

@@ -36,6 +36,7 @@ are split at tabs. Other whitespace, such as U+2028 or U+0085, which
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import struct
@@ -51,6 +52,8 @@ import numpy as np
 from .attention import TagVector
 from .fileio import FormatError, Reader, write_atomic
 from .model import DOMAINS
+
+logger = logging.getLogger(__name__)
 
 FEATURE_MAGIC = b"XFMP"
 FEATURE_VERSION = 1
@@ -248,6 +251,14 @@ def load_feature_map(path: "Path | str") -> np.ndarray:
     return values.reshape(locations, dim).copy()
 
 
+class Anchoring(NamedTuple):
+    """What a training triple is drawn from, by manifest row."""
+
+    shop_rows: list[int]  # manifest rows of the shop images, in order
+    own_by_product: dict[int, list[int]]  # product -> ascending indices into shop_rows
+    anchors: list[tuple[int, int]]  # (manifest row, product) of each user image that can anchor
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A manifest with all feature maps loaded, plus optional ground truth.
@@ -286,6 +297,38 @@ class Dataset:
     def tag_vector(self, record: ManifestRecord) -> TagVector:
         """The tag vector of one of this dataset's records, built once."""
         return self._tags[record.item_id]
+
+    @cached_property
+    def anchoring(self) -> Anchoring:
+        """The shop-row, per-product and anchor tables that
+        ``training.sample_triples`` draws from, built once per dataset.
+
+        A user image whose product has no shop image cannot anchor; the
+        build warns of them once. A ValueError, raised again on every call,
+        says when there is nothing to draw from: shop images of fewer than
+        two products, or no user image that can anchor.
+        """
+        shop_rows: list[int] = []
+        own_by_product: dict[int, list[int]] = {}
+        users: list[tuple[int, int]] = []
+        for row, record in enumerate(self.manifest.records):
+            if record.domain == "shop":
+                own_by_product.setdefault(record.product_id, []).append(len(shop_rows))
+                shop_rows.append(row)
+            else:
+                users.append((row, record.product_id))
+        if len(own_by_product) < 2:
+            raise ValueError("need shop images from at least 2 distinct products")
+        anchors = [user for user in users if user[1] in own_by_product]
+        excluded = len(users) - len(anchors)
+        if excluded:
+            logger.warning(
+                "%d user images excluded from anchoring (product has no shop image)",
+                excluded,
+            )
+        if not anchors:
+            raise ValueError("no user image has a product with shop images")
+        return Anchoring(shop_rows, own_by_product, anchors)
 
 
 def load_ground_truth(path: Path) -> dict[int, int]:

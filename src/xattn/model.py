@@ -44,16 +44,20 @@ pass, pooling by tag attention, or uniformly in the base variant, which
 has no tag head. A query's scan embedding is ``uniform_embedding`` of its
 ``extract_features`` map; the re-rank in ``retrieval.search`` attends
 that map under its K candidates at once with ``attention.context_attend``
-and takes the distance of each normalised pooled row in closed form.
+and takes the distance of each normalised pooled row in closed form. Its
+context term is the K candidates' rows of ``embeddings @
+context_weight.T``, which the index computes once per model.
 ``embed_shop`` is ``embed_shops`` on a batch of one. Training runs the
 same steps, one triple at a time: ``forward_triple`` runs the trunk once,
 on the stack [anchor, positive, negative]. The anchor's rows take the
 user branch and the shops' rows the shop pass, and, in the context
 variant, the anchor is attended under both shops as K=2 contexts with the
-same ``context_attend``. Each row of the trunk's product depends on its
-own input row alone, so the shop embeddings equal the serving ones bit
-for bit and the anchor embeddings are ``l2_normalize`` of the pooled rows
-the re-rank scores. It keeps the trunk activations, the shop pass's keys
+same ``context_attend``, whose context term it forms as ``context_weight
+@ shops.T``. Each row of the trunk's product depends on its own input row
+alone, so the shop embeddings equal the serving ones bit for bit. The
+anchor embeddings are ``l2_normalize`` of the pooled rows the re-rank
+scores, to rounding: the two products of the context term may differ in
+the last bits. It keeps the trunk activations, the shop pass's keys
 and pooled hidden rows, the attention results and the norms the
 embeddings were divided by, and ``backward_triple`` calls it once and
 walks back over them; the gradient check differences the same
@@ -453,7 +457,9 @@ def forward_triple(
 
     if cfg.variant >= Variant.CTXYNET:
         anchor_pool = context_attend(
-            anchor.fmap, shop_norms.unit, t["ctx_attn.feature_weight"], t["ctx_attn.context_weight"]
+            anchor.fmap,
+            t["ctx_attn.context_weight"] @ shop_norms.unit.T,
+            t["ctx_attn.feature_weight"],
         )
     else:
         anchor_pool = _uniform_pool(anchor.fmap[None])

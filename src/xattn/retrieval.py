@@ -9,12 +9,22 @@ A query's feature map is extracted once and serves both stages. The
 initial stage pools it uniformly and finds the exact ``k`` nearest index
 entries; it hands them on in row order, unsorted. The re-rank stage
 attends the same feature map under every candidate's embedding as
-context, all K candidates in one ``context_attend`` call (two matrix
-products and a softmax over an L x K score array). It scores each pooled
-row ``p`` against its context ``c`` in closed form, ``|p|^2 / s^2 - 2 p.c
-/ s + |c|^2`` with ``s = max(|p|, NORM_EPS)``, which equals ``|l2_normalize(p)
-- c|^2`` to within 1e-12 for unit contexts without forming the normalised
-rows (``_context_distances``). Either way each query sorts its ``k``
+context, all K candidates in one ``context_attend`` call (a
+matrix-vector product, a matrix product and a softmax over an L x K score
+array). Half of each score, ``context_weight[l] . c_k``, depends on the
+candidate and the model alone, so the index computes it once per model,
+as the N x L ``embeddings @ context_weight.T``, on the first re-ranking
+query, and each re-rank gathers its K rows instead of forming an
+L x C x K product. That term is kept with the fingerprint it was built
+under and rebuilt when ``index.fingerprint`` changes. ``search`` checks
+that the fingerprint is the querying model's before it reads the term,
+so a model whose tensors changed fails that check first. The gathered
+rows may differ from a per-query product in the last bits, and so may the
+re-rank distances. The re-rank scores each pooled row ``p`` against its
+context ``c`` in closed form, ``|p|^2 / s^2 - 2 p.c / s + |c|^2`` with
+``s = max(|p|, NORM_EPS)``, which equals ``|l2_normalize(p) - c|^2`` to
+within 1e-12 for unit contexts without forming the normalised rows
+(``_context_distances``). Either way each query sorts its ``k``
 results once, by (distance, item id).
 
 The initial stage is an exact two-pass scan. When ``SCREEN_RATIO * k <=
@@ -193,8 +203,12 @@ class ShopIndex:
     the screen's ``_norms`` (each row's float64 norm), ``_max_norm`` (the
     largest norm) and ``_screen`` (each row scaled to unit length, as
     float32; a zero row stays zero) on the first scan that screens, so an
-    index that is only built and saved never pays for them. The index file
-    stores none of them.
+    index that is only built and saved never pays for them. The re-rank
+    reads ``_context_term``: the N x L ``embeddings @ context_weight.T``
+    (N x L x 8 bytes, 392 KB at N=1000, L=49), made by the first
+    re-ranking ``search`` and kept with the fingerprint it was made under.
+    Building, loading, saving and scan-only searches never make it. The
+    index file stores none of them.
     """
 
     item_ids: np.ndarray
@@ -230,6 +244,8 @@ class ShopIndex:
             column.flags.writeable = False
         # The scan expands |e - q|^2 = |e|^2 - 2 e.q + |q|^2.
         self._sq_norms = np.einsum("ij,ij->i", self.embeddings, self.embeddings)
+        # (fingerprint, context term) of the last re-ranking model.
+        self._context: tuple[bytes, np.ndarray] | None = None
 
     @functools.cached_property
     def _norms(self) -> np.ndarray:
@@ -250,6 +266,21 @@ class ShopIndex:
             out=np.empty(self.embeddings.shape, np.float32),
             casting="same_kind",
         )
+
+    def _context_term(self, context_weight: np.ndarray) -> np.ndarray:
+        """``embeddings @ context_weight.T``, read-only: row i holds
+        ``context_weight[l] . e_i`` for every location l.
+
+        Made on the first call and kept with ``fingerprint``; made again
+        once ``fingerprint`` differs from that key. The key stands for the
+        weights, so the caller must first check that ``context_weight``
+        belongs to the model ``fingerprint`` names, as ``search`` does.
+        """
+        if self._context is None or self._context[0] != self.fingerprint:
+            term = self.embeddings @ context_weight.T
+            term.flags.writeable = False
+            self._context = (self.fingerprint, term)
+        return self._context[1]
 
     def __len__(self) -> int:
         return len(self.item_ids)
@@ -441,7 +472,9 @@ def search(
     query is attended under each of those candidates' embeddings as context
     and the candidates are ranked by that distance instead. Either way the
     result is sorted once, by (distance, item id). One fingerprint check
-    and one feature extraction serve both stages.
+    and one feature extraction serve both stages; the re-rank gathers its
+    candidates' rows of the index's context term, which the first
+    re-ranking call makes.
     """
     if not isinstance(k, Integral) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
@@ -452,12 +485,10 @@ def search(
     fmap = extract_features(query_raw, "user", params)
     rows, dists = _scan(index, uniform_embedding(fmap), k)
     if use_rerank and len(rows):
-        contexts = index.embeddings[rows]
         t = params.tensors
-        pooled = context_attend(
-            fmap, contexts, t["ctx_attn.feature_weight"], t["ctx_attn.context_weight"]
-        ).pooled
-        dists = _context_distances(pooled, contexts, index._sq_norms[rows])
+        term = index._context_term(t["ctx_attn.context_weight"])
+        pooled = context_attend(fmap, term[rows].T, t["ctx_attn.feature_weight"]).pooled
+        dists = _context_distances(pooled, index.embeddings[rows], index._sq_norms[rows])
     # Rows ascend, and item ids with them, so a stable sort by distance
     # breaks ties by item id.
     order = np.argsort(dists, kind="stable")
@@ -472,26 +503,31 @@ def precision_at_k(
 ) -> float:
     """Fraction of queries with a same-product item in their top k.
 
-    Queries without ground truth are excluded (with a warning count).
+    Queries without ground truth are excluded (with a warning count). The
+    top k of every scored query map to products through one
+    ``index.rows_of`` call, so an item id that is not indexed raises its
+    ValueError wherever it ranks.
     """
     if not isinstance(k, Integral) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    hits = 0
-    scored = 0
-    excluded = 0
+    top_ids: list[int] = []  # every scored query's top k, one after another
+    counts: list[int] = []
+    wanted: list[int] = []
     for query_id, ranked in results.items():
-        if query_id not in truth:
-            excluded += 1
-            continue
-        scored += 1
-        wanted = truth[query_id]
-        if any(index.product_of(r.item_id) == wanted for r in ranked[:k]):
-            hits += 1
+        if query_id in truth:
+            top = [r.item_id for r in ranked[:k]]
+            top_ids += top
+            counts.append(len(top))
+            wanted.append(truth[query_id])
+    excluded = len(results) - len(wanted)
     if excluded:
         logger.warning("%d queries excluded from P@%d (no ground truth)", excluded, k)
-    if scored == 0:
+    if not wanted:
         raise ValueError("no query has ground truth")
-    return hits / scored
+    products = index.product_ids[index.rows_of(top_ids)]
+    hit = products == np.repeat(wanted, counts)
+    query_of = np.repeat(np.arange(len(wanted)), counts)
+    return np.unique(query_of[hit]).size / len(wanted)
 
 
 # ---------------------------------------------------------------------------

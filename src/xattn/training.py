@@ -13,7 +13,6 @@ item i is record i's. The maps are the split's float32 rows as loaded;
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
@@ -30,8 +29,6 @@ from .model import (
     backward_triple,
     init_params,
 )
-
-logger = logging.getLogger(__name__)
 
 # One stage per variant, in ladder order, named after it.
 STAGES = tuple(variant.name.lower() for variant in Variant)
@@ -107,30 +104,11 @@ def sample_triples(
     negative) triple per row: a uniform anchor over eligible user images, a
     uniform positive among the anchor's product's shop images, a uniform
     negative among all other shop images. User images whose product has no
-    shop image cannot anchor and are skipped with a warning.
+    shop image cannot anchor and are skipped; the tables come from
+    ``Dataset.anchoring``, built on the first call for a dataset, which
+    warns of them once.
     """
-    shop_rows: list[int] = []  # manifest rows of the shop images, in order
-    own_by_product: dict[int, list[int]] = {}  # ascending indices into shop_rows
-    users: list[tuple[int, int]] = []  # (manifest row, product) of each user image
-    for row, record in enumerate(dataset.manifest.records):
-        if record.domain == "shop":
-            own_by_product.setdefault(record.product_id, []).append(len(shop_rows))
-            shop_rows.append(row)
-        else:
-            users.append((row, record.product_id))
-    if len(own_by_product) < 2:
-        raise ValueError("need shop images from at least 2 distinct products")
-
-    anchors = [user for user in users if user[1] in own_by_product]
-    excluded = len(users) - len(anchors)
-    if excluded:
-        logger.warning(
-            "%d user images excluded from anchoring (product has no shop image)",
-            excluded,
-        )
-    if not anchors:
-        raise ValueError("no user image has a product with shop images")
-
+    shop_rows, own_by_product, anchors = dataset.anchoring
     triples: list[tuple[int, int, int]] = []
     for _ in range(count):
         anchor, product = anchors[int(rng.integers(len(anchors)))]

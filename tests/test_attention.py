@@ -34,6 +34,12 @@ def random_instance(rng, locations=None, channels=None, tags=None):
     return fmap, bits, embedding, ctx, ctx_weights
 
 
+def attend_stack(fmap, contexts, feature_weight, context_weight):
+    """``context_attend`` of an L x C map under a K x C stack of contexts,
+    with the L x K context term formed as ``model.forward_triple`` forms it."""
+    return context_attend(fmap, context_weight @ contexts.T, feature_weight)
+
+
 class TestTypes:
     def test_tag_vector_binary_only(self):
         with pytest.raises(ValueError):
@@ -44,15 +50,14 @@ class TestTypes:
             TagVector.from_ids([4], size=4)
 
     def test_context_params_validation(self):
-        fmap, contexts = np.zeros((2, 3)), np.zeros((1, 3))
-        for feature_weight, context_weight, match in (
-            (np.zeros(3), np.zeros((2, 4)), "feature_weight length"),
-            (np.zeros((1, 3)), np.zeros((2, 3)), "C vector and an L x C matrix"),
-            (np.zeros(3), np.zeros(3), "C vector and an L x C matrix"),
-        ):
-            with pytest.raises(ValueError, match=match):
-                context_attend(fmap, contexts, feature_weight, context_weight)
-        attended = context_attend(fmap, contexts, np.zeros(3), np.zeros((2, 3)))
+        fmap, term = np.zeros((2, 3)), np.zeros((2, 1))
+        for feature_weight in (np.zeros(4), np.zeros((1, 3)), np.zeros(())):
+            with pytest.raises(ValueError, match="feature_weight must be a C vector"):
+                context_attend(fmap, term, feature_weight)
+        for bad in (np.zeros(2), np.zeros((2, 1, 1))):
+            with pytest.raises(ValueError, match="context term must be L x K"):
+                context_attend(fmap, bad, np.zeros(3))
+        attended = context_attend(fmap, term, np.zeros(3))
         np.testing.assert_array_equal(attended.weights, [[0.5, 0.5]])
 
 
@@ -136,14 +141,14 @@ class TestContextAttend:
     def test_zero_params_uniform(self):
         rng = np.random.default_rng(1)
         data = rng.normal(size=(6, 4))
-        result = context_attend(data, rng.normal(size=(1, 4)), np.zeros(4), np.zeros((6, 4)))
+        result = attend_stack(data, rng.normal(size=(1, 4)), np.zeros(4), np.zeros((6, 4)))
         np.testing.assert_allclose(result.weights, np.full((1, 6), 1 / 6), atol=1e-15)
         np.testing.assert_allclose(result.pooled, [data.mean(axis=0)], atol=1e-12)
 
     def test_single_location(self):
         rng = np.random.default_rng(2)
         data = rng.normal(size=(1, 3))
-        result = context_attend(
+        result = attend_stack(
             data, rng.normal(size=(1, 3)), rng.normal(size=3), rng.normal(size=(1, 3))
         )
         np.testing.assert_array_equal(result.weights, [[1.0]])
@@ -152,7 +157,7 @@ class TestContextAttend:
     def test_frozen_hand_case(self):
         # scores [1, -1]: same softmax split as the tag case; pooled is 0.
         fmap = np.array([[0.0], [0.0]])
-        result = context_attend(fmap, np.array([[1.0]]), np.array([1.0]), np.array([[1.0], [-1.0]]))
+        result = attend_stack(fmap, np.array([[1.0]]), np.array([1.0]), np.array([[1.0], [-1.0]]))
         np.testing.assert_allclose(result.weights, [[W0, W1]], atol=1e-12)
         np.testing.assert_array_equal(result.pooled, [[0.0]])
 
@@ -173,12 +178,12 @@ class TestContextAttend:
             else:
                 fmap, _, _, ctx, ctx_weights = random_instance(rng)
                 contexts = rng.normal(size=(int(rng.integers(1, 9)), ctx.shape[1]))
-            stacked = context_attend(fmap, contexts, *ctx_weights)
+            stacked = attend_stack(fmap, contexts, *ctx_weights)
             assert stacked.weights.shape == (len(contexts), len(fmap))
             assert stacked.pooled.shape == contexts.shape
             np.testing.assert_allclose(stacked.weights.sum(axis=1), 1.0, rtol=0, atol=1e-14)
             for row, ctx in enumerate(contexts):
-                single = context_attend(fmap, ctx[None], *ctx_weights)
+                single = attend_stack(fmap, ctx[None], *ctx_weights)
                 np.testing.assert_allclose(stacked.weights[row], single.weights[0], rtol=0, atol=1e-15)
                 np.testing.assert_allclose(
                     stacked.pooled[row], single.pooled[0], rtol=0, atol=1e-15 * np.abs(fmap).max()
@@ -192,21 +197,39 @@ class TestContextAttend:
         contexts = np.concatenate([ctx, ctx, ctx])
         contexts[1, 2] = bad
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            context_attend(fmap, contexts, *ctx_weights)
+            attend_stack(fmap, contexts, *ctx_weights)
 
     def test_row_count_mismatch(self):
         fmap = np.zeros((3, 2))
-        with pytest.raises(ValueError):
-            context_attend(fmap, np.zeros((1, 2)), np.zeros(2), np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="the map's 3 locations"):
+            context_attend(fmap, np.zeros((4, 1)), np.zeros(2))
 
     def test_a_single_context_is_refused(self):
-        # Only stacks of contexts are attended: one context is ctx[None].
-        fmap, _, _, ctx, ctx_weights = random_instance(np.random.default_rng(4))
-        for contexts in (ctx[0], ctx[None], ctx[:, :-1]):
-            with pytest.raises(ValueError, match="K x C stack"):
-                context_attend(fmap, contexts, *ctx_weights)
+        # Only an L x K term is attended: one context is the L x 1 column.
+        fmap, _, _, ctx, (feature_weight, context_weight) = random_instance(
+            np.random.default_rng(4)
+        )
+        term = context_weight @ ctx.T
+        for bad in (term[:, 0], term[None]):
+            with pytest.raises(ValueError, match="L x K"):
+                context_attend(fmap, bad, feature_weight)
         with pytest.raises(ValueError, match="single L x C"):
-            context_attend(fmap[None], ctx, *ctx_weights)
+            context_attend(fmap[None], term, feature_weight)
+        assert context_attend(fmap, term, feature_weight).pooled.shape == ctx.shape
+
+    def test_the_term_layout_leaves_the_bits(self):
+        # search passes a transposed view of gathered rows; the scores are
+        # C-ordered either way, so the softmax reduces in one order.
+        rng = np.random.default_rng(60)
+        for _ in range(20):
+            fmap, _, _, ctx, (feature_weight, context_weight) = random_instance(rng)
+            contexts = rng.normal(size=(int(rng.integers(1, 9)), ctx.shape[1]))
+            term = context_weight @ contexts.T
+            want = context_attend(fmap, term, feature_weight)
+            for layout in (np.asfortranarray(term), np.ascontiguousarray(term.T).T):
+                got = context_attend(fmap, layout, feature_weight)
+                assert np.array_equal(got.weights, want.weights)
+                assert np.array_equal(got.pooled, want.pooled)
 
 
 class TestForwardProperties:
@@ -219,7 +242,7 @@ class TestForwardProperties:
             np.testing.assert_allclose(got.weights[0], want_w, atol=1e-9)
             np.testing.assert_allclose(got.pooled[0], want_p, atol=1e-9)
 
-            got = context_attend(fmap, ctx, *ctx_weights)
+            got = attend_stack(fmap, ctx, *ctx_weights)
             want_w, want_p = naive_context_attend(fmap, ctx[0], *ctx_weights)
             np.testing.assert_allclose(got.weights[0], want_w, atol=1e-9)
             np.testing.assert_allclose(got.pooled[0], want_p, atol=1e-9)
@@ -230,7 +253,7 @@ class TestForwardProperties:
             fmap, bits, embedding, ctx, ctx_weights = random_instance(rng)
             for result in (
                 tag_attend(fmap[None], bits, embedding),
-                context_attend(fmap, ctx, *ctx_weights),
+                attend_stack(fmap, ctx, *ctx_weights),
             ):
                 assert np.all(result.weights > 0)
                 assert abs(result.weights.sum() - 1.0) <= 1e-10
@@ -241,7 +264,7 @@ class TestForwardProperties:
             fmap, bits, embedding, ctx, ctx_weights = random_instance(rng)
             for result in (
                 tag_attend(fmap[None], bits, embedding),
-                context_attend(fmap, ctx, *ctx_weights),
+                attend_stack(fmap, ctx, *ctx_weights),
             ):
                 lo = fmap.min(axis=0) - 1e-12
                 hi = fmap.max(axis=0) + 1e-12
@@ -254,7 +277,7 @@ class TestForwardProperties:
         with np.errstate(invalid="ignore"):
             for attend in (
                 lambda: tag_attend(fmap[None], np.ones_like(bits), embedding),
-                lambda: context_attend(fmap, ctx, *ctx_weights),
+                lambda: attend_stack(fmap, ctx, *ctx_weights),
             ):
                 with pytest.raises(ValueError, match="finite"):
                     attend()
@@ -276,8 +299,8 @@ class TestForwardProperties:
         for _ in range(100):
             fmap, _, _, ctx, (feature_weight, context_weight) = random_instance(rng)
             perm = rng.permutation(fmap.shape[-2])
-            base = context_attend(fmap, ctx, feature_weight, context_weight)
-            shuffled = context_attend(fmap[perm], ctx, feature_weight, context_weight[perm])
+            base = attend_stack(fmap, ctx, feature_weight, context_weight)
+            shuffled = attend_stack(fmap[perm], ctx, feature_weight, context_weight[perm])
             np.testing.assert_allclose(shuffled.weights, base.weights[:, perm], atol=1e-12)
             np.testing.assert_allclose(shuffled.pooled, base.pooled, atol=1e-12)
 
@@ -383,7 +406,7 @@ class TestContextAttendBackward:
         for _ in range(10):
             fmap, _, _, ctx, ctx_weights = random_instance(rng)
             ctx = stacked_contexts(rng, ctx)
-            attended = context_attend(fmap, ctx, *ctx_weights)
+            attended = attend_stack(fmap, ctx, *ctx_weights)
             grads = context_attend_backward(
                 fmap, ctx, *ctx_weights, attended, np.zeros_like(attended.pooled)
             )
@@ -399,7 +422,7 @@ class TestContextAttendBackward:
                 rng.normal(size=fmap.shape[-1]),
                 rng.normal(size=(1, fmap.shape[-1])),
             )
-            attended = context_attend(fmap, ctx, *ctx_weights)
+            attended = attend_stack(fmap, ctx, *ctx_weights)
             _, _, grad_fw, grad_cw = context_attend_backward(
                 fmap, ctx, *ctx_weights, attended, rng.normal(size=attended.pooled.shape)
             )
@@ -410,7 +433,7 @@ class TestContextAttendBackward:
         rng = np.random.default_rng(57)
         fmap, _, _, ctx, ctx_weights = random_instance(rng)
         contexts = np.concatenate([ctx, ctx])
-        attended = context_attend(fmap, contexts, *ctx_weights)
+        attended = attend_stack(fmap, contexts, *ctx_weights)
         with pytest.raises(ValueError, match="grad_pooled"):
             context_attend_backward(fmap, contexts, *ctx_weights, attended, np.zeros(fmap.shape[-1]))
 
@@ -419,14 +442,14 @@ class TestContextAttendBackward:
         for _ in range(30):
             fmap, _, _, ctx, (feature_weight, context_weight) = random_instance(rng)
             ctx = stacked_contexts(rng, ctx)
-            attended = context_attend(fmap, ctx, feature_weight, context_weight)
+            attended = attend_stack(fmap, ctx, feature_weight, context_weight)
             upstream = rng.normal(size=attended.pooled.shape)
             grad_map, grad_ctx, grad_fw, grad_cw = context_attend_backward(
                 fmap, ctx, feature_weight, context_weight, attended, upstream
             )
 
             def eval_at(data=None, context=None, fw=None, cw=None):
-                res = context_attend(
+                res = attend_stack(
                     fmap if data is None else data,
                     ctx if context is None else context,
                     feature_weight if fw is None else fw,

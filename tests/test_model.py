@@ -68,9 +68,13 @@ def identity_params(config):
     return params
 
 
-def ctx_weights(params):
-    """The context head's (feature_weight, context_weight) arrays."""
-    return params.tensors["ctx_attn.feature_weight"], params.tensors["ctx_attn.context_weight"]
+def attend(fmap, contexts, params):
+    """``context_attend`` of ``fmap`` under a K x C stack of contexts, with
+    the context term formed as ``forward_triple`` forms it."""
+    t = params.tensors
+    return context_attend(
+        fmap, t["ctx_attn.context_weight"] @ contexts.T, t["ctx_attn.feature_weight"]
+    )
 
 
 class TestConfigAndVariant:
@@ -348,7 +352,7 @@ class TestEmbeddings:
         ctx /= np.linalg.norm(ctx)
         fmap = extract_features(raw, "user", params)
         np.testing.assert_allclose(
-            l2_normalize(context_attend(fmap, ctx, *ctx_weights(params)).pooled[0]),
+            l2_normalize(attend(fmap, ctx, params).pooled[0]),
             uniform_embedding(fmap),
             atol=1e-12,
         )
@@ -376,9 +380,7 @@ class TestEmbeddings:
                 uniform_embedding(extract_features(raw, "user", params)),
                 embed_shops(raw[None], np.zeros((1, 2)), params)[0],  # no tags: uniform
                 l2_normalize(
-                    context_attend(
-                        extract_features(raw, "user", params), ctx[None], *ctx_weights(params)
-                    ).pooled[0]
+                    attend(extract_features(raw, "user", params), ctx[None], params).pooled[0]
                 ),
             ):
                 assert abs(np.linalg.norm(emb) - 1.0) <= 1e-10
@@ -450,7 +452,7 @@ class TestForwardTriple:
             shop_rows = embed_shops(shops, bits, params)
             if variant >= Variant.CTXYNET:
                 fmap = extract_features(anchor, "user", params)
-                anchor_rows = l2_normalize(context_attend(fmap, shop_rows, *ctx_weights(params)).pooled)
+                anchor_rows = l2_normalize(attend(fmap, shop_rows, params).pooled)
             else:
                 anchor_rows = [uniform_embedding(extract_features(anchor, "user", params))] * 2
             np.testing.assert_array_equal(got.shop_rows, shop_rows)

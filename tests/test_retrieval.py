@@ -37,6 +37,7 @@ from xattn.training import sgd_step
 
 from mutations import corrupted, non_finite
 from oracles import (
+    naive_precision_at_k,
     naive_rank,
     naive_shop_embedding,
     naive_user_embedding,
@@ -502,6 +503,112 @@ class TestRerank:
             assert_same_ranking(search(index, raw, params, k, use_rerank=True), want)
 
 
+def fresh_search(index, raw, params, k):
+    """A re-ranked search on a new index with ``index``'s columns, built
+    under ``params``: its context term is made from ``params``."""
+    fresh = ShopIndex(
+        index.item_ids, index.product_ids, index.tag_bits, index.embeddings,
+        params_fingerprint(params),
+    )
+    return search(fresh, raw, params, k)
+
+
+class TestContextTerm:
+    def test_rows_equal_the_per_query_product(self):
+        # Each entry is a dot product of C terms, taken in two summation
+        # orders, so the two differ by at most 2 C u (|w| . |e|), u = 2^-53.
+        rng = np.random.default_rng(61)
+        differ = 0
+        for case in range(60):
+            n, locations, channels = (int(rng.integers(1, hi)) for hi in (300, 60, 200))
+            k = n if case % 5 == 0 else int(rng.integers(1, n + 1))
+            embeddings = rng.normal(size=(n, channels))
+            embeddings /= np.linalg.norm(embeddings, axis=1, keepdims=True)
+            context_weight = rng.uniform(-1, 1, (locations, channels)) / np.sqrt(channels)
+            rows = np.sort(rng.choice(n, k, replace=False))
+            term = column_index(embeddings)._context_term(context_weight)
+            got = term[rows].T
+            want = context_weight @ embeddings[rows].T
+            bound = 2 * channels * 2.0**-53 * (np.abs(context_weight) @ np.abs(embeddings[rows]).T)
+            assert got.shape == (locations, k)
+            assert np.all(np.abs(got - want) <= bound)
+            differ += not np.array_equal(got, want)
+        # With OpenBLAS about 40% of these shapes differ in the last bits,
+        # so the bound above is exercised, not just equality.
+        assert differ > 0
+
+    def test_built_once_by_the_first_rerank(self, tmp_path):
+        rng = np.random.default_rng(62)
+        params = make_params(Variant.CTXYNET, seed=62)
+        index = build_index(make_items(params, 30, rng), params)
+        save_index(tmp_path / "shop.xidx", index)
+        loaded = load_index(tmp_path / "shop.xidx", params.config.channels, params.config.tag_count)
+        for built in (index, loaded):
+            assert built._context is None
+            search(built, query(params, rng), params, k=8, use_rerank=False)
+            assert built._context is None
+            search(built, query(params, rng), params, k=8)
+            key, term = built._context
+            assert key == built.fingerprint and not term.flags.writeable
+            np.testing.assert_array_equal(
+                term, built.embeddings @ params.tensors["ctx_attn.context_weight"].T
+            )
+            search(built, query(params, rng), params, k=30)
+            assert built._context[1] is term
+        # The index file does not hold the term.
+        save_index(tmp_path / "again.xidx", index)
+        assert (tmp_path / "again.xidx").read_bytes() == (tmp_path / "shop.xidx").read_bytes()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_never_built_without_a_rerank(self, variant):
+        rng = np.random.default_rng(63)
+        params = make_params(variant, seed=63)
+        index = build_index(make_items(params, 20, rng), params)
+        for k in (1, 5, 20):
+            search(index, query(params, rng), params, k=k, use_rerank=False)
+        assert index._context is None
+        if variant < Variant.CTXYNET:
+            with pytest.raises(UnsupportedVariantError):
+                search(index, query(params, rng), params, use_rerank=True)
+            assert index._context is None
+        empty = build_index([], params)
+        if variant >= Variant.CTXYNET:
+            assert search(empty, query(params, rng), params) == RankedList([], [])
+        assert empty._context is None
+
+    def test_a_stale_term_is_never_read(self):
+        rng = np.random.default_rng(64)
+        params = make_params(Variant.CTXYNET, seed=64)
+        other = make_params(Variant.CTXYNET, seed=65)
+        index = build_index(make_items(params, 25, rng), params)
+        raw = query(params, rng)
+        first = search(index, raw, params, k=10)
+        kept = index._context
+
+        # An in-place write to the head fails the fingerprint check before
+        # the term is read or made again.
+        params.tensors["ctx_attn.context_weight"][0, 0] += 0.5
+        with pytest.raises(FingerprintMismatchError):
+            search(index, raw, params, k=10)
+        assert index._context is kept
+
+        # Rebinding the fingerprint to the written model's makes the term
+        # again from the written weights.
+        index.fingerprint = params_fingerprint(params)
+        written = search(index, raw, params, k=10)
+        assert written == fresh_search(index, raw, params, 10)
+        assert written != first
+        assert index._context[0] == index.fingerprint and index._context is not kept
+
+        # So does rebinding it to another model's, and back.
+        for model in (other, params):
+            index.fingerprint = params_fingerprint(model)
+            assert search(index, raw, model, k=10) == fresh_search(index, raw, model, 10)
+            np.testing.assert_array_equal(
+                index._context[1], index.embeddings @ model.tensors["ctx_attn.context_weight"].T
+            )
+
+
 class TestChecks:
     def test_fingerprint_mismatch(self):
         rng = np.random.default_rng(8)
@@ -616,6 +723,39 @@ class TestPrecisionAtK:
         for k in (1.5, 1.0, "1"):
             with pytest.raises(ValueError, match=rf"^k must be an integer >= 1, got {k!r}$"):
                 precision_at_k(results, truth, index, k)
+
+    def test_matches_the_per_entry_count_with_one_rows_of_call(self, monkeypatch):
+        rng = np.random.default_rng(66)
+        params = make_params()
+        ids = (rng.permutation(60)[:40] * 3 + 5).tolist()
+        index = build_index(make_items(params, 40, rng, ids=ids), params)
+        product_of = dict(zip(index.item_ids.tolist(), index.product_ids.tolist()))
+        calls = []
+        rows_of = ShopIndex.rows_of
+        monkeypatch.setattr(ShopIndex, "rows_of", lambda self, i: calls.append(1) or rows_of(self, i))
+        monkeypatch.setattr(ShopIndex, "product_of", None)
+        for trial in range(30):
+            results = {}
+            for query_id in range(int(rng.integers(1, 12))):
+                ranked = rng.permutation(index.item_ids)[: int(rng.integers(0, 15))]
+                dists = np.sort(rng.uniform(size=len(ranked)))
+                # search returns a RankedList; any sequence of Ranked is read too.
+                results[query_id] = (
+                    RankedList(ranked, dists)
+                    if trial % 2
+                    else [Ranked(int(i), float(d)) for i, d in zip(ranked, dists)]
+                )
+            truth = {q: int(rng.integers(7)) for q in results if rng.random() < 0.8}
+            if not truth:
+                continue
+            ranked_ids = {q: [int(r[0]) for r in ranked] for q, ranked in results.items()}
+            for k in (1, 3, 20):
+                calls.clear()
+                got = precision_at_k(results, truth, index, k)
+                assert got == naive_precision_at_k(ranked_ids, product_of, truth, k)
+                assert len(calls) == 1
+        with pytest.raises(ValueError, match="item id 4 not in index"):
+            precision_at_k({0: RankedList([ids[0], 4], [0.0, 1.0])}, {0: product_of[ids[0]]}, index, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ class TestSampleTriples:
         # Product 3 has user images but no shop image, so it cannot anchor.
         dataset = records_dataset(shop_products=[0, 0, 1, 2], user_products=[0, 1, 2, 3, 3])
         records = dataset.manifest.records
-        with caplog.at_level(logging.WARNING, logger="xattn.training"):
+        with caplog.at_level(logging.WARNING, logger="xattn.dataio"):
             triples = sample_triples(dataset, 600, np.random.default_rng(0))
         assert "2 user images excluded" in caplog.text
         assert triples.shape == (600, 3) and triples.dtype == np.intp
@@ -61,6 +61,19 @@ class TestSampleTriples:
         assert set(triples[:, 0].tolist()) == users
         assert set(triples[:, 1].tolist()) == shops
         assert set(triples[:, 2].tolist()) == shops
+
+    def test_a_stage_warns_of_excluded_users_once(self, tmp_path, caplog):
+        # Product 0's shop images are left out of the manifest, so its user
+        # images cannot anchor; the stage samples once per epoch.
+        dataset, config, _ = tiny_split(tmp_path)
+        manifest = dataset.manifest
+        kept = tuple(r for r in manifest.records if r.domain == "user" or r.product_id != 0)
+        dataset = dataclasses.replace(dataset, manifest=dataclasses.replace(manifest, records=kept))
+        with caplog.at_level(logging.WARNING, logger="xattn.dataio"):
+            train_stage("ynet", dataset, TrainConfig(epochs={s: 3 for s in STAGES}), model_cfg=config)
+        warned = [r for r in caplog.records if "excluded from anchoring" in r.getMessage()]
+        assert len(warned) == 1
+        assert dataset.anchoring is dataset.anchoring
 
     def test_deterministic_given_the_rng(self):
         dataset = records_dataset(shop_products=[0, 1, 1, 2], user_products=[0, 1, 2, 2])
