@@ -147,7 +147,8 @@ def _ids(first: str, second: str, where: str, lineno: int) -> tuple[int, int]:
     return ids
 
 
-def load_tag_vocab(path: Path) -> tuple[str, ...]:
+def load_tag_vocab(path: "Path | str") -> tuple[str, ...]:
+    path = Path(path)
     names: dict[int, str] = {}
     for lineno, (raw_id, name) in _rows(path, "tag vocabulary", 2, f"{path.name} "):
         try:
@@ -331,7 +332,8 @@ class Dataset:
         return Anchoring(shop_rows, own_by_product, anchors)
 
 
-def load_ground_truth(path: Path) -> dict[int, int]:
+def load_ground_truth(path: "Path | str") -> dict[int, int]:
+    path = Path(path)
     truth: dict[int, int] = {}
     where = f"{path.name} "
     for lineno, (raw_user, raw_product) in _rows(path, "ground truth", 2, where):

@@ -27,17 +27,21 @@ within 1e-12 for unit contexts without forming the normalised rows
 (``_context_distances``). Either way each query sorts its ``k``
 results once, by (distance, item id).
 
-The initial stage is an exact two-pass scan. When ``SCREEN_RATIO * k <=
-N``, a first pass scores the whole index through a float32 copy of its
-rows scaled to unit length, which reads half the bytes of the float64
-matrix. It keeps every row whose screened score is within a proven
-rounding bound of the k-th best, so every row of the exact top k is kept
-(``_candidates`` gives the bound and its proof). The second pass scores
-only the kept rows in float64 and selects among them with the same tie
-rule as a full scan, so the result equals a full scan bit for bit. With
-larger k, the full float64 scan runs alone. The full scan and the second
-pass compute distances through ``np.vecdot``, one row at a time: a row's
-distance then has the same bits whichever rows are scored with it. A matrix-vector
+Every index row is a unit embedding, as ``embed_shops`` makes it:
+``ShopIndex`` refuses a row whose squared norm is above ``MAX_SQ_NORM``,
+and ``load_index`` reports such an entry at its offset. The initial stage
+is an exact two-pass scan. When ``SCREEN_RATIO * k <= N``, a first pass
+scores the whole index through a float32 copy of its rows, which reads
+half the bytes of the float64 matrix. It keeps every row whose screened
+score is within a rounding margin of the k-th best; with every row and
+the query of norm at most 1 (up to rounding), that margin depends on C
+alone, and every row of the exact top k is kept (``_candidates`` gives
+the margin and its proof). The second pass scores only the kept rows in
+float64 and selects among them with the same tie rule as a full scan, so
+the result equals a full scan bit for bit. With larger k, the full
+float64 scan runs alone. The full scan and the second pass compute
+distances through ``np.vecdot``, one row at a time: a row's distance then
+has the same bits whichever rows are scored with it. A matrix-vector
 product (``@``) gives no such promise: with OpenBLAS, ``E[rows] @ q`` and
 ``(E @ q)[rows]`` differed in the last bit for most random row subsets.
 
@@ -51,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import math
 import struct
 from dataclasses import dataclass
 from numbers import Integral
@@ -111,19 +114,27 @@ SCREEN_RATIO = 16
 _U32 = 2.0**-24
 _U64 = 2.0**-53
 
-# Rows below this norm cannot be scaled to unit length from their float64
-# squared norm (it is subnormal or zero); their screen row stays zero.
-_TINY_NORM = 2.0**-510
-
-# The screen's bound holds while (largest row norm + query norm) lies in
-# this range: the query casts to float32 without overflow, no float64 step
-# overflows, and the rounding bound stays a normal number. Outside it the
-# full scan runs.
-_SCREEN_REACH = (2.0**-400, 2.0**120)
+# The largest squared norm of an index row. A row that normalize_rows
+# made has a squared norm within 2 gamma_C + 6 u of 1 as ShopIndex takes
+# it (two sums of C squares, each within gamma_C = C u / (1 - C u), and a
+# few roundings of u = 2^-53); that is below 2^-20 for every C up to 2^31.
+MAX_SQ_NORM = 1.0 + 2.0**-20
 
 
 class IndexFormatError(FormatError):
     """Index bytes could not be parsed; ``offset`` locates the fault."""
+
+
+class _LongRowError(ValueError):
+    """An index row is longer than a unit embedding; ``load_index`` reads
+    ``row`` to report the entry's offset."""
+
+    def __init__(self, row: int, sq_norm: float) -> None:
+        super().__init__(
+            f"index row {row} has squared norm {sq_norm!r}, above {MAX_SQ_NORM!r}: "
+            "rows must be unit embeddings"
+        )
+        self.row = row
 
 
 class FingerprintMismatchError(ValueError):
@@ -198,12 +209,12 @@ class ShopIndex:
     stores it, (N, ceil(T/8)) uint8; only ``save_index`` reads it. The
     columns are read-only once the index exists.
 
-    The scan reads columns derived in memory: ``_sq_norms`` (each row's
-    squared norm, which the re-rank reads too) when the index is made, and
-    the screen's ``_norms`` (each row's float64 norm), ``_max_norm`` (the
-    largest norm) and ``_screen`` (each row scaled to unit length, as
-    float32; a zero row stays zero) on the first scan that screens, so an
-    index that is only built and saved never pays for them. The re-rank
+    Every row is a unit embedding, up to rounding: a row whose squared
+    norm is above ``MAX_SQ_NORM`` raises a ValueError that names it. The
+    scan reads columns derived in memory: ``_sq_norms`` (each row's squared
+    norm, which the re-rank reads too) when the index is made, and
+    ``_screen`` (the rows as float32) on the first scan that screens, so an
+    index that is only built and saved never pays for it. The re-rank
     reads ``_context_term``: the N x L ``embeddings @ context_weight.T``
     (N x L x 8 bytes, 392 KB at N=1000, L=49), made by the first
     re-ranking ``search`` and kept with the fingerprint it was made under.
@@ -244,28 +255,15 @@ class ShopIndex:
             column.flags.writeable = False
         # The scan expands |e - q|^2 = |e|^2 - 2 e.q + |q|^2.
         self._sq_norms = np.einsum("ij,ij->i", self.embeddings, self.embeddings)
+        if np.maximum.reduce(self._sq_norms, initial=0.0) > MAX_SQ_NORM:
+            row = int(np.argmax(self._sq_norms > MAX_SQ_NORM))
+            raise _LongRowError(row, float(self._sq_norms[row]))
         # (fingerprint, context term) of the last re-ranking model.
         self._context: tuple[bytes, np.ndarray] | None = None
 
     @functools.cached_property
-    def _norms(self) -> np.ndarray:
-        return np.sqrt(self._sq_norms)
-
-    @functools.cached_property
-    def _max_norm(self) -> float:
-        return float(self._norms.max(initial=0.0))
-
-    @functools.cached_property
     def _screen(self) -> np.ndarray:
-        # Divided straight into float32, with no N x C float64 temporary.
-        # Rows too small to scale divide by infinity and stay zero.
-        scale = np.where(self._norms >= _TINY_NORM, self._norms, np.inf)
-        return np.divide(
-            self.embeddings,
-            scale[:, None],
-            out=np.empty(self.embeddings.shape, np.float32),
-            casting="same_kind",
-        )
+        return self.embeddings.astype(np.float32)
 
     def _context_term(self, context_weight: np.ndarray) -> np.ndarray:
         """``embeddings @ context_weight.T``, read-only: row i holds
@@ -367,50 +365,45 @@ def _distances(index: ShopIndex, query: np.ndarray, rows: np.ndarray | None = No
 
 def _candidates(index: ShopIndex, query: np.ndarray, k: int) -> np.ndarray | None:
     """Ascending rows that hold every row of the exact ``k`` nearest to
-    ``query``, found through the float32 screen; None where every row must
-    be scored (``k >= N``, or norms outside ``_SCREEN_REACH``).
+    ``query``, found through the float32 screen; None for ``k >= N``, where
+    every row must be scored.
 
-    Row ``i``'s screened score is ``a_i = |e_i|^2 - 2 t_i``, where ``t_i =
-    |e_i| (s_i . float32(q))`` estimates ``e_i . q`` from the unit screen
-    row ``s_i``. With ``M`` the largest row norm, the estimate errs by at
-    most
+    ``query`` has norm at most 1 up to rounding, as ``uniform_embedding``
+    makes it, and so has every index row (``MAX_SQ_NORM``): for C up to
+    2^31, both norms are at most ``M = 1 + 2^-20``. Row ``i``'s screened
+    score is ``a_i = |e_i|^2 - 2 t_i``, with the squared norm ``_distances``
+    reads, where ``t_i`` is the float32 dot product of the float32 row and
+    query. It errs from ``e_i . q`` by at most
 
-        beta = gamma_{C+4} M |q| + C 2^-126 M (1 + |q|) + 2^-510 |q|,
+        beta = gamma_{C+2} M^2 + C 2^-148,
 
     where ``gamma_n = n 2^-24 / (1 - n 2^-24)``. The first term covers
-    rounding ``s_i`` and ``q`` to float32 and the float32 dot product, in
-    any summation order; the second, underflow to float32 subnormals; the
-    third, rows too small to scale, which screen as zero. Adding ``|q|^2``
-    to ``a_i`` gives the row's distance ``d_i`` within ``2 beta``, up to
-    float64 roundings of a few ulps of ``(M + |q|)^2``, which ``rho``
-    covers. So:
+    rounding the row and the query to float32 and the float32 dot product,
+    in any summation order. The second covers underflow to float32
+    subnormals: each rounded entry and product loses at most 2^-150, and
+    their sum, ``(2 sqrt(C) M + C) 2^-150`` through the dot product's
+    rounding, stays below ``C 2^-148``. Adding ``|q|^2`` to ``a_i`` gives
+    the row's distance ``d_i`` within ``2 beta + rho / 2``, where ``rho = 8
+    (C + 6) 2^-53 M^2`` covers the float64 dot product of ``_distances``
+    (its underflow costs at most ``C 2^-1074``) and the float64 roundings
+    of terms below ``4 M^2``, the margin's sum included. So:
 
-    - the k rows with the smallest ``a`` have ``d <= a_(k) + 2 beta``, so
-      the k-th smallest distance is at most that;
-    - every row has ``a_i <= d_i + 2 beta``, so every row of the exact top
-      k has ``a_i <= a_(k) + 4 beta + rho``, and is kept.
+    - the k rows with the smallest ``a`` have ``d <= a_(k) + |q|^2 + 2 beta
+      + rho / 2``, so the k-th smallest distance is at most that;
+    - every row of the exact top k, ties at the k-th distance included,
+      has ``a_i <= a_(k) + 4 beta + rho``, and is kept.
 
-    A row whose score is NaN is kept too.
+    The margin depends on C alone. A row whose score is NaN is kept too.
     """
     n, channels = index.embeddings.shape
     if k >= n:
         return None
-    q_norm = math.sqrt(query @ query)
-    reach = index._max_norm + q_norm
-    if not _SCREEN_REACH[0] <= reach <= _SCREEN_REACH[1]:
-        return None
-    scores = index._norms * (index._screen @ query.astype(np.float32))
-    scores *= -2.0
-    scores += index._sq_norms
-    gamma = (channels + 4) * _U32 / (1.0 - (channels + 4) * _U32)
-    beta = (
-        gamma * index._max_norm * q_norm
-        + channels * 2.0**-126 * index._max_norm * (1.0 + q_norm)
-        + _TINY_NORM * q_norm
-    )
-    rho = 8 * (channels + 2) * _U64 * reach * reach
+    scores = index._sq_norms - 2.0 * (index._screen @ query.astype(np.float32))
+    m2 = (1.0 + 2.0**-20) ** 2
+    gamma = (channels + 2) * _U32 / (1.0 - (channels + 2) * _U32)
+    margin = 4.0 * (gamma * m2 + channels * 2.0**-148) + 8 * (channels + 6) * _U64 * m2
     kth = np.partition(scores, k - 1)[k - 1]
-    return np.flatnonzero(~(scores > kth + 4.0 * beta + rho))
+    return np.flatnonzero(~(scores > kth + margin))
 
 
 def _scan(index: ShopIndex, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -564,8 +557,8 @@ def load_index(path: "Path | str", channels: int, tag_count: int) -> ShopIndex:
     """Parse an index file; entry sizes come from the model config.
 
     The file length is checked against the size the entry count implies
-    before any column is allocated. Embeddings must be finite, and ids must
-    fit in int64 and increase.
+    before any column is allocated. Embeddings must be finite unit rows
+    (``MAX_SQ_NORM``), and ids must fit in int64 and increase.
     """
     reader = Reader(Path(path).read_bytes(), IndexFormatError)
     magic, version, fingerprint, count = reader.unpack(_HEADER, "header")
@@ -587,10 +580,13 @@ def load_index(path: "Path | str", channels: int, tag_count: int) -> ShopIndex:
         reader.fail(
             "item ids are not strictly increasing", _HEADER.size + int(bad[0] + 1) * entry.itemsize
         )
-    return ShopIndex(
-        item_ids=item_ids,
-        product_ids=product_ids,
-        tag_bits=np.array(entries["tags"], dtype=np.uint8),
-        embeddings=np.array(entries["embedding"], dtype=np.float64),
-        fingerprint=fingerprint,
-    )
+    try:
+        return ShopIndex(
+            item_ids=item_ids,
+            product_ids=product_ids,
+            tag_bits=np.array(entries["tags"], dtype=np.uint8),
+            embeddings=np.array(entries["embedding"], dtype=np.float64),
+            fingerprint=fingerprint,
+        )
+    except _LongRowError as exc:
+        reader.fail(str(exc), _HEADER.size + exc.row * entry.itemsize)

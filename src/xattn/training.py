@@ -34,10 +34,6 @@ from .model import (
 STAGES = tuple(variant.name.lower() for variant in Variant)
 
 
-class TrainingDivergedError(RuntimeError):
-    """The loss stopped being finite."""
-
-
 def _default_margins() -> dict[str, float]:
     return {"ynet": 0.3, "tagynet": 0.3, "ctxynet": 0.5}
 
@@ -74,10 +70,15 @@ class TrainConfig:
         # A checkpoint stores the epoch count as a u32 and the seed as a u64.
         if not isinstance(self.seed, Integral) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64) and an integer, got {self.seed!r}")
-        for stage in STAGES:
-            for name, table in (("margins", self.margins), ("epochs", self.epochs)):
+        for name, table in (("margins", self.margins), ("epochs", self.epochs)):
+            # A misspelt stage would otherwise be ignored.
+            for key in table:
+                if key not in STAGES:
+                    raise ValueError(f"{name} has an entry for {key!r}, which is not a stage")
+            for stage in STAGES:
                 if stage not in table:
                     raise ValueError(f"{name} has no entry for stage {stage!r}")
+        for stage in STAGES:
             count = self.epochs[stage]
             if not isinstance(count, Integral) or not 0 <= count < 2**32:
                 raise ValueError(
@@ -231,10 +232,6 @@ def train_stage(
                     alpha,
                     frozen_trunk=frozen_trunk,
                 )
-                if not math.isfinite(loss):
-                    raise TrainingDivergedError(
-                        f"non-finite loss at stage {stage} epoch {epoch}"
-                    )
                 batch_loss += loss
                 for name, grad in grads.items():
                     if name in grads_sum:

@@ -209,6 +209,71 @@ class TestTextFiles:
         with pytest.raises(ManifestError, match="line 4: feature file missing"):
             load_dataset(train_dir)
 
+    @pytest.mark.parametrize(
+        "name, lineno, text, message",
+        [
+            pytest.param(
+                MANIFEST_NAME, 5, "1\tuser\t1\tfeatures/000004.xfmp\t",
+                "line 5: duplicate item id 1", id="manifest-duplicate-id",
+            ),
+            pytest.param(
+                MANIFEST_NAME, 3, "2\tstore\t0\tfeatures/000002.xfmp\t0",
+                "line 3: unknown domain 'store'", id="manifest-unknown-domain",
+            ),
+            pytest.param(
+                MANIFEST_NAME, 4, "3\tuser\t1\t\t",
+                "line 4: empty feature path", id="manifest-empty-path",
+            ),
+            pytest.param(
+                MANIFEST_NAME, 1, "0\tuser\t0\tfeatures/000000.xfmp\t1",
+                "line 1: user records must not carry tags", id="manifest-user-tags",
+            ),
+            pytest.param(
+                MANIFEST_NAME, 6, "5\tshop\t1\tfeatures/000005.xfmp\t1;2",
+                "line 6: bad tag list '1;2'", id="manifest-bad-tag-list",
+            ),
+            pytest.param(
+                MANIFEST_NAME, 9, "8\tshop\t2\tfeatures/000008.xfmp\t0,3",
+                "line 9: tag id 3 outside vocabulary of 3", id="manifest-tag-outside-vocabulary",
+            ),
+            pytest.param(MANIFEST_NAME, None, "", "no records", id="manifest-no-records"),
+            pytest.param(
+                TAGS_NAME, 2, "one\tattr-1", f"{TAGS_NAME} line 2: bad tag id 'one'", id="tags-bad-id"
+            ),
+            pytest.param(
+                TAGS_NAME, 3, "1\tattr-2", f"{TAGS_NAME} line 3: duplicate tag id 1", id="tags-duplicate-id"
+            ),
+            pytest.param(
+                TAGS_NAME, 3, "5\tattr-2", f"{TAGS_NAME}: tag ids must be contiguous from 0",
+                id="tags-not-contiguous",
+            ),
+            pytest.param(TAGS_NAME, None, " \t", f"{TAGS_NAME}: no tags", id="tags-none"),
+            pytest.param(
+                GROUND_TRUTH_NAME, 4, "1\t1", f"{GROUND_TRUTH_NAME} line 4: duplicate user id 1",
+                id="ground-truth-duplicate-user",
+            ),
+        ],
+    )
+    def test_each_fault_names_its_line(self, train_dir, name, lineno, text, message):
+        # One line replaced, or every line when there is no line to name.
+        path = train_dir / name
+        lines = path.read_text(encoding="utf-8").split("\n")
+        for number in range(1, len(lines) + 1) if lineno is None else (lineno,):
+            lines[number - 1] = text
+        path.write_text("\n".join(lines), encoding="utf-8")
+        load = {MANIFEST_NAME: load_manifest, TAGS_NAME: load_tag_vocab, GROUND_TRUTH_NAME: load_ground_truth}
+        with pytest.raises(ManifestError) as err:
+            load[name](path)
+        assert type(err.value) is ManifestError and str(err.value) == message
+
+    def test_every_table_loader_takes_a_str_path(self, train_dir):
+        for name, load in (
+            (MANIFEST_NAME, load_manifest),
+            (TAGS_NAME, load_tag_vocab),
+            (GROUND_TRUTH_NAME, load_ground_truth),
+        ):
+            assert load(str(train_dir / name)) == load(train_dir / name)
+
     def test_missing_feature_file(self, train_dir):
         second = load_manifest(train_dir / MANIFEST_NAME).records[1].path
         (train_dir / second).unlink()

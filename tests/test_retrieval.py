@@ -17,7 +17,7 @@ from xattn.model import (
     init_params,
     params_fingerprint,
 )
-from xattn.numeric import l2_normalize
+from xattn.numeric import l2_normalize, normalize_rows
 from xattn.retrieval import (
     BUILD_ROWS,
     SCREEN_RATIO,
@@ -324,15 +324,23 @@ def bits(values):
 
 @st.composite
 def screen_cases(draw):
-    """An index of N in [1, 300] rows of C in [1, 64] channels, row norms
-    between 1e-30 and 1e30, with duplicate rows, rows one ulp apart and zero
-    rows, and a query that may be zero or equal to a row."""
+    """An index of N in [1, 300] rows of C in [1, 64] channels and a query,
+    all of norm at most 1, as a search sees them. Each row is
+    ``normalize_rows`` output for a row of norm 1e-60 to 1e300 (so some
+    overflow and some fall below NORM_EPS), some of them scaled down by up
+    to 1e-60; there are duplicate rows, rows one ulp apart and zero rows.
+    The query is unit, tiny, zero or equal to a row."""
     n = draw(st.integers(1, 300))
-    channels = draw(st.integers(1, 64))
+    channels = draw(st.one_of(st.just(1), st.integers(1, 64)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    low, high = sorted(draw(st.floats(-30, 30)) for _ in range(2))
+    # + 0.0 makes -0.0 a 0.0, which rng.uniform would refuse as a high below 0.0.
+    low, high = sorted(draw(st.floats(-60, 300)) + 0.0 for _ in range(2))
     rows = rng.normal(size=(n, channels))
     rows *= (10.0 ** rng.uniform(low, high, n) / np.linalg.norm(rows, axis=1))[:, None]
+    with np.errstate(over="ignore"):
+        rows = normalize_rows(rows).unit
+    short = rng.random(n) < draw(st.floats(0, 1))
+    rows[short] *= 10.0 ** rng.uniform(-60, 0, (short.sum(), 1))
     for kind in draw(st.lists(st.sampled_from(["duplicate", "ulp", "zero"]), max_size=n)):
         target, source = rng.integers(n, size=2)
         if kind == "duplicate":
@@ -341,14 +349,15 @@ def screen_cases(draw):
             rows[target] = np.nextafter(rows[source], np.inf)
         else:
             rows[target] = 0.0
-    kind = draw(st.sampled_from(["zero", "row", "random"]))
+    kind = draw(st.sampled_from(["unit", "tiny", "zero", "row"]))
     if kind == "zero":
         q = np.zeros(channels)
     elif kind == "row":
         q = rows[rng.integers(n)].copy()
     else:
-        q = rng.normal(size=channels)
-        q *= 10.0 ** draw(st.floats(-30, 30)) / np.linalg.norm(q)
+        q = l2_normalize(rng.normal(size=channels))
+        if kind == "tiny":
+            q *= 10.0 ** draw(st.floats(-60, -1))
     return rows, q
 
 
@@ -363,11 +372,9 @@ class TestScreen:
         for k in range(1, n + 3):
             want = nearest_rows(dists, k)
             candidates = retrieval._candidates(index, q, k)
-            # All zero: no norm to bound the rounding by.
-            if k >= n or not (rows.any() or q.any()):
+            if k >= n:
                 assert candidates is None
                 continue
-            assert candidates is not None
             assert np.all(np.diff(candidates) > 0)
             assert np.isin(want, candidates).all()
             got = retrieval._distances(index, q, candidates)
@@ -378,8 +385,8 @@ class TestScreen:
     @pytest.mark.parametrize("channels", [1, 3, 7, 64, 128, 129])
     def test_distances_do_not_depend_on_the_row_set(self, channels):
         rng = np.random.default_rng(channels)
-        index = column_index(rng.normal(size=(301, channels)))
-        q = rng.normal(size=channels)
+        index = column_index(l2_normalize(rng.normal(size=(301, channels))))
+        q = l2_normalize(rng.normal(size=channels))
         everything = retrieval._distances(index, q)
         for _ in range(100):
             rows = rng.choice(301, size=int(rng.integers(1, 302)), replace=False)
@@ -397,14 +404,14 @@ class TestScreen:
             assert len(retrieval._candidates(index, q, 20)) < 40
 
     def test_zero_and_tiny_rows_screen_as_zero(self):
-        # Squared norms of 0, 0 (underflow) and 1e-320 (subnormal), 25.
-        rows = np.array([[0.0, 0.0], [1e-200, 0.0], [1e-160, 0.0], [3.0, 4.0]])
+        # The screen is the rows cast to float32: 1e-200 and 1e-160 round
+        # to zero there, and a unit row keeps float32's nearest values.
+        rows = np.array([[0.0, 0.0], [1e-200, 0.0], [1e-160, 0.0], [0.6, 0.8]])
         index = column_index(rows)
         assert np.array_equal(index._screen, np.float32([[0, 0], [0, 0], [0, 0], [0.6, 0.8]]))
-        assert index._screen.dtype == np.float32 and index._max_norm == 5.0
+        assert index._screen.dtype == np.float32
 
     def test_screen_is_built_by_the_first_scan_that_screens(self, tmp_path):
-        lazy = ("_norms", "_max_norm", "_screen")
         rng = np.random.default_rng(15)
         params = make_params(Variant.TAGYNET)
         built = build_index(make_items(params, 64, rng), params)
@@ -412,12 +419,12 @@ class TestScreen:
         loaded = load_index(tmp_path / "index.xidx", params.config.channels, params.config.tag_count)
         raw = query(params, rng)
         for index in (built, loaded):
-            assert not any(name in vars(index) for name in lazy)
+            assert "_screen" not in vars(index)
             # 64 < SCREEN_RATIO * 5: a full scan, which reads no screen.
             full = search(index, raw, params, k=5, use_rerank=False)
-            assert not any(name in vars(index) for name in lazy)
+            assert "_screen" not in vars(index)
             screened = search(index, raw, params, k=4, use_rerank=False)
-            assert all(name in vars(index) for name in lazy)
+            assert "_screen" in vars(index)
             assert screened == full[:4]
 
     def test_search_prefixes_agree_across_the_screen_boundary(self):
@@ -907,6 +914,26 @@ class TestIndexFile:
         again = directory / "again.xidx"
         save_index(again, loaded)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("scale", [1 + 2.0**-19, 2.0, 1e200])
+    def test_rows_longer_than_a_unit_embedding_are_refused(self, tmp_path, scale):
+        params, index, path = saved_index(tmp_path, count=3)
+        channels, tags = params.config.channels, params.config.tag_count
+        assert np.all(index._sq_norms <= retrieval.MAX_SQ_NORM)
+        longer = index.embeddings.copy()
+        longer[1] *= scale
+        message = r"index row 1 has squared norm .*, above .*: rows must be unit embeddings"
+        # At 1e200 the squared norm overflows to inf, which is refused too.
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^{message}$"):
+            ShopIndex(index.item_ids, index.product_ids, index.tag_bits, longer, index.fingerprint)
+        # The same row in a file: entry 1's embedding is its last 8 C bytes.
+        data = bytearray(path.read_bytes())
+        size = (len(data) - 48) // 3
+        data[48 + 2 * size - 8 * channels : 48 + 2 * size] = longer[1].astype("<f8").tobytes()
+        path.write_bytes(bytes(data))
+        with np.errstate(over="ignore"), pytest.raises(IndexFormatError, match=message) as err:
+            load_index(path, channels, tags)
+        assert err.value.offset == 48 + size
 
     def test_negative_ids_cannot_be_saved(self, tmp_path):
         params = make_params()

@@ -139,6 +139,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{table} has no entry for stage 'tagynet'"):
             TrainConfig(**{table: {"ynet": 1, "ctxynet": 1}})
 
+    @pytest.mark.parametrize("table", ["margins", "epochs"])
+    @pytest.mark.parametrize("key", ["ctxnet", "YNet", 1])
+    def test_an_entry_for_no_stage_is_refused(self, table, key):
+        # A misspelt stage beside the three real ones would be ignored.
+        with pytest.raises(ValueError, match=rf"^{table} has an entry for {key!r}, which is not a stage$"):
+            TrainConfig(**{table: {"ynet": 1, "tagynet": 1, "ctxynet": 1, key: 5}})
+
     @pytest.mark.parametrize("count", [-1, 2**32, 1.5, 2.0])
     def test_epoch_count_must_fit_the_checkpoint(self, count):
         # The checkpoint stores the epoch count as a u32.
@@ -252,6 +259,17 @@ class TestCurriculum:
             )
             with pytest.raises(ValueError, match=rf"^dataset features are {re.escape(str(shape))}, model expects \(2, 2\)$"):
                 train_stage("ynet", odd, cfg, model_cfg=config)
+
+    def test_a_diverging_stage_fails_at_the_unit_norm_gate(self, tmp_path):
+        # Steps of 1e200 overflow the parameters after the first batch. The
+        # embeddings then stop being unit rows, and triplet_loss, which
+        # checks every row it compares, refuses them: no loss that is not
+        # finite reaches the stage.
+        dataset, config, _ = tiny_split(tmp_path)
+        cfg = TrainConfig(base_lr=1e200, batch_size=2, epochs={s: 3 for s in STAGES})
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^embeddings must be L2-normalized$") as err:
+            train_stage("ynet", dataset, cfg, model_cfg=config)
+        assert err.traceback[-1].name == "triplet_loss"
 
     def test_same_bytes_as_the_loop_that_summed_every_gradient(self, tmp_path):
         # 14 users in batches of 3, and margins small enough that every
