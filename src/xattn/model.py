@@ -54,16 +54,17 @@ user branch and the shops' rows the shop pass, and, in the context
 variant, the anchor is attended under both shops as K=2 contexts with the
 same ``context_attend``, whose context term it forms as ``context_weight
 @ shops.T``. Each row of the trunk's product depends on its own input row
-alone, so the shop embeddings equal the serving ones bit for bit. The
-anchor embeddings are ``l2_normalize`` of the pooled rows the re-rank
-scores, to rounding: the two products of the context term may differ in
-the last bits. It keeps the trunk activations, the shop pass's keys
-and pooled hidden rows, the attention results and the norms the
-embeddings were divided by, and ``backward_triple`` calls it once and
-walks back over them; the gradient check differences the same
-``forward_triple``. The shop gradient reaches the trunk through the ReLU
-mask of the hidden maps alone, with no product through the branch at each
-location. In the stages that freeze the trunk, ``backward_triple`` skips
+alone, so the shop embeddings equal the serving ones, bit for bit where
+the BLAS gives a row the same bits in products of any row count (see
+``forward_triple``). The anchor embeddings are ``l2_normalize`` of the
+pooled rows the re-rank scores, to rounding: the two products of the
+context term may differ in the last bits. It keeps the trunk
+activations, the shop pass's keys and pooled hidden rows, the attention
+results and the norms the embeddings were divided by, and
+``backward_triple`` calls it once and walks back over them; the gradient
+check differences the same ``forward_triple``. The shop gradient reaches
+the trunk through the ReLU mask of the hidden maps alone, with no product
+through the branch at each location. In the stages that freeze the trunk, ``backward_triple`` skips
 the trunk gradients and the hidden maps' gradient only they read.
 
 A training step costs one trunk pass, one ``forward_triple`` and one
@@ -85,12 +86,15 @@ when the trunk is frozen.
 and ``search`` checks it on every query. Tensors change in place (SGD, the
 gradient check, callers), so a digest from an earlier call cannot be
 trusted on its own. Each ``ModelParams`` keeps its last digest with a
-snapshot of exactly the bytes hashed: the config frame and each tensor's
-name, shape and float64 payload. A call compares the current config and
-tensors with the snapshot, returns the kept digest only when every byte
-matches, and re-hashes otherwise. The digest is a function of those bytes
-alone, so on a full match it is the digest a fresh hash would give; the
-compare is a memcmp that costs a fraction of the SHA-256 it replaces.
+record of exactly the bytes hashed: the config frame and each tensor's
+name, shape and float64 payload. A call returns the kept digest only when
+the current config and tensors still hold those bytes, and re-hashes
+otherwise. The digest is a function of those bytes alone, so then it is
+the digest a fresh hash would give. A loaded checkpoint's tensors live in
+``bytes`` objects, which nothing can write, so for them the check is one
+identity test per tensor. Every other tensor is compared with a copy of
+the bytes hashed, a memcmp that costs a fraction of the SHA-256 it
+replaces.
 
 Checkpoint file format (little endian): magic ``XATN``, version u32, then
 u32 variant, locations, channels, tag count, raw dim and epoch, seed u64,
@@ -199,7 +203,12 @@ class ModelParams:
     order. The order is the checkpoint's and the fingerprint's.
 
     ``==`` is identity: two objects with equal tensors are not equal.
-    Compare ``params_fingerprint`` values to compare contents."""
+    Compare ``params_fingerprint`` values to compare contents.
+
+    The tensors of a loaded checkpoint are read-only: each is an array over
+    a ``bytes`` object, and numpy refuses to write to it or to make it
+    writeable. ``copy()`` and ``init_params(config, rng, base=params)`` give
+    writable ones, as every other way of making params does."""
 
     config: ModelConfig
     tensors: dict[str, np.ndarray]
@@ -431,7 +440,14 @@ def forward_triple(
     ``uniform_embedding(extract_features(anchor_raw, "user", params))``, as
     both anchor rows. Each row of the trunk's product depends only on its
     own input row, and a row normalises to the same bits alone or in a
-    stack, so the embeddings equal their serving forms bit for bit.
+    stack, so the embeddings equal their serving forms, bit for bit where
+    the BLAS gives each row of the trunk's 3L-row product the bits it gets
+    in serving's L-row (anchor) or 2L-row (shops) product. With OpenBLAS
+    that holds at (L, C, R) = (9, 16, 16) and (49, 128, 128), which the
+    tests pin, under one thread and under the default count. It does not
+    hold at (4, 128, 128): at C = 128, a product of 1 to 9 rows gives its
+    rows other bits than the same rows in a longer product, so there the
+    embeddings equal their serving forms to rounding only.
     """
     shape = np.shape(anchor_raw)
     if np.shape(positive_raw) != shape or np.shape(negative_raw) != shape:
@@ -623,13 +639,68 @@ def _config_frame(config: ModelConfig) -> bytes:
     )
 
 
+def _owned_by_bytes(tensor: np.ndarray) -> bool:
+    """Whether a ``bytes`` object owns ``tensor``'s memory. numpy refuses
+    every write to such memory and refuses to make it writeable, so its
+    contents never change. A read-only ``np.memmap`` is not such memory:
+    its file can change underneath."""
+    base = tensor
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base is not tensor and type(base) is bytes
+
+
+class _HashedTensor(NamedTuple):
+    """What ``params_fingerprint`` last hashed of one tensor: its name, the
+    shape and float64 payload hashed, and how a later call tells that the
+    tensor still holds those bytes.
+
+    For a tensor that ``bytes`` own, ``frozen`` is the array itself with
+    its shape, strides and dtype, and ``payload`` is read from it in
+    place. For any other tensor, ``frozen`` is None and ``payload`` is a
+    copy."""
+
+    name: str
+    shape: tuple[int, ...]
+    payload: np.ndarray | bytearray
+    frozen: tuple[np.ndarray, tuple[int, ...], tuple[int, ...], np.dtype] | None
+
+    @classmethod
+    def of(cls, name: str, tensor: np.ndarray) -> "_HashedTensor":
+        payload = np.ascontiguousarray(tensor, dtype="<f8")
+        if _owned_by_bytes(tensor):
+            frozen = (tensor, tensor.shape, tensor.strides, tensor.dtype)
+            return cls(name, payload.shape, payload, frozen)
+        # A copy, so the digest kept is the digest of the bytes kept even
+        # if the tensor changes meanwhile.
+        return cls(name, payload.shape, bytearray(payload), None)
+
+    def holds(self, name: str, tensor: np.ndarray) -> bool:
+        """Whether ``tensor``, named ``name``, holds the bytes hashed."""
+        if name != self.name:
+            return False
+        if self.frozen is not None:
+            # Its memory cannot change; its shape, strides and dtype can be
+            # reassigned in place.
+            array, shape, strides, dtype = self.frozen
+            return (
+                tensor is array
+                and tensor.shape == shape
+                and tensor.strides == strides
+                and tensor.dtype == dtype
+            )
+        payload = np.ascontiguousarray(tensor, dtype="<f8")
+        # bytearray == array is a memcmp of the two buffers; the array is
+        # not copied.
+        return payload.shape == self.shape and self.payload == payload
+
+
 class _HashedBytes(NamedTuple):
     """What ``params_fingerprint`` last hashed for one ``ModelParams``: the
-    config frame and each tensor's name, shape and float64 payload bytes,
-    with the digest of them."""
+    config frame and each tensor, with the digest of them."""
 
     config_frame: bytes
-    tensors: tuple[tuple[str, tuple[int, ...], bytearray], ...]
+    tensors: tuple[_HashedTensor, ...]
     digest: bytes
 
 
@@ -637,41 +708,39 @@ def params_fingerprint(params: ModelParams) -> bytes:
     """32-byte SHA-256 of the config plus every tensor, framed as in a
     checkpoint.
 
-    ``params`` keeps the last digest with a copy of the bytes it was
+    ``params`` keeps the last digest with a record of the bytes it was
     computed from: the config frame and each tensor's name, shape and
     little-endian float64 payload. The digest is returned from there only
-    when the current config and tensors equal that copy byte for byte, so
+    when the current config and tensors still hold those bytes, so
     in-place writes (a sign flip of a zero or a NaN's payload bits
     included), a rebound or deleted tensor and a replaced config all lead
-    to a fresh hash. The compare reads each tensor once, in place, and
-    costs a fraction of hashing it.
+    to a fresh hash.
+
+    A tensor whose memory a ``bytes`` object owns, as every tensor of a
+    loaded checkpoint, cannot change in place: it still holds its bytes
+    while it is the same array object with the same shape, strides and
+    dtype, and the check reads none of its values. Every other tensor
+    (trained, ``init_params`` and ``copy()`` params) is compared with a
+    copy of its payload, a memcmp that reads it once in place and costs a
+    fraction of hashing it.
     """
     config_frame = _config_frame(params.config)
-    payloads = [
-        (name, np.ascontiguousarray(arr, dtype="<f8")) for name, arr in params.named_tensors()
-    ]
+    tensors = list(params.named_tensors())
     kept = params._fingerprint
     if (
         kept is not None
         and kept.config_frame == config_frame
-        and len(kept.tensors) == len(payloads)
-        # bytearray == array is a memcmp of the two buffers; the array is
-        # not copied.
-        and all(
-            name == kept_name and payload.shape == kept_shape and kept_bytes == payload
-            for (name, payload), (kept_name, kept_shape, kept_bytes) in zip(payloads, kept.tensors)
-        )
+        and len(kept.tensors) == len(tensors)
+        and all(record.holds(name, tensor) for record, (name, tensor) in zip(kept.tensors, tensors))
     ):
         return kept.digest
-    # Hash the copies rather than the live tensors, so the digest kept is
-    # the digest of the bytes kept even if a tensor changes meanwhile.
-    tensors = tuple((name, payload.shape, bytearray(payload)) for name, payload in payloads)
+    records = tuple(_HashedTensor.of(name, tensor) for name, tensor in tensors)
     hasher = hashlib.sha256(config_frame)
-    for name, shape, data in tensors:
-        hasher.update(_tensor_header(name, shape))
-        hasher.update(data)
+    for record in records:
+        hasher.update(_tensor_header(record.name, record.shape))
+        hasher.update(record.payload)
     digest = hasher.digest()
-    params._fingerprint = _HashedBytes(config_frame, tensors, digest)
+    params._fingerprint = _HashedBytes(config_frame, records, digest)
     return digest
 
 
@@ -702,6 +771,14 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
 
 
 def checkpoint_from_bytes(data: bytes) -> Checkpoint:
+    """Parse checkpoint bytes; a fault raises ``CheckpointFormatError``.
+
+    Each tensor is a read-only, aligned, C-contiguous ``<f8`` array over a
+    ``bytes`` object of its own, which shares no memory with ``data``.
+    Writing to it raises ``ValueError``; ``params.copy()`` gives writable
+    tensors. ``params_fingerprint`` checks such a tensor by identity and
+    never re-reads its values.
+    """
     reader = Reader(data, CheckpointFormatError)
     magic, version, variant_raw, *dims, epoch, seed = reader.unpack(_HEADER, "header")
     if magic != CHECKPOINT_MAGIC:
@@ -731,7 +808,9 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
         shape = tuple(reader.array("<u4", reader.u32("tensor rank"), "tensor dims").tolist())
         values = reader.array("<f8", math.prod(shape), f"tensor {name!r}", finite=True)
         try:
-            tensors[name] = values.reshape(shape).copy()
+            # Each tensor gets a bytes object of its own: no write can
+            # change it, so params_fingerprint need not re-read it.
+            tensors[name] = np.frombuffer(values.tobytes(), "<f8").reshape(shape)
         except ValueError:
             # numpy refuses more than 64 dims, and a zero dim next to dims
             # whose product overflows, even with the payload size right.
@@ -753,5 +832,7 @@ def save_checkpoint(path: str | os.PathLike, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
+    """``checkpoint_from_bytes`` of the file at ``path``: the tensors are
+    read-only."""
     with open(path, "rb") as fh:
         return checkpoint_from_bytes(fh.read())

@@ -207,7 +207,9 @@ class ShopIndex:
     ``item_ids`` and ``product_ids`` are (N,) int64, ``embeddings`` is
     (N, C) float64, and ``tag_bits`` keeps each tag set packed as the file
     stores it, (N, ceil(T/8)) uint8; only ``save_index`` reads it. The
-    columns are read-only once the index exists.
+    columns are read-only once the index exists. ``fingerprint`` is kept
+    as ``bytes``: a bytes-like value of 32 bytes is copied into one, and
+    anything else raises a ValueError that names its type or length.
 
     Every row is a unit embedding, up to rounding: a row whose squared
     norm is above ``MAX_SQ_NORM`` raises a ValueError that names it. The
@@ -249,8 +251,12 @@ class ShopIndex:
         # scan over them would return no rows instead of failing.
         if not np.isfinite(self.embeddings).all():
             raise ValueError("index embeddings must be finite")
+        # It keys _context and is saved as 32 raw bytes: keep it as bytes.
+        if not isinstance(self.fingerprint, (bytes, bytearray, memoryview)):
+            raise ValueError(f"fingerprint must be 32 bytes, got a {type(self.fingerprint).__name__}")
+        self.fingerprint = bytes(self.fingerprint)
         if len(self.fingerprint) != 32:
-            raise ValueError("fingerprint must be 32 bytes")
+            raise ValueError(f"fingerprint must be 32 bytes, got {len(self.fingerprint)}")
         for column in (self.item_ids, self.product_ids, self.tag_bits, self.embeddings):
             column.flags.writeable = False
         # The scan expands |e - q|^2 = |e|^2 - 2 e.q + |q|^2.

@@ -958,3 +958,29 @@ class TestIndexFile:
             ShopIndex(**{**columns, "embeddings": index.embeddings[:2]})
         with pytest.raises(ValueError, match="32 bytes"):
             ShopIndex(**{**columns, "fingerprint": b"short"})
+
+    def test_fingerprint_is_kept_as_32_bytes(self, tmp_path):
+        # The fingerprint keys the context term and is saved as 32 raw
+        # bytes, so a str of 32 characters is refused, and a bytearray is
+        # copied rather than kept mutable.
+        params = make_params()
+        index = build_index(make_items(params, 3, np.random.default_rng(0)), params)
+        columns = dict(
+            item_ids=index.item_ids,
+            product_ids=index.product_ids,
+            tag_bits=index.tag_bits,
+            embeddings=index.embeddings,
+        )
+        with pytest.raises(ValueError, match="^fingerprint must be 32 bytes, got a str$"):
+            ShopIndex(**columns, fingerprint="f" * 32)
+        with pytest.raises(ValueError, match="^fingerprint must be 32 bytes, got 31$"):
+            ShopIndex(**columns, fingerprint=index.fingerprint[:31])
+        mutable = bytearray(index.fingerprint)
+        for value in (mutable, memoryview(mutable)):
+            built = ShopIndex(**columns, fingerprint=value)
+            assert type(built.fingerprint) is bytes and built.fingerprint == index.fingerprint
+            mutable[0] ^= 0xFF
+            assert built.fingerprint == index.fingerprint
+            mutable[0] ^= 0xFF
+            save_index(tmp_path / "index.xidx", built)
+            assert (tmp_path / "index.xidx").read_bytes()[8:40] == index.fingerprint
