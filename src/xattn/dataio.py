@@ -219,10 +219,25 @@ def load_manifest(path: "Path | str") -> Manifest:
 
 
 def write_feature_map(path: "Path | str", array: np.ndarray) -> None:
-    """Write the map atomically: a temporary file, then a rename."""
-    arr = np.ascontiguousarray(array, dtype="<f4")
+    """Write the map atomically: a temporary file, then a rename.
+
+    A map that ``load_feature_map`` would refuse raises a ValueError and
+    writes nothing: one that is not 2-D, has a zero dimension, or holds a
+    value that is not finite as float32, such as a float64 beyond float32's
+    range.
+    """
+    # Values beyond float32's range become inf here; the check below
+    # refuses them.
+    with np.errstate(over="ignore"):
+        arr = np.ascontiguousarray(array, dtype="<f4")
     if arr.ndim != 2:
         raise ValueError("feature map must be 2-D")
+    if arr.size == 0:
+        raise ValueError(
+            f"feature map has {arr.shape[0]} locations of dim {arr.shape[1]}; both must be positive"
+        )
+    if not np.isfinite(arr).all():
+        raise ValueError("feature map holds values that are NaN or infinite as float32")
     write_atomic(path, [_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *arr.shape), arr])
 
 

@@ -5,14 +5,14 @@ uniformly; the tag variant adds tag-conditioned pooling on the shop
 side; the context variant additionally attends the query under each
 candidate's shop embedding as context.
 
-The parameters are a config and one name -> array dict,
+The parameters are a config and one name -> array mapping,
 ``ModelParams.tensors``. ``_tensor_layout(config)`` is the one source of
 the tensor names, shapes, initial scales and order: ``init_params``
-builds the dict from it and ``checkpoint_from_bytes`` checks a file
-against it. Everything else works by name: the checkpoint, the
-fingerprint, ``copy``, the gradient dict and the optimiser. The forward
-and backward code read the arrays they need by name and hand them to the
-``attention`` functions as plain arrays.
+builds the mapping from it, ``checkpoint_from_bytes`` checks a file
+against it and ``ModelParams`` refuses any other. Everything else works
+by name: the checkpoint, the fingerprint, the gradient dict and the
+optimiser. The forward and backward code read the arrays they need by
+name and hand them to the ``attention`` functions as plain arrays.
 
 The trunk is a per-location affine+ReLU transform and each branch a
 per-location affine one (``_affine``, 1x1-convolution equivalents);
@@ -33,8 +33,9 @@ Finiteness is checked once, where data enters: ``_trunk`` (behind
 ``extract_features``, every ``embed_*`` and ``forward_triple``) widens raw
 input to float64, which is exact for the float32 maps ``dataio`` loads,
 and rejects non-finite raw input; ``checkpoint_from_bytes`` rejects NaN/Inf
-tensors, the feature-map and index parsers reject NaN/Inf payloads, and
-``softmax`` rejects non-finite attention scores. Parameters that overflow
+tensors, which ``checkpoint_to_bytes`` refuses to write, the feature-map
+and index parsers reject NaN/Inf payloads, and ``softmax`` rejects
+non-finite attention scores. Parameters that overflow
 in memory give NaN embeddings, which ``metric.triplet_loss`` (training) and
 ``retrieval.ShopIndex`` (serving) refuse.
 
@@ -83,18 +84,14 @@ nothing else: no dict entries when the loss is 0, and no trunk entries
 when the trunk is frozen.
 
 ``params_fingerprint`` identifies the parameters an index was built with,
-and ``search`` checks it on every query. Tensors change in place (SGD, the
-gradient check, callers), so a digest from an earlier call cannot be
-trusted on its own. Each ``ModelParams`` keeps its last digest with a
-record of exactly the bytes hashed: the config frame and each tensor's
-name, shape and float64 payload. A call returns the kept digest only when
-the current config and tensors still hold those bytes, and re-hashes
-otherwise. The digest is a function of those bytes alone, so then it is
-the digest a fresh hash would give. A loaded checkpoint's tensors live in
-``bytes`` objects, which nothing can write, so for them the check is one
-identity test per tensor. Every other tensor is compared with a copy of
-the bytes hashed, a memcmp that costs a fraction of the SHA-256 it
-replaces.
+and ``search`` checks it on every query. Params are immutable values:
+each tensor is a read-only array over a ``bytes`` object of its own, which
+numpy refuses to write to or to make writeable, in a read-only mapping,
+and no field can be rebound. Training makes new params at each step
+instead of writing the old ones. So each params object is hashed once,
+and the digest is kept on it with each tensor's shape, strides and dtype:
+numpy still lets those be reassigned on a read-only array, and a call
+that finds one reassigned hashes again.
 
 Checkpoint file format (little endian): magic ``XATN``, version u32, then
 u32 variant, locations, channels, tag count, raw dim and epoch, seed u64,
@@ -116,8 +113,10 @@ import os
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import zip_longest
 from numbers import Integral
-from typing import Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -196,40 +195,58 @@ def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
-    """A config and its learnable tensors: one name -> array dict holding
-    exactly the names and shapes of ``_tensor_layout(config)``, in that
-    order. The order is the checkpoint's and the fingerprint's.
+    """A config and its learnable tensors: one name -> array mapping
+    holding exactly the names and shapes of ``_tensor_layout(config)``, in
+    that order. The order is the checkpoint's and the fingerprint's. Any
+    other mapping raises a ValueError that names the first tensor that
+    differs.
+
+    Params are an immutable value. The constructor stores each tensor as a
+    read-only, aligned, C-contiguous ``<f8`` array over a ``bytes`` object
+    of its own, so a later write to the array passed in changes nothing
+    here, and numpy refuses every write to the stored one and refuses to
+    make it writeable. ``tensors`` is a read-only mapping and no field can
+    be rebound. Changed params are new params:
+    ``ModelParams(params.config, {**params.tensors, name: array})``.
 
     ``==`` is identity: two objects with equal tensors are not equal.
-    Compare ``params_fingerprint`` values to compare contents.
-
-    The tensors of a loaded checkpoint are read-only: each is an array over
-    a ``bytes`` object, and numpy refuses to write to it or to make it
-    writeable. ``copy()`` and ``init_params(config, rng, base=params)`` give
-    writable ones, as every other way of making params does."""
+    Compare ``params_fingerprint`` values to compare contents."""
 
     config: ModelConfig
-    tensors: dict[str, np.ndarray]
-    # Read and written by params_fingerprint only.
-    _fingerprint: "_HashedBytes | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    tensors: Mapping[str, np.ndarray]
+    # (each tensor's shape, strides and dtype, digest): params_fingerprint's.
+    _digest: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        frozen: dict[str, np.ndarray] = {}
+        for want, got in zip_longest(_tensor_layout(self.config), self.tensors.items()):
+            if got is None:
+                raise ValueError(f"missing tensor {want[0]!r}")
+            name, tensor = got
+            if want is None:
+                raise ValueError(f"unexpected tensor {name!r}")
+            if name != want[0]:
+                raise ValueError(f"tensor {name!r} where the layout has {want[0]!r}")
+            array = np.asarray(tensor, dtype="<f8")
+            if array.shape != want[1]:
+                raise ValueError(f"tensor {name!r} has shape {array.shape}, expected {want[1]}")
+            frozen[name] = np.ndarray(array.shape, "<f8", array.tobytes())
+        object.__setattr__(self, "tensors", MappingProxyType(frozen))
 
     def named_tensors(self) -> Iterator[tuple[str, np.ndarray]]:
         return iter(self.tensors.items())
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.config, {name: arr.copy() for name, arr in self.tensors.items()})
 
 
 def _tensor_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]:
     """Canonical (name, shape, init scale) list; scale 0 means zeros."""
     c, r = config.channels, config.raw_dim
-    branch_scale = 1.0 / np.sqrt(c)
+    # math.sqrt, like np.sqrt, is correctly rounded, and costs ModelParams,
+    # which checks every params object against this layout, much less.
+    branch_scale = 1.0 / math.sqrt(c)
     layout = [
-        ("trunk.weight", (c, r), 1.0 / np.sqrt(r)),
+        ("trunk.weight", (c, r), 1.0 / math.sqrt(r)),
         ("trunk.bias", (c,), 0.0),
         ("branch_shop.weight", (c, c), branch_scale),
         ("branch_shop.bias", (c,), 0.0),
@@ -251,24 +268,18 @@ def init_params(
 ) -> ModelParams:
     """Seeded uniform [-s, s] initialization of every tensor.
 
-    With ``base``, tensors sharing a name are copied (shapes must match
-    exactly; a mismatch raises naming the tensor) and only the remaining
-    ones are freshly drawn. Extra tensors in ``base`` are ignored, so a
-    larger-variant checkpoint can seed a smaller variant.
+    With ``base``, tensors sharing a name are taken over (shapes must
+    match exactly; ``ModelParams`` raises naming the tensor) and only the
+    remaining ones are freshly drawn. Extra tensors in ``base`` are
+    ignored, so a larger-variant checkpoint can seed a smaller variant.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    base_tensors = dict(base.named_tensors()) if base is not None else {}
+    base_tensors = base.tensors if base is not None else {}
     tensors: dict[str, np.ndarray] = {}
     for name, shape, scale in _tensor_layout(config):
         if name in base_tensors:
-            src = base_tensors[name]
-            if src.shape != shape:
-                raise ValueError(
-                    f"checkpoint tensor {name!r} has shape {src.shape}, "
-                    f"model expects {shape}"
-                )
-            tensors[name] = src.astype(np.float64, copy=True)
+            tensors[name] = base_tensors[name]
         elif scale == 0.0:
             tensors[name] = np.zeros(shape, dtype=np.float64)
         else:
@@ -611,21 +622,18 @@ class Checkpoint:
     stage: str
 
 
-def _tensor_header(name: str, shape: tuple[int, ...]) -> bytes:
+def _tensor_frame(name: str, arr: np.ndarray) -> bytes:
+    payload = np.ascontiguousarray(arr, dtype="<f8")
     encoded = name.encode("utf-8")
     return b"".join(
         (
             struct.pack("<I", len(encoded)),
             encoded,
-            struct.pack("<I", len(shape)),
-            struct.pack(f"<{len(shape)}I", *shape),
+            struct.pack("<I", payload.ndim),
+            struct.pack(f"<{payload.ndim}I", *payload.shape),
+            payload.tobytes(),
         )
     )
-
-
-def _tensor_frame(name: str, arr: np.ndarray) -> bytes:
-    payload = np.ascontiguousarray(arr, dtype="<f8")
-    return _tensor_header(name, payload.shape) + payload.tobytes()
 
 
 def _config_frame(config: ModelConfig) -> bytes:
@@ -639,108 +647,26 @@ def _config_frame(config: ModelConfig) -> bytes:
     )
 
 
-def _owned_by_bytes(tensor: np.ndarray) -> bool:
-    """Whether a ``bytes`` object owns ``tensor``'s memory. numpy refuses
-    every write to such memory and refuses to make it writeable, so its
-    contents never change. A read-only ``np.memmap`` is not such memory:
-    its file can change underneath."""
-    base = tensor
-    while isinstance(base, np.ndarray):
-        base = base.base
-    return base is not tensor and type(base) is bytes
-
-
-class _HashedTensor(NamedTuple):
-    """What ``params_fingerprint`` last hashed of one tensor: its name, the
-    shape and float64 payload hashed, and how a later call tells that the
-    tensor still holds those bytes.
-
-    For a tensor that ``bytes`` own, ``frozen`` is the array itself with
-    its shape, strides and dtype, and ``payload`` is read from it in
-    place. For any other tensor, ``frozen`` is None and ``payload`` is a
-    copy."""
-
-    name: str
-    shape: tuple[int, ...]
-    payload: np.ndarray | bytearray
-    frozen: tuple[np.ndarray, tuple[int, ...], tuple[int, ...], np.dtype] | None
-
-    @classmethod
-    def of(cls, name: str, tensor: np.ndarray) -> "_HashedTensor":
-        payload = np.ascontiguousarray(tensor, dtype="<f8")
-        if _owned_by_bytes(tensor):
-            frozen = (tensor, tensor.shape, tensor.strides, tensor.dtype)
-            return cls(name, payload.shape, payload, frozen)
-        # A copy, so the digest kept is the digest of the bytes kept even
-        # if the tensor changes meanwhile.
-        return cls(name, payload.shape, bytearray(payload), None)
-
-    def holds(self, name: str, tensor: np.ndarray) -> bool:
-        """Whether ``tensor``, named ``name``, holds the bytes hashed."""
-        if name != self.name:
-            return False
-        if self.frozen is not None:
-            # Its memory cannot change; its shape, strides and dtype can be
-            # reassigned in place.
-            array, shape, strides, dtype = self.frozen
-            return (
-                tensor is array
-                and tensor.shape == shape
-                and tensor.strides == strides
-                and tensor.dtype == dtype
-            )
-        payload = np.ascontiguousarray(tensor, dtype="<f8")
-        # bytearray == array is a memcmp of the two buffers; the array is
-        # not copied.
-        return payload.shape == self.shape and self.payload == payload
-
-
-class _HashedBytes(NamedTuple):
-    """What ``params_fingerprint`` last hashed for one ``ModelParams``: the
-    config frame and each tensor, with the digest of them."""
-
-    config_frame: bytes
-    tensors: tuple[_HashedTensor, ...]
-    digest: bytes
-
-
 def params_fingerprint(params: ModelParams) -> bytes:
     """32-byte SHA-256 of the config plus every tensor, framed as in a
     checkpoint.
 
-    ``params`` keeps the last digest with a record of the bytes it was
-    computed from: the config frame and each tensor's name, shape and
-    little-endian float64 payload. The digest is returned from there only
-    when the current config and tensors still hold those bytes, so
-    in-place writes (a sign flip of a zero or a NaN's payload bits
-    included), a rebound or deleted tensor and a replaced config all lead
-    to a fresh hash.
-
-    A tensor whose memory a ``bytes`` object owns, as every tensor of a
-    loaded checkpoint, cannot change in place: it still holds its bytes
-    while it is the same array object with the same shape, strides and
-    dtype, and the check reads none of its values. Every other tensor
-    (trained, ``init_params`` and ``copy()`` params) is compared with a
-    copy of its payload, a memcmp that reads it once in place and costs a
-    fraction of hashing it.
+    Params cannot be written after they are made, so the first call hashes
+    them and keeps the digest on ``params`` with each tensor's shape,
+    strides and dtype; later calls compare those and read no values. numpy
+    still lets a read-only array's shape and dtype be reassigned, which
+    reinterprets the same bytes, so a call that finds one reassigned
+    hashes again.
     """
-    config_frame = _config_frame(params.config)
-    tensors = list(params.named_tensors())
-    kept = params._fingerprint
-    if (
-        kept is not None
-        and kept.config_frame == config_frame
-        and len(kept.tensors) == len(tensors)
-        and all(record.holds(name, tensor) for record, (name, tensor) in zip(kept.tensors, tensors))
-    ):
-        return kept.digest
-    records = tuple(_HashedTensor.of(name, tensor) for name, tensor in tensors)
-    hasher = hashlib.sha256(config_frame)
-    for record in records:
-        hasher.update(_tensor_header(record.name, record.shape))
-        hasher.update(record.payload)
+    meta = tuple((tensor.shape, tensor.strides, tensor.dtype) for tensor in params.tensors.values())
+    kept = params._digest
+    if kept is not None and kept[0] == meta:
+        return kept[1]
+    hasher = hashlib.sha256(_config_frame(params.config))
+    for name, tensor in params.tensors.items():
+        hasher.update(_tensor_frame(name, tensor))
     digest = hasher.digest()
-    params._fingerprint = _HashedBytes(config_frame, records, digest)
+    object.__setattr__(params, "_digest", (meta, digest))
     return digest
 
 
@@ -754,8 +680,15 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
         raise ValueError(
             f"checkpoint config {ckpt.config} differs from its params' config {ckpt.params.config}"
         )
-    stage = ckpt.stage.encode("utf-8")
+    # What the reader refuses is refused here, before any byte is written.
+    try:
+        stage = ckpt.stage.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"checkpoint stage {ckpt.stage!r} cannot be written as UTF-8") from None
     tensors = list(ckpt.params.named_tensors())
+    for name, tensor in tensors:
+        if not np.isfinite(tensor).all():
+            raise ValueError(f"tensor {name!r} holds NaN or infinite values")
     parts = [
         CHECKPOINT_MAGIC,
         struct.pack("<I", CHECKPOINT_VERSION),
@@ -773,11 +706,8 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
 def checkpoint_from_bytes(data: bytes) -> Checkpoint:
     """Parse checkpoint bytes; a fault raises ``CheckpointFormatError``.
 
-    Each tensor is a read-only, aligned, C-contiguous ``<f8`` array over a
-    ``bytes`` object of its own, which shares no memory with ``data``.
-    Writing to it raises ``ValueError``; ``params.copy()`` gives writable
-    tensors. ``params_fingerprint`` checks such a tensor by identity and
-    never re-reads its values.
+    The params hold copies of the tensors, as every ``ModelParams`` does,
+    and share no memory with ``data``.
     """
     reader = Reader(data, CheckpointFormatError)
     magic, version, variant_raw, *dims, epoch, seed = reader.unpack(_HEADER, "header")
@@ -808,9 +738,7 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
         shape = tuple(reader.array("<u4", reader.u32("tensor rank"), "tensor dims").tolist())
         values = reader.array("<f8", math.prod(shape), f"tensor {name!r}", finite=True)
         try:
-            # Each tensor gets a bytes object of its own: no write can
-            # change it, so params_fingerprint need not re-read it.
-            tensors[name] = np.frombuffer(values.tobytes(), "<f8").reshape(shape)
+            tensors[name] = values.reshape(shape)
         except ValueError:
             # numpy refuses more than 64 dims, and a zero dim next to dims
             # whose product overflows, even with the payload size right.
@@ -832,7 +760,6 @@ def save_checkpoint(path: str | os.PathLike, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
-    """``checkpoint_from_bytes`` of the file at ``path``: the tensors are
-    read-only."""
+    """``checkpoint_from_bytes`` of the file at ``path``."""
     with open(path, "rb") as fh:
         return checkpoint_from_bytes(fh.read())

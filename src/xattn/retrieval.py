@@ -18,7 +18,7 @@ query, and each re-rank gathers its K rows instead of forming an
 L x C x K product. That term is kept with the fingerprint it was built
 under and rebuilt when ``index.fingerprint`` changes. ``search`` checks
 that the fingerprint is the querying model's before it reads the term,
-so a model whose tensors changed fails that check first. The gathered
+so any other model fails that check first. The gathered
 rows may differ from a per-query product in the last bits, and so may the
 re-rank distances. The re-rank scores each pooled row ``p`` against its
 context ``c`` in closed form, ``|p|^2 / s^2 - 2 p.c / s + |c|^2`` with

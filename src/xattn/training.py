@@ -132,14 +132,16 @@ def sgd_step(
     velocity: dict[str, np.ndarray],
     lr: float,
     momentum: float,
-) -> None:
-    """In-place momentum update of exactly the tensors named in ``grads``:
-    v <- momentum*v - lr*g; p <- p + v.
+) -> ModelParams:
+    """Momentum update of exactly the tensors named in ``grads``:
+    v <- momentum*v - lr*g; p <- p + v. Returns new params; ``params``
+    cannot change. ``velocity`` is updated in place.
 
-    Every other tensor is untouched, velocity included. A name that is not
-    a tensor of ``params`` raises ``KeyError`` before anything changes.
+    Every other tensor keeps its values, and its velocity is untouched. A
+    name that is not a tensor of ``params`` raises ``KeyError`` before
+    anything changes.
     """
-    tensors = params.tensors
+    tensors = dict(params.tensors)
     unknown = grads.keys() - tensors.keys()
     if unknown:
         raise KeyError(f"no tensor named {sorted(unknown)} in the params")
@@ -149,7 +151,8 @@ def sgd_step(
             vel = velocity[name] = np.zeros_like(tensors[name])
         vel *= momentum
         vel -= lr * grad
-        tensors[name] += vel
+        tensors[name] = tensors[name] + vel
+    return ModelParams(params.config, tensors)
 
 
 def train_stage(
@@ -241,7 +244,7 @@ def train_stage(
             scale = 1.0 / len(batch)
             for grad in grads_sum.values():
                 grad *= scale
-            sgd_step(params, grads_sum, velocity, lr, cfg.momentum)
+            params = sgd_step(params, grads_sum, velocity, lr, cfg.momentum)
             epoch_loss += batch_loss
         mean_loss = epoch_loss / len(triples)
         curve.append(mean_loss)

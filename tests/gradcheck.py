@@ -105,6 +105,15 @@ class TrialReport:
         return all(t.passed for t in self.tensors)
 
 
+def with_tensors(params: ModelParams, values: dict[str, object]) -> ModelParams:
+    """New params: ``params`` with each tensor named in ``values`` set to
+    its value, broadcast to the tensor's shape."""
+    tensors = dict(params.tensors)
+    for name, value in values.items():
+        tensors[name] = np.broadcast_to(value, tensors[name].shape)
+    return ModelParams(params.config, tensors)
+
+
 def _draw_raw(rng: np.random.Generator, params: ModelParams, domain: str) -> np.ndarray:
     cfg = params.config
     for _ in range(200):
@@ -184,22 +193,20 @@ def check_triple_gradients(
     )
     reports: list[TensorReport] = []
     for name, tensor in inst.params.named_tensors():
-        saved = tensor.copy()
 
         def objective(candidate: np.ndarray) -> float:
-            tensor[...] = candidate
+            # Params cannot be written, so each probe builds its own.
             return forward_triple(
                 inst.anchor_raw,
                 inst.positive_raw,
                 inst.negative_raw,
                 inst.positive_tags,
                 inst.negative_tags,
-                inst.params,
+                with_tensors(inst.params, {name: candidate}),
                 inst.alpha,
             ).loss
 
-        numeric = finite_diff_grad(objective, saved, h)
-        tensor[...] = saved
+        numeric = finite_diff_grad(objective, tensor, h)
 
         diff = np.abs(analytic[name] - numeric)
         small = np.abs(analytic[name]) < small_grad

@@ -16,14 +16,15 @@ import math
 import os
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from xattn.attention import context_attend_backward, tag_attend_backward
 from xattn.dataio import TAGS_NAME, Manifest, ManifestError, ManifestRecord
-from xattn.model import DOMAINS, Checkpoint, ModelConfig, Variant, forward_triple, init_params
+from xattn.model import DOMAINS, Checkpoint, ModelConfig, ModelParams, Variant, forward_triple, init_params
 from xattn.numeric import l2_normalize_backward
-from xattn.training import lr_at, sgd_step
+from xattn.training import lr_at
 
 # The tensors a stage after the first does not train.
 FROZEN_TRUNK = ("trunk.weight", "trunk.bias")
@@ -331,7 +332,7 @@ def reference_full_backward_triple(
         anchor_raw, positive_raw, negative_raw, positive_tags, negative_tags, params, alpha
     )
     t = params.tensors
-    grads = {name: np.zeros_like(arr) for name, arr in params.named_tensors()}
+    grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
     if fwd.loss == 0.0:
         return 0.0, grads
     (anchor_pos, anchor_neg), (positive, negative) = fwd.anchor_rows, fwd.shop_rows
@@ -406,18 +407,24 @@ def reference_train_stage(stage, dataset, cfg, model_cfg=None, init=None):
     ``reference_full_backward_triple`` computing each; only the step leaves
     a frozen trunk out. It samples item ids with
     ``reference_sample_triples`` and looks up each map and tag vector by
-    id. Returns the checkpoint, the loss curve and, per minibatch, how many
-    of its triples had zero loss."""
+    id. The step is its own momentum update of plain writable float64
+    arrays, v <- m v - lr g and p <- p + v, not ``training.sgd_step``; the
+    forward reads them through an object holding just the config and the
+    arrays, and a ``ModelParams`` is built only for the checkpoint. Returns
+    the checkpoint, the loss curve and, per minibatch, how many of its
+    triples had zero loss."""
     variant = Variant.parse(stage)
     base_cfg = init.config if init is not None else model_cfg
     config = ModelConfig(
         base_cfg.locations, base_cfg.channels, base_cfg.tag_count, base_cfg.raw_dim, variant
     )
-    params = init_params(
+    initial = init_params(
         config,
         np.random.default_rng([cfg.seed, int(variant), 0]),
         base=init.params if init is not None else None,
     )
+    tensors = {name: np.array(arr) for name, arr in initial.tensors.items()}
+    params = SimpleNamespace(config=config, tensors=tensors)
     sample_rng = np.random.default_rng([cfg.seed, int(variant), 1])
     frozen_trunk = int(variant) > 0
     records = {r.item_id: r for r in dataset.manifest.records}
@@ -456,11 +463,18 @@ def reference_train_stage(stage, dataset, cfg, model_cfg=None, init=None):
             if frozen_trunk:
                 for name in FROZEN_TRUNK:
                     del grads_sum[name]
-            sgd_step(params, grads_sum, velocity, lr, cfg.momentum)
+            for name, grad in grads_sum.items():
+                v = velocity.get(name, np.zeros_like(grad))
+                velocity[name] = cfg.momentum * v - lr * grad
+                tensors[name] += velocity[name]
             epoch_loss += batch_loss
         curve.append(epoch_loss / len(triples))
     checkpoint = Checkpoint(
-        config=config, params=params, epoch=cfg.epochs[stage], seed=cfg.seed, stage=stage
+        config=config,
+        params=ModelParams(config, tensors),
+        epoch=cfg.epochs[stage],
+        seed=cfg.seed,
+        stage=stage,
     )
     return checkpoint, curve, zero_losses
 

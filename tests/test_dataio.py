@@ -388,12 +388,20 @@ class TestFeatureMaps:
         np.testing.assert_array_equal(got, values.astype(np.float32))
         assert got.dtype == np.float32 and np.signbit(got[0, 1])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
     def test_non_finite_payload(self, tmp_path, bad):
+        # 1e39 is a finite float64 beyond float32's range: inf when stored.
+        values = np.array([[1.0, bad], [0.0, 2.0]])
         path = tmp_path / "bad.xfmp"
-        write_feature_map(path, np.array([[1.0, bad], [0.0, 2.0]]))
+        with np.errstate(over="ignore"):
+            path.write_bytes(feature_header(2, 2) + values.astype("<f4").tobytes())
         with pytest.raises(FeatureMapFormatError, match="NaN or infinite"):
             load_feature_map(path)
+        # The writer refuses such a map and leaves nothing behind.
+        path.unlink()
+        with pytest.raises(ValueError, match="^feature map holds values that are NaN or infinite as float32$"):
+            write_feature_map(path, values)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("locations, dim", [(0, 2), (2, 0), (0, 0)])
     def test_empty_map(self, tmp_path, locations, dim):
@@ -401,6 +409,12 @@ class TestFeatureMaps:
         path.write_bytes(feature_header(locations, dim))
         with pytest.raises(FeatureMapFormatError, match="must be positive"):
             load_feature_map(path)
+        # The writer refuses such a map and leaves nothing behind.
+        path.unlink()
+        message = f"^feature map has {locations} locations of dim {dim}; both must be positive$"
+        with pytest.raises(ValueError, match=message):
+            write_feature_map(path, np.zeros((locations, dim)))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fault", ["version", "truncated"])
     def test_dataset_with_a_corrupt_map(self, train_dir, fault):
@@ -418,7 +432,8 @@ class TestFeatureMaps:
 
     def test_dataset_with_a_non_finite_map(self, train_dir):
         first = load_manifest(train_dir / MANIFEST_NAME).records[0].path
-        write_feature_map(train_dir / first, np.full((TINY.locations, TINY.raw_dim), np.nan))
+        nan = np.full((TINY.locations, TINY.raw_dim), np.nan, dtype="<f4")
+        (train_dir / first).write_bytes(feature_header(TINY.locations, TINY.raw_dim) + nan.tobytes())
         with pytest.raises(FeatureMapFormatError, match="NaN"):
             load_dataset(train_dir)
 

@@ -16,6 +16,7 @@ from xattn.model import (
     Checkpoint,
     CheckpointFormatError,
     ModelConfig,
+    ModelParams,
     UnsupportedVariantError,
     Variant,
     backward_triple,
@@ -32,10 +33,11 @@ from xattn.model import (
     uniform_embedding,
 )
 from xattn.numeric import l2_normalize
-from xattn.retrieval import ShopItem, build_index, search
+from xattn.retrieval import FingerprintMismatchError, ShopItem, build_index, search
 from xattn.training import sgd_step
 
 import gradcheck
+from gradcheck import with_tensors
 from mutations import corrupted, non_finite
 from oracles import (
     naive_affine_relu_affine,
@@ -63,14 +65,12 @@ def small_config(variant=Variant.CTXYNET, locations=4, channels=3, tags=2, raw_d
 
 def identity_params(config):
     """Identity trunk/branches so features equal the (non-negative) input."""
-    params = init_params(config, 0)
     eye = np.eye(config.channels)
-    params.tensors["trunk.weight"][...] = eye
-    params.tensors["trunk.bias"][...] = 0.0
+    values = {"trunk.weight": eye, "trunk.bias": 0.0}
     for domain in model.DOMAINS:
-        params.tensors[f"branch_{domain}.weight"][...] = eye
-        params.tensors[f"branch_{domain}.bias"][...] = 0.0
-    return params
+        values[f"branch_{domain}.weight"] = eye
+        values[f"branch_{domain}.bias"] = 0.0
+    return with_tensors(init_params(config, 0), values)
 
 
 def attend(fmap, contexts, params):
@@ -155,7 +155,7 @@ class TestInitParams:
         # of an array, which raises.
         params = init_params(small_config(variant), 0)
         assert params == params
-        assert (params == params.copy()) is False
+        assert (params == ModelParams(params.config, params.tensors)) is False
         assert (params != init_params(small_config(variant), 0)) is True
 
     def test_shape_mismatch_names_tensor(self):
@@ -174,10 +174,9 @@ class TestExtractFeatures:
 
     def test_zero_trunk(self):
         config = small_config()
-        params = init_params(config, 0)
-        params.tensors["trunk.weight"][...] = 0.0
-        params.tensors["trunk.bias"][...] = 0.0
-        params.tensors["branch_user.bias"][...] = 0.0
+        params = with_tensors(
+            init_params(config, 0), {"trunk.weight": 0.0, "trunk.bias": 0.0, "branch_user.bias": 0.0}
+        )
         got = extract_features(np.ones((4, 3)), "user", params)
         np.testing.assert_array_equal(got, np.zeros((4, 3)))
 
@@ -232,8 +231,7 @@ class TestEmbeddings:
     def test_base_variant_pools_shops_uniformly(self):
         # YNet has no tag head: it pools every shop image uniformly, as it
         # was trained, and does not read the tags.
-        params = init_params(small_config(Variant.YNET), 0)
-        params.tensors["trunk.bias"][...] = 0.05
+        params = with_tensors(init_params(small_config(Variant.YNET), 0), {"trunk.bias": 0.05})
         rng = np.random.default_rng(7)
         raws = rng.normal(size=(3, 4, 3))
         bits = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
@@ -307,7 +305,7 @@ class TestEmbeddings:
         # branch once per image.
         rng = np.random.default_rng(seed)
         params = init_params(small_config(variant, locations, channels, tags, raw_dim), rng)
-        params.tensors["trunk.bias"][...] = 0.05
+        params = with_tensors(params, {"trunk.bias": 0.05})
         raws = rng.normal(size=(batch, locations, raw_dim))
         bits = rng.integers(0, 2, size=(batch, tags)).astype(np.float64)
         if empty:
@@ -319,7 +317,9 @@ class TestEmbeddings:
         if tagged:
             # The bias lies along the first item's tag embedding e.
             direction = bits[0] @ params.tensors["tag_attn.embedding"]
-        params.tensors["branch_shop.bias"][...] = bias * direction / np.linalg.norm(direction)
+        params = with_tensors(
+            params, {"branch_shop.bias": bias * direction / np.linalg.norm(direction)}
+        )
         if tagged and bias == 100.0:
             # b.e, which the library drops from the scores, dominates them.
             dropped = params.tensors["branch_shop.bias"] @ direction
@@ -349,9 +349,9 @@ class TestEmbeddings:
     def test_context_with_zero_params_equals_simple(self):
         config = small_config()
         rng = np.random.default_rng(11)
-        params = init_params(config, 12)
-        params.tensors["ctx_attn.feature_weight"][...] = 0.0
-        params.tensors["ctx_attn.context_weight"][...] = 0.0
+        params = with_tensors(
+            init_params(config, 12), {"ctx_attn.feature_weight": 0.0, "ctx_attn.context_weight": 0.0}
+        )
         raw = rng.normal(size=(4, 3))
         ctx = rng.normal(size=(1, 3))
         ctx /= np.linalg.norm(ctx)
@@ -370,12 +370,12 @@ class TestEmbeddings:
     def test_unit_norm_invariant(self):
         rng = np.random.default_rng(13)
         config = small_config()
-        params = init_params(config, 14)
         # positive biases keep the ReLU from zeroing an entire map, which
         # would legitimately trip the zero-vector normalization guard
-        params.tensors["trunk.bias"][...] = 0.05
-        params.tensors["branch_shop.bias"][...] = 0.05
-        params.tensors["branch_user.bias"][...] = 0.05
+        params = with_tensors(
+            init_params(config, 14),
+            {"trunk.bias": 0.05, "branch_shop.bias": 0.05, "branch_user.bias": 0.05},
+        )
         for _ in range(100):
             raw = rng.normal(size=(4, 3))
             bits = TagVector(bits=rng.integers(0, 2, 2).astype(np.float64))
@@ -434,8 +434,7 @@ class TestForwardTriple:
         # No per-layer check sees the inf features; the uniform-pooled
         # embeddings come out NaN and the loss refuses them.
         config = small_config(Variant.YNET)
-        params = init_params(config, 21)
-        params.tensors["trunk.weight"][...] = 1e308
+        params = with_tensors(init_params(config, 21), {"trunk.weight": 1e308})
         rng = np.random.default_rng(22)
         raws = [np.abs(rng.normal(size=(4, 3))) + 1.0 for _ in range(3)]
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="L2-normalized"):
@@ -537,8 +536,7 @@ class TestBackwardTriple:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_same_bits_as_the_zero_filled_reference(self, variant, frozen_trunk):
         rng = np.random.default_rng(31 + int(variant))
-        params = init_params(small_config(variant), 32)
-        params.tensors["trunk.bias"][...] = 0.05
+        params = with_tensors(init_params(small_config(variant), 32), {"trunk.bias": 0.05})
         bits = [TagVector(bits=rng.integers(0, 2, 2).astype(np.float64)) for _ in range(2)]
         losses = []
         for alpha in np.linspace(0.0, 1.5, 12):
@@ -708,13 +706,21 @@ class TestCheckpoints:
         assert params_fingerprint(ckpt_a.params) != params_fingerprint(different.params)
         assert len(params_fingerprint(ckpt_a.params)) == 32
 
-    def test_stage_name_not_utf8(self):
+    def test_stage_name_not_utf8(self, tmp_path):
         data = checkpoint_to_bytes(self.make_checkpoint())
         stage_at = data.index(b"ctxynet")
         bad = data[:stage_at] + b"\xff" + data[stage_at + 1 :]
         with pytest.raises(CheckpointFormatError, match="UTF-8") as err:
             checkpoint_from_bytes(bad)
         assert err.value.offset == stage_at
+        # A lone surrogate has no UTF-8 form: the writer names the stage.
+        ckpt = dataclasses.replace(self.make_checkpoint(), stage="y\udc80")
+        message = r"^checkpoint stage 'y\\udc80' cannot be written as UTF-8$"
+        with pytest.raises(ValueError, match=message):
+            checkpoint_to_bytes(ckpt)
+        with pytest.raises(ValueError, match=message):
+            save_checkpoint(tmp_path / "model.xatn", ckpt)
+        assert list(tmp_path.iterdir()) == []
 
     def test_tensor_name_not_utf8(self):
         data = checkpoint_to_bytes(self.make_checkpoint())
@@ -814,14 +820,24 @@ class TestCheckpoints:
         assert err.value.offset == name_at
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_tensor(self, value):
+    def test_non_finite_tensor(self, tmp_path, value):
         ckpt = self.make_checkpoint()
-        ckpt.params.tensors["branch_user.bias"][1] = value
-        data = checkpoint_to_bytes(ckpt)
+        data = bytearray(checkpoint_to_bytes(ckpt))
         at = data.index(b"branch_user.bias") + len(b"branch_user.bias") + 8 + 8
+        data[at : at + 8] = struct.pack("<d", value)
         with pytest.raises(CheckpointFormatError, match="'branch_user.bias' holds NaN") as err:
-            checkpoint_from_bytes(data)
+            checkpoint_from_bytes(bytes(data))
         assert err.value.offset == at
+        # The writer refuses such a tensor, so it never writes such a file.
+        bias = ckpt.params.tensors["branch_user.bias"].copy()
+        bias[1] = value
+        ckpt = dataclasses.replace(ckpt, params=with_tensors(ckpt.params, {"branch_user.bias": bias}))
+        message = r"^tensor 'branch_user.bias' holds NaN or infinite values$"
+        with pytest.raises(ValueError, match=message):
+            checkpoint_to_bytes(ckpt)
+        with pytest.raises(ValueError, match=message):
+            save_checkpoint(tmp_path / "model.xatn", ckpt)
+        assert list(tmp_path.iterdir()) == []
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -851,8 +867,11 @@ class TestCheckpoints:
 
 
 def set_bits(tensor, bits):
-    """Write the float64 with the given bit pattern into the first entry."""
-    tensor.reshape(-1)[:1].view(np.uint64)[0] = bits
+    """A copy of ``tensor`` with the float64 of the given bit pattern as its
+    first entry."""
+    out = np.array(tensor)
+    out.reshape(-1)[:1].view(np.uint64)[0] = bits
+    return out
 
 
 @pytest.fixture
@@ -878,177 +897,280 @@ def assert_fresh(params):
     return got
 
 
-class TestFingerprintCache:
-    """``params_fingerprint`` keeps its last digest on the params object;
-    after every kind of change it must still equal a fresh hash."""
+def loaded_params(tmp_path, variant=Variant.CTXYNET, seed=50, **dims):
+    """``init_params`` of ``small_config(variant, **dims)`` at ``seed``,
+    saved to a checkpoint and loaded back."""
+    path = tmp_path / "model.xatn"
+    config = small_config(variant, **dims)
+    save_checkpoint(path, Checkpoint(config, init_params(config, seed), 1, seed, "ctxynet"))
+    return load_checkpoint(path).params
 
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_one_ulp_edit_of_each_tensor(self, variant):
-        params = init_params(small_config(variant), 40)
-        seen = {assert_fresh(params)}
-        for _, tensor in params.named_tensors():
-            flat = tensor.reshape(-1)
-            flat[-1] = np.nextafter(flat[-1], np.inf)
-            seen.add(assert_fresh(params))
-        assert len(seen) == 1 + len(list(params.named_tensors()))
 
-    def test_signed_zero(self):
-        params = init_params(small_config(), 41)
-        params.tensors["trunk.bias"][...] = 0.0
-        before = assert_fresh(params)
-        params.tensors["trunk.bias"][1] = -0.0
-        assert assert_fresh(params) != before
+def stepped(params):
+    """``params`` after one ``sgd_step`` of every tensor."""
+    grads = {name: np.ones_like(tensor) for name, tensor in params.named_tensors()}
+    return sgd_step(params, grads, {}, lr=0.1, momentum=0.9)
 
-    def test_nan_payload_bits(self):
-        params = init_params(small_config(), 42)
-        set_bits(params.tensors["ctx_attn.context_weight"], 0x7FF8_0000_0000_0001)
-        before = assert_fresh(params)
-        set_bits(params.tensors["ctx_attn.context_weight"], 0x7FF8_0000_0000_0002)
-        assert assert_fresh(params) != before
 
-    def test_rebinding_heads(self):
-        params = init_params(small_config(), 43)
-        before = assert_fresh(params)
-        params.tensors["tag_attn.embedding"] = params.tensors["tag_attn.embedding"] + 1.0
-        after_tag = assert_fresh(params)
-        params.tensors["ctx_attn.feature_weight"] = params.tensors["ctx_attn.feature_weight"].copy()
-        params.tensors["ctx_attn.context_weight"] = params.tensors["ctx_attn.context_weight"] * 2.0
-        after_ctx = assert_fresh(params)
-        assert len({before, after_tag, after_ctx}) == 3
-        del params.tensors["ctx_attn.feature_weight"], params.tensors["ctx_attn.context_weight"]
-        assert assert_fresh(params) not in {before, after_tag, after_ctx}
+class TestImmutableParams:
+    """Params cannot change after they are made, however they were made."""
 
-    def test_replacing_config(self):
-        params = init_params(small_config(), 44)
-        before = assert_fresh(params)
-        params.config = dataclasses.replace(params.config)
-        assert assert_fresh(params) == before
-        params.config = dataclasses.replace(params.config, raw_dim=7)
-        assert assert_fresh(params) != before
+    def test_writes_and_writeable_are_refused(self, tmp_path):
+        # numpy refuses every write to an array over bytes and refuses to
+        # make it writeable, in every numpy pyproject.toml allows; the
+        # mapping and the fields refuse rebinding.
+        built = init_params(small_config(), 53)
+        for params in (built, stepped(built), loaded_params(tmp_path)):
+            digest = assert_fresh(params)
+            tensor = params.tensors["trunk.weight"]
+            with pytest.raises(ValueError, match="read-only"):
+                tensor[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                tensor += 1.0
+            for view in (tensor, tensor.T, tensor[1:], tensor.reshape(-1)):
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    view.flags.writeable = True
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    view.setflags(write=True)
+            with pytest.raises(AttributeError):
+                tensor.data = memoryview(bytearray(tensor.nbytes))
+            with pytest.raises(TypeError):
+                params.tensors["trunk.weight"] = np.zeros_like(tensor)
+            with pytest.raises(TypeError):
+                del params.tensors["ctx_attn.context_weight"]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                params.tensors = dict(params.tensors)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                params.config = dataclasses.replace(params.config, variant=Variant.TAGYNET)
+            assert assert_fresh(params) == digest
 
-    def test_copy(self):
-        params = init_params(small_config(), 45)
-        before = assert_fresh(params)
-        twin = params.copy()
-        assert assert_fresh(twin) == before
-        twin.tensors["trunk.weight"][0, 0] += 1.0
-        assert assert_fresh(twin) != before
-        assert assert_fresh(params) == before
-
-    def test_unchanged_params_are_hashed_once(self, hashed):
-        params = init_params(small_config(), 48)
-        first = params_fingerprint(params)
-        assert [params_fingerprint(params) for _ in range(3)] == [first] * 3
-        assert len(hashed) == 1
-        params.tensors["branch_user.bias"][0] += 1.0
-        assert params_fingerprint(params) != first
-        assert len(hashed) == 2
-
-    def test_kept_out_of_repr_and_equality(self):
-        params = init_params(small_config(Variant.YNET), 46)
-        params_fingerprint(params)
-        assert "_fingerprint" not in repr(params)
-        assert "_fingerprint" not in [f.name for f in dataclasses.fields(params) if f.compare]
-
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_gradient_check_leaves_the_fingerprint(self, variant, monkeypatch):
-        # The check moves every entry in place and puts it back; each
-        # perturbed forward pass must see a fresh fingerprint too.
-        inst = gradcheck.random_check_instance([47, int(variant)], variant=variant)
-        before = assert_fresh(inst.params)
-        forward = gradcheck.forward_triple
-        perturbed = set()
-
-        def checked_forward(*args):
-            perturbed.add(assert_fresh(inst.params))
-            return forward(*args)
-
-        monkeypatch.setattr(gradcheck, "forward_triple", checked_forward)
-        assert all(report.passed for report in gradcheck.check_triple_gradients(inst))
-        assert before not in perturbed and len(perturbed) > 1
-        assert assert_fresh(inst.params) == before
-
-    def test_a_read_only_memmap_is_still_compared(self, tmp_path):
-        # numpy refuses to make a read-only memmap writeable, as it does
-        # for memory that bytes own, yet its file can change underneath.
+    def test_a_memmap_or_writable_array_is_copied(self, tmp_path):
+        # A read-only memmap's file can change underneath, and a writable
+        # array can be written after the params are made: neither moves
+        # the params or their digest.
         params = init_params(small_config(), 49)
         path = tmp_path / "bias.f8"
         writer = np.memmap(path, dtype="<f8", mode="w+", shape=(3,))
         writer[:] = 1.0
         writer.flush()
-        params.tensors["trunk.bias"] = np.memmap(path, dtype="<f8", mode="r", shape=(3,))
-        with pytest.raises(ValueError, match="WRITEABLE"):
-            params.tensors["trunk.bias"].flags.writeable = True
+        mapped = np.memmap(path, dtype="<f8", mode="r", shape=(3,))
+        plain = np.ones(3)
+        for source, write in ((mapped, writer), (plain, plain)):
+            built = ModelParams(params.config, {**params.tensors, "trunk.bias": source})
+            before = assert_fresh(built)
+            write[0] = 2.0
+            if write is writer:
+                writer.flush()
+            assert source[0] == 2.0
+            assert not np.shares_memory(built.tensors["trunk.bias"], source)
+            np.testing.assert_array_equal(built.tensors["trunk.bias"], [1.0, 1.0, 1.0])
+            assert assert_fresh(built) == before
+
+    def test_a_mapping_off_the_layout_is_refused(self):
+        # The constructor checks the names, their order and the shapes
+        # against _tensor_layout, and names the first tensor that differs.
+        config = small_config()
+        tensors = dict(init_params(config, 55).tensors)
+
+        def without(name):
+            return {n: t for n, t in tensors.items() if n != name}
+
+        swapped = {"trunk.bias": tensors["trunk.bias"], **tensors}
+        for given, message in (
+            (without("ctx_attn.context_weight"), "missing tensor 'ctx_attn.context_weight'"),
+            (
+                without("tag_attn.embedding"),
+                "tensor 'ctx_attn.feature_weight' where the layout has 'tag_attn.embedding'",
+            ),
+            ({**tensors, "extra": np.zeros(3)}, "unexpected tensor 'extra'"),
+            (swapped, "tensor 'trunk.bias' where the layout has 'trunk.weight'"),
+            (
+                {**tensors, "trunk.bias": np.zeros((1, 3))},
+                r"tensor 'trunk.bias' has shape \(1, 3\), expected \(3,\)",
+            ),
+            ({}, "missing tensor 'trunk.weight'"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                ModelParams(config, given)
+        # A smaller variant has no tensor for the heads.
+        with pytest.raises(ValueError, match="^unexpected tensor 'tag_attn.embedding'$"):
+            ModelParams(small_config(Variant.YNET), tensors)
+        assert params_fingerprint(ModelParams(config, tensors)) == assert_fresh(init_params(config, 55))
+
+
+class TestFingerprintCache:
+    """``params_fingerprint`` hashes each params object once. Params that
+    differ in any bit are other params, with a digest of their own."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_one_ulp_edit_of_each_tensor(self, variant):
+        params = with_tensors(init_params(small_config(variant), 40), {"trunk.bias": 0.05})
+        rng = np.random.default_rng(40)
+        items = [
+            ShopItem(i, i, rng.normal(size=(4, 3)), TagVector.from_ids([i % 2], 2)) for i in range(6)
+        ]
+        index = build_index(items, params)
+        raw = rng.normal(size=(4, 3))
+        seen = {assert_fresh(params)}
+        for name, tensor in params.named_tensors():
+            edited = np.array(tensor)
+            flat = edited.reshape(-1)
+            flat[-1] = np.nextafter(flat[-1], np.inf)
+            other = with_tensors(params, {name: edited})
+            seen.add(assert_fresh(other))
+            with pytest.raises(FingerprintMismatchError):
+                search(index, raw, other, use_rerank=False)
+        assert len(seen) == 1 + len(params.tensors)
+        assert len(search(index, raw, params, k=3, use_rerank=False)) == 3
+
+    def test_signed_zero(self):
+        params = with_tensors(init_params(small_config(), 41), {"trunk.bias": 0.0})
         before = assert_fresh(params)
-        writer[0] = 2.0
-        writer.flush()
-        assert assert_fresh(params) != before
+        assert assert_fresh(with_tensors(params, {"trunk.bias": [0.0, -0.0, 0.0]})) != before
+
+    def test_nan_payload_bits(self):
+        params = init_params(small_config(), 42)
+        weight = params.tensors["ctx_attn.context_weight"]
+        first, second = (
+            with_tensors(params, {"ctx_attn.context_weight": set_bits(weight, bits)})
+            for bits in (0x7FF8_0000_0000_0001, 0x7FF8_0000_0000_0002)
+        )
+        assert assert_fresh(first) != assert_fresh(second)
+
+    def test_rebinding_heads(self):
+        # A head is changed by building params with another one.
+        params = init_params(small_config(), 43)
+        t = params.tensors
+        before = assert_fresh(params)
+        after_tag = assert_fresh(with_tensors(params, {"tag_attn.embedding": t["tag_attn.embedding"] + 1.0}))
+        after_ctx = assert_fresh(
+            with_tensors(
+                params,
+                {
+                    "ctx_attn.feature_weight": t["ctx_attn.feature_weight"].copy(),
+                    "ctx_attn.context_weight": t["ctx_attn.context_weight"] * 2.0,
+                },
+            )
+        )
+        assert len({before, after_tag, after_ctx}) == 3
+        # Without the context head, the params are the tag variant's.
+        tag = dataclasses.replace(params.config, variant=Variant.TAGYNET)
+        headless = ModelParams(tag, {n: a for n, a in t.items() if not n.startswith("ctx_attn.")})
+        assert assert_fresh(headless) not in {before, after_tag, after_ctx}
+
+    def test_replacing_config(self):
+        params = init_params(small_config(), 44)
+        before = assert_fresh(params)
+        same = dataclasses.replace(params, config=dataclasses.replace(params.config))
+        assert assert_fresh(same) == before
+        with pytest.raises(ValueError, match=r"^tensor 'trunk.weight' has shape \(3, 3\), expected \(3, 7\)$"):
+            dataclasses.replace(params, config=dataclasses.replace(params.config, raw_dim=7))
+        # The base variant's tensors do not depend on L or T; the config
+        # frame still does.
+        ynet = init_params(small_config(Variant.YNET), 44)
+        for change in ({"locations": 5}, {"tag_count": 5}):
+            other = ModelParams(dataclasses.replace(ynet.config, **change), ynet.tensors)
+            assert assert_fresh(other) != assert_fresh(ynet)
+
+    def test_copy(self):
+        # A copy is params built from the same tensors: the same digest,
+        # and memory of its own.
+        params = init_params(small_config(), 45)
+        before = assert_fresh(params)
+        twin = ModelParams(params.config, params.tensors)
+        assert assert_fresh(twin) == before
+        for name, tensor in twin.named_tensors():
+            assert not np.shares_memory(tensor, params.tensors[name]), name
+
+    def test_unchanged_params_are_hashed_once(self, hashed):
+        # Built and trained params alike: one hash per object, however
+        # often it is asked for.
+        built = init_params(small_config(), 48)
+        for count, params in enumerate((built, stepped(built), stepped(stepped(built))), 1):
+            first = params_fingerprint(params)
+            assert [params_fingerprint(params) for _ in range(3)] == [first] * 3
+            assert len(hashed) == count
+            assert first == reference_fingerprint(params)
+        params_fingerprint(built)
+        assert len(hashed) == 3
+
+    def test_kept_out_of_repr_and_equality(self):
+        params = init_params(small_config(Variant.YNET), 46)
+        params_fingerprint(params)
+        assert "_digest" not in repr(params)
+        assert "_digest" not in [f.name for f in dataclasses.fields(params) if f.compare]
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_gradient_check_leaves_the_fingerprint(self, variant, monkeypatch):
+        # Each perturbed forward pass runs on params of its own, with a
+        # digest of its own; the instance's params stay as they were.
+        inst = gradcheck.random_check_instance([47, int(variant)], variant=variant)
+        before = assert_fresh(inst.params)
+        forward = gradcheck.forward_triple
+        probes = []
+
+        def checked_forward(*args):
+            probes.append(args[5])
+            return forward(*args)
+
+        monkeypatch.setattr(gradcheck, "forward_triple", checked_forward)
+        assert all(report.passed for report in gradcheck.check_triple_gradients(inst))
+        perturbed = {assert_fresh(params) for params in probes}
+        assert inst.params not in probes
+        assert before not in perturbed and len(perturbed) == len(probes)
+        assert assert_fresh(inst.params) == before
 
 
 class TestLoadedTensors:
-    """A loaded checkpoint's tensors live in ``bytes`` objects: read-only,
-    so ``params_fingerprint`` checks them by identity alone."""
-
-    def saved(self, tmp_path, variant=Variant.CTXYNET, seed=50, **dims):
-        path = tmp_path / "model.xatn"
-        config = small_config(variant, **dims)
-        save_checkpoint(path, Checkpoint(config, init_params(config, seed), 1, seed, "ctxynet"))
-        return load_checkpoint(path).params
+    """A loaded checkpoint's params are params like any other: each tensor
+    lives in a ``bytes`` object of its own."""
 
     @pytest.mark.parametrize("source", ["golden", "saved"])
     def test_tensors_are_read_only_aligned_and_c_contiguous(self, source, tmp_path):
         if source == "golden":
             params = load_checkpoint(GOLDEN_CHECKPOINT).params
         else:
-            params = self.saved(tmp_path)
+            params = loaded_params(tmp_path)
         for name, tensor in params.named_tensors():
             assert tensor.dtype == np.dtype("<f8"), name
             assert not tensor.flags.writeable, name
             assert tensor.flags.aligned and tensor.flags.c_contiguous, name
-            assert model._owned_by_bytes(tensor), name
-
-    def test_writes_and_writeable_are_refused(self, tmp_path):
-        # The fast path rests on numpy refusing all of these for memory that
-        # bytes own, in every numpy pyproject.toml allows.
-        tensor = self.saved(tmp_path).tensors["trunk.weight"]
-        with pytest.raises(ValueError, match="read-only"):
-            tensor[0, 0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            tensor += 1.0
-        for view in (tensor, tensor.T, tensor[1:], tensor.reshape(-1)):
-            with pytest.raises(ValueError, match="WRITEABLE"):
-                view.flags.writeable = True
-            with pytest.raises(ValueError, match="WRITEABLE"):
-                view.setflags(write=True)
-        with pytest.raises(AttributeError):
-            tensor.data = memoryview(bytearray(tensor.nbytes))
+            owner = tensor
+            while isinstance(owner, np.ndarray):
+                owner = owner.base
+            assert type(owner) is bytes, name
 
     def test_digest_equals_the_reference_and_the_copy(self, tmp_path):
-        for params in (load_checkpoint(GOLDEN_CHECKPOINT).params, self.saved(tmp_path)):
+        golden = load_checkpoint(GOLDEN_CHECKPOINT).params
+        # The digest of the golden file, as every earlier version gave it.
+        assert params_fingerprint(golden).hex() == (
+            "7161ae25df172dbe40a3b75698e03cbede021ea83ae32552c840ae935f02be7b"
+        )
+        for params in (golden, loaded_params(tmp_path)):
             digest = assert_fresh(params)
-            twin = params.copy()
-            assert all(tensor.flags.writeable for _, tensor in twin.named_tensors())
-            assert params_fingerprint(twin) == digest
+            assert params_fingerprint(ModelParams(params.config, params.tensors)) == digest
 
     def test_unchanged_loaded_params_are_hashed_once(self, tmp_path, hashed):
-        params = self.saved(tmp_path)
-        first = params_fingerprint(params)
-        assert [params_fingerprint(params) for _ in range(3)] == [first] * 3
-        assert len(hashed) == 1
-        # No copy of a loaded tensor is kept: the record holds the array.
-        kept = params._fingerprint.tensors
-        assert all(record.payload is tensor for record, tensor in zip(kept, params.tensors.values()))
+        for count, params in enumerate((load_checkpoint(GOLDEN_CHECKPOINT).params, loaded_params(tmp_path)), 1):
+            first = params_fingerprint(params)
+            assert [params_fingerprint(params) for _ in range(3)] == [first] * 3
+            assert len(hashed) == count
+            # What is kept is the digest and each tensor's shape, strides
+            # and dtype: no copy of any value.
+            meta, digest = params._digest
+            assert digest == first
+            assert meta == tuple((t.shape, t.strides, t.dtype) for t in params.tensors.values())
 
     def test_rebinding_or_reshaping_a_loaded_tensor_leads_to_a_fresh_digest(self, tmp_path):
-        params = self.saved(tmp_path)
+        params = loaded_params(tmp_path)
         seen = [assert_fresh(params)]
         weight = params.tensors["ctx_attn.context_weight"]
-        params.tensors["ctx_attn.context_weight"] = weight.copy()
+        with pytest.raises(TypeError):
+            params.tensors["ctx_attn.context_weight"] = weight + 1.0
+        assert assert_fresh(with_tensors(params, {"ctx_attn.context_weight": weight.copy()})) == seen[0]
+        seen.append(assert_fresh(with_tensors(params, {"ctx_attn.context_weight": weight + 1.0})))
         assert assert_fresh(params) == seen[0]
-        params.tensors["ctx_attn.context_weight"] = weight + 1.0
-        seen.append(assert_fresh(params))
-        params.tensors["ctx_attn.context_weight"] = weight
-        assert assert_fresh(params) == seen[0]
+        # numpy lets a read-only array's shape and dtype be reassigned.
         weight.shape = weight.shape[::-1]
         seen.append(assert_fresh(params))
         weight.shape = weight.shape[::-1]
@@ -1058,25 +1180,26 @@ class TestLoadedTensors:
         assert len(set(seen)) == 4
 
     def test_copies_and_upgrades_train(self, tmp_path):
-        loaded = self.saved(tmp_path, Variant.YNET)
-        for params in (loaded.copy(), init_params(small_config(Variant.TAGYNET), 51, base=loaded)):
-            before = params_fingerprint(params)
-            grads = {name: np.ones_like(tensor) for name, tensor in params.named_tensors()}
-            sgd_step(params, grads, {}, lr=0.1, momentum=0.9)
-            assert params_fingerprint(params) != before
+        loaded = loaded_params(tmp_path, Variant.YNET)
+        before = assert_fresh(loaded)
+        for params in (loaded, init_params(small_config(Variant.TAGYNET), 51, base=loaded)):
+            trained = stepped(params)
+            assert params_fingerprint(trained) != params_fingerprint(params)
             np.testing.assert_array_equal(
-                params.tensors["trunk.bias"], loaded.tensors["trunk.bias"] - 0.1
+                trained.tensors["trunk.bias"], loaded.tensors["trunk.bias"] - 0.1
             )
+        assert assert_fresh(loaded) == before
 
-    def test_a_loaded_model_serves_as_its_writable_copy(self, tmp_path):
-        loaded = self.saved(tmp_path, locations=4, channels=5, tags=3, raw_dim=4)
-        twin = loaded.copy()
+    def test_a_loaded_model_serves_as_the_params_it_saved(self, tmp_path):
+        dims = dict(locations=4, channels=5, tags=3, raw_dim=4)
+        loaded = loaded_params(tmp_path, **dims)
+        built = init_params(small_config(**dims), 50)
         rng = np.random.default_rng(52)
         items = [
             ShopItem(i, i % 7, rng.normal(size=(4, 4)), TagVector(rng.integers(0, 2, 3).astype(np.float64)))
             for i in range(30)
         ]
-        indexes = [build_index(items, params) for params in (loaded, twin)]
+        indexes = [build_index(items, params) for params in (loaded, built)]
         assert indexes[0].fingerprint == indexes[1].fingerprint
         np.testing.assert_array_equal(indexes[0].embeddings, indexes[1].embeddings)
         for _ in range(5):
@@ -1084,7 +1207,7 @@ class TestLoadedTensors:
             for k, rerank in ((3, False), (10, True)):
                 got, want = (
                     search(index, raw, params, k=k, use_rerank=rerank)
-                    for index, params in zip(indexes, (loaded, twin))
+                    for index, params in zip(indexes, (loaded, built))
                 )
                 np.testing.assert_array_equal(got.item_ids, want.item_ids)
                 np.testing.assert_array_equal(got.distances.view(np.uint64), want.distances.view(np.uint64))

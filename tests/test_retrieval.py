@@ -11,6 +11,7 @@ from xattn.attention import TagVector
 from xattn.dataio import SyntheticSpec, generate_synthetic, load_dataset
 from xattn.model import (
     ModelConfig,
+    ModelParams,
     UnsupportedVariantError,
     Variant,
     embed_shop,
@@ -35,6 +36,7 @@ from xattn.retrieval import (
 )
 from xattn.training import sgd_step
 
+from gradcheck import with_tensors
 from mutations import corrupted, non_finite
 from oracles import (
     naive_precision_at_k,
@@ -52,10 +54,8 @@ def make_params(variant=Variant.CTXYNET, seed=0, locations=4, channels=5, tags=3
     config = ModelConfig(
         locations=locations, channels=channels, tag_count=tags, raw_dim=raw_dim, variant=variant
     )
-    params = init_params(config, seed)
     # Positive biases keep a ReLU from zeroing a whole map.
-    params.tensors["trunk.bias"][...] = 0.05
-    return params
+    return with_tensors(init_params(config, seed), {"trunk.bias": 0.05})
 
 
 def make_items(params, count, rng, ids=None):
@@ -592,9 +592,11 @@ class TestContextTerm:
         first = search(index, raw, params, k=10)
         kept = index._context
 
-        # An in-place write to the head fails the fingerprint check before
-        # the term is read or made again.
-        params.tensors["ctx_attn.context_weight"][0, 0] += 0.5
+        # A model with another head fails the fingerprint check before the
+        # term is read or made again.
+        weight = params.tensors["ctx_attn.context_weight"].copy()
+        weight[0, 0] += 0.5
+        params = with_tensors(params, {"ctx_attn.context_weight": weight})
         with pytest.raises(FingerprintMismatchError):
             search(index, raw, params, k=10)
         assert index._context is kept
@@ -626,8 +628,10 @@ class TestChecks:
         for use_rerank in (False, True):
             with pytest.raises(FingerprintMismatchError):
                 search(index, raw, other, use_rerank=use_rerank)
-        # An in-place update of one tensor is caught too.
-        params.tensors["ctx_attn.feature_weight"][0] += 1e-9
+        # So is a model that differs from the indexing one in one entry.
+        weight = params.tensors["ctx_attn.feature_weight"].copy()
+        weight[0] += 1e-9
+        params = with_tensors(params, {"ctx_attn.feature_weight": weight})
         for use_rerank in (False, True):
             with pytest.raises(FingerprintMismatchError):
                 search(index, raw, params, use_rerank=use_rerank)
@@ -644,11 +648,13 @@ class TestChecks:
             for name, t in params.named_tensors()
             if name not in frozen
         }
-        sgd_step(params, grads, {}, lr=1e-3, momentum=0.9)
+        stepped = sgd_step(params, grads, {}, lr=1e-3, momentum=0.9)
         with pytest.raises(FingerprintMismatchError):
-            search(index, raw, params)
+            search(index, raw, stepped)
         with pytest.raises(FingerprintMismatchError):
-            search(index, raw, params, use_rerank=False)
+            search(index, raw, stepped, use_rerank=False)
+        # The params the index was built with are as they were.
+        search(index, raw, params)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_repeated_searches_are_identical(self, variant):
@@ -659,7 +665,7 @@ class TestChecks:
         for _ in range(3):
             raw = query(params, rng)
             first = search(index, raw, params, k=8, use_rerank=use_rerank)
-            for again in (params, params, params.copy()):
+            for again in (params, params, ModelParams(params.config, params.tensors)):
                 assert search(index, raw, again, k=8, use_rerank=use_rerank) == first
         assert index.fingerprint == params_fingerprint(params)
 
@@ -693,8 +699,7 @@ class TestChecks:
             search(index, raw, params, use_rerank=use_rerank)
 
     def test_overflowing_params_cannot_build_an_index(self):
-        params = make_params(Variant.YNET)
-        params.tensors["trunk.weight"][...] = 1e308
+        params = with_tensors(make_params(Variant.YNET), {"trunk.weight": 1e308})
         items = make_items(params, 3, np.random.default_rng(12))
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="embeddings must be finite"):
             build_index(items, params)

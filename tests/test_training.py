@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 from xattn.dataio import Dataset, Manifest, ManifestRecord, SyntheticSpec, generate_synthetic, load_dataset
-from xattn.model import ModelConfig, Variant, checkpoint_from_bytes, checkpoint_to_bytes, init_params
+from xattn.model import (
+    ModelConfig,
+    ModelParams,
+    Variant,
+    checkpoint_from_bytes,
+    checkpoint_to_bytes,
+    init_params,
+    params_fingerprint,
+)
 from xattn.training import (
     STAGES,
     TrainConfig,
@@ -20,7 +28,7 @@ from xattn.training import (
     train_stage,
 )
 
-from oracles import FROZEN_TRUNK, reference_sample_triples, reference_train_stage
+from oracles import FROZEN_TRUNK, reference_fingerprint, reference_sample_triples, reference_train_stage
 
 
 def records_dataset(shop_products, user_products):
@@ -102,35 +110,39 @@ class TestSampleTriples:
 
 class TestSgdStep:
     def test_frozen_tensors_untouched_and_without_velocity(self):
-        # A frozen tensor is one the step is given no gradient for.
+        # A frozen tensor is one the step is given no gradient for. The
+        # step returns new params and leaves the ones it was given alone.
         config = ModelConfig(locations=3, channels=2, tag_count=2, raw_dim=2, variant=Variant.CTXYNET)
-        params = init_params(config, 0)
-        before = {name: t.copy() for name, t in params.named_tensors()}
+        first = params = init_params(config, 0)
+        digest = params_fingerprint(first)
+        before = dict(params.named_tensors())
         grads = {name: np.ones_like(t) for name, t in params.named_tensors() if name not in FROZEN_TRUNK}
         velocity: dict[str, np.ndarray] = {}
         for _ in range(2):
-            assert sgd_step(params, grads, velocity, lr=0.1, momentum=0.5) is None
+            stepped = sgd_step(params, grads, velocity, lr=0.1, momentum=0.5)
+            assert isinstance(stepped, ModelParams) and stepped is not params
+            assert stepped.config == config
+            params = stepped
         assert set(velocity) == set(before) - set(FROZEN_TRUNK)
         for name, tensor in params.named_tensors():
+            assert not tensor.flags.writeable, name
             if name in FROZEN_TRUNK:
                 np.testing.assert_array_equal(tensor, before[name])
             else:
                 # v1 = -0.1, v2 = 0.5 * v1 - 0.1 = -0.15
                 np.testing.assert_allclose(tensor, before[name] - 0.25, rtol=0, atol=1e-15)
                 np.testing.assert_allclose(velocity[name], -0.15, rtol=0, atol=1e-15)
+        assert params_fingerprint(first) == digest == reference_fingerprint(first)
 
     def test_an_unknown_name_raises_before_any_update(self):
         config = ModelConfig(locations=3, channels=2, tag_count=2, raw_dim=2, variant=Variant.YNET)
         params = init_params(config, 0)
-        before = {name: t.copy() for name, t in params.named_tensors()}
         grads = {name: np.ones_like(t) for name, t in params.named_tensors()}
         grads["tag_attn.embedding"] = np.ones((2, 2))
         velocity: dict[str, np.ndarray] = {}
         with pytest.raises(KeyError, match="tag_attn.embedding"):
             sgd_step(params, grads, velocity, lr=0.1, momentum=0.5)
         assert velocity == {}
-        for name, tensor in params.named_tensors():
-            np.testing.assert_array_equal(tensor, before[name])
 
 
 class TestTrainConfig:
