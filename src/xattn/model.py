@@ -220,6 +220,8 @@ class ModelParams:
     _digest: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.config, ModelConfig):
+            raise ValueError(f"params config must be a ModelConfig, got {self.config!r}")
         frozen: dict[str, np.ndarray] = {}
         for want, got in zip_longest(_tensor_layout(self.config), self.tensors.items()):
             if got is None:
@@ -681,6 +683,8 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
             f"checkpoint config {ckpt.config} differs from its params' config {ckpt.params.config}"
         )
     # What the reader refuses is refused here, before any byte is written.
+    if not isinstance(ckpt.stage, str):
+        raise ValueError(f"checkpoint stage must be a str, got {ckpt.stage!r}")
     try:
         stage = ckpt.stage.encode("utf-8")
     except UnicodeEncodeError:

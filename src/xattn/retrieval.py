@@ -12,20 +12,19 @@ attends the same feature map under every candidate's embedding as
 context, all K candidates in one ``context_attend`` call (a
 matrix-vector product, a matrix product and a softmax over an L x K score
 array). Half of each score, ``context_weight[l] . c_k``, depends on the
-candidate and the model alone, so the index computes it once per model,
-as the N x L ``embeddings @ context_weight.T``, on the first re-ranking
-query, and each re-rank gathers its K rows instead of forming an
-L x C x K product. That term is kept with the fingerprint it was built
-under and rebuilt when ``index.fingerprint`` changes. ``search`` checks
-that the fingerprint is the querying model's before it reads the term,
-so any other model fails that check first. The gathered
-rows may differ from a per-query product in the last bits, and so may the
-re-rank distances. The re-rank scores each pooled row ``p`` against its
-context ``c`` in closed form, ``|p|^2 / s^2 - 2 p.c / s + |c|^2`` with
-``s = max(|p|, NORM_EPS)``, which equals ``|l2_normalize(p) - c|^2`` to
-within 1e-12 for unit contexts without forming the normalised rows
-(``_context_distances``). Either way each query sorts its ``k``
-results once, by (distance, item id).
+candidate and the model alone, so the index computes it once, as the
+N x L ``embeddings @ context_weight.T``, on the first re-ranking query,
+and each re-rank gathers its K rows instead of forming an L x C x K
+product. An index is immutable, so the term belongs to the model that its
+fingerprint names; ``search`` checks that this is the querying model
+before it reads the term, so any other model fails that check first. The
+gathered rows may differ from a per-query product in the last bits, and
+so may the re-rank distances. The re-rank scores each pooled row ``p``
+against its context ``c`` in closed form, ``|p|^2 / s^2 - 2 p.c / s +
+|c|^2`` with ``s = max(|p|, NORM_EPS)``, which equals
+``|l2_normalize(p) - c|^2`` to within 1e-12 for unit contexts without
+forming the normalised rows (``_context_distances``). Either way each
+query sorts its ``k`` results once, by (distance, item id).
 
 Every index row is a unit embedding, as ``embed_shops`` makes it:
 ``ShopIndex`` refuses a row whose squared norm is above ``MAX_SQ_NORM``,
@@ -56,7 +55,7 @@ from __future__ import annotations
 import functools
 import logging
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -199,17 +198,21 @@ class RankedList(Sequence[Ranked]):
         return f"RankedList({list(self)!r})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ShopIndex:
     """One row per indexed shop item, in ascending item-id order, plus the
     fingerprint of the model that embedded them.
 
     ``item_ids`` and ``product_ids`` are (N,) int64, ``embeddings`` is
     (N, C) float64, and ``tag_bits`` keeps each tag set packed as the file
-    stores it, (N, ceil(T/8)) uint8; only ``save_index`` reads it. The
-    columns are read-only once the index exists. ``fingerprint`` is kept
-    as ``bytes``: a bytes-like value of 32 bytes is copied into one, and
-    anything else raises a ValueError that names its type or length.
+    stores it, (N, ceil(T/8)) uint8; only ``save_index`` reads it.
+    ``fingerprint`` is kept as ``bytes``: a bytes-like value of 32 bytes is
+    copied into one, and anything else raises a ValueError that names its
+    type or length.
+
+    An index is an immutable value, checked once: no field can be rebound.
+    The columns are not copied: the constructor marks each array it is
+    given read-only. ``dataclasses.replace`` relabels an index.
 
     Every row is a unit embedding, up to rounding: a row whose squared
     norm is above ``MAX_SQ_NORM`` raises a ValueError that names it. The
@@ -217,11 +220,10 @@ class ShopIndex:
     norm, which the re-rank reads too) when the index is made, and
     ``_screen`` (the rows as float32) on the first scan that screens, so an
     index that is only built and saved never pays for it. The re-rank
-    reads ``_context_term``: the N x L ``embeddings @ context_weight.T``
+    reads ``_context``: the N x L ``embeddings @ context_weight.T``
     (N x L x 8 bytes, 392 KB at N=1000, L=49), made by the first
-    re-ranking ``search`` and kept with the fingerprint it was made under.
-    Building, loading, saving and scan-only searches never make it. The
-    index file stores none of them.
+    re-ranking ``search``. Building, loading, saving and scan-only searches
+    never make it. The index file stores none of them.
     """
 
     item_ids: np.ndarray
@@ -229,12 +231,14 @@ class ShopIndex:
     tag_bits: np.ndarray
     embeddings: np.ndarray
     fingerprint: bytes
+    _sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    # The re-rank's context term, once a re-ranking search has made it.
+    _context: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.item_ids = np.asarray(self.item_ids, dtype=np.int64)
-        self.product_ids = np.asarray(self.product_ids, dtype=np.int64)
-        self.tag_bits = np.asarray(self.tag_bits, dtype=np.uint8)
-        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
+        dtypes = (np.int64, np.int64, np.uint8, np.float64)
+        for name, dtype in zip(("item_ids", "product_ids", "tag_bits", "embeddings"), dtypes):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         n = len(self.item_ids)
         if (
             self.item_ids.shape != (n,)
@@ -251,21 +255,20 @@ class ShopIndex:
         # scan over them would return no rows instead of failing.
         if not np.isfinite(self.embeddings).all():
             raise ValueError("index embeddings must be finite")
-        # It keys _context and is saved as 32 raw bytes: keep it as bytes.
+        # search compares it with params_fingerprint; the file holds its 32 bytes.
         if not isinstance(self.fingerprint, (bytes, bytearray, memoryview)):
             raise ValueError(f"fingerprint must be 32 bytes, got a {type(self.fingerprint).__name__}")
-        self.fingerprint = bytes(self.fingerprint)
+        object.__setattr__(self, "fingerprint", bytes(self.fingerprint))
         if len(self.fingerprint) != 32:
             raise ValueError(f"fingerprint must be 32 bytes, got {len(self.fingerprint)}")
         for column in (self.item_ids, self.product_ids, self.tag_bits, self.embeddings):
             column.flags.writeable = False
         # The scan expands |e - q|^2 = |e|^2 - 2 e.q + |q|^2.
-        self._sq_norms = np.einsum("ij,ij->i", self.embeddings, self.embeddings)
-        if np.maximum.reduce(self._sq_norms, initial=0.0) > MAX_SQ_NORM:
-            row = int(np.argmax(self._sq_norms > MAX_SQ_NORM))
-            raise _LongRowError(row, float(self._sq_norms[row]))
-        # (fingerprint, context term) of the last re-ranking model.
-        self._context: tuple[bytes, np.ndarray] | None = None
+        sq_norms = np.einsum("ij,ij->i", self.embeddings, self.embeddings)
+        if np.maximum.reduce(sq_norms, initial=0.0) > MAX_SQ_NORM:
+            row = int(np.argmax(sq_norms > MAX_SQ_NORM))
+            raise _LongRowError(row, float(sq_norms[row]))
+        object.__setattr__(self, "_sq_norms", sq_norms)
 
     @functools.cached_property
     def _screen(self) -> np.ndarray:
@@ -273,18 +276,16 @@ class ShopIndex:
 
     def _context_term(self, context_weight: np.ndarray) -> np.ndarray:
         """``embeddings @ context_weight.T``, read-only: row i holds
-        ``context_weight[l] . e_i`` for every location l.
-
-        Made on the first call and kept with ``fingerprint``; made again
-        once ``fingerprint`` differs from that key. The key stands for the
-        weights, so the caller must first check that ``context_weight``
-        belongs to the model ``fingerprint`` names, as ``search`` does.
+        ``context_weight[l] . e_i`` for every location l. Made by the first
+        call and kept, for the model ``fingerprint`` names: the caller must
+        first check that ``context_weight`` is that model's, as ``search``
+        does.
         """
-        if self._context is None or self._context[0] != self.fingerprint:
+        if self._context is None:
             term = self.embeddings @ context_weight.T
             term.flags.writeable = False
-            self._context = (self.fingerprint, term)
-        return self._context[1]
+            object.__setattr__(self, "_context", term)
+        return self._context
 
     def __len__(self) -> int:
         return len(self.item_ids)
@@ -473,7 +474,7 @@ def search(
     result is sorted once, by (distance, item id). One fingerprint check
     and one feature extraction serve both stages; the re-rank gathers its
     candidates' rows of the index's context term, which the first
-    re-ranking call makes.
+    re-ranking call makes and every later one reuses.
     """
     if not isinstance(k, Integral) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")

@@ -42,7 +42,7 @@ def _default_epochs() -> dict[str, int]:
     return {"ynet": 30, "tagynet": 30, "ctxynet": 30}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 32
     momentum: float = 0.9
@@ -262,7 +262,6 @@ def run_curriculum(
     stages: Sequence[str],
     cfg: TrainConfig,
     model_cfg: ModelConfig,
-    init: Checkpoint | None = None,
     metrics_out: IO[str] | None = None,
 ) -> list[tuple[Checkpoint, list[float]]]:
     """Run stages in order, threading each checkpoint into the next."""
@@ -270,13 +269,8 @@ def run_curriculum(
     if any(a >= b for a, b in zip(variants, variants[1:])):
         names = [STAGES[v] for v in variants]
         raise ValueError(f"stages must be in ladder order, got {names}")
-    results = []
-    current = init
+    results: list[tuple[Checkpoint, list[float]]] = []
     for variant in variants:
-        checkpoint, curve = train_stage(
-            STAGES[variant], dataset, cfg,
-            model_cfg=model_cfg, init=current, metrics_out=metrics_out,
-        )
-        results.append((checkpoint, curve))
-        current = checkpoint
+        init = results[-1][0] if results else None
+        results.append(train_stage(STAGES[variant], dataset, cfg, model_cfg, init, metrics_out))
     return results

@@ -79,6 +79,30 @@ class TestGenerator:
         assert all(a[name] != b[name] for name in features)
 
     @pytest.mark.parametrize(
+        "seed, identity, oracle", [(0, 0.4625, 1.0), (1, 0.4375, 0.975), (2, 0.5, 1.0)]
+    )
+    def test_default_holdout_references(self, tmp_path, seed, identity, oracle):
+        # What the default spec's holdout split gives without any model,
+        # the bounds a trained model is scored against. Identity ranks the
+        # shops by the L2-normalised mean of their raw cells, nearest
+        # first, ties by item id; the oracle is the generator's own.
+        summary = generate_synthetic(SyntheticSpec(seed=seed), tmp_path)
+        assert summary.oracle_accuracy_holdout == oracle
+        dataset = load_dataset(tmp_path / "holdout")
+        users, shops = dataset.user_records(), dataset.shop_records()
+
+        def pooled(records):
+            rows = np.array([dataset.features[r.item_id].mean(axis=0, dtype=np.float64) for r in records])
+            return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+        dists = np.sum((pooled(users)[:, None] - pooled(shops)[None]) ** 2, axis=-1)
+        shop_ids = [r.item_id for r in shops]
+        nearest = [shops[np.lexsort((shop_ids, row))[0]] for row in dists]
+        hits = sum(s.product_id == dataset.ground_truth[u.item_id] for u, s in zip(users, nearest))
+        assert (len(users), len(shops)) == (80, 40)
+        assert hits / len(users) == identity
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("locations", 2.5),

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -720,6 +721,14 @@ class TestCheckpoints:
             checkpoint_to_bytes(ckpt)
         with pytest.raises(ValueError, match=message):
             save_checkpoint(tmp_path / "model.xatn", ckpt)
+        # So does a stage that is not a str at all.
+        for stage in (5, b"ynet", None):
+            ckpt = dataclasses.replace(self.make_checkpoint(), stage=stage)
+            message = rf"^checkpoint stage must be a str, got {re.escape(repr(stage))}$"
+            with pytest.raises(ValueError, match=message):
+                checkpoint_to_bytes(ckpt)
+            with pytest.raises(ValueError, match=message):
+                save_checkpoint(tmp_path / "model.xatn", ckpt)
         assert list(tmp_path.iterdir()) == []
 
     def test_tensor_name_not_utf8(self):
@@ -995,6 +1004,10 @@ class TestImmutableParams:
         # A smaller variant has no tensor for the heads.
         with pytest.raises(ValueError, match="^unexpected tensor 'tag_attn.embedding'$"):
             ModelParams(small_config(Variant.YNET), tensors)
+        # A config that is not a ModelConfig is named, before any tensor.
+        for bad in ("x", None, dataclasses.asdict(config)):
+            with pytest.raises(ValueError, match="^params config must be a ModelConfig, got "):
+                ModelParams(bad, {})
         assert params_fingerprint(ModelParams(config, tensors)) == assert_fresh(init_params(config, 55))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import struct
 
@@ -510,16 +511,6 @@ class TestRerank:
             assert_same_ranking(search(index, raw, params, k, use_rerank=True), want)
 
 
-def fresh_search(index, raw, params, k):
-    """A re-ranked search on a new index with ``index``'s columns, built
-    under ``params``: its context term is made from ``params``."""
-    fresh = ShopIndex(
-        index.item_ids, index.product_ids, index.tag_bits, index.embeddings,
-        params_fingerprint(params),
-    )
-    return search(fresh, raw, params, k)
-
-
 class TestContextTerm:
     def test_rows_equal_the_per_query_product(self):
         # Each entry is a dot product of C terms, taken in two summation
@@ -555,13 +546,15 @@ class TestContextTerm:
             search(built, query(params, rng), params, k=8, use_rerank=False)
             assert built._context is None
             search(built, query(params, rng), params, k=8)
-            key, term = built._context
-            assert key == built.fingerprint and not term.flags.writeable
+            term = built._context
+            assert not term.flags.writeable
             np.testing.assert_array_equal(
                 term, built.embeddings @ params.tensors["ctx_attn.context_weight"].T
             )
             search(built, query(params, rng), params, k=30)
-            assert built._context[1] is term
+            assert built._context is term
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                built._context = None
         # The index file does not hold the term.
         save_index(tmp_path / "again.xidx", index)
         assert (tmp_path / "again.xidx").read_bytes() == (tmp_path / "shop.xidx").read_bytes()
@@ -596,26 +589,94 @@ class TestContextTerm:
         # term is read or made again.
         weight = params.tensors["ctx_attn.context_weight"].copy()
         weight[0, 0] += 0.5
-        params = with_tensors(params, {"ctx_attn.context_weight": weight})
+        written = with_tensors(params, {"ctx_attn.context_weight": weight})
         with pytest.raises(FingerprintMismatchError):
-            search(index, raw, params, k=10)
+            search(index, raw, written, k=10)
+        # The fingerprint cannot be rebound to the written model's, so the
+        # kept term still belongs to the model that built the rows.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            index.fingerprint = params_fingerprint(written)
+        assert index._context is kept
+        assert search(index, raw, params, k=10) == first
+
+        # Relabelling makes a new index over the same columns, whose term is
+        # made from the model it names; the original keeps its own.
+        embedding_of = dict(zip(index.item_ids.tolist(), index.embeddings))
+        for model in (written, other, params):
+            relabelled = dataclasses.replace(index, fingerprint=params_fingerprint(model))
+            assert relabelled.embeddings is index.embeddings and relabelled._context is None
+            got = search(relabelled, raw, model, k=10)
+            np.testing.assert_array_equal(
+                relabelled._context, index.embeddings @ model.tensors["ctx_attn.context_weight"].T
+            )
+            scan = search(relabelled, raw, model, k=10, use_rerank=False)
+            assert_same_ranking(got, per_candidate_rerank(raw, scan.item_ids.tolist(), embedding_of, model))
+            assert (got == first) == (model is params)
         assert index._context is kept
 
-        # Rebinding the fingerprint to the written model's makes the term
-        # again from the written weights.
-        index.fingerprint = params_fingerprint(params)
-        written = search(index, raw, params, k=10)
-        assert written == fresh_search(index, raw, params, 10)
-        assert written != first
-        assert index._context[0] == index.fingerprint and index._context is not kept
 
-        # So does rebinding it to another model's, and back.
-        for model in (other, params):
-            index.fingerprint = params_fingerprint(model)
-            assert search(index, raw, model, k=10) == fresh_search(index, raw, model, 10)
-            np.testing.assert_array_equal(
-                index._context[1], index.embeddings @ model.tensors["ctx_attn.context_weight"].T
-            )
+class TestImmutableIndex:
+    FIELDS = ("item_ids", "product_ids", "tag_bits", "embeddings", "fingerprint")
+
+    def test_no_field_can_be_rebound(self, tmp_path):
+        rng = np.random.default_rng(66)
+        params = make_params(Variant.CTXYNET, seed=66)
+        index = build_index(make_items(params, 12, rng), params)
+        save_index(tmp_path / "shop.xidx", index)
+        loaded = load_index(tmp_path / "shop.xidx", params.config.channels, params.config.tag_count)
+        for built in (index, loaded):
+            search(built, query(params, rng), params, k=4)
+            for name in (*self.FIELDS, "_sq_norms", "_context"):
+                before = getattr(built, name)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(built, name, before)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(built, name)
+                assert getattr(built, name) is before
+            for name in self.FIELDS[:4]:
+                assert not getattr(built, name).flags.writeable
+        save_index(tmp_path / "again.xidx", loaded)
+        assert (tmp_path / "again.xidx").read_bytes() == (tmp_path / "shop.xidx").read_bytes()
+
+    def test_the_rebinding_faults_fail_at_the_assignment(self):
+        # A rebound field would skip the constructor's checks: permuted rows
+        # would leave _sq_norms and _screen stale and rank the wrong items,
+        # NaN rows would rank nothing or NaN distances without failing, and
+        # another model's fingerprint would let that model serve these rows.
+        rng = np.random.default_rng(67)
+        params = make_params(Variant.CTXYNET, seed=67, channels=8)
+        other = make_params(Variant.CTXYNET, seed=68, channels=8)
+        index = build_index(make_items(params, 40, rng), params)
+        raw = query(params, rng)
+        want = {k: search(index, raw, params, k=k, use_rerank=False) for k in (1, 2)}
+        for name, value in (
+            ("embeddings", index.embeddings[::-1].copy()),
+            ("embeddings", np.full_like(index.embeddings, np.nan)),
+            ("fingerprint", params_fingerprint(other)),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(index, name, value)
+            for k, ranked in want.items():
+                assert search(index, raw, params, k=k, use_rerank=False) == ranked
+            with pytest.raises(FingerprintMismatchError):
+                search(index, raw, other, k=2)
+        # replace runs the checks again.
+        with pytest.raises(ValueError, match="^index embeddings must be finite$"):
+            dataclasses.replace(index, embeddings=np.full_like(index.embeddings, np.nan))
+        with pytest.raises(ValueError, match="^fingerprint must be 32 bytes, got 31$"):
+            dataclasses.replace(index, fingerprint=bytes(31))
+
+    def test_columns_are_not_copied(self):
+        # The constructor marks the arrays it is given read-only; a column
+        # of another dtype is converted first.
+        rows = l2_normalize(np.random.default_rng(69).normal(size=(5, 3)))
+        item_ids = np.arange(5, dtype=np.int64)
+        tag_bits = np.zeros((5, 1), np.uint8)
+        index = ShopIndex(item_ids, np.arange(5, dtype=np.int32), tag_bits, rows, bytes(32))
+        assert index.embeddings is rows and index.item_ids is item_ids and index.tag_bits is tag_bits
+        for given in (rows, item_ids, tag_bits):
+            assert not given.flags.writeable
+        assert index.product_ids.dtype == np.int64 and not index.product_ids.flags.writeable
 
 
 class TestChecks:

@@ -201,6 +201,23 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=rf"^{name} must be .*, got {value!r}$"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("batch_size", 0), ("batch_size", 16), ("base_lr", math.nan), ("epochs", {}), ("seed", 1)],
+    )
+    def test_fields_cannot_be_rebound(self, name, value):
+        # The checks run once, when the config is made: a rebound field
+        # would skip them, so a config is rebuilt with dataclasses.replace.
+        cfg = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(cfg, name)
+        assert cfg == TrainConfig()
+        assert dataclasses.replace(cfg, batch_size=16).batch_size == 16
+        with pytest.raises(ValueError, match="batch_size must be an integer >= 1, got 0"):
+            dataclasses.replace(cfg, batch_size=0)
+
     def test_the_largest_accepted_values_save(self, tmp_path):
         spec = SyntheticSpec(products=3, holdout_products=0, locations=2, channels=2, tag_count=2, raw_dim=2, signal_locations=1)
         generate_synthetic(spec, tmp_path)
