@@ -6,9 +6,13 @@
 ``Reader`` is the one parser cursor. Each fault raises the parser's own
 ``FormatError`` subclass, whose ``offset`` is where the fault starts: for a
 read past the end, the start of that read, or of an array's first
-incomplete item; for a NaN or infinity, the start of the item holding it
-(for a float array, the value); for trailing bytes, the first of them; for
-a bad magic, version or dimension, that field.
+incomplete item; for a NaN or infinity, the start of the value; for
+trailing bytes, the first of them; for a bad magic or version, that field.
+
+Each rule has one home. A rule about a value lives in its constructor,
+which raises ``_KeyedError`` keyed by where the fault lies: a config
+field, a tensor name or an index row. A parser keeps the rules about
+bytes, builds the value and reports that fault at the item's offset.
 """
 
 from __future__ import annotations
@@ -29,6 +33,14 @@ class FormatError(ValueError):
     def __init__(self, message: str, offset: int | None = None) -> None:
         super().__init__(message if offset is None else f"{message} (at byte {offset})")
         self.offset = offset
+
+
+class _KeyedError(ValueError):
+    """A value's fault; ``key`` says where in the value, for a parser to place it."""
+
+    def __init__(self, message: str, key: object) -> None:
+        super().__init__(message)
+        self.key = key
 
 
 class Reader:
@@ -72,10 +84,9 @@ class Reader:
         except UnicodeDecodeError as exc:
             self.fail(f"{what} is not valid UTF-8", self.pos - len(raw) + exc.start)
 
-    def array(self, dtype: np.dtype | str, count: int, what: str, finite: bool | str = False) -> np.ndarray:
+    def array(self, dtype: np.dtype | str, count: int, what: str, finite: bool = False) -> np.ndarray:
         """``count`` items of ``dtype``, a read-only view of the bytes.
-        ``finite=True`` requires every value to be finite; the name of a
-        field of a structured dtype requires it of that field."""
+        ``finite=True`` requires every value to be finite."""
         dtype = np.dtype(dtype)
         start, left = self.pos, len(self.data) - self.pos
         # count is a Python int, so a huge claimed count cannot wrap here.
@@ -86,13 +97,9 @@ class Reader:
             )
         items = np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
         self.pos += items.nbytes
-        if finite:
-            values = items if finite is True else items[finite]
-            ok = np.isfinite(values)
-            if not ok.all():
-                bad = np.flatnonzero(~ok.reshape(count, -1).all(axis=1))[0]
-                label = what if finite is True else finite
-                self.fail(f"{label} holds NaN or infinite values", start + int(bad) * dtype.itemsize)
+        if finite and not np.isfinite(items).all():
+            bad = np.argmin(np.isfinite(items))  # the first value that is not finite
+            self.fail(f"{what} holds NaN or infinite values", start + int(bad) * dtype.itemsize)
         return items
 
     def end(self) -> None:

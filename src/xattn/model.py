@@ -8,11 +8,11 @@ candidate's shop embedding as context.
 The parameters are a config and one name -> array mapping,
 ``ModelParams.tensors``. ``_tensor_layout(config)`` is the one source of
 the tensor names, shapes, initial scales and order: ``init_params``
-builds the mapping from it, ``checkpoint_from_bytes`` checks a file
-against it and ``ModelParams`` refuses any other. Everything else works
-by name: the checkpoint, the fingerprint, the gradient dict and the
-optimiser. The forward and backward code read the arrays they need by
-name and hand them to the ``attention`` functions as plain arrays.
+builds the mapping from it, and ``ModelParams`` refuses any other and
+keeps the tensors in its order. Everything else works by name: the
+checkpoint, the fingerprint, the gradient dict and the optimiser. The
+forward and backward code read the arrays they need by name and hand
+them to the ``attention`` functions as plain arrays.
 
 The trunk is a per-location affine+ReLU transform and each branch a
 per-location affine one (``_affine``, 1x1-convolution equivalents);
@@ -34,10 +34,10 @@ Finiteness is checked once, where data enters: ``_trunk`` (behind
 input to float64, which is exact for the float32 maps ``dataio`` loads,
 and rejects non-finite raw input; ``checkpoint_from_bytes`` rejects NaN/Inf
 tensors, which ``checkpoint_to_bytes`` refuses to write, the feature-map
-and index parsers reject NaN/Inf payloads, and ``softmax`` rejects
-non-finite attention scores. Parameters that overflow
-in memory give NaN embeddings, which ``metric.triplet_loss`` (training) and
-``retrieval.ShopIndex`` (serving) refuse.
+parser NaN/Inf payloads, and ``softmax`` non-finite attention scores.
+Parameters that overflow in memory give NaN embeddings, which
+``metric.triplet_loss`` (training) and ``retrieval.ShopIndex`` (serving,
+and the index parser) refuse.
 
 Serving runs the batched forward functions: ``embed_shops`` embeds a
 B x L x R stack of shop images under a B x T 0/1 tag matrix as one shop
@@ -65,8 +65,9 @@ results and the norms the embeddings were divided by, and
 ``backward_triple`` calls it once and walks back over them; the gradient
 check differences the same ``forward_triple``. The shop gradient reaches
 the trunk through the ReLU mask of the hidden maps alone, with no product
-through the branch at each location. In the stages that freeze the trunk, ``backward_triple`` skips
-the trunk gradients and the hidden maps' gradient only they read.
+through the branch at each location. In the stages that freeze the
+trunk, ``backward_triple`` skips the trunk gradients and the hidden maps'
+gradient only they read.
 
 A training step costs one trunk pass, one ``forward_triple`` and one
 ``triplet_loss`` per triple; the hinge is not evaluated again on the way
@@ -84,36 +85,30 @@ nothing else: no dict entries when the loss is 0, and no trunk entries
 when the trunk is frozen.
 
 ``params_fingerprint`` identifies the parameters an index was built with,
-and ``search`` checks it on every query. Params are immutable values:
-each tensor is a read-only array over a ``bytes`` object of its own, which
-numpy refuses to write to or to make writeable, in a read-only mapping,
-and no field can be rebound. Training makes new params at each step
-instead of writing the old ones. So each params object is hashed once,
-and the digest is kept on it with each tensor's shape, strides and dtype:
-numpy still lets those be reassigned on a read-only array, and a call
-that finds one reassigned hashes again.
+and ``search`` checks it on every query. Params are immutable values
+(``ModelParams``), and training makes new params at each step, so each
+params object is hashed once.
 
 Checkpoint file format (little endian): magic ``XATN``, version u32, then
 u32 variant, locations, channels, tag count, raw dim and epoch, seed u64,
 the stage name, tensor count u32, and per tensor its name, rank u32, that
 many u32 dims and the values as float64, row-major. A name is a u32 byte
-count, then strict UTF-8. ``fileio`` says how faults are reported. The
-tensors must be exactly those of ``_tensor_layout``, in any order: a name
-the config has no tensor for, a repeated name or a shape other than the
-config's is reported at the tensor's name, a missing tensor at the end of
-the file. A loaded model holds them in layout order, so it saves back to
-the canonical bytes.
+count, then strict UTF-8. ``fileio`` says how faults are reported: the
+parser checks the bytes, a repeated tensor name among them, and
+``ModelConfig`` and ``ModelParams`` the values. So the tensors may come
+in any order, and a loaded model holds them in layout order, which saves
+back to the canonical bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import zip_longest
 from numbers import Integral
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
@@ -128,7 +123,7 @@ from .attention import (
     tag_attend,
     tag_attend_backward,
 )
-from .fileio import FormatError, Reader, write_atomic
+from .fileio import FormatError, Reader, _KeyedError, write_atomic
 from .metric import triplet_loss, triplet_loss_backward
 from .numeric import Normalized, l2_normalize, l2_normalize_backward, normalize_rows
 
@@ -139,6 +134,12 @@ CHECKPOINT_VERSION = 1
 _HEADER = struct.Struct("<4s7IQ")
 
 DOMAINS = ("user", "shop")
+
+# The dimensions of a ModelConfig, in the order the header stores them.
+_DIMS = ("locations", "channels", "tag_count", "raw_dim")
+
+# Every tensor is stored as little-endian float64.
+_F8 = np.dtype("<f8")
 
 
 class Variant(IntEnum):
@@ -178,12 +179,18 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         # A checkpoint stores the variant and each dimension as a u32.
-        for field_name in ("locations", "channels", "tag_count", "raw_dim"):
+        for field_name in _DIMS:
             value = getattr(self, field_name)
             if not isinstance(value, Integral) or not 1 <= value < 2**32:
-                raise ValueError(f"{field_name} must be an integer in [1, 2**32), got {value!r}")
+                message = f"{field_name} must be an integer in [1, 2**32), got {value!r}"
+                raise _KeyedError(message, field_name)
         if not isinstance(self.variant, Variant):
             raise ValueError(f"variant must be a Variant, got {self.variant!r}")
+
+    @functools.cached_property
+    def _shapes(self) -> dict[str, tuple[int, ...]]:
+        """Each tensor's shape by name, in layout order; read at every step."""
+        return {name: shape for name, shape, _ in _tensor_layout(self)}
 
 
 def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -198,10 +205,11 @@ def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ModelParams:
     """A config and its learnable tensors: one name -> array mapping
-    holding exactly the names and shapes of ``_tensor_layout(config)``, in
-    that order. The order is the checkpoint's and the fingerprint's. Any
-    other mapping raises a ValueError that names the first tensor that
-    differs.
+    holding exactly the names and shapes of ``_tensor_layout(config)``,
+    taken in any order and kept in the layout's, which is the checkpoint's
+    and the fingerprint's. An unexpected or mis-shaped tensor, in the order
+    given, then a missing one, raises a ValueError keyed by its name
+    (``fileio``); ``tensors`` that are not a mapping raise one naming them.
 
     Params are an immutable value. The constructor stores each tensor as a
     read-only, aligned, C-contiguous ``<f8`` array over a ``bytes`` object
@@ -222,20 +230,22 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not isinstance(self.config, ModelConfig):
             raise ValueError(f"params config must be a ModelConfig, got {self.config!r}")
+        if not isinstance(self.tensors, Mapping):
+            raise ValueError(f"params tensors must be a mapping, got {self.tensors!r}")
+        shapes = self.config._shapes
         frozen: dict[str, np.ndarray] = {}
-        for want, got in zip_longest(_tensor_layout(self.config), self.tensors.items()):
-            if got is None:
-                raise ValueError(f"missing tensor {want[0]!r}")
-            name, tensor = got
-            if want is None:
-                raise ValueError(f"unexpected tensor {name!r}")
-            if name != want[0]:
-                raise ValueError(f"tensor {name!r} where the layout has {want[0]!r}")
-            array = np.asarray(tensor, dtype="<f8")
-            if array.shape != want[1]:
-                raise ValueError(f"tensor {name!r} has shape {array.shape}, expected {want[1]}")
-            frozen[name] = np.ndarray(array.shape, "<f8", array.tobytes())
-        object.__setattr__(self, "tensors", MappingProxyType(frozen))
+        for name, tensor in self.tensors.items():
+            shape = shapes.get(name)
+            if shape is None:
+                raise _KeyedError(f"unexpected tensor {name!r}", name)
+            array = np.asarray(tensor, _F8)
+            if array.shape != shape:
+                raise _KeyedError(f"tensor {name!r} has shape {array.shape}, expected {shape}", name)
+            frozen[name] = np.ndarray(shape, _F8, array.tobytes())
+        if len(frozen) != len(shapes):
+            missing = next(name for name in shapes if name not in frozen)
+            raise _KeyedError(f"missing tensor {missing!r}", missing)
+        object.__setattr__(self, "tensors", MappingProxyType({name: frozen[name] for name in shapes}))
 
     def named_tensors(self) -> Iterator[tuple[str, np.ndarray]]:
         return iter(self.tensors.items())
@@ -244,8 +254,7 @@ class ModelParams:
 def _tensor_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]:
     """Canonical (name, shape, init scale) list; scale 0 means zeros."""
     c, r = config.channels, config.raw_dim
-    # math.sqrt, like np.sqrt, is correctly rounded, and costs ModelParams,
-    # which checks every params object against this layout, much less.
+    # math.sqrt, like np.sqrt, is correctly rounded.
     branch_scale = 1.0 / math.sqrt(c)
     layout = [
         ("trunk.weight", (c, r), 1.0 / math.sqrt(r)),
@@ -623,6 +632,15 @@ class Checkpoint:
     seed: int
     stage: str
 
+    def __post_init__(self) -> None:
+        # The header is written from the config and the tensors from the params.
+        if self.params.config != self.config:
+            raise ValueError(
+                f"checkpoint config {self.config} differs from its params' config {self.params.config}"
+            )
+        if not isinstance(self.stage, str):
+            raise ValueError(f"checkpoint stage must be a str, got {self.stage!r}")
+
 
 def _tensor_frame(name: str, arr: np.ndarray) -> bytes:
     payload = np.ascontiguousarray(arr, dtype="<f8")
@@ -639,14 +657,7 @@ def _tensor_frame(name: str, arr: np.ndarray) -> bytes:
 
 
 def _config_frame(config: ModelConfig) -> bytes:
-    return struct.pack(
-        "<5I",
-        int(config.variant),
-        config.locations,
-        config.channels,
-        config.tag_count,
-        config.raw_dim,
-    )
+    return struct.pack("<5I", int(config.variant), *(getattr(config, name) for name in _DIMS))
 
 
 def params_fingerprint(params: ModelParams) -> bytes:
@@ -677,14 +688,7 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     for name, value, bits in (("epoch", ckpt.epoch, 32), ("seed", ckpt.seed, 64)):
         if not isinstance(value, Integral) or not 0 <= value < 2**bits:
             raise ValueError(f"checkpoint {name} must be an integer in [0, 2**{bits}), got {value!r}")
-    # The header is written from the config and the tensors from the params.
-    if ckpt.params.config != ckpt.config:
-        raise ValueError(
-            f"checkpoint config {ckpt.config} differs from its params' config {ckpt.params.config}"
-        )
     # What the reader refuses is refused here, before any byte is written.
-    if not isinstance(ckpt.stage, str):
-        raise ValueError(f"checkpoint stage must be a str, got {ckpt.stage!r}")
     try:
         stage = ckpt.stage.encode("utf-8")
     except UnicodeEncodeError:
@@ -710,8 +714,10 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
 def checkpoint_from_bytes(data: bytes) -> Checkpoint:
     """Parse checkpoint bytes; a fault raises ``CheckpointFormatError``.
 
-    The params hold copies of the tensors, as every ``ModelParams`` does,
-    and share no memory with ``data``.
+    A fault of ``ModelConfig`` is reported at its header field, and one of
+    ``ModelParams`` at the tensor's name, or at the end of the file for a
+    missing tensor. The params hold copies of the tensors, as every
+    ``ModelParams`` does, and share no memory with ``data``.
     """
     reader = Reader(data, CheckpointFormatError)
     magic, version, variant_raw, *dims, epoch, seed = reader.unpack(_HEADER, "header")
@@ -723,20 +729,16 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
         variant = Variant(variant_raw)
     except ValueError:
         reader.fail(f"unknown variant code {variant_raw}", 8)
-    for i, field_name in enumerate(("locations", "channels", "tag_count", "raw_dim")):
-        if dims[i] < 1:
-            reader.fail(f"{field_name} must be positive", 12 + 4 * i)
-    config = ModelConfig(*dims, variant)
-    layout = {name: shape for name, shape, _ in _tensor_layout(config)}
+    try:
+        config = ModelConfig(*dims, variant)
+    except _KeyedError as exc:
+        reader.fail(str(exc), 12 + 4 * _DIMS.index(exc.key))
     stage = reader.text("stage name")
     tensors: dict[str, np.ndarray] = {}
+    name_offsets: dict[str, int] = {}
     for _ in range(reader.u32("tensor count")):
         name_offset = reader.pos
         name = reader.text("tensor name")
-        if name not in layout:
-            # A base-variant file that also carried a tag head would load
-            # and drop the head, so it could not be saved back byte for byte.
-            reader.fail(f"unexpected tensor {name!r}", name_offset)
         if name in tensors:
             reader.fail(f"duplicate tensor {name!r}", name_offset)
         shape = tuple(reader.array("<u4", reader.u32("tensor rank"), "tensor dims").tolist())
@@ -747,15 +749,13 @@ def checkpoint_from_bytes(data: bytes) -> Checkpoint:
             # numpy refuses more than 64 dims, and a zero dim next to dims
             # whose product overflows, even with the payload size right.
             reader.fail(f"tensor {name!r} has a shape numpy cannot hold: {shape}", name_offset)
-        if shape != layout[name]:
-            reader.fail(f"tensor {name!r} has shape {shape}, expected {layout[name]}", name_offset)
+        name_offsets[name] = name_offset
     reader.end()
-    missing = [name for name in layout if name not in tensors]
-    if missing:
-        reader.fail(f"missing tensor {missing[0]!r}", reader.pos)
-    # The file may store the tensors in any order; the dict takes the
-    # layout's, which the fingerprint and checkpoint_to_bytes depend on.
-    params = ModelParams(config, {name: tensors[name] for name in layout})
+    try:
+        params = ModelParams(config, tensors)
+    except _KeyedError as exc:
+        # A tensor that is missing has no name in the file: it fails at the end.
+        reader.fail(str(exc), name_offsets.get(exc.key, reader.pos))
     return Checkpoint(config=config, params=params, epoch=epoch, seed=seed, stage=stage)
 
 

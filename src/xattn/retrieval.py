@@ -63,7 +63,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .attention import TagVector, context_attend
-from .fileio import FormatError, Reader, write_atomic
+from .fileio import FormatError, Reader, _KeyedError, write_atomic
 from .model import (
     ModelParams,
     UnsupportedVariantError,
@@ -122,18 +122,6 @@ MAX_SQ_NORM = 1.0 + 2.0**-20
 
 class IndexFormatError(FormatError):
     """Index bytes could not be parsed; ``offset`` locates the fault."""
-
-
-class _LongRowError(ValueError):
-    """An index row is longer than a unit embedding; ``load_index`` reads
-    ``row`` to report the entry's offset."""
-
-    def __init__(self, row: int, sq_norm: float) -> None:
-        super().__init__(
-            f"index row {row} has squared norm {sq_norm!r}, above {MAX_SQ_NORM!r}: "
-            "rows must be unit embeddings"
-        )
-        self.row = row
 
 
 class FingerprintMismatchError(ValueError):
@@ -214,9 +202,10 @@ class ShopIndex:
     The columns are not copied: the constructor marks each array it is
     given read-only. ``dataclasses.replace`` relabels an index.
 
-    Every row is a unit embedding, up to rounding: a row whose squared
-    norm is above ``MAX_SQ_NORM`` raises a ValueError that names it. The
-    scan reads columns derived in memory: ``_sq_norms`` (each row's squared
+    Item ids strictly increase, and every row is a finite unit embedding,
+    up to rounding (``MAX_SQ_NORM``). The first id, then the first row,
+    that breaks a rule raises a ValueError keyed by its row (``fileio``).
+    The scan reads columns derived in memory: ``_sq_norms`` (each row's squared
     norm, which the re-rank reads too) when the index is made, and
     ``_screen`` (the rows as float32) on the first scan that screens, so an
     index that is only built and saved never pays for it. The re-rank
@@ -249,25 +238,32 @@ class ShopIndex:
             or len(self.embeddings) != n
         ):
             raise ValueError("index columns must hold one row per item")
-        if np.any(np.diff(self.item_ids) <= 0):
-            raise ValueError("index item ids must be strictly increasing")
-        # Parameters that overflowed in memory give NaN embeddings, and a
-        # scan over them would return no rows instead of failing.
-        if not np.isfinite(self.embeddings).all():
-            raise ValueError("index embeddings must be finite")
+        bad = np.flatnonzero(self.item_ids[1:] <= self.item_ids[:-1]) + 1
+        if bad.size:
+            row = int(bad[0])
+            fault = f"row {row} holds {self.item_ids[row]} after {self.item_ids[row - 1]}"
+            raise _KeyedError(f"index item ids must be strictly increasing: {fault}", row)
         # search compares it with params_fingerprint; the file holds its 32 bytes.
         if not isinstance(self.fingerprint, (bytes, bytearray, memoryview)):
             raise ValueError(f"fingerprint must be 32 bytes, got a {type(self.fingerprint).__name__}")
         object.__setattr__(self, "fingerprint", bytes(self.fingerprint))
         if len(self.fingerprint) != 32:
             raise ValueError(f"fingerprint must be 32 bytes, got {len(self.fingerprint)}")
+        # The scan expands |e - q|^2 = |e|^2 - 2 e.q + |q|^2. A row holding
+        # NaN or infinity has a NaN or infinite squared norm, so one test of
+        # the norms finds it and the long rows. Parameters that overflowed
+        # in memory give NaN rows, which a scan would rank nowhere.
+        sq_norms = np.einsum("ij,ij->i", self.embeddings, self.embeddings)
+        bad = np.flatnonzero(~(sq_norms <= MAX_SQ_NORM))
+        if bad.size:
+            row = int(bad[0])
+            fault = f"index embeddings must be finite: row {row} holds NaN or infinite values"
+            if np.isfinite(self.embeddings[row]).all():
+                fault = f"index row {row} has squared norm {float(sq_norms[row])!r}"
+                fault += f", above {MAX_SQ_NORM!r}: rows must be unit embeddings"
+            raise _KeyedError(fault, row)
         for column in (self.item_ids, self.product_ids, self.tag_bits, self.embeddings):
             column.flags.writeable = False
-        # The scan expands |e - q|^2 = |e|^2 - 2 e.q + |q|^2.
-        sq_norms = np.einsum("ij,ij->i", self.embeddings, self.embeddings)
-        if np.maximum.reduce(sq_norms, initial=0.0) > MAX_SQ_NORM:
-            row = int(np.argmax(sq_norms > MAX_SQ_NORM))
-            raise _LongRowError(row, float(sq_norms[row]))
         object.__setattr__(self, "_sq_norms", sq_norms)
 
     @functools.cached_property
@@ -317,13 +313,9 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
     base variant pools uniformly, as it was trained. Every item's tag
     vector must have the model's ``tag_count`` entries, since the index
     stores them, and every map must be L x R; a ValueError names the first
-    item that does not.
+    item that does not. ``ShopIndex`` refuses a repeated item id.
     """
     ordered = sorted(items, key=lambda item: item.item_id)
-    item_ids = np.array([item.item_id for item in ordered], dtype=np.int64)
-    repeated = np.flatnonzero(item_ids[1:] == item_ids[:-1])
-    if repeated.size:
-        raise ValueError(f"duplicate item id {item_ids[repeated[0]]}")
     cfg = params.config
     # The base variant never reads the tags, but the index stores them in
     # ceil(T/8) bytes each, and load_index reads them back at that width.
@@ -351,7 +343,7 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
         np.concatenate([item.raw for item in block], out=raws.reshape(-1, cfg.raw_dim))
         embeddings[lo : lo + len(block)] = embed_shops(raws, bits[lo : lo + len(block)], params)
     return ShopIndex(
-        item_ids=item_ids,
+        item_ids=np.array([item.item_id for item in ordered], dtype=np.int64),
         product_ids=np.array([item.product_id for item in ordered], dtype=np.int64),
         tag_bits=np.packbits(bits.astype(np.uint8), axis=1, bitorder="little"),
         embeddings=embeddings,
@@ -564,8 +556,8 @@ def load_index(path: "Path | str", channels: int, tag_count: int) -> ShopIndex:
     """Parse an index file; entry sizes come from the model config.
 
     The file length is checked against the size the entry count implies
-    before any column is allocated. Embeddings must be finite unit rows
-    (``MAX_SQ_NORM``), and ids must fit in int64 and increase.
+    before any column is allocated, and ids must fit in int64. A fault of
+    ``ShopIndex`` (id order, finite unit rows) is reported at its entry.
     """
     reader = Reader(Path(path).read_bytes(), IndexFormatError)
     magic, version, fingerprint, count = reader.unpack(_HEADER, "header")
@@ -574,7 +566,7 @@ def load_index(path: "Path | str", channels: int, tag_count: int) -> ShopIndex:
     if version != INDEX_VERSION:
         reader.fail(f"unsupported version {version}", 4)
     entry = _entry_dtype(channels, (tag_count + 7) // 8)
-    entries = reader.array(entry, count, f"{count} entries", finite="embedding")
+    entries = reader.array(entry, count, f"{count} entries")
     reader.end()
     # u64 ids of 2**63 or more wrap to negative int64 here.
     item_ids = entries["item_id"].astype(np.int64)
@@ -582,11 +574,6 @@ def load_index(path: "Path | str", channels: int, tag_count: int) -> ShopIndex:
     bad = np.flatnonzero((item_ids < 0) | (product_ids < 0))
     if bad.size:
         reader.fail("id does not fit in int64", _HEADER.size + int(bad[0]) * entry.itemsize)
-    bad = np.flatnonzero(np.diff(item_ids) <= 0)
-    if bad.size:
-        reader.fail(
-            "item ids are not strictly increasing", _HEADER.size + int(bad[0] + 1) * entry.itemsize
-        )
     try:
         return ShopIndex(
             item_ids=item_ids,
@@ -595,5 +582,5 @@ def load_index(path: "Path | str", channels: int, tag_count: int) -> ShopIndex:
             embeddings=np.array(entries["embedding"], dtype=np.float64),
             fingerprint=fingerprint,
         )
-    except _LongRowError as exc:
-        reader.fail(str(exc), _HEADER.size + exc.row * entry.itemsize)
+    except _KeyedError as exc:
+        reader.fail(str(exc), _HEADER.size + exc.key * entry.itemsize)

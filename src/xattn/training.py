@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
-from typing import IO, Sequence
+from types import MappingProxyType
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -49,8 +50,8 @@ class TrainConfig:
     base_lr: float = 0.01
     lr_decay: float = 0.1
     decay_every: int = 30
-    margins: dict[str, float] = field(default_factory=_default_margins)
-    epochs: dict[str, int] = field(default_factory=_default_epochs)
+    margins: Mapping[str, float] = field(default_factory=_default_margins)
+    epochs: Mapping[str, int] = field(default_factory=_default_epochs)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -70,7 +71,10 @@ class TrainConfig:
         # A checkpoint stores the epoch count as a u32 and the seed as a u64.
         if not isinstance(self.seed, Integral) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64) and an integer, got {self.seed!r}")
-        for name, table in (("margins", self.margins), ("epochs", self.epochs)):
+        for name in ("margins", "epochs"):
+            # A read-only copy: a later write to the table would skip these checks.
+            table = MappingProxyType(dict(getattr(self, name)))
+            object.__setattr__(self, name, table)
             # A misspelt stage would otherwise be ignored.
             for key in table:
                 if key not in STAGES:
@@ -167,10 +171,10 @@ def train_stage(
 
     ``stage`` is matched ignoring case and surrounding blanks, and the
     checkpoint and metrics carry its lower-case name. Either ``init`` (the
-    previous stage's checkpoint) or ``model_cfg`` must be given. Returns
-    the final checkpoint and the per-epoch mean loss curve; each epoch also
-    writes one ``epoch<TAB>stage<TAB>lr<TAB>mean_loss`` line to
-    ``metrics_out``.
+    previous stage's checkpoint) or ``model_cfg`` must be given; given
+    both, they may differ in the variant alone. Returns the final
+    checkpoint and the per-epoch mean loss curve; each epoch also writes
+    one ``epoch<TAB>stage<TAB>lr<TAB>mean_loss`` line to ``metrics_out``.
 
     Each triple is one ``backward_triple`` call, which returns the
     gradients of the tensors the stage trains, or none at zero loss. The
@@ -186,6 +190,8 @@ def train_stage(
     stage_index = int(variant)
     if init is not None:
         base_cfg = init.config
+        if model_cfg is not None and replace(model_cfg, variant=base_cfg.variant) != base_cfg:
+            raise ValueError(f"model config {model_cfg} differs from the init config {base_cfg}")
     elif model_cfg is not None:
         base_cfg = model_cfg
     else:

@@ -1,25 +1,34 @@
 import builtins
+import dataclasses
 import errno
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xattn import fileio
+from xattn import fileio, model
 from xattn.attention import TagVector
 from xattn.dataio import FeatureMapFormatError, load_feature_map, write_feature_map
 from xattn.model import (
     Checkpoint,
     CheckpointFormatError,
     ModelConfig,
+    ModelParams,
     Variant,
+    checkpoint_from_bytes,
+    checkpoint_to_bytes,
     init_params,
     load_checkpoint,
     save_checkpoint,
 )
-from xattn.retrieval import IndexFormatError, ShopItem, build_index, load_index, save_index
+from xattn.retrieval import MAX_SQ_NORM, IndexFormatError, ShopItem, build_index, load_index, save_index
 from xattn.fileio import FormatError, write_atomic
+
+from oracles import per_entry_index_bytes
 
 CONFIG = ModelConfig(locations=4, channels=3, tag_count=2, raw_dim=3, variant=Variant.CTXYNET)
 
@@ -173,3 +182,80 @@ def test_parsers_raise_format_errors_with_the_offset(tmp_path, error, load):
         load(path)
     assert err.value.offset == 0
     assert str(error("no offset")) == "no offset" and error("no offset").offset is None
+
+
+# Files whose bytes parse but whose values break a rule of the value they
+# make: each must load, or raise its own FormatError at the offset of the
+# item at fault, never a bare ValueError.
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_checkpoint_tensors_off_the_layout_fail_at_their_frame(data):
+    # Frames of a random subset, superset or permutation of the layout,
+    # each tensor perhaps reshaped to another shape of its size.
+    config = dataclasses.replace(CONFIG, variant=data.draw(st.sampled_from(Variant)))
+    layout = {name: shape for name, shape, _ in model._tensor_layout(config)}
+    pool = {**init_params(CONFIG, 3).tensors, "extra": np.ones(3)}
+    # A permutation of the layout, or of any leading part of the pool's.
+    subset = st.permutations(list(pool)).flatmap(
+        lambda names: st.integers(0, len(names)).map(lambda n: names[:n])
+    )
+    names = data.draw(st.one_of(st.permutations(list(layout)), subset))
+    stage = "ctxynet"
+    head = checkpoint_to_bytes(Checkpoint(config, init_params(config, 3), 1, 2, stage))[: 44 + len(stage)]
+    body = struct.pack("<I", len(names))
+    placed = []  # (name, shape, frame offset)
+    for name in names:
+        values = pool[name]
+        if data.draw(st.booleans()):
+            size = values.size
+            shapes = [(size,), (1, size), (size, 1), values.shape[::-1]]
+            values = values.reshape(data.draw(st.sampled_from(shapes)))
+        placed.append((name, values.shape, len(head) + len(body)))
+        body += model._tensor_frame(name, values)
+    blob = head + body
+    bad = [at for name, shape, at in placed if layout.get(name) != shape]
+    if bad or set(names) != set(layout):
+        with pytest.raises(CheckpointFormatError) as err:
+            checkpoint_from_bytes(blob)
+        assert err.value.offset == (bad[0] if bad else len(blob))
+    else:
+        loaded = checkpoint_from_bytes(blob)
+        params = ModelParams(config, {name: pool[name] for name in layout})
+        assert checkpoint_to_bytes(loaded) == checkpoint_to_bytes(Checkpoint(config, params, 1, 2, stage))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_index_entries_off_the_rules_fail_at_their_entry(tmp_path_factory, data):
+    # Entries whose ids are unsorted or repeated, or whose rows hold NaN or
+    # infinity or are longer than a unit embedding. Ids are checked first.
+    built = index(1)
+    count, channels = built.embeddings.shape
+    ids = sorted(data.draw(st.sets(st.integers(0, 2**63 - 1), min_size=count, max_size=count)))
+    if data.draw(st.booleans()):
+        ids = data.draw(st.lists(st.integers(0, 2 * count), min_size=count, max_size=count))
+    rows = built.embeddings.copy()
+    for row in data.draw(st.lists(st.integers(0, count - 1), max_size=2)):
+        fault = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, 1 + 2.0**-19, 2.0, 1e200]))
+        if np.isfinite(fault):
+            rows[row] *= fault
+        else:
+            rows[row, data.draw(st.integers(0, channels - 1))] = fault
+    with np.errstate(over="ignore"):
+        unit = [np.isfinite(row).all() and row @ row <= MAX_SQ_NORM for row in rows]
+    bits = np.unpackbits(built.tag_bits, axis=1, count=CONFIG.tag_count, bitorder="little")
+    entries = list(zip(ids, built.product_ids.tolist(), bits, rows))
+    blob = per_entry_index_bytes(built.fingerprint, entries)
+    path = tmp_path_factory.mktemp("values") / "shop.xidx"
+    path.write_bytes(blob)
+    bad = [row for row in range(1, count) if ids[row] <= ids[row - 1]]
+    bad = bad or [row for row in range(count) if not unit[row]]
+    if bad:
+        with np.errstate(over="ignore"), pytest.raises(IndexFormatError) as err:
+            load_index(path, CONFIG.channels, CONFIG.tag_count)
+        assert err.value.offset == 48 + bad[0] * (len(blob) - 48) // count
+    else:
+        save_index(path.with_name("again.xidx"), load_index(path, CONFIG.channels, CONFIG.tag_count))
+        assert path.with_name("again.xidx").read_bytes() == blob

@@ -1,6 +1,8 @@
 """Runtime code depends on numpy alone: every ``xattn`` module must import
-in a process where the test-only packages cannot be imported."""
+in a process where the test-only packages cannot be imported. And every
+name a module imports is used in it."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -29,3 +31,41 @@ def test_every_module_imports_without_test_only_packages():
     assert result.returncode == 0, result.stderr
     modules = [p for p in (SRC / "xattn").glob("*.py") if p.name != "__init__.py"]
     assert int(result.stdout) == len(modules)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that ``source`` imports and never reads. A string annotation,
+    such as ``"Path | str"``, reads the names in it."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                parsed = ast.parse(annotation.value, mode="eval")
+                used.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = "from __future__ import annotations\nimport os, numpy as np\nfrom typing import IO\n"
+    assert unused_imports(source) == ["os (line 2)", "np (line 2)", "IO (line 3)"]
+    assert unused_imports(source + "def f(x: 'IO | int') -> np.ndarray:\n    return os\n") == []
+
+
+def test_every_imported_name_is_used():
+    unused = {
+        path.name: names
+        for path in sorted((SRC / "xattn").glob("*.py"))
+        if (names := unused_imports(path.read_text()))
+    }
+    assert unused == {}

@@ -643,17 +643,18 @@ class TestCheckpoints:
         assert getattr(checkpoint_from_bytes(checkpoint_to_bytes(edge)), name) == 2**bits - 1
 
     @pytest.mark.parametrize("change", [{"variant": Variant.TAGYNET}, {"raw_dim": 5}], ids=["variant", "raw_dim"])
-    def test_writer_refuses_params_of_another_config(self, tmp_path, change):
+    def test_writer_refuses_params_of_another_config(self, change):
         # The header is written from the config and the tensors from the
-        # params, so a mismatch would save a file that does not load.
+        # params, so a mismatch would save a file that does not load. Such a
+        # checkpoint cannot be made, so the writer never sees one.
         ckpt = self.make_checkpoint(Variant.YNET)
-        ckpt = dataclasses.replace(ckpt, params=init_params(dataclasses.replace(ckpt.config, **change), 0))
+        params = init_params(dataclasses.replace(ckpt.config, **change), 0)
         message = r"^checkpoint config .* differs from its params' config "
         with pytest.raises(ValueError, match=message):
-            checkpoint_to_bytes(ckpt)
+            dataclasses.replace(ckpt, params=params)
         with pytest.raises(ValueError, match=message):
-            save_checkpoint(tmp_path / "model.xatn", ckpt)
-        assert not (tmp_path / "model.xatn").exists()
+            Checkpoint(ckpt.config, params, epoch=1, seed=2, stage="ynet")
+        assert checkpoint_to_bytes(Checkpoint(params.config, params, 1, 2, "ynet"))
 
     def test_tensors_stored_in_any_order_load_in_layout_order(self):
         # The fingerprint and the saved bytes follow the tensor order, so a
@@ -721,14 +722,11 @@ class TestCheckpoints:
             checkpoint_to_bytes(ckpt)
         with pytest.raises(ValueError, match=message):
             save_checkpoint(tmp_path / "model.xatn", ckpt)
-        # So does a stage that is not a str at all.
+        # A stage that is not a str at all makes no checkpoint to write.
         for stage in (5, b"ynet", None):
-            ckpt = dataclasses.replace(self.make_checkpoint(), stage=stage)
             message = rf"^checkpoint stage must be a str, got {re.escape(repr(stage))}$"
             with pytest.raises(ValueError, match=message):
-                checkpoint_to_bytes(ckpt)
-            with pytest.raises(ValueError, match=message):
-                save_checkpoint(tmp_path / "model.xatn", ckpt)
+                dataclasses.replace(self.make_checkpoint(), stage=stage)
         assert list(tmp_path.iterdir()) == []
 
     def test_tensor_name_not_utf8(self):
@@ -786,7 +784,8 @@ class TestCheckpoints:
         offset, field_name = field_at
         data = bytearray(checkpoint_to_bytes(self.make_checkpoint()))
         data[offset : offset + 4] = struct.pack("<I", 0)
-        with pytest.raises(CheckpointFormatError, match=f"{field_name} must be positive") as err:
+        message = rf"{field_name} must be an integer in \[1, 2\*\*32\), got 0"
+        with pytest.raises(CheckpointFormatError, match=message) as err:
             checkpoint_from_bytes(bytes(data))
         assert err.value.offset == offset
 
@@ -976,31 +975,30 @@ class TestImmutableParams:
             assert assert_fresh(built) == before
 
     def test_a_mapping_off_the_layout_is_refused(self):
-        # The constructor checks the names, their order and the shapes
-        # against _tensor_layout, and names the first tensor that differs.
+        # The constructor checks the names and the shapes against
+        # _tensor_layout: an unexpected or mis-shaped tensor in the order
+        # given, then a missing one, keyed by its name.
         config = small_config()
         tensors = dict(init_params(config, 55).tensors)
 
         def without(name):
             return {n: t for n, t in tensors.items() if n != name}
 
-        swapped = {"trunk.bias": tensors["trunk.bias"], **tensors}
         for given, message in (
             (without("ctx_attn.context_weight"), "missing tensor 'ctx_attn.context_weight'"),
-            (
-                without("tag_attn.embedding"),
-                "tensor 'ctx_attn.feature_weight' where the layout has 'tag_attn.embedding'",
-            ),
+            (without("tag_attn.embedding"), "missing tensor 'tag_attn.embedding'"),
             ({**tensors, "extra": np.zeros(3)}, "unexpected tensor 'extra'"),
-            (swapped, "tensor 'trunk.bias' where the layout has 'trunk.weight'"),
             (
                 {**tensors, "trunk.bias": np.zeros((1, 3))},
                 r"tensor 'trunk.bias' has shape \(1, 3\), expected \(3,\)",
             ),
             ({}, "missing tensor 'trunk.weight'"),
+            # The tensor given first is reported first, before the missing one.
+            ({"extra": 0, **without("trunk.weight")}, "unexpected tensor 'extra'"),
         ):
-            with pytest.raises(ValueError, match=f"^{message}$"):
+            with pytest.raises(ValueError, match=f"^{message}$") as err:
                 ModelParams(config, given)
+            assert err.value.key == re.search("'(.*)'", message).group(1)
         # A smaller variant has no tensor for the heads.
         with pytest.raises(ValueError, match="^unexpected tensor 'tag_attn.embedding'$"):
             ModelParams(small_config(Variant.YNET), tensors)
@@ -1008,7 +1006,17 @@ class TestImmutableParams:
         for bad in ("x", None, dataclasses.asdict(config)):
             with pytest.raises(ValueError, match="^params config must be a ModelConfig, got "):
                 ModelParams(bad, {})
-        assert params_fingerprint(ModelParams(config, tensors)) == assert_fresh(init_params(config, 55))
+        # So are tensors that are not a mapping.
+        for bad in (None, [("trunk.weight", 1)]):
+            message = rf"^params tensors must be a mapping, got {re.escape(repr(bad))}$"
+            with pytest.raises(ValueError, match=message):
+                ModelParams(config, bad)
+        # The tensors may come in any order; they are kept in the layout's.
+        want = assert_fresh(init_params(config, 55))
+        for given in (tensors, dict(reversed(tensors.items()))):
+            params = ModelParams(config, given)
+            assert list(params.tensors) == list(tensors)
+            assert params_fingerprint(params) == want
 
 
 class TestFingerprintCache:

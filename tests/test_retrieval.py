@@ -181,7 +181,7 @@ class TestBuildIndex:
     def test_duplicate_item_id_raises(self):
         params = make_params()
         items = make_items(params, 4, np.random.default_rng(0), ids=[5, 9, 5, 2])
-        with pytest.raises(ValueError, match="duplicate item id 5"):
+        with pytest.raises(ValueError, match="increasing: row 2 holds 5 after 5$"):
             build_index(items, params)
 
     @pytest.mark.parametrize("variant", [Variant.YNET, Variant.TAGYNET])
@@ -661,7 +661,8 @@ class TestImmutableIndex:
             with pytest.raises(FingerprintMismatchError):
                 search(index, raw, other, k=2)
         # replace runs the checks again.
-        with pytest.raises(ValueError, match="^index embeddings must be finite$"):
+        message = "^index embeddings must be finite: row 0 holds NaN or infinite values$"
+        with pytest.raises(ValueError, match=message):
             dataclasses.replace(index, embeddings=np.full_like(index.embeddings, np.nan))
         with pytest.raises(ValueError, match="^fingerprint must be 32 bytes, got 31$"):
             dataclasses.replace(index, fingerprint=bytes(31))
@@ -1020,6 +1021,10 @@ class TestIndexFile:
         )
         with pytest.raises(ValueError, match="increasing"):
             ShopIndex(**{**columns, "item_ids": index.item_ids[::-1]})
+        # Ids across the whole int64 range increase: no difference of two
+        # ids, which would wrap, is taken.
+        extremes = np.array([-(2**63), 0, 2**63 - 1])
+        assert ShopIndex(**{**columns, "item_ids": extremes}).rows_of([2**63 - 1]).tolist() == [2]
         with pytest.raises(ValueError, match="one row per item"):
             ShopIndex(**{**columns, "embeddings": index.embeddings[:2]})
         with pytest.raises(ValueError, match="32 bytes"):

@@ -218,6 +218,24 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="batch_size must be an integer >= 1, got 0"):
             dataclasses.replace(cfg, batch_size=0)
 
+    @pytest.mark.parametrize("name, stage, value", [("epochs", "ynet", 1.5), ("margins", "ctxynet", math.nan)])
+    def test_the_tables_are_read_only_copies(self, name, stage, value):
+        # The tables are checked once, so a write after the checks would
+        # reach train_stage unchecked; a later write to the dict given
+        # changes nothing either.
+        given = dict(getattr(TrainConfig(), name))
+        cfg = TrainConfig(**{name: given})
+        with pytest.raises(TypeError):
+            getattr(cfg, name)[stage] = value
+        with pytest.raises(TypeError):
+            del getattr(cfg, name)[stage]
+        given[stage] = value
+        assert getattr(cfg, name) == getattr(TrainConfig(), name) != given
+        # replace, as the benchmark uses it, copies the tables again.
+        again = dataclasses.replace(cfg, seed=7)
+        assert again.seed == 7 and getattr(again, name) == getattr(cfg, name)
+        assert getattr(again, name) is not getattr(cfg, name)
+
     def test_the_largest_accepted_values_save(self, tmp_path):
         spec = SyntheticSpec(products=3, holdout_products=0, locations=2, channels=2, tag_count=2, raw_dim=2, signal_locations=1)
         generate_synthetic(spec, tmp_path)
@@ -274,6 +292,23 @@ class TestCurriculum:
                 run_curriculum(dataset, ("ynet", stage), cfg, config)
             with pytest.raises(ValueError, match="must be a str"):
                 train_stage(stage, dataset, cfg, model_cfg=config)
+
+    def test_an_init_and_a_model_config_must_agree(self, tmp_path):
+        # Given an init checkpoint, the stage trains init.config's
+        # dimensions, so a model config that asks for others is refused.
+        dataset, config, cfg = tiny_split(tmp_path)
+        init, _ = train_stage("ynet", dataset, cfg, model_cfg=config)
+        for change in ({"channels": 64}, {"raw_dim": 3}):
+            other = dataclasses.replace(config, **change)
+            message = rf"^model config {re.escape(str(other))} differs from the init config "
+            with pytest.raises(ValueError, match=message):
+                train_stage("tagynet", dataset, cfg, model_cfg=other, init=init)
+        # The variant may differ: the stage sets it.
+        for variant in Variant:
+            model_cfg = dataclasses.replace(config, variant=variant)
+            with_cfg, _ = train_stage("tagynet", dataset, cfg, model_cfg=model_cfg, init=init)
+            alone, _ = train_stage("tagynet", dataset, cfg, init=init)
+            assert checkpoint_to_bytes(with_cfg) == checkpoint_to_bytes(alone)
 
     def test_rejects_maps_that_are_not_locations_by_raw_dim(self, tmp_path):
         dataset, config, cfg = tiny_split(tmp_path)
