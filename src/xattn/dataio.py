@@ -382,11 +382,13 @@ def load_dataset(root: "Path | str") -> Dataset:
     record, read by ``load_feature_map``, gives L and R. Every other file
     takes one ``os.readv`` into its row of an N x 16 header array, its row
     of the block and a spare byte, which must fill exactly the header and
-    the row. Then all headers are compared at once and the block gets one
-    finiteness pass. A record that fails any step is read again by
-    ``load_feature_map``, in manifest order, so a load raises the error,
-    message and offset of the per-file parser, or stores the map it
-    returns.
+    the row. Then all headers are compared at once, and each record is
+    screened for NaN and infinity by the float64 sum of its values, which
+    is finite exactly when they all are: a sum of at most 2**64 float32
+    magnitudes below 2**128 stays far below the float64 maximum. A record
+    that fails any step is read again by ``load_feature_map``, in manifest
+    order, so a load raises the error, message and offset of the per-file
+    parser, or stores the map it returns.
     """
     base = os.fspath(root)
     root = Path(base)
@@ -421,7 +423,10 @@ def load_dataset(root: "Path | str") -> Dataset:
         if got != size:
             unread.append(number)
     faulty = (headers != header).any(axis=1)
-    faulty |= ~np.isfinite(block).reshape(len(records), -1).all(axis=1)
+    # One float64 sum per record, not an N x L x R mask; inf + -inf is NaN.
+    with np.errstate(invalid="ignore"):
+        sums = np.add.reduce(block.reshape(len(records), -1), axis=1, dtype=np.float64)
+    faulty |= ~np.isfinite(sums)
     faulty[unread] = True
     for number in np.flatnonzero(faulty).tolist():
         fmap = _record_map(manifest_path, number, records[number], paths[number])

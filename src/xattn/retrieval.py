@@ -3,7 +3,12 @@
 The index is columnar: sorted item ids, product ids, packed tag bitsets
 and an N x C embedding matrix, plus the fingerprint of the model that
 built it. ``build_index`` embeds the shop items in blocks of about
-``BUILD_ROWS`` image locations, one stacked shop pass per block.
+``BUILD_ROWS`` image locations, one stacked shop pass per block. With
+enough blocks it splits them into shares of consecutive blocks, one per
+CPU the process may run on: the calling thread embeds the first share and
+one thread each of the others, while numpy releases the GIL in BLAS and
+its loops. Each block is the one a single-share loop makes, so every row,
+and every saved byte, is the same; only the order of the blocks changes.
 
 A query's feature map is extracted once and serves both stages. The
 initial stage pools it uniformly and finds the exact ``k`` nearest index
@@ -52,9 +57,12 @@ float64. ``fileio`` says how faults are reported.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import logging
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
@@ -91,7 +99,8 @@ DEFAULT_TOP_K = 256
 # pass has a fixed cost, so smaller blocks are slower. Larger blocks free
 # more memory at once, and glibc's malloc hands it back to the OS, so the
 # next block page-faults it in again. So the stacked raw maps share one
-# buffer per call: five builds of 1000 items at L=4, C=128 took 0.041
+# buffer per share of a call, which runs its blocks one after another, as
+# a whole call did before calls were split into shares: five builds of 1000 items at L=4, C=128 took 0.041
 # minor faults per location row at 784 rows, against 0.144 with a fresh
 # stack per block (0.003 at L=49 either way). Building 1000 items at
 # C=128 (fastest of 25, one BLAS thread, 2-vCPU VM, four runs), L=4 /
@@ -99,6 +108,16 @@ DEFAULT_TOP_K = 256
 # at 784 (faster than 392 in every run) and 10.6-15.1 / 57.8-73.8 ms at
 # 1568.
 BUILD_ROWS = 784
+
+# Blocks each share of a build_index call must have: a call of b blocks
+# has min(CPUs, b // MIN_BLOCKS_PER_SHARE) shares, and at least one. A
+# thread is started and joined in about 45 us; a block takes 0.6-1 ms at
+# C=R=128. Two shares against one (median of 41 builds, C=R=128, one BLAS
+# thread, 2-vCPU VM) took 0.84-0.87x the time at 2-3 blocks of 16 items
+# (L=49), 0.97x at 3 blocks of 196 (L=4) and 1.24x at blocks of 196 and 4
+# items, where one share has almost all the work; from 4 blocks a share
+# they took 0.59-0.72x at L=49 and 0.73-0.80x at L=4.
+MIN_BLOCKS_PER_SHARE = 4
 
 # The scan screens in float32 only when SCREEN_RATIO * k <= N. Each kept
 # row costs a float64 rescoring, so the screen pays only for k well below
@@ -300,13 +319,21 @@ class ShopIndex:
         return int(self.product_ids[self.rows_of([item_id])[0]])
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux and the BSDs
+        return os.cpu_count() or 1
+
+
 def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
     """Embed every shop item; deterministic, sorted by item id.
 
     The items' tag vectors are stacked once into an N x T matrix, which
     ``save_index`` stores packed. Items are embedded in blocks of
-    ``max(1, BUILD_ROWS // L)``: each block's maps are stacked into the
-    call's one float64 B x L x R buffer, which widens the float32 maps
+    ``max(1, BUILD_ROWS // L)``: each block's maps are stacked into its
+    share's float64 B x L x R buffer, which widens the float32 maps
     ``dataio`` loads, and run with the block's rows of that matrix as one
     shop pass (``model.embed_shops``): the trunk on its B*L rows, pooling
     over the B hidden maps, then the shop branch on the B pooled rows. The
@@ -314,6 +341,18 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
     vector must have the model's ``tag_count`` entries, since the index
     stores them, and every map must be L x R; a ValueError names the first
     item that does not. ``ShopIndex`` refuses a repeated item id.
+
+    The blocks are split into ``min(CPUs, blocks // MIN_BLOCKS_PER_SHARE)``
+    shares of consecutive blocks, at least one, where CPUs counts those
+    this process may run on. The calling thread embeds the first share,
+    and one thread each the others, in a copy of the caller's context, so
+    its ``np.errstate`` holds there too. A block's rows depend on its own
+    items alone, so the embeddings are those of one share, bit for bit.
+    Every thread is joined before the call returns or raises. A share stops
+    at its first failing block, and the error raised is that of the first
+    failing block in item order, as one share would raise it. At L=49,
+    C=R=128 on two CPUs (one BLAS thread), 200 items took 7.8-8.3 ms
+    instead of 12.3-12.5 ms and 1000 items 34-39 ms instead of 59-60 ms.
     """
     ordered = sorted(items, key=lambda item: item.item_id)
     cfg = params.config
@@ -333,15 +372,44 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
     bits = np.array([item.tags.bits for item in ordered]).reshape(len(ordered), cfg.tag_count)
     embeddings = np.empty((len(ordered), cfg.channels))
     size = max(1, BUILD_ROWS // cfg.locations)
-    # One float64 block buffer for the call. Each block's L x R maps are
-    # joined (and widened) into its first rows: with every map L x R, the
-    # join along the rows is the stack, without np.stack's per-map calls.
-    buf = np.empty((min(size, len(ordered)), cfg.locations, cfg.raw_dim))
-    for lo in range(0, len(ordered), size):
-        block = ordered[lo : lo + size]
-        raws = buf[: len(block)]
-        np.concatenate([item.raw for item in block], out=raws.reshape(-1, cfg.raw_dim))
-        embeddings[lo : lo + len(block)] = embed_shops(raws, bits[lo : lo + len(block)], params)
+    starts = range(0, len(ordered), size)
+    shares = max(1, min(_cpus(), len(starts) // MIN_BLOCKS_PER_SHARE))
+    # Share s embeds the blocks starts[bounds[s] : bounds[s + 1]].
+    bounds = [len(starts) * share // shares for share in range(shares + 1)]
+    faults: dict[int, BaseException] = {}
+
+    def embed(share: int) -> None:
+        # One float64 block buffer per share. Each block's L x R maps are
+        # joined (and widened) into its first rows: with every map L x R,
+        # the join along the rows is the stack, without np.stack's per-map
+        # calls.
+        buf = np.empty((min(size, len(ordered)), cfg.locations, cfg.raw_dim))
+        for lo in starts[bounds[share] : bounds[share + 1]]:
+            block = ordered[lo : lo + size]
+            raws = buf[: len(block)]
+            np.concatenate([item.raw for item in block], out=raws.reshape(-1, cfg.raw_dim))
+            embeddings[lo : lo + len(block)] = embed_shops(raws, bits[lo : lo + len(block)], params)
+
+    def work(share: int) -> None:
+        try:
+            embed(share)
+        except BaseException as exc:  # raised again by the calling thread
+            faults[share] = exc
+
+    threads = []
+    try:
+        for share in range(1, shares):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(work, share))
+            thread.start()
+            threads.append(thread)
+        embed(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if faults:
+        # A share stops at its first failing block, and the shares follow
+        # the item order: the first share's fault is a serial build's.
+        raise faults[min(faults)]
     return ShopIndex(
         item_ids=np.array([item.item_id for item in ordered], dtype=np.int64),
         product_ids=np.array([item.product_id for item in ordered], dtype=np.int64),

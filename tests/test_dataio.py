@@ -548,6 +548,27 @@ class TestBlockLoader:
         damage(train_dir / records[5].path, "missing")
         assert raised(train_dir) == expect_load_error(train_dir, 2)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0, 0.0])
+    def test_finite_values_at_the_float32_limits_load_unchanged(self, train_dir, sign):
+        # Every value is +-3.4e38: the record's float64 sum is large, or
+        # exactly 0 with both signs, but finite.
+        records = load_manifest(train_dir / MANIFEST_NAME).records
+        top = np.finfo(np.float32).max
+        values = np.full((TINY.locations, TINY.raw_dim), top, dtype=np.float32)
+        values *= sign or np.where(np.arange(TINY.raw_dim) % 2, 1, -1).astype(np.float32)
+        write_feature_map(train_dir / records[1].path, values)
+        row = load_dataset(train_dir).features[records[1].item_id]
+        assert row.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("bad", [(np.inf,), (-np.inf,), (np.inf, -np.inf), (np.nan, np.inf)])
+    def test_infinities_that_sum_to_nan_are_found(self, train_dir, bad):
+        records = load_manifest(train_dir / MANIFEST_NAME).records
+        path = train_dir / records[3].path
+        values = load_feature_map(path)
+        values.flat[: len(bad)] = bad
+        path.write_bytes(feature_header(TINY.locations, TINY.raw_dim) + values.tobytes())
+        assert raised(train_dir) == expect_load_error(train_dir, 3)
+
     def test_rows_are_views_of_one_float32_block(self, train_dir):
         dataset = load_dataset(train_dir)
         records = dataset.manifest.records

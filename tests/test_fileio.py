@@ -226,29 +226,27 @@ def test_checkpoint_tensors_off_the_layout_fail_at_their_frame(data):
         assert checkpoint_to_bytes(loaded) == checkpoint_to_bytes(Checkpoint(config, params, 1, 2, stage))
 
 
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_index_entries_off_the_rules_fail_at_their_entry(tmp_path_factory, data):
-    # Entries whose ids are unsorted or repeated, or whose rows hold NaN or
-    # infinity or are longer than a unit embedding. Ids are checked first.
+def check_index_entries(directory, ids, faults):
+    """Write the seed-1 index with ``ids`` and each ``(row, fault, column)``
+    of ``faults`` applied in turn: a finite fault scales the row, another
+    is written at the column. ``load_index`` must refuse the first entry
+    off the rules at its offset, or else load what saves to the same bytes."""
     built = index(1)
-    count, channels = built.embeddings.shape
-    ids = sorted(data.draw(st.sets(st.integers(0, 2**63 - 1), min_size=count, max_size=count)))
-    if data.draw(st.booleans()):
-        ids = data.draw(st.lists(st.integers(0, 2 * count), min_size=count, max_size=count))
+    count = len(built)
     rows = built.embeddings.copy()
-    for row in data.draw(st.lists(st.integers(0, count - 1), max_size=2)):
-        fault = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, 1 + 2.0**-19, 2.0, 1e200]))
+    for row, fault, column in faults:
         if np.isfinite(fault):
-            rows[row] *= fault
+            # Scaled twice by 1e200, the row overflows to infinity.
+            with np.errstate(over="ignore"):
+                rows[row] *= fault
         else:
-            rows[row, data.draw(st.integers(0, channels - 1))] = fault
+            rows[row, column] = fault
     with np.errstate(over="ignore"):
         unit = [np.isfinite(row).all() and row @ row <= MAX_SQ_NORM for row in rows]
     bits = np.unpackbits(built.tag_bits, axis=1, count=CONFIG.tag_count, bitorder="little")
     entries = list(zip(ids, built.product_ids.tolist(), bits, rows))
     blob = per_entry_index_bytes(built.fingerprint, entries)
-    path = tmp_path_factory.mktemp("values") / "shop.xidx"
+    path = directory / "shop.xidx"
     path.write_bytes(blob)
     bad = [row for row in range(1, count) if ids[row] <= ids[row - 1]]
     bad = bad or [row for row in range(count) if not unit[row]]
@@ -259,3 +257,24 @@ def test_index_entries_off_the_rules_fail_at_their_entry(tmp_path_factory, data)
     else:
         save_index(path.with_name("again.xidx"), load_index(path, CONFIG.channels, CONFIG.tag_count))
         assert path.with_name("again.xidx").read_bytes() == blob
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_index_entries_off_the_rules_fail_at_their_entry(tmp_path_factory, data):
+    # Entries whose ids are unsorted or repeated, or whose rows hold NaN or
+    # infinity or are longer than a unit embedding. Ids are checked first.
+    count, channels = index(1).embeddings.shape
+    ids = sorted(data.draw(st.sets(st.integers(0, 2**63 - 1), min_size=count, max_size=count)))
+    if data.draw(st.booleans()):
+        ids = data.draw(st.lists(st.integers(0, 2 * count), min_size=count, max_size=count))
+    faults = []
+    for row in data.draw(st.lists(st.integers(0, count - 1), max_size=2)):
+        fault = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, 1 + 2.0**-19, 2.0, 1e200]))
+        column = None if np.isfinite(fault) else data.draw(st.integers(0, channels - 1))
+        faults.append((row, fault, column))
+    check_index_entries(tmp_path_factory.mktemp("values"), ids, faults)
+
+
+def test_a_row_scaled_past_overflow_fails_at_its_entry(tmp_path):
+    check_index_entries(tmp_path, list(range(5)), [(0, 1e200, None), (0, 1e200, None)])

@@ -1,6 +1,10 @@
 import dataclasses
 import logging
+import os
 import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -218,6 +222,126 @@ class TestBuildIndex:
             save_index(tmp_path / "empty.xidx", index)
             loaded = load_index(tmp_path / "empty.xidx", params.config.channels, tags)
             assert loaded.tag_bits.shape == index.tag_bits.shape and len(loaded) == 0
+
+
+# (CPUs, MIN_BLOCKS_PER_SHARE, items): one share, two, three, and more CPUs
+# than shares or than blocks. Two items per block, the last one short for
+# an odd count.
+SPLITS = [(1, 4, 40), (2, 4, 40), (3, 4, 41), (64, 4, 40), (64, 1, 41)]
+
+
+class TestThreadedBuild:
+    """``build_index`` splits its blocks into shares, one per thread, with
+    the serial build's blocks, bytes and faults."""
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """Patch the CPU count and the share minimum; make two-item blocks
+        at L=4; record the thread that embeds each block, by the block's
+        first value. A worker share's blocks are slowed, so that a build
+        that did not wait for them would end first."""
+        threads = {}
+        embed = retrieval.embed_shops
+        caller = threading.current_thread()
+
+        def recording(raws, bits, params):
+            threads[float(raws[0, 0, 0])] = threading.current_thread()
+            if threading.current_thread() is not caller:
+                time.sleep(0.001)
+            return embed(raws, bits, params)
+
+        def patch(cpus, min_blocks):
+            monkeypatch.setattr(retrieval, "_cpus", lambda: cpus)
+            monkeypatch.setattr(retrieval, "MIN_BLOCKS_PER_SHARE", min_blocks)
+            threads.clear()
+            return threads
+
+        monkeypatch.setattr(retrieval, "BUILD_ROWS", 8)
+        monkeypatch.setattr(retrieval, "embed_shops", recording)
+        return patch
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("cpus, min_blocks, count", SPLITS)
+    def test_saves_the_one_share_bytes(self, split, tmp_path, variant, cpus, min_blocks, count):
+        params = make_params(variant, seed=count)
+        items = make_items(params, count, np.random.default_rng(count))
+        split(1, 4)
+        save_index(tmp_path / "serial.xidx", build_index(items, params))
+        before = threading.active_count()
+        threads = split(cpus, min_blocks)
+        save_index(tmp_path / "split.xidx", build_index(items, params))
+        assert threading.active_count() == before
+        assert (tmp_path / "split.xidx").read_bytes() == (tmp_path / "serial.xidx").read_bytes()
+        # Each block once; each share a run of blocks, the caller's first.
+        by_block = [threads.pop(float(item.raw[0, 0])) for item in items[::2]]
+        assert not threads
+        runs = [thread for n, thread in enumerate(by_block) if n == 0 or thread != by_block[n - 1]]
+        assert len(runs) == len(set(runs)) == max(1, min(cpus, len(by_block) // min_blocks))
+        assert runs[0] is threading.current_thread()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_empty(self, split, cpus):
+        params = make_params()
+        split(cpus, 1)
+        index = build_index([], params)
+        assert len(index) == 0 and index.embeddings.shape == (0, params.config.channels)
+
+    @pytest.mark.parametrize("cpus, min_blocks, count", SPLITS)
+    # Each fault alone, and both with either first in item order. At 40
+    # items, items 26 and 36 lie in the last share of every split above.
+    @pytest.mark.parametrize("faults", [("nan",), ("overflow",), ("nan", "overflow"), ("overflow", "nan")])
+    # pytest's filters raise numpy's RuntimeWarning; the caller's errstate
+    # must hold in the worker shares too.
+    @pytest.mark.parametrize("errstate", [{}, {"over": "raise"}, {"all": "ignore"}])
+    def test_a_fault_in_a_worker_share_is_the_serial_builds(self, split, cpus, min_blocks, count, faults, errstate):
+        # trunk.weight overflows on any map that is not zero: only the
+        # overflow item's rows are not finite.
+        params = with_tensors(make_params(Variant.YNET), {"trunk.weight": 1e308})
+        items = [item._replace(raw=np.zeros_like(item.raw)) for item in make_items(params, count, np.random.default_rng(0))]
+        for row, fault in zip((26, 36), faults):
+            raw = np.full_like(items[row].raw, np.nan if fault == "nan" else 1.0)
+            items[row] = items[row]._replace(raw=raw)
+        split(1, 4)
+        with np.errstate(**errstate), pytest.raises(Exception) as serial:
+            build_index(items, params)
+        before = threading.active_count()
+        split(cpus, min_blocks)
+        with np.errstate(**errstate), pytest.raises(type(serial.value)) as err:
+            build_index(items, params)
+        assert err.type is serial.type and str(err.value) == str(serial.value)
+        assert threading.active_count() == before
+        if errstate == {"all": "ignore"}:  # an overflow fails ShopIndex's check, after the blocks
+            faults = [fault for fault in faults if fault == "nan"] or ["row"]
+        want = {
+            "nan": (ValueError, "raw features must be finite"),
+            "row": (ValueError, "embeddings must be finite: row 26 "),
+            "overflow": (FloatingPointError if errstate else RuntimeWarning, "overflow encountered"),
+        }[faults[0]]
+        assert issubclass(err.type, want[0]) and want[1] in str(err.value)
+
+    def test_more_shares_than_cpus_under_frequent_switches(self, split):
+        # 41 shares of one block, switching threads every microsecond: a
+        # lost or misplaced row would change the embeddings' bits.
+        params = make_params(seed=5)
+        items = make_items(params, 81, np.random.default_rng(5))
+        split(1, 4)
+        serial = build_index(items, params)
+        split(64, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            index = build_index(items, params)
+        finally:
+            sys.setswitchinterval(interval)
+        assert index.embeddings.tobytes() == serial.embeddings.tobytes()
+
+    def test_cpus(self, monkeypatch):
+        assert retrieval._cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert retrieval._cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert retrieval._cpus() == 1
 
 
 class TestSearch:
