@@ -14,27 +14,62 @@ keeps its tensors in one name -> array dict, and each function takes the
 arrays it reads. Tag attention pools a B x L x C stack of maps, each under
 its own row of a B x T matrix of 0/1 tag bits, and the T x C tag embedding
 ``embedding``. Context attention pools one L x C map (row l = location l)
-under each of K contexts, with the C vector ``feature_weight``. Its scores
-are laid out location-major, L x K: the caller forms the context term,
-entry (l, k) = ``context_weight[l] . c_k``, and ``context_attend`` adds
-the per-location feature term to it. That term depends on the contexts
-and the weights alone, never on the query: ``model.forward_triple`` forms
-it as ``context_weight @ contexts.T`` for its K=2 shops, and
-``retrieval.search`` gathers the K candidates' rows of the N x L product
-its index keeps. ``softmax(scores, axis=0)`` then normalises each column:
-at K=256, L=49 that reduces across 256 contiguous values per step where K
-rows of 49 would each pay numpy's per-row cost. The weights come back
-K x L, as a transposed view. The backward functions work on the same
-stacks and take the forward's ``AttentionResult``, so they reuse its
-softmax weights instead of recomputing scores; the context backward takes
-the K x C contexts and ``context_weight`` themselves, since their
+under each row of a K x C stack of contexts, with the C vector
+``feature_weight`` and the L x C ``context_weight``. The backward functions
+work on the same stacks and take the forward's ``AttentionResult``, so they
+reuse its softmax weights instead of recomputing scores; the context
+backward takes the contexts and ``context_weight`` themselves, since their
 gradients are what it returns.
+
+Context attention never forms a K x L array of scores to exponentiate. Its
+score ``s[k, l] = a_l + t[k, l]``, with ``a_l = feature_weight . f_l`` and
+``t[k, l] = context_weight[l] . c_k``, is a sum, so with ``A = max_l a_l``
+and ``T_k = max_l t[k, l]`` its softmax weight is
+
+    w[k, l] = u_l F[k, l] / Z_k,  u_l = exp(a_l - A),
+    F[k, l] = exp(t[k, l] - T_k),  Z_k = sum_l u_l F[k, l].
+
+``F``, the context factor, depends on the contexts and the weights alone,
+never on the query: ``context_factor`` makes it, ``model.forward_triple``
+for its K=2 shops, ``retrieval.ShopIndex`` once for every indexed item, so
+a re-rank gathers its K candidates' rows. ``context_attend`` then takes L
+exponentials, one K x L product with ``u``, one matrix-vector product for
+the sums, and the K x L x C product that pools.
+
+The bound. Both factors lie in (0, 1], and each reaches exactly 1, at the
+location of its maximum (``exp(0) = 1``). So ``Z_k`` is at least the
+product at either maximum: ``Z_k >= exp(-min(range(a), range(t_k)))``.
+With ``u = 2^-53`` and ``E`` the relative error of ``np.exp`` (a few
+``u``), rounding the shifted arguments moves an exponential by at most
+``u range(a)`` or ``u range(t_k)`` relatively, as it moves the softmax's
+own shifted scores; the two exponentials, their product and the sum add
+``2 E + (L + 1) u`` more. Below the normal range (``2^-1022``) each of
+``u_l``, ``F[k, l]`` and their product may also err by half a subnormal
+spacing, ``2^-1075``; the other factor is at most 1, so a product errs by
+less than ``2^-1073`` and ``Z_k`` by less than ``L 2^-1073``. Each weight is
+therefore within
+
+    2 (u (range(a) + range(t_k)) + 2 E + (L + 2) u)  relatively,
+    plus (L + 1) 2^-1073 / Z_k  absolutely,
+
+of the exact softmax of the same ``a`` and ``t``, to first order. The
+relative part is the softmax's own, whose shifted scores span up to
+``range(a) + range(t_k)``. ``MIN_CONTEXT_SUM = 2^-960`` keeps the absolute
+part below ``2^-80`` for every L below ``2^32``. A context whose sum is
+below it, or not a number, is not trusted: its weights are
+``numeric.softmax`` of its exact scores ``a + context_weight @ c_k``, so no
+finite model is refused. By the bound on ``Z_k``, that takes both
+``range(a)`` and ``range(t_k)`` above ``960 ln 2 = 665.4``; for a unit
+context, ``range(t_k) <= 2 max_l |context_weight[l]|``, so some row of
+``context_weight`` must have a norm above 332.7.
 
 Finiteness is checked where data enters, not per layer: feature-map,
 checkpoint and index files are checked by their parsers, raw input by the
-model's feature extraction, and here ``softmax`` rejects non-finite
-scores, which guards direct calls to these functions. Tag bits are checked
-to be 0/1 where a ``TagVector`` is built.
+model's feature extraction, and here ``softmax`` rejects non-finite tag
+scores, ``context_attend`` non-finite feature scores ``a`` and
+``context_factor`` non-finite context scores ``t``, which guards direct
+calls to these functions. Tag bits are checked to be 0/1 where a
+``TagVector`` is built.
 """
 
 from __future__ import annotations
@@ -44,6 +79,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numeric import softmax
+
+# The smallest sum Z_k that context_attend trusts; below it, context k's
+# weights are the softmax of its exact scores (the module docstring proves
+# the bound).
+MIN_CONTEXT_SUM = 2.0**-960
 
 
 @dataclass(frozen=True)
@@ -109,32 +149,69 @@ def tag_attend(fmap: np.ndarray, bits: np.ndarray, embedding: np.ndarray) -> Att
     return AttentionResult(weights=weights, pooled=np.einsum("...l,...lc->...c", weights, fmap))
 
 
+def context_factor(context_weight: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+    """The K x L context factor of a K x C stack of contexts: row k holds
+    ``exp(t_k - max_l t_k)`` with ``t_k = context_weight @ c_k``, so its
+    maximum is exactly 1. Made in place of the product, so it takes that
+    array's bytes and no more. Non-finite context scores are refused."""
+    if context_weight.ndim != 2 or contexts.ndim != 2 or contexts.shape[1] != context_weight.shape[1]:
+        raise ValueError("context factor takes a K x C stack of contexts and an L x C context_weight")
+    factor = contexts @ context_weight.T
+    if not np.logical_and.reduce(np.isfinite(factor), axis=None):
+        raise ValueError("context scores must be finite")
+    factor -= np.maximum.reduce(factor, axis=1, keepdims=True)
+    np.exp(factor, out=factor)
+    return factor
+
+
 def context_attend(
-    fmap: np.ndarray, context_term: np.ndarray, feature_weight: np.ndarray
+    fmap: np.ndarray,
+    contexts: np.ndarray,
+    feature_weight: np.ndarray,
+    context_weight: np.ndarray,
+    factor: np.ndarray,
 ) -> AttentionResult:
     """Pool an L x C query map under context-conditioned attention, once
-    per column of the L x K ``context_term``.
+    per row of the K x C ``contexts``.
 
-    score_l = feature_weight . f_l + context_term[l, k], where the caller
-    forms ``context_term[l, k] = context_weight[l] . c_k`` for context
-    ``c_k``. The linear alignment fixes the spatial size: the term must
-    have exactly one row per location of the map. The result holds K x L
-    weights and K pooled rows. The scores are built location-major, L x K
-    and C-ordered whatever the term's layout, and normalised down each
-    column; the K x L weights returned are a transposed view of them.
+    score_l = feature_weight . f_l + context_weight[l] . c_k, softmaxed
+    over the locations. ``factor`` is ``context_factor(context_weight,
+    contexts)``, or those rows of a larger one: each weight is ``u_l F[k,
+    l] / Z_k`` (module docstring). The linear alignment fixes the spatial
+    size: ``context_weight`` and the factor must have one column per
+    location of the map. A context whose sum is below ``MIN_CONTEXT_SUM``,
+    or not a number, takes the softmax of its exact scores instead. The
+    result holds K x L weights and K pooled rows.
     """
     if fmap.ndim != 2:
         raise ValueError("context attention pools a single L x C feature map")
     if feature_weight.ndim != 1 or feature_weight.shape[0] != fmap.shape[1]:
         raise ValueError("feature_weight must be a C vector of the map's channels")
-    if context_term.ndim != 2 or context_term.shape[0] != fmap.shape[0]:
+    if context_weight.shape != fmap.shape or contexts.ndim != 2 or contexts.shape[1] != fmap.shape[1]:
         raise ValueError(
-            f"context term must be L x K for the map's {fmap.shape[0]} locations, "
-            f"got shape {context_term.shape}"
+            f"context attention of an L x C map of shape {fmap.shape} takes a K x C stack of "
+            f"contexts and an L x C context_weight, got {contexts.shape} and {context_weight.shape}"
         )
-    scores = np.add(context_term, (fmap @ feature_weight)[:, None], order="C")
-    weights = softmax(scores, axis=0)
-    return AttentionResult(weights=weights.T, pooled=weights.T @ fmap)
+    if factor.shape != (len(contexts), fmap.shape[0]):
+        raise ValueError(
+            f"context factor must be K x L for {len(contexts)} contexts and the map's "
+            f"{fmap.shape[0]} locations, got shape {factor.shape}"
+        )
+    scores = fmap @ feature_weight
+    if not np.logical_and.reduce(np.isfinite(scores)):
+        raise ValueError("feature scores must be finite")
+    scale = np.exp(scores - np.maximum.reduce(scores))
+    # Read C-ordered, so each context's sum has one reduction order.
+    factor = np.ascontiguousarray(factor)
+    weights = factor * scale
+    sums = factor @ scale
+    trusted = sums >= MIN_CONTEXT_SUM
+    if not np.logical_and.reduce(trusted):
+        untrusted = ~trusted
+        weights[untrusted] = softmax(scores + contexts[untrusted] @ context_weight.T)
+        sums[untrusted] = 1.0
+    weights /= sums[:, None]
+    return AttentionResult(weights=weights, pooled=weights @ fmap)
 
 
 def _softmax_backward(weights: np.ndarray, grad_weights: np.ndarray) -> np.ndarray:
@@ -197,10 +274,11 @@ def context_attend_backward(
     map, the K x C contexts, and both alignment weights.
 
     ``attended`` is what ``context_attend(fmap, contexts, feature_weight,
-    context_weight)`` returned; its weights are reused, not recomputed. The
-    map and weight gradients sum over the K contexts. The context gradient
-    matters: during training the context is itself a shop embedding, so
-    this is where gradient flows back into the shop branch.
+    context_weight, factor)`` returned; its normalised weights are reused,
+    not recomputed. The map and weight gradients sum over the K contexts.
+    The context gradient matters: during training the context is itself a
+    shop embedding, so this is where gradient flows back into the shop
+    branch.
     """
     g = _check_grad_pooled(attended, grad_pooled)
     if context_weight.shape[0] != fmap.shape[0]:

@@ -34,10 +34,10 @@ Finiteness is checked once, where data enters: ``_trunk`` (behind
 input to float64, which is exact for the float32 maps ``dataio`` loads,
 and rejects non-finite raw input; ``checkpoint_from_bytes`` rejects NaN/Inf
 tensors, which ``checkpoint_to_bytes`` refuses to write, the feature-map
-parser NaN/Inf payloads, and ``softmax`` non-finite attention scores.
-Parameters that overflow in memory give NaN embeddings, which
-``metric.triplet_loss`` (training) and ``retrieval.ShopIndex`` (serving,
-and the index parser) refuse.
+parser NaN/Inf payloads, and the attention functions non-finite
+attention scores. Parameters that overflow in memory give NaN embeddings,
+which ``metric.triplet_loss`` (training) and ``retrieval.ShopIndex``
+(serving, and the index parser) refuse.
 
 Serving runs the batched forward functions: ``embed_shops`` embeds a
 B x L x R stack of shop images under a B x T 0/1 tag matrix as one shop
@@ -46,28 +46,30 @@ has no tag head. A query's scan embedding is ``uniform_embedding`` of its
 ``extract_features`` map; the re-rank in ``retrieval.search`` attends
 that map under its K candidates at once with ``attention.context_attend``
 and takes the distance of each normalised pooled row in closed form. Its
-context term is the K candidates' rows of ``embeddings @
-context_weight.T``, which the index computes once per model.
+context factor is the K candidates' rows of the index's N x L
+``context_factor(context_weight, embeddings)``, which the index computes
+once per model; so the re-rank takes L exponentials, not L x K.
 ``embed_shop`` is ``embed_shops`` on a batch of one. Training runs the
 same steps, one triple at a time: ``forward_triple`` runs the trunk once,
 on the stack [anchor, positive, negative]. The anchor's rows take the
 user branch and the shops' rows the shop pass, and, in the context
 variant, the anchor is attended under both shops as K=2 contexts with the
-same ``context_attend``, whose context term it forms as ``context_weight
-@ shops.T``. Each row of the trunk's product depends on its own input row
-alone, so the shop embeddings equal the serving ones, bit for bit where
-the BLAS gives a row the same bits in products of any row count (see
-``forward_triple``). The anchor embeddings are ``l2_normalize`` of the
-pooled rows the re-rank scores, to rounding: the two products of the
-context term may differ in the last bits. It keeps the trunk
-activations, the shop pass's keys and pooled hidden rows, the attention
-results and the norms the embeddings were divided by, and
-``backward_triple`` calls it once and walks back over them; the gradient
-check differences the same ``forward_triple``. The shop gradient reaches
-the trunk through the ReLU mask of the hidden maps alone, with no product
-through the branch at each location. In the stages that freeze the
-trunk, ``backward_triple`` skips the trunk gradients and the hidden maps'
-gradient only they read.
+same ``context_attend``, whose factor it forms with the same
+``context_factor``; ``context_attend_backward`` reads the normalised
+weights it returns. Each row of the trunk's product depends on its own
+input row alone, so the shop embeddings equal the serving ones, bit for
+bit where the BLAS gives a row the same bits in products of any row count
+(see ``forward_triple``). The anchor embeddings are ``l2_normalize`` of
+the pooled rows the re-rank scores, to rounding: the factor's two
+products, of two shop rows here and of N index rows there, may differ in
+the last bits. It keeps the trunk activations, the shop pass's keys and
+pooled hidden rows, the attention results and the norms the embeddings
+were divided by, and ``backward_triple`` calls it once and walks back
+over them; the gradient check differences the same ``forward_triple``.
+The shop gradient reaches the trunk through the ReLU mask of the hidden
+maps alone, with no product through the branch at each location. In the
+stages that freeze the trunk, ``backward_triple`` skips the trunk
+gradients and the hidden maps' gradient only they read.
 
 A training step costs one trunk pass, one ``forward_triple`` and one
 ``triplet_loss`` per triple; the hinge is not evaluated again on the way
@@ -120,6 +122,7 @@ from .attention import (
     TagVector,
     context_attend,
     context_attend_backward,
+    context_factor,
     tag_attend,
     tag_attend_backward,
 )
@@ -494,10 +497,13 @@ def forward_triple(
     shop_norms = normalize_rows(shops.pooled)
 
     if cfg.variant >= Variant.CTXYNET:
+        weight = t["ctx_attn.context_weight"]
         anchor_pool = context_attend(
             anchor.fmap,
-            t["ctx_attn.context_weight"] @ shop_norms.unit.T,
+            shop_norms.unit,
             t["ctx_attn.feature_weight"],
+            weight,
+            context_factor(weight, shop_norms.unit),
         )
     else:
         anchor_pool = _uniform_pool(anchor.fmap[None])

@@ -16,11 +16,10 @@ import numpy as np
 NORM_EPS = 1e-12
 
 
-def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Overflow-safe softmax along ``axis`` of a score array.
+def softmax(scores: np.ndarray) -> np.ndarray:
+    """Overflow-safe softmax along the last axis of a score array.
 
-    A 1-D vector is one distribution; in a stack, each line along ``axis``
-    is its own (the rows, by default; with ``axis=0``, the columns).
+    A 1-D vector is one distribution; in a stack, each row is its own.
     Uses max-subtraction, so adding a constant to all scores leaves the
     output unchanged. Output entries are positive and sum to 1.
     """
@@ -31,9 +30,9 @@ def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     # ``s.sum()`` do, without the Python frame each method adds per call.
     if not np.logical_and.reduce(np.isfinite(s), axis=None):
         raise ValueError("softmax scores must be finite")
-    weights = s - np.maximum.reduce(s, axis=axis, keepdims=True)
+    weights = s - np.maximum.reduce(s, axis=-1, keepdims=True)
     np.exp(weights, out=weights)
-    weights /= np.add.reduce(weights, axis=axis, keepdims=True)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
     return weights
 
 

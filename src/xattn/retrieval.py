@@ -14,22 +14,25 @@ A query's feature map is extracted once and serves both stages. The
 initial stage pools it uniformly and finds the exact ``k`` nearest index
 entries; it hands them on in row order, unsorted. The re-rank stage
 attends the same feature map under every candidate's embedding as
-context, all K candidates in one ``context_attend`` call (a
-matrix-vector product, a matrix product and a softmax over an L x K score
-array). Half of each score, ``context_weight[l] . c_k``, depends on the
-candidate and the model alone, so the index computes it once, as the
-N x L ``embeddings @ context_weight.T``, on the first re-ranking query,
-and each re-rank gathers its K rows instead of forming an L x C x K
-product. An index is immutable, so the term belongs to the model that its
-fingerprint names; ``search`` checks that this is the querying model
-before it reads the term, so any other model fails that check first. The
-gathered rows may differ from a per-query product in the last bits, and
-so may the re-rank distances. The re-rank scores each pooled row ``p``
-against its context ``c`` in closed form, ``|p|^2 / s^2 - 2 p.c / s +
-|c|^2`` with ``s = max(|p|, NORM_EPS)``, which equals
-``|l2_normalize(p) - c|^2`` to within 1e-12 for unit contexts without
-forming the normalised rows (``_context_distances``). Either way each
-query sorts its ``k`` results once, by (distance, item id).
+context, all K candidates in one ``context_attend`` call. Each score
+``a_l + context_weight[l] . c_k`` is a sum, so its exponential is the
+product of ``exp(a_l - max a)``, which depends on the query alone, and of
+the context factor ``exp(t_k[l] - max t_k)``, ``t_k = context_weight @
+c_k``, which depends on the candidate and the model alone; ``attention``
+proves the error bound of the product form. So the index computes the
+factor once, as the N x L ``attention.context_factor`` of its embeddings,
+on the first re-ranking query, and each re-rank gathers its K rows: it
+takes L exponentials instead of L x K, and no softmax. An index is
+immutable, so the factor belongs to the model that its fingerprint names;
+``search`` checks that this is the querying model before it reads the
+factor, so any other model fails that check first. The gathered rows may
+differ from a per-query factor in the last bits, and so may the re-rank
+distances. The re-rank scores each pooled row ``p`` against its context
+``c`` in closed form, ``|p|^2 / s^2 - 2 p.c / s + |c|^2`` with ``s =
+max(|p|, NORM_EPS)``, which equals ``|l2_normalize(p) - c|^2`` to within
+1e-12 for unit contexts without forming the normalised rows
+(``_context_distances``). Either way each query sorts its ``k`` results
+once, by (distance, item id).
 
 Every index row is a unit embedding, as ``embed_shops`` makes it:
 ``ShopIndex`` refuses a row whose squared norm is above ``MAX_SQ_NORM``,
@@ -66,11 +69,11 @@ import threading
 from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .attention import TagVector, context_attend
+from .attention import TagVector, context_attend, context_factor
 from .fileio import FormatError, Reader, _KeyedError, write_atomic
 from .model import (
     ModelParams,
@@ -228,10 +231,10 @@ class ShopIndex:
     norm, which the re-rank reads too) when the index is made, and
     ``_screen`` (the rows as float32) on the first scan that screens, so an
     index that is only built and saved never pays for it. The re-rank
-    reads ``_context``: the N x L ``embeddings @ context_weight.T``
-    (N x L x 8 bytes, 392 KB at N=1000, L=49), made by the first
-    re-ranking ``search``. Building, loading, saving and scan-only searches
-    never make it. The index file stores none of them.
+    reads ``_context``: the N x L ``context_factor(context_weight,
+    embeddings)`` (N x L x 8 bytes, 392 KB at N=1000, L=49), made by the
+    first re-ranking ``search``. Building, loading, saving and scan-only
+    searches never make it. The index file stores none of them.
     """
 
     item_ids: np.ndarray
@@ -240,7 +243,7 @@ class ShopIndex:
     embeddings: np.ndarray
     fingerprint: bytes
     _sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
-    # The re-rank's context term, once a re-ranking search has made it.
+    # The re-rank's context factor, once a re-ranking search has made it.
     _context: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -289,17 +292,17 @@ class ShopIndex:
     def _screen(self) -> np.ndarray:
         return self.embeddings.astype(np.float32)
 
-    def _context_term(self, context_weight: np.ndarray) -> np.ndarray:
-        """``embeddings @ context_weight.T``, read-only: row i holds
-        ``context_weight[l] . e_i`` for every location l. Made by the first
-        call and kept, for the model ``fingerprint`` names: the caller must
-        first check that ``context_weight`` is that model's, as ``search``
-        does.
+    def _context_factor(self, context_weight: np.ndarray) -> np.ndarray:
+        """``context_factor(context_weight, embeddings)``, read-only: row i
+        holds ``exp(t_i - max_l t_i)`` with ``t_i = context_weight @ e_i``.
+        Made by the first call and kept, for the model ``fingerprint``
+        names: the caller must first check that ``context_weight`` is that
+        model's, as ``search`` does.
         """
         if self._context is None:
-            term = self.embeddings @ context_weight.T
-            term.flags.writeable = False
-            object.__setattr__(self, "_context", term)
+            factor = context_factor(context_weight, self.embeddings)
+            factor.flags.writeable = False
+            object.__setattr__(self, "_context", factor)
         return self._context
 
     def __len__(self) -> int:
@@ -327,6 +330,35 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _run_shares(embed: Callable[[int], None], shares: int) -> None:
+    """``embed(0)`` on the calling thread and ``embed(s)`` for every other
+    share on a thread of its own, in a copy of the caller's context. Every
+    thread is joined before the call returns or raises; the first share's
+    fault is raised, which is the first failing block's in item order."""
+    faults: dict[int, BaseException] = {}
+
+    def work(share: int) -> None:
+        try:
+            embed(share)
+        except BaseException as exc:  # raised again by the calling thread
+            faults[share] = exc
+
+    threads = []
+    try:
+        for share in range(1, shares):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(work, share))
+            thread.start()
+            threads.append(thread)
+        embed(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if faults:
+        # A share stops at its first failing block, and the shares follow
+        # the item order: the first share's fault is a serial build's.
+        raise faults[min(faults)]
+
+
 def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
     """Embed every shop item; deterministic, sorted by item id.
 
@@ -344,9 +376,11 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
 
     The blocks are split into ``min(CPUs, blocks // MIN_BLOCKS_PER_SHARE)``
     shares of consecutive blocks, at least one, where CPUs counts those
-    this process may run on. The calling thread embeds the first share,
-    and one thread each the others, in a copy of the caller's context, so
-    its ``np.errstate`` holds there too. A block's rows depend on its own
+    this process may run on; with fewer than ``2 * MIN_BLOCKS_PER_SHARE``
+    blocks there is one share, so the CPUs are not counted and no thread
+    is set up. The calling thread embeds the first share, and one thread
+    each the others, in a copy of the caller's context, so its
+    ``np.errstate`` holds there too. A block's rows depend on its own
     items alone, so the embeddings are those of one share, bit for bit.
     Every thread is joined before the call returns or raises. A share stops
     at its first failing block, and the error raised is that of the first
@@ -373,10 +407,13 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
     embeddings = np.empty((len(ordered), cfg.channels))
     size = max(1, BUILD_ROWS // cfg.locations)
     starts = range(0, len(ordered), size)
-    shares = max(1, min(_cpus(), len(starts) // MIN_BLOCKS_PER_SHARE))
+    # Fewer than 2 * MIN_BLOCKS_PER_SHARE blocks make one share whatever
+    # the CPU count, so the count is not asked for.
+    shares = 1
+    if len(starts) >= 2 * MIN_BLOCKS_PER_SHARE:
+        shares = min(_cpus(), len(starts) // MIN_BLOCKS_PER_SHARE)
     # Share s embeds the blocks starts[bounds[s] : bounds[s + 1]].
     bounds = [len(starts) * share // shares for share in range(shares + 1)]
-    faults: dict[int, BaseException] = {}
 
     def embed(share: int) -> None:
         # One float64 block buffer per share. Each block's L x R maps are
@@ -390,26 +427,10 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
             np.concatenate([item.raw for item in block], out=raws.reshape(-1, cfg.raw_dim))
             embeddings[lo : lo + len(block)] = embed_shops(raws, bits[lo : lo + len(block)], params)
 
-    def work(share: int) -> None:
-        try:
-            embed(share)
-        except BaseException as exc:  # raised again by the calling thread
-            faults[share] = exc
-
-    threads = []
-    try:
-        for share in range(1, shares):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(work, share))
-            thread.start()
-            threads.append(thread)
+    if shares == 1:
         embed(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if faults:
-        # A share stops at its first failing block, and the shares follow
-        # the item order: the first share's fault is a serial build's.
-        raise faults[min(faults)]
+    else:
+        _run_shares(embed, shares)
     return ShopIndex(
         item_ids=np.array([item.item_id for item in ordered], dtype=np.int64),
         product_ids=np.array([item.product_id for item in ordered], dtype=np.int64),
@@ -533,7 +554,7 @@ def search(
     and the candidates are ranked by that distance instead. Either way the
     result is sorted once, by (distance, item id). One fingerprint check
     and one feature extraction serve both stages; the re-rank gathers its
-    candidates' rows of the index's context term, which the first
+    candidates' rows of the index's context factor, which the first
     re-ranking call makes and every later one reuses.
     """
     if not isinstance(k, Integral) or k < 1:
@@ -546,9 +567,11 @@ def search(
     rows, dists = _scan(index, uniform_embedding(fmap), k)
     if use_rerank and len(rows):
         t = params.tensors
-        term = index._context_term(t["ctx_attn.context_weight"])
-        pooled = context_attend(fmap, term[rows].T, t["ctx_attn.feature_weight"]).pooled
-        dists = _context_distances(pooled, index.embeddings[rows], index._sq_norms[rows])
+        weight = t["ctx_attn.context_weight"]
+        contexts = index.embeddings[rows]
+        factor = index._context_factor(weight)[rows]
+        pooled = context_attend(fmap, contexts, t["ctx_attn.feature_weight"], weight, factor).pooled
+        dists = _context_distances(pooled, contexts, index._sq_norms[rows])
     # Rows ascend, and item ids with them, so a stable sort by distance
     # breaks ties by item id.
     order = np.argsort(dists, kind="stable")

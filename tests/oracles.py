@@ -31,7 +31,9 @@ FROZEN_TRUNK = ("trunk.weight", "trunk.bias")
 
 
 def naive_softmax(scores) -> list[float]:
-    exps = [math.exp(float(s)) for s in scores]
+    # Shifted by the largest score, as math.exp overflows above 709.78.
+    top = max(float(s) for s in scores)
+    exps = [math.exp(float(s) - top) for s in scores]
     total = sum(exps)
     return [e / total for e in exps]
 

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xattn.attention import (
+    MIN_CONTEXT_SUM,
     AttentionResult,
     TagVector,
     context_attend,
     context_attend_backward,
+    context_factor,
     tag_attend,
     tag_attend_backward,
     tag_embed,
@@ -36,8 +40,10 @@ def random_instance(rng, locations=None, channels=None, tags=None):
 
 def attend_stack(fmap, contexts, feature_weight, context_weight):
     """``context_attend`` of an L x C map under a K x C stack of contexts,
-    with the L x K context term formed as ``model.forward_triple`` forms it."""
-    return context_attend(fmap, context_weight @ contexts.T, feature_weight)
+    with the K x L context factor formed as ``model.forward_triple`` forms
+    it."""
+    factor = context_factor(context_weight, contexts)
+    return context_attend(fmap, contexts, feature_weight, context_weight, factor)
 
 
 class TestTypes:
@@ -50,14 +56,21 @@ class TestTypes:
             TagVector.from_ids([4], size=4)
 
     def test_context_params_validation(self):
-        fmap, term = np.zeros((2, 3)), np.zeros((2, 1))
+        fmap, contexts, weight = np.zeros((2, 3)), np.zeros((1, 3)), np.zeros((2, 3))
+        factor = context_factor(weight, contexts)
         for feature_weight in (np.zeros(4), np.zeros((1, 3)), np.zeros(())):
             with pytest.raises(ValueError, match="feature_weight must be a C vector"):
-                context_attend(fmap, term, feature_weight)
-        for bad in (np.zeros(2), np.zeros((2, 1, 1))):
-            with pytest.raises(ValueError, match="context term must be L x K"):
-                context_attend(fmap, bad, np.zeros(3))
-        attended = context_attend(fmap, term, np.zeros(3))
+                context_attend(fmap, contexts, feature_weight, weight, factor)
+        for bad in (np.zeros(2), np.zeros((2, 1, 1)), np.zeros((1, 3)), factor.T):
+            with pytest.raises(ValueError, match="context factor must be K x L"):
+                context_attend(fmap, contexts, np.zeros(3), weight, bad)
+        for bad_contexts, bad_weight in ((contexts[0], weight), (np.zeros((1, 4)), weight), (contexts, weight.T)):
+            with pytest.raises(ValueError, match="K x C stack of contexts and an L x C context_weight"):
+                context_attend(fmap, bad_contexts, np.zeros(3), bad_weight, factor)
+        for bad_contexts, bad_weight in ((contexts[0], weight), (np.zeros((1, 4)), weight), (contexts, weight[0])):
+            with pytest.raises(ValueError, match="K x C stack of contexts and an L x C context_weight"):
+                context_factor(bad_weight, bad_contexts)
+        attended = context_attend(fmap, contexts, np.zeros(3), weight, factor)
         np.testing.assert_array_equal(attended.weights, [[0.5, 0.5]])
 
 
@@ -190,46 +203,181 @@ class TestContextAttend:
                 )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_context_row_fails_the_softmax_check(self, bad):
+    def test_non_finite_context_row_fails_the_factor_check(self, bad):
         fmap, _, _, ctx, ctx_weights = random_instance(
             np.random.default_rng(59), locations=3, channels=4
         )
         contexts = np.concatenate([ctx, ctx, ctx])
         contexts[1, 2] = bad
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="context scores must be finite"):
             attend_stack(fmap, contexts, *ctx_weights)
+
+    def test_a_factor_row_that_is_not_a_number_takes_the_exact_softmax(self, softmax_calls):
+        # Its sum is not a number, so it is not trusted; its exact scores
+        # are finite, so it is pooled as the softmax of those scores.
+        fmap, _, _, _, (feature_weight, context_weight) = random_instance(
+            np.random.default_rng(67), locations=5, channels=4
+        )
+        contexts = np.random.default_rng(68).normal(size=(3, 4))
+        want = attend_stack(fmap, contexts, feature_weight, context_weight)
+        factor = context_factor(context_weight, contexts)
+        factor[1, 2] = np.nan
+        got = context_attend(fmap, contexts, feature_weight, context_weight, factor)
+        assert softmax_calls == [(1, 5)]
+        np.testing.assert_array_equal(got.weights[[0, 2]], want.weights[[0, 2]])
+        np.testing.assert_allclose(got.weights, want.weights, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(got.pooled, want.pooled, rtol=0, atol=1e-14)
 
     def test_row_count_mismatch(self):
         fmap = np.zeros((3, 2))
+        contexts = np.zeros((1, 2))
+        with pytest.raises(ValueError, match="L x C context_weight"):
+            context_attend(fmap, contexts, np.zeros(2), np.zeros((4, 2)), np.zeros((1, 3)))
         with pytest.raises(ValueError, match="the map's 3 locations"):
-            context_attend(fmap, np.zeros((4, 1)), np.zeros(2))
+            context_attend(fmap, contexts, np.zeros(2), np.zeros((3, 2)), np.zeros((1, 4)))
 
     def test_a_single_context_is_refused(self):
-        # Only an L x K term is attended: one context is the L x 1 column.
+        # Only a K x C stack is attended: one context is a stack of one.
         fmap, _, _, ctx, (feature_weight, context_weight) = random_instance(
             np.random.default_rng(4)
         )
-        term = context_weight @ ctx.T
-        for bad in (term[:, 0], term[None]):
-            with pytest.raises(ValueError, match="L x K"):
-                context_attend(fmap, bad, feature_weight)
+        factor = context_factor(context_weight, ctx)
+        with pytest.raises(ValueError, match="K x C stack"):
+            context_attend(fmap, ctx[0], feature_weight, context_weight, factor)
+        with pytest.raises(ValueError, match="K x C stack"):
+            context_factor(context_weight, ctx[0])
+        for bad in (factor[0], factor[None]):
+            with pytest.raises(ValueError, match="K x L"):
+                context_attend(fmap, ctx, feature_weight, context_weight, bad)
         with pytest.raises(ValueError, match="single L x C"):
-            context_attend(fmap[None], term, feature_weight)
-        assert context_attend(fmap, term, feature_weight).pooled.shape == ctx.shape
+            context_attend(fmap[None], ctx, feature_weight, context_weight, factor)
+        assert context_attend(fmap, ctx, feature_weight, context_weight, factor).pooled.shape == ctx.shape
 
-    def test_the_term_layout_leaves_the_bits(self):
-        # search passes a transposed view of gathered rows; the scores are
-        # C-ordered either way, so the softmax reduces in one order.
+    def test_the_factor_layout_leaves_the_bits(self):
+        # search passes gathered rows, a fresh C-ordered array; a factor of
+        # another layout is read C-ordered too, so each context's sum is
+        # reduced in one order.
         rng = np.random.default_rng(60)
         for _ in range(20):
             fmap, _, _, ctx, (feature_weight, context_weight) = random_instance(rng)
             contexts = rng.normal(size=(int(rng.integers(1, 9)), ctx.shape[1]))
-            term = context_weight @ contexts.T
-            want = context_attend(fmap, term, feature_weight)
-            for layout in (np.asfortranarray(term), np.ascontiguousarray(term.T).T):
-                got = context_attend(fmap, layout, feature_weight)
+            factor = context_factor(context_weight, contexts)
+            want = context_attend(fmap, contexts, feature_weight, context_weight, factor)
+            strided = np.repeat(factor, 2, axis=1)[:, ::2]
+            for layout in (np.asfortranarray(factor), np.ascontiguousarray(factor.T).T, strided):
+                got = context_attend(fmap, contexts, feature_weight, context_weight, layout)
                 assert np.array_equal(got.weights, want.weights)
                 assert np.array_equal(got.pooled, want.pooled)
+
+    def test_the_factor_is_the_shifted_exponential_of_the_context_scores(self):
+        rng = np.random.default_rng(69)
+        for _ in range(50):
+            _, _, _, ctx, (_, context_weight) = random_instance(rng)
+            contexts = rng.normal(size=(int(rng.integers(1, 9)), ctx.shape[1])) * 10.0 ** rng.uniform(-3, 3)
+            term = contexts @ context_weight.T
+            factor = context_factor(context_weight, contexts)
+            assert factor.shape == term.shape and factor.flags.c_contiguous
+            # The same steps as numeric.softmax's numerator, so the same bits;
+            # each row's maximum is exactly 1.
+            assert np.array_equal(factor, np.exp(term - term.max(axis=1, keepdims=True)))
+            assert np.all(factor.max(axis=1) == 1.0) and np.all(factor >= 0.0)
+
+    def test_out_of_bound_contexts_take_the_exact_softmax(self, softmax_calls):
+        # a = [0, -1000] and t = [-1000, 0] under the first context: both
+        # ranges are 1000, above 960 ln 2, and u F underflows to 0 at both
+        # locations. The exact scores are [-1000, -1000]: equal weights.
+        fmap = np.array([[0.0, 3.0], [-1.0, 1.0]])
+        feature_weight = np.array([1000.0, 0.0])
+        context_weight = np.array([[-1000.0, 0.0], [0.0, 0.0]])
+        contexts = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        factor = context_factor(context_weight, contexts)
+        got = context_attend(fmap, contexts, feature_weight, context_weight, factor)
+        # Only the first context is out of bound: sums 0, 1 and exp(-500).
+        assert softmax_calls == [(1, 2)]
+        np.testing.assert_array_equal(got.weights[0], [0.5, 0.5])
+        np.testing.assert_array_equal(got.pooled[0], [-0.5, 2.0])
+        np.testing.assert_array_equal(got.weights[1:], [[1.0, 0.0], [1.0, 0.0]])
+        # The third context's exact second weight is exp(-500); its
+        # product u F underflows, within the bound's absolute part.
+        assert_matches_the_naive_oracle(fmap, contexts, feature_weight, context_weight)
+
+    def test_in_bound_contexts_call_no_softmax(self, softmax_calls):
+        rng = np.random.default_rng(70)
+        for _ in range(50):
+            fmap, _, _, ctx, ctx_weights = random_instance(rng)
+            attend_stack(fmap, rng.normal(size=(int(rng.integers(1, 9)), ctx.shape[1])), *ctx_weights)
+        assert softmax_calls == []
+
+
+def scaled_instance(data, contexts_count):
+    """A random context-attention instance drawn by hypothesis: a map, K
+    contexts, and the two weights each scaled by a factor in [1e-3, 1e3]."""
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    locations = data.draw(st.integers(1, 12), label="L")
+    channels = data.draw(st.integers(1, 8), label="C")
+    k = contexts_count(locations)
+    scale_f = 10.0 ** data.draw(st.floats(-3, 3), label="log10 feature scale")
+    scale_c = 10.0 ** data.draw(st.floats(-3, 3), label="log10 context scale")
+    rng = np.random.default_rng(seed)
+    fmap = rng.normal(size=(locations, channels))
+    contexts = rng.normal(size=(k, channels))
+    contexts /= np.linalg.norm(contexts, axis=1, keepdims=True)
+    feature_weight = scale_f * rng.normal(size=channels)
+    context_weight = scale_c * rng.normal(size=(locations, channels))
+    return fmap, contexts, feature_weight, context_weight
+
+
+def assert_matches_the_naive_oracle(fmap, contexts, feature_weight, context_weight):
+    """Factor-form weights and pooled rows against the double-loop oracle.
+
+    Both sides round their scores, summed in different orders: each score
+    errs by at most ``2 C u`` times its sum of absolute terms ``S_l``, so a
+    weight moves by at most ``8 C u max S`` relatively. The factor form
+    adds the module docstring's bound, whose ranges are at most ``2 max S``
+    each, and the oracle's shifted exponentials and sum about as much. The
+    absolute part is the docstring's at ``MIN_CONTEXT_SUM``. The pooled rows
+    add the rounding of two sums of ``L`` terms ``w |f|``.
+    """
+    u = 2.0**-53
+    locations, channels = fmap.shape
+    got = attend_stack(fmap, contexts, feature_weight, context_weight)
+    tiny = (locations + 1) * 2.0**-1073 / MIN_CONTEXT_SUM
+    for k, context in enumerate(contexts):
+        terms = np.abs(fmap * feature_weight) + np.abs(context_weight * context)
+        spread = float(terms.sum(axis=1).max())
+        rel = (8 * channels + 16) * u * spread + (3 * locations + 24) * u
+        want_w, want_p = (np.array(v) for v in naive_context_attend(fmap, context, feature_weight, context_weight))
+        assert np.all(np.abs(got.weights[k] - want_w) <= rel * want_w + tiny)
+        magnitude = want_w @ np.abs(fmap) + tiny * np.abs(fmap).sum(axis=0)
+        assert np.all(np.abs(got.pooled[k] - want_p) <= (rel + 2 * (locations + 1) * u) * magnitude)
+
+
+class TestFactorFormExactness:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_two_contexts_as_in_training(self, data):
+        assert_matches_the_naive_oracle(*scaled_instance(data, lambda locations: 2))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_more_contexts_than_locations(self, data):
+        assert_matches_the_naive_oracle(
+            *scaled_instance(data, lambda locations: data.draw(st.integers(locations + 1, 3 * locations + 2)))
+        )
+
+    def test_wide_ranges_drive_untrusted_contexts(self, softmax_calls):
+        # Weights scaled by 1e3 spread a and t over thousands: many
+        # contexts fall out of bound, and all still match the oracle.
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            fmap = rng.normal(size=(6, 3))
+            contexts = rng.normal(size=(9, 3))
+            contexts /= np.linalg.norm(contexts, axis=1, keepdims=True)
+            feature_weight = 1e3 * rng.normal(size=3)
+            context_weight = 1e3 * rng.normal(size=(6, 3))
+            assert_matches_the_naive_oracle(fmap, contexts, feature_weight, context_weight)
+        untrusted = sum(shape[0] for shape in softmax_calls)
+        assert 0 < untrusted < 20 * 9
 
 
 class TestForwardProperties:

@@ -1,5 +1,6 @@
 import numpy as np
 
+from xattn import model
 from xattn.model import Variant, forward_triple
 
 from gradcheck import (
@@ -71,3 +72,18 @@ class TestGradientAgreement:
         assert variants == {Variant.YNET, Variant.TAGYNET, Variant.CTXYNET}
         for trial in reports:
             assert trial.passed
+
+    def test_contextual_trials_run_the_factor_form(self, monkeypatch):
+        # Every CtxYNet forward, the differenced ones included, pools under
+        # the K=2 factor of its two shop rows, made by context_factor.
+        made = []
+        real = model.context_factor
+
+        def counted(context_weight, contexts):
+            made.append(contexts.shape)
+            return real(context_weight, contexts)
+
+        monkeypatch.setattr(model, "context_factor", counted)
+        reports = [r for r in run_gradient_checks(trials=6, seed=124) if r.variant == Variant.CTXYNET]
+        assert len(reports) == 2 and all(trial.passed for trial in reports)
+        assert made and set(made) == {(2, made[0][1])}

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xattn import model
-from xattn.attention import TagVector, context_attend
+from xattn.attention import TagVector, context_attend, context_factor
 from xattn.model import (
     CHECKPOINT_MAGIC,
     Checkpoint,
@@ -76,10 +76,11 @@ def identity_params(config):
 
 def attend(fmap, contexts, params):
     """``context_attend`` of ``fmap`` under a K x C stack of contexts, with
-    the context term formed as ``forward_triple`` forms it."""
+    the context factor formed as ``forward_triple`` forms it."""
     t = params.tensors
+    weight = t["ctx_attn.context_weight"]
     return context_attend(
-        fmap, t["ctx_attn.context_weight"] @ contexts.T, t["ctx_attn.feature_weight"]
+        fmap, contexts, t["ctx_attn.feature_weight"], weight, context_factor(weight, contexts)
     )
 
 

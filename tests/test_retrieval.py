@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xattn import retrieval
-from xattn.attention import TagVector
+from xattn.attention import TagVector, context_factor
 from xattn.dataio import SyntheticSpec, generate_synthetic, load_dataset
 from xattn.model import (
     ModelConfig,
@@ -84,6 +84,19 @@ def query(params, rng):
 def assert_same_ranking(got, want):
     assert [int(r.item_id) for r in got] == [item for item, _ in want]
     np.testing.assert_allclose(got.distances, [d for _, d in want], rtol=0, atol=1e-12)
+
+
+def assert_same_ranking_up_to_ties(got, want):
+    """``assert_same_ranking``, except that a run of ``want`` whose distances
+    tie within 1e-12 need only hold the same ids, in any order."""
+    want_ids = [item for item, _ in want]
+    want_dists = np.array([d for _, d in want])
+    np.testing.assert_allclose(got.distances, want_dists, rtol=0, atol=1e-12)
+    runs = np.split(np.arange(len(want)), np.flatnonzero(np.diff(want_dists) > 1e-12) + 1)
+    for run in runs:
+        got_run = [int(got.item_ids[i]) for i in run]
+        want_run = [want_ids[i] for i in run]
+        assert got_run == want_run or (len(run) > 1 and sorted(got_run) == sorted(want_run))
 
 
 class TestRankedList:
@@ -278,6 +291,26 @@ class TestThreadedBuild:
         runs = [thread for n, thread in enumerate(by_block) if n == 0 or thread != by_block[n - 1]]
         assert len(runs) == len(set(runs)) == max(1, min(cpus, len(by_block) // min_blocks))
         assert runs[0] is threading.current_thread()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_one_share_build_never_counts_the_cpus(self, monkeypatch, tmp_path, variant):
+        # Below 2 * MIN_BLOCKS_PER_SHARE blocks a build has one share
+        # whatever the CPU count, so it does not ask for the count.
+        def no_count():
+            raise RuntimeError("the CPU count was asked for")
+
+        params = make_params(variant, seed=75)
+        monkeypatch.setattr(retrieval, "BUILD_ROWS", 8)  # two items a block at L=4
+        for count in (0, 1, 2, 7, 14):  # 0 to 7 blocks
+            items = make_items(params, count, np.random.default_rng(count))
+            monkeypatch.setattr(retrieval, "_cpus", lambda: 1)
+            save_index(tmp_path / "counted.xidx", build_index(items, params))
+            monkeypatch.setattr(retrieval, "_cpus", no_count)
+            save_index(tmp_path / "uncounted.xidx", build_index(items, params))
+            assert (tmp_path / "uncounted.xidx").read_bytes() == (tmp_path / "counted.xidx").read_bytes()
+        # From 8 blocks on, the count decides the shares.
+        with pytest.raises(RuntimeError, match="CPU count"):
+            build_index(make_items(params, 15, np.random.default_rng(15)), params)
 
     @pytest.mark.parametrize("cpus", [1, 2, 64])
     def test_empty(self, split, cpus):
@@ -635,11 +668,26 @@ class TestRerank:
             assert_same_ranking(search(index, raw, params, k, use_rerank=True), want)
 
 
-class TestContextTerm:
-    def test_rows_equal_the_per_query_product(self):
-        # Each entry is a dot product of C terms, taken in two summation
-        # orders, so the two differ by at most 2 C u (|w| . |e|), u = 2^-53.
+def scaled_heads(params, feature_scale, context_scale):
+    """``params`` with both context-attention weights scaled."""
+    t = params.tensors
+    return with_tensors(
+        params,
+        {
+            "ctx_attn.feature_weight": feature_scale * t["ctx_attn.feature_weight"],
+            "ctx_attn.context_weight": context_scale * t["ctx_attn.context_weight"],
+        },
+    )
+
+
+class TestContextFactor:
+    def test_rows_equal_the_per_query_factor(self):
+        # Each term entry is a dot product of C terms, taken in two
+        # summation orders, so the two differ by at most B = 2 C u (|w| .
+        # |e|), u = 2^-53; the shifted exponent of a row then moves by at
+        # most 2 max B, and np.exp adds its own error, a few u, twice.
         rng = np.random.default_rng(61)
+        u = 2.0**-53
         differ = 0
         for case in range(60):
             n, locations, channels = (int(rng.integers(1, hi)) for hi in (300, 60, 200))
@@ -647,41 +695,97 @@ class TestContextTerm:
             embeddings = rng.normal(size=(n, channels))
             embeddings /= np.linalg.norm(embeddings, axis=1, keepdims=True)
             context_weight = rng.uniform(-1, 1, (locations, channels)) / np.sqrt(channels)
+            context_weight *= 10.0 ** rng.uniform(-3, 3)
             rows = np.sort(rng.choice(n, k, replace=False))
-            term = column_index(embeddings)._context_term(context_weight)
-            got = term[rows].T
-            want = context_weight @ embeddings[rows].T
-            bound = 2 * channels * 2.0**-53 * (np.abs(context_weight) @ np.abs(embeddings[rows]).T)
-            assert got.shape == (locations, k)
+            index = column_index(embeddings)
+            got = index._context_factor(context_weight)[rows]
+            term = embeddings[rows] @ context_weight.T
+            want = np.exp(term - term.max(axis=1, keepdims=True))
+            shift = 2 * (2 * channels * u * (np.abs(embeddings[rows]) @ np.abs(context_weight).T)).max(axis=1)
+            bound = want * (np.expm1(shift)[:, None] + 8 * u)
+            assert got.shape == (k, locations)
             assert np.all(np.abs(got - want) <= bound)
             differ += not np.array_equal(got, want)
-        # With OpenBLAS about 40% of these shapes differ in the last bits,
-        # so the bound above is exercised, not just equality.
+        # With OpenBLAS many of these shapes differ in the last bits, so the
+        # bound above is exercised, not just equality.
         assert differ > 0
 
-    def test_built_once_by_the_first_rerank(self, tmp_path):
+    def test_built_once_by_the_first_rerank(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(62)
         params = make_params(Variant.CTXYNET, seed=62)
+        weight = params.tensors["ctx_attn.context_weight"]
         index = build_index(make_items(params, 30, rng), params)
         save_index(tmp_path / "shop.xidx", index)
         loaded = load_index(tmp_path / "shop.xidx", params.config.channels, params.config.tag_count)
-        for built in (index, loaded):
+        made = []
+        real = retrieval.context_factor
+        monkeypatch.setattr(retrieval, "context_factor", lambda *args: made.append(args) or real(*args))
+        for count, built in enumerate((index, loaded), 1):
             assert built._context is None
             search(built, query(params, rng), params, k=8, use_rerank=False)
             assert built._context is None
             search(built, query(params, rng), params, k=8)
-            term = built._context
-            assert not term.flags.writeable
-            np.testing.assert_array_equal(
-                term, built.embeddings @ params.tensors["ctx_attn.context_weight"].T
-            )
+            factor = built._context
+            assert not factor.flags.writeable
+            # Made from the index's own term, by the steps numeric.softmax
+            # takes for its numerator: the same bits, a maximum of 1 per row.
+            term = built.embeddings @ weight.T
+            np.testing.assert_array_equal(factor, np.exp(term - term.max(axis=1, keepdims=True)))
+            assert np.all(factor.max(axis=1) == 1.0)
             search(built, query(params, rng), params, k=30)
-            assert built._context is term
+            search(built, query(params, rng), params, k=3)
+            assert built._context is factor
+            assert len(made) == count and made[-1][1] is built.embeddings
             with pytest.raises(dataclasses.FrozenInstanceError):
                 built._context = None
-        # The index file does not hold the term.
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0, 0] = 0.5
+        # The index file does not hold the factor.
         save_index(tmp_path / "again.xidx", index)
         assert (tmp_path / "again.xidx").read_bytes() == (tmp_path / "shop.xidx").read_bytes()
+
+    def test_an_in_bound_rerank_calls_no_softmax(self, softmax_calls):
+        rng = np.random.default_rng(72)
+        params = make_params(Variant.CTXYNET, seed=72)
+        index = build_index(make_items(params, 40, rng), params)
+        softmax_calls.clear()  # the tag attention of the build
+        for k in (1, 7, 40):
+            search(index, query(params, rng), params, k=k)
+        assert softmax_calls == []
+
+    @pytest.mark.parametrize("feature_scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    @pytest.mark.parametrize("context_scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    def test_reranks_as_the_per_candidate_reference_across_score_ranges(self, feature_scale, context_scale):
+        rng = np.random.default_rng(73)
+        params = scaled_heads(make_params(Variant.CTXYNET, seed=73), feature_scale, context_scale)
+        index = build_index(make_items(params, 30, rng), params)
+        embedding_of = dict(zip(index.item_ids.tolist(), index.embeddings))
+        for _ in range(4):
+            raw = query(params, rng)
+            scan = search(index, raw, params, k=12, use_rerank=False)
+            want = per_candidate_rerank(raw, scan.item_ids.tolist(), embedding_of, params)
+            assert_same_ranking(search(index, raw, params, k=12), want)
+
+    def test_out_of_bound_candidates_rerank_as_the_reference(self, softmax_calls):
+        # Heads scaled by 1e4 spread both a and t over thousands, so some
+        # candidates' sums fall below MIN_CONTEXT_SUM and take the softmax.
+        # Such a head puts all its weight on one location, and where that
+        # location's features are all 0 (a ReLU trunk with every unit off),
+        # every candidate's distance is |c|^2 = 1 in exact arithmetic: the
+        # package orders those ties by rounding and the reference by item
+        # id, so within such ties only the set of ids is compared.
+        rng = np.random.default_rng(74)
+        params = scaled_heads(make_params(Variant.CTXYNET, seed=74), 1e4, 1e4)
+        index = build_index(make_items(params, 30, rng), params)
+        embedding_of = dict(zip(index.item_ids.tolist(), index.embeddings))
+        softmax_calls.clear()  # the tag attention of the build
+        for _ in range(6):
+            raw = query(params, rng)
+            scan = search(index, raw, params, k=30, use_rerank=False)
+            want = per_candidate_rerank(raw, scan.item_ids.tolist(), embedding_of, params)
+            assert_same_ranking_up_to_ties(search(index, raw, params, k=30), want)
+        untrusted = sum(shape[0] for shape in softmax_calls)
+        assert len(softmax_calls) <= 6 and 0 < untrusted < 6 * 30
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_never_built_without_a_rerank(self, variant):
@@ -700,7 +804,7 @@ class TestContextTerm:
             assert search(empty, query(params, rng), params) == RankedList([], [])
         assert empty._context is None
 
-    def test_a_stale_term_is_never_read(self):
+    def test_a_stale_factor_is_never_read(self):
         rng = np.random.default_rng(64)
         params = make_params(Variant.CTXYNET, seed=64)
         other = make_params(Variant.CTXYNET, seed=65)
@@ -710,28 +814,28 @@ class TestContextTerm:
         kept = index._context
 
         # A model with another head fails the fingerprint check before the
-        # term is read or made again.
+        # factor is read or made again.
         weight = params.tensors["ctx_attn.context_weight"].copy()
         weight[0, 0] += 0.5
         written = with_tensors(params, {"ctx_attn.context_weight": weight})
         with pytest.raises(FingerprintMismatchError):
             search(index, raw, written, k=10)
         # The fingerprint cannot be rebound to the written model's, so the
-        # kept term still belongs to the model that built the rows.
+        # kept factor still belongs to the model that built the rows.
         with pytest.raises(dataclasses.FrozenInstanceError):
             index.fingerprint = params_fingerprint(written)
         assert index._context is kept
         assert search(index, raw, params, k=10) == first
 
-        # Relabelling makes a new index over the same columns, whose term is
-        # made from the model it names; the original keeps its own.
+        # Relabelling makes a new index over the same columns, whose factor
+        # is made from the model it names; the original keeps its own.
         embedding_of = dict(zip(index.item_ids.tolist(), index.embeddings))
         for model in (written, other, params):
             relabelled = dataclasses.replace(index, fingerprint=params_fingerprint(model))
             assert relabelled.embeddings is index.embeddings and relabelled._context is None
             got = search(relabelled, raw, model, k=10)
             np.testing.assert_array_equal(
-                relabelled._context, index.embeddings @ model.tensors["ctx_attn.context_weight"].T
+                relabelled._context, context_factor(model.tensors["ctx_attn.context_weight"], index.embeddings)
             )
             scan = search(relabelled, raw, model, k=10, use_rerank=False)
             assert_same_ranking(got, per_candidate_rerank(raw, scan.item_ids.tolist(), embedding_of, model))
