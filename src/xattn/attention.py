@@ -16,15 +16,16 @@ its own row of a B x T matrix of 0/1 tag bits, and the T x C tag embedding
 ``embedding``. Context attention pools one L x C map (row l = location l)
 under each row of a K x C stack of contexts, with the C vector
 ``feature_weight`` and the L x C ``context_weight``. The backward functions
-work on the same stacks and take the forward's ``AttentionResult``, so they
-reuse its softmax weights instead of recomputing scores; the context
-backward takes the contexts and ``context_weight`` themselves, since their
-gradients are what it returns.
+work on the same stacks and take the forward's result (an
+``AttentionResult`` or a ``ContextPool``), so they reuse its softmax
+weights instead of recomputing scores; the context backward takes the
+contexts and ``context_weight`` themselves, since their gradients are what
+it returns.
 
-Context attention never forms a K x L array of scores to exponentiate. Its
-score ``s[k, l] = a_l + t[k, l]``, with ``a_l = feature_weight . f_l`` and
-``t[k, l] = context_weight[l] . c_k``, is a sum, so with ``A = max_l a_l``
-and ``T_k = max_l t[k, l]`` its softmax weight is
+Context attention forms no K x L array of scores to exponentiate, nor
+of weights to divide. Its score ``s[k, l] = a_l + t[k, l]``, with ``a_l =
+feature_weight . f_l`` and ``t[k, l] = context_weight[l] . c_k``, is a sum,
+so with ``A = max_l a_l`` and ``T_k = max_l t[k, l]`` its softmax weight is
 
     w[k, l] = u_l F[k, l] / Z_k,  u_l = exp(a_l - A),
     F[k, l] = exp(t[k, l] - T_k),  Z_k = sum_l u_l F[k, l].
@@ -32,9 +33,14 @@ and ``T_k = max_l t[k, l]`` its softmax weight is
 ``F``, the context factor, depends on the contexts and the weights alone,
 never on the query: ``context_factor`` makes it, ``model.forward_triple``
 for its K=2 shops, ``retrieval.ShopIndex`` once for every indexed item, so
-a re-rank gathers its K candidates' rows. ``context_attend`` then takes L
-exponentials, one K x L product with ``u``, one matrix-vector product for
-the sums, and the K x L x C product that pools.
+a re-rank gathers its K candidates' rows. ``context_attend`` takes L
+exponentials and pools through two BLAS products: the unnormalised rows
+``R = F @ (u[:, None] * fmap)`` and the sums ``Z = F @ u``, so context k
+pools to ``R_k / Z_k``. One L x C scaling stands in for the K x L weights,
+and nothing elementwise touches a K x L or K x C array. The result, a
+``ContextPool``, keeps ``R`` and ``Z``: training reads the pooled rows
+``R / Z`` and the backward the weights ``u_l F[k, l] / Z_k``, each formed
+when read, and the re-rank scores ``(R, Z)`` as they are.
 
 The bound. Both factors lie in (0, 1], and each reaches exactly 1, at the
 location of its maximum (``exp(0) = 1``). So ``Z_k`` is at least the
@@ -54,14 +60,35 @@ therefore within
 
 of the exact softmax of the same ``a`` and ``t``, to first order. The
 relative part is the softmax's own, whose shifted scores span up to
-``range(a) + range(t_k)``. ``MIN_CONTEXT_SUM = 2^-960`` keeps the absolute
-part below ``2^-80`` for every L below ``2^32``. A context whose sum is
-below it, or not a number, is not trusted: its weights are
-``numeric.softmax`` of its exact scores ``a + context_weight @ c_k``, so no
-finite model is refused. By the bound on ``Z_k``, that takes both
-``range(a)`` and ``range(t_k)`` above ``960 ln 2 = 665.4``; for a unit
-context, ``range(t_k) <= 2 max_l |context_weight[l]|``, so some row of
-``context_weight`` must have a norm above 332.7.
+``range(a) + range(t_k)``. ``R_k[c]`` sums ``F[k, l] (u_l f[l, c])``
+with the roundings of ``Z_k`` and one more, so it is within half the
+relative part of the exact ``sum_l u_l F[k, l] f[l, c]``, relative to
+``sum_l u_l F[k, l] |f[l, c]|``, plus less than ``L 2^-1073 (1 + max_l
+|f[l, c]|)`` absolutely: a scaled entry ``u_l f[l, c]`` below the normal
+range errs by ``2^-1075`` whatever the map's magnitude. So the pooled
+entry ``R_k[c] / Z_k`` is within
+
+    2 (u (range(a) + range(t_k)) + 2 E + (L + 2) u) sum_l w[k, l] |f[l, c]|
+    plus (2 L + 1) 2^-1073 (1 + max_l |f[l, c]|) / Z_k
+
+of the exact softmax pooling. ``MIN_CONTEXT_SUM = 2^-960`` keeps both
+absolute parts below ``2^-80`` (times ``1 + max_l |f[l, c]|`` for the
+pooled rows) for every L below ``2^32``. A context whose sum is below it,
+or not a number, is not trusted: its weights are ``numeric.softmax`` of
+its exact scores ``a + context_weight @ c_k``, its row ``R_k`` their
+pooling and its sum 1, so no finite model is refused. By the bound on
+``Z_k``, that takes both ``range(a)`` and ``range(t_k)`` above ``960 ln 2 =
+665.4``; for a unit context, ``range(t_k) <= 2 max_l |context_weight[l]|``,
+so some row of ``context_weight`` must have a norm above 332.7.
+
+``R_k`` carries the factor ``Z_k``: ``|R_k[c]| <= Z_k max_l |f[l, c]|``
+with ``2^-960 <= Z_k <= L``. So ``R`` is finite for maps whose entries are
+below ``DBL_MAX / L``, and its squared norm can underflow even when that
+of ``R_k / Z_k`` does not: a row of norm 1 under ``Z_k = 2^-600`` has a
+squared norm of ``2^-1200``. ``retrieval``'s distance divides a row whose
+squared norm falls below ``2^-1022``, or overflows, by its largest
+magnitude (or by ``NORM_EPS Z_k`` when that is larger) before it squares
+it again, and its sum with it.
 
 Finiteness is checked where data enters, not per layer: feature-map,
 checkpoint and index files are checked by their parsers, raw input by the
@@ -75,6 +102,7 @@ calls to these functions. Tag bits are checked to be 0/1 where a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,6 +143,39 @@ class AttentionResult:
 
     weights: np.ndarray
     pooled: np.ndarray
+
+
+class ContextPool(NamedTuple):
+    """Context attention of one map under K contexts, unnormalised: the
+    K x C ``rows`` ``R = factor @ (scale[:, None] * fmap)`` and the K
+    ``sums`` ``Z = factor @ scale``, where ``scale`` holds the L
+    exponentials ``u`` (module docstring). An untrusted context's row is
+    the pooling of its exact softmax and its sum 1; ``softmaxed`` holds
+    those contexts' indices and softmax weights, or None.
+
+    ``pooled`` (``R / Z``) and ``weights`` (``u_l F[k, l] / Z_k``, or an
+    untrusted context's softmax) are formed on each read, so a re-rank,
+    which reads neither, forms neither.
+    """
+
+    rows: np.ndarray
+    sums: np.ndarray
+    factor: np.ndarray
+    scale: np.ndarray
+    softmaxed: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def pooled(self) -> np.ndarray:
+        return self.rows / self.sums[:, None]
+
+    @property
+    def weights(self) -> np.ndarray:
+        weights = self.factor * self.scale
+        weights /= self.sums[:, None]
+        if self.softmaxed is not None:
+            untrusted, softmaxed = self.softmaxed
+            weights[untrusted] = softmaxed
+        return weights
 
 
 def tag_embed(bits: np.ndarray, embedding: np.ndarray) -> np.ndarray:
@@ -170,18 +231,18 @@ def context_attend(
     feature_weight: np.ndarray,
     context_weight: np.ndarray,
     factor: np.ndarray,
-) -> AttentionResult:
+) -> ContextPool:
     """Pool an L x C query map under context-conditioned attention, once
     per row of the K x C ``contexts``.
 
     score_l = feature_weight . f_l + context_weight[l] . c_k, softmaxed
     over the locations. ``factor`` is ``context_factor(context_weight,
-    contexts)``, or those rows of a larger one: each weight is ``u_l F[k,
-    l] / Z_k`` (module docstring). The linear alignment fixes the spatial
-    size: ``context_weight`` and the factor must have one column per
-    location of the map. A context whose sum is below ``MIN_CONTEXT_SUM``,
-    or not a number, takes the softmax of its exact scores instead. The
-    result holds K x L weights and K pooled rows.
+    contexts)``, or those rows of a larger one: context k pools to ``R_k /
+    Z_k`` (module docstring), and the result keeps ``R`` and ``Z``. The
+    linear alignment fixes the spatial size: ``context_weight`` and the
+    factor must have one column per location of the map. A context whose
+    sum is below ``MIN_CONTEXT_SUM``, or not a number, takes the softmax of
+    its exact scores instead.
     """
     if fmap.ndim != 2:
         raise ValueError("context attention pools a single L x C feature map")
@@ -201,17 +262,19 @@ def context_attend(
     if not np.logical_and.reduce(np.isfinite(scores)):
         raise ValueError("feature scores must be finite")
     scale = np.exp(scores - np.maximum.reduce(scores))
-    # Read C-ordered, so each context's sum has one reduction order.
+    # Read C-ordered, so each context's products have one reduction order.
     factor = np.ascontiguousarray(factor)
-    weights = factor * scale
+    rows = factor @ (scale[:, None] * fmap)
     sums = factor @ scale
     trusted = sums >= MIN_CONTEXT_SUM
+    softmaxed = None
     if not np.logical_and.reduce(trusted):
-        untrusted = ~trusted
-        weights[untrusted] = softmax(scores + contexts[untrusted] @ context_weight.T)
+        untrusted = np.flatnonzero(~trusted)
+        weights = softmax(scores + contexts[untrusted] @ context_weight.T)
+        rows[untrusted] = weights @ fmap
         sums[untrusted] = 1.0
-    weights /= sums[:, None]
-    return AttentionResult(weights=weights, pooled=weights @ fmap)
+        softmaxed = (untrusted, weights)
+    return ContextPool(rows=rows, sums=sums, factor=factor, scale=scale, softmaxed=softmaxed)
 
 
 def _softmax_backward(weights: np.ndarray, grad_weights: np.ndarray) -> np.ndarray:
@@ -221,12 +284,10 @@ def _softmax_backward(weights: np.ndarray, grad_weights: np.ndarray) -> np.ndarr
     return weights * (grad_weights - inner)
 
 
-def _check_grad_pooled(attended: AttentionResult, grad_pooled: np.ndarray) -> np.ndarray:
+def _check_grad_pooled(shape: tuple[int, ...], grad_pooled: np.ndarray) -> np.ndarray:
     g = np.asarray(grad_pooled, dtype=np.float64)
-    if g.shape != attended.pooled.shape:
-        raise ValueError(
-            f"grad_pooled has shape {g.shape}, the pooled output {attended.pooled.shape}"
-        )
+    if g.shape != shape:
+        raise ValueError(f"grad_pooled has shape {g.shape}, the pooled output {shape}")
     return g
 
 
@@ -249,7 +310,7 @@ def tag_attend_backward(
     the maps of the stack. With ``need_map`` false the map gradient, which
     only a trunk in training reads, is not formed and comes back as None.
     """
-    g = _check_grad_pooled(attended, grad_pooled)
+    g = _check_grad_pooled(attended.pooled.shape, grad_pooled)
     weights = attended.weights
     grad_scores = _softmax_backward(weights, np.einsum("...lc,...c->...l", fmap, g))
     grad_map = None
@@ -267,20 +328,21 @@ def context_attend_backward(
     contexts: np.ndarray,
     feature_weight: np.ndarray,
     context_weight: np.ndarray,
-    attended: AttentionResult,
+    attended: ContextPool,
     grad_pooled: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of ``sum(grad_pooled * attended.pooled)`` wrt the feature
     map, the K x C contexts, and both alignment weights.
 
     ``attended`` is what ``context_attend(fmap, contexts, feature_weight,
-    context_weight, factor)`` returned; its normalised weights are reused,
-    not recomputed. The map and weight gradients sum over the K contexts.
-    The context gradient matters: during training the context is itself a
-    shop embedding, so this is where gradient flows back into the shop
-    branch.
+    context_weight, factor)`` returned; its normalised weights, formed here
+    from its factor, exponentials and sums, are reused, not recomputed from
+    the scores. The map and weight gradients sum over the K
+    contexts. The context gradient matters: during training the context is
+    itself a shop embedding, so this is where gradient flows back into the
+    shop branch.
     """
-    g = _check_grad_pooled(attended, grad_pooled)
+    g = _check_grad_pooled(attended.rows.shape, grad_pooled)
     if context_weight.shape[0] != fmap.shape[0]:
         raise ValueError("context_weight row count must match the feature map")
     weights = attended.weights

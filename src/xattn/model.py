@@ -45,24 +45,27 @@ pass, pooling by tag attention, or uniformly in the base variant, which
 has no tag head. A query's scan embedding is ``uniform_embedding`` of its
 ``extract_features`` map; the re-rank in ``retrieval.search`` attends
 that map under its K candidates at once with ``attention.context_attend``
-and takes the distance of each normalised pooled row in closed form. Its
-context factor is the K candidates' rows of the index's N x L
-``context_factor(context_weight, embeddings)``, which the index computes
-once per model; so the re-rank takes L exponentials, not L x K.
+and takes the distance of each pooled row in closed form, from the
+unnormalised row and its sum. Its context factor is the K candidates'
+rows of the index's N x L ``context_factor(context_weight, embeddings)``,
+which the index computes once per model; so the re-rank takes L
+exponentials, not L x K.
 ``embed_shop`` is ``embed_shops`` on a batch of one. Training runs the
 same steps, one triple at a time: ``forward_triple`` runs the trunk once,
 on the stack [anchor, positive, negative]. The anchor's rows take the
 user branch and the shops' rows the shop pass, and, in the context
 variant, the anchor is attended under both shops as K=2 contexts with the
 same ``context_attend``, whose factor it forms with the same
-``context_factor``; ``context_attend_backward`` reads the normalised
-weights it returns. Each row of the trunk's product depends on its own
-input row alone, so the shop embeddings equal the serving ones, bit for
-bit where the BLAS gives a row the same bits in products of any row count
-(see ``forward_triple``). The anchor embeddings are ``l2_normalize`` of
-the pooled rows the re-rank scores, to rounding: the factor's two
-products, of two shop rows here and of N index rows there, may differ in
-the last bits. It keeps the trunk activations, the shop pass's keys and
+``context_factor``. It normalises the pooled rows ``R / Z`` of the
+unnormalised rows and sums that call returns, and
+``context_attend_backward`` forms the weights from them. Each row of the
+trunk's product depends on its own input row alone, so the shop
+embeddings equal the serving ones, bit for bit where the BLAS gives a
+row the same bits in products of any row count (see ``forward_triple``).
+The anchor embeddings are ``l2_normalize`` of the quotients of the rows
+and sums the re-rank scores, to rounding: the factor's two products, of
+two shop rows here and of N index rows there, may differ in the last
+bits. It keeps the trunk activations, the shop pass's keys and
 pooled hidden rows, the attention results and the norms the embeddings
 were divided by, and ``backward_triple`` calls it once and walks back
 over them; the gradient check differences the same ``forward_triple``.
@@ -119,6 +122,7 @@ import numpy as np
 
 from .attention import (
     AttentionResult,
+    ContextPool,
     TagVector,
     context_attend,
     context_attend_backward,
@@ -439,7 +443,7 @@ class TripleForward(NamedTuple):
     anchor: _Features  # the anchor's rows of the one trunk pass, and its user branch
     shops: _ShopPass  # the stack [positive, negative]: the rest of that pass
     shop_bits: np.ndarray | None  # 2 x T; None when the shops pool uniformly
-    anchor_pool: AttentionResult  # K=2 under the shop contexts, else one uniform row
+    anchor_pool: ContextPool | AttentionResult  # K=2 under the shop contexts, else one uniform row
     shop_norms: Normalized  # shop_rows, with the norms they were divided by
     anchor_norms: Normalized  # anchor_pool's rows, with the norms they were divided by
 
@@ -459,9 +463,11 @@ def forward_triple(
     stack [anchor, positive, negative]. The anchor's rows then take the
     user branch, and the shops' rows the shop pass of ``embed_shops``. The
     context variant attends the anchor under both shop embeddings at once
-    with ``context_attend``, as the re-rank does, and normalises the pooled
-    rows; the other variants pool the anchor uniformly as one 1 x C row and
-    use its normalised row,
+    with ``context_attend``, as the re-rank attends its candidates, and
+    normalises the pooled rows ``R / Z`` of the unnormalised rows and sums
+    it returns, where the re-rank scores those in closed form; the weights
+    are formed only if the backward reads them. The other variants pool the
+    anchor uniformly as one 1 x C row and use its normalised row,
     ``uniform_embedding(extract_features(anchor_raw, "user", params))``, as
     both anchor rows. Each row of the trunk's product depends only on its
     own input row, and a row normalises to the same bits alone or in a

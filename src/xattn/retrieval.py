@@ -27,12 +27,18 @@ immutable, so the factor belongs to the model that its fingerprint names;
 ``search`` checks that this is the querying model before it reads the
 factor, so any other model fails that check first. The gathered rows may
 differ from a per-query factor in the last bits, and so may the re-rank
-distances. The re-rank scores each pooled row ``p`` against its context
-``c`` in closed form, ``|p|^2 / s^2 - 2 p.c / s + |c|^2`` with ``s =
-max(|p|, NORM_EPS)``, which equals ``|l2_normalize(p) - c|^2`` to within
-1e-12 for unit contexts without forming the normalised rows
-(``_context_distances``). Either way each query sorts its ``k`` results
-once, by (distance, item id).
+distances. ``context_attend`` keeps each candidate's pooled row
+unnormalised, as a row ``r`` and its sum ``z``, both BLAS products, and
+the re-rank scores them against the context ``c`` in closed form, ``|r|^2
+/ s^2 - 2 r.c / s + |c|^2`` with ``s = max(|r|, NORM_EPS z)``, which
+equals ``|l2_normalize(r / z) - c|^2`` to within 1e-12 for unit contexts
+(``_context_distances``). So the re-rank does no elementwise arithmetic
+over a K x L or K x C array: two row gathers, BLAS products and steps
+over K-vectors. Either way each query sorts its ``k`` results once, by
+(distance, item id), where a tie is one of the computed distances:
+candidates whose distances tie in exact arithmetic may differ in the last
+bits and sort by those. A pooled row of zeros, say, has the distance
+``|c|^2``, which each candidate reads as its rounded squared norm.
 
 Every index row is a unit embedding, as ``embed_shops`` makes it:
 ``ShopIndex`` refuses a row whose squared norm is above ``MAX_SQ_NORM``,
@@ -134,6 +140,11 @@ SCREEN_RATIO = 16
 # Float32 and float64 unit roundoff.
 _U32 = 2.0**-24
 _U64 = 2.0**-53
+
+# The smallest normal float64. A re-rank row whose squared norm is below
+# it, as the unnormalised rows under small sums can be, has lost bits to
+# subnormal rounding, or all of them; _context_distances rescales it.
+_MIN_NORMAL = 2.0**-1022
 
 # The largest squared norm of an index row. A row that normalize_rows
 # made has a squared norm within 2 gamma_C + 6 u of 1 as ShopIndex takes
@@ -511,28 +522,37 @@ def _scan(index: ShopIndex, query: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     return (pool if rows is None else rows[pool]), dists[pool]
 
 
-def _context_distances(pooled: np.ndarray, contexts: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
-    """``|l2_normalize(p) - c|^2`` for each row ``p`` of ``pooled`` and its
-    ``contexts`` row ``c``, whose squared norms are ``sq_norms``, without
-    forming the normalised rows.
+def _context_distances(
+    rows: np.ndarray, sums: np.ndarray, contexts: np.ndarray, sq_norms: np.ndarray
+) -> np.ndarray:
+    """``|l2_normalize(r / z) - c|^2`` for each row ``r`` of ``rows``, its
+    sum ``z`` and its ``contexts`` row ``c``, whose squared norms are
+    ``sq_norms``, without forming the quotients or the normalised rows.
 
-    With ``pp = p.p`` and ``s = max(sqrt(pp), NORM_EPS)``, the distance is
-    ``pp / s^2 - 2 (p.c) / s + |c|^2``, clamped at 0. Rounding is relative
+    With ``rr = r.r`` and ``s = max(sqrt(rr), NORM_EPS z)``, which is ``z``
+    times the divisor ``l2_normalize`` takes for ``r / z``, the distance is
+    ``rr / s^2 - 2 (r.c) / s + |c|^2``, clamped at 0. Rounding is relative
     to ``(1 + |c|)^2``; for the unit rows of an index the result is within
-    1e-12 of the direct form. A row whose ``pp`` overflows is divided by
-    its largest magnitude first, which leaves its normalised row as it is;
-    every other row keeps its bits.
+    1e-12 of the direct form. A row whose ``rr`` overflows, or falls below
+    the normal range (``2^-1022``, as under a small sum ``z``), is divided,
+    with its sum, by its largest magnitude first, or by ``NORM_EPS z`` when
+    that is larger; that leaves ``r / z`` and its normalised row as they
+    are. Every other row keeps its bits. Distances that tie in exact
+    arithmetic tie here only if their rounded values do.
     """
-    pp = np.vecdot(pooled, pooled)
-    pc = np.vecdot(pooled, contexts)
-    over = np.isinf(pp)
-    if over.any():
-        scaled = pooled[over] / np.abs(pooled[over]).max(axis=-1, keepdims=True)
-        pp[over] = np.vecdot(scaled, scaled)
-        pc[over] = np.vecdot(scaled, contexts[over])
-    scale = np.maximum(np.sqrt(pp), NORM_EPS)
-    dists = pp / (scale * scale)
-    dists -= 2.0 * pc / scale
+    rr = np.vecdot(rows, rows)
+    rc = np.vecdot(rows, contexts)
+    odd = ~((rr >= _MIN_NORMAL) & (rr < np.inf))
+    if np.logical_or.reduce(odd):
+        sums = sums.copy()
+        divisor = np.maximum(np.abs(rows[odd]).max(axis=-1), NORM_EPS * sums[odd])
+        scaled = rows[odd] / divisor[:, None]
+        rr[odd] = np.vecdot(scaled, scaled)
+        rc[odd] = np.vecdot(scaled, contexts[odd])
+        sums[odd] /= divisor
+    scale = np.maximum(np.sqrt(rr), NORM_EPS * sums)
+    dists = rr / (scale * scale)
+    dists -= 2.0 * rc / scale
     dists += sq_norms
     np.maximum(dists, 0.0, out=dists)
     return dists
@@ -552,10 +572,13 @@ def search(
     by ascending item id. With ``use_rerank`` (context variant only), the
     query is attended under each of those candidates' embeddings as context
     and the candidates are ranked by that distance instead. Either way the
-    result is sorted once, by (distance, item id). One fingerprint check
-    and one feature extraction serve both stages; the re-rank gathers its
-    candidates' rows of the index's context factor, which the first
-    re-ranking call makes and every later one reuses.
+    result is sorted once, by (distance, item id); distances that tie in
+    exact arithmetic but not in their rounded values sort by those values
+    (module docstring). One fingerprint check and one feature extraction
+    serve both stages; the re-rank gathers its candidates' rows of the
+    index's context factor, which the first re-ranking call makes and every
+    later one reuses, and scores the unnormalised rows and sums of one
+    ``context_attend`` call.
     """
     if not isinstance(k, Integral) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
@@ -570,8 +593,8 @@ def search(
         weight = t["ctx_attn.context_weight"]
         contexts = index.embeddings[rows]
         factor = index._context_factor(weight)[rows]
-        pooled = context_attend(fmap, contexts, t["ctx_attn.feature_weight"], weight, factor).pooled
-        dists = _context_distances(pooled, contexts, index._sq_norms[rows])
+        pool = context_attend(fmap, contexts, t["ctx_attn.feature_weight"], weight, factor)
+        dists = _context_distances(pool.rows, pool.sums, contexts, index._sq_norms[rows])
     # Rows ascend, and item ids with them, so a stable sort by distance
     # breaks ties by item id.
     order = np.argsort(dists, kind="stable")

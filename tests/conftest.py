@@ -23,3 +23,19 @@ def softmax_calls(monkeypatch):
 
     monkeypatch.setattr(attention, "softmax", counted)
     return calls
+
+
+@pytest.fixture
+def context_pool_reads(monkeypatch):
+    """The ``attention.ContextPool`` properties read during the test,
+    ``"pooled"`` or ``"weights"``, one entry per read."""
+    reads = []
+    for name in ("pooled", "weights"):
+        read = getattr(attention.ContextPool, name).fget
+
+        def counted(pool, name=name, read=read):
+            reads.append(name)
+            return read(pool)
+
+        monkeypatch.setattr(attention.ContextPool, name, property(counted))
+    return reads

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xattn import model
 from xattn.attention import (
     MIN_CONTEXT_SUM,
     AttentionResult,
@@ -14,6 +17,8 @@ from xattn.attention import (
     tag_attend_backward,
     tag_embed,
 )
+from xattn.model import ModelConfig, Variant, forward_triple, init_params
+from xattn.numeric import normalize_rows
 
 from gradcheck import finite_diff_grad
 from oracles import naive_context_attend, naive_tag_attend
@@ -327,8 +332,18 @@ def scaled_instance(data, contexts_count):
     return fmap, contexts, feature_weight, context_weight
 
 
+def naive_context_sum(fmap, context, feature_weight, context_weight) -> float:
+    """``Z_k`` by double loops: the sum over locations of ``exp(a_l - max a)
+    * exp(t_l - max t)``, with ``a`` the feature and ``t`` the context
+    scores."""
+    a = [sum(float(f) * float(w) for f, w in zip(row, feature_weight)) for row in fmap]
+    t = [sum(float(w) * float(c) for w, c in zip(row, context)) for row in context_weight]
+    return sum(math.exp(x - max(a)) * math.exp(y - max(t)) for x, y in zip(a, t))
+
+
 def assert_matches_the_naive_oracle(fmap, contexts, feature_weight, context_weight):
-    """Factor-form weights and pooled rows against the double-loop oracle.
+    """Factor-form weights, pooled rows, sums and unnormalised rows against
+    the double-loop oracle.
 
     Both sides round their scores, summed in different orders: each score
     errs by at most ``2 C u`` times its sum of absolute terms ``S_l``, so a
@@ -336,12 +351,16 @@ def assert_matches_the_naive_oracle(fmap, contexts, feature_weight, context_weig
     adds the module docstring's bound, whose ranges are at most ``2 max S``
     each, and the oracle's shifted exponentials and sum about as much. The
     absolute part is the docstring's at ``MIN_CONTEXT_SUM``. The pooled rows
-    add the rounding of two sums of ``L`` terms ``w |f|``.
+    add the rounding of two sums of ``L`` terms ``w |f|``. A trusted sum
+    ``Z_k`` and row ``R_k`` carry the same relative error, the row relative
+    to ``Z_k`` times the pooled magnitude, and the docstring's absolute
+    parts; an untrusted context's sum is 1 and its row the pooled row.
     """
     u = 2.0**-53
     locations, channels = fmap.shape
     got = attend_stack(fmap, contexts, feature_weight, context_weight)
     tiny = (locations + 1) * 2.0**-1073 / MIN_CONTEXT_SUM
+    untrusted = [] if got.softmaxed is None else got.softmaxed[0].tolist()
     for k, context in enumerate(contexts):
         terms = np.abs(fmap * feature_weight) + np.abs(context_weight * context)
         spread = float(terms.sum(axis=1).max())
@@ -350,6 +369,13 @@ def assert_matches_the_naive_oracle(fmap, contexts, feature_weight, context_weig
         assert np.all(np.abs(got.weights[k] - want_w) <= rel * want_w + tiny)
         magnitude = want_w @ np.abs(fmap) + tiny * np.abs(fmap).sum(axis=0)
         assert np.all(np.abs(got.pooled[k] - want_p) <= (rel + 2 * (locations + 1) * u) * magnitude)
+        if k in untrusted:
+            assert got.sums[k] == 1.0 and np.array_equal(got.rows[k], got.pooled[k])
+            continue
+        want_z = naive_context_sum(fmap, context, feature_weight, context_weight)
+        assert abs(got.sums[k] - want_z) <= rel * want_z + locations * 2.0**-1073
+        floor = locations * 2.0**-1073 * (1 + np.abs(fmap).max(axis=0))
+        assert np.all(np.abs(got.rows[k] - want_z * want_p) <= (rel + 2 * (locations + 1) * u) * want_z * magnitude + floor)
 
 
 class TestFactorFormExactness:
@@ -378,6 +404,43 @@ class TestFactorFormExactness:
             assert_matches_the_naive_oracle(fmap, contexts, feature_weight, context_weight)
         untrusted = sum(shape[0] for shape in softmax_calls)
         assert 0 < untrusted < 20 * 9
+
+    def test_rows_and_sums_are_products_of_the_factor(self):
+        # R = F @ (u f) and Z = F @ u; the quotients and the weights are
+        # read from them.
+        rng = np.random.default_rng(75)
+        fmap, _, _, _, (feature_weight, context_weight) = random_instance(rng, locations=6, channels=4)
+        contexts = rng.normal(size=(5, 4))
+        factor = context_factor(context_weight, contexts)
+        got = context_attend(fmap, contexts, feature_weight, context_weight, factor)
+        assert got.softmaxed is None
+        scores = fmap @ feature_weight
+        scale = np.exp(scores - scores.max())
+        np.testing.assert_array_equal(got.scale, scale)
+        np.testing.assert_array_equal(got.rows, factor @ (scale[:, None] * fmap))
+        np.testing.assert_array_equal(got.sums, factor @ scale)
+        np.testing.assert_array_equal(got.pooled, got.rows / got.sums[:, None])
+        np.testing.assert_array_equal(got.weights, factor * scale / got.sums[:, None])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_training_normalises_the_rows_over_the_sums_of_its_own_call(self, monkeypatch, context_pool_reads, seed):
+        # forward_triple's anchor rows are normalize_rows(R / Z) of the one
+        # context_attend call it makes, bit for bit; it reads the quotients
+        # once and leaves the weights to the backward.
+        calls = []
+        real = model.context_attend
+        monkeypatch.setattr(model, "context_attend", lambda *args: calls.append(real(*args)) or calls[-1])
+        config = ModelConfig(locations=9, channels=16, tag_count=4, raw_dim=16, variant=Variant.CTXYNET)
+        params = init_params(config, seed)
+        rng = np.random.default_rng(seed)
+        raws = [rng.normal(size=(9, 16)) for _ in range(3)]
+        tags = [TagVector(rng.integers(0, 2, 4).astype(np.float64)) for _ in range(2)]
+        fwd = forward_triple(*raws, *tags, params, 0.5)
+        assert len(calls) == 1 and fwd.anchor_pool is calls[0] and context_pool_reads == ["pooled"]
+        pool = calls[0]
+        assert pool.rows.shape == (2, 16)
+        np.testing.assert_array_equal(fwd.anchor_rows, normalize_rows(pool.rows / pool.sums[:, None]).unit)
+        np.testing.assert_array_equal(fwd.anchor_norms.unit, fwd.anchor_rows)
 
 
 class TestForwardProperties:

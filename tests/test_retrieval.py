@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xattn import retrieval
-from xattn.attention import TagVector, context_factor
+from xattn.attention import MIN_CONTEXT_SUM, TagVector, context_attend, context_factor
 from xattn.dataio import SyntheticSpec, generate_synthetic, load_dataset
 from xattn.model import (
     ModelConfig,
@@ -20,6 +20,7 @@ from xattn.model import (
     UnsupportedVariantError,
     Variant,
     embed_shop,
+    extract_features,
     init_params,
     params_fingerprint,
 )
@@ -606,9 +607,12 @@ class TestScreen:
 
 @st.composite
 def pooled_and_contexts(draw):
-    """K pooled rows with norms from 1e-20 (below NORM_EPS) to 1e3, and K
-    context rows with norms from 0 to 2; some pooled rows or contexts are
-    zero, and some contexts equal the normalised pooled row."""
+    """K unnormalised rows with their sums, and K context rows. Each row is
+    a pooled row of norm 1e-20 (below NORM_EPS) to 1e3 times its sum, which
+    is 1 or from 2^-960 (``MIN_CONTEXT_SUM``) to 50, so the squared norms
+    of some rows underflow; the contexts have norms from 0 to 2. Some
+    pooled rows or contexts are zero, and some contexts equal the
+    normalised pooled row."""
     k = draw(st.integers(1, 40))
     channels = draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -624,31 +628,49 @@ def pooled_and_contexts(draw):
             contexts[row] = 0.0
         else:
             contexts[row] = l2_normalize(pooled[row])
-    return pooled, contexts
+    sums = np.where(rng.random(k) < draw(st.floats(0, 1)), 1.0, 2.0 ** rng.uniform(-960, np.log2(50), k))
+    return pooled * sums[:, None], sums, contexts
 
 
 class TestRerank:
     @given(pooled_and_contexts())
     @settings(max_examples=200, deadline=None)
     def test_closed_form_distance_equals_the_normalised_difference(self, case):
-        pooled, contexts = case
-        want = np.sum((l2_normalize(pooled) - contexts) ** 2, axis=1)
-        got = retrieval._context_distances(pooled, contexts, np.sum(contexts**2, axis=1))
+        rows, sums, contexts = case
+        want = np.sum((l2_normalize(rows / sums[:, None]) - contexts) ** 2, axis=1)
+        got = retrieval._context_distances(rows, sums, contexts, np.sum(contexts**2, axis=1))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert np.all(got >= 0.0)
 
     def test_row_whose_squared_norm_overflows(self):
         contexts = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0], [0.8, 0.6]])
         pooled = np.array([[1e200, 0.0], [3.0, 4.0], [1e-20, 2e-20], [-4e300, -3e300]])
-        sq_norms = np.ones(4)
+        sq_norms, sums = np.ones(4), np.ones(4)
         with pytest.warns(RuntimeWarning, match="overflow"):
-            got = retrieval._context_distances(pooled, contexts, sq_norms)
+            got = retrieval._context_distances(pooled, sums, contexts, sq_norms)
         assert got[0] == 0.0
         np.testing.assert_allclose(got[3], 4.0, rtol=0, atol=1e-15)
         # The other rows have the bits they have without the overflowing ones.
         kept = [1, 2]
-        want = retrieval._context_distances(pooled[kept], contexts[kept], sq_norms[kept])
+        want = retrieval._context_distances(pooled[kept], sums[kept], contexts[kept], sq_norms[kept])
         assert np.array_equal(bits(got[kept]), bits(want))
+
+    def test_rows_whose_squared_norm_underflows(self):
+        # Under a sum of 2^-900 every squared norm below underflows to 0 or
+        # a subnormal; each row is rescaled first, and its distance is that
+        # of the same row under a sum of 1, to rounding. The third row is
+        # below the NORM_EPS guard and the fourth is zero: |c|^2 = 1.
+        contexts = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0], [0.8, 0.6]])
+        pooled = np.array([[2.0, 0.0], [3.0, 4.0], [1e-20, 2e-20], [0.0, 0.0]])
+        sq_norms = np.ones(4)
+        tiny = np.full(4, 2.0**-900)
+        rows = pooled * tiny[:, None]
+        assert np.all(np.vecdot(rows, rows) < 2.0**-1022)
+        got = retrieval._context_distances(rows, tiny, contexts, sq_norms)
+        want = retrieval._context_distances(pooled, np.ones(4), contexts, sq_norms)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(got[[0, 1, 3]], [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(got[2], 1.0 - 2 * 2e-8 + 5e-16, rtol=0, atol=1e-15)
 
     def test_reranks_exactly_the_k_rows_of_the_sorted_scan(self):
         rng = np.random.default_rng(14)
@@ -841,6 +863,141 @@ class TestContextFactor:
             assert_same_ranking(got, per_candidate_rerank(raw, scan.item_ids.tolist(), embedding_of, model))
             assert (got == first) == (model is params)
         assert index._context is kept
+
+
+def engineered_rerank(alpha, gamma, magnitude=1.0, count=40, seed=0):
+    """A CtxYNet model at L = C = 3 whose user map is the identity, scaled
+    by ``magnitude``, an index of ``count`` random unit rows, and the query
+    that gives that map. The query's feature scores are ``a = [0, -alpha,
+    -alpha]`` and candidate k's context scores ``t_k = [0, beta_k, 0]``,
+    ``beta_k = gamma d . c_k`` with ``d`` the unit diagonal. So a candidate
+    with ``beta_k > 0`` has the sum ``Z_k = exp(-beta_k) + exp(-alpha) (1 +
+    exp(-beta_k))``, which is at least ``exp(-alpha)``, and pools to
+    ``magnitude`` times its softmax weights."""
+    config = ModelConfig(locations=3, channels=3, tag_count=1, raw_dim=3, variant=Variant.CTXYNET)
+    eye = np.eye(3)
+    params = with_tensors(
+        init_params(config, seed),
+        {
+            "trunk.weight": eye,
+            "trunk.bias": 0.0,
+            "branch_user.weight": eye,
+            "branch_user.bias": 0.0,
+            "ctx_attn.feature_weight": np.array([0.0, -alpha, -alpha]) / magnitude,
+            "ctx_attn.context_weight": np.outer([0.0, gamma, 0.0], np.full(3, 3**-0.5)),
+        },
+    )
+    embeddings = l2_normalize(np.random.default_rng(seed).normal(size=(count, 3)))
+    ids = np.arange(count) + 100
+    index = ShopIndex(ids, ids, np.zeros((count, 1), np.uint8), embeddings, params_fingerprint(params))
+    return params, index, magnitude * eye
+
+
+class TestUnnormalisedRerank:
+    """``search`` scores each candidate from its unnormalised row ``R_k`` and
+    sum ``Z_k`` and must rank as ``per_candidate_rerank`` does, in and out
+    of every guard's range."""
+
+    def check(self, params, index, raw):
+        """Check the re-rank of every indexed item against the reference;
+        return the ``context_attend`` result over every indexed item, the
+        rows and sums that ``search`` scores."""
+        t = params.tensors
+        weight = t["ctx_attn.context_weight"]
+        contexts = index.embeddings
+        fmap = extract_features(raw, "user", params)
+        pool = context_attend(fmap, contexts, t["ctx_attn.feature_weight"], weight, context_factor(weight, contexts))
+        embedding_of = dict(zip(index.item_ids.tolist(), index.embeddings))
+        scan = search(index, raw, params, k=len(index), use_rerank=False)
+        want = per_candidate_rerank(raw, scan.item_ids.tolist(), embedding_of, params)
+        assert_same_ranking(search(index, raw, params, k=len(index)), want)
+        return pool
+
+    def test_in_bound_candidates(self, softmax_calls):
+        params, index, raw = engineered_rerank(alpha=1.0, gamma=2.0)
+        pool = self.check(params, index, raw)
+        assert softmax_calls == []
+        # Z_k >= exp(-range(a)) = exp(-1) (attention module docstring).
+        assert np.all(pool.sums >= np.exp(-1.0)) and np.all(np.vecdot(pool.rows, pool.rows) > 0.1)
+
+    def test_sums_just_above_the_trusted_minimum(self, softmax_calls):
+        # exp(-664.9) is 2^-959.3: every sum is trusted, and those of the
+        # candidates with beta_k above alpha are within a factor of 3 of
+        # MIN_CONTEXT_SUM. Their rows' squared norms underflow to 0.
+        params, index, raw = engineered_rerank(alpha=664.9, gamma=1000.0)
+        pool = self.check(params, index, raw)
+        assert softmax_calls == []
+        assert np.all(pool.sums >= MIN_CONTEXT_SUM)
+        near = pool.sums < 3 * MIN_CONTEXT_SUM
+        assert 0 < near.sum() < len(index)
+        assert np.all(np.vecdot(pool.rows[near], pool.rows[near]) == 0.0)
+
+    def test_rows_whose_squared_norm_underflows(self, softmax_calls):
+        # Sums near exp(-400) = 2^-577, far above MIN_CONTEXT_SUM, under
+        # which a row of norm about 1 has a squared norm of about 2^-1154.
+        params, index, raw = engineered_rerank(alpha=400.0, gamma=1000.0)
+        pool = self.check(params, index, raw)
+        assert softmax_calls == []
+        assert np.all(pool.sums > 2.0**-600)
+        under = np.vecdot(pool.rows, pool.rows) < 2.0**-1022
+        assert 0 < under.sum() < len(index)
+
+    def test_untrusted_candidates(self, softmax_calls):
+        # alpha = 700: a candidate with beta_k above 665.4 has a sum below
+        # MIN_CONTEXT_SUM and pools the softmax of its exact scores.
+        params, index, raw = engineered_rerank(alpha=700.0, gamma=1000.0)
+        pool = self.check(params, index, raw)
+        assert softmax_calls and softmax_calls[0] == (len(pool.softmaxed[0]), 3)
+        assert 0 < len(pool.softmaxed[0]) < len(index)
+
+    def test_rows_whose_squared_norm_overflows(self):
+        # A map of 1.5e154 times the identity pools to rows of norm below
+        # 1.2e154, whose squares do not overflow, but some sums are near 2,
+        # and R_k = Z_k p_k squares past the float64 range.
+        params, index, raw = engineered_rerank(alpha=0.5, gamma=1.0, magnitude=1.5e154)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            pool = self.check(params, index, raw)
+        assert np.all(np.isfinite(np.vecdot(pool.pooled, pool.pooled)))
+        with np.errstate(over="ignore"):
+            over = np.isinf(np.vecdot(pool.rows, pool.rows))
+        assert 0 < over.sum() < len(index)
+
+    def test_one_context_attend_call_per_search_reads_no_quotient(self, monkeypatch, context_pool_reads):
+        # The re-rank scores the rows and sums as they are: it never forms
+        # the K x C quotients or the K x L weights.
+        calls = []
+        real = retrieval.context_attend
+        monkeypatch.setattr(retrieval, "context_attend", lambda *args: calls.append(real(*args)) or calls[-1])
+        rng = np.random.default_rng(76)
+        params = make_params(Variant.CTXYNET, seed=76)
+        index = build_index(make_items(params, 30, rng), params)
+        for count, k in enumerate((1, 12, 30), 1):
+            search(index, query(params, rng), params, k=k)
+            assert len(calls) == count and calls[-1].rows.shape == (k, params.config.channels)
+        search(index, query(params, rng), params, k=5, use_rerank=False)
+        assert len(calls) == 3 and context_pool_reads == []
+
+    @pytest.mark.parametrize("seed", [74, 75])
+    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    def test_ties_of_the_computed_distances(self, seed, scale):
+        # Heads this large can put all of a query's weight on a location
+        # whose features are all 0 (a ReLU trunk with every unit off), so
+        # that every candidate pools to the zero row and its distance is
+        # |c|^2 = 1 in exact arithmetic. search sorts such ties by their
+        # rounded values, the reference by item id: within runs of the
+        # reference tied to 1e-12 only the ids are compared.
+        rng = np.random.default_rng(seed)
+        params = scaled_heads(make_params(Variant.CTXYNET, seed=seed), scale, scale)
+        index = build_index(make_items(params, 30, rng), params)
+        embedding_of = dict(zip(index.item_ids.tolist(), index.embeddings))
+        tied = 0
+        for _ in range(6):
+            raw = query(params, rng)
+            scan = search(index, raw, params, k=30, use_rerank=False)
+            want = per_candidate_rerank(raw, scan.item_ids.tolist(), embedding_of, params)
+            assert_same_ranking_up_to_ties(search(index, raw, params, k=30), want)
+            tied += int(np.sum(np.diff([d for _, d in want]) <= 1e-12))
+        assert tied > 0
 
 
 class TestImmutableIndex:
