@@ -116,14 +116,15 @@ MIN_CONTEXT_SUM = 2.0**-960
 
 @dataclass(frozen=True)
 class TagVector:
-    """Binary indicator vector over the tag vocabulary, kept as float 0/1;
-    a B x T matrix holds one vector per map of a stack."""
+    """One image's tag set: a non-empty 1-D indicator vector over the tag
+    vocabulary, kept as float 0/1. A stack of images takes a B x T matrix
+    of such rows, which ``embed_shops`` and ``forward_triple`` stack."""
 
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.bits.ndim not in (1, 2) or self.bits.size == 0:
-            raise ValueError("tag vector must be non-empty and 1-D (or a 2-D stack)")
+        if self.bits.ndim != 1 or self.bits.size == 0:
+            raise ValueError(f"tag vector must be non-empty and 1-D, got shape {self.bits.shape}")
         if not np.all((self.bits == 0.0) | (self.bits == 1.0)):
             raise ValueError("tag vector entries must be 0 or 1")
 

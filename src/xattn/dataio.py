@@ -221,37 +221,26 @@ def load_manifest(path: "Path | str") -> Manifest:
 def write_feature_map(path: "Path | str", array: np.ndarray) -> None:
     """Write the map atomically: a temporary file, then a rename.
 
-    A map that ``load_feature_map`` would refuse raises a ValueError and
-    writes nothing: one that is not 2-D, has a zero dimension, or holds a
-    value that is not finite as float32, such as a float64 beyond float32's
-    range.
+    The bytes are parsed as ``load_feature_map`` parses them before any is
+    written, so a map it would refuse, with a zero dimension or a value
+    that is not finite as float32 (a float64 beyond float32's range, say),
+    raises its ``FeatureMapFormatError`` and writes nothing. A map that is
+    not 2-D, which has no header, raises a ValueError.
     """
-    # Values beyond float32's range become inf here; the check below
-    # refuses them.
+    # Values beyond float32's range become inf here; the parse refuses them.
     with np.errstate(over="ignore"):
         arr = np.ascontiguousarray(array, dtype="<f4")
     if arr.ndim != 2:
-        raise ValueError("feature map must be 2-D")
-    if arr.size == 0:
-        raise ValueError(
-            f"feature map has {arr.shape[0]} locations of dim {arr.shape[1]}; both must be positive"
-        )
-    if not np.isfinite(arr).all():
-        raise ValueError("feature map holds values that are NaN or infinite as float32")
-    write_atomic(path, [_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *arr.shape), arr])
+        raise ValueError(f"feature map must be 2-D, got shape {arr.shape}")
+    data = _HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *arr.shape) + arr.tobytes()
+    _parse_feature_map(data, path)
+    write_atomic(path, [data])
 
 
-def load_feature_map(path: "Path | str") -> np.ndarray:
-    """Read an XFMP file into an L x raw_dim float32 (``<f4``) matrix, the
-    values as stored. ``load_dataset`` holds the same values as rows of one
-    N x L x raw_dim block; it reads the first file, and any file it cannot
-    read into the block, through this function.
-
-    Both dimensions must be positive and every value finite, so data that
-    passes here is what the model's layers accept.
-    """
-    with open(path, "rb") as fh:
-        reader = Reader(fh.read(), FeatureMapFormatError, path)
+def _parse_feature_map(data: bytes, source: object) -> np.ndarray:
+    """The L x raw_dim ``<f4`` map in a feature-map file's bytes, a
+    read-only view of them; ``source`` names the file in a fault."""
+    reader = Reader(data, FeatureMapFormatError, source)
     magic, version, locations, dim = reader.unpack(_HEADER, "header")
     if magic != FEATURE_MAGIC:
         reader.fail(f"bad magic {magic!r}", 0)
@@ -264,7 +253,20 @@ def load_feature_map(path: "Path | str") -> np.ndarray:
         )
     values = reader.array("<f4", locations * dim, "payload", finite=True)
     reader.end()
-    return values.reshape(locations, dim).copy()
+    return values.reshape(locations, dim)
+
+
+def load_feature_map(path: "Path | str") -> np.ndarray:
+    """Read an XFMP file into an L x raw_dim float32 (``<f4``) matrix, the
+    values as stored. ``load_dataset`` holds the same values as rows of one
+    N x L x raw_dim block; it reads the first file, and any file it cannot
+    read into the block, through this function.
+
+    Both dimensions must be positive and every value finite, so data that
+    passes here is what the model's layers accept.
+    """
+    with open(path, "rb") as fh:
+        return _parse_feature_map(fh.read(), path).copy()
 
 
 class Anchoring(NamedTuple):

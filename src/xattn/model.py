@@ -337,16 +337,6 @@ def _trunk(raw: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray
     return rows, hidden
 
 
-def _features(raw: np.ndarray, domain: str, params: ModelParams) -> _Features:
-    if domain not in DOMAINS:
-        raise ValueError(f"domain must be one of {DOMAINS}, got {domain!r}")
-    rows, hidden = _trunk(raw, params)
-    t = params.tensors
-    features = _affine(hidden, t[f"branch_{domain}.weight"], t[f"branch_{domain}.bias"])
-    features = features.reshape(*np.shape(raw)[:-1], params.config.channels)
-    return _Features(rows=rows, hidden=hidden, fmap=features)
-
-
 def extract_features(
     raw: np.ndarray, domain: str, params: ModelParams
 ) -> np.ndarray:
@@ -355,7 +345,12 @@ def extract_features(
     ``raw`` is one L x R map or a B x L x R stack; a stack runs as one
     (B*L) x R matrix product per layer and gives a B x L x C feature map.
     """
-    return _features(raw, domain, params).fmap
+    if domain not in DOMAINS:
+        raise ValueError(f"domain must be one of {DOMAINS}, got {domain!r}")
+    _, hidden = _trunk(raw, params)
+    t = params.tensors
+    features = _affine(hidden, t[f"branch_{domain}.weight"], t[f"branch_{domain}.bias"])
+    return features.reshape(*np.shape(raw)[:-1], params.config.channels)
 
 
 def _location_mean(fmap: np.ndarray) -> np.ndarray:

@@ -93,26 +93,20 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return x / max(math.sqrt(sq), NORM_EPS)
 
 
-def l2_normalize_backward(v: "np.ndarray | Normalized", grad_output: np.ndarray) -> np.ndarray:
-    """Gradient of ``sum(grad_output * l2_normalize(v))`` with respect to ``v``.
+def l2_normalize_backward(kept: Normalized, grad_output: np.ndarray) -> np.ndarray:
+    """Gradient of ``sum(grad_output * l2_normalize(v))`` with respect to
+    the B x C stack ``v`` that ``normalize_rows`` normalised into ``kept``,
+    whose norms and quotients are reused; ``grad_output`` is B x C too.
 
-    ``v`` is what ``normalize_rows`` returned for a stack, whose norms and
-    quotients are reused, or a vector or 2-D stack, which is normalised
-    first; a vector is a stack of one row. Each row is its own vector, as in
-    ``l2_normalize``. Below the ``NORM_EPS`` guard the map is linear
-    (``v / NORM_EPS``) and the Jacobian is ``I / NORM_EPS``. A row whose
-    squared norm overflows gets a zero gradient.
+    Each row is its own vector, as in ``l2_normalize``. Below the
+    ``NORM_EPS`` guard the map is linear (``v / NORM_EPS``) and the
+    Jacobian is ``I / NORM_EPS``. A row whose squared norm overflows gets a
+    zero gradient.
     """
     g = np.asarray(grad_output, dtype=np.float64)
-    kept, rows = v, g
-    if not isinstance(v, Normalized):
-        x = np.asarray(v, dtype=np.float64)
-        if x.ndim == 1:
-            x, rows = x[None], g[None]
-        kept = normalize_rows(x)
-    if kept.scaled.shape != rows.shape:
-        raise ValueError("gradient shape must match the input vector")
-    along = np.add.reduce(rows * kept.scaled, axis=-1, keepdims=True)
+    if kept.scaled.shape != g.shape:
+        raise ValueError(f"gradient of shape {g.shape} does not match the rows' {kept.scaled.shape}")
+    along = np.add.reduce(g * kept.scaled, axis=-1, keepdims=True)
     # Below the guard the projection term drops out: (g - 0) / NORM_EPS.
     along[kept.norm < NORM_EPS] = 0.0
-    return ((rows - along * kept.scaled) / kept.scale).reshape(g.shape)
+    return (g - along * kept.scaled) / kept.scale

@@ -329,9 +329,6 @@ class ShopIndex:
             raise ValueError(f"item id {ids[~found][0]} not in index")
         return rows
 
-    def product_of(self, item_id: int) -> int:
-        return int(self.product_ids[self.rows_of([item_id])[0]])
-
 
 def _cpus() -> int:
     """CPUs this process may run on."""

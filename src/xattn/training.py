@@ -1,9 +1,10 @@
 """Triple sampling, SGD with momentum, and the three-stage curriculum.
 
-Stages run in ladder order; each stage upgrades the previous stage's
-checkpoint (shared tensors copied, new heads freshly initialized) and the
-trunk is frozen for every stage after the first. One epoch samples as
-many triples as there are user images.
+Stages run in ladder order; the first starts from a model config, and
+each later one upgrades the previous stage's checkpoint (shared tensors
+copied, new heads freshly initialized) and freezes the trunk. One epoch
+samples as many triples as there are user images, and every step takes
+the one step size ``base_lr``.
 
 A split is addressed by manifest row: ``sample_triples`` draws rows, and
 a stage gathers each triple's maps and tag vectors from two lists whose
@@ -45,11 +46,12 @@ def _default_epochs() -> dict[str, int]:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Minibatch size, momentum and step size of the SGD, the triplet
+    margin and epoch count of each stage, and the seed of every draw."""
+
     batch_size: int = 32
     momentum: float = 0.9
     base_lr: float = 0.01
-    lr_decay: float = 0.1
-    decay_every: int = 30
     margins: Mapping[str, float] = field(default_factory=_default_margins)
     epochs: Mapping[str, int] = field(default_factory=_default_epochs)
     seed: int = 0
@@ -61,13 +63,9 @@ class TrainConfig:
             raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
         if not isinstance(self.momentum, Real) or not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
-        # Each test names the range to be in, which NaN fails (nan <= 0 is False).
-        for name in ("base_lr", "lr_decay"):
-            value = getattr(self, name)
-            if not isinstance(value, Real) or not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if not isinstance(self.decay_every, Integral) or self.decay_every < 1:
-            raise ValueError(f"decay_every must be an integer >= 1, got {self.decay_every!r}")
+        # The test names the range to be in, which NaN fails (nan <= 0 is False).
+        if not isinstance(self.base_lr, Real) or not 0 < self.base_lr < math.inf:
+            raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr!r}")
         # A checkpoint stores the epoch count as a u32 and the seed as a u64.
         if not isinstance(self.seed, Integral) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64) and an integer, got {self.seed!r}")
@@ -93,13 +91,6 @@ class TrainConfig:
                 raise ValueError(
                     f"margins[{stage!r}] must be finite and >= 0, got {margin!r}"
                 )
-
-
-def lr_at(epoch: int, cfg: TrainConfig) -> float:
-    """Step schedule: base_lr * lr_decay ** floor(epoch / decay_every)."""
-    if epoch < 0:
-        raise ValueError("epoch must be >= 0")
-    return cfg.base_lr * cfg.lr_decay ** (epoch // cfg.decay_every)
 
 
 def sample_triples(
@@ -163,18 +154,19 @@ def train_stage(
     stage: str,
     dataset: Dataset,
     cfg: TrainConfig,
-    model_cfg: ModelConfig | None = None,
-    init: Checkpoint | None = None,
+    start: ModelConfig | Checkpoint,
     metrics_out: IO[str] | None = None,
 ) -> tuple[Checkpoint, list[float]]:
     """Run one curriculum stage; deterministic given (seed, config, data).
 
     ``stage`` is matched ignoring case and surrounding blanks, and the
-    checkpoint and metrics carry its lower-case name. Either ``init`` (the
-    previous stage's checkpoint) or ``model_cfg`` must be given; given
-    both, they may differ in the variant alone. Returns the final
-    checkpoint and the per-epoch mean loss curve; each epoch also writes
-    one ``epoch<TAB>stage<TAB>lr<TAB>mean_loss`` line to ``metrics_out``.
+    checkpoint and metrics carry its lower-case name. ``start`` is the
+    model config of a first stage, whose tensors are all drawn fresh, or
+    the previous stage's checkpoint, whose tensors the stage takes over;
+    the stage sets the variant. Returns the final checkpoint and the
+    per-epoch mean loss curve; each epoch also writes one
+    ``epoch<TAB>stage<TAB>lr<TAB>mean_loss`` line to ``metrics_out``, where
+    ``lr`` is ``cfg.base_lr``.
 
     Each triple is one ``backward_triple`` call, which returns the
     gradients of the tensors the stage trains, or none at zero loss. The
@@ -188,15 +180,8 @@ def train_stage(
     variant = Variant.parse(stage)
     stage = STAGES[variant]
     stage_index = int(variant)
-    if init is not None:
-        base_cfg = init.config
-        if model_cfg is not None and replace(model_cfg, variant=base_cfg.variant) != base_cfg:
-            raise ValueError(f"model config {model_cfg} differs from the init config {base_cfg}")
-    elif model_cfg is not None:
-        base_cfg = model_cfg
-    else:
-        raise ValueError("either an init checkpoint or a model config is required")
-    config = replace(base_cfg, variant=variant)
+    base = start.params if isinstance(start, Checkpoint) else None
+    config = replace(start.config if base is not None else start, variant=variant)
     records = dataset.manifest.records
     maps = [dataset.features[r.item_id] for r in records]
     expected = (config.locations, config.raw_dim)
@@ -209,11 +194,7 @@ def train_stage(
         )
     tags = [dataset.tag_vector(r) for r in records]
 
-    params = init_params(
-        config,
-        np.random.default_rng([cfg.seed, stage_index, 0]),
-        base=init.params if init is not None else None,
-    )
+    params = init_params(config, np.random.default_rng([cfg.seed, stage_index, 0]), base=base)
     sample_rng = np.random.default_rng([cfg.seed, stage_index, 1])
     frozen_trunk = stage_index > 0
     alpha = cfg.margins[stage]
@@ -223,11 +204,10 @@ def train_stage(
     curve: list[float] = []
 
     for epoch in range(epoch_count):
-        lr = lr_at(epoch, cfg)
         triples = sample_triples(dataset, triples_per_epoch, sample_rng).tolist()
         epoch_loss = 0.0
-        for start in range(0, len(triples), cfg.batch_size):
-            batch = triples[start : start + cfg.batch_size]
+        for first in range(0, len(triples), cfg.batch_size):
+            batch = triples[first : first + cfg.batch_size]
             grads_sum = {name: np.zeros_like(vel) for name, vel in velocity.items()}
             batch_loss = 0.0
             for anchor, positive, negative in batch:
@@ -250,12 +230,12 @@ def train_stage(
             scale = 1.0 / len(batch)
             for grad in grads_sum.values():
                 grad *= scale
-            params = sgd_step(params, grads_sum, velocity, lr, cfg.momentum)
+            params = sgd_step(params, grads_sum, velocity, cfg.base_lr, cfg.momentum)
             epoch_loss += batch_loss
         mean_loss = epoch_loss / len(triples)
         curve.append(mean_loss)
         if metrics_out is not None:
-            metrics_out.write(f"{epoch}\t{stage}\t{lr:.6g}\t{mean_loss:.6g}\n")
+            metrics_out.write(f"{epoch}\t{stage}\t{cfg.base_lr:.6g}\t{mean_loss:.6g}\n")
 
     checkpoint = Checkpoint(
         config=config, params=params, epoch=epoch_count, seed=cfg.seed, stage=stage
@@ -270,13 +250,15 @@ def run_curriculum(
     model_cfg: ModelConfig,
     metrics_out: IO[str] | None = None,
 ) -> list[tuple[Checkpoint, list[float]]]:
-    """Run stages in order, threading each checkpoint into the next."""
+    """Run stages in order: the first from ``model_cfg``, each later one
+    from the checkpoint of the one before."""
     variants = [Variant.parse(s) for s in stages]
     if any(a >= b for a, b in zip(variants, variants[1:])):
         names = [STAGES[v] for v in variants]
         raise ValueError(f"stages must be in ladder order, got {names}")
     results: list[tuple[Checkpoint, list[float]]] = []
+    start: ModelConfig | Checkpoint = model_cfg
     for variant in variants:
-        init = results[-1][0] if results else None
-        results.append(train_stage(STAGES[variant], dataset, cfg, model_cfg, init, metrics_out))
+        results.append(train_stage(STAGES[variant], dataset, cfg, start, metrics_out))
+        start = results[-1][0]
     return results

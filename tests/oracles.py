@@ -23,8 +23,6 @@ import numpy as np
 from xattn.attention import context_attend_backward, tag_attend_backward
 from xattn.dataio import TAGS_NAME, Manifest, ManifestError, ManifestRecord
 from xattn.model import DOMAINS, Checkpoint, ModelConfig, ModelParams, Variant, forward_triple, init_params
-from xattn.numeric import l2_normalize_backward
-from xattn.training import lr_at
 
 # The tensors a stage after the first does not train.
 FROZEN_TRUNK = ("trunk.weight", "trunk.bias")
@@ -342,7 +340,7 @@ def reference_full_backward_triple(
     neg_push = 2.0 * (anchor_neg - negative)
     grad_shops = np.stack([-pos_pull, neg_push])
     if params.config.variant >= Variant.CTXYNET:
-        grad_pooled = l2_normalize_backward(
+        grad_pooled = reference_l2_normalize_backward(
             fwd.anchor_pool.pooled, np.stack([pos_pull, -neg_push])
         )
         grad_anchor_map, grad_contexts, grad_fw, grad_cw = context_attend_backward(
@@ -357,14 +355,14 @@ def reference_full_backward_triple(
         grads["ctx_attn.context_weight"] = grad_cw
         grad_shops += grad_contexts
     else:
-        grad_pooled = l2_normalize_backward(fwd.anchor_pool.pooled, [pos_pull - neg_push])
+        grad_pooled = reference_l2_normalize_backward(fwd.anchor_pool.pooled, [pos_pull - neg_push])
         grad_anchor_map = fwd.anchor_pool.weights[..., None] * grad_pooled[..., None, :]
     anchor, shops = fwd.anchor, fwd.shops
     grad_user = grad_anchor_map.reshape(-1, params.config.channels)
     grads["branch_user.weight"] = grad_user.T @ anchor.hidden
     grads["branch_user.bias"] = grad_user.sum(axis=0)
     # The shop branch ran once, on the pooled hidden rows.
-    grad_shop = l2_normalize_backward(shops.pooled, grad_shops)
+    grad_shop = reference_l2_normalize_backward(shops.pooled, grad_shops)
     grads["branch_shop.weight"] = grad_shop.T @ shops.pool.pooled
     grads["branch_shop.bias"] = grad_shop.sum(axis=0)
     grad_hidden_pooled = grad_shop @ t["branch_shop.weight"]
@@ -433,8 +431,7 @@ def reference_train_stage(stage, dataset, cfg, model_cfg=None, init=None):
     velocity = {}
     curve = []
     zero_losses = []
-    for epoch in range(cfg.epochs[stage]):
-        lr = lr_at(epoch, cfg)
+    for _ in range(cfg.epochs[stage]):
         triples = reference_sample_triples(dataset, len(dataset.user_records()), sample_rng)
         epoch_loss = 0.0
         for start in range(0, len(triples), cfg.batch_size):
@@ -467,7 +464,7 @@ def reference_train_stage(stage, dataset, cfg, model_cfg=None, init=None):
                     del grads_sum[name]
             for name, grad in grads_sum.items():
                 v = velocity.get(name, np.zeros_like(grad))
-                velocity[name] = cfg.momentum * v - lr * grad
+                velocity[name] = cfg.momentum * v - cfg.base_lr * grad
                 tensors[name] += velocity[name]
             epoch_loss += batch_loss
         curve.append(epoch_loss / len(triples))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ class TestTypes:
         np.testing.assert_array_equal(vec.bits, [1, 0, 1, 0])
         with pytest.raises(ValueError):
             TagVector.from_ids([4], size=4)
+
+    def test_tag_vector_holds_one_non_empty_tag_set(self):
+        # A stack of tag sets is a plain B x T array; a TagVector is one row.
+        for shape in ((2, 3), (1, 3), (3, 1), (0,), (), (1, 1, 3)):
+            message = rf"^tag vector must be non-empty and 1-D, got shape {re.escape(str(shape))}$"
+            with pytest.raises(ValueError, match=message):
+                TagVector(bits=np.zeros(shape))
+        with pytest.raises(ValueError, match=r"^tag vector must be non-empty and 1-D, got shape \(0,\)$"):
+            TagVector.from_ids([], size=0)
 
     def test_context_params_validation(self):
         fmap, contexts, weight = np.zeros((2, 3)), np.zeros((1, 3)), np.zeros((2, 3))

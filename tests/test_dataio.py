@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xattn import dataio
 from xattn.dataio import (
     FEATURE_MAGIC,
     GROUND_TRUTH_NAME,
@@ -419,25 +421,38 @@ class TestFeatureMaps:
         path = tmp_path / "bad.xfmp"
         with np.errstate(over="ignore"):
             path.write_bytes(feature_header(2, 2) + values.astype("<f4").tobytes())
-        with pytest.raises(FeatureMapFormatError, match="NaN or infinite"):
+        with pytest.raises(FeatureMapFormatError, match="NaN or infinite") as loaded:
             load_feature_map(path)
-        # The writer refuses such a map and leaves nothing behind.
+        assert loaded.value.offset == 20
+        # The writer refuses such a map with the parser's error and leaves
+        # nothing behind.
         path.unlink()
-        with pytest.raises(ValueError, match="^feature map holds values that are NaN or infinite as float32$"):
+        with pytest.raises(FeatureMapFormatError) as written:
             write_feature_map(path, values)
+        assert (str(written.value), written.value.offset) == (str(loaded.value), 20)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("locations, dim", [(0, 2), (2, 0), (0, 0)])
     def test_empty_map(self, tmp_path, locations, dim):
         path = tmp_path / "empty.xfmp"
         path.write_bytes(feature_header(locations, dim))
-        with pytest.raises(FeatureMapFormatError, match="must be positive"):
+        message = f"has {locations} locations of dim {dim}; both must be positive"
+        with pytest.raises(FeatureMapFormatError, match=message) as loaded:
             load_feature_map(path)
-        # The writer refuses such a map and leaves nothing behind.
+        # The writer refuses such a map with the parser's error and leaves
+        # nothing behind.
         path.unlink()
-        message = f"^feature map has {locations} locations of dim {dim}; both must be positive$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(FeatureMapFormatError) as written:
             write_feature_map(path, np.zeros((locations, dim)))
+        assert (str(written.value), written.value.offset) == (str(loaded.value), loaded.value.offset)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 1), (1, 1, 1, 1)])
+    def test_a_map_that_is_not_2d_is_refused(self, tmp_path, shape):
+        # The header holds two dimensions, so there is nothing to parse.
+        message = rf"^feature map must be 2-D, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            write_feature_map(tmp_path / "a.xfmp", np.ones(shape))
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fault", ["version", "truncated"])
@@ -568,6 +583,33 @@ class TestBlockLoader:
         values.flat[: len(bad)] = bad
         path.write_bytes(feature_header(TINY.locations, TINY.raw_dim) + values.tobytes())
         assert raised(train_dir) == expect_load_error(train_dir, 3)
+
+    def test_a_short_read_of_a_valid_file_reads_it_again(self, train_dir, monkeypatch):
+        # The middle record's one readv fills its header alone, and its row
+        # of the block gets values that are finite but not the file's.
+        want = load_dataset(train_dir)
+        records = want.manifest.records
+        number = len(records) // 2
+        readv, calls, loaded = os.readv, [], []
+
+        def short_readv(fd, buffers):
+            calls.append(fd)
+            if len(calls) != number:  # the first record takes no readv
+                return readv(fd, buffers)
+            buffers[1][...] = 7.0
+            return readv(fd, buffers[:1])
+
+        def spy(path):
+            loaded.append(os.fspath(path))
+            return load_feature_map(path)
+
+        monkeypatch.setattr(dataio.os, "readv", short_readv)
+        monkeypatch.setattr(dataio, "load_feature_map", spy)
+        got = load_dataset(train_dir)
+        assert len(calls) == len(records) - 1
+        assert loaded == [os.path.join(train_dir, records[r].path) for r in (0, number)]
+        block = got.features[records[0].item_id].base
+        assert block.tobytes() == want.features[records[0].item_id].base.tobytes()
 
     def test_rows_are_views_of_one_float32_block(self, train_dir):
         dataset = load_dataset(train_dir)

@@ -2,6 +2,7 @@ import builtins
 import dataclasses
 import errno
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -224,6 +225,22 @@ def test_checkpoint_tensors_off_the_layout_fail_at_their_frame(data):
         loaded = checkpoint_from_bytes(blob)
         params = ModelParams(config, {name: pool[name] for name in layout})
         assert checkpoint_to_bytes(loaded) == checkpoint_to_bytes(Checkpoint(config, params, 1, 2, stage))
+
+
+@pytest.mark.parametrize("repeat", [0, 3, 8])
+def test_a_repeated_tensor_name_fails_at_its_second_frame(repeat):
+    # Every layout tensor once, then tensor ``repeat`` again with the same
+    # values: without the rule the second frame would overwrite the first.
+    stage = "ctxynet"
+    tensors = list(init_params(CONFIG, 3).named_tensors())
+    head = checkpoint_to_bytes(Checkpoint(CONFIG, init_params(CONFIG, 3), 1, 2, stage))[: 44 + len(stage)]
+    frames = [model._tensor_frame(name, values) for name, values in tensors]
+    blob = head + struct.pack("<I", len(frames) + 1) + b"".join(frames) + frames[repeat]
+    at = len(blob) - len(frames[repeat])
+    message = rf"^duplicate tensor {re.escape(repr(tensors[repeat][0]))} \(at byte {at}\)$"
+    with pytest.raises(CheckpointFormatError, match=message) as err:
+        checkpoint_from_bytes(blob)
+    assert err.value.offset == at
 
 
 def check_index_entries(directory, ids, faults):

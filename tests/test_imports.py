@@ -1,6 +1,7 @@
 """Runtime code depends on numpy alone: every ``xattn`` module must import
-in a process where the test-only packages cannot be imported. And every
-name a module imports is used in it."""
+in a process where the test-only packages cannot be imported. Every
+name a module imports is used in it, and every private module-level name
+the package defines is read in the package."""
 
 import ast
 import os
@@ -69,3 +70,55 @@ def test_every_imported_name_is_used():
         if (names := unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Module-level names beginning with one ``_`` that ``source`` defines
+    (functions, classes, assignments), by line."""
+    defined: dict[str, int] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined.update((name, node.lineno) for name in names if name[:1] == "_" and name[:2] != "__")
+    return defined
+
+
+def unread_privates(sources: dict[str, str]) -> list[str]:
+    """``module.name (line n)`` for each private module-level name that
+    the package, given as module name -> source, never reads. A name is
+    read where its module loads it, or where another module imports it
+    (``from .module import name``), which the check above makes that
+    module use."""
+    read = {module: set() for module in sources}
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read[module].add(node.id)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in read:
+                read[node.module].update(alias.name for alias in node.names)
+    return [
+        f"{module}.{name} (line {line})"
+        for module, source in sources.items()
+        for name, line in private_definitions(source).items()
+        if name not in read[module]
+    ]
+
+
+def test_unread_privates_are_found():
+    helpers = "_SIZE = 4\n_a, (_b, c) = 1, (2, 3)\ndef _used():\n    return _SIZE\nclass _Kept:\n    pass\n"
+    user = "from .helpers import _Kept\n_Kept\n"
+    assert unread_privates({"helpers": helpers, "user": user}) == [
+        "helpers._a (line 2)", "helpers._b (line 2)", "helpers._used (line 3)"
+    ]
+    assert unread_privates({"helpers": helpers + "print(_a, _b, _used())\n", "user": user}) == []
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text() for path in sorted((SRC / "xattn").glob("*.py"))}
+    assert unread_privates(sources) == []

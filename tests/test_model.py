@@ -210,10 +210,11 @@ class TestExtractFeatures:
         params = init_params(small_config(), 12)
         raw = np.random.default_rng(13).normal(size=shape)
         raw[..., 0, :] = -0.0  # rows whose products are all signed zeros
-        got = model._features(raw, domain, params)
+        got_rows, got_hidden = model._trunk(raw, params)
+        got_fmap = extract_features(raw, domain, params)
         rows, hidden, fmap = out_of_place_features(raw, params.tensors, domain)
-        assert (got.hidden == 0.0).any() and (got.hidden > 0.0).any()
-        for have, want in ((got.rows, rows), (got.hidden, hidden), (got.fmap, fmap)):
+        assert (got_hidden == 0.0).any() and (got_hidden > 0.0).any()
+        for have, want in ((got_rows, rows), (got_hidden, hidden), (got_fmap, fmap)):
             assert have.shape == want.shape and have.tobytes() == want.tobytes()
 
     def test_shape_and_domain_validation(self):

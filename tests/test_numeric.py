@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,15 @@ from oracles import (
     naive_softmax,
     reference_l2_normalize_backward,
 )
+
+
+def backward_of(v, grad_output):
+    """``l2_normalize_backward`` of a vector or stack as it stands: the
+    stack normalised by ``normalize_rows`` first, a vector as a stack of one."""
+    x, g = np.asarray(v, dtype=np.float64), np.asarray(grad_output, dtype=np.float64)
+    if x.ndim == 1:
+        return l2_normalize_backward(normalize_rows(x[None]), g[None])[0]
+    return l2_normalize_backward(normalize_rows(x), g)
 
 
 def same_bits(a, b):
@@ -158,7 +168,7 @@ class TestL2Normalize:
         for shape in [(6,)] * 25 + [(1, 6), (3, 6), (4, 2)] * 5:
             v = rng.normal(size=shape)
             g = rng.normal(size=shape)
-            analytic = l2_normalize_backward(v, g)
+            analytic = backward_of(v, g)
             numeric = finite_diff_grad(lambda x: float(np.sum(g * l2_normalize(x))), v)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
 
@@ -166,30 +176,36 @@ class TestL2Normalize:
         # Each row on its own: a zero row gets g / eps, the other the projection.
         v = np.array([[0.0, 0.0], [3.0, 4.0]])
         g = np.array([[1.0, -2.0], [1.0, 0.0]])
-        got = l2_normalize_backward(v, g)
+        got = backward_of(v, g)
         np.testing.assert_array_equal(got[0], g[0] / 1e-12)
-        np.testing.assert_allclose(got[1], l2_normalize_backward(v[1], g[1]), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got[1], backward_of(v[1], g[1]), rtol=0, atol=1e-15)
         np.testing.assert_allclose(got[1], [0.128, -0.096], rtol=0, atol=1e-15)
+
+    def test_backward_refuses_a_gradient_of_another_shape(self):
+        # (1, 3) and (3,) would broadcast against the rows without the check.
+        kept = normalize_rows(np.ones((2, 3)))
+        for shape in ((1, 3), (3,), (2, 4), (2, 3, 1)):
+            message = rf"^gradient of shape {re.escape(str(shape))} does not match the rows' \(2, 3\)$"
+            with pytest.raises(ValueError, match=message):
+                l2_normalize_backward(kept, np.ones(shape))
 
     @given(vectors_and_stacks())
     @settings(max_examples=300, deadline=None)
     def test_same_bits_as_the_linalg_norm_forms(self, case):
         x, g = case
         assert same_bits(l2_normalize(x), linalg_l2_normalize(x))
-        assert same_bits(l2_normalize_backward(x, g), linalg_l2_normalize_backward(x, g))
+        assert same_bits(backward_of(x, g), linalg_l2_normalize_backward(x, g))
 
     @given(backward_cases())
     @settings(max_examples=300, deadline=None)
     def test_backward_gives_the_reference_bits(self, case):
         # Zero rows, rows below NORM_EPS and rows whose squared norm
-        # overflows, from an array and from the norms normalize_rows kept.
+        # overflows, from the norms normalize_rows kept.
         x, g, over = case
         with np.errstate(over="ignore"):
             want = reference_l2_normalize_backward(x, g)
-            got = l2_normalize_backward(x, g)
+            got = backward_of(x, g)
             assert same_bits(got, want)
-            if x.ndim == 2:
-                assert same_bits(l2_normalize_backward(normalize_rows(x), g), want)
         # An overflowing row gets a zero gradient, as it always did.
         assert not np.atleast_2d(got)[over].any()
         assert np.isfinite(got).all()
@@ -202,12 +218,11 @@ class TestL2Normalize:
         x, g = case
         with np.errstate(over="ignore"):
             kept = normalize_rows(x)
-            grads = l2_normalize_backward(x, g), l2_normalize_backward(kept, g)
+            grad = l2_normalize_backward(kept, g)
             for i, row in enumerate(x):
                 assert kept.norm[i, 0] == math.sqrt(row.dot(row))
                 assert same_bits(kept.unit[i], l2_normalize(row))
-                alone = l2_normalize_backward(row, g[i])
-                assert all(same_bits(grad[i], alone) for grad in grads)
+                assert same_bits(grad[i], backward_of(row, g[i]))
 
     def test_overflowing_vector_still_normalises(self):
         # Its squared norm is inf, which numpy reports before the rescale.

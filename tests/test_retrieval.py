@@ -457,13 +457,11 @@ class TestSearch:
         params = make_params()
         index = build_index(make_items(params, 4, rng, ids=[100, 102, 104, 106]), params)
         assert index.rows_of([104, 100]).tolist() == [2, 0]
-        assert index.product_of(106) == 106 % 7
+        assert index.product_ids[index.rows_of([106])].tolist() == [106 % 7]
         # Unknown ids below, between and above the indexed ones.
         for ids, first in (([100, 5, 200], 5), ([101, 100], 101), ([106, 107, 3], 107)):
             with pytest.raises(ValueError, match=f"item id {first} not in index"):
                 index.rows_of(ids)
-            with pytest.raises(ValueError, match=f"item id {first} not in index"):
-                index.product_of(first)
 
 
 def column_index(embeddings):
@@ -1164,7 +1162,7 @@ class TestPrecisionAtK:
     def test_excludes_queries_without_truth(self, caplog):
         params = make_params()
         index = build_index(make_items(params, 4, np.random.default_rng(0), ids=[1, 2, 3, 4]), params)
-        products = {i: index.product_of(i) for i in (1, 2, 3, 4)}
+        products = dict(zip(index.item_ids.tolist(), index.product_ids.tolist()))
         results = {
             10: RankedList([1, 2], [0.1, 0.2]),  # hit at rank 1
             11: RankedList([3, 4], [0.1, 0.2]),  # hit at rank 2
@@ -1192,7 +1190,6 @@ class TestPrecisionAtK:
         calls = []
         rows_of = ShopIndex.rows_of
         monkeypatch.setattr(ShopIndex, "rows_of", lambda self, i: calls.append(1) or rows_of(self, i))
-        monkeypatch.setattr(ShopIndex, "product_of", None)
         for trial in range(30):
             results = {}
             for query_id in range(int(rng.integers(1, 12))):

@@ -19,6 +19,7 @@ from xattn.model import (
     init_params,
     params_fingerprint,
 )
+from xattn import training
 from xattn.training import (
     STAGES,
     TrainConfig,
@@ -78,7 +79,7 @@ class TestSampleTriples:
         kept = tuple(r for r in manifest.records if r.domain == "user" or r.product_id != 0)
         dataset = dataclasses.replace(dataset, manifest=dataclasses.replace(manifest, records=kept))
         with caplog.at_level(logging.WARNING, logger="xattn.dataio"):
-            train_stage("ynet", dataset, TrainConfig(epochs={s: 3 for s in STAGES}), model_cfg=config)
+            train_stage("ynet", dataset, TrainConfig(epochs={s: 3 for s in STAGES}), config)
         warned = [r for r in caplog.records if "excluded from anchoring" in r.getMessage()]
         assert len(warned) == 1
         assert dataset.anchoring is dataset.anchoring
@@ -186,11 +187,6 @@ class TestTrainConfig:
             ("base_lr", 0.0),
             ("base_lr", math.nan),
             ("base_lr", math.inf),
-            ("lr_decay", -0.1),
-            ("lr_decay", math.nan),
-            ("lr_decay", math.inf),
-            ("decay_every", 0),
-            ("decay_every", 1.5),
             ("momentum", math.nan),
             ("momentum", "0.9"),
         ],
@@ -241,7 +237,7 @@ class TestTrainConfig:
         generate_synthetic(spec, tmp_path)
         config = ModelConfig(locations=2, channels=2, tag_count=2, raw_dim=2, variant=Variant.YNET)
         cfg = TrainConfig(epochs={s: 0 for s in STAGES}, seed=2**64 - 1)
-        checkpoint, curve = train_stage("ynet", load_dataset(tmp_path / "train"), cfg, model_cfg=config)
+        checkpoint, curve = train_stage("ynet", load_dataset(tmp_path / "train"), cfg, config)
         assert curve == [] and checkpoint.epoch == 0
         assert checkpoint_from_bytes(checkpoint_to_bytes(checkpoint)).seed == 2**64 - 1
         TrainConfig(epochs={s: 2**32 - 1 for s in STAGES}, margins={s: 0.0 for s in STAGES})
@@ -259,7 +255,7 @@ class TestCurriculum:
         config = ModelConfig(locations=2, channels=2, tag_count=2, raw_dim=2, variant=Variant.YNET)
         metrics = io.StringIO()
         checkpoint, curve = train_stage(
-            " YNet ", load_dataset(tmp_path / "train"), TrainConfig(epochs={s: 2 for s in STAGES}), model_cfg=config, metrics_out=metrics
+            " YNet ", load_dataset(tmp_path / "train"), TrainConfig(epochs={s: 2 for s in STAGES}), config, metrics_out=metrics
         )
         assert checkpoint.stage == "ynet" and checkpoint.config.variant is Variant.YNET
         assert [line.split("\t")[1] for line in metrics.getvalue().splitlines()] == ["ynet", "ynet"]
@@ -291,30 +287,13 @@ class TestCurriculum:
             with pytest.raises(ValueError, match=rf"^variant name must be a str, got {stage!r}$"):
                 run_curriculum(dataset, ("ynet", stage), cfg, config)
             with pytest.raises(ValueError, match="must be a str"):
-                train_stage(stage, dataset, cfg, model_cfg=config)
-
-    def test_an_init_and_a_model_config_must_agree(self, tmp_path):
-        # Given an init checkpoint, the stage trains init.config's
-        # dimensions, so a model config that asks for others is refused.
-        dataset, config, cfg = tiny_split(tmp_path)
-        init, _ = train_stage("ynet", dataset, cfg, model_cfg=config)
-        for change in ({"channels": 64}, {"raw_dim": 3}):
-            other = dataclasses.replace(config, **change)
-            message = rf"^model config {re.escape(str(other))} differs from the init config "
-            with pytest.raises(ValueError, match=message):
-                train_stage("tagynet", dataset, cfg, model_cfg=other, init=init)
-        # The variant may differ: the stage sets it.
-        for variant in Variant:
-            model_cfg = dataclasses.replace(config, variant=variant)
-            with_cfg, _ = train_stage("tagynet", dataset, cfg, model_cfg=model_cfg, init=init)
-            alone, _ = train_stage("tagynet", dataset, cfg, init=init)
-            assert checkpoint_to_bytes(with_cfg) == checkpoint_to_bytes(alone)
+                train_stage(stage, dataset, cfg, config)
 
     def test_rejects_maps_that_are_not_locations_by_raw_dim(self, tmp_path):
         dataset, config, cfg = tiny_split(tmp_path)
         wide = dataclasses.replace(config, raw_dim=3)
         with pytest.raises(ValueError, match=r"^dataset features are \(2, 2\), model expects \(2, 3\)$"):
-            train_stage("ynet", dataset, cfg, model_cfg=wide)
+            train_stage("ynet", dataset, cfg, wide)
         # One map of another shape, last in the manifest, is found too.
         last = dataset.manifest.records[-1].item_id
         for shape in ((3, 2), (4,), (1, 2, 2)):
@@ -322,7 +301,18 @@ class TestCurriculum:
                 dataset, features={**dataset.features, last: np.zeros(shape, np.float32)}
             )
             with pytest.raises(ValueError, match=rf"^dataset features are {re.escape(str(shape))}, model expects \(2, 2\)$"):
-                train_stage("ynet", odd, cfg, model_cfg=config)
+                train_stage("ynet", odd, cfg, config)
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_rejects_a_dataset_of_another_tag_count_before_any_step(self, tmp_path, monkeypatch, stage):
+        # The base variant reads no tags, so only the check stops it.
+        dataset, config, cfg = tiny_split(tmp_path)
+        calls = []
+        monkeypatch.setattr(training, "backward_triple", lambda *args, **kwargs: calls.append(1))
+        other = dataclasses.replace(config, tag_count=3)
+        with pytest.raises(ValueError, match=r"^dataset has 2 tags, model expects 3$"):
+            train_stage(stage, dataset, cfg, other)
+        assert calls == []
 
     def test_a_diverging_stage_fails_at_the_unit_norm_gate(self, tmp_path):
         # Steps of 1e200 overflow the parameters after the first batch. The
@@ -332,7 +322,7 @@ class TestCurriculum:
         dataset, config, _ = tiny_split(tmp_path)
         cfg = TrainConfig(base_lr=1e200, batch_size=2, epochs={s: 3 for s in STAGES})
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="^embeddings must be L2-normalized$") as err:
-            train_stage("ynet", dataset, cfg, model_cfg=config)
+            train_stage("ynet", dataset, cfg, config)
         assert err.traceback[-1].name == "triplet_loss"
 
     def test_same_bytes_as_the_loop_that_summed_every_gradient(self, tmp_path):
