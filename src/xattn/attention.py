@@ -102,6 +102,7 @@ calls to these functions. Tag bits are checked to be 0/1 where a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -118,23 +119,39 @@ MIN_CONTEXT_SUM = 2.0**-960
 class TagVector:
     """One image's tag set: a non-empty 1-D indicator vector over the tag
     vocabulary, kept as float 0/1. A stack of images takes a B x T matrix
-    of such rows, which ``embed_shops`` and ``forward_triple`` stack."""
+    of such rows, which ``embed_shops`` and ``forward_triple`` stack.
+
+    The vector keeps a read-only float64 copy of the ``bits`` it is given,
+    over ``bytes`` of its own, so no later write, to it or to the source,
+    can skip the 0/1 check. Bits that do not convert to float64, or are not
+    a non-empty 1-D array of 0s and 1s, raise a ValueError; so do a size
+    and a tag id that are not integers, and a tag id out of range.
+    """
 
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.bits.ndim != 1 or self.bits.size == 0:
-            raise ValueError(f"tag vector must be non-empty and 1-D, got shape {self.bits.shape}")
-        if not np.all((self.bits == 0.0) | (self.bits == 1.0)):
+        try:
+            bits = np.array(self.bits, dtype=np.float64)
+        except (TypeError, ValueError):
+            kind = type(self.bits).__name__
+            raise ValueError(f"tag vector bits must be numbers, got a {kind}") from None
+        if bits.ndim != 1 or bits.size == 0:
+            raise ValueError(f"tag vector must be non-empty and 1-D, got shape {bits.shape}")
+        if not np.all((bits == 0.0) | (bits == 1.0)):
             raise ValueError("tag vector entries must be 0 or 1")
+        # Over bytes of its own: numpy refuses every write, and to make it writeable.
+        object.__setattr__(self, "bits", np.frombuffer(bits.tobytes()))
 
     @classmethod
     def from_ids(cls, tag_ids: "list[int] | tuple[int, ...]", size: int) -> "TagVector":
+        if not isinstance(size, Integral):
+            raise ValueError(f"tag vector size must be an integer, got {size!r}")
         bits = np.zeros(size, dtype=np.float64)
         for t in tag_ids:
-            if not 0 <= t < size:
-                raise ValueError(f"tag id {t} out of range [0, {size})")
-            bits[t] = 1.0
+            if not isinstance(t, Integral) or not 0 <= t < size:
+                raise ValueError(f"tag id {t!r} is not an integer in [0, {size})")
+            bits[int(t)] = 1.0  # numpy reads a bool index as a mask
         return cls(bits=bits)
 
 

@@ -86,19 +86,11 @@ class ManifestRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class Manifest:
+    """What ``manifest.tsv`` and ``tags.tsv`` say: the records in file
+    order and the tag names by id. ``Dataset`` derives the rest."""
+
     records: tuple[ManifestRecord, ...]
     tag_names: tuple[str, ...]
-    root: Path
-
-    @property
-    def tag_count(self) -> int:
-        return len(self.tag_names)
-
-    def user_records(self) -> tuple[ManifestRecord, ...]:
-        return tuple(r for r in self.records if r.domain == "user")
-
-    def shop_records(self) -> tuple[ManifestRecord, ...]:
-        return tuple(r for r in self.records if r.domain == "shop")
 
 
 def _rows(path: Path, what: str, fields: int, where: str) -> Iterator[tuple[int, list[str]]]:
@@ -174,8 +166,7 @@ def load_manifest(path: "Path | str") -> Manifest:
     """
     path = Path(path)
     rows = _rows(path, "manifest", 5, "")
-    root = path.parent
-    tag_names = load_tag_vocab(root / TAGS_NAME)
+    tag_names = load_tag_vocab(path.parent / TAGS_NAME)
     tag_count = len(tag_names)
 
     records: list[ManifestRecord] = []
@@ -215,7 +206,7 @@ def load_manifest(path: "Path | str") -> Manifest:
         records.append(ManifestRecord(item_id, domain, product_id, rel_path, tag_ids))
     if not records:
         raise ManifestError("no records")
-    return Manifest(records=tuple(records), tag_names=tag_names, root=root)
+    return Manifest(records=tuple(records), tag_names=tag_names)
 
 
 def write_feature_map(path: "Path | str", array: np.ndarray) -> None:
@@ -282,34 +273,32 @@ class Dataset:
     """A manifest with all feature maps loaded, plus optional ground truth.
 
     ``features`` maps each item id to its L x R row, a view of one
-    N x L x R float32 block with the records in manifest order.
+    N x L x R float32 block with the records in manifest order. The tag
+    count and the user and shop records are read from ``manifest``.
     """
 
     manifest: Manifest
     features: dict[int, np.ndarray]
     ground_truth: dict[int, int] | None
-    root: Path
 
     @property
     def tag_count(self) -> int:
-        return self.manifest.tag_count
+        return len(self.manifest.tag_names)
 
     def user_records(self) -> tuple[ManifestRecord, ...]:
-        return self.manifest.user_records()
+        return tuple(r for r in self.manifest.records if r.domain == "user")
 
     def shop_records(self) -> tuple[ManifestRecord, ...]:
-        return self.manifest.shop_records()
+        return tuple(r for r in self.manifest.records if r.domain == "shop")
 
     @cached_property
     def _tags(self) -> dict[int, TagVector]:
         """Item id -> tag vector of every record. Records with one tag set
-        share one read-only vector."""
+        share one vector."""
         shared = {
             ids: TagVector.from_ids(ids, self.tag_count)
             for ids in {r.tag_ids for r in self.manifest.records}
         }
-        for tags in shared.values():
-            tags.bits.flags.writeable = False
         return {r.item_id: shared[r.tag_ids] for r in self.manifest.records}
 
     def tag_vector(self, record: ManifestRecord) -> TagVector:
@@ -393,7 +382,6 @@ def load_dataset(root: "Path | str") -> Dataset:
     parser, or stores the map it returns.
     """
     base = os.fspath(root)
-    root = Path(base)
     manifest_path = os.path.join(base, MANIFEST_NAME)
     manifest = load_manifest(manifest_path)
     records = manifest.records
@@ -439,8 +427,8 @@ def load_dataset(root: "Path | str") -> Dataset:
         block[number] = fmap
     features = {record.item_id: row for record, row in zip(records, block)}
     truth: dict[int, int] | None = None
-    truth_path = root / GROUND_TRUTH_NAME
-    if truth_path.exists():
+    truth_path = os.path.join(base, GROUND_TRUTH_NAME)
+    if os.path.exists(truth_path):
         truth = load_ground_truth(truth_path)
         products = {r.item_id: r.product_id for r in manifest.records}
         for user_id, product_id in truth.items():
@@ -448,7 +436,7 @@ def load_dataset(root: "Path | str") -> Dataset:
                 raise ManifestError(
                     f"ground truth for item {user_id} contradicts the manifest"
                 )
-    return Dataset(manifest=manifest, features=features, ground_truth=truth, root=root)
+    return Dataset(manifest=manifest, features=features, ground_truth=truth)
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,8 @@ from .numeric import Normalized, l2_normalize, l2_normalize_backward, normalize_
 CHECKPOINT_MAGIC = b"XATN"
 CHECKPOINT_VERSION = 1
 
-# Magic, version, variant, four dimensions, epoch, seed: the first 40 bytes.
+# Magic, version, variant, four dimensions, epoch, seed: the first 40 bytes,
+# packed and unpacked by this one Struct.
 _HEADER = struct.Struct("<4s7IQ")
 
 DOMAINS = ("user", "shop")
@@ -429,17 +430,16 @@ def _pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 class TripleForward(NamedTuple):
     """Loss and the embeddings of one triple, as the two 2 x C stacks
-    ``triplet_loss`` compares, with the intermediates ``backward_triple``
-    walks back over."""
+    ``triplet_loss`` compares, ``anchor_rows`` and ``shop_norms.unit``, with
+    the intermediates ``backward_triple`` walks back over."""
 
     loss: float
     anchor_rows: np.ndarray  # [anchor_pos, anchor_neg]
-    shop_rows: np.ndarray  # [positive, negative]
     anchor: _Features  # the anchor's rows of the one trunk pass, and its user branch
     shops: _ShopPass  # the stack [positive, negative]: the rest of that pass
     shop_bits: np.ndarray | None  # 2 x T; None when the shops pool uniformly
     anchor_pool: ContextPool | AttentionResult  # K=2 under the shop contexts, else one uniform row
-    shop_norms: Normalized  # shop_rows, with the norms they were divided by
+    shop_norms: Normalized  # the rows [positive, negative], with the norms they were divided by
     anchor_norms: Normalized  # anchor_pool's rows, with the norms they were divided by
 
 
@@ -516,7 +516,6 @@ def forward_triple(
     return TripleForward(
         loss=triplet_loss(anchor_rows, shop_norms.unit, alpha),
         anchor_rows=anchor_rows,
-        shop_rows=shop_norms.unit,
         anchor=anchor,
         shops=shops,
         shop_bits=shop_bits,
@@ -566,7 +565,7 @@ def backward_triple(
     )
     if fwd.loss == 0.0:
         return 0.0, {}
-    grad_anchors, grad_shops = triplet_loss_backward(fwd.anchor_rows, fwd.shop_rows, fwd.loss)
+    grad_anchors, grad_shops = triplet_loss_backward(fwd.anchor_rows, fwd.shop_norms.unit, fwd.loss)
     grads: dict[str, np.ndarray] = {}
     t = params.tensors
 
@@ -578,7 +577,7 @@ def backward_triple(
         grad_anchor_map, grad_contexts, grad_feature_weight, grad_context_weight = (
             context_attend_backward(
                 fwd.anchor.fmap,
-                fwd.shop_rows,
+                fwd.shop_norms.unit,
                 t["ctx_attn.feature_weight"],
                 t["ctx_attn.context_weight"],
                 fwd.anchor_pool,
@@ -691,7 +690,8 @@ def params_fingerprint(params: ModelParams) -> bytes:
 
 
 def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
-    # The header holds the epoch as a u32 and the seed as a u64.
+    # The header holds the epoch as a u32 and the seed as a u64. A value
+    # out of range would raise struct.error, which is not a ValueError.
     for name, value, bits in (("epoch", ckpt.epoch, 32), ("seed", ckpt.seed, 64)):
         if not isinstance(value, Integral) or not 0 <= value < 2**bits:
             raise ValueError(f"checkpoint {name} must be an integer in [0, 2**{bits}), got {value!r}")
@@ -704,12 +704,9 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     for name, tensor in tensors:
         if not np.isfinite(tensor).all():
             raise ValueError(f"tensor {name!r} holds NaN or infinite values")
+    dims = [getattr(ckpt.config, name) for name in _DIMS]
     parts = [
-        CHECKPOINT_MAGIC,
-        struct.pack("<I", CHECKPOINT_VERSION),
-        _config_frame(ckpt.config),
-        struct.pack("<I", ckpt.epoch),
-        struct.pack("<Q", ckpt.seed),
+        _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, ckpt.config.variant, *dims, ckpt.epoch, ckpt.seed),
         struct.pack("<I", len(stage)),
         stage,
         struct.pack("<I", len(tensors)),

@@ -6,9 +6,10 @@ built it. ``build_index`` embeds the shop items in blocks of about
 ``BUILD_ROWS`` image locations, one stacked shop pass per block. With
 enough blocks it splits them into shares of consecutive blocks, one per
 CPU the process may run on: the calling thread embeds the first share and
-one thread each of the others, while numpy releases the GIL in BLAS and
-its loops. Each block is the one a single-share loop makes, so every row,
-and every saved byte, is the same; only the order of the blocks changes.
+a pool of shares - 1 threads embeds the others, while numpy releases the
+GIL in BLAS and its loops. Each block is the one a single-share loop
+makes, so every row, and every saved byte, is the same; only the order of
+the blocks changes.
 
 A query's feature map is extracted once and serves both stages. The
 initial stage pools it uniformly and finds the exact ``k`` nearest index
@@ -71,11 +72,11 @@ import functools
 import logging
 import os
 import struct
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,7 +121,8 @@ BUILD_ROWS = 784
 
 # Blocks each share of a build_index call must have: a call of b blocks
 # has min(CPUs, b // MIN_BLOCKS_PER_SHARE) shares, and at least one. A
-# thread is started and joined in about 45 us; a block takes 0.6-1 ms at
+# pool of one thread is made, given a share and joined in about 85 us (a
+# bare thread took 45-50 us; 2-vCPU VM); a block takes 0.6-1 ms at
 # C=R=128. Two shares against one (median of 41 builds, C=R=128, one BLAS
 # thread, 2-vCPU VM) took 0.84-0.87x the time at 2-3 blocks of 16 items
 # (L=49), 0.97x at 3 blocks of 196 (L=4) and 1.24x at blocks of 196 and 4
@@ -338,35 +340,6 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_shares(embed: Callable[[int], None], shares: int) -> None:
-    """``embed(0)`` on the calling thread and ``embed(s)`` for every other
-    share on a thread of its own, in a copy of the caller's context. Every
-    thread is joined before the call returns or raises; the first share's
-    fault is raised, which is the first failing block's in item order."""
-    faults: dict[int, BaseException] = {}
-
-    def work(share: int) -> None:
-        try:
-            embed(share)
-        except BaseException as exc:  # raised again by the calling thread
-            faults[share] = exc
-
-    threads = []
-    try:
-        for share in range(1, shares):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(work, share))
-            thread.start()
-            threads.append(thread)
-        embed(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if faults:
-        # A share stops at its first failing block, and the shares follow
-        # the item order: the first share's fault is a serial build's.
-        raise faults[min(faults)]
-
-
 def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
     """Embed every shop item; deterministic, sorted by item id.
 
@@ -385,9 +358,10 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
     The blocks are split into ``min(CPUs, blocks // MIN_BLOCKS_PER_SHARE)``
     shares of consecutive blocks, at least one, where CPUs counts those
     this process may run on; with fewer than ``2 * MIN_BLOCKS_PER_SHARE``
-    blocks there is one share, so the CPUs are not counted and no thread
-    is set up. The calling thread embeds the first share, and one thread
-    each the others, in a copy of the caller's context, so its
+    blocks there is one share, so the CPUs are not counted and no pool is
+    made. The calling thread embeds the first share, and a pool of shares
+    - 1 threads (``concurrent.futures.ThreadPoolExecutor``) embeds the
+    others, each share in a copy of the caller's context, so its
     ``np.errstate`` holds there too. A block's rows depend on its own
     items alone, so the embeddings are those of one share, bit for bit.
     Every thread is joined before the call returns or raises. A share stops
@@ -438,7 +412,14 @@ def build_index(items: Iterable[ShopItem], params: ModelParams) -> ShopIndex:
     if shares == 1:
         embed(0)
     else:
-        _run_shares(embed, shares)
+        with ThreadPoolExecutor(shares - 1) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, embed, s) for s in range(1, shares)]
+            embed(0)
+        # Leaving the block joined every worker. A share stops at its first
+        # failing block, and the shares follow the item order: the first
+        # share that failed raises a serial build's error.
+        for future in futures:
+            future.result()
     return ShopIndex(
         item_ids=np.array([item.item_id for item in ordered], dtype=np.int64),
         product_ids=np.array([item.product_id for item in ordered], dtype=np.int64),

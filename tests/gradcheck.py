@@ -130,7 +130,7 @@ def _draw_raw(rng: np.random.Generator, params: ModelParams, domain: str) -> np.
 def hinge_gap(fwd) -> float:
     """d(anchor_pos, positive) - d(anchor_neg, negative): the hinge
     argument without its margin, from the rows of a ``TripleForward``."""
-    pos, neg = fwd.anchor_rows - fwd.shop_rows
+    pos, neg = fwd.anchor_rows - fwd.shop_norms.unit
     return float(pos @ pos) - float(neg @ neg)
 
 

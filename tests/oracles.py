@@ -7,6 +7,8 @@ replaced, such as ``out_of_place_features`` or ``reference_train_stage``,
 which must agree with it bit for bit; these may call the library's other
 steps. The ``reference_load_*`` TSV parsers are the library's former
 per-table loops, kept to pin every loaded value and error message.
+``closed_form_params`` is a reference model: hand-set params whose
+holdout scores bound the trained ladder.
 """
 
 from __future__ import annotations
@@ -270,6 +272,50 @@ def reference_sample_triples(dataset, count, rng) -> list[tuple[int, int, int]]:
     return triples
 
 
+def closed_form_params(train, config, beta=3.0) -> ModelParams:
+    """Hand-set YNet or TagYNet params of ``config``, which must have
+    ``channels == 2 * raw_dim``, set from the ``train`` split with no
+    training.
+
+    The trunk is the CReLU ``[I; -I]`` (Shang et al., arXiv 1603.05201) and
+    both branches are ``[[I, -I], [0, 0]]``, all biases zero, so each
+    location's feature is its raw cell ``x`` as ``[x, 0]``: YNet embeds a
+    map as its L2-normalised mean raw cell. TagYNet's tag row t is ``beta
+    [normalize(m_t - m), 0]``, where ``m_t`` is the mean raw cell over
+    every cell of the train shops carrying tag t and ``m`` the mean over
+    all train shop cells; it scores a cell ``x`` by ``beta normalize(m_t -
+    m) . x``. A tag no train shop carries keeps a zero row.
+    """
+    r = config.raw_dim
+    if config.channels != 2 * r:
+        raise ValueError(f"closed-form params need channels == 2 * raw_dim, got {config.channels} and {r}")
+    if config.variant > Variant.TAGYNET:
+        raise ValueError("the context variant has no closed form")
+    eye, zero = np.eye(r), np.zeros((r, r))
+    branch = np.block([[eye, -eye], [zero, zero]])
+    tensors = {
+        "trunk.weight": np.vstack([eye, -eye]),
+        "trunk.bias": np.zeros(2 * r),
+        "branch_shop.weight": branch,
+        "branch_shop.bias": np.zeros(2 * r),
+        "branch_user.weight": branch,
+        "branch_user.bias": np.zeros(2 * r),
+    }
+    if config.variant == Variant.TAGYNET:
+        shops = train.shop_records()
+        cells = np.array([train.features[s.item_id] for s in shops], dtype=np.float64)  # N x L x R
+        bits = np.array([train.tag_vector(s).bits for s in shops])  # N x T
+        # Every shop has L cells, so a mean over cells is a mean of shop means.
+        means = cells.mean(axis=1)
+        counts = bits.sum(axis=0)
+        carried = counts > 0
+        offsets = np.zeros((len(counts), r))
+        offsets[carried] = (bits.T @ means)[carried] / counts[carried, None] - means.mean(axis=0)
+        offsets[carried] /= np.linalg.norm(offsets[carried], axis=1, keepdims=True)
+        tensors["tag_attn.embedding"] = beta * np.hstack([offsets, np.zeros_like(offsets)])
+    return ModelParams(config, tensors)
+
+
 def _row_norms(x):
     """The norm of each row of a vector or stack, as ``np.linalg.norm``
     takes it of that row alone (the square root of the row's dot with
@@ -335,7 +381,7 @@ def reference_full_backward_triple(
     grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
     if fwd.loss == 0.0:
         return 0.0, grads
-    (anchor_pos, anchor_neg), (positive, negative) = fwd.anchor_rows, fwd.shop_rows
+    (anchor_pos, anchor_neg), (positive, negative) = fwd.anchor_rows, fwd.shop_norms.unit
     pos_pull = 2.0 * (anchor_pos - positive)
     neg_push = 2.0 * (anchor_neg - negative)
     grad_shops = np.stack([-pos_pull, neg_push])
@@ -540,8 +586,7 @@ def reference_load_manifest(path: "Path | str") -> Manifest:
     """
     path = Path(path)
     lines = reference_read_lines(path, "manifest")
-    root = path.parent
-    tag_names = reference_load_tag_vocab(root / TAGS_NAME)
+    tag_names = reference_load_tag_vocab(path.parent / TAGS_NAME)
     tag_count = len(tag_names)
 
     records: list[ManifestRecord] = []
@@ -603,7 +648,7 @@ def reference_load_manifest(path: "Path | str") -> Manifest:
         )
     if not records:
         raise ManifestError("no records")
-    return Manifest(records=tuple(records), tag_names=tag_names, root=root)
+    return Manifest(records=tuple(records), tag_names=tag_names)
 
 
 def reference_load_ground_truth(path: Path) -> dict[int, int]:

@@ -70,6 +70,43 @@ class TestTypes:
         with pytest.raises(ValueError, match=r"^tag vector must be non-empty and 1-D, got shape \(0,\)$"):
             TagVector.from_ids([], size=0)
 
+    def test_tag_vector_bits_that_are_not_an_array(self):
+        for bits in ([0.0, 1.0], (1, 0, 1), [True, False]):
+            tags = TagVector(bits=bits)
+            assert tags.bits.dtype == np.float64
+            np.testing.assert_array_equal(tags.bits, np.array(bits, dtype=np.float64))
+        for bits, name in (({0: 1.0}, "dict"), ("ab", "str"), ([[0.0], [1.0, 0.0]], "list")):
+            with pytest.raises(ValueError, match=rf"^tag vector bits must be numbers, got a {name}$"):
+                TagVector(bits=bits)
+        # A str of one digit and None become 0-d arrays; a nested list a 2-D one.
+        for bits, shape in (("1", ()), (None, ()), ([[0.0, 1.0]], (1, 2))):
+            message = rf"^tag vector must be non-empty and 1-D, got shape {re.escape(str(shape))}$"
+            with pytest.raises(ValueError, match=message):
+                TagVector(bits=bits)
+
+    def test_tag_vector_ids_and_size_must_be_integers(self):
+        for tag_id in (1.5, 1.0, "1", None, np.float64(1.0)):
+            with pytest.raises(ValueError, match=r"^tag id .* is not an integer in \[0, 3\)$"):
+                TagVector.from_ids([tag_id], 3)
+        for tag_id in (-1, 3):
+            with pytest.raises(ValueError, match=rf"^tag id {tag_id} is not an integer in \[0, 3\)$"):
+                TagVector.from_ids([tag_id], 3)
+        np.testing.assert_array_equal(TagVector.from_ids([np.int64(2), True], 3).bits, [0, 1, 1])
+        for size in (2.5, "3", None):
+            with pytest.raises(ValueError, match=rf"^tag vector size must be an integer, got {re.escape(repr(size))}$"):
+                TagVector.from_ids([], size)
+
+    def test_tag_vector_keeps_a_read_only_copy(self):
+        source = np.array([0.0, 1.0, 0.0])
+        tags = TagVector(bits=source)
+        assert tags.bits is not source and not tags.bits.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tags.bits[0] = 0.5
+        source[0] = 0.5  # would break the 0/1 rule, had the vector kept the source
+        np.testing.assert_array_equal(tags.bits, [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError):
+            tags.bits.flags.writeable = True
+
     def test_context_params_validation(self):
         fmap, contexts, weight = np.zeros((2, 3)), np.zeros((1, 3)), np.zeros((2, 3))
         factor = context_factor(weight, contexts)
@@ -657,6 +694,16 @@ class TestContextAttendBackward:
         attended = attend_stack(fmap, contexts, *ctx_weights)
         with pytest.raises(ValueError, match="grad_pooled"):
             context_attend_backward(fmap, contexts, *ctx_weights, attended, np.zeros(fmap.shape[-1]))
+
+    def test_context_weight_must_have_a_row_per_location(self):
+        rng = np.random.default_rng(58)
+        fmap, _, _, ctx, (feature_weight, context_weight) = random_instance(rng, locations=3)
+        attended = attend_stack(fmap, ctx, feature_weight, context_weight)
+        grad = rng.normal(size=attended.pooled.shape)
+        for rows in (2, 4):
+            other = rng.normal(size=(rows, fmap.shape[1]))
+            with pytest.raises(ValueError, match="^context_weight row count must match the feature map$"):
+                context_attend_backward(fmap, ctx, feature_weight, other, attended, grad)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(55)

@@ -139,7 +139,7 @@ class TestGenerator:
         want = load_dataset(train_dir)
         for root in (str(train_dir), str(train_dir) + os.sep):
             got = load_dataset(root)
-            assert got.root == want.root and got.manifest == want.manifest
+            assert got.manifest == want.manifest
             assert got.ground_truth == want.ground_truth
             assert got.features.keys() == want.features.keys()
             for item_id, fmap in want.features.items():
@@ -160,6 +160,23 @@ class TestTagVectors:
                 # Records with one tag set share the vector, so no caller
                 # may write to it.
                 assert not tags.bits.flags.writeable
+
+    def test_a_shop_record_with_an_empty_tag_field_has_no_tags(self, train_dir):
+        # The record follows a shop record with tags, so it cannot take
+        # that record's tags either.
+        path = train_dir / MANIFEST_NAME
+        lines = path.read_text(encoding="utf-8").split("\n")
+        first, second = [n for n, line in enumerate(lines) if "\tshop\t" in line][:2]
+        fields = lines.pop(second).split("\t")
+        assert fields[4] and lines[first].split("\t")[4]
+        number = first + 1
+        lines.insert(number, "\t".join(fields[:4] + [""]))
+        path.write_text("\n".join(lines), encoding="utf-8")
+        record = load_manifest(path).records[number]
+        assert record.domain == "shop" and record.tag_ids == ()
+        dataset = load_dataset(train_dir)
+        assert dataset.manifest.records[number] == record
+        np.testing.assert_array_equal(dataset.tag_vector(record).bits, np.zeros(TINY.tag_count))
 
 
 class TestTextFiles:
@@ -366,7 +383,7 @@ class TestTextFiles:
             load_dataset(train_dir)
 
     def test_ground_truth_contradicting_the_manifest(self, train_dir):
-        user = load_manifest(train_dir / MANIFEST_NAME).user_records()[0]
+        user = load_dataset(train_dir).user_records()[0]
         path = train_dir / GROUND_TRUTH_NAME
         lines = path.read_text(encoding="utf-8").splitlines()
         lines = [f"{user.item_id}\t{user.product_id + 1}" if l.split("\t")[0] == str(user.item_id) else l for l in lines]
@@ -392,7 +409,7 @@ class TestTextFiles:
             load_dataset(train_dir)
 
     def test_the_largest_id_loads(self, train_dir):
-        user = load_manifest(train_dir / MANIFEST_NAME).user_records()[0]
+        user = load_dataset(train_dir).user_records()[0]
         for name in (MANIFEST_NAME, GROUND_TRUTH_NAME):
             path = train_dir / name
             lines = path.read_text(encoding="utf-8").split("\n")

@@ -428,7 +428,7 @@ class TestForwardTriple:
         negative = np.abs(rng.normal(size=(4, 3))) + 0.1
         bits = TagVector.from_ids([], 2)
         out = forward_triple(anchor, positive, negative, bits, bits, params, 0.0)
-        pos, neg = out.anchor_rows - out.shop_rows
+        pos, neg = out.anchor_rows - out.shop_norms.unit
         assert pos @ pos < 1e-12
         if neg @ neg >= 0.0:
             assert out.loss == 0.0
@@ -470,7 +470,7 @@ class TestForwardTriple:
                     anchor_rows = l2_normalize(attend(fmap, shop_rows, params).pooled)
                 else:
                     anchor_rows = [uniform_embedding(extract_features(anchor, "user", params))] * 2
-                np.testing.assert_array_equal(got.shop_rows, shop_rows)
+                np.testing.assert_array_equal(got.shop_norms.unit, shop_rows)
                 np.testing.assert_array_equal(got.anchor_rows, anchor_rows)
 
     def test_the_three_maps_must_have_one_shape(self):
@@ -790,6 +790,13 @@ class TestCheckpoints:
         with pytest.raises(CheckpointFormatError, match=message) as err:
             checkpoint_from_bytes(bytes(data))
         assert err.value.offset == offset
+
+    def test_unknown_variant_code(self):
+        data = bytearray(checkpoint_to_bytes(self.make_checkpoint()))
+        data[8:12] = struct.pack("<I", 7)
+        with pytest.raises(CheckpointFormatError, match="unknown variant code 7") as err:
+            checkpoint_from_bytes(bytes(data))
+        assert err.value.offset == 8
 
     def test_unexpected_tensor(self):
         # A base-variant file that also carries a tag head would load and

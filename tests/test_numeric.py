@@ -181,6 +181,14 @@ class TestL2Normalize:
         np.testing.assert_allclose(got[1], backward_of(v[1], g[1]), rtol=0, atol=1e-15)
         np.testing.assert_allclose(got[1], [0.128, -0.096], rtol=0, atol=1e-15)
 
+    def test_refuses_what_is_not_a_vector_or_a_stack_of_non_empty_rows(self):
+        for shape in ((3,), (2, 2, 3), (2, 0), (0, 0)):
+            with pytest.raises(ValueError, match="^normalize_rows expects a stack of non-empty rows$"):
+                normalize_rows(np.ones(shape))
+        for shape in ((2, 2, 3), (), (0,), (2, 0)):
+            with pytest.raises(ValueError, match="^l2_normalize expects a non-empty vector or a stack of them$"):
+                l2_normalize(np.ones(shape))
+
     def test_backward_refuses_a_gradient_of_another_shape(self):
         # (1, 3) and (3,) would broadcast against the rows without the check.
         kept = normalize_rows(np.ones((2, 3)))

@@ -245,8 +245,9 @@ SPLITS = [(1, 4, 40), (2, 4, 40), (3, 4, 41), (64, 4, 40), (64, 1, 41)]
 
 
 class TestThreadedBuild:
-    """``build_index`` splits its blocks into shares, one per thread, with
-    the serial build's blocks, bytes and faults."""
+    """``build_index`` splits its blocks into shares, the first on the
+    calling thread and the others on a pool, with the serial build's
+    blocks, bytes and faults."""
 
     @pytest.fixture
     def split(self, monkeypatch):
@@ -286,12 +287,20 @@ class TestThreadedBuild:
         save_index(tmp_path / "split.xidx", build_index(items, params))
         assert threading.active_count() == before
         assert (tmp_path / "split.xidx").read_bytes() == (tmp_path / "serial.xidx").read_bytes()
-        # Each block once; each share a run of blocks, the caller's first.
+        # Each block once, in the shares build_index makes: the caller
+        # embeds share 0's blocks and no later one, and each other share
+        # runs on one worker thread, of at most shares - 1. A pool may give
+        # an idle worker a later share.
         by_block = [threads.pop(float(item.raw[0, 0])) for item in items[::2]]
         assert not threads
-        runs = [thread for n, thread in enumerate(by_block) if n == 0 or thread != by_block[n - 1]]
-        assert len(runs) == len(set(runs)) == max(1, min(cpus, len(by_block) // min_blocks))
-        assert runs[0] is threading.current_thread()
+        shares = max(1, min(cpus, len(by_block) // min_blocks))
+        bounds = [len(by_block) * share // shares for share in range(shares + 1)]
+        caller = threading.current_thread()
+        assert all(thread is caller for thread in by_block[: bounds[1]])
+        assert caller not in by_block[bounds[1] :]
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            assert len(set(by_block[lo:hi])) == 1
+        assert len(set(by_block[bounds[1] :])) <= shares - 1
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_a_one_share_build_never_counts_the_cpus(self, monkeypatch, tmp_path, variant):

@@ -4,7 +4,6 @@ import itertools
 import logging
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,8 +37,8 @@ def records_dataset(shop_products, user_products):
     shops = [ManifestRecord(100 + i, "shop", p, "", ()) for i, p in enumerate(shop_products)]
     users = [ManifestRecord(i, "user", p, "", ()) for i, p in enumerate(user_products)]
     records = [r for pair in itertools.zip_longest(users, shops) for r in pair if r is not None]
-    manifest = Manifest(records=tuple(records), tag_names=("t",), root=Path("."))
-    return Dataset(manifest=manifest, features={}, ground_truth=None, root=Path("."))
+    manifest = Manifest(records=tuple(records), tag_names=("t",))
+    return Dataset(manifest=manifest, features={}, ground_truth=None)
 
 
 def tiny_split(tmp_path):
