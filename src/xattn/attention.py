@@ -102,11 +102,11 @@ calls to these functions. Tag bits are checked to be 0/1 where a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
+from .fileio import _check_range
 from .numeric import softmax
 
 # The smallest sum Z_k that context_attend trusts; below it, context k's
@@ -125,7 +125,8 @@ class TagVector:
     over ``bytes`` of its own, so no later write, to it or to the source,
     can skip the 0/1 check. Bits that do not convert to float64, or are not
     a non-empty 1-D array of 0s and 1s, raise a ValueError; so do a size
-    and a tag id that are not integers, and a tag id out of range.
+    that is not an integer >= 0, and a tag id that is not an integer in
+    [0, size).
     """
 
     bits: np.ndarray
@@ -145,12 +146,11 @@ class TagVector:
 
     @classmethod
     def from_ids(cls, tag_ids: "list[int] | tuple[int, ...]", size: int) -> "TagVector":
-        if not isinstance(size, Integral):
-            raise ValueError(f"tag vector size must be an integer, got {size!r}")
+        # A size of 0 passes here, to fail the non-empty rule.
+        _check_range(size, "tag vector size", 0)
         bits = np.zeros(size, dtype=np.float64)
         for t in tag_ids:
-            if not isinstance(t, Integral) or not 0 <= t < size:
-                raise ValueError(f"tag id {t!r} is not an integer in [0, {size})")
+            _check_range(t, "tag id", 0, size)
             bits[int(t)] = 1.0  # numpy reads a bool index as a mask
         return cls(bits=bits)
 

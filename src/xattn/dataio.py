@@ -37,20 +37,18 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import struct
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import islice
-from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .attention import TagVector
-from .fileio import FormatError, Reader, write_atomic
+from .fileio import FormatError, Reader, _check_range, write_atomic
 from .model import DOMAINS
 
 logger = logging.getLogger(__name__)
@@ -488,9 +486,7 @@ class SyntheticSpec:
             ("signal_locations", 1),
             ("seed", 0),
         ):
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            _check_range(getattr(self, name), name, least)
         if self.holdout_products == 1:
             raise ValueError(
                 "holdout_products must be 0 or >= 2 (a holdout query ranks products), got 1"
@@ -499,9 +495,8 @@ class SyntheticSpec:
             raise ValueError(
                 f"signal_locations must be in [1, locations], got {self.signal_locations!r}"
             )
-        # NaN fails the range test (nan >= 0 is False), as it would add no noise.
-        if not isinstance(self.noise_sigma, Real) or not 0 <= self.noise_sigma < math.inf:
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        # NaN would add no noise; the range rule refuses it.
+        _check_range(self.noise_sigma, "noise_sigma", 0, integer=False)
 
 
 @dataclass(frozen=True)

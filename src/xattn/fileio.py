@@ -13,12 +13,17 @@ Each rule has one home. A rule about a value lives in its constructor,
 which raises ``_KeyedError`` keyed by where the fault lies: a config
 field, a tensor name or an index row. A parser keeps the rules about
 bytes, builds the value and reports that fault at the item's offset.
+The range rule, "an integer (or a number) in [low, high)", lives in
+``_check_range``, which every module calls; its message reads
+``<name> must be an integer in [<low>, <high>), got <value>``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterable, NoReturn
 
@@ -41,6 +46,19 @@ class _KeyedError(ValueError):
     def __init__(self, message: str, key: object) -> None:
         super().__init__(message)
         self.key = key
+
+
+def _check_range(
+    value: object, name: str, low: float, high: float = math.inf, integer: bool = True
+) -> None:
+    """Raise ``_KeyedError`` keyed by ``name`` unless ``value`` is an
+    ``Integral`` (with ``integer=False``, a ``Real``) and ``low <= value <
+    high``. The test names the range to be in, so NaN, which compares
+    false, fails it. The bounds print as plain numbers, such as
+    ``4294967296`` and ``inf``."""
+    if not (isinstance(value, Integral if integer else Real) and low <= value < high):
+        kind = "an integer" if integer else "a number"
+        raise _KeyedError(f"{name} must be {kind} in [{low}, {high}), got {value!r}", name)
 
 
 class Reader:

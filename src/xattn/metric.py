@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from .fileio import _check_range
+
 # Guard against grossly unnormalized inputs while still admitting the tiny
 # off-sphere excursions a finite-difference probe makes (h ~ 1e-5). Model
 # outputs are unit to ~1e-15; tests assert that tighter bound there.
@@ -25,10 +27,10 @@ def triplet_loss(anchors: np.ndarray, shops: np.ndarray, alpha: float) -> float:
     """max(0, d(anchor_pos, positive) - d(anchor_neg, negative) + alpha).
 
     ``anchors`` and ``shops`` must both be 2 x C, with unit rows; a NaN
-    row fails the norm check too.
+    row fails the norm check too. The margin ``alpha`` must be a finite
+    number >= 0.
     """
-    if alpha < 0:
-        raise ValueError("margin alpha must be non-negative")
+    _check_range(alpha, "margin alpha", 0, integer=False)
     if anchors.shape != shops.shape or anchors.shape[:-1] != (2,):
         raise ValueError("anchors and shops must be two 2 x C stacks of one shape")
     # The four squared norms from one array operation, each the dot product

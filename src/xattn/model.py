@@ -65,10 +65,13 @@ row the same bits in products of any row count (see ``forward_triple``).
 The anchor embeddings are ``l2_normalize`` of the quotients of the rows
 and sums the re-rank scores, to rounding: the factor's two products, of
 two shop rows here and of N index rows there, may differ in the last
-bits. It keeps the trunk activations, the shop pass's keys and
-pooled hidden rows, the attention results and the norms the embeddings
-were divided by, and ``backward_triple`` calls it once and walks back
-over them; the gradient check differences the same ``forward_triple``.
+bits. It keeps the trunk pass once, as the 3L input rows and 3L hidden
+rows, with the anchor's user-branch map, the shop pass's keys and pooled
+hidden rows, the attention results and the norms the embeddings were
+divided by. ``backward_triple`` calls it once and walks back over them,
+reading the anchor's part of the trunk pass as the slices ``[:L]`` and
+the shops' as ``[L:]``; the gradient check differences the same
+``forward_triple``.
 The shop gradient reaches the trunk through the ReLU mask of the hidden
 maps alone, with no product through the branch at each location. In the
 stages that freeze the trunk, ``backward_triple`` skips the trunk
@@ -114,7 +117,6 @@ import os
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from numbers import Integral
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
@@ -130,7 +132,7 @@ from .attention import (
     tag_attend,
     tag_attend_backward,
 )
-from .fileio import FormatError, Reader, _KeyedError, write_atomic
+from .fileio import FormatError, Reader, _check_range, _KeyedError, write_atomic
 from .metric import triplet_loss, triplet_loss_backward
 from .numeric import Normalized, l2_normalize, l2_normalize_backward, normalize_rows
 
@@ -188,10 +190,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         # A checkpoint stores the variant and each dimension as a u32.
         for field_name in _DIMS:
-            value = getattr(self, field_name)
-            if not isinstance(value, Integral) or not 1 <= value < 2**32:
-                message = f"{field_name} must be an integer in [1, 2**32), got {value!r}"
-                raise _KeyedError(message, field_name)
+            _check_range(getattr(self, field_name), field_name, 1, 2**32)
         if not isinstance(self.variant, Variant):
             raise ValueError(f"variant must be a Variant, got {self.variant!r}")
 
@@ -311,14 +310,6 @@ def init_params(
 # ---------------------------------------------------------------------------
 
 
-class _Features(NamedTuple):
-    """One trunk + branch pass, with the activations its backward reads."""
-
-    rows: np.ndarray  # (N*L) x R input rows of the N maps
-    hidden: np.ndarray  # (N*L) x C trunk outputs after the ReLU
-    fmap: np.ndarray  # L x C map, or B x L x C stack
-
-
 def _trunk(raw: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """The trunk pass, relu(trunk(x)) at every location: the (N*L) x R
     input rows of one L x R map or a B x L x R stack, and the (N*L) x C
@@ -376,23 +367,19 @@ def _uniform_pool(fmap: np.ndarray) -> AttentionResult:
 
 
 class _ShopPass(NamedTuple):
-    """The shop side's one pass: the trunk, pooling over its hidden maps,
-    then the shop branch once per pooled row; with the intermediates
+    """The shop side's pass over the trunk's hidden maps: pooling, then the
+    shop branch once per pooled row; with the intermediates
     ``backward_triple`` reads."""
 
-    rows: np.ndarray  # (B*L) x R input rows
-    hidden: np.ndarray  # B x L x C hidden maps
     keys: np.ndarray | None  # T x C tag embedding through the branch; None when uniform
     pool: AttentionResult  # B x L weights, B x C pooled hidden rows
     pooled: np.ndarray  # B x C: the shop branch of each pooled hidden row
 
 
-def _shop_pass(
-    rows: np.ndarray, maps: np.ndarray, bits: np.ndarray | None, params: ModelParams
-) -> _ShopPass:
-    """Pool each of the B x L x C hidden ``maps`` the trunk made of the
-    input ``rows``, under its row of the B x T tag ``bits`` or uniformly
-    when ``bits`` is None, then apply the shop branch to each pooled row.
+def _shop_pass(maps: np.ndarray, bits: np.ndarray | None, params: ModelParams) -> _ShopPass:
+    """Pool each of the B x L x C hidden ``maps`` the trunk made, under its
+    row of the B x T tag ``bits`` or uniformly when ``bits`` is None, then
+    apply the shop branch to each pooled row.
     The tags score the hidden maps under the keys ``E @ W``, which embed a
     tag set ``e`` as ``W^T e``."""
     t = params.tensors
@@ -403,7 +390,7 @@ def _shop_pass(
         keys = t["tag_attn.embedding"] @ t["branch_shop.weight"]
         pool = tag_attend(maps, bits, keys)
     pooled = _affine(pool.pooled, t["branch_shop.weight"], t["branch_shop.bias"])
-    return _ShopPass(rows=rows, hidden=maps, keys=keys, pool=pool, pooled=pooled)
+    return _ShopPass(keys=keys, pool=pool, pooled=pooled)
 
 
 def embed_shops(raws: np.ndarray, bits: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -411,9 +398,9 @@ def embed_shops(raws: np.ndarray, bits: np.ndarray, params: ModelParams) -> np.n
     under its own row of the B x T 0/1 matrix ``bits``. The base variant
     has no tag head: it pools uniformly and does not read ``bits``."""
     tagged = params.config.variant >= Variant.TAGYNET
-    rows, hidden = _trunk(raws, params)
+    _, hidden = _trunk(raws, params)
     maps = hidden.reshape(*np.shape(raws)[:-1], params.config.channels)
-    return l2_normalize(_shop_pass(rows, maps, bits if tagged else None, params).pooled)
+    return l2_normalize(_shop_pass(maps, bits if tagged else None, params).pooled)
 
 
 def embed_shop(raw: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndarray:
@@ -422,21 +409,19 @@ def embed_shop(raw: np.ndarray, tags: TagVector, params: ModelParams) -> np.ndar
     return embed_shops(np.asarray(raw)[None], tags.bits[None], params)[0]
 
 
-def _pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """The float64 2-stack [first, second] of two arrays of one shape; the
-    values ``np.stack`` gives, at less cost per call."""
-    return np.array((first, second), dtype=np.float64)
-
-
 class TripleForward(NamedTuple):
     """Loss and the embeddings of one triple, as the two 2 x C stacks
     ``triplet_loss`` compares, ``anchor_rows`` and ``shop_norms.unit``, with
-    the intermediates ``backward_triple`` walks back over."""
+    the intermediates ``backward_triple`` walks back over. The one trunk
+    pass is kept once, as ``rows`` and ``hidden``: with L locations, rows
+    ``[:L]`` are the anchor's and rows ``[L:]`` the shops'."""
 
     loss: float
     anchor_rows: np.ndarray  # [anchor_pos, anchor_neg]
-    anchor: _Features  # the anchor's rows of the one trunk pass, and its user branch
-    shops: _ShopPass  # the stack [positive, negative]: the rest of that pass
+    rows: np.ndarray  # 3L x R input rows of [anchor, positive, negative]
+    hidden: np.ndarray  # 3L x C: the one trunk pass over them, after the ReLU
+    anchor_map: np.ndarray  # L x C: the anchor's hidden rows through the user branch
+    shops: _ShopPass  # the shop pass over the hidden maps of [positive, negative]
     shop_bits: np.ndarray | None  # 2 x T; None when the shops pool uniformly
     anchor_pool: ContextPool | AttentionResult  # K=2 under the shop contexts, else one uniform row
     shop_norms: Normalized  # the rows [positive, negative], with the norms they were divided by
@@ -483,31 +468,27 @@ def forward_triple(
     cfg = params.config
     t = params.tensors
     n = cfg.locations
-    anchor_hidden = hidden[:n]
-    anchor = _Features(
-        rows=rows[:n],
-        hidden=anchor_hidden,
-        fmap=_affine(anchor_hidden, t["branch_user.weight"], t["branch_user.bias"]),
-    )
+    anchor_map = _affine(hidden[:n], t["branch_user.weight"], t["branch_user.bias"])
     shop_bits = None
     if cfg.variant >= Variant.TAGYNET:
         if positive_tags is None or negative_tags is None:
             raise ValueError("tag vectors required for the tag-attention variant")
-        shop_bits = _pair(positive_tags.bits, negative_tags.bits)
-    shops = _shop_pass(rows[n:], hidden[n:].reshape(2, n, cfg.channels), shop_bits, params)
+        # The values np.stack gives, at less cost per call.
+        shop_bits = np.array((positive_tags.bits, negative_tags.bits), dtype=np.float64)
+    shops = _shop_pass(hidden[n:].reshape(2, n, cfg.channels), shop_bits, params)
     shop_norms = normalize_rows(shops.pooled)
 
     if cfg.variant >= Variant.CTXYNET:
         weight = t["ctx_attn.context_weight"]
         anchor_pool = context_attend(
-            anchor.fmap,
+            anchor_map,
             shop_norms.unit,
             t["ctx_attn.feature_weight"],
             weight,
             context_factor(weight, shop_norms.unit),
         )
     else:
-        anchor_pool = _uniform_pool(anchor.fmap[None])
+        anchor_pool = _uniform_pool(anchor_map[None])
     anchor_norms = normalize_rows(anchor_pool.pooled)
     anchor_rows = anchor_norms.unit
     if len(anchor_rows) == 1:
@@ -516,7 +497,9 @@ def forward_triple(
     return TripleForward(
         loss=triplet_loss(anchor_rows, shop_norms.unit, alpha),
         anchor_rows=anchor_rows,
-        anchor=anchor,
+        rows=rows,
+        hidden=hidden,
+        anchor_map=anchor_map,
         shops=shops,
         shop_bits=shop_bits,
         anchor_pool=anchor_pool,
@@ -555,6 +538,8 @@ def backward_triple(
     the branch weight gets ``g^T p_h`` plus ``E^T`` times the keys'
     gradient, the tag embedding gets the keys' gradient times ``W^T``, and
     the hidden maps' gradient reaches the trunk through the ReLU alone.
+    Both sides read their input and hidden rows as the slices ``[:L]`` and
+    ``[L:]`` of the forward's one trunk pass.
 
     The dict holds one array per tensor the step updates: none when the
     loss is 0, and every tensor but the trunk with ``frozen_trunk`` (the
@@ -576,7 +561,7 @@ def backward_triple(
     if params.config.variant >= Variant.CTXYNET:
         grad_anchor_map, grad_contexts, grad_feature_weight, grad_context_weight = (
             context_attend_backward(
-                fwd.anchor.fmap,
+                fwd.anchor_map,
                 fwd.shop_norms.unit,
                 t["ctx_attn.feature_weight"],
                 t["ctx_attn.context_weight"],
@@ -591,9 +576,12 @@ def backward_triple(
     else:
         grad_anchor_map = fwd.anchor_pool.weights[..., None] * grad_pooled[..., None, :]
 
-    anchor, shops = fwd.anchor, fwd.shops
-    grad_user = grad_anchor_map.reshape(-1, params.config.channels)
-    grads["branch_user.weight"] = grad_user.T @ anchor.hidden
+    # The trunk pass's rows [:n] are the anchor's and rows [n:] the shops'.
+    n, channels = params.config.locations, params.config.channels
+    shops = fwd.shops
+    shop_maps = fwd.hidden[n:].reshape(2, n, channels)
+    grad_user = grad_anchor_map.reshape(-1, channels)
+    grads["branch_user.weight"] = grad_user.T @ fwd.hidden[:n]
     grads["branch_user.bias"] = np.add.reduce(grad_user, axis=0)
 
     grad_shop = l2_normalize_backward(fwd.shop_norms, grad_shops)
@@ -602,7 +590,7 @@ def backward_triple(
     grad_hidden_pooled = grad_shop @ t["branch_shop.weight"]
     if fwd.shop_bits is not None:
         grad_maps, grad_keys = tag_attend_backward(
-            shops.hidden,
+            shop_maps,
             fwd.shop_bits,
             shops.keys,
             shops.pool,
@@ -616,11 +604,9 @@ def backward_triple(
 
     if not frozen_trunk:
         # the gradient at each domain's trunk pre-activations
-        user_pre = np.where(anchor.hidden > 0.0, grad_user @ t["branch_user.weight"], 0.0)
-        shop_pre = np.where(shops.hidden > 0.0, grad_maps, 0.0).reshape(
-            -1, params.config.channels
-        )
-        grads["trunk.weight"] = user_pre.T @ anchor.rows + shop_pre.T @ shops.rows
+        user_pre = np.where(fwd.hidden[:n] > 0.0, grad_user @ t["branch_user.weight"], 0.0)
+        shop_pre = np.where(shop_maps > 0.0, grad_maps, 0.0).reshape(-1, channels)
+        grads["trunk.weight"] = user_pre.T @ fwd.rows[:n] + shop_pre.T @ fwd.rows[n:]
         grads["trunk.bias"] = np.add.reduce(user_pre, axis=0) + np.add.reduce(shop_pre, axis=0)
     return fwd.loss, grads
 
@@ -632,6 +618,11 @@ def backward_triple(
 
 @dataclass(frozen=True)
 class Checkpoint:
+    """A model and what the checkpoint header records of its training. The
+    config must be the params' config, the stage a str, the epoch an integer
+    in [0, 2**32) and the seed one in [0, 2**64), as the header's u32 and u64
+    hold them; any other value raises a ValueError when constructed."""
+
     config: ModelConfig
     params: ModelParams
     epoch: int
@@ -646,6 +637,9 @@ class Checkpoint:
             )
         if not isinstance(self.stage, str):
             raise ValueError(f"checkpoint stage must be a str, got {self.stage!r}")
+        # The header holds the epoch as a u32 and the seed as a u64.
+        _check_range(self.epoch, "checkpoint epoch", 0, 2**32)
+        _check_range(self.seed, "checkpoint seed", 0, 2**64)
 
 
 def _tensor_frame(name: str, arr: np.ndarray) -> bytes:
@@ -690,12 +684,10 @@ def params_fingerprint(params: ModelParams) -> bytes:
 
 
 def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
-    # The header holds the epoch as a u32 and the seed as a u64. A value
-    # out of range would raise struct.error, which is not a ValueError.
-    for name, value, bits in (("epoch", ckpt.epoch, 32), ("seed", ckpt.seed, 64)):
-        if not isinstance(value, Integral) or not 0 <= value < 2**bits:
-            raise ValueError(f"checkpoint {name} must be an integer in [0, 2**{bits}), got {value!r}")
-    # What the reader refuses is refused here, before any byte is written.
+    """The checkpoint file's bytes. ``Checkpoint`` has checked every value
+    the header holds; this keeps the rules about bytes: the stage name must
+    encode as UTF-8 and every tensor must be finite, as the reader requires,
+    and a fault raises a ValueError before any byte is made."""
     try:
         stage = ckpt.stage.encode("utf-8")
     except UnicodeEncodeError:

@@ -74,14 +74,13 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .attention import TagVector, context_attend, context_factor
-from .fileio import FormatError, Reader, _KeyedError, write_atomic
+from .fileio import FormatError, Reader, _check_range, _KeyedError, write_atomic
 from .model import (
     ModelParams,
     UnsupportedVariantError,
@@ -109,14 +108,13 @@ DEFAULT_TOP_K = 256
 # pass has a fixed cost, so smaller blocks are slower. Larger blocks free
 # more memory at once, and glibc's malloc hands it back to the OS, so the
 # next block page-faults it in again. So the stacked raw maps share one
-# buffer per share of a call, which runs its blocks one after another, as
-# a whole call did before calls were split into shares: five builds of 1000 items at L=4, C=128 took 0.041
-# minor faults per location row at 784 rows, against 0.144 with a fresh
-# stack per block (0.003 at L=49 either way). Building 1000 items at
-# C=128 (fastest of 25, one BLAS thread, 2-vCPU VM, four runs), L=4 /
-# L=49 took 9.1-13.3 / 62.6-76.3 ms at 392 rows, 8.3-12.6 / 59.2-71.9 ms
-# at 784 (faster than 392 in every run) and 10.6-15.1 / 57.8-73.8 ms at
-# 1568.
+# buffer per share of a call, which runs its blocks one after another:
+# five builds of 1000 items at L=4, C=128 took 0.041 minor faults per
+# location row at 784 rows, against 0.144 with a fresh stack per block
+# (0.003 at L=49 either way). Building 1000 items at C=128 (fastest of
+# 25, one BLAS thread, 2-vCPU VM, four runs), L=4 / L=49 took 9.1-13.3 /
+# 62.6-76.3 ms at 392 rows, 8.3-12.6 / 59.2-71.9 ms at 784 (faster than
+# 392 in every run) and 10.6-15.1 / 57.8-73.8 ms at 1568.
 BUILD_ROWS = 784
 
 # Blocks each share of a build_index call must have: a call of b blocks
@@ -235,7 +233,10 @@ class ShopIndex:
 
     An index is an immutable value, checked once: no field can be rebound.
     The columns are not copied: the constructor marks each array it is
-    given read-only. ``dataclasses.replace`` relabels an index.
+    given read-only. ``dataclasses.replace`` relabels an index. A column
+    that does not convert to its dtype, or ids or tag bytes whose values
+    the conversion changes, raise a ValueError naming the column; columns
+    of the wrong rank or of unequal lengths raise one too.
 
     Item ids strictly increase, and every row is a finite unit embedding,
     up to rounding (``MAX_SQ_NORM``). The first id, then the first row,
@@ -260,18 +261,24 @@ class ShopIndex:
     _context: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        dtypes = (np.int64, np.int64, np.uint8, np.float64)
-        for name, dtype in zip(("item_ids", "product_ids", "tag_bits", "embeddings"), dtypes):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        n = len(self.item_ids)
-        if (
-            self.item_ids.shape != (n,)
-            or self.product_ids.shape != (n,)
-            or self.tag_bits.ndim != 2
-            or self.embeddings.ndim != 2
-            or len(self.tag_bits) != n
-            or len(self.embeddings) != n
-        ):
+        columns = []
+        names = ("item_ids", "product_ids", "tag_bits", "embeddings")
+        # A NaN or huge float id casts to some integer; the test below refuses it.
+        with np.errstate(invalid="ignore"):
+            for name, dtype in zip(names, (np.int64, np.int64, np.uint8, np.float64)):
+                given = getattr(self, name)
+                try:
+                    column = np.asarray(given, dtype=dtype)
+                    # Ids and tag bytes must keep their values: 1.7 is no id, and -1 no byte.
+                    exact = dtype == np.float64 or column is given or np.array_equal(column, given)
+                except (TypeError, ValueError, OverflowError):
+                    exact = False
+                if not exact:
+                    raise ValueError(f"index column {name} does not convert exactly to {np.dtype(dtype)}")
+                object.__setattr__(self, name, column)
+                columns.append(column)
+        # The ranks first: len() of a 0-d array raises a TypeError.
+        if [column.ndim for column in columns] != [1, 1, 2, 2] or len(set(map(len, columns))) != 1:
             raise ValueError("index columns must hold one row per item")
         bad = np.flatnonzero(self.item_ids[1:] <= self.item_ids[:-1]) + 1
         if bad.size:
@@ -297,7 +304,7 @@ class ShopIndex:
                 fault = f"index row {row} has squared norm {float(sq_norms[row])!r}"
                 fault += f", above {MAX_SQ_NORM!r}: rows must be unit embeddings"
             raise _KeyedError(fault, row)
-        for column in (self.item_ids, self.product_ids, self.tag_bits, self.embeddings):
+        for column in columns:
             column.flags.writeable = False
         object.__setattr__(self, "_sq_norms", sq_norms)
 
@@ -558,8 +565,7 @@ def search(
     later one reuses, and scores the unnormalised rows and sums of one
     ``context_attend`` call.
     """
-    if not isinstance(k, Integral) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    _check_range(k, "k", 1)
     if use_rerank and params.config.variant < Variant.CTXYNET:
         raise UnsupportedVariantError("re-ranking requires the context-attention variant")
     if index.fingerprint != params_fingerprint(params):
@@ -592,8 +598,7 @@ def precision_at_k(
     ``index.rows_of`` call, so an item id that is not indexed raises its
     ValueError wherever it ranks.
     """
-    if not isinstance(k, Integral) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    _check_range(k, "k", 1)
     top_ids: list[int] = []  # every scored query's top k, one after another
     counts: list[int] = []
     wanted: list[int] = []
@@ -650,7 +655,12 @@ def load_index(path: "Path | str", channels: int, tag_count: int) -> ShopIndex:
     The file length is checked against the size the entry count implies
     before any column is allocated, and ids must fit in int64. A fault of
     ``ShopIndex`` (id order, finite unit rows) is reported at its entry.
+    ``channels`` and ``tag_count`` must be integers in [1, 2**32), as in a
+    ``ModelConfig``; another value raises a ValueError naming it before the
+    file is read.
     """
+    _check_range(channels, "channels", 1, 2**32)
+    _check_range(tag_count, "tag_count", 1, 2**32)
     reader = Reader(Path(path).read_bytes(), IndexFormatError)
     magic, version, fingerprint, count = reader.unpack(_HEADER, "header")
     if magic != INDEX_MAGIC:

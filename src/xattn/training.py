@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral, Real
 from types import MappingProxyType
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
 from .dataio import Dataset
+from .fileio import _check_range
 from .model import (
     Checkpoint,
     ModelConfig,
@@ -59,16 +59,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         # The counts index and bound loops, so a float such as 1.5 fails
         # here, at its field, instead of inside train_stage.
-        if not isinstance(self.batch_size, Integral) or self.batch_size < 1:
-            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
-        if not isinstance(self.momentum, Real) or not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum!r}")
-        # The test names the range to be in, which NaN fails (nan <= 0 is False).
-        if not isinstance(self.base_lr, Real) or not 0 < self.base_lr < math.inf:
-            raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr!r}")
+        _check_range(self.batch_size, "batch_size", 1)
+        _check_range(self.momentum, "momentum", 0, 1, integer=False)
+        # The least positive float: for a float, [ulp(0), inf) is (0, inf).
+        _check_range(self.base_lr, "base_lr", math.ulp(0.0), integer=False)
         # A checkpoint stores the epoch count as a u32 and the seed as a u64.
-        if not isinstance(self.seed, Integral) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64) and an integer, got {self.seed!r}")
+        _check_range(self.seed, "seed", 0, 2**64)
         for name in ("margins", "epochs"):
             # A read-only copy: a later write to the table would skip these checks.
             table = MappingProxyType(dict(getattr(self, name)))
@@ -81,16 +77,8 @@ class TrainConfig:
                 if stage not in table:
                     raise ValueError(f"{name} has no entry for stage {stage!r}")
         for stage in STAGES:
-            count = self.epochs[stage]
-            if not isinstance(count, Integral) or not 0 <= count < 2**32:
-                raise ValueError(
-                    f"epochs[{stage!r}] must be in [0, 2**32) and an integer, got {count!r}"
-                )
-            margin = self.margins[stage]
-            if not isinstance(margin, Real) or not 0 <= margin < math.inf:
-                raise ValueError(
-                    f"margins[{stage!r}] must be finite and >= 0, got {margin!r}"
-                )
+            _check_range(self.epochs[stage], f"epochs[{stage!r}]", 0, 2**32)
+            _check_range(self.margins[stage], f"margins[{stage!r}]", 0, integer=False)
 
 
 def sample_triples(

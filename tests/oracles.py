@@ -390,7 +390,7 @@ def reference_full_backward_triple(
             fwd.anchor_pool.pooled, np.stack([pos_pull, -neg_push])
         )
         grad_anchor_map, grad_contexts, grad_fw, grad_cw = context_attend_backward(
-            fwd.anchor.fmap,
+            fwd.anchor_map,
             np.stack([positive, negative]),
             t["ctx_attn.feature_weight"],
             t["ctx_attn.context_weight"],
@@ -403,9 +403,12 @@ def reference_full_backward_triple(
     else:
         grad_pooled = reference_l2_normalize_backward(fwd.anchor_pool.pooled, [pos_pull - neg_push])
         grad_anchor_map = fwd.anchor_pool.weights[..., None] * grad_pooled[..., None, :]
-    anchor, shops = fwd.anchor, fwd.shops
-    grad_user = grad_anchor_map.reshape(-1, params.config.channels)
-    grads["branch_user.weight"] = grad_user.T @ anchor.hidden
+    # The one trunk pass: the anchor's L rows, then the shops' 2L.
+    n, channels = params.config.locations, params.config.channels
+    shops = fwd.shops
+    anchor_hidden, shop_maps = fwd.hidden[:n], fwd.hidden[n:].reshape(2, n, channels)
+    grad_user = grad_anchor_map.reshape(-1, channels)
+    grads["branch_user.weight"] = grad_user.T @ anchor_hidden
     grads["branch_user.bias"] = grad_user.sum(axis=0)
     # The shop branch ran once, on the pooled hidden rows.
     grad_shop = reference_l2_normalize_backward(shops.pooled, grad_shops)
@@ -415,7 +418,7 @@ def reference_full_backward_triple(
     if fwd.shop_bits is not None:
         # The hidden maps were pooled under the keys E @ W_shop.
         grad_maps, grad_keys = tag_attend_backward(
-            shops.hidden, fwd.shop_bits, shops.keys, shops.pool, grad_hidden_pooled
+            shop_maps, fwd.shop_bits, shops.keys, shops.pool, grad_hidden_pooled
         )
         grads["branch_shop.weight"] += t["tag_attn.embedding"].T @ grad_keys
         grads["tag_attn.embedding"] = grad_keys @ t["branch_shop.weight"].T
@@ -423,11 +426,11 @@ def reference_full_backward_triple(
         grad_maps = shops.pool.weights[..., None] * grad_hidden_pooled[..., None, :]
     if frozen_trunk:
         return fwd.loss, grads
-    for features, grad_pre in (
-        (anchor, np.where(anchor.hidden > 0.0, grad_user @ t["branch_user.weight"], 0.0)),
-        (shops, np.where(shops.hidden > 0.0, grad_maps, 0.0).reshape(-1, params.config.channels)),
+    for rows, grad_pre in (
+        (fwd.rows[:n], np.where(anchor_hidden > 0.0, grad_user @ t["branch_user.weight"], 0.0)),
+        (fwd.rows[n:], np.where(shop_maps > 0.0, grad_maps, 0.0).reshape(-1, channels)),
     ):
-        grads["trunk.weight"] += grad_pre.T @ features.rows
+        grads["trunk.weight"] += grad_pre.T @ rows
         grads["trunk.bias"] += grad_pre.sum(axis=0)
     return fwd.loss, grads
 

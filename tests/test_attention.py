@@ -86,15 +86,21 @@ class TestTypes:
 
     def test_tag_vector_ids_and_size_must_be_integers(self):
         for tag_id in (1.5, 1.0, "1", None, np.float64(1.0)):
-            with pytest.raises(ValueError, match=r"^tag id .* is not an integer in \[0, 3\)$"):
+            with pytest.raises(ValueError, match=r"^tag id must be an integer in \[0, 3\), got .*$"):
                 TagVector.from_ids([tag_id], 3)
         for tag_id in (-1, 3):
-            with pytest.raises(ValueError, match=rf"^tag id {tag_id} is not an integer in \[0, 3\)$"):
+            with pytest.raises(ValueError, match=rf"^tag id must be an integer in \[0, 3\), got {tag_id}$"):
                 TagVector.from_ids([tag_id], 3)
         np.testing.assert_array_equal(TagVector.from_ids([np.int64(2), True], 3).bits, [0, 1, 1])
         for size in (2.5, "3", None):
-            with pytest.raises(ValueError, match=rf"^tag vector size must be an integer, got {re.escape(repr(size))}$"):
+            message = rf"^tag vector size must be an integer in \[0, inf\), got {re.escape(repr(size))}$"
+            with pytest.raises(ValueError, match=message):
                 TagVector.from_ids([], size)
+
+    def test_tag_vector_size_must_not_be_negative(self):
+        # np.zeros(-1) would raise its own "negative dimensions" error.
+        with pytest.raises(ValueError, match=r"^tag vector size must be an integer in \[0, inf\), got -1$"):
+            TagVector.from_ids([1], -1)
 
     def test_tag_vector_keeps_a_read_only_copy(self):
         source = np.array([0.0, 1.0, 0.0])

@@ -152,6 +152,7 @@ class TestTagVectors:
         generate_synthetic(spec, tmp_path)
         for split in ("train", "holdout"):
             dataset = load_dataset(tmp_path / split)
+            by_tag_set: dict[tuple[int, ...], list[TagVector]] = {}
             for record in dataset.manifest.records:
                 tags = dataset.tag_vector(record)
                 assert isinstance(tags, TagVector)
@@ -160,6 +161,12 @@ class TestTagVectors:
                 # Records with one tag set share the vector, so no caller
                 # may write to it.
                 assert not tags.bits.flags.writeable
+                by_tag_set.setdefault(record.tag_ids, []).append(tags)
+            # One object per tag set, shared by every record that has it.
+            assert len(by_tag_set) > 1 and max(map(len, by_tag_set.values())) > 1
+            for vectors in by_tag_set.values():
+                assert all(vector is vectors[0] for vector in vectors)
+            assert len({id(vectors[0]) for vectors in by_tag_set.values()}) == len(by_tag_set)
 
     def test_a_shop_record_with_an_empty_tag_field_has_no_tags(self, train_dir):
         # The record follows a shop record with tags, so it cannot take

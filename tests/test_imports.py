@@ -122,3 +122,35 @@ def test_unread_privates_are_found():
 def test_every_private_name_is_read():
     sources = {path.stem: path.read_text() for path in sorted((SRC / "xattn").glob("*.py"))}
     assert unread_privates(sources) == []
+
+
+def imports_of(source: str, module: str) -> list[int]:
+    """Lines where ``source`` imports ``module``, or a name from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == module for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_imports_of_a_module_are_found():
+    source = "import os, numbers\nfrom numbers import Integral\nfrom .numbers import x\nimport numpy\n"
+    assert imports_of(source, "numbers") == [1, 2]
+    assert imports_of("def f():\n    from numbers import Real\n", "numbers") == [2]
+
+
+def test_the_range_rule_has_one_home():
+    # fileio._check_range tests for Integral and Real; a module that
+    # imports numbers would hold a range test of its own.
+    found = {
+        path.name: lines
+        for path in sorted((SRC / "xattn").glob("*.py"))
+        if (lines := imports_of(path.read_text(), "numbers"))
+    }
+    assert list(found) == ["fileio.py"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,13 @@ class TestTripletLoss:
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
             triplet_loss(*random_triple(rng), -0.1)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.1])
+    def test_margin_must_be_a_finite_non_negative_number(self, alpha):
+        # NaN would score every triple 0.0 and inf every one inf.
+        message = rf"^margin alpha must be a number in \[0, inf\), got {alpha!r}$"
+        with pytest.raises(ValueError, match=message):
+            triplet_loss(*random_triple(np.random.default_rng(4)), alpha)
 
     def test_loss_nonnegative_and_zero_condition(self):
         rng = np.random.default_rng(5)

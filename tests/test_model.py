@@ -632,15 +632,12 @@ class TestCheckpoints:
         "name, value, bits",
         [("epoch", -1, 32), ("epoch", 2**32, 32), ("epoch", 1.5, 32), ("seed", -1, 64), ("seed", 2**64, 64)],
     )
-    def test_writer_names_a_header_field_out_of_range(self, tmp_path, name, value, bits):
-        # The header holds the epoch as a u32 and the seed as a u64.
-        ckpt = dataclasses.replace(self.make_checkpoint(), **{name: value})
-        message = rf"checkpoint {name} must be an integer in \[0, 2\*\*{bits}\), got {value}"
+    def test_constructor_names_a_header_field_out_of_range(self, name, value, bits):
+        # The header holds the epoch as a u32 and the seed as a u64, so a
+        # checkpoint that the writer could not store cannot be made.
+        message = rf"^checkpoint {name} must be an integer in \[0, {2**bits}\), got {value}$"
         with pytest.raises(ValueError, match=message):
-            checkpoint_to_bytes(ckpt)
-        with pytest.raises(ValueError, match=message):
-            save_checkpoint(tmp_path / "model.xatn", ckpt)
-        assert not (tmp_path / "model.xatn").exists()
+            dataclasses.replace(self.make_checkpoint(), **{name: value})
         edge = dataclasses.replace(self.make_checkpoint(), **{name: 2**bits - 1})
         assert getattr(checkpoint_from_bytes(checkpoint_to_bytes(edge)), name) == 2**bits - 1
 
@@ -786,7 +783,7 @@ class TestCheckpoints:
         offset, field_name = field_at
         data = bytearray(checkpoint_to_bytes(self.make_checkpoint()))
         data[offset : offset + 4] = struct.pack("<I", 0)
-        message = rf"{field_name} must be an integer in \[1, 2\*\*32\), got 0"
+        message = rf"{field_name} must be an integer in \[1, 4294967296\), got 0"
         with pytest.raises(CheckpointFormatError, match=message) as err:
             checkpoint_from_bytes(bytes(data))
         assert err.value.offset == offset

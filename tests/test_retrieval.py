@@ -448,7 +448,7 @@ class TestSearch:
                 search(index, raw, params, k=0, use_rerank=use_rerank)
             # Refused before the scan, whose partition needs an integer.
             for k in (2.5, 2.0, "2", None):
-                with pytest.raises(ValueError, match=rf"^k must be an integer >= 1, got {k!r}$"):
+                with pytest.raises(ValueError, match=rf"^k must be an integer in \[1, inf\), got {k!r}$"):
                     search(index, raw, params, k=k, use_rerank=use_rerank)
         assert search(index, raw, params, k=np.int64(2)) == search(index, raw, params, k=2)
 
@@ -1187,7 +1187,7 @@ class TestPrecisionAtK:
         with pytest.raises(ValueError):
             precision_at_k(results, truth, index, 0)
         for k in (1.5, 1.0, "1"):
-            with pytest.raises(ValueError, match=rf"^k must be an integer >= 1, got {k!r}$"):
+            with pytest.raises(ValueError, match=rf"^k must be an integer in \[1, inf\), got {k!r}$"):
                 precision_at_k(results, truth, index, k)
 
     def test_matches_the_per_entry_count_with_one_rows_of_call(self, monkeypatch):
@@ -1289,6 +1289,17 @@ class TestIndexFile:
         assert resaved.read_bytes() == path.read_bytes()
         raw = query(params, np.random.default_rng(1))
         assert search(loaded, raw, params, k=3, use_rerank=False) == search(index, raw, params, k=3, use_rerank=False)
+
+    @pytest.mark.parametrize("argument", ["channels", "tag_count"])
+    @pytest.mark.parametrize("value", [0, -1, 1.5])
+    def test_sizes_outside_the_model_config_range_are_refused(self, tmp_path, argument, value):
+        # The ModelConfig rule, checked before the file is read: a 0 would
+        # read entries of another size, and -1 would reach numpy's dtype.
+        params, _, path = saved_index(tmp_path)
+        sizes = {"channels": params.config.channels, "tag_count": params.config.tag_count}
+        message = rf"^{argument} must be an integer in \[1, 4294967296\), got {value}$"
+        with pytest.raises(ValueError, match=message):
+            load_index(path, **{**sizes, argument: value})
 
     def test_trailing_bytes(self, tmp_path):
         params, _, path = saved_index(tmp_path)
@@ -1420,6 +1431,42 @@ class TestIndexFile:
             ShopIndex(**{**columns, "embeddings": index.embeddings[:2]})
         with pytest.raises(ValueError, match="32 bytes"):
             ShopIndex(**{**columns, "fingerprint": b"short"})
+
+    def test_a_column_of_the_wrong_rank_is_refused_before_its_length_is_taken(self):
+        # A 0-d column has no len(): its rank is checked first.
+        params = make_params()
+        index = build_index(make_items(params, 3, np.random.default_rng(0)), params)
+        columns = dict(
+            item_ids=index.item_ids,
+            product_ids=index.product_ids,
+            tag_bits=index.tag_bits,
+            embeddings=index.embeddings,
+            fingerprint=index.fingerprint,
+        )
+        for name, value in (
+            ("item_ids", 5),
+            ("product_ids", 5),
+            ("tag_bits", index.tag_bits[:, 0]),
+            ("embeddings", index.embeddings[0, 0]),
+        ):
+            with pytest.raises(ValueError, match="^index columns must hold one row per item$"):
+                ShopIndex(**{**columns, name: value})
+
+    @pytest.mark.parametrize("value", [[[-1]], [[256]], np.array([[-1]]), [[0.5]], [["1"]], [[None]]])
+    def test_tag_bytes_must_convert_exactly(self, value):
+        rows = l2_normalize(np.ones((1, 3)))
+        with pytest.raises(ValueError, match="^index column tag_bits does not convert exactly to uint8$"):
+            ShopIndex([1], [1], value, rows, bytes(32))
+
+    @pytest.mark.parametrize("name", ["item_ids", "product_ids"])
+    @pytest.mark.parametrize("value", [[1.7], [np.nan], [2**63], [2**70], np.array([2**63], np.uint64), ["1"]])
+    def test_ids_must_convert_exactly(self, name, value):
+        columns = dict(item_ids=[1], product_ids=[1], tag_bits=[[0]], embeddings=l2_normalize(np.ones((1, 3))))
+        with pytest.raises(ValueError, match=rf"^index column {name} does not convert exactly to int64$"):
+            ShopIndex(**{**columns, name: value}, fingerprint=bytes(32))
+        # Values that convert exactly are kept.
+        exact = ShopIndex(**{**columns, name: [1.0]}, fingerprint=bytes(32))
+        assert getattr(exact, name).tolist() == [1]
 
     def test_fingerprint_is_kept_as_32_bytes(self, tmp_path):
         # The fingerprint keys the context term and is saved as 32 raw

@@ -161,23 +161,23 @@ class TestTrainConfig:
     @pytest.mark.parametrize("count", [-1, 2**32, 1.5, 2.0])
     def test_epoch_count_must_fit_the_checkpoint(self, count):
         # The checkpoint stores the epoch count as a u32.
-        with pytest.raises(ValueError, match=r"epochs\['tagynet'\] must be in \[0, 2\*\*32\)"):
+        with pytest.raises(ValueError, match=r"^epochs\['tagynet'\] must be an integer in \[0, 4294967296\), got "):
             TrainConfig(epochs={"ynet": 1, "tagynet": count, "ctxynet": 1})
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
     def test_seed_must_fit_the_checkpoint(self, seed):
         # The checkpoint stores the seed as a u64.
-        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 18446744073709551616\), got "):
             TrainConfig(seed=seed)
 
     @pytest.mark.parametrize("size", [0, 2.5, 32.0])
     def test_batch_size_must_be_a_positive_integer(self, size):
-        with pytest.raises(ValueError, match=rf"batch_size must be an integer >= 1, got {size}"):
+        with pytest.raises(ValueError, match=rf"^batch_size must be an integer in \[1, inf\), got {size}$"):
             TrainConfig(batch_size=size)
 
     @pytest.mark.parametrize("margin", [-0.1, math.nan, math.inf, -math.inf, "0.3"])
     def test_margin_must_be_finite_and_non_negative(self, margin):
-        with pytest.raises(ValueError, match=r"margins\['ctxynet'\] must be finite and >= 0"):
+        with pytest.raises(ValueError, match=r"^margins\['ctxynet'\] must be a number in \[0, inf\), got "):
             TrainConfig(margins={"ynet": 0.3, "tagynet": 0.3, "ctxynet": margin})
 
     @pytest.mark.parametrize(
@@ -210,7 +210,7 @@ class TestTrainConfig:
             delattr(cfg, name)
         assert cfg == TrainConfig()
         assert dataclasses.replace(cfg, batch_size=16).batch_size == 16
-        with pytest.raises(ValueError, match="batch_size must be an integer >= 1, got 0"):
+        with pytest.raises(ValueError, match=r"^batch_size must be an integer in \[1, inf\), got 0$"):
             dataclasses.replace(cfg, batch_size=0)
 
     @pytest.mark.parametrize("name, stage, value", [("epochs", "ynet", 1.5), ("margins", "ctxynet", math.nan)])
